@@ -113,7 +113,7 @@ def weyl_character(group, nu, theta, extrapolate=True, wall_tol=1e-8):
         If the element is singular and ``extrapolate`` is False; the
         message names a root beta with <beta, theta> in 2 pi Z.
     """
-    nu = nu if isinstance(nu, HalfWeight) else half_weight(group, nu)
+    nu = half_weight(group, nu)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.shape != (group.rank,):
         raise ValueError(f"theta needs {group.rank} angles")
@@ -149,38 +149,44 @@ def weyl_character(group, nu, theta, extrapolate=True, wall_tol=1e-8):
 
 
 def character_at_element(group, nu, g):
-    """chi_{nu} at a matrix group element, via its eigen-angles.
+    """chi_{nu} at a group element or a stack of them, via eigen-angles.
 
-    Uses the stable homogeneous-sum form of the character for n = 2
-    (no wall singularities); falls back on :func:`weyl_character` with
-    extrapolation otherwise.  Tori take angle vectors.
+    ``g`` is one element (an angle vector for tori, a matrix otherwise)
+    or a stack of elements along a leading axis, as returned by
+    :func:`haar_quadrature`; a stack gives an array of values and one
+    element a scalar.  Uses the stable homogeneous-sum form of the
+    character for n = 2 (no wall singularities); falls back on
+    :func:`weyl_character` with extrapolation otherwise, for single
+    elements only.
     """
-    nu = nu if isinstance(nu, HalfWeight) else half_weight(group, nu)
+    nu = half_weight(group, nu)
+    g = np.asarray(g)
     if group.kind == "torus":
-        return np.exp(1j * float(nu.coords @ np.asarray(g, dtype=float)))
+        return np.exp(1j * (g.astype(float) @ nu.coords))
     eig = np.linalg.eigvals(g)
-    angles = np.sort(np.angle(eig))[::-1]
+    angles = np.sort(np.angle(eig), axis=-1)[..., ::-1]
     if group.n == 2:
         lam = nu.highest_weight
+        x1, x2 = np.exp(1j * angles[..., 0]), np.exp(1j * angles[..., 1])
         if group.kind == "su":
             m = int(round(lam[0]))          # chi = sum_{j=0..m} e^{i (m - 2j) t}
-            x1, x2 = np.exp(1j * angles[0]), np.exp(1j * angles[1])
-        else:
-            l1, l2 = int(round(lam[0])), int(round(lam[1]))
-            m = l1 - l2
-            x1, x2 = np.exp(1j * angles[0]), np.exp(1j * angles[1])
-            pref = (x1 * x2) ** l2
-            return pref * _homogeneous_sum(x1, x2, m)
-        return _homogeneous_sum(x1, x2, m)
+            return _homogeneous_sum(x1, x2, m)
+        l1, l2 = int(round(lam[0])), int(round(lam[1]))
+        return (x1 * x2) ** l2 * _homogeneous_sum(x1, x2, l1 - l2)
+    if g.ndim != 2:
+        raise ValueError("stacks of elements are supported for tori and n = 2 only")
     theta = _angles_to_cartan_coords(group, angles)
     return weyl_character(group, nu, theta)
 
 
 def _homogeneous_sum(x1, x2, m):
-    """sum_{j=0}^{m} x1^{m-j} x2^{j}, stable near x1 = x2."""
+    """sum_{j=0}^{m} x1^{m-j} x2^{j}, stable near x1 = x2.
+
+    Elementwise on arrays; x1 is a unit-modulus eigenvalue, never 0.
+    """
     total = 0.0 + 0.0j
     p = x1 ** m
-    ratio = x2 / x1 if abs(x1) > 0 else 0.0
+    ratio = x2 / x1
     for _ in range(m + 1):
         total += p
         p *= ratio
@@ -269,17 +275,6 @@ class OrbitQuadrature:
     def volume(self):
         return float(np.sum(self.weights))
 
-    def nodes_coords(self):
-        """Nodes as full coalgebra coordinates (values on the fixed basis)."""
-        if self.group.kind == "torus":
-            return self.nodes_sharp @ self.metric.gram
-        B = self.group.basis_matrices
-        out = np.empty((self.node_count, self.group.dim))
-        for i, lam in enumerate(self.nodes_sharp):
-            for m, b in enumerate(B):
-                out[i, m] = self.metric.inner_matrices(lam, b)
-        return out
-
     def pairing(self, xi):
         """<lambda, xi> for every node."""
         if self.group.kind == "torus":
@@ -295,9 +290,10 @@ class OrbitQuadrature:
 
     def norms(self):
         """||lambda||_phi at every node (constant on the orbit)."""
+        lam = self.nodes_sharp
         if self.group.kind == "torus":
-            return np.array([self.metric.norm_vector(v) for v in self.nodes_sharp])
-        return np.array([np.sqrt(self.metric.inner_matrices(m, m)) for m in self.nodes_sharp])
+            return np.sqrt(np.einsum("ni,ij,nj->n", lam, self.metric.gram, lam))
+        return np.sqrt(self.metric.scale * np.einsum("nij,nij->n", lam, lam.conj()).real)
 
 
 def orbit_quadrature(group, metric, nu, level=64, rng=None):
@@ -312,7 +308,7 @@ def orbit_quadrature(group, metric, nu, level=64, rng=None):
     Monte Carlo only, normalized by the closed-form orbit volume, with
     the standard error reported.
     """
-    nu = nu if isinstance(nu, HalfWeight) else half_weight(group, nu)
+    nu = half_weight(group, nu)
     if group.kind == "torus":
         return OrbitQuadrature(group, metric, nu.coords,
                                metric.sharp(nu.coords)[None, :],
@@ -339,41 +335,41 @@ def _sphere_orbit_quadrature(group, metric, nu, level):
 
     xs, ws = leggauss(n_polar)
     phis = 2 * np.pi * np.arange(n_azimuth) / n_azimuth
-    nodes, weights = [], []
-    for u, wu in zip(xs, ws):
-        s = np.sqrt(1.0 - u * u)
-        for phi in phis:
-            direction = u * z_hat + s * (np.cos(phi) * x_hat + np.sin(phi) * y_hat)
-            lam = center + radius * direction
-            area_w = wu * (2 * np.pi / n_azimuth) * radius ** 2
-            nodes.append(lam)
-            weights.append(area_w * _kk_density(metric, lam))
-    return OrbitQuadrature(group, metric, nu.coords, np.array(nodes),
-                           np.array(weights), f"gauss-sphere-{n_polar}x{n_azimuth}")
+    u = np.repeat(xs, n_azimuth)[:, None, None]      # polar-major node order
+    phi = np.tile(phis, n_polar)[:, None, None]
+    s = np.sqrt(1.0 - u * u)
+    nodes = center + radius * (u * z_hat + s * (np.cos(phi) * x_hat + np.sin(phi) * y_hat))
+    area_w = np.repeat(ws, n_azimuth) * (2 * np.pi / n_azimuth) * radius ** 2
+    return OrbitQuadrature(group, metric, nu.coords, nodes,
+                           area_w * _kk_density(metric, nodes),
+                           f"gauss-sphere-{n_polar}x{n_azimuth}")
 
 
 def _kk_density(metric, lam):
-    """Kostant-Kirillov 2-form density against the Euclidean area at lam.
+    """Kostant-Kirillov 2-form density against the Euclidean area.
 
     sigma(ad_xi lam, ad_eta lam) = <lam, [xi, eta]>; the density is the
     ratio |sigma(t1, t2)| / area(t1, t2) for any independent tangent
-    pair, so the best-conditioned pair of generator fields is used.
+    pair, so at each node of the stack ``lam`` (shape (N, n, n)) the
+    best-conditioned pair of generator fields is used: the longest
+    field, then the partner spanning the largest area with it (first
+    maximum in basis order for both).
     """
-    group = metric.group
-    B = group.basis_matrices
-    tangents = [b @ lam - lam @ b for b in B]
-    norms2 = [metric.inner_matrices(t, t) for t in tangents]
-    i = int(np.argmax(norms2))
-    best_j, best_area2 = None, -1.0
-    for j, t2 in enumerate(tangents):
-        if j == i:
-            continue
-        g12 = metric.inner_matrices(tangents[i], t2)
-        area2 = norms2[i] * norms2[j] - g12 * g12
-        if area2 > best_area2:
-            best_area2, best_j = area2, j
-    sigma = metric.inner_matrices(lam, B[i] @ B[best_j] - B[best_j] @ B[i])
-    return abs(sigma) / np.sqrt(best_area2)
+    B = np.array(metric.group.basis_matrices)
+    tangents = B @ lam[:, None]                      # (N, dim, n, n)
+    tangents -= lam[:, None] @ B
+    # phi(s, t) = scale * Re sum s conj(t): a real dot product of the float views
+    flat = tangents.view(float).reshape(len(lam), len(B), -1)
+    gram = metric.scale * np.einsum("nak,nbk->nab", flat, flat)
+    rows = np.arange(len(lam))
+    norms2 = np.einsum("naa->na", gram)
+    i = np.argmax(norms2, axis=1)
+    area2 = norms2[rows, i][:, None] * norms2 - gram[rows, i] ** 2
+    area2[rows, i] = -np.inf
+    j = np.argmax(area2, axis=1)
+    bracket = B[i] @ B[j] - B[j] @ B[i]
+    sigma = metric.scale * np.einsum("nij,nij->n", lam, bracket.conj()).real
+    return np.abs(sigma) / np.sqrt(area2[rows, j])
 
 
 def _monte_carlo_orbit_quadrature(group, metric, nu, level, rng):
@@ -417,17 +413,16 @@ def peter_weyl_projector_weight(group, nu, k, f, level=24, tol=1e-6):
     ``tol`` (relative to its size) a :class:`QuadratureDisagreement` is
     raised carrying both estimates.
     """
-    nu = nu if isinstance(nu, HalfWeight) else half_weight(group, nu)
+    nu = half_weight(group, nu)
     knu = half_weight(group, k * nu.coords)
     metric = trace_metric(group)
     d = weyl_dimension(group, metric, knu)
 
     def estimate(lvl):
         nodes, weights = haar_quadrature(group, lvl)
-        total = 0.0 + 0.0j
-        for g, w in zip(nodes, weights):
-            total += w * np.conj(character_at_element(group, knu, g)) * f(g)
-        return d * total
+        chis = character_at_element(group, knu, nodes)
+        values = np.array([f(g) for g in nodes])
+        return d * np.sum(weights * np.conj(chis) * values)
 
     coarse = estimate(level)
     fine = estimate(int(level * 3 / 2) + 1)

@@ -457,6 +457,9 @@ class HalfWeight:
 
 
 def half_weight(group, coords):
+    """Validated :class:`HalfWeight` from coordinates; a HalfWeight passes through."""
+    if isinstance(coords, HalfWeight):
+        return coords
     coords = np.atleast_1d(np.asarray(coords, dtype=float))
     return HalfWeight(group, coords)
 
@@ -596,8 +599,10 @@ def haar_quadrature(group, level=48):
 
     Returns
     -------
-    nodes : list
-        Group elements (angle vectors for tori, matrices otherwise).
+    nodes : ndarray
+        Group elements: shape (N, r) angle vectors for tori, (N, 2, 2)
+        matrices otherwise.  Node order runs over (tau,) beta, alpha,
+        gamma from the outermost axis in.
     weights : ndarray
         Positive weights with sum 1.
     """
@@ -605,44 +610,57 @@ def haar_quadrature(group, level=48):
         thetas = 2 * np.pi * np.arange(level) / level
         grids = np.meshgrid(*([thetas] * group.n), indexing="ij")
         nodes = np.stack([g.ravel() for g in grids], axis=-1)
-        weights = np.full(len(nodes), 1.0 / len(nodes))
-        return list(nodes), weights
-    if (group.kind, group.n) == ("su", 2):
-        return _su2_euler_nodes(level)
-    if (group.kind, group.n) == ("u", 2):
-        sub_nodes, sub_w = _su2_euler_nodes(level)
-        m = max(4, level // 2)
-        taus = np.pi * np.arange(m) / m
-        nodes, weights = [], []
-        for tau in taus:
-            phase = np.exp(1j * tau)
-            for g, w in zip(sub_nodes, sub_w):
-                nodes.append(phase * g)
-                weights.append(w / m)
-        return nodes, np.asarray(weights)
-    raise UnsupportedGroupError(
-        f"no Haar quadrature for {group.name}; supported: tori, SU(2), U(2)")
-
-
-def _su2_euler_nodes(level):
+        return nodes, np.full(len(nodes), 1.0 / len(nodes))
+    if group.n != 2:
+        raise UnsupportedGroupError(
+            f"no Haar quadrature for {group.name}; supported: tori, SU(2), U(2)")
     from numpy.polynomial.legendre import leggauss
     x, gw = leggauss(level)
     betas = 0.5 * np.pi * (x + 1.0)
     bw = 0.5 * np.pi * gw * np.sin(betas) / 2.0  # integrates to 1
     alphas = 2 * np.pi * np.arange(level) / level
     gammas = 4 * np.pi * np.arange(level) / level
-    nodes, weights = [], []
-    for beta, wb in zip(betas, bw):
-        cb, sb = np.cos(beta / 2), np.sin(beta / 2)
-        ry = np.array([[cb, -sb], [sb, cb]], dtype=complex)
-        for alpha in alphas:
-            rza = np.diag([np.exp(1j * alpha / 2), np.exp(-1j * alpha / 2)])
-            left = rza @ ry
-            for gamma in gammas:
-                rzg = np.diag([np.exp(1j * gamma / 2), np.exp(-1j * gamma / 2)])
-                nodes.append(left @ rzg)
-                weights.append(wb / level ** 2)
-    return nodes, np.asarray(weights)
+    weights = np.repeat(bw / level ** 2, level ** 2)
+    if group.kind == "su":
+        b, a, c = np.meshgrid(betas, alphas, gammas, indexing="ij")
+        params = [a, b, c]
+    else:
+        m = max(4, level // 2)
+        taus = np.pi * np.arange(m) / m
+        t, b, a, c = np.meshgrid(taus, betas, alphas, gammas, indexing="ij")
+        params = [a, b, c, t]
+        weights = np.tile(weights, m) / m
+    return euler_elements(np.stack([p.ravel() for p in params], axis=-1)), weights
+
+
+def euler_elements(params):
+    """SU(2)/U(2) elements from ZYZ Euler angles.
+
+    Row (alpha, beta, gamma) of ``params`` maps to
+    Rz(alpha) Ry(beta) Rz(gamma) with Rz(t) = diag(e^{it/2}, e^{-it/2})
+    and Ry(t) the real rotation by t/2; a fourth column tau multiplies
+    the element by the central phase e^{i tau} (U(2)).
+
+    Parameters
+    ----------
+    params : array_like, shape (N, 3) or (N, 4)
+
+    Returns
+    -------
+    ndarray, shape (N, 2, 2)
+    """
+    params = np.asarray(params, dtype=float)
+    a, b, c = params[:, 0], params[:, 1], params[:, 2]
+    cb, sb = np.cos(b / 2), np.sin(b / 2)
+    ea, ec = np.exp(1j * a / 2), np.exp(1j * c / 2)
+    g = np.empty((len(params), 2, 2), dtype=complex)
+    g[:, 0, 0] = ea * cb * ec
+    g[:, 0, 1] = -ea * sb / ec
+    g[:, 1, 0] = sb * ec / ea
+    g[:, 1, 1] = cb / (ea * ec)
+    if params.shape[1] == 4:
+        g *= np.exp(1j * params[:, 3])[:, None, None]
+    return g
 
 
 def random_unitary(n, rng, special=False):

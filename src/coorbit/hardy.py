@@ -20,6 +20,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 from scipy.special import gammaln
 
+from .groups import euler_elements
 from .models import ProjectiveModel, SU2CP1Model, hermitian_inner, sphere_distance
 
 _BIG_NEG = -1.0e6  # stand-in for log 0; alpha * _BIG_NEG underflows exp cleanly
@@ -237,20 +238,6 @@ def orbit_separation(model, x, y, coarse=None):
                        options={"xatol": 1e-12, "fatol": 1e-14})
         return float(min(dists[i], res.fun))
 
-    def elements(params):
-        params = np.atleast_2d(params)
-        a, b, c = params[:, 0], params[:, 1], params[:, 2]
-        cb, sb = np.cos(b / 2), np.sin(b / 2)
-        ea, ec = np.exp(1j * a / 2), np.exp(1j * c / 2)
-        g = np.empty((len(params), 2, 2), dtype=complex)
-        g[:, 0, 0] = ea * cb * ec
-        g[:, 0, 1] = -ea * sb / ec
-        g[:, 1, 0] = sb * ec / ea
-        g[:, 1, 1] = cb / (ea * ec)
-        if group.kind == "u":
-            g = g * np.exp(1j * params[:, 3])[:, None, None]
-        return g
-
     n_params = 3 if group.kind == "su" else 4
     n_grid = coarse or (32 if group.kind == "su" else 24)
     rngs = [np.linspace(0, 2 * np.pi, n_grid, endpoint=False),
@@ -260,10 +247,10 @@ def orbit_separation(model, x, y, coarse=None):
         rngs.append(np.linspace(0, np.pi, n_grid // 2, endpoint=False))
     grids = np.meshgrid(*rngs, indexing="ij")
     flat = np.stack([g.ravel() for g in grids], axis=-1)
-    dists = _batched_sphere_distances(model, elements(flat), x, y)
+    dists = _batched_sphere_distances(model, euler_elements(flat), x, y)
     i = int(np.argmin(dists))
     res = minimize(
-        lambda p: _batched_sphere_distances(model, elements(p[None, :]), x, y)[0],
+        lambda p: _batched_sphere_distances(model, euler_elements(p[None, :]), x, y)[0],
         flat[i], method="Nelder-Mead",
         options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000})
     return float(min(dists[i], res.fun))

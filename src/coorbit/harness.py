@@ -9,7 +9,7 @@ seed makes output byte-identical across runs.
 
 import json
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .hardy import (
     isotypic_dim,
     orbit_separation,
 )
-from .models import LocusSample, build_model
+from .models import MODEL_IDS, LocusSample, build_model
 from .predictor import (
     dimension_coefficient,
     gaussian_pair_exponent,
@@ -163,11 +163,10 @@ def run_character_suite(config):
         fits.append(FitResult(f"{kind}-kirillov-vs-weyl", np.nan, np.nan, worst,
                               worst <= 1e-6, band=(0.0, 1e-6)))
 
-        dim_err = abs(kirillov_character(group, metric, nu, np.zeros(group.rank),
-                                         quad=quad).real - d_nu)
-        rounded_ok = int(round(kirillov_character(group, metric, nu,
-                                                  np.zeros(group.rank),
-                                                  quad=quad).real)) == d_nu
+        at_zero = kirillov_character(group, metric, nu, np.zeros(group.rank),
+                                     quad=quad).real
+        dim_err = abs(at_zero - d_nu)
+        rounded_ok = int(round(at_zero)) == d_nu
         rows.append(Row(kind, _nu_str(nu.coords), 1, "orbit-dimension-at-zero",
                         d_nu + dim_err, d_nu, dim_err))
         fits.append(FitResult(f"{kind}-dimension-at-zero", np.nan, np.nan, dim_err,
@@ -232,14 +231,21 @@ def run_character_suite(config):
     return rows, fits
 
 
-def run_diag_convergence(config):
-    """Exact vs predicted diagonal values along the k schedule."""
+def _locus_base(config):
+    """(model, nu, x, sample): the configured model and nu, the default
+    locus point x and its locus decomposition."""
     model = build_model(config.model_id)
     nu = model.default_nu if config.nu is None else half_weight(model.group, config.nu)
     x = model.default_locus_point(nu)
     sample = model.locus_decompose(nu, x)
     if not isinstance(sample, LocusSample):
         raise AssumptionViolation(f"base point of {model.id} is off the locus")
+    return model, nu, x, sample
+
+
+def run_diag_convergence(config):
+    """Exact vs predicted diagonal values along the k schedule."""
+    model, nu, x, sample = _locus_base(config)
     rows, errs, ks_used = [], [], []
     for k in config.k_schedule:
         k = model.valid_k(k)
@@ -265,12 +271,7 @@ def run_diag_convergence(config):
 def run_gaussian_profile(config):
     """Gaussian decay in locus-normal directions and flatness along the
     h-orthocomplement of the orbit directions."""
-    model = build_model(config.model_id)
-    nu = model.default_nu if config.nu is None else half_weight(model.group, config.nu)
-    x = model.default_locus_point(nu)
-    sample = model.locus_decompose(nu, x)
-    if not isinstance(sample, LocusSample):
-        raise AssumptionViolation(f"base point of {model.id} is off the locus")
+    model, nu, x, sample = _locus_base(config)
     sigma = sample.sigma
     rows, fits = [], []
     amps = np.asarray(config.displacement, dtype=float)
@@ -474,7 +475,7 @@ def run_suite(name, config):
             if key == "characters":
                 r, f = fn(config)
             elif key == "gaussian":
-                r, f = _gaussian_over_models(config)
+                r, f = _over_models(fn, config, ("t2-cp2", "u2-cp2", "s1-cp2-w123"))
             else:
                 r, f = _over_models(fn, config)
             rows.extend(r)
@@ -489,23 +490,10 @@ def run_suite(name, config):
     return rows, fits, passed
 
 
-def _over_models(fn, config):
+def _over_models(fn, config, model_ids=MODEL_IDS):
     rows, fits = [], []
-    from dataclasses import replace
-    for mid in ("s1-cp1-w12", "s1-cp2-w123", "t2-cp2", "su2-cp1", "u2-cp2"):
+    for mid in model_ids:
         r, f = fn(replace(config, model_id=mid, nu=None))
-        for fit in f:
-            fit.quantity = f"{mid}:{fit.quantity}"
-        rows.extend(r)
-        fits.extend(f)
-    return rows, fits
-
-
-def _gaussian_over_models(config):
-    rows, fits = [], []
-    from dataclasses import replace
-    for mid in ("t2-cp2", "u2-cp2", "s1-cp2-w123"):
-        r, f = run_gaussian_profile(replace(config, model_id=mid, nu=None))
         for fit in f:
             fit.quantity = f"{mid}:{fit.quantity}"
         rows.extend(r)

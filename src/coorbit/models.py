@@ -415,7 +415,7 @@ class TorusModel(ProjectiveModel):
         return out
 
     def locus_decompose(self, nu, x, tol=1e-10):
-        nu = nu if isinstance(nu, HalfWeight) else half_weight(self.group, nu)
+        nu = half_weight(self.group, nu)
         phi = self.moment_map(x)
         nphi = self.metric.norm_covector_full(phi)
         if nphi < 1e-12:
@@ -441,7 +441,7 @@ class TorusModel(ProjectiveModel):
         the weight columns; every candidate is verified exactly in
         integer arithmetic.
         """
-        nu = nu if isinstance(nu, HalfWeight) else half_weight(self.group, nu)
+        nu = half_weight(self.group, nu)
         target = np.round(k * nu.coords).astype(np.int64)
         if np.max(np.abs(k * nu.coords - target)) > 1e-9:
             return np.zeros((0, self.ambient_dim), dtype=int)
@@ -489,8 +489,7 @@ class TorusModel(ProjectiveModel):
         return self._pivot_cache
 
     def default_locus_point(self, nu=None):
-        nu = self.default_nu if nu is None else \
-            (nu if isinstance(nu, HalfWeight) else half_weight(self.group, nu))
+        nu = self.default_nu if nu is None else half_weight(self.group, nu)
         t = self._default_simplex_point(nu)
         return self.point(np.sqrt(t))
 
@@ -513,7 +512,7 @@ class T2CP2Model(TorusModel):
         super().__init__("t2-cp2", [[1, 0, 1], [0, 1, 1]], (2.0, 1.0), metric)
 
     def locus_simplex_curve(self, nu):
-        nu = nu if isinstance(nu, HalfWeight) else half_weight(self.group, nu)
+        nu = half_weight(self.group, nu)
         n1, n2 = nu.coords
         if n1 <= 0 or n2 <= 0:
             raise AssumptionViolation(
@@ -569,7 +568,7 @@ class SU2CP1Model(ProjectiveModel):
         return _matrix_locus_decompose(self, nu, x, tol)
 
     def isotypic_exponents(self, nu, k):
-        nu = nu if isinstance(nu, HalfWeight) else half_weight(self.group, nu)
+        nu = half_weight(self.group, nu)
         level = int(round(k * nu.coords[0])) - 1
         if level < 0:
             return np.zeros((0, 2), dtype=int)
@@ -626,7 +625,7 @@ class U2CP2Model(ProjectiveModel):
         return _matrix_locus_decompose(self, nu, x, tol)
 
     def isotypic_exponents(self, nu, k):
-        nu = nu if isinstance(nu, HalfWeight) else half_weight(self.group, nu)
+        nu = half_weight(self.group, nu)
         if not nu.scaling_is_valid(k):
             return np.zeros((0, 3), dtype=int)
         lam = k * nu.coords - self.group.delta
@@ -641,8 +640,7 @@ class U2CP2Model(ProjectiveModel):
 
     def locus_parameters(self, nu=None):
         """(t, sigma): the locus level ||v||^2 = t and the cone scale."""
-        nu = self.default_nu if nu is None else \
-            (nu if isinstance(nu, HalfWeight) else half_weight(self.group, nu))
+        nu = self.default_nu if nu is None else half_weight(self.group, nu)
         n1, n2 = nu.coords
         t = (n1 - n2) / (2 * n1 - n2)
         if not 0.0 < t < 1.0:
@@ -668,7 +666,7 @@ class U2CP2Model(ProjectiveModel):
 def _matrix_locus_decompose(model, nu, x, tol=1e-10):
     group = model.group
     metric = model.metric
-    nu = nu if isinstance(nu, HalfWeight) else half_weight(group, nu)
+    nu = half_weight(group, nu)
     phi = model.moment_map(x)
     nphi = metric.norm_covector_full(phi)
     if nphi < 1e-12:
@@ -757,8 +755,7 @@ def find_locus_point(model, nu=None, seeds=200, tol=1e-12, rng=None):
     from scipy.optimize import minimize
 
     group = model.group
-    nu = model.default_nu if nu is None else \
-        (nu if isinstance(nu, HalfWeight) else half_weight(group, nu))
+    nu = model.default_nu if nu is None else half_weight(group, nu)
     rng = np.random.default_rng(5) if rng is None else rng
 
     def distance_of(vec):

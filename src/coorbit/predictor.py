@@ -17,7 +17,6 @@ import numpy as np
 from .characters import orbit_volume
 from .groups import (
     AssumptionViolation,
-    HalfWeight,
     ad_on_cartan_complement,
     cartan_matrix_of,
     group_volumes,
@@ -57,7 +56,7 @@ def leading_coefficient(model, nu, sample):
     criterion, not an assumption.
     """
     group, metric = model.group, model.metric
-    nu = nu if isinstance(nu, HalfWeight) else half_weight(group, nu)
+    nu = half_weight(group, nu)
     if not isinstance(sample, LocusSample):
         raise AssumptionViolation("leading coefficient needs an on-locus sample")
     r = group.rank
@@ -140,7 +139,7 @@ def predict_near_diagonal(model, nu, sample, k, v1=None, w1=None, v2=None, w2=No
     norms are guarded by the admissible-radius condition ||.|| <= 3 k^{1/6}.
     """
     group = model.group
-    nu = nu if isinstance(nu, HalfWeight) else half_weight(group, nu)
+    nu = half_weight(group, nu)
     if not isinstance(sample, LocusSample):
         raise AssumptionViolation("near-diagonal prediction needs an on-locus sample")
     zero = np.zeros(model.ambient_dim, dtype=complex)
@@ -187,8 +186,7 @@ def dimension_coefficient(model, nu=None, level=120):
     sqrt(det Gram(val_1, val_2, d x/d s))).
     """
     group = model.group
-    nu = model.default_nu if nu is None else \
-        (nu if isinstance(nu, HalfWeight) else half_weight(group, nu))
+    nu = model.default_nu if nu is None else half_weight(group, nu)
     r = group.rank
     power = model.d + 1 - r
     if r == 1:
@@ -249,7 +247,7 @@ def phase_hessian(metric, nu, sigma, xi_prime=None, tol=1e-10):
     det = -sigma^2 ||nu^phi||^2 det(Z)^2 and signature 0.
     """
     group = metric.group
-    nu = nu if isinstance(nu, HalfWeight) else half_weight(group, nu)
+    nu = half_weight(group, nu)
     nu_sharp = metric.sharp(nu.coords)
     nu_norm = metric.norm_covector(nu.coords)
     Z, det_z = ad_on_cartan_complement(metric, nu_sharp)

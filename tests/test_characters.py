@@ -388,3 +388,33 @@ def test_haar_quadrature_weights_normalized():
         g = build_group(kind)
         _, w = haar_quadrature(g, lvl)
         assert np.isclose(w.sum(), 1.0, rtol=1e-12)
+
+
+def test_kk_density_constant_on_orbit():
+    # the Kostant-Kirillov density is G-invariant, so it is the same at
+    # every orbit node whichever generator pair each node selects
+    from coorbit.characters import _kk_density
+
+    for kind, coords in (("su2", (4.0,)), ("u2", (2.5, 0.5))):
+        g = build_group(kind)
+        for scale in (1.0, 2.7):
+            m = trace_metric(g, scale)
+            q = orbit_quadrature(g, m, half_weight(g, coords), level=64)
+            dens = _kk_density(m, q.nodes_sharp)
+            assert dens.shape == (q.node_count,)
+            assert np.ptp(dens) <= 1e-12 * dens.mean(), (kind, scale)
+
+
+def test_character_at_element_on_stack():
+    rng = np.random.default_rng(13)
+    for kind, coords in (("su2", (4.0,)), ("u2", (3.5, 0.5)), ("t2", (2.0, 1.0))):
+        g = build_group(kind)
+        nodes, _ = haar_quadrature(g, 6)
+        if g.kind != "torus":
+            extra = [random_unitary(2, rng, special=kind == "su2") for _ in range(5)]
+            nodes = np.concatenate([nodes, extra])
+        stacked = character_at_element(g, coords, nodes)
+        single = [character_at_element(g, coords, el) for el in nodes]
+        assert stacked.shape == (len(nodes),)
+        assert np.isscalar(single[0])
+        assert np.allclose(stacked, single, rtol=1e-13, atol=1e-13), kind

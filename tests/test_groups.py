@@ -10,6 +10,7 @@ from coorbit.groups import (
     build_group,
     coadjoint_action,
     embed_cartan_covector,
+    euler_elements,
     group_volumes,
     group_volumes_quadrature,
     half_weight,
@@ -288,6 +289,8 @@ def test_half_weight_validation():
         half_weight(t2, (0.0, 0.0))
     assert half_weight(u2, (1.5, 0.5)).scaling_is_valid(3)
     assert not half_weight(u2, (1.5, 0.5)).scaling_is_valid(2)
+    hw = half_weight(u2, (1.5, 0.5))
+    assert half_weight(u2, hw) is hw
 
 
 def test_algebra_matrix_round_trip():
@@ -299,3 +302,25 @@ def test_algebra_matrix_round_trip():
         mat = algebra_matrix(g, coeffs)
         assert np.linalg.norm(mat + mat.conj().T) < 1e-12
         assert np.allclose(matrix_coefficients(g, mat), coeffs, atol=1e-12)
+
+
+def test_euler_elements_match_rotation_product():
+    # closed form vs the explicit product Rz(alpha) Ry(beta) Rz(gamma) e^{i tau}
+    def rz(t):
+        return np.diag([np.exp(0.5j * t), np.exp(-0.5j * t)])
+
+    def ry(t):
+        return np.array([[np.cos(t / 2), -np.sin(t / 2)],
+                         [np.sin(t / 2), np.cos(t / 2)]], dtype=complex)
+
+    rng = np.random.default_rng(12)
+    params = rng.uniform([0, 0, 0, 0], [2 * np.pi, np.pi, 4 * np.pi, np.pi], size=(40, 4))
+    for cols in (3, 4):
+        gs = euler_elements(params[:, :cols])
+        assert gs.shape == (40, 2, 2)
+        for g, (a, b, c, t) in zip(gs, params):
+            phase = np.exp(1j * t) if cols == 4 else 1.0
+            assert np.allclose(g, phase * rz(a) @ ry(b) @ rz(c), rtol=0, atol=1e-14)
+            assert np.allclose(g @ g.conj().T, np.eye(2), rtol=0, atol=1e-14)
+        if cols == 3:
+            assert np.allclose(np.linalg.det(gs), 1.0, rtol=0, atol=1e-14)
