@@ -14,14 +14,13 @@ then exact to relative rounding error at any magnitude.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
 from scipy.special import gammaln
 
-from .groups import euler_elements
-from .models import ProjectiveModel, SU2CP1Model, hermitian_inner, sphere_distance
+from .groups import euler_elements, half_weight
+from .models import SU2CP1Model, hermitian_inner
 
 _BIG_NEG = -1.0e6  # stand-in for log 0; alpha * _BIG_NEG underflows exp cleanly
 
@@ -69,7 +68,6 @@ def level_basis(d, n):
 class IsotypicBasis:
     """Monomials spanning the k nu isotypic subspace of a model."""
 
-    model: ProjectiveModel
     nu_coords: np.ndarray
     k: int
     alphas: np.ndarray
@@ -85,15 +83,15 @@ class IsotypicBasis:
 
 
 def isotypic_basis(model, nu, k):
-    coords = nu.coords if hasattr(nu, "coords") else np.atleast_1d(np.asarray(nu, dtype=float))
-    return _cached_basis(model, tuple(float(c) for c in coords), int(k))
-
-
-@lru_cache(maxsize=256)
-def _cached_basis(model, nu_key, k):
-    alphas = model.isotypic_exponents(np.array(nu_key), k)
-    return IsotypicBasis(model, np.array(nu_key), k, alphas,
-                         monomial_log_norms(model.d, alphas))
+    """The k nu isotypic basis, built once per model and kept in its cache."""
+    nu = half_weight(model.group, nu)
+    key = (tuple(nu.coords.tolist()), int(k))
+    basis = model.basis_cache.get(key)
+    if basis is None:
+        alphas = model.isotypic_exponents(nu, k)
+        basis = IsotypicBasis(nu.coords, int(k), alphas, monomial_log_norms(model.d, alphas))
+        model.basis_cache[key] = basis
+    return basis
 
 
 def isotypic_dim(model, nu, k):
@@ -163,8 +161,7 @@ def equivariant_kernel_log(model, nu, k, x, y, basis=None):
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     if isinstance(model, SU2CP1Model):
-        coords = nu.coords if hasattr(nu, "coords") else np.atleast_1d(nu)
-        n = int(round(k * coords[0])) - 1
+        n = int(round(k * half_weight(model.group, nu).coords[0])) - 1
         if n < 0:
             return -np.inf, 0.0 + 0.0j
         inner = hermitian_inner(x, y)

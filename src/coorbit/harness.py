@@ -508,7 +508,7 @@ def rows_to_csv(rows):
     lines = ["model,nu,k,quantity,value,predicted,err"]
     for r in rows:
         lines.append(f"{r.model},{r.nu},{r.k},{r.quantity},"
-                     f"{r.value!r},{r.predicted!r},{r.err!r}")
+                     f"{float(r.value)!r},{float(r.predicted)!r},{float(r.err)!r}")
     return "\n".join(lines) + "\n"
 
 

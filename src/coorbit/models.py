@@ -35,10 +35,11 @@ from scipy.linalg import null_space
 from .groups import (
     AssumptionViolation,
     HalfWeight,
-    algebra_matrix,
+    adjoint_action,
     build_group,
+    dominant_representative,
+    embed_cartan_covector,
     half_weight,
-    matrix_coefficients,
     trace_metric,
 )
 
@@ -112,7 +113,8 @@ class ConeDistance:
 
 class ProjectiveModel:
     """Base class; subclasses fix the group, the lift, and the isotypic
-    bookkeeping.  All state is immutable after construction."""
+    bookkeeping.  All state except ``basis_cache`` is immutable after
+    construction."""
 
     def __init__(self, model_id, group, metric, d, generators, lift_note,
                  default_nu):
@@ -120,9 +122,11 @@ class ProjectiveModel:
         self.group = group
         self.metric = metric
         self.d = d
-        self.generators = tuple(np.asarray(a, dtype=complex) for a in generators)
+        self.generators = np.asarray(generators, dtype=complex)   # (dim, d+1, d+1)
         self.lift_note = lift_note
         self.default_nu = half_weight(group, default_nu)
+        # (nu coords, k) -> hardy.IsotypicBasis, filled by hardy.isotypic_basis
+        self.basis_cache = {}
         for a in self.generators:
             if np.linalg.norm(a + a.conj().T) > 1e-12:
                 raise ValueError("generators must be skew-Hermitian")
@@ -166,8 +170,9 @@ class ProjectiveModel:
         return np.stack(cols, axis=1)
 
     def moment_map(self, x):
-        """Phi([x]) as full coalgebra coordinates."""
-        return np.array([-hermitian_inner(a @ x, x).imag for a in self.generators])
+        """Phi([x]) as full coalgebra coordinates; x may be a stack of points."""
+        x = np.asarray(x, dtype=complex)
+        return -np.einsum("...a,jab,...b->...j", x.conj(), self.generators, x).imag
 
     def phi_sharp(self, x):
         """Phi([x])^phi as algebra coefficients."""
@@ -178,11 +183,11 @@ class ProjectiveModel:
 
     def unitary(self, g):
         """The lifted action of a group element on C^{d+1}."""
-        raise NotImplementedError
+        return self.unitary_batch(self.group.check_element(g)[None])[0]
 
     def unitary_batch(self, gs):
-        """Stack of lifted actions for a sequence of group elements."""
-        return np.stack([self.unitary(g) for g in gs])
+        """Lifted actions of a stack of group elements (not validated)."""
+        raise NotImplementedError
 
     def displace(self, x, theta, v):
         """Heisenberg-chart point x + (theta, v).
@@ -224,7 +229,24 @@ class ProjectiveModel:
             If Phi(m) vanishes (the theory requires the moment image to
             avoid the origin).
         """
-        raise NotImplementedError
+        group, metric = self.group, self.metric
+        nu = half_weight(group, nu)
+        phi = self.moment_map(x)
+        nphi = metric.norm_covector_full(phi)
+        if nphi < 1e-12:
+            raise AssumptionViolation("moment map vanishes at this point")
+        q, h = dominant_representative(metric, phi)
+        sigma = metric.pair_covectors(q, nu.coords) / metric.norm_covector(nu.coords) ** 2
+        residual = metric.norm_covector(q - sigma * nu.coords)
+        if sigma <= 0 or residual > tol * max(1.0, nphi):
+            distance = metric.norm_covector(q - max(sigma, 0.0) * nu.coords)
+            return ConeDistance(phi=phi, distance=distance)
+        t_basis = tuple(adjoint_action(group, h, embed_cartan_covector(group, e))
+                        for e in np.eye(group.rank))
+        t_prime = tuple(adjoint_action(group, h, embed_cartan_covector(group, v))
+                        for v in _metric_orthonormal_null(metric, nu.coords))
+        return LocusSample(self, nu, np.asarray(x, dtype=complex), phi,
+                           float(sigma), h, t_basis, t_prime, residual)
 
     def d_phi(self, nu, sample):
         """Gram matrix of the pulled-back metric on t'_m and its sqrt-det.
@@ -303,15 +325,14 @@ class ProjectiveModel:
             raise AssumptionViolation("circle-bundle volume normalization broken")
 
     def _check_moment_nonvanishing(self):
-        rng = np.random.default_rng(11)
-        worst = np.inf
-        for _ in range(400):
-            x = self.random_point(rng)
-            worst = min(worst, self.moment_norm(x))
-        for j in range(self.ambient_dim):
-            e = np.zeros(self.ambient_dim, dtype=complex)
-            e[j] = 1.0
-            worst = min(worst, self.moment_norm(e))
+        # the draw matches 400 successive random_point calls, then the vertices
+        z = np.random.default_rng(11).standard_normal((400, 2, self.ambient_dim))
+        z = z[:, 0] + 1j * z[:, 1]
+        points = np.concatenate([z / np.linalg.norm(z, axis=1, keepdims=True),
+                                 np.eye(self.ambient_dim)])
+        phi = self.moment_map(points)
+        norms = np.sqrt(np.einsum("nj,jn->n", phi, np.linalg.solve(self.metric.gram, phi.T)))
+        worst = float(norms.min())
         if worst < 1e-3:
             raise AssumptionViolation(
                 f"moment map nearly vanishes on {self.id} (min |Phi| = {worst:.2e})")
@@ -402,10 +423,6 @@ class TorusModel(ProjectiveModel):
                 return cand
         raise AssumptionViolation("weight columns are not contained in an open half-space")
 
-    def unitary(self, g):
-        theta = self.group.check_element(g)
-        return np.diag(np.exp(-1j * (theta @ self.weights)))
-
     def unitary_batch(self, gs):
         thetas = np.asarray(gs, dtype=float)
         phases = np.exp(-1j * thetas @ self.weights)
@@ -413,25 +430,6 @@ class TorusModel(ProjectiveModel):
         idx = np.arange(self.ambient_dim)
         out[:, idx, idx] = phases
         return out
-
-    def locus_decompose(self, nu, x, tol=1e-10):
-        nu = half_weight(self.group, nu)
-        phi = self.moment_map(x)
-        nphi = self.metric.norm_covector_full(phi)
-        if nphi < 1e-12:
-            raise AssumptionViolation("moment map vanishes at this point")
-        nnu = self.metric.norm_covector(nu.coords)
-        sigma = self.metric.pair_covectors(phi, nu.coords) / nnu ** 2
-        resid_vec = phi - sigma * nu.coords
-        residual = self.metric.norm_covector_full(resid_vec)
-        if sigma <= 0 or residual > tol * max(1.0, nphi):
-            dist = residual if sigma > 0 else nphi
-            return ConeDistance(phi=phi, distance=float(dist))
-        t_basis = tuple(np.eye(self.group.rank))
-        t_prime = _metric_orthonormal_null(self.metric, nu.coords)
-        return LocusSample(self, nu, np.asarray(x, dtype=complex), phi,
-                           float(sigma), np.zeros(self.group.rank),
-                           t_basis, tuple(t_prime), float(residual))
 
     def isotypic_exponents(self, nu, k):
         """Lattice points {alpha >= 0 : W alpha = k nu}, vectorized.
@@ -558,14 +556,8 @@ class SU2CP1Model(ProjectiveModel):
         super().__init__("su2-cp1", group, metric, 1, gens,
                          "defining representation, no fiber twist", (1.0,))
 
-    def unitary(self, g):
-        return self.group.check_element(g)
-
     def unitary_batch(self, gs):
         return np.asarray(gs, dtype=complex)
-
-    def locus_decompose(self, nu, x, tol=1e-10):
-        return _matrix_locus_decompose(self, nu, x, tol)
 
     def isotypic_exponents(self, nu, k):
         nu = half_weight(self.group, nu)
@@ -603,13 +595,6 @@ class U2CP2Model(ProjectiveModel):
                          "defining rep on C^2, det^-1 twist on the third coordinate",
                          (1.5, 0.5))
 
-    def unitary(self, g):
-        g = self.group.check_element(g)
-        out = np.zeros((3, 3), dtype=complex)
-        out[:2, :2] = g
-        out[2, 2] = 1.0 / np.linalg.det(g)
-        return out
-
     def unitary_batch(self, gs):
         gs = np.asarray(gs, dtype=complex)
         out = np.zeros((len(gs), 3, 3), dtype=complex)
@@ -620,9 +605,6 @@ class U2CP2Model(ProjectiveModel):
     def valid_k(self, k):
         k = int(k)
         return k if k % 2 == 1 else k + 1
-
-    def locus_decompose(self, nu, x, tol=1e-10):
-        return _matrix_locus_decompose(self, nu, x, tol)
 
     def isotypic_exponents(self, nu, k):
         nu = half_weight(self.group, nu)
@@ -661,54 +643,6 @@ class U2CP2Model(ProjectiveModel):
     def default_locus_point(self, nu=None):
         t, _ = self.locus_parameters(nu)
         return self.point([np.sqrt(0.6 * t), np.sqrt(0.4 * t), np.sqrt(1.0 - t)])
-
-
-def _matrix_locus_decompose(model, nu, x, tol=1e-10):
-    group = model.group
-    metric = model.metric
-    nu = half_weight(group, nu)
-    phi = model.moment_map(x)
-    nphi = metric.norm_covector_full(phi)
-    if nphi < 1e-12:
-        raise AssumptionViolation("moment map vanishes at this point")
-    phi_mat = algebra_matrix(group, metric.sharp_full(phi))
-    herm = -1j * phi_mat
-    eigvals, eigvecs = np.linalg.eigh(herm)
-    order = np.argsort(eigvals)[::-1]
-    theta = eigvals[order]
-    h = eigvecs[:, order]
-    if group.kind == "su":
-        det = np.linalg.det(h)
-        h = h * det ** (-1.0 / group.n)
-    # dominant covector coordinates of Phi (values on the Cartan basis)
-    if group.kind == "u":
-        q = metric.scale * theta
-    else:
-        q = metric.scale * (theta[:-1] - theta[1:])
-    nnu = metric.norm_covector(nu.coords)
-    sigma = metric.pair_covectors(q, nu.coords) / nnu ** 2
-    resid = q - sigma * nu.coords
-    residual = float(np.sqrt(resid @ np.linalg.solve(
-        metric.gram[:group.rank, :group.rank], resid)))
-    if sigma <= 0 or residual > tol * max(1.0, nphi):
-        s_star = max(sigma, 0.0)
-        dist_vec = q - s_star * nu.coords
-        dist = float(np.sqrt(dist_vec @ np.linalg.solve(
-            metric.gram[:group.rank, :group.rank], dist_vec)))
-        return ConeDistance(phi=phi, distance=dist)
-    t_basis, t_prime = [], []
-    nu_row = nu.coords
-    null_basis = _metric_orthonormal_null(metric, nu_row)
-    for i in range(group.rank):
-        hmat = h @ group.basis_matrices[i] @ h.conj().T
-        t_basis.append(matrix_coefficients(group, hmat))
-    for v in null_basis:
-        eta = sum(c * np.asarray(group.basis_matrices[i]) for i, c in enumerate(v))
-        hmat = h @ eta @ h.conj().T
-        t_prime.append(matrix_coefficients(group, hmat))
-    return LocusSample(model, nu, np.asarray(x, dtype=complex), phi,
-                       float(sigma), h, tuple(t_basis), tuple(t_prime),
-                       residual)
 
 
 # -- catalog -------------------------------------------------------------------

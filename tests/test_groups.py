@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from coorbit.groups import (
+    InvariantMetric,
     UnsupportedGroupError,
     ad_on_cartan_complement,
     adjoint_action,
@@ -105,6 +106,13 @@ def test_metric_rejects_bad_gram():
     t2 = build_group("t2")
     with pytest.raises(ValueError):
         torus_metric(t2, [[1.0, 2.0], [2.0, 1.0]])  # indefinite
+    # SPD grams that are not scale x trace form (SU(2) trace form = 2 I)
+    for gram, scale in ((np.diag([2.0, 1.0, 1.0]), 1.0), (4.0 * np.eye(3), 1.0)):
+        with pytest.raises(ValueError):
+            InvariantMetric(g, gram, scale=scale)
+    u2 = build_group("u2")
+    with pytest.raises(ValueError):
+        InvariantMetric(u2, np.eye(4))           # trace form is diag(1, 1, 2, 2)
 
 
 def test_sharp_su2_paper_values():

@@ -223,6 +223,17 @@ def test_peter_weyl_consistency_small_k():
         assert abs(direct - total) < 1e-6 * max(1.0, abs(direct)), mid
 
 
+def test_isotypic_basis_cached_on_the_model():
+    import weakref
+    model = build_model("s1-cp2-w123")
+    basis = isotypic_basis(model, model.default_nu, 16)
+    assert isotypic_basis(model, tuple(model.default_nu.coords), 16) is basis
+    assert isotypic_basis(build_model("s1-cp2-w123"), model.default_nu, 16) is not basis
+    ref = weakref.ref(model)
+    del model
+    assert ref() is None                       # the cache pins no model
+
+
 def test_level_orthogonality_of_disjoint_weight_kernels():
     # kernels built from disjoint monomial sets are L^2-orthogonal
     model = build_model("s1-cp1-w12")

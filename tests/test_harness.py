@@ -170,3 +170,13 @@ def test_rows_to_csv_and_summary_roundtrip():
     assert csv.count("\n") == len(rows) + 1
     summary = json.loads(summary_json("diag", rows, fits, True))
     assert summary["pass"] is True
+
+
+def test_csv_numbers_are_plain_floats():
+    cfg = ExperimentConfig(model_id="s1-cp1-w12", k_min=16, k_max=64)
+    rows, _, _ = run_suite("diag", cfg)
+    csv = rows_to_csv(rows)
+    assert "np." not in csv
+    for line in csv.splitlines()[1:]:
+        for field in line.split(",")[4:]:
+            float(field)

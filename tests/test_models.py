@@ -213,6 +213,62 @@ def test_locus_decompose_off_cone_distance():
     assert isinstance(out2, ConeDistance) and out2.distance > 0.01
 
 
+def test_cone_distance_at_nonpositive_sigma_is_moment_norm():
+    # Phi pairs negatively with nu, so the nearest cone point is the apex
+    rng = np.random.default_rng(12)
+    model = build_model("t2-cp2")         # Phi = (t1 + t3, t2 + t3) >= 0
+    nu = half_weight(model.group, (-1.0, -1.0))
+    cases = [(model, nu, model.random_point(rng)) for _ in range(5)]
+    model = build_model("u2-cp2")         # |c|^2 >= |v|^2 makes both q_j >= 0
+    nu = half_weight(model.group, (-0.5, -1.5))
+    for _ in range(5):
+        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        v *= np.sqrt(0.3) / np.linalg.norm(v)
+        c = np.sqrt(0.7) * np.exp(1j * rng.uniform(0, 6))
+        cases.append((model, nu, model.point([v[0], v[1], c])))
+    for model, nu, x in cases:
+        out = model.locus_decompose(nu, x)
+        assert isinstance(out, ConeDistance), model.id
+        assert np.isclose(out.distance, model.metric.norm_covector_full(model.moment_map(x)),
+                          rtol=1e-12, atol=0), model.id
+
+
+def test_unitary_validates_and_matches_batch():
+    rng = np.random.default_rng(13)
+    for mid in MODEL_IDS:
+        model = build_model(mid)
+        group = model.group
+        if group.kind == "torus":
+            gs = rng.uniform(0, 2 * np.pi, (4, group.rank))
+            bad = np.full(group.rank, 0.3 + 0.2j)          # complex angles
+        else:
+            gs = np.stack([random_unitary(group.n, rng, special=group.kind == "su")
+                           for _ in range(4)])
+            bad = 1.1 * gs[0]
+        with pytest.raises(ValueError):
+            model.unitary(bad)
+        single = np.stack([model.unitary(g) for g in gs])
+        np.testing.assert_allclose(single, model.unitary_batch(gs), rtol=0, atol=1e-15)
+    su2 = build_model("su2-cp1")
+    with pytest.raises(ValueError):
+        su2.unitary(np.exp(0.3j) * np.eye(2))              # unitary, det != 1
+
+
+def test_moment_map_stack_and_min_norm_reference():
+    rng = np.random.default_rng(14)
+    for mid in MODEL_IDS:
+        model = build_model(mid)
+        xs = np.stack([model.random_point(rng) for _ in range(6)])
+        per_point = [[-hermitian_inner(a @ x, x).imag for a in model.generators] for x in xs]
+        np.testing.assert_allclose(model.moment_map(xs), per_point, rtol=0, atol=1e-14)
+        # construction-time minimum vs the per-point loop over the same draw
+        draw = np.random.default_rng(11)
+        points = [model.random_point(draw) for _ in range(400)]
+        points += list(np.eye(model.ambient_dim, dtype=complex))
+        worst = min(model.moment_norm(x) for x in points)
+        assert np.isclose(model.min_moment_norm, worst, rtol=1e-14, atol=0), mid
+
+
 def test_model_construction_rejects_vanishing_moment():
     with pytest.raises(AssumptionViolation):
         TorusModel("bad", [[0, 1]], (1.0,))  # Phi([1:0]) = 0
