@@ -355,7 +355,7 @@ def _kk_density(metric, lam):
     field, then the partner spanning the largest area with it (first
     maximum in basis order for both).
     """
-    B = np.array(metric.group.basis_matrices)
+    B = metric.group.basis_matrices
     tangents = B @ lam[:, None]                      # (N, dim, n, n)
     tangents -= lam[:, None] @ B
     # phi(s, t) = scale * Re sum s conj(t): a real dot product of the float views

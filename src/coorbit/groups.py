@@ -112,6 +112,11 @@ class CompactGroup:
     lattice_basis : ndarray, shape (rank, rank)
         Columns span the lattice of integral forms L(G).  For U(n) the
         valid irrep labels are delta + L(G) (half-odd-integer tuples).
+    trace_gram : ndarray, shape (dim, dim)
+        Gram matrix of the reference metric in the fixed basis: the
+        identity on tori, -trace(A B) on SU(n)/U(n).
+    basis_matrices : ndarray, shape (dim, n, n)
+        The fixed skew-Hermitian basis (empty on tori).
     """
 
     kind: str
@@ -122,7 +127,8 @@ class CompactGroup:
     delta: np.ndarray
     weyl_elements: tuple
     lattice_basis: np.ndarray
-    basis_matrices: tuple = field(repr=False, default=())
+    trace_gram: np.ndarray = field(repr=False)
+    basis_matrices: np.ndarray = field(repr=False, default=())
 
     @property
     def n_pos(self):
@@ -188,6 +194,7 @@ def build_group(kind, n=None):
             delta=np.zeros(r),
             weyl_elements=((np.eye(r), 1),),
             lattice_basis=np.eye(r),
+            trace_gram=np.eye(r),
         )
     if kind not in ("su", "u"):
         raise UnsupportedGroupError(f"unsupported group kind {kind!r}")
@@ -222,12 +229,14 @@ def build_group(kind, n=None):
         sign = int(round(np.linalg.det(P)))
         weyl.append((mat, sign))
 
+    basis = np.array(_basis_matrices(kind, n))
     return CompactGroup(
         kind=kind, n=n, dim=dim, rank=rank,
         positive_roots=roots, delta=delta,
         weyl_elements=tuple(weyl),
         lattice_basis=np.eye(rank),
-        basis_matrices=tuple(_basis_matrices(kind, n)),
+        trace_gram=-np.einsum("aij,bji->ab", basis, basis).real,
+        basis_matrices=basis,
     )
 
 
@@ -247,18 +256,13 @@ def algebra_matrix(group, coeffs):
     """Realize an algebra coefficient vector as a skew-Hermitian matrix."""
     if not group.is_matrix_group:
         raise ValueError("torus algebra vectors have no canonical matrix form")
-    coeffs = np.asarray(coeffs, dtype=float)
-    out = np.zeros((group.n, group.n), dtype=complex)
-    for c, b in zip(coeffs, group.basis_matrices):
-        out += c * b
-    return out
+    return np.einsum("m,mij->ij", np.asarray(coeffs, dtype=float), group.basis_matrices)
 
 
 def matrix_coefficients(group, mat):
     """Inverse of :func:`algebra_matrix` (trace-orthogonal projection)."""
-    vals = np.array([-np.trace(mat @ b).real for b in group.basis_matrices])
-    gram = _base_gram(group)
-    return np.linalg.solve(gram, vals)
+    vals = -np.einsum("ij,mji->m", mat, group.basis_matrices).real
+    return np.linalg.solve(group.trace_gram, vals)
 
 
 def cartan_matrix_of(group, t_coeffs):
@@ -280,24 +284,6 @@ def diag_angles(group, t_coeffs):
         theta[j] += cj
         theta[j + 1] -= cj
     return theta
-
-
-def _base_gram(group):
-    """Gram matrix of the reference metric in the fixed basis.
-
-    Torus: identity.  SU(n)/U(n): trace form, block diagonal across the
-    Cartan/off-diagonal split (off-diagonal pairs have norm^2 = 2).
-    """
-    if group.kind == "torus":
-        return np.eye(group.dim)
-    gram = np.zeros((group.dim, group.dim))
-    B = group.basis_matrices
-    for i in range(group.rank):
-        for j in range(group.rank):
-            gram[i, j] = -np.trace(B[i] @ B[j]).real
-    for i in range(group.rank, group.dim):
-        gram[i, i] = 2.0
-    return gram
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,7 +365,7 @@ class InvariantMetric:
 
     def _check_ad_invariance(self):
         # the trace form is Ad-invariant, hence so is every positive multiple
-        base = _base_gram(self.group)
+        base = self.group.trace_gram
         if np.linalg.norm(self.gram - self.scale * base) > 1e-10 * self.scale:
             raise ValueError(
                 "SU(n)/U(n) metrics must be positive multiples of the trace form")
@@ -389,7 +375,7 @@ def trace_metric(group, scale=1.0):
     """Default metric: phi(A,B) = scale * trace(A conj(B)^T); identity on tori."""
     if scale <= 0:
         raise ValueError("metric scale must be positive")
-    return InvariantMetric(group, scale * _base_gram(group), scale=float(scale))
+    return InvariantMetric(group, scale * group.trace_gram, scale=float(scale))
 
 
 def torus_metric(group, gram):
@@ -423,9 +409,9 @@ class HalfWeight:
         frac = lam - np.round(lam)
         if np.max(np.abs(frac), initial=0.0) > 1e-9:
             raise ValueError(f"nu - delta = {lam} is not an integral weight")
-        metric = trace_metric(g)
+        gram_t = g.trace_gram[:g.rank, :g.rank]
         for beta in g.positive_roots:
-            if metric.pair_covectors(coords, beta) <= 0:
+            if coords @ np.linalg.solve(gram_t, beta) <= 0:
                 raise ValueError(
                     f"nu = {coords} is not regular dominant (fails on root {beta})")
         if g.kind == "torus" and np.allclose(coords, 0.0):

@@ -10,17 +10,19 @@ against dV_X = (1/2 pi) alpha wedge pi* dV_M.  Everything downstream
 finite sums over explicit exponent sets, evaluated in log space with a
 max-shift so that values remain accurate far below the overflow and
 underflow thresholds of double precision; sums over positive terms are
-then exact to relative rounding error at any magnitude.
+then exact to relative rounding error at any magnitude.  Isotypic
+dimensions of rank-1 tori are counted exactly without listing the set.
 """
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from math import comb
 
 import numpy as np
 from scipy.special import gammaln
 
 from .groups import euler_elements, half_weight
-from .models import SU2CP1Model, hermitian_inner
+from .models import SU2CP1Model, TorusModel, hermitian_inner
 
 _BIG_NEG = -1.0e6  # stand-in for log 0; alpha * _BIG_NEG underflows exp cleanly
 
@@ -95,8 +97,37 @@ def isotypic_basis(model, nu, k):
 
 
 def isotypic_dim(model, nu, k):
-    """Exact dimension of the k nu isotypic subspace (0 is a valid answer)."""
+    """Exact dimension of the k nu isotypic subspace (0 is a valid answer).
+
+    Rank-1 tori count the exponents without listing them; every other
+    model takes the length of its exponent list (O(k) long on every
+    catalog model).
+    """
+    if isinstance(model, TorusModel) and model.group.rank == 1:
+        target = model.isotypic_target(nu, k)
+        return 0 if target is None else _weighted_count(model.weights[0], int(target[0]))
     return int(len(model.isotypic_exponents(nu, k)))
+
+
+def _weighted_count(weights, total):
+    """#{alpha >= 0 : weights . alpha = total} for positive integer weights.
+
+    Exact int64 coin-change pass: adding weight w turns the count
+    table c into c[n] + c[n - w] + c[n - 2w] + ..., a running sum along
+    each residue class mod w, for O(total * len(weights)) work.  Every
+    entry of every pass is bounded by C(total + d, d)
+    (d + 1 = len(weights)), which must fit in int64.
+    """
+    d = len(weights) - 1
+    if comb(total + d, d) > np.iinfo(np.int64).max:
+        raise ValueError(f"the number of monomials of weight {total} in {d + 1} "
+                         "variables can overflow int64")
+    ways = np.zeros(total + 1, dtype=np.int64)
+    ways[0] = 1
+    for w in weights:
+        for r in range(w):
+            ways[r::w] = np.cumsum(ways[r::w])
+    return int(ways[total])
 
 
 def _safe_log(z):
@@ -144,19 +175,20 @@ def level_kernel_closed(d, n, x, y):
     return dim / vol * hermitian_inner(np.asarray(x, complex), np.asarray(y, complex)) ** n
 
 
-def equivariant_kernel(model, nu, k, x, y, basis=None):
+def equivariant_kernel(model, nu, k, x, y):
     """Exact equivariant kernel Pi^mu_{k nu}(x, y) by basis projection.
 
     SU(2) on CP^1 uses the closed level-kernel form (the isotypic space
-    is one whole level); everything else sums the isotypic monomials.
+    is one whole level); everything else sums the isotypic monomials of
+    the basis cached on the model.
     """
-    logmag, phase = equivariant_kernel_log(model, nu, k, x, y, basis)
+    logmag, phase = equivariant_kernel_log(model, nu, k, x, y)
     if logmag == -np.inf:
         return 0.0 + 0.0j
     return np.exp(logmag) * phase
 
 
-def equivariant_kernel_log(model, nu, k, x, y, basis=None):
+def equivariant_kernel_log(model, nu, k, x, y):
     """(log |Pi^mu_{k nu}(x, y)|, unit phase); -inf for the zero kernel."""
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
@@ -170,8 +202,7 @@ def equivariant_kernel_log(model, nu, k, x, y, basis=None):
         logmag = np.log((n + 1) / np.pi) + n * np.log(abs(inner))
         phase = (inner / abs(inner)) ** n
         return float(logmag), phase
-    if basis is None:
-        basis = isotypic_basis(model, nu, k)
+    basis = isotypic_basis(model, nu, k)
     return _basis_sum(basis.alphas, basis.log_norms, x, y)
 
 
@@ -182,13 +213,11 @@ def szego_kernel(d, x, y):
     return 1.0 / (vol * (1.0 - t) ** (d + 1))
 
 
-def diag_profile(model, nu, k, points, basis=None):
+def diag_profile(model, nu, k, points):
     """Exact diagonal values Pi^mu_{k nu}(x, x) along a list of points."""
-    if basis is None and not isinstance(model, SU2CP1Model):
-        basis = isotypic_basis(model, nu, k)
     out = []
     for x in points:
-        val = equivariant_kernel(model, nu, k, x, x, basis)
+        val = equivariant_kernel(model, nu, k, x, x)
         out.append((np.asarray(x, complex), float(val.real)))
     return out
 
@@ -253,9 +282,9 @@ def orbit_separation(model, x, y, coarse=None):
     return float(min(dists[i], res.fun))
 
 
-def off_orbit_value(model, nu, k, x, y, separation=None, basis=None):
+def off_orbit_value(model, nu, k, x, y, separation=None):
     """Kernel magnitude at an orbit-separated pair, for decay-rate fits."""
     if separation is None:
         separation = orbit_separation(model, x, y)
-    logmag, _ = equivariant_kernel_log(model, nu, k, x, y, basis)
+    logmag, _ = equivariant_kernel_log(model, nu, k, x, y)
     return OffOrbitValue(log_abs=float(logmag), separation=float(separation), k=int(k))

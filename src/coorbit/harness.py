@@ -29,7 +29,6 @@ from .groups import (
 from .hardy import (
     equivariant_kernel,
     equivariant_kernel_log,
-    isotypic_basis,
     isotypic_dim,
     orbit_separation,
 )
@@ -67,6 +66,9 @@ class ExperimentConfig:
             raise ValueError("k schedule must be strictly increasing (k_factor >= 2)")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.fmt!r}")
+        if self.model_id.lower() not in MODEL_IDS:
+            raise ValueError(f"unknown model id {self.model_id!r}; "
+                             f"known ids: {', '.join(MODEL_IDS)}")
 
     @property
     def k_schedule(self):
@@ -280,12 +282,11 @@ def run_gaussian_profile(config):
     if normal:
         vhat = normal[0] / np.linalg.norm(normal[0])
         k = model.valid_k(config.k_max)
-        basis = isotypic_basis(model, nu, k)
-        diag = equivariant_kernel(model, nu, k, x, x, basis).real
+        diag = equivariant_kernel(model, nu, k, x, x).real
         logs = []
         for a in amps:
             xa = model.displace(x, 0.0, a * vhat / np.sqrt(k))
-            val = equivariant_kernel(model, nu, k, xa, xa, basis).real
+            val = equivariant_kernel(model, nu, k, xa, xa).real
             logs.append(np.log(val / diag))
             rows.append(Row(model.id, _nu_str(nu.coords), k, f"v-log-ratio-a={a}",
                             np.log(val / diag), -2.0 * a * a / sigma,
@@ -304,12 +305,11 @@ def run_gaussian_profile(config):
         max_devs = {}
         for k in (config.k_min, config.k_max):
             k = model.valid_k(k)
-            basis = isotypic_basis(model, nu, k)
-            diag = equivariant_kernel(model, nu, k, x, x, basis).real
+            diag = equivariant_kernel(model, nu, k, x, x).real
             dev = 0.0
             for a in amps:
                 xa = model.displace(x, 0.0, a * what / np.sqrt(k))
-                val = equivariant_kernel(model, nu, k, xa, xa, basis).real
+                val = equivariant_kernel(model, nu, k, xa, xa).real
                 dev = max(dev, abs(np.log(val / diag)))
                 rows.append(Row(model.id, _nu_str(nu.coords), k, f"w-log-ratio-a={a}",
                                 np.log(val / diag), 0.0, abs(np.log(val / diag))))
@@ -324,13 +324,12 @@ def run_gaussian_profile(config):
 
         # two-point modulus with w2 = -w1
         k = model.valid_k(config.k_max)
-        basis = isotypic_basis(model, nu, k)
-        diag = equivariant_kernel(model, nu, k, x, x, basis).real
+        diag = equivariant_kernel(model, nu, k, x, x).real
         a = amps[len(amps) // 2]
         w1 = a * what
         x1 = model.displace(x, 0.0, w1 / np.sqrt(k))
         x2 = model.displace(x, 0.0, -w1 / np.sqrt(k))
-        val = abs(equivariant_kernel(model, nu, k, x1, x2, basis))
+        val = abs(equivariant_kernel(model, nu, k, x1, x2))
         pred = diag * abs(np.exp(gaussian_pair_exponent(w1, -w1) / sigma))
         err = abs(val / pred - 1.0)
         rows.append(Row(model.id, _nu_str(nu.coords), k, "two-point-w-modulus",

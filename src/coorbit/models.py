@@ -431,46 +431,51 @@ class TorusModel(ProjectiveModel):
         out[:, idx, idx] = phases
         return out
 
-    def isotypic_exponents(self, nu, k):
-        """Lattice points {alpha >= 0 : W alpha = k nu}, vectorized.
-
-        Solves for r pivot coordinates after enumerating the free ones,
-        whose ranges are bounded by a strictly positive functional on
-        the weight columns; every candidate is verified exactly in
-        integer arithmetic.
-        """
+    def isotypic_target(self, nu, k):
+        """k nu as an integer weight vector, or None when no monomial has
+        that weight (k nu non-integral or with a negative entry)."""
         nu = half_weight(self.group, nu)
         target = np.round(k * nu.coords).astype(np.int64)
-        if np.max(np.abs(k * nu.coords - target)) > 1e-9:
-            return np.zeros((0, self.ambient_dim), dtype=int)
-        if np.any(target < 0):
-            return np.zeros((0, self.ambient_dim), dtype=int)
+        if np.max(np.abs(k * nu.coords - target)) > 1e-9 or np.any(target < 0):
+            return None
+        return target
+
+    def isotypic_exponents(self, nu, k):
+        """Lattice points {alpha >= 0 : W alpha = k nu}, in no fixed order.
+
+        The free (non-pivot) coordinates F run over the simplex
+        {F >= 0 : c.W_free F <= c.(k nu)}, c a strictly positive
+        functional on the weight columns, built one coordinate at a time
+        as a ragged array (not over the bounding box of the simplex).
+        The r pivot coordinates are then solved for, and a candidate is
+        kept only if W alpha = k nu and alpha >= 0 hold exactly in
+        integer arithmetic.
+        """
+        target = self.isotypic_target(nu, k)
+        m = self.ambient_dim
+        if target is None:
+            return np.zeros((0, m), dtype=int)
         W = self.weights.astype(np.int64)
-        r, m = W.shape
         pivots = self._pivot_columns
         free = [j for j in range(m) if j not in pivots]
-        inv_p = np.linalg.inv(W[:, pivots].astype(float))
         c = self._positive_functional
-        cap = float(c @ target)
         cw = c @ self.weights
-        if free:
-            axes = [np.arange(int(np.floor(cap / cw[j] + 1e-9)) + 1) for j in free]
-            grids = np.meshgrid(*axes, indexing="ij")
-            F = np.stack([g.ravel() for g in grids], axis=-1).astype(np.int64)
-            rhs = target[None, :] - F @ W[:, free].T
-        else:
-            F = np.zeros((1, 0), dtype=np.int64)
-            rhs = target[None, :]
-        a_p = np.rint(rhs @ inv_p.T).astype(np.int64)
-        ok = np.all(a_p >= 0, axis=1) & np.all(F >= 0, axis=1) \
-            & np.all(a_p @ W[:, pivots].T == rhs, axis=1)
-        a_p, F = a_p[ok], F[ok]
-        out = np.zeros((len(a_p), m), dtype=int)
+        cols, rhs = [], target[None, :]          # rhs = target - W_free F, exactly
+        for j in free:
+            reach = np.floor(rhs @ c / cw[j] + 1e-9).astype(np.int64) + 1
+            starts = np.cumsum(reach) - reach
+            step = np.arange(int(reach.sum()), dtype=np.int64) - np.repeat(starts, reach)
+            cols = [np.repeat(col, reach) for col in cols] + [step]
+            rhs = np.repeat(rhs, reach, axis=0) - step[:, None] * W[:, j]
+        w_p = W[:, pivots]
+        a_p = np.rint(rhs @ np.linalg.inv(w_p.astype(float)).T).astype(np.int64)
+        # the free coordinates are aranges, hence >= 0
+        ok = np.all(a_p >= 0, axis=1) & np.all(a_p @ w_p.T == rhs, axis=1)
+        out = np.empty((len(rhs), m), dtype=int)
         out[:, pivots] = a_p
-        if free:
-            out[:, free] = F
-        order = np.lexsort(out.T[::-1])
-        return out[order]
+        for j, col in zip(free, cols):
+            out[:, j] = col
+        return out if ok.all() else out[ok]
 
     @property
     def _pivot_columns(self):

@@ -78,19 +78,22 @@ def finite_difference_exp_jacobian(basis_matrices, xi_coeffs, h=1e-5):
     return abs(np.linalg.det(np.stack(cols, axis=1)))
 
 
-def lattice_count(weights, target):
-    """Brute-force count of {alpha >= 0 : W alpha = target} by scanning
-    the full box (independent of the library's pivot solver)."""
+def lattice_points(weights, target):
+    """Brute-force list of {alpha >= 0 : W alpha = target} (as tuples) by
+    scanning the full box (independent of the library's pivot solver and
+    of its counting pass)."""
     from itertools import product
 
     W = np.asarray(weights, dtype=int)
     target = np.asarray(target, dtype=int)
     bound = int(target.max()) + 1
-    count = 0
-    for alpha in product(range(bound), repeat=W.shape[1]):
-        if np.array_equal(W @ np.array(alpha), target):
-            count += 1
-    return count
+    return [alpha for alpha in product(range(bound), repeat=W.shape[1])
+            if np.array_equal(W @ np.array(alpha), target)]
+
+
+def lattice_count(weights, target):
+    """Brute-force count of {alpha >= 0 : W alpha = target}."""
+    return len(lattice_points(weights, target))
 
 
 def fiber_phase_moment(model, x, xi_coeffs, h=1e-6):

@@ -312,6 +312,38 @@ def test_algebra_matrix_round_trip():
         assert np.allclose(matrix_coefficients(g, mat), coeffs, atol=1e-12)
 
 
+def test_trace_gram_and_projection_match_the_trace_loop():
+    # reference: one trace per basis pair / per basis matrix
+    from coorbit.groups import matrix_coefficients
+    rng = np.random.default_rng(6)
+    for kind in ("su2", "u2", "su3", "u3"):
+        g = build_group(kind)
+        B = g.basis_matrices
+        gram = np.array([[-np.trace(a @ b).real for b in B] for a in B])
+        assert np.array_equal(g.trace_gram, gram)
+        mat = rng.standard_normal((g.n, g.n)) + 1j * rng.standard_normal((g.n, g.n))
+        vals = np.array([-np.trace(mat @ b).real for b in B])
+        assert np.allclose(matrix_coefficients(g, mat), np.linalg.solve(gram, vals),
+                           rtol=1e-14, atol=1e-14)
+    assert np.array_equal(build_group("t3").trace_gram, np.eye(3))
+
+
+def test_half_weight_dominance_matches_the_metric_pairing():
+    # the verdict is phi(nu, beta) > 0 for every positive root under the trace form
+    for kind in ("su2", "u2", "su3", "u3"):
+        g = build_group(kind)
+        metric = trace_metric(g)
+        steps = np.arange(-2, 3)
+        for lam in np.stack(np.meshgrid(*[steps] * g.rank), axis=-1).reshape(-1, g.rank):
+            coords = lam + g.delta
+            regular = all(metric.pair_covectors(coords, b) > 0 for b in g.positive_roots)
+            if regular:
+                assert np.array_equal(half_weight(g, coords).coords, coords)
+            else:
+                with pytest.raises(ValueError, match="not regular dominant"):
+                    half_weight(g, coords)
+
+
 def test_euler_elements_match_rotation_product():
     # closed form vs the explicit product Rz(alpha) Ry(beta) Rz(gamma) e^{i tau}
     def rz(t):

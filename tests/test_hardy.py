@@ -1,4 +1,8 @@
+from math import comb
+
 import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from coorbit.groups import half_weight, random_unitary, trace_metric
 from coorbit.characters import character_at_element, weyl_dimension
@@ -16,9 +20,9 @@ from coorbit.hardy import (
     orbit_separation,
     szego_kernel,
 )
-from coorbit.models import MODEL_IDS, build_model, simplex_quadrature, unit_point
+from coorbit.models import MODEL_IDS, TorusModel, build_model, simplex_quadrature, unit_point
 
-from oracles import lattice_count
+from oracles import lattice_count, lattice_points
 
 
 def random_sphere_point(d, rng):
@@ -114,6 +118,88 @@ def test_isotypic_dim_brute_force_lattice_oracle():
         for k in ks:
             target = np.round(k * nu.coords).astype(int)
             assert isotypic_dim(model, nu, k) == lattice_count(model.weights, target)
+
+
+# Box scans in the oracle cost (max target + 1)^(d+1) steps; these caps
+# keep one example under about 20k steps.
+_MAX_TARGET = {2: 60, 3: 25, 4: 10}
+_DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=40)
+
+
+@st.composite
+def _rank1_weights_and_target(draw):
+    m = draw(st.integers(2, 4))
+    weights = draw(st.lists(st.integers(1, 5), min_size=m, max_size=m))
+    return weights, draw(st.integers(0, _MAX_TARGET[m]))
+
+
+@_DERANDOMIZED
+@given(_rank1_weights_and_target())
+def test_rank1_isotypic_dim_matches_lattice_oracle(case):
+    weights, target = case
+    model = TorusModel("s1-random", [weights], (1.0,))
+    expected = lattice_count([weights], [target])
+    assert isotypic_dim(model, model.default_nu, target) == expected
+    # a label nu = 2 reaches weight 2k
+    if target % 2 == 0 and target:
+        assert isotypic_dim(model, (2.0,), target // 2) == expected
+
+
+@st.composite
+def _weight_matrix_and_target(draw):
+    r = draw(st.integers(1, 2))
+    m = draw(st.integers(r + 1, 4))
+    cols = draw(st.lists(st.lists(st.integers(0, 3), min_size=r, max_size=r)
+                         .filter(any), min_size=m, max_size=m))
+    weights = np.array(cols).T
+    assume(np.linalg.matrix_rank(weights) == r)
+    cap = _MAX_TARGET[m] // 2 if r == 2 else _MAX_TARGET[m]
+    target = draw(st.lists(st.integers(0, cap), min_size=r, max_size=r).filter(any))
+    return weights, target
+
+
+@_DERANDOMIZED
+@given(_weight_matrix_and_target())
+def test_isotypic_exponents_are_the_lattice_oracle_set(case):
+    weights, target = case
+    model = TorusModel("t-random", weights, np.ones(len(weights)))
+    alphas = model.isotypic_exponents(np.array(target, dtype=float), 1)
+    listed = [tuple(a) for a in alphas.tolist()]
+    assert len(set(listed)) == len(listed)
+    assert set(listed) == set(lattice_points(weights, target))
+
+
+@pytest.fixture(scope="module")
+def catalog():
+    return {mid: build_model(mid) for mid in MODEL_IDS}
+
+
+@_DERANDOMIZED
+@given(mid=st.sampled_from(MODEL_IDS), k=st.integers(1, 1024))
+def test_isotypic_dim_is_the_number_of_exponents(catalog, mid, k):
+    model = catalog[mid]
+    nu = model.default_nu
+    assert isotypic_dim(model, nu, k) == len(model.isotypic_exponents(nu, k))
+
+
+@_DERANDOMIZED
+@given(mid=st.sampled_from(["s1-cp1-w12", "s1-cp2-w123"]), n=st.integers(1, 4096),
+       q=st.integers(2, 7), negative=st.booleans())
+def test_rank1_count_is_zero_off_the_weight_lattice(catalog, mid, n, q, negative):
+    model = catalog[mid]
+    if negative:
+        nu, k = (-float(q - 1),), n              # k nu < 0
+    else:
+        nu, k = model.default_nu, n + 1.0 / q    # k nu not an integer
+    assert isotypic_dim(model, nu, k) == 0
+    assert len(model.isotypic_exponents(nu, k)) == 0
+
+
+def test_rank1_count_is_exact_up_to_the_int64_limit():
+    model = TorusModel("s1-cp3-ones", [[1, 1, 1, 1]], (1.0,))
+    assert isotypic_dim(model, model.default_nu, 3_000_000) == comb(3_000_003, 3)
+    with pytest.raises(ValueError, match="overflow int64"):
+        isotypic_dim(model, model.default_nu, 5_000_000)
 
 
 def test_isotypic_dim_u2_equals_rep_dimension():

@@ -28,6 +28,14 @@ def test_config_validation():
         ExperimentConfig(fmt="xml")
 
 
+def test_config_rejects_unknown_model_id(capsys):
+    with pytest.raises(ValueError, match="unknown model id 'nope'"):
+        ExperimentConfig(model_id="nope")
+    assert ExperimentConfig(model_id="T2-CP2").model_id == "T2-CP2"   # ids are case-blind
+    assert main(["suite", "dims", "--model", "s1-cp9"]) == 4
+    assert "unknown model id 's1-cp9'" in capsys.readouterr().err
+
+
 def test_fit_power_recovers_slope():
     ks = np.array([16, 32, 64, 128, 256])
     errs = 3.0 / ks
