@@ -10,8 +10,8 @@ psi-nu         leading coefficient at a locus point, with its breakdown
 kernel-eval    exact equivariant kernel at a pair of points
 suite          characters | diag | gaussian | decay | dims | all
 
-Exit codes: 0 all pass, 2 numerical fail, 3 precondition fail,
-4 config error.
+Exit codes: 0 all pass, 2 numerical fail, 3 precondition fail
+(including an isotypic basis over the memory budget), 4 config error.
 """
 
 import argparse

@@ -308,7 +308,11 @@ class InvariantMetric:
         if np.linalg.eigvalsh(gram).min() <= 0:
             raise ValueError("Gram matrix must be positive definite")
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "_cartan_gram", gram[:self.group.rank, :self.group.rank])
+        # inverses of the (at most 4 x 4) Gram matrix and its Cartan block, for
+        # the sharp maps and covector norms called thousands of times per suite
+        r = self.group.rank
+        object.__setattr__(self, "_gram_inv", np.linalg.inv(gram))
+        object.__setattr__(self, "_cartan_inv", np.linalg.inv(gram[:r, :r]))
         if self.group.is_matrix_group:
             self._check_ad_invariance()
 
@@ -328,22 +332,22 @@ class InvariantMetric:
         Uniquely determined by gamma = phi(gamma^phi, .); Cartan
         covectors are extended by zero on the phi-orthocomplement of t,
         which coincides with the trace-orthocomplement for supported
-        metrics, so the solve stays inside the Cartan block.
+        metrics, so the inverse is that of the Cartan block.
         """
-        return np.linalg.solve(self._cartan_gram, np.asarray(gamma, dtype=float))
+        return self._cartan_inv @ np.asarray(gamma, dtype=float)
 
     def sharp_full(self, gamma_full):
         """gamma^phi for a full coalgebra covector (length-dim coords)."""
-        return np.linalg.solve(self.gram, np.asarray(gamma_full, dtype=float))
+        return self._gram_inv @ np.asarray(gamma_full, dtype=float)
 
     def norm_covector(self, gamma):
         """||gamma||_phi = ||gamma^phi||_phi for a Cartan covector."""
         gamma = np.asarray(gamma, dtype=float)
-        return float(np.sqrt(gamma @ np.linalg.solve(self._cartan_gram, gamma)))
+        return float(np.sqrt(gamma @ self._cartan_inv @ gamma))
 
     def norm_covector_full(self, gamma_full):
         gamma_full = np.asarray(gamma_full, dtype=float)
-        return float(np.sqrt(gamma_full @ np.linalg.solve(self.gram, gamma_full)))
+        return float(np.sqrt(gamma_full @ self._gram_inv @ gamma_full))
 
     def norm_vector(self, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)

@@ -10,8 +10,11 @@ against dV_X = (1/2 pi) alpha wedge pi* dV_M.  Everything downstream
 finite sums over explicit exponent sets, evaluated in log space with a
 max-shift so that values remain accurate far below the overflow and
 underflow thresholds of double precision; sums over positive terms are
-then exact to relative rounding error at any magnitude.  Isotypic
-dimensions of rank-1 tori are counted exactly without listing the set.
+then exact to relative rounding error at any magnitude.  A sum runs over
+the exponent array in blocks of _BLOCK_ROWS rows and needs 16 B per term
+on top of the basis.  Isotypic dimensions of rank-1 tori are counted
+exactly without listing the set, and a rank-1 basis whose build would
+take more than _BASIS_BUDGET_BYTES is refused before it is listed.
 """
 
 from dataclasses import dataclass
@@ -21,17 +24,45 @@ from math import comb
 import numpy as np
 from scipy.special import gammaln
 
-from .groups import euler_elements, half_weight
+from .groups import AssumptionViolation, euler_elements, half_weight
 from .models import SU2CP1Model, TorusModel, hermitian_inner
 
 _BIG_NEG = -1.0e6  # stand-in for log 0; alpha * _BIG_NEG underflows exp cleanly
+# Rows of the exponent array cast to complex at a time in _basis_exponents:
+# a block and its products stay in cache, and no (N, d+1) complex copy exists.
+_BLOCK_ROWS = 4096
+# Largest build a rank-1 torus basis may take: a quarter of an 8 GB machine.
+# k = 16384 on s1-cp2-w123 (22.4M monomials) fits, k = 32768 (89M) does not.
+_BASIS_BUDGET_BYTES = 2 * 1024 ** 3
+
+
+def _basis_row_bytes(d):
+    """Peak bytes per monomial while a rank-1 basis is listed and normed.
+
+    tracemalloc at d = 1, 2, 3: listing peaks at 41 / 57 / 73 B per row,
+    the log-norm stage at 57 / 48 / 56 B and a later sum at 40 / 48 / 56 B
+    (basis plus 16 B per term); 8 (d + 1) + 48 bounds them all.
+    """
+    return 8 * (d + 1) + 48
 
 
 def monomial_log_norms(d, alphas):
-    """log ||z^alpha||^2 for an (N, d+1) exponent array."""
+    """log ||z^alpha||^2 for an (N, d+1) exponent array.
+
+    Every log-factorial is read from one table gammaln(m + 1),
+    m = 0 ... max |alpha| + d, column by column; the values are those of
+    gammaln on each entry, bit for bit.
+    """
     alphas = np.asarray(alphas, dtype=int)
     n = alphas.sum(axis=1)
-    return d * np.log(np.pi) + gammaln(alphas + 1.0).sum(axis=1) - gammaln(n + d + 1.0)
+    n += d
+    log_fact = gammaln(np.arange((n.max() if len(n) else d) + 1) + 1.0)
+    total = log_fact[alphas[:, 0]]
+    for j in range(1, d + 1):
+        total += log_fact[alphas[:, j]]
+    total += d * np.log(np.pi)
+    total -= log_fact[n]
+    return total
 
 
 def level_exponents(d, n):
@@ -85,11 +116,24 @@ class IsotypicBasis:
 
 
 def isotypic_basis(model, nu, k):
-    """The k nu isotypic basis, built once per model and kept in its cache."""
+    """The k nu isotypic basis, built once per model and kept in its cache.
+
+    A rank-1 torus basis is counted first (``isotypic_dim``); if its build
+    would take more than _BASIS_BUDGET_BYTES, AssumptionViolation is
+    raised before any exponent array is allocated.
+    """
     nu = half_weight(model.group, nu)
     key = (tuple(nu.coords.tolist()), int(k))
     basis = model.basis_cache.get(key)
     if basis is None:
+        if isinstance(model, TorusModel) and model.group.rank == 1:
+            count = isotypic_dim(model, nu, k)
+            need = count * _basis_row_bytes(model.d)
+            if need > _BASIS_BUDGET_BYTES:
+                raise AssumptionViolation(
+                    f"the k = {k} isotypic basis of {model.id} has {count} monomials "
+                    f"and needs about {need} bytes, over the {_BASIS_BUDGET_BYTES}-byte "
+                    "memory budget")
         alphas = model.isotypic_exponents(nu, k)
         basis = IsotypicBasis(nu.coords, int(k), alphas, monomial_log_norms(model.d, alphas))
         model.basis_cache[key] = basis
@@ -138,15 +182,40 @@ def _safe_log(z):
     return out
 
 
+def _basis_exponents(alphas, log_norms, x, y):
+    """(N,) complex logs of the terms x^a conj(y)^a / ||z^a||^2.
+
+    Built _BLOCK_ROWS rows of the exponent array at a time into one
+    preallocated array (16 B per term); each term's arithmetic is that of
+    the one-shot products, bit for bit.
+    """
+    lx, ly = _safe_log(x), np.conj(_safe_log(y))
+    expo = np.empty(len(alphas), dtype=complex)
+    for start in range(0, len(alphas), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        block = alphas[rows]
+        np.subtract(block @ lx + block @ ly, log_norms[rows], out=expo[rows])
+    return expo
+
+
 def _basis_sum(alphas, log_norms, x, y):
-    """(log magnitude, phase-sum) of sum_alpha x^a conj(y)^a / ||z^a||^2."""
+    """(log magnitude, phase-sum) of sum_alpha x^a conj(y)^a / ||z^a||^2.
+
+    The terms are shifted by their largest log magnitude and
+    exponentiated in place, block by block, then summed in one pass;
+    needs 16 B per term on top of the basis.
+    """
     if len(alphas) == 0:
         return -np.inf, 0.0 + 0.0j
-    expo = alphas @ _safe_log(x) + alphas @ np.conj(_safe_log(y)) - log_norms
+    expo = _basis_exponents(alphas, log_norms, x, y)
     shift = float(np.max(expo.real))
     if shift <= _BIG_NEG / 2:
         return -np.inf, 0.0 + 0.0j
-    total = np.sum(np.exp(expo - shift))
+    for start in range(0, len(expo), _BLOCK_ROWS):
+        block = expo[start:start + _BLOCK_ROWS]
+        block -= shift
+        np.exp(block, out=block)
+    total = np.sum(expo)
     if total == 0:
         return -np.inf, 0.0 + 0.0j
     return shift + float(np.log(np.abs(total))), total / np.abs(total)

@@ -96,6 +96,16 @@ def lattice_count(weights, target):
     return len(lattice_points(weights, target))
 
 
+def monomial_log_norms_gammaln(d, alphas):
+    """log ||z^alpha||^2 = d log pi + sum_j log alpha_j! - log (|alpha| + d)!
+    with gammaln called on every exponent entry (no log-factorial table)."""
+    from scipy.special import gammaln
+
+    alphas = np.asarray(alphas, dtype=int)
+    n = alphas.sum(axis=1)
+    return d * np.log(np.pi) + gammaln(alphas + 1.0).sum(axis=1) - gammaln(n + d + 1.0)
+
+
 def fiber_phase_moment(model, x, xi_coeffs, h=1e-6):
     """<Phi, xi> = -alpha(xi_X) by finite differences of the lifted flow."""
     from scipy.linalg import expm

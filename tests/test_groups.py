@@ -156,6 +156,26 @@ def test_sharp_scaling_covariance():
                               m1.norm_covector(gamma) / np.sqrt(c), rtol=1e-15)
 
 
+def test_cached_inverse_gram_matches_the_solve():
+    rng = np.random.default_rng(12)
+    metrics = [trace_metric(build_group(kind), scale=c)
+               for kind in ("t1", "t2", "su2", "u2") for c in (1.0, 2.7)]
+    metrics.append(torus_metric(build_group("t2"), [[2.7, 0.9], [0.9, 1.3]]))
+    for metric in metrics:
+        gram, cartan = metric.gram, metric.gram[:metric.group.rank, :metric.group.rank]
+        for _ in range(5):
+            gamma = rng.standard_normal(metric.group.rank)
+            full = rng.standard_normal(metric.group.dim)
+            pairs = [
+                (metric.sharp(gamma), np.linalg.solve(cartan, gamma)),
+                (metric.sharp_full(full), np.linalg.solve(gram, full)),
+                (metric.norm_covector(gamma), np.sqrt(gamma @ np.linalg.solve(cartan, gamma))),
+                (metric.norm_covector_full(full), np.sqrt(full @ np.linalg.solve(gram, full))),
+            ]
+            for got, want in pairs:
+                assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
 def test_volume_scaling_covariance():
     for kind in ("su2", "u2"):
         g = build_group(kind)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from coorbit.groups import half_weight, random_unitary, trace_metric
+from coorbit import hardy
+from coorbit.cli import main
+from coorbit.groups import AssumptionViolation, half_weight, random_unitary, trace_metric
 from coorbit.characters import character_at_element, weyl_dimension
 from coorbit.hardy import (
     equivariant_kernel,
@@ -22,7 +24,7 @@ from coorbit.hardy import (
 )
 from coorbit.models import MODEL_IDS, TorusModel, build_model, simplex_quadrature, unit_point
 
-from oracles import lattice_count, lattice_points
+from oracles import lattice_count, lattice_points, monomial_log_norms_gammaln
 
 
 def random_sphere_point(d, rng):
@@ -55,6 +57,17 @@ def test_monomial_norms_quadrature_audit():
             * float(np.prod(nodes ** alpha, axis=1) @ w)
         closed = np.exp(monomial_log_norms(d, alpha[None, :])[0])
         assert abs(integral - closed) < 1e-10 * closed
+
+
+def test_log_norm_table_equals_gammaln_on_every_entry():
+    rng = np.random.default_rng(7)
+    cases = [(d, rng.integers(0, hi, size=(n, d + 1)))
+             for d, hi, n in ((1, 5000, 300), (2, 9000, 400), (3, 60, 500))]
+    cases += [(2, np.zeros((4, 3), dtype=int)), (3, np.zeros((0, 4), dtype=int))]
+    for d, alphas in cases:
+        got = monomial_log_norms(d, alphas)
+        assert got.shape == (len(alphas),)
+        assert np.array_equal(got, monomial_log_norms_gammaln(d, alphas))
 
 
 def test_level_kernel_closed_form_identity():
@@ -447,3 +460,75 @@ def test_mismatched_weights_give_zero_kernel():
         assert equivariant_kernel(model, bad_nu, k, x, y) == 0.0
         logmag, _ = equivariant_kernel_log(model, bad_nu, k, x, y)
         assert logmag == -np.inf
+
+
+# -- blocked basis sums and the memory budget -----------------------------------
+
+def _one_shot_terms(alphas, log_norms, x, y):
+    # the whole exponent array times the logs at once, as before blocking
+    return alphas @ hardy._safe_log(x) + alphas @ np.conj(hardy._safe_log(y)) - log_norms
+
+
+def test_blocked_basis_sum_matches_the_one_shot_sum():
+    model = build_model("s1-cp2-w123")
+    basis = isotypic_basis(model, model.default_nu, 512)
+    assert basis.dim > 3 * hardy._BLOCK_ROWS and basis.dim % hardy._BLOCK_ROWS
+    rng = np.random.default_rng(3)
+    x = model.default_locus_point()
+    near = unit_point(x + 0.02 * (rng.standard_normal(3) + 1j * rng.standard_normal(3)))
+    for p, q in ((x, near), (random_sphere_point(2, rng), random_sphere_point(2, rng))):
+        expo = _one_shot_terms(basis.alphas, basis.log_norms, p, q)
+        assert np.array_equal(hardy._basis_exponents(basis.alphas, basis.log_norms, p, q),
+                              expo)
+        shift = np.max(expo.real)
+        total = np.sum(np.exp(expo - shift))
+        logmag, phase = hardy._basis_sum(basis.alphas, basis.log_norms, p, q)
+        assert abs(logmag - (shift + np.log(abs(total)))) <= 1e-14 * abs(logmag)
+        assert abs(phase - total / abs(total)) <= 1e-14
+
+
+def test_basis_sum_empty_basis_and_zero_coordinates():
+    x = unit_point([0.6, 0.8j, 0.0])
+    assert hardy._basis_sum(np.zeros((0, 3), dtype=int), np.zeros(0), x, x) \
+        == (-np.inf, 0.0 + 0.0j)
+    # a zero coordinate of x kills every term with a positive exponent there
+    rng = np.random.default_rng(4)
+    y = random_sphere_point(2, rng)
+    basis = level_basis(2, 6)
+    terms = [np.prod(x ** a) * np.prod(np.conj(y) ** a) / np.exp(ln)
+             for a, ln in zip(basis.alphas, basis.log_norms)]
+    direct = sum(terms)
+    logmag, phase = hardy._basis_sum(basis.alphas, basis.log_norms, x, y)
+    assert abs(np.exp(logmag) * phase - direct) < 1e-13 * abs(direct)
+    # every term vanishes: <e_0, e_1>^n
+    e0, e1 = unit_point([1, 0, 0]), unit_point([0, 1, 0])
+    assert hardy._basis_sum(basis.alphas, basis.log_norms, e0, e1) == (-np.inf, 0.0 + 0.0j)
+
+
+def _refuse_listing(self, nu, k):
+    raise AssertionError("an over-budget basis was listed")
+
+
+def test_rank1_basis_over_the_memory_budget_is_refused(monkeypatch):
+    model = build_model("s1-cp2-w123")
+    nu, k = model.default_nu, 64
+    need = isotypic_dim(model, nu, k) * hardy._basis_row_bytes(model.d)
+    monkeypatch.setattr(hardy, "_BASIS_BUDGET_BYTES", need - 1)
+    monkeypatch.setattr(TorusModel, "isotypic_exponents", _refuse_listing)
+    with pytest.raises(AssumptionViolation, match=f"374 monomials.*{need} bytes.*{need - 1}-byte"):
+        isotypic_basis(model, nu, k)
+    assert not model.basis_cache
+    monkeypatch.undo()
+    monkeypatch.setattr(hardy, "_BASIS_BUDGET_BYTES", need)
+    assert isotypic_basis(model, nu, k).dim == 374
+
+
+def test_cli_exits_3_over_the_memory_budget(monkeypatch, capsys):
+    monkeypatch.setattr(hardy, "_BASIS_BUDGET_BYTES", 1000)
+    monkeypatch.setattr(TorusModel, "isotypic_exponents", _refuse_listing)
+    assert main(["kernel-eval", "--model", "s1-cp2-w123", "--k", "64",
+                 "--x", "0.7,0.5,0.5"]) == 3
+    assert "1000-byte memory budget" in capsys.readouterr().err
+    assert main(["suite", "diag", "--model", "s1-cp1-w12", "--kmin", "64",
+                 "--kmax", "128"]) == 3
+    assert "33 monomials" in capsys.readouterr().err
