@@ -38,9 +38,7 @@ from .models import (
     ModelPoint,
     ProjectiveModel,
     build_model,
-    find_locus_point,
     MODEL_IDS,
-    sphere_distance,
     unit_point,
 )
 from .hardy import (
@@ -54,7 +52,6 @@ from .hardy import (
     level_basis,
     level_kernel,
     level_kernel_closed,
-    off_orbit_value,
     orbit_separation,
     szego_kernel,
 )

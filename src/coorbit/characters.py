@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .groups import (
     CompactGroup,
@@ -319,8 +320,6 @@ def orbit_quadrature(group, metric, nu, level=64, rng=None):
 
 
 def _sphere_orbit_quadrature(group, metric, nu, level):
-    from numpy.polynomial.legendre import leggauss
-
     n_polar, n_azimuth = level, 2 * level
     nu_sharp = cartan_matrix_of(group, metric.sharp(nu.coords))
     n = group.n

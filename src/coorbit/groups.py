@@ -31,6 +31,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 
 class UnsupportedGroupError(ValueError):
@@ -574,7 +575,6 @@ def group_volumes_quadrature(metric, nodes=4000):
     if (group.kind, group.n) == ("su", 2):
         # xi with eigen-angles +-rho has P(xi) = sin(rho)/rho and
         # ||xi||_phi = sqrt(2 c) rho; injectivity for rho < pi.
-        from numpy.polynomial.legendre import leggauss
         x, w = leggauss(nodes if nodes < 2000 else 200)
         rho = 0.5 * np.pi * (x + 1.0)
         wr = 0.5 * np.pi * w
@@ -615,7 +615,6 @@ def haar_quadrature(group, level=48):
     if group.n != 2:
         raise UnsupportedGroupError(
             f"no Haar quadrature for {group.name}; supported: tori, SU(2), U(2)")
-    from numpy.polynomial.legendre import leggauss
     x, gw = leggauss(level)
     betas = 0.5 * np.pi * (x + 1.0)
     bw = 0.5 * np.pi * gw * np.sin(betas) / 2.0  # integrates to 1

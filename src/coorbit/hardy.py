@@ -12,17 +12,21 @@ max-shift so that values remain accurate far below the overflow and
 underflow thresholds of double precision; sums over positive terms are
 then exact to relative rounding error at any magnitude.  A sum runs over
 the exponent array in blocks of _BLOCK_ROWS rows and needs 16 B per term
-on top of the basis.  Isotypic dimensions of rank-1 tori are counted
-exactly without listing the set, and a rank-1 basis whose build would
+on top of the basis.  Log-factorials come from one table, grown on
+demand, of a pure-Python port of Cephes lgam (the values of
+scipy.special.gammaln, bit for bit, with numpy as the only dependency).
+Isotypic dimensions of rank-1 tori are counted exactly without listing
+the set (a quasi-polynomial in k), and a rank-1 basis whose build would
 take more than _BASIS_BUDGET_BYTES is refused before it is listed.
+Orbit separations are a grid minimum polished by a batched pattern
+search.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from math import comb
 
 import numpy as np
-from scipy.special import gammaln
 
 from .groups import AssumptionViolation, euler_elements, half_weight
 from .models import SU2CP1Model, TorusModel, hermitian_inner
@@ -46,17 +50,66 @@ def _basis_row_bytes(d):
     return 8 * (d + 1) + 48
 
 
+# Cephes lgam (S. L. Moshier): the Stirling correction for 13 <= x < 1000
+# and log sqrt(2 pi).
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+           7.93650340457716943945e-4, -2.77777777730099687205e-3,
+           8.33333333333331927722e-2)
+_LS2PI = 0.91893853320467274178
+
+
+def _log_factorial(m):
+    """log m! as Cephes lgam(m + 1.0) computes it, with libm's log.
+
+    For x = m + 1 < 13 Cephes takes the log of the exact product
+    (x - 1)!; above that, Stirling's series with its polynomial
+    correction (a two-term one from x = 1000, none past 1e8).  These are
+    the values of ``scipy.special.gammaln(m + 1.0)``, bit for bit.
+    """
+    x = m + 1.0
+    if x < 13.0:
+        return math.log(math.factorial(m))
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    poly = _LGAM_A[0]
+    for coef in _LGAM_A[1:]:
+        poly = poly * p + coef
+    return q + poly / x
+
+
+# log m! for m = 0 ... len - 1; grown on demand, never shrunk or rewritten.
+_LOG_FACTORIALS = np.zeros(1)
+
+
+def _log_factorials(top):
+    """The table of log m!, m = 0 ... top at least (indexable up to top).
+
+    Each entry is computed once per process by :func:`_log_factorial`, so
+    the values do not depend on the order in which the table grew.
+    """
+    global _LOG_FACTORIALS
+    have = len(_LOG_FACTORIALS)
+    if top >= have:
+        more = np.array([_log_factorial(m) for m in range(have, top + 1)])
+        _LOG_FACTORIALS = np.concatenate([_LOG_FACTORIALS, more])
+    return _LOG_FACTORIALS
+
+
 def monomial_log_norms(d, alphas):
     """log ||z^alpha||^2 for an (N, d+1) exponent array.
 
-    Every log-factorial is read from one table gammaln(m + 1),
-    m = 0 ... max |alpha| + d, column by column; the values are those of
-    gammaln on each entry, bit for bit.
+    Every log-factorial is read from the table of :func:`_log_factorials`
+    (the Cephes lgam values), column by column.
     """
     alphas = np.asarray(alphas, dtype=int)
     n = alphas.sum(axis=1)
     n += d
-    log_fact = gammaln(np.arange((n.max() if len(n) else d) + 1) + 1.0)
+    log_fact = _log_factorials(int(n.max()) if len(n) else d)
     total = log_fact[alphas[:, 0]]
     for j in range(1, d + 1):
         total += log_fact[alphas[:, j]]
@@ -143,9 +196,10 @@ def isotypic_basis(model, nu, k):
 def isotypic_dim(model, nu, k):
     """Exact dimension of the k nu isotypic subspace (0 is a valid answer).
 
-    Rank-1 tori count the exponents without listing them; every other
-    model takes the length of its exponent list (O(k) long on every
-    catalog model).
+    Rank-1 tori count the exponents without listing them, in
+    O(d lcm(w)) time and memory at any k (:func:`_weighted_count`);
+    every other model takes the length of its exponent list (O(k) long
+    on every catalog model).
     """
     if isinstance(model, TorusModel) and model.group.rank == 1:
         target = model.isotypic_target(nu, k)
@@ -154,24 +208,34 @@ def isotypic_dim(model, nu, k):
 
 
 def _weighted_count(weights, total):
-    """#{alpha >= 0 : weights . alpha = total} for positive integer weights.
+    """#{alpha >= 0 : weights . alpha = total} for positive integer weights,
+    as an exact Python integer, in O(d lcm(w)) time and memory.
 
-    Exact int64 coin-change pass: adding weight w turns the count
-    table c into c[n] + c[n - w] + c[n - 2w] + ..., a running sum along
-    each residue class mod w, for O(total * len(weights)) work.  Every
-    entry of every pass is bounded by C(total + d, d)
-    (d + 1 = len(weights)), which must fit in int64.
+    The count is a quasi-polynomial in total of degree d = len(weights) - 1
+    with period L = lcm(weights) (Sylvester's denumerant; Beck & Robins,
+    Computing the Continuous Discretely, ch. 1).  A coin-change pass lists
+    the counts up to r + d L, r = total mod L; the d + 1 of them on the
+    residue class of total fix its polynomial, which Newton's forward
+    differences extend to total exactly.
     """
+    weights = [int(w) for w in weights]
     d = len(weights) - 1
-    if comb(total + d, d) > np.iinfo(np.int64).max:
-        raise ValueError(f"the number of monomials of weight {total} in {d + 1} "
-                         "variables can overflow int64")
-    ways = np.zeros(total + 1, dtype=np.int64)
-    ways[0] = 1
+    period = math.lcm(*weights)
+    r = total % period
+    top = min(total, r + d * period)
+    ways = [1] + [0] * top
     for w in weights:
-        for r in range(w):
-            ways[r::w] = np.cumsum(ways[r::w])
-    return int(ways[total])
+        for n in range(w, top + 1):
+            ways[n] += ways[n - w]
+    if total == top:
+        return ways[total]
+    diffs = ways[r::period]
+    steps = (total - r) // period
+    count = 0
+    for j in range(d + 1):
+        count += math.comb(steps, j) * diffs[0]
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return count
 
 
 def _safe_log(z):
@@ -291,19 +355,34 @@ def diag_profile(model, nu, k, points):
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class OffOrbitValue:
-    """|Pi^mu_{k nu}(x, y)| with orbit-separation metadata."""
-
-    log_abs: float
-    separation: float
-    k: int
-
-
 def _batched_sphere_distances(model, gs, x, y):
     moved = np.einsum("nij,j->ni", model.unitary_batch(gs), x)
     cos = np.clip((moved @ np.conj(y)).real, -1.0, 1.0)
     return np.arccos(cos)
+
+
+def _pattern_search(distances, centre, best, step):
+    """Refine a grid minimizer by compass search over the 3^p stencil.
+
+    Each step evaluates the 3^p - 1 neighbours centre + step * e, e a
+    nonzero vector in {-1, 0, 1}^p, in one batch; the centre moves to the
+    best neighbour when it improves, and the step halves when none does,
+    until every step is below 1e-12.  Returns the smallest distance seen,
+    so never more than ``best``.
+    """
+    p = len(centre)
+    offsets = np.stack(np.meshgrid(*[(-1.0, 0.0, 1.0)] * p, indexing="ij"),
+                       axis=-1).reshape(-1, p)
+    offsets = offsets[np.any(offsets != 0.0, axis=1)]
+    while step.max() >= 1e-12:
+        nodes = centre + offsets * step
+        dists = distances(nodes)
+        i = int(np.argmin(dists))
+        if dists[i] < best:
+            best, centre = dists[i], nodes[i]
+        else:
+            step = step / 2
+    return float(best)
 
 
 def orbit_separation(model, x, y, coarse=None):
@@ -313,10 +392,9 @@ def orbit_separation(model, x, y, coarse=None):
     equivalent to the bundle metric; only its k-scaling matters to the
     decay fits that consume it.  Grid densities: 1024 angles for a
     circle, 64 per axis for higher-rank tori, a 32^3 Euler grid for
-    SU(2), 24^3 x 12 for U(2); Nelder-Mead polishes the best node.
+    SU(2), 24^3 x 12 for U(2).  A pattern search (:func:`_pattern_search`)
+    started at the best node with half the grid spacing polishes it.
     """
-    from scipy.optimize import minimize
-
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     group = model.group
@@ -324,36 +402,23 @@ def orbit_separation(model, x, y, coarse=None):
     if group.kind == "torus":
         r = group.rank
         grid_n = coarse or (1024 if r == 1 else 64)
-        axes = [2 * np.pi * np.arange(grid_n) / grid_n] * r
-        thetas = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, r)
-        dists = _batched_sphere_distances(model, thetas, x, y)
-        i = int(np.argmin(dists))
-        res = minimize(lambda t: _batched_sphere_distances(model, t[None, :], x, y)[0],
-                       thetas[i], method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-14})
-        return float(min(dists[i], res.fun))
+        rngs = [2 * np.pi * np.arange(grid_n) / grid_n] * r
 
-    n_params = 3 if group.kind == "su" else 4
-    n_grid = coarse or (32 if group.kind == "su" else 24)
-    rngs = [np.linspace(0, 2 * np.pi, n_grid, endpoint=False),
-            np.linspace(0, np.pi, n_grid // 2 + 1),
-            np.linspace(0, 4 * np.pi, n_grid, endpoint=False)]
-    if n_params == 4:
-        rngs.append(np.linspace(0, np.pi, n_grid // 2, endpoint=False))
-    grids = np.meshgrid(*rngs, indexing="ij")
-    flat = np.stack([g.ravel() for g in grids], axis=-1)
-    dists = _batched_sphere_distances(model, euler_elements(flat), x, y)
+        def distances(params):
+            return _batched_sphere_distances(model, params, x, y)
+    else:
+        n_grid = coarse or (32 if group.kind == "su" else 24)
+        rngs = [np.linspace(0, 2 * np.pi, n_grid, endpoint=False),
+                np.linspace(0, np.pi, n_grid // 2 + 1),
+                np.linspace(0, 4 * np.pi, n_grid, endpoint=False)]
+        if group.kind != "su":
+            rngs.append(np.linspace(0, np.pi, n_grid // 2, endpoint=False))
+
+        def distances(params):
+            return _batched_sphere_distances(model, euler_elements(params), x, y)
+
+    flat = np.stack(np.meshgrid(*rngs, indexing="ij"), axis=-1).reshape(-1, len(rngs))
+    dists = distances(flat)
     i = int(np.argmin(dists))
-    res = minimize(
-        lambda p: _batched_sphere_distances(model, euler_elements(p[None, :]), x, y)[0],
-        flat[i], method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000})
-    return float(min(dists[i], res.fun))
-
-
-def off_orbit_value(model, nu, k, x, y, separation=None):
-    """Kernel magnitude at an orbit-separated pair, for decay-rate fits."""
-    if separation is None:
-        separation = orbit_separation(model, x, y)
-    logmag, _ = equivariant_kernel_log(model, nu, k, x, y)
-    return OffOrbitValue(log_abs=float(logmag), separation=float(separation), k=int(k))
+    spacing = np.array([axis[1] - axis[0] for axis in rngs])
+    return _pattern_search(distances, flat[i], dists[i], spacing / 2)

@@ -30,7 +30,8 @@ Duistermaat-Heckman consistency tests, not by fiat.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
+from numpy.polynomial.legendre import leggauss
+from numpy.random import default_rng
 
 from .groups import (
     AssumptionViolation,
@@ -59,14 +60,16 @@ def symplectic_inner(u, v):
     return -hermitian_inner(u, v).imag
 
 
-def sphere_distance(x, y):
-    """Geodesic distance on the round unit sphere S^{2d+1}.
+def _null_space(a):
+    """Orthonormal basis (columns) of the null space of a, from its SVD.
 
-    Uniformly equivalent to the bundle metric (which rescales the fiber
-    to unit length); only the k-scaling of separations enters any fit.
+    Singular values up to max(s) * eps * max(M, N) count as zero, the
+    rank rule of ``scipy.linalg.null_space``.
     """
-    c = hermitian_inner(x, y).real
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
+    u, s, vh = np.linalg.svd(a, full_matrices=True)
+    tol = np.amax(s, initial=0.0) * np.finfo(s.dtype).eps * max(u.shape[0], vh.shape[1])
+    rank = int(np.sum(s > tol))
+    return vh[rank:, :].T.conj()
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,11 +214,11 @@ class ProjectiveModel:
         disjoint from the locus normal space in the tests.
         """
         vm = self.val_matrix(x)
-        amb = null_space(x[None, :].conj())          # ON basis of x^perp
+        amb = _null_space(x[None, :].conj())         # ON basis of x^perp
         coords = amb.conj().T @ vm                    # val vectors in that basis
         if np.linalg.norm(coords) < 1e-14:
             return [amb[:, j] for j in range(amb.shape[1])]
-        w_coords = null_space(coords.conj().T)
+        w_coords = _null_space(coords.conj().T)
         return [amb @ w_coords[:, j] for j in range(w_coords.shape[1])]
 
     # -- locus machinery -----------------------------------------------------
@@ -326,7 +329,7 @@ class ProjectiveModel:
 
     def _check_moment_nonvanishing(self):
         # the draw matches 400 successive random_point calls, then the vertices
-        z = np.random.default_rng(11).standard_normal((400, 2, self.ambient_dim))
+        z = default_rng(11).standard_normal((400, 2, self.ambient_dim))
         z = z[:, 0] + 1j * z[:, 1]
         points = np.concatenate([z / np.linalg.norm(z, axis=1, keepdims=True),
                                  np.eye(self.ambient_dim)])
@@ -362,7 +365,6 @@ def simplex_quadrature(d, n):
     Returns barycentric nodes of shape (N, d+1); weights sum to 1/d!.
     Gauss-Legendre tensor rule (Duffy map for d = 2, nested for d = 3).
     """
-    from numpy.polynomial.legendre import leggauss
     xs, ws = leggauss(n)
     xs = 0.5 * (xs + 1.0)
     ws = 0.5 * ws
@@ -536,7 +538,7 @@ class T2CP2Model(TorusModel):
 
 def _metric_orthonormal_null(metric, nu_coords):
     """phi-orthonormal basis of {eta in t : <nu, eta> = 0}."""
-    basis = null_space(np.asarray(nu_coords, dtype=float)[None, :])
+    basis = _null_space(np.asarray(nu_coords, dtype=float)[None, :])
     gram_t = metric.gram[:len(nu_coords), :len(nu_coords)]
     out = []
     for j in range(basis.shape[1]):
@@ -682,41 +684,3 @@ def build_model(model_id, metric_scale=1.0):
 
 
 MODEL_IDS = ("s1-cp1-w12", "s1-cp2-w123", "t2-cp2", "su2-cp1", "u2-cp2")
-
-
-def find_locus_point(model, nu=None, seeds=200, tol=1e-12, rng=None):
-    """Locate a point of M_O by refining cone-distance minimizers.
-
-    Grid/random seeds followed by Nelder-Mead refinement of the squared
-    cone distance.  Raises :class:`AssumptionViolation` when the locus
-    is empty (nothing comes close to the cone).
-    """
-    from scipy.optimize import minimize
-
-    group = model.group
-    nu = model.default_nu if nu is None else half_weight(group, nu)
-    rng = np.random.default_rng(5) if rng is None else rng
-
-    def distance_of(vec):
-        x = unit_point(vec[:model.ambient_dim] + 1j * vec[model.ambient_dim:])
-        out = model.locus_decompose(nu, x, tol=1e-9)
-        if isinstance(out, LocusSample):
-            return 0.0, x
-        return out.distance, x
-
-    best = (np.inf, None)
-    for _ in range(seeds):
-        vec = rng.standard_normal(2 * model.ambient_dim)
-        d, x = distance_of(vec)
-        if d < best[0]:
-            best = (d, vec)
-    res = minimize(lambda v: distance_of(v)[0] ** 2, best[1],
-                   method="Nelder-Mead",
-                   options={"xatol": 1e-14, "fatol": 1e-26, "maxiter": 4000})
-    dist, x = distance_of(res.x)
-    if dist > 1e-6:
-        raise AssumptionViolation(
-            f"locus of nu = {nu.coords} appears empty on {model.id} "
-            f"(best refined cone distance {dist:.3g})")
-    sample = model.locus_decompose(nu, x, tol=max(tol, 1e-8))
-    return sample

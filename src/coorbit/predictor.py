@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .characters import orbit_volume
 from .groups import (
@@ -206,8 +207,6 @@ def dimension_coefficient(model, nu=None, level=120):
 
 
 def _locus_line_integral(model, nu, power, level):
-    from numpy.polynomial.legendre import leggauss
-
     t_of_s = model.locus_simplex_curve(nu)
     mult = model.projective_torus_multiplicity()
     xs, ws = leggauss(level)

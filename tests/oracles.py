@@ -96,6 +96,25 @@ def lattice_count(weights, target):
     return len(lattice_points(weights, target))
 
 
+def coin_change_count(weights, total):
+    """#{alpha >= 0 : weights . alpha = total} for positive integer weights,
+    by an int64 coin-change table of total + 1 entries: adding weight w
+    turns the table c into c[n] + c[n - w] + c[n - 2w] + ..., a running
+    sum along each residue class mod w.  Every entry is bounded by
+    C(total + d, d) (d + 1 = len(weights)), which must fit in int64."""
+    from math import comb
+
+    d = len(weights) - 1
+    if comb(total + d, d) > np.iinfo(np.int64).max:
+        raise ValueError("the count can overflow int64")
+    ways = np.zeros(total + 1, dtype=np.int64)
+    ways[0] = 1
+    for w in weights:
+        for r in range(w):
+            ways[r::w] = np.cumsum(ways[r::w])
+    return int(ways[total])
+
+
 def monomial_log_norms_gammaln(d, alphas):
     """log ||z^alpha||^2 = d log pi + sum_j log alpha_j! - log (|alpha| + d)!
     with gammaln called on every exponent entry (no log-factorial table)."""
@@ -115,3 +134,51 @@ def fiber_phase_moment(model, x, xi_coeffs, h=1e-6):
     velocity = (flow - x) / h
     alpha_val = np.imag(np.vdot(x, velocity))  # Im<velocity, x>
     return -alpha_val
+
+
+def _orbit_grid(model, x, y):
+    """The orbit-separation search grid: its nodes and a distance map."""
+    from coorbit.groups import euler_elements
+
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    group = model.group
+    if group.kind == "torus":
+        n = 1024 if group.rank == 1 else 64
+        axes = [2 * np.pi * np.arange(n) / n] * group.rank
+        elements = lambda p: p
+    else:
+        n = 32 if group.kind == "su" else 24
+        axes = [np.linspace(0, 2 * np.pi, n, endpoint=False),
+                np.linspace(0, np.pi, n // 2 + 1),
+                np.linspace(0, 4 * np.pi, n, endpoint=False)]
+        if group.kind == "u":
+            axes.append(np.linspace(0, np.pi, n // 2, endpoint=False))
+        elements = euler_elements
+
+    def distances(params):
+        moved = np.einsum("nij,j->ni", model.unitary_batch(elements(params)), x)
+        return np.arccos(np.clip((moved @ np.conj(y)).real, -1.0, 1.0))
+
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    return grid, distances
+
+
+def orbit_separation_grid(model, x, y):
+    """The smallest round-sphere distance from G x to y over the grid nodes."""
+    grid, distances = _orbit_grid(model, x, y)
+    return float(np.min(distances(grid)))
+
+
+def orbit_separation_nelder_mead(model, x, y):
+    """dist_X(G x, G y): the orbit-separation grid, then scipy's Nelder-Mead
+    polish of the best node (xatol 1e-12, fatol 1e-14), the refinement the
+    library used before its pattern search."""
+    from scipy.optimize import minimize
+
+    grid, distances = _orbit_grid(model, x, y)
+    dists = distances(grid)
+    i = int(np.argmin(dists))
+    res = minimize(lambda p: distances(p[None, :])[0], grid[i], method="Nelder-Mead",
+                   options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000})
+    return float(min(dists[i], res.fun))

@@ -1,4 +1,10 @@
+import os
+import subprocess
+import sys
+import time
+import tracemalloc
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,13 +24,22 @@ from coorbit.hardy import (
     level_kernel,
     level_kernel_closed,
     monomial_log_norms,
-    off_orbit_value,
     orbit_separation,
     szego_kernel,
 )
 from coorbit.models import MODEL_IDS, TorusModel, build_model, simplex_quadrature, unit_point
 
-from oracles import lattice_count, lattice_points, monomial_log_norms_gammaln
+from oracles import (
+    coin_change_count,
+    lattice_count,
+    lattice_points,
+    monomial_log_norms_gammaln,
+    orbit_separation_grid,
+    orbit_separation_nelder_mead,
+)
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def random_sphere_point(d, rng):
@@ -68,6 +83,13 @@ def test_log_norm_table_equals_gammaln_on_every_entry():
         got = monomial_log_norms(d, alphas)
         assert got.shape == (len(alphas),)
         assert np.array_equal(got, monomial_log_norms_gammaln(d, alphas))
+
+
+def test_log_factorial_table_equals_gammaln():
+    from scipy.special import gammaln
+    m = 10 ** 6
+    table = hardy._log_factorials(m - 1)
+    assert np.array_equal(table[:m], gammaln(np.arange(m) + 1.0))
 
 
 def test_level_kernel_closed_form_identity():
@@ -211,8 +233,20 @@ def test_rank1_count_is_zero_off_the_weight_lattice(catalog, mid, n, q, negative
 def test_rank1_count_is_exact_up_to_the_int64_limit():
     model = TorusModel("s1-cp3-ones", [[1, 1, 1, 1]], (1.0,))
     assert isotypic_dim(model, model.default_nu, 3_000_000) == comb(3_000_003, 3)
-    with pytest.raises(ValueError, match="overflow int64"):
-        isotypic_dim(model, model.default_nu, 5_000_000)
+    assert isotypic_dim(model, model.default_nu, 5_000_000) == comb(5_000_003, 3)
+
+
+@_DERANDOMIZED
+@given(weights=st.lists(st.integers(1, 9), min_size=1, max_size=5),
+       total=st.integers(0, 20_000))
+def test_rank1_count_matches_the_coin_change_oracle(weights, total):
+    assert hardy._weighted_count(weights, total) == coin_change_count(weights, total)
+
+
+def test_rank1_count_at_huge_k_is_the_closed_form():
+    # (1, 2, 3): the nearest integer to (K + 3)^2 / 12
+    for total in (10 ** 9, 10 ** 12 + 5, 10 ** 30 + 1):
+        assert hardy._weighted_count([1, 2, 3], total) == ((total + 3) ** 2 + 6) // 12
 
 
 def test_isotypic_dim_u2_equals_rep_dimension():
@@ -423,17 +457,41 @@ def test_off_orbit_value_metadata():
     x = unit_point([np.sqrt(0.7), np.sqrt(0.3)])
     # y on the same orbit: separation ~ 0
     y = model.unitary(np.array([1.3])) @ x
-    ov = off_orbit_value(model, nu, 8, x, y)
-    assert ov.separation < 1e-6
+    assert orbit_separation(model, x, y) < 1e-6
     # separated pair: superpolynomial decay of the log-magnitude slope
     y2 = unit_point([np.sqrt(0.45), np.sqrt(0.55)])
     sep = orbit_separation(model, x, y2)
     assert sep > 0.1
     ks = (64, 128, 256, 512)
-    lv = [off_orbit_value(model, nu, k, x, y2, separation=sep).log_abs for k in ks]
+    lv = [float(equivariant_kernel_log(model, nu, k, x, y2)[0]) for k in ks]
     slopes = np.diff(lv) / np.diff(np.log(ks))
     assert slopes[-1] < -5.0
     assert np.all(np.diff(slopes) < 0)
+
+
+def _separation_pairs():
+    from coorbit.harness import _separated_pair
+    rng = np.random.default_rng(12)
+    for mid in MODEL_IDS:
+        model = build_model(mid)
+        yield model, *_separated_pair(model, model.default_nu)
+        for _ in range(4):
+            yield model, random_sphere_point(model.d, rng), random_sphere_point(model.d, rng)
+
+
+def test_orbit_separation_pattern_search_matches_nelder_mead():
+    # Near separation 0, arccos resolves an angle only to about
+    # sqrt(eps) = 1.5e-8, so there both routes can only be asked to reach
+    # that floor (SU(2) is transitive on the CP^1 bundle: all its pairs
+    # have separation 0).
+    for model, x, y in _separation_pairs():
+        sep = orbit_separation(model, x, y)
+        ref = orbit_separation_nelder_mead(model, x, y)
+        assert sep <= orbit_separation_grid(model, x, y)
+        if ref > 1e-6:
+            assert abs(sep - ref) <= 1e-10, model.id
+        else:
+            assert sep <= 1e-7, model.id
 
 
 def test_log_space_evaluation_survives_large_k():
@@ -532,3 +590,50 @@ def test_cli_exits_3_over_the_memory_budget(monkeypatch, capsys):
     assert main(["suite", "diag", "--model", "s1-cp1-w12", "--kmin", "64",
                  "--kmax", "128"]) == 3
     assert "33 monomials" in capsys.readouterr().err
+
+
+def test_cli_refuses_a_huge_rank1_basis_fast_and_small(capsys):
+    # the budget check counts the k = 1e9 basis (about 8.3e16 monomials)
+    # without a table of k entries
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(["kernel-eval", "--model", "s1-cp2-w123", "--k", "1000000000",
+                     "--x", "0.7,0.5,0.5"])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "memory budget" in capsys.readouterr().err
+    assert elapsed < 1.0
+    assert peak < 10 * 1024 ** 2
+
+
+def test_cli_dims_suite_runs_to_k_near_1e9(capsys):
+    # rank-1 dimensions are counted, never listed, so k = 2^29 costs nothing
+    assert main(["suite", "dims", "--model", "s1-cp2-w123", "--kmax", "1000000000"]) == 0
+    assert "s1-cp2-w123,1.0,536870912,dim-growth," in capsys.readouterr().out
+
+
+def test_runtime_never_imports_scipy():
+    script = """
+import sys
+import numpy as np
+import coorbit
+from coorbit import hardy
+from coorbit.harness import _separated_pair
+from coorbit.models import build_model
+for mid in ("s1-cp2-w123", "u2-cp2"):
+    model = build_model(mid)
+    nu = model.default_nu
+    x, y = _separated_pair(model, nu)
+    hardy.orbit_separation(model, x, y)
+    model.w_space(x)
+    model.normal_space(nu, model.locus_decompose(nu, x))
+hardy.monomial_log_norms(2, np.array([[3, 1, 4], [0, 0, 9]]))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": _SRC})
+    assert out.stdout.strip() == "[]"

@@ -9,7 +9,6 @@ from coorbit.models import (
     ModelPoint,
     TorusModel,
     build_model,
-    find_locus_point,
     hermitian_inner,
     riemann_inner,
     simplex_quadrature,
@@ -409,6 +408,58 @@ def test_displace_chart_properties():
         model.displace(x, 0.0, 5.0 * v / np.linalg.norm(v))
     with pytest.raises(ValueError):
         model.displace(x, 0.0, x * 0.1)   # not horizontal
+
+
+def find_locus_point(model, nu, seeds):
+    """Locate a point of M_O by refining cone-distance minimizers.
+
+    Random seeds followed by Nelder-Mead refinement of the squared cone
+    distance.  Raises :class:`AssumptionViolation` when the locus is
+    empty (nothing comes close to the cone).
+    """
+    from scipy.optimize import minimize
+
+    nu = half_weight(model.group, nu)
+    rng = np.random.default_rng(5)
+
+    def distance_of(vec):
+        x = unit_point(vec[:model.ambient_dim] + 1j * vec[model.ambient_dim:])
+        out = model.locus_decompose(nu, x, tol=1e-9)
+        if isinstance(out, LocusSample):
+            return 0.0, x
+        return out.distance, x
+
+    best = (np.inf, None)
+    for _ in range(seeds):
+        vec = rng.standard_normal(2 * model.ambient_dim)
+        d, x = distance_of(vec)
+        if d < best[0]:
+            best = (d, vec)
+    res = minimize(lambda v: distance_of(v)[0] ** 2, best[1],
+                   method="Nelder-Mead",
+                   options={"xatol": 1e-14, "fatol": 1e-26, "maxiter": 4000})
+    dist, x = distance_of(res.x)
+    if dist > 1e-6:
+        raise AssumptionViolation(
+            f"locus of nu = {nu.coords} appears empty on {model.id} "
+            f"(best refined cone distance {dist:.3g})")
+    return model.locus_decompose(nu, x, tol=1e-8)
+
+
+def test_null_space_matches_scipy():
+    from scipy.linalg import null_space
+    from coorbit.models import _null_space
+    rng = np.random.default_rng(3)
+    for shape in ((1, 3), (2, 3), (1, 4), (3, 5), (2, 2)):
+        for imag in (0.0, 1.0):
+            a = rng.standard_normal(shape) + 1j * imag * rng.standard_normal(shape)
+            assert np.array_equal(_null_space(a), null_space(a))
+    # the rank rule: singular values up to max(s) eps max(M, N) = 6.7e-16
+    # count as zero
+    for s2, nullity in ((1e-15, 1), (4e-16, 2), (0.0, 2)):
+        a = np.array([[1.0, 0.0, 0.0], [0.0, s2, 0.0]])
+        assert _null_space(a).shape == (3, nullity)
+        assert np.array_equal(_null_space(a), null_space(a))
 
 
 def test_find_locus_point_and_empty_locus():
