@@ -13,7 +13,6 @@ from .groups import (
     build_group,
     coadjoint_action,
     group_volumes,
-    group_volumes_quadrature,
     half_weight,
     haar_quadrature,
     trace_metric,
@@ -35,7 +34,6 @@ from .characters import (
 from .models import (
     ConeDistance,
     LocusSample,
-    ModelPoint,
     ProjectiveModel,
     build_model,
     MODEL_IDS,
@@ -51,9 +49,7 @@ from .hardy import (
     isotypic_dim,
     level_basis,
     level_kernel,
-    level_kernel_closed,
     orbit_separation,
-    szego_kernel,
 )
 from .predictor import (
     Prediction,

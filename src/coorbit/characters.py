@@ -100,11 +100,11 @@ def _alternating_sum(group, gamma, theta):
     return val
 
 
-def weyl_character(group, nu, theta, extrapolate=True, wall_tol=1e-8):
+def weyl_character(group, nu, theta, extrapolate=True):
     """Character chi_nu at the torus element exp(sum theta_j H_j).
 
     Evaluates the alternating-sum ratio A_nu / A_delta on the regular
-    locus.  Near a wall (|A_delta| < ``wall_tol``) the limit is taken by
+    locus.  Near a wall (|A_delta| < 1e-8) the limit is taken by
     Richardson extrapolation along a fixed regular direction; at the
     identity the dimension is returned directly.
 
@@ -123,7 +123,7 @@ def weyl_character(group, nu, theta, extrapolate=True, wall_tol=1e-8):
     if np.allclose(theta, 0.0):
         return complex(weyl_dimension(group, trace_metric(group), nu))
     denom = _alternating_sum(group, group.delta, theta)
-    if abs(denom) >= wall_tol:
+    if abs(denom) >= 1e-8:
         return _alternating_sum(group, nu.coords, theta) / denom
     if not extrapolate:
         for beta in group.positive_roots:
@@ -297,7 +297,7 @@ class OrbitQuadrature:
         return np.sqrt(self.metric.scale * np.einsum("nij,nij->n", lam, lam.conj()).real)
 
 
-def orbit_quadrature(group, metric, nu, level=64, rng=None):
+def orbit_quadrature(group, metric, nu, level=64):
     """Nodes and weights integrating against the orbit volume form.
 
     Tori: the orbit is the single point nu (weight 1 = vol).  SU(2) and
@@ -306,8 +306,9 @@ def orbit_quadrature(group, metric, nu, level=64, rng=None):
     density computed from sigma(ad_xi lambda, ad_eta lambda) =
     <lambda, [xi, eta]> (the weight sum is a genuine prediction, checked
     against (2 pi)^{n_pos} d_nu in the tests).  SU(n)/U(n) with n >= 3:
-    Monte Carlo only, normalized by the closed-form orbit volume, with
-    the standard error reported.
+    Monte Carlo only, max(2000, 200 level) Haar-random conjugates drawn
+    from ``default_rng(0)`` (the same nodes on every call), normalized by
+    the closed-form orbit volume, with the standard error reported.
     """
     nu = half_weight(group, nu)
     if group.kind == "torus":
@@ -316,7 +317,7 @@ def orbit_quadrature(group, metric, nu, level=64, rng=None):
                                np.array([1.0]), "point")
     if group.n == 2:
         return _sphere_orbit_quadrature(group, metric, nu, level)
-    return _monte_carlo_orbit_quadrature(group, metric, nu, level, rng)
+    return _monte_carlo_orbit_quadrature(group, metric, nu, level)
 
 
 def _sphere_orbit_quadrature(group, metric, nu, level):
@@ -371,8 +372,8 @@ def _kk_density(metric, lam):
     return np.abs(sigma) / np.sqrt(area2[rows, j])
 
 
-def _monte_carlo_orbit_quadrature(group, metric, nu, level, rng):
-    rng = np.random.default_rng(0) if rng is None else rng
+def _monte_carlo_orbit_quadrature(group, metric, nu, level):
+    rng = np.random.default_rng(0)
     count = max(2000, 200 * level)
     nu_sharp = cartan_matrix_of(group, metric.sharp(nu.coords))
     vol = orbit_volume(group, metric, nu.coords)
@@ -404,12 +405,12 @@ def kirillov_character(group, metric, nu, xi, k=1, quad=None, level=64):
 
 # -- Peter-Weyl projector pairing --------------------------------------------
 
-def peter_weyl_projector_weight(group, nu, k, f, level=24, tol=1e-6):
+def peter_weyl_projector_weight(group, nu, k, f, level=24):
     """d_{k nu} * int_G conj(chi_{k nu}(g)) f(g) dHaar(g).
 
     The pairing defining the isotypic projector.  Evaluated at two
     quadrature levels; if the refinement moves the value by more than
-    ``tol`` (relative to its size) a :class:`QuadratureDisagreement` is
+    1e-6 (relative to its size) a :class:`QuadratureDisagreement` is
     raised carrying both estimates.
     """
     nu = half_weight(group, nu)
@@ -426,7 +427,7 @@ def peter_weyl_projector_weight(group, nu, k, f, level=24, tol=1e-6):
     coarse = estimate(level)
     fine = estimate(int(level * 3 / 2) + 1)
     scale = max(1.0, abs(fine))
-    if abs(fine - coarse) > tol * scale:
+    if abs(fine - coarse) > 1e-6 * scale:
         raise QuadratureDisagreement(
             f"projector pairing did not converge: {coarse} vs {fine}")
     return fine

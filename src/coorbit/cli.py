@@ -30,13 +30,16 @@ from .characters import (
     weyl_dimension,
 )
 from .groups import AssumptionViolation, build_group, half_weight, group_volumes, trace_metric
-from .harness import ExperimentConfig, run_suite, rows_to_csv, summary_json
+from .harness import SUITES, ExperimentConfig, run_suite, rows_to_csv, summary_json
 from .hardy import equivariant_kernel, isotypic_dim
 from .models import LocusSample, build_model, unit_point
 from .predictor import leading_coefficient, predict_near_diagonal
 
 
 def _parse_nu(text):
+    """Comma-separated coordinates (fractions allowed); None passes through."""
+    if text is None:
+        return None
     return tuple(float(Fraction(part)) for part in text.split(","))
 
 
@@ -87,7 +90,7 @@ def main(argv=None):
     p.add_argument("--y", default=None, help="defaults to x (diagonal)")
 
     p = sub.add_parser("suite", help="run a verification suite")
-    p.add_argument("name", choices=["characters", "diag", "gaussian", "decay", "dims", "all"])
+    p.add_argument("name", choices=[*SUITES, "all"])
     p.add_argument("--model", default="s1-cp1-w12")
     p.add_argument("--nu", default=None)
     p.add_argument("--kmin", type=int, default=64)
@@ -96,7 +99,6 @@ def main(argv=None):
     p.add_argument("--out", default=None)
     p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--svg", action="store_true")
 
     try:
         args = parser.parse_args(argv)
@@ -167,8 +169,7 @@ def _dispatch(args):
 
     if args.command == "psi-nu":
         model = build_model(args.model)
-        nu = model.default_nu if args.nu is None else \
-            half_weight(model.group, _parse_nu(args.nu))
+        nu = model.resolve_nu(_parse_nu(args.nu))
         x = model.default_locus_point(nu) if args.point is None else _parse_point(args.point)
         sample = model.locus_decompose(nu, x)
         if not isinstance(sample, LocusSample):
@@ -191,8 +192,7 @@ def _dispatch(args):
 
     if args.command == "kernel-eval":
         model = build_model(args.model)
-        nu = model.default_nu if args.nu is None else \
-            half_weight(model.group, _parse_nu(args.nu))
+        nu = model.resolve_nu(_parse_nu(args.nu))
         k = model.valid_k(args.k)
         x = _parse_point(args.x)
         y = x if args.y is None else _parse_point(args.y)
@@ -207,9 +207,9 @@ def _dispatch(args):
     if args.command == "suite":
         config = ExperimentConfig(
             model_id=args.model,
-            nu=None if args.nu is None else _parse_nu(args.nu),
+            nu=_parse_nu(args.nu),
             k_min=args.kmin, k_max=args.kmax, k_factor=args.kfactor,
-            out_dir=args.out, fmt=args.fmt, seed=args.seed, emit_svg=args.svg)
+            out_dir=args.out, fmt=args.fmt, seed=args.seed)
         rows, fits, passed = run_suite(args.name, config)
         if config.out_dir is None:
             if config.fmt == "csv":

@@ -540,7 +540,8 @@ def group_volumes(metric):
     form, vol(U(n)) = (2 pi)^{n(n+1)/2} / prod_{k<n} k! and
     vol(SU(n)) = sqrt(n) (2 pi)^{n(n+1)/2 - 1} / prod_{k<n} k!; a metric
     scale c multiplies volumes by c^{dim/2} (c^{rank/2} for the torus).
-    Cross-checked by quadrature in :func:`group_volumes_quadrature`.
+    The test suite cross-checks it against an independent quadrature
+    (``group_volumes_quadrature`` in ``tests/oracles.py``).
     """
     group = metric.group
     if group.kind == "torus":
@@ -559,33 +560,6 @@ def group_volumes(metric):
         vol_g = np.sqrt(n) * (2 * np.pi) ** (n * (n + 1) / 2 - 1) / fact
         vol_t = np.sqrt(n) * (2 * np.pi) ** (n - 1)
     return c ** (group.dim / 2) * vol_g, c ** (group.rank / 2) * vol_t
-
-
-def group_volumes_quadrature(metric, nodes=4000):
-    """Quadrature cross-check of vol^phi(G) for torus, SU(2), U(2).
-
-    SU(2): radial integration of the squared exp-map Jacobian over the
-    injectivity ball.  U(2): central circle times SU(2), divided by the
-    order-2 intersection.  Returns None for other groups.
-    """
-    group = metric.group
-    if group.kind == "torus":
-        return group_volumes(metric)[0]
-    c = metric.scale
-    if (group.kind, group.n) == ("su", 2):
-        # xi with eigen-angles +-rho has P(xi) = sin(rho)/rho and
-        # ||xi||_phi = sqrt(2 c) rho; injectivity for rho < pi.
-        x, w = leggauss(nodes if nodes < 2000 else 200)
-        rho = 0.5 * np.pi * (x + 1.0)
-        wr = 0.5 * np.pi * w
-        integrand = np.sin(rho) ** 2  # (sin rho / rho)^2 * rho^2
-        return (2 * c) ** 1.5 * 4 * np.pi * float(wr @ integrand)
-    if (group.kind, group.n) == ("u", 2):
-        su2 = trace_metric(build_group("su", 2), scale=c)
-        vol_su2 = group_volumes_quadrature(su2, nodes)
-        circle = 2 * np.pi * np.sqrt(2 * c)  # central circle {e^{i t} I}
-        return vol_su2 * circle / 2.0
-    return None
 
 
 # -- Haar quadrature --------------------------------------------------------

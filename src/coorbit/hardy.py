@@ -299,15 +299,6 @@ def level_kernel(d, n, x, y):
     return np.exp(logmag) * phase
 
 
-def level_kernel_closed(d, n, x, y):
-    """(dim_n / vol(X)) <x, y>^n."""
-    dim = 1.0
-    for j in range(1, d + 1):
-        dim *= (n + j) / j
-    vol = np.pi ** d / np.prod(np.arange(1, d + 1)) if d else 1.0
-    return dim / vol * hermitian_inner(np.asarray(x, complex), np.asarray(y, complex)) ** n
-
-
 def equivariant_kernel(model, nu, k, x, y):
     """Exact equivariant kernel Pi^mu_{k nu}(x, y) by basis projection.
 
@@ -337,13 +328,6 @@ def equivariant_kernel_log(model, nu, k, x, y):
         return float(logmag), phase
     basis = isotypic_basis(model, nu, k)
     return _basis_sum(basis.alphas, basis.log_norms, x, y)
-
-
-def szego_kernel(d, x, y):
-    """Full Szego kernel (1/vol(X)) (1 - <x,y>)^{-(d+1)} for <x,y> != 1."""
-    t = hermitian_inner(np.asarray(x, complex), np.asarray(y, complex))
-    vol = np.pi ** d / np.prod(np.arange(1, d + 1)) if d else 1.0
-    return 1.0 / (vol * (1.0 - t) ** (d + 1))
 
 
 def diag_profile(model, nu, k, points):
@@ -385,7 +369,7 @@ def _pattern_search(distances, centre, best, step):
     return float(best)
 
 
-def orbit_separation(model, x, y, coarse=None):
+def orbit_separation(model, x, y):
     """dist_X(G x, G y) by dense grid minimization plus local refinement.
 
     The distance is the round-sphere geodesic distance, uniformly
@@ -401,13 +385,13 @@ def orbit_separation(model, x, y, coarse=None):
 
     if group.kind == "torus":
         r = group.rank
-        grid_n = coarse or (1024 if r == 1 else 64)
+        grid_n = 1024 if r == 1 else 64
         rngs = [2 * np.pi * np.arange(grid_n) / grid_n] * r
 
         def distances(params):
             return _batched_sphere_distances(model, params, x, y)
     else:
-        n_grid = coarse or (32 if group.kind == "su" else 24)
+        n_grid = 32 if group.kind == "su" else 24
         rngs = [np.linspace(0, 2 * np.pi, n_grid, endpoint=False),
                 np.linspace(0, np.pi, n_grid // 2 + 1),
                 np.linspace(0, 4 * np.pi, n_grid, endpoint=False)]

@@ -16,6 +16,7 @@ import numpy as np
 from .characters import (
     kirillov_character,
     orbit_quadrature,
+    peter_weyl_projector_weight,
     scaled_dimension,
     weyl_character,
     weyl_dimension,
@@ -24,6 +25,7 @@ from .groups import (
     AssumptionViolation,
     build_group,
     half_weight,
+    random_unitary,
     trace_metric,
 )
 from .hardy import (
@@ -54,12 +56,9 @@ class ExperimentConfig:
     k_min: int = 64
     k_max: int = 512
     k_factor: int = 2
-    displacement: tuple = (0.4, 0.8, 1.2, 1.6, 2.0)
-    quad_level: int = 64
     out_dir: str = None
     fmt: str = "csv"
     seed: int = 0
-    emit_svg: bool = False
 
     def __post_init__(self):
         if self.k_factor < 2 or self.k_min < 1 or self.k_max < self.k_min:
@@ -77,6 +76,12 @@ class ExperimentConfig:
             ks.append(k)
             k *= self.k_factor
         return tuple(ks)
+
+
+# Orbit and locus quadrature level of the character and dims suites.
+_QUAD_LEVEL = 64
+# Gaussian-profile displacements, in units of 1/sqrt(k).
+_DISPLACEMENTS = np.array([0.4, 0.8, 1.2, 1.6, 2.0])
 
 
 @dataclass
@@ -152,7 +157,7 @@ def run_character_suite(config):
         group = build_group(kind)
         metric = trace_metric(group)
         nu = half_weight(group, nu_coords)
-        quad = orbit_quadrature(group, metric, nu, level=config.quad_level)
+        quad = orbit_quadrature(group, metric, nu, level=_QUAD_LEVEL)
         worst = 0.0
         d_nu = weyl_dimension(group, metric, nu)
         for _ in range(50):
@@ -212,8 +217,6 @@ def run_character_suite(config):
     fits.append(FitResult("torus-characters", np.nan, np.nan, err, err <= 1e-12))
 
     # conjugation invariance of the Haar quadrature pairing
-    from .characters import peter_weyl_projector_weight
-    from .groups import random_unitary
     g = build_group("su2")
     nu = half_weight(g, 2.0)
     h = random_unitary(2, rng, special=True)
@@ -237,7 +240,7 @@ def _locus_base(config):
     """(model, nu, x, sample): the configured model and nu, the default
     locus point x and its locus decomposition."""
     model = build_model(config.model_id)
-    nu = model.default_nu if config.nu is None else half_weight(model.group, config.nu)
+    nu = model.resolve_nu(config.nu)
     x = model.default_locus_point(nu)
     sample = model.locus_decompose(nu, x)
     if not isinstance(sample, LocusSample):
@@ -276,7 +279,7 @@ def run_gaussian_profile(config):
     model, nu, x, sample = _locus_base(config)
     sigma = sample.sigma
     rows, fits = [], []
-    amps = np.asarray(config.displacement, dtype=float)
+    amps = _DISPLACEMENTS
 
     normal = model.normal_space(nu, sample)
     if normal:
@@ -301,7 +304,6 @@ def run_gaussian_profile(config):
     wbasis = model.w_space(x)
     if wbasis:
         what = wbasis[0] / np.linalg.norm(wbasis[0])
-        band_c = None
         max_devs = {}
         for k in (config.k_min, config.k_max):
             k = model.valid_k(k)
@@ -352,7 +354,7 @@ def run_decay_suite(config):
     """Off-orbit and off-locus rapid decrease, plus the identically-zero
     weight-mismatch row on torus models."""
     model = build_model(config.model_id)
-    nu = model.default_nu if config.nu is None else half_weight(model.group, config.nu)
+    nu = model.resolve_nu(config.nu)
     rows, fits = [], []
     ks = [model.valid_k(k) for k in config.k_schedule]
 
@@ -387,16 +389,13 @@ def run_decay_suite(config):
 
     if model.group.kind == "torus":
         mismatch = -np.asarray(nu.coords)
-        try:
-            bad_nu = half_weight(model.group, mismatch)
-            dims = [isotypic_dim(model, bad_nu, k) for k in ks]
-            all_zero = all(d == 0 for d in dims)
-            rows.append(Row(model.id, _nu_str(mismatch), ks[-1],
-                            "weight-mismatch-dim", float(sum(dims)), 0.0,
-                            0.0 if all_zero else 1.0))
-            fits.append(FitResult("weight-mismatch-zero", np.nan, np.nan, 0.0, all_zero))
-        except ValueError:
-            pass
+        bad_nu = half_weight(model.group, mismatch)
+        dims = [isotypic_dim(model, bad_nu, k) for k in ks]
+        all_zero = all(d == 0 for d in dims)
+        rows.append(Row(model.id, _nu_str(mismatch), ks[-1],
+                        "weight-mismatch-dim", float(sum(dims)), 0.0,
+                        0.0 if all_zero else 1.0))
+        fits.append(FitResult("weight-mismatch-zero", np.nan, np.nan, 0.0, all_zero))
     return rows, fits
 
 
@@ -428,8 +427,8 @@ def _off_locus_point(model, nu):
 def run_dim_growth(config):
     """Exact isotypic dimensions vs (k/pi)^{d+1-r} delta_0."""
     model = build_model(config.model_id)
-    nu = model.default_nu if config.nu is None else half_weight(model.group, config.nu)
-    delta0 = dimension_coefficient(model, nu, level=config.quad_level)
+    nu = model.resolve_nu(config.nu)
+    delta0 = dimension_coefficient(model, nu, level=_QUAD_LEVEL)
     power = model.d + 1 - model.group.rank
     rows, errs, ks_used = [], [], []
     for k in config.k_schedule:
@@ -462,42 +461,48 @@ SUITES = {
     "dims": run_dim_growth,
 }
 
+# The models `suite all` runs each suite on, in output order.  None runs
+# the suite once on the given config, and its fit names get no model
+# prefix.  The Gaussian suite leaves out s1-cp1-w12 and su2-cp1, where it
+# gives no rows: a rank-1 locus has no normal direction, and on CP^1 the
+# orbit directions span the tangent space over C, so no w direction is
+# left.  Its tuple fixes the row order of the other three.
+ALL_MODELS = {
+    "characters": (None,),
+    "diag": MODEL_IDS,
+    "gaussian": ("t2-cp2", "u2-cp2", "s1-cp2-w123"),
+    "decay": MODEL_IDS,
+    "dims": MODEL_IDS,
+}
+
 
 def run_suite(name, config):
-    """Run one named suite (or 'all') and emit CSV/JSON if configured.
+    """Run one named suite on ``config`` (or 'all', on the models of
+    ALL_MODELS) and emit CSV/JSON if configured.
 
     Returns (rows, fits, passed).
     """
     if name == "all":
-        rows, fits = [], []
-        for key, fn in SUITES.items():
-            if key == "characters":
-                r, f = fn(config)
-            elif key == "gaussian":
-                r, f = _over_models(fn, config, ("t2-cp2", "u2-cp2", "s1-cp2-w123"))
-            else:
-                r, f = _over_models(fn, config)
+        plan = ALL_MODELS
+    elif name in SUITES:
+        plan = {name: (None,)}
+    else:
+        raise ValueError(f"unknown suite {name!r}")
+    rows, fits = [], []
+    for key, model_ids in plan.items():
+        for mid in model_ids:
+            # looked up per call, so a wrapper patched into SUITES is used
+            r, f = SUITES[key](config if mid is None
+                               else replace(config, model_id=mid, nu=None))
+            if mid is not None:
+                for fit in f:
+                    fit.quantity = f"{mid}:{fit.quantity}"
             rows.extend(r)
             fits.extend(f)
-    else:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}")
-        rows, fits = SUITES[name](config)
     passed = all(f.passed for f in fits)
     if config.out_dir:
         emit(name, config, rows, fits, passed)
     return rows, fits, passed
-
-
-def _over_models(fn, config, model_ids=MODEL_IDS):
-    rows, fits = [], []
-    for mid in model_ids:
-        r, f = fn(replace(config, model_id=mid, nu=None))
-        for fit in f:
-            fit.quantity = f"{mid}:{fit.quantity}"
-        rows.extend(r)
-        fits.extend(f)
-    return rows, fits
 
 
 # -- emission ---------------------------------------------------------------
@@ -546,35 +551,3 @@ def emit(name, config, rows, fits, passed):
     with open(path, "w") as fh:
         json.dump(clean, fh, sort_keys=True, indent=1)
         fh.write("\n")
-    if config.emit_svg:
-        _emit_svg(os.path.join(config.out_dir, f"suite_{name}.svg"), rows)
-
-
-def _emit_svg(path, rows, width=640, height=400):
-    """Minimal log-log polyline chart of err vs k, one line per quantity."""
-    series = {}
-    for r in rows:
-        if r.err > 0 and r.k > 0:
-            series.setdefault(r.quantity, []).append((r.k, r.err))
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-             f'<rect width="{width}" height="{height}" fill="white"/>']
-    pts_all = [p for pts in series.values() for p in pts]
-    if pts_all:
-        lx = np.log([p[0] for p in pts_all])
-        ly = np.log([p[1] for p in pts_all])
-        x0, x1 = lx.min(), max(lx.max(), lx.min() + 1e-9)
-        y0, y1 = ly.min(), max(ly.max(), ly.min() + 1e-9)
-        colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
-        for i, (name, pts) in enumerate(sorted(series.items())):
-            if len(pts) < 2:
-                continue
-            coords = []
-            for k, e in sorted(pts):
-                px = 40 + (np.log(k) - x0) / (x1 - x0) * (width - 60)
-                py = height - 30 - (np.log(e) - y0) / (y1 - y0) * (height - 60)
-                coords.append(f"{px:.1f},{py:.1f}")
-            parts.append(f'<polyline fill="none" stroke="{colors[i % len(colors)]}" '
-                         f'points="{" ".join(coords)}"/>')
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")

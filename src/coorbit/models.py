@@ -72,19 +72,6 @@ def _null_space(a):
     return vh[rank:, :].T.conj()
 
 
-@dataclass(frozen=True, eq=False)
-class ModelPoint:
-    """A unit vector in C^{d+1} together with its projective class."""
-
-    x: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=complex)
-        if abs(np.linalg.norm(x) - 1.0) > 1e-14:
-            raise ValueError("model points must be unit vectors")
-        object.__setattr__(self, "x", x)
-
-
 def unit_point(coeffs):
     x = np.asarray(coeffs, dtype=complex)
     return x / np.linalg.norm(x)
@@ -148,6 +135,10 @@ class ProjectiveModel:
 
     def point(self, coeffs):
         return unit_point(coeffs)
+
+    def resolve_nu(self, coords=None):
+        """The half-weight with these coordinates, or the model's default."""
+        return self.default_nu if coords is None else half_weight(self.group, coords)
 
     def random_point(self, rng):
         z = rng.standard_normal(self.ambient_dim) + 1j * rng.standard_normal(self.ambient_dim)
@@ -494,7 +485,7 @@ class TorusModel(ProjectiveModel):
         return self._pivot_cache
 
     def default_locus_point(self, nu=None):
-        nu = self.default_nu if nu is None else half_weight(self.group, nu)
+        nu = self.resolve_nu(nu)
         t = self._default_simplex_point(nu)
         return self.point(np.sqrt(t))
 
@@ -629,7 +620,7 @@ class U2CP2Model(ProjectiveModel):
 
     def locus_parameters(self, nu=None):
         """(t, sigma): the locus level ||v||^2 = t and the cone scale."""
-        nu = self.default_nu if nu is None else half_weight(self.group, nu)
+        nu = self.resolve_nu(nu)
         n1, n2 = nu.coords
         t = (n1 - n2) / (2 * n1 - n2)
         if not 0.0 < t < 1.0:

@@ -187,7 +187,7 @@ def dimension_coefficient(model, nu=None, level=120):
     sqrt(det Gram(val_1, val_2, d x/d s))).
     """
     group = model.group
-    nu = model.default_nu if nu is None else half_weight(group, nu)
+    nu = model.resolve_nu(nu)
     r = group.rank
     power = model.d + 1 - r
     if r == 1:

@@ -182,3 +182,52 @@ def orbit_separation_nelder_mead(model, x, y):
     res = minimize(lambda p: distances(p[None, :])[0], grid[i], method="Nelder-Mead",
                    options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 2000})
     return float(min(dists[i], res.fun))
+
+
+def level_kernel_closed(d, n, x, y):
+    """Level-n Szego kernel in closed form, (dim_n / vol(X)) <x, y>^n with
+    dim_n = C(n + d, d) and vol(X) = pi^d / d!."""
+    dim = 1.0
+    for j in range(1, d + 1):
+        dim *= (n + j) / j
+    vol = np.pi ** d / np.prod(np.arange(1, d + 1)) if d else 1.0
+    return dim / vol * complex(np.vdot(np.asarray(y, complex), np.asarray(x, complex))) ** n
+
+
+def szego_kernel(d, x, y):
+    """Full Szego kernel (1/vol(X)) (1 - <x,y>)^{-(d+1)} for <x,y> != 1."""
+    t = complex(np.vdot(np.asarray(y, complex), np.asarray(x, complex)))
+    vol = np.pi ** d / np.prod(np.arange(1, d + 1)) if d else 1.0
+    return 1.0 / (vol * (1.0 - t) ** (d + 1))
+
+
+def _su2_volume_quadrature(c):
+    """vol^phi(SU(2)) for phi = c * trace form, by radial integration of
+    the squared exp-map Jacobian over the injectivity ball: xi with
+    eigen-angles +-rho has P(xi) = sin(rho)/rho and ||xi||_phi =
+    sqrt(2 c) rho, injective for rho < pi."""
+    x, w = np.polynomial.legendre.leggauss(200)
+    rho = 0.5 * np.pi * (x + 1.0)
+    integrand = np.sin(rho) ** 2  # (sin rho / rho)^2 * rho^2
+    return (2 * c) ** 1.5 * 4 * np.pi * float((0.5 * np.pi * w) @ integrand)
+
+
+def group_volumes_quadrature(metric):
+    """vol^phi(G) for a torus, SU(2) or U(2), independent of the library's
+    closed forms.
+
+    Torus with Gram A: (2 pi)^r sqrt(det A).  SU(2): radial quadrature.
+    U(2): the central circle {e^{i t} I} times SU(2), divided by the
+    order-2 intersection.  Returns None for other groups.
+    """
+    group = metric.group
+    if group.kind == "torus":
+        gram = np.asarray(metric.gram, dtype=float)
+        return (2 * np.pi) ** len(gram) * np.sqrt(np.linalg.det(gram))
+    c = metric.scale
+    if (group.kind, group.n) == ("su", 2):
+        return _su2_volume_quadrature(c)
+    if (group.kind, group.n) == ("u", 2):
+        circle = 2 * np.pi * np.sqrt(2 * c)
+        return _su2_volume_quadrature(c) * circle / 2.0
+    return None

@@ -22,10 +22,8 @@ from coorbit.hardy import (
     isotypic_dim,
     level_basis,
     level_kernel,
-    level_kernel_closed,
     monomial_log_norms,
     orbit_separation,
-    szego_kernel,
 )
 from coorbit.models import MODEL_IDS, TorusModel, build_model, simplex_quadrature, unit_point
 
@@ -33,9 +31,11 @@ from oracles import (
     coin_change_count,
     lattice_count,
     lattice_points,
+    level_kernel_closed,
     monomial_log_norms_gammaln,
     orbit_separation_grid,
     orbit_separation_nelder_mead,
+    szego_kernel,
 )
 
 

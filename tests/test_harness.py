@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from coorbit.harness import (
     run_suite,
     summary_json,
 )
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_config_validation():
@@ -102,14 +106,6 @@ def test_gaussian_suite_t2():
     assert all(f.passed for f in fits)
 
 
-def test_svg_emission(tmp_path):
-    cfg = ExperimentConfig(model_id="s1-cp1-w12", k_min=16, k_max=64,
-                           out_dir=str(tmp_path), emit_svg=True)
-    run_suite("diag", cfg)
-    svg = (tmp_path / "suite_diag.svg").read_text()
-    assert svg.startswith("<svg") and "polyline" in svg
-
-
 # -- CLI ------------------------------------------------------------------------
 
 def test_cli_group_info(capsys):
@@ -188,3 +184,39 @@ def test_csv_numbers_are_plain_floats():
     for line in csv.splitlines()[1:]:
         for field in line.split(",")[4:]:
             float(field)
+
+
+# -- suite all and the benchmark's view of the package ----------------------------
+
+def test_suite_all_composition(tmp_path, capsys):
+    """`suite all` runs each suite on its models in the order the
+    benchmark reference froze: the same fit names, the same row keys."""
+    assert main(["suite", "all", "--seed", "0", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    fits = json.loads((tmp_path / "suite_all.json").read_text())["fits"]
+    reference_fits = (PERFBENCH / "reference" / "suite-all.fits").read_text().split()
+    assert [f["quantity"] for f in fits] == reference_fits
+
+    def row_keys(text):
+        return [line.split(",")[:4] for line in text.splitlines()]
+
+    assert row_keys((tmp_path / "suite_all.csv").read_text()) == \
+        row_keys((PERFBENCH / "reference" / "suite-all.csv").read_text())
+
+
+def test_benchmark_tracer_names_resolve():
+    """Every function and method the benchmark tracer wraps exists, so an
+    API removal cannot silently break traced benchmark runs."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for qual in tracer.FUNCTIONS:
+        mod_name, attr = qual.split(".")
+        module = importlib.import_module(f"coorbit.{mod_name}")
+        assert callable(getattr(module, attr, None)), qual
+    for qual in tracer.METHODS:
+        mod_name, attr = qual.split(".")
+        module = importlib.import_module(f"coorbit.{mod_name}")
+        assert any(isinstance(cls, type) and cls.__module__ == module.__name__
+                   and attr in cls.__dict__ for cls in vars(module).values()), qual

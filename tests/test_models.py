@@ -6,7 +6,6 @@ from coorbit.models import (
     MODEL_IDS,
     ConeDistance,
     LocusSample,
-    ModelPoint,
     TorusModel,
     build_model,
     hermitian_inner,
@@ -31,12 +30,6 @@ def test_catalog_builds_and_configs():
         cfg = model.config()
         assert cfg["id"] == mid
         assert model.min_moment_norm > 1e-3
-
-
-def test_model_point_validation():
-    ModelPoint(np.array([1.0, 0.0], dtype=complex))
-    with pytest.raises(ValueError):
-        ModelPoint(np.array([1.0, 1.0], dtype=complex))
 
 
 def test_moment_map_fixed_points_give_lift_weights():
