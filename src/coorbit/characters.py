@@ -94,54 +94,72 @@ def scaled_dimension(group, nu, k):
 # -- Weyl character formula ---------------------------------------------------
 
 def _alternating_sum(group, gamma, theta):
-    val = 0.0 + 0.0j
-    for mat, sign in group.weyl_elements:
-        val += sign * np.exp(1j * float((mat @ gamma) @ theta))
-    return val
+    """A_gamma(theta) = sum_w sign(w) e^{i <w gamma, theta>}.
+
+    ``theta`` is one angle vector (shape (rank,)) or a stack along
+    leading axes.  The phases are elementwise products summed over the
+    rank axis, so each value is computed the same way whatever the
+    stack holds.
+    """
+    mats, signs = group.weyl_arrays
+    images = mats @ gamma                                   # (|W|, rank)
+    phases = (np.asarray(theta, dtype=float)[..., None, :] * images).sum(axis=-1)
+    return (signs * np.exp(1j * phases)).sum(axis=-1)
 
 
 def weyl_character(group, nu, theta, extrapolate=True):
     """Character chi_nu at the torus element exp(sum theta_j H_j).
 
-    Evaluates the alternating-sum ratio A_nu / A_delta on the regular
-    locus.  Near a wall (|A_delta| < 1e-8) the limit is taken by
+    ``theta`` holds ``rank`` angles (a complex is returned) or a stack of
+    them, shape (N, rank) (an (N,) array is returned), evaluated in one
+    pass.  Evaluates the alternating-sum ratio A_nu / A_delta on the
+    regular locus.  Near a wall (|A_delta| < 1e-8) the limit is taken by
     Richardson extrapolation along a fixed regular direction; at the
     identity the dimension is returned directly.
 
     Raises
     ------
     WallEvaluationError
-        If the element is singular and ``extrapolate`` is False; the
+        If an element is singular and ``extrapolate`` is False; the
         message names a root beta with <beta, theta> in 2 pi Z.
     """
     nu = half_weight(group, nu)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if theta.shape != (group.rank,):
-        raise ValueError(f"theta needs {group.rank} angles")
+    if theta.ndim > 2 or theta.shape[-1] != group.rank:
+        raise ValueError(f"theta needs {group.rank} angles (or a stack of them)")
+    thetas = np.atleast_2d(theta)
     if group.kind == "torus":
-        return np.exp(1j * float(nu.coords @ theta))
-    if np.allclose(theta, 0.0):
-        return complex(weyl_dimension(group, trace_metric(group), nu))
-    denom = _alternating_sum(group, group.delta, theta)
-    if abs(denom) >= 1e-8:
-        return _alternating_sum(group, nu.coords, theta) / denom
+        vals = np.exp(1j * (thetas @ nu.coords))
+    else:
+        denom = _alternating_sum(group, group.delta, thetas)
+        at_identity = np.abs(thetas).max(axis=1) <= 1e-8
+        wall = (np.abs(denom) < 1e-8) & ~at_identity
+        vals = np.divide(_alternating_sum(group, nu.coords, thetas), denom,
+                         out=np.empty_like(denom), where=~(at_identity | wall))
+        if at_identity.any():
+            vals[at_identity] = weyl_dimension(group, trace_metric(group), nu)
+        if wall.any():
+            vals[wall] = _wall_limit(group, nu, thetas[wall], extrapolate)
+    return vals if theta.ndim == 2 else vals[0]
+
+
+def _wall_limit(group, nu, thetas, extrapolate):
+    """chi_nu at singular elements (rows of ``thetas``) as the limit of the
+    alternating-sum ratio, by Richardson extrapolation along the regular
+    delta direction."""
     if not extrapolate:
         for beta in group.positive_roots:
-            phase = float(beta @ theta)
+            phase = float(beta @ thetas[0])
             if abs(np.remainder(phase + np.pi, 2 * np.pi) - np.pi) < 1e-6:
                 raise WallEvaluationError(
                     f"theta lies on the wall of root {beta} (extrapolation disabled)")
         raise WallEvaluationError("theta lies on a Weyl wall (extrapolation disabled)")
-    # Richardson extrapolation along the (regular) delta direction
     direction = group.delta / np.linalg.norm(group.delta)
     steps = np.array([1e-3, 5e-4, 2.5e-4])
-    vals = []
-    for h in steps:
-        t = theta + h * direction
-        vals.append(_alternating_sum(group, nu.coords, t)
-                    / _alternating_sum(group, group.delta, t))
-    # Neville extrapolation to h = 0
-    v = list(vals)
+    t = thetas[:, None, :] + steps[:, None] * direction       # (M, 3, rank)
+    ratios = _alternating_sum(group, nu.coords, t) / _alternating_sum(group, group.delta, t)
+    # Neville extrapolation to h = 0, on all M elements at once
+    v = list(ratios.T)
     h = list(steps)
     for lvl in range(1, 3):
         for i in range(3 - lvl):
@@ -157,8 +175,7 @@ def character_at_element(group, nu, g):
     :func:`haar_quadrature`; a stack gives an array of values and one
     element a scalar.  Uses the stable homogeneous-sum form of the
     character for n = 2 (no wall singularities); falls back on
-    :func:`weyl_character` with extrapolation otherwise, for single
-    elements only.
+    :func:`weyl_character` with extrapolation otherwise.
     """
     nu = half_weight(group, nu)
     g = np.asarray(g)
@@ -174,10 +191,7 @@ def character_at_element(group, nu, g):
             return _homogeneous_sum(x1, x2, m)
         l1, l2 = int(round(lam[0])), int(round(lam[1]))
         return (x1 * x2) ** l2 * _homogeneous_sum(x1, x2, l1 - l2)
-    if g.ndim != 2:
-        raise ValueError("stacks of elements are supported for tori and n = 2 only")
-    theta = _angles_to_cartan_coords(group, angles)
-    return weyl_character(group, nu, theta)
+    return weyl_character(group, nu, _angles_to_cartan_coords(group, angles))
 
 
 def _homogeneous_sum(x1, x2, m):
@@ -199,8 +213,8 @@ def _angles_to_cartan_coords(group, angles):
         return np.asarray(angles, dtype=float)
     # SU(n): coords_j = theta_j - theta_{j+1} on the sum-zero pattern
     th = np.asarray(angles, dtype=float)
-    th = th - th.mean()
-    return th[:-1] - th[1:]
+    th = th - th.mean(axis=-1, keepdims=True)
+    return th[..., :-1] - th[..., 1:]
 
 
 # -- exp-map Jacobian ---------------------------------------------------------
@@ -408,10 +422,20 @@ def kirillov_character(group, metric, nu, xi, k=1, quad=None, level=64):
 def peter_weyl_projector_weight(group, nu, k, f, level=24):
     """d_{k nu} * int_G conj(chi_{k nu}(g)) f(g) dHaar(g).
 
-    The pairing defining the isotypic projector.  Evaluated at two
-    quadrature levels; if the refinement moves the value by more than
-    1e-6 (relative to its size) a :class:`QuadratureDisagreement` is
-    raised carrying both estimates.
+    The pairing defining the isotypic projector.  ``f`` is called once
+    per quadrature level on the whole node stack of
+    :func:`haar_quadrature` (shape (N, r) angle vectors for tori, (N, n, n)
+    matrices otherwise) and must return N values, or one scalar for a
+    constant.  Evaluated at two quadrature levels; if the refinement
+    moves the value by more than 1e-6 (relative to its size) a
+    :class:`QuadratureDisagreement` is raised carrying both estimates.
+
+    Raises
+    ------
+    ValueError
+        If ``f`` returns anything but a scalar or an (N,) array, as a
+        function written for one element (``np.trace(g)``) does on a
+        stack.
     """
     nu = half_weight(group, nu)
     knu = half_weight(group, k * nu.coords)
@@ -421,7 +445,11 @@ def peter_weyl_projector_weight(group, nu, k, f, level=24):
     def estimate(lvl):
         nodes, weights = haar_quadrature(group, lvl)
         chis = character_at_element(group, knu, nodes)
-        values = np.array([f(g) for g in nodes])
+        values = np.asarray(f(nodes))
+        if values.shape not in ((), (len(nodes),)):
+            raise ValueError(
+                f"f returned shape {values.shape} on a stack of {len(nodes)} "
+                "elements; it must return one value per element or a scalar")
         return d * np.sum(weights * np.conj(chis) * values)
 
     coarse = estimate(level)

@@ -27,6 +27,7 @@ pure, so everything here is safe to share across threads.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import permutations
 
@@ -143,6 +144,13 @@ class CompactGroup:
     def weyl_order(self):
         return len(self.weyl_elements)
 
+    @cached_property
+    def weyl_arrays(self):
+        """The Weyl elements as arrays: matrices (|W|, rank, rank) and
+        signs (|W|,), built once per group."""
+        return (np.array([mat for mat, _ in self.weyl_elements]),
+                np.array([sign for _, sign in self.weyl_elements], dtype=float))
+
     @property
     def name(self):
         if self.kind == "torus":
@@ -155,17 +163,19 @@ class CompactGroup:
         return np.eye(self.n, dtype=complex)
 
     def check_element(self, g):
-        """Validate a group element (angles for tori, unitary matrix else)."""
+        """Validate a group element (angles for tori, unitary matrix else)
+        or a stack of them along a leading axis."""
         g = np.asarray(g)
         if self.kind == "torus":
-            if g.shape != (self.n,) or not np.isrealobj(g):
+            if g.ndim not in (1, 2) or g.shape[-1] != self.n or not np.isrealobj(g):
                 raise ValueError(f"torus element must be {self.n} real angles")
             return g
-        if g.shape != (self.n, self.n):
+        if g.ndim not in (2, 3) or g.shape[-2:] != (self.n, self.n):
             raise ValueError(f"expected a {self.n}x{self.n} matrix")
-        if np.linalg.norm(g @ g.conj().T - np.eye(self.n)) > 1e-10:
+        gram = g @ g.conj().swapaxes(-1, -2)
+        if np.any(np.linalg.norm(gram - np.eye(self.n), axis=(-2, -1)) > 1e-10):
             raise ValueError("group element is not unitary")
-        if self.kind == "su" and abs(np.linalg.det(g) - 1.0) > 1e-10:
+        if self.kind == "su" and np.any(abs(np.linalg.det(g) - 1.0) > 1e-10):
             raise ValueError("group element is not special unitary")
         return g
 
@@ -254,16 +264,17 @@ def _parse_kind_string(text):
 
 
 def algebra_matrix(group, coeffs):
-    """Realize an algebra coefficient vector as a skew-Hermitian matrix."""
+    """Realize an algebra coefficient vector (or a stack of them along
+    leading axes) as a skew-Hermitian matrix."""
     if not group.is_matrix_group:
         raise ValueError("torus algebra vectors have no canonical matrix form")
-    return np.einsum("m,mij->ij", np.asarray(coeffs, dtype=float), group.basis_matrices)
+    return np.einsum("...m,mij->...ij", np.asarray(coeffs, dtype=float), group.basis_matrices)
 
 
 def matrix_coefficients(group, mat):
     """Inverse of :func:`algebra_matrix` (trace-orthogonal projection)."""
-    vals = -np.einsum("ij,mji->m", mat, group.basis_matrices).real
-    return np.linalg.solve(group.trace_gram, vals)
+    vals = -np.einsum("...ij,mji->...m", mat, group.basis_matrices).real
+    return np.linalg.solve(group.trace_gram, vals[..., None])[..., 0]
 
 
 def cartan_matrix_of(group, t_coeffs):
@@ -338,17 +349,18 @@ class InvariantMetric:
         return self._cartan_inv @ np.asarray(gamma, dtype=float)
 
     def sharp_full(self, gamma_full):
-        """gamma^phi for a full coalgebra covector (length-dim coords)."""
-        return self._gram_inv @ np.asarray(gamma_full, dtype=float)
+        """gamma^phi for a full coalgebra covector (length-dim coords) or a
+        stack of them along leading axes."""
+        return np.asarray(gamma_full, dtype=float) @ self._gram_inv.T
 
     def norm_covector(self, gamma):
-        """||gamma||_phi = ||gamma^phi||_phi for a Cartan covector."""
-        gamma = np.asarray(gamma, dtype=float)
-        return float(np.sqrt(gamma @ self._cartan_inv @ gamma))
+        """||gamma||_phi = ||gamma^phi||_phi for a Cartan covector; a float
+        for one covector, an array for a stack along leading axes."""
+        return _quadratic_norm(gamma, self._cartan_inv)
 
     def norm_covector_full(self, gamma_full):
-        gamma_full = np.asarray(gamma_full, dtype=float)
-        return float(np.sqrt(gamma_full @ self._gram_inv @ gamma_full))
+        """||gamma||_phi for a full coalgebra covector or a stack of them."""
+        return _quadratic_norm(gamma_full, self._gram_inv)
 
     def norm_vector(self, coeffs):
         coeffs = np.asarray(coeffs, dtype=float)
@@ -363,8 +375,9 @@ class InvariantMetric:
         return self.sharp(gamma) / self.norm_covector(gamma)
 
     def pair_covectors(self, a, b):
-        """phi(a, b) for Cartan covectors, i.e. phi(a^phi, b^phi)."""
-        return float(np.asarray(a) @ self.sharp(b))
+        """phi(a, b) for Cartan covectors, i.e. phi(a^phi, b^phi); ``a`` may
+        be a stack along leading axes, which gives an array."""
+        return scalar_or_stack(np.asarray(a) @ self.sharp(b))
 
     # -- validation -------------------------------------------------------
 
@@ -374,6 +387,17 @@ class InvariantMetric:
         if np.linalg.norm(self.gram - self.scale * base) > 1e-10 * self.scale:
             raise ValueError(
                 "SU(n)/U(n) metrics must be positive multiples of the trace form")
+
+
+def scalar_or_stack(values):
+    """A float for a 0-d result, the array itself for a stack."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def _quadratic_norm(v, gram):
+    """sqrt(v . gram . v) along the last axis of v."""
+    v = np.asarray(v, dtype=float)
+    return scalar_or_stack(np.sqrt(np.einsum("...i,ij,...j->...", v, gram, v)))
 
 
 def trace_metric(group, scale=1.0):
@@ -446,12 +470,16 @@ def half_weight(group, coords):
 # -- adjoint / coadjoint ----------------------------------------------------
 
 def adjoint_action(group, g, coeffs):
-    """Ad_g xi = g xi g^{-1} in basis coefficients (identity on tori)."""
-    if group.kind == "torus":
-        return np.asarray(coeffs, dtype=float)
+    """Ad_g xi = g xi g^{-1} in basis coefficients (identity on tori).
+
+    ``g`` may be a stack of elements along a leading axis (and ``coeffs``
+    one vector or a matching stack); the result then has that leading axis.
+    """
     g = group.check_element(g)
+    if group.kind == "torus":   # the identity, repeated along g's leading axis
+        return np.asarray(coeffs, dtype=float) + np.zeros(g.shape[:-1] + (1,))
     xi = algebra_matrix(group, coeffs)
-    return matrix_coefficients(group, g @ xi @ g.conj().T)
+    return matrix_coefficients(group, g @ xi @ g.conj().swapaxes(-1, -2))
 
 
 def coadjoint_action(group, g, gamma_full):
@@ -474,20 +502,22 @@ def dominant_representative(metric, gamma_full):
     gamma^phi in descending theta order give q = scale * theta (U) or
     q = scale * (theta_j - theta_{j+1}) (SU), and h is the matching
     eigenvector matrix (determinant 1 for SU); h is defined modulo the
-    stabilising torus.
+    stabilising torus.  ``gamma_full`` may be a stack of covectors along
+    leading axes; q and h then carry those axes.
     """
     group = metric.group
+    gamma_full = np.asarray(gamma_full, dtype=float)
     if group.kind == "torus":
-        return np.asarray(gamma_full, dtype=float), group.identity_element()
+        return gamma_full, np.zeros(gamma_full.shape[:-1] + (group.n,))
     herm = -1j * algebra_matrix(group, metric.sharp_full(gamma_full))
     eigvals, eigvecs = np.linalg.eigh(herm)
-    order = np.argsort(eigvals)[::-1]
-    theta = eigvals[order]
-    h = eigvecs[:, order]
+    order = np.argsort(eigvals, axis=-1)[..., ::-1]
+    theta = np.take_along_axis(eigvals, order, axis=-1)
+    h = np.take_along_axis(eigvecs, order[..., None, :], axis=-1)
     if group.kind == "u":
         return metric.scale * theta, h
-    h = h * np.linalg.det(h) ** (-1.0 / group.n)
-    return metric.scale * (theta[:-1] - theta[1:]), h
+    h = h * (np.linalg.det(h) ** (-1.0 / group.n))[..., None, None]
+    return metric.scale * (theta[..., :-1] - theta[..., 1:]), h
 
 
 def embed_cartan_covector(group, gamma):

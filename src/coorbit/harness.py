@@ -158,13 +158,10 @@ def run_character_suite(config):
         metric = trace_metric(group)
         nu = half_weight(group, nu_coords)
         quad = orbit_quadrature(group, metric, nu, level=_QUAD_LEVEL)
-        worst = 0.0
         d_nu = weyl_dimension(group, metric, nu)
-        for _ in range(50):
-            xi = _random_regular_cartan(group, metric, rng)
-            kir = kirillov_character(group, metric, nu, xi, quad=quad)
-            wey = weyl_character(group, nu, xi)
-            worst = max(worst, abs(kir - wey) / d_nu)
+        xis = np.array([_random_regular_cartan(group, metric, rng) for _ in range(50)])
+        kir = np.array([kirillov_character(group, metric, nu, xi, quad=quad) for xi in xis])
+        worst = float(np.max(np.abs(kir - weyl_character(group, nu, xis)) / d_nu))
         rows.append(Row(kind, _nu_str(nu.coords), 1, "kirillov-vs-weyl-max-rel-err",
                         worst, 0.0, worst))
         fits.append(FitResult(f"{kind}-kirillov-vs-weyl", np.nan, np.nan, worst,
@@ -179,12 +176,10 @@ def run_character_suite(config):
         fits.append(FitResult(f"{kind}-dimension-at-zero", np.nan, np.nan, dim_err,
                               rounded_ok and dim_err < 1e-6))
 
-        winv = 0.0
-        for _ in range(10):
-            theta = rng.uniform(-2.0, 2.0, size=group.rank)
-            base = weyl_character(group, nu, theta)
-            for mat, _sign in group.weyl_elements:
-                winv = max(winv, abs(weyl_character(group, nu, mat @ theta) - base))
+        thetas = np.array([rng.uniform(-2.0, 2.0, size=group.rank) for _ in range(10)])
+        base = weyl_character(group, nu, thetas)
+        winv = max(float(np.max(np.abs(weyl_character(group, nu, thetas @ mat.T) - base)))
+                   for mat, _sign in group.weyl_elements)
         rows.append(Row(kind, _nu_str(nu.coords), 1, "weyl-invariance-max-err",
                         winv, 0.0, winv))
         fits.append(FitResult(f"{kind}-weyl-invariance", np.nan, np.nan, winv,
@@ -207,12 +202,11 @@ def run_character_suite(config):
     group = build_group("torus", 2)
     nu = half_weight(group, (2.0, 1.0))
     metric = trace_metric(group)
-    err = 0.0
-    for _ in range(20):
-        theta = rng.uniform(-np.pi, np.pi, size=2)
-        exact = np.exp(1j * float(nu.coords @ theta))
-        err = max(err, abs(weyl_character(group, nu, theta) - exact))
-        err = max(err, abs(kirillov_character(group, metric, nu, theta) - exact))
+    thetas = np.array([rng.uniform(-np.pi, np.pi, size=2) for _ in range(20)])
+    exact = np.exp(1j * (thetas @ nu.coords))
+    kir = np.array([kirillov_character(group, metric, nu, theta) for theta in thetas])
+    err = float(max(np.max(np.abs(weyl_character(group, nu, thetas) - exact)),
+                    np.max(np.abs(kir - exact))))
     rows.append(Row("t2", _nu_str(nu.coords), 1, "torus-character-exactness", err, 0.0, err))
     fits.append(FitResult("torus-characters", np.nan, np.nan, err, err <= 1e-12))
 
@@ -222,7 +216,8 @@ def run_character_suite(config):
     h = random_unitary(2, rng, special=True)
 
     def f(t):
-        return np.exp(1j * np.trace(t).real) * abs(np.trace(t)) ** 2
+        trace = np.trace(t, axis1=-2, axis2=-1)
+        return np.exp(1j * trace.real) * abs(trace) ** 2
 
     base = peter_weyl_projector_weight(g, nu, 1, f, level=12)
     conj = peter_weyl_projector_weight(

@@ -41,6 +41,7 @@ from .groups import (
     dominant_representative,
     embed_cartan_covector,
     half_weight,
+    scalar_or_stack,
     trace_metric,
 )
 
@@ -73,14 +74,26 @@ def _null_space(a):
 
 
 def unit_point(coeffs):
+    """coeffs / |coeffs| for one vector, or row by row for a stack.
+
+    One vector keeps the rounding of numpy's vector norm, which the
+    row-wise norm does not reproduce bit for bit.
+    """
     x = np.asarray(coeffs, dtype=complex)
-    return x / np.linalg.norm(x)
+    if x.ndim == 1:
+        return x / np.linalg.norm(x)
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True, eq=False)
 class LocusSample:
     """On-locus point data: the coset move h_m, the scale sigma(m), and
-    the split Cartan directions t_m / t'_m (phi-orthonormal)."""
+    the split Cartan directions t_m / t'_m (phi-orthonormal).
+
+    For a stack of N points every array field (``x``, ``phi``, ``sigma``,
+    ``h``, ``residual`` and each vector of the two bases) has a leading
+    axis of length N; for one point ``sigma`` and ``residual`` are floats.
+    """
 
     model: "ProjectiveModel"
     nu: HalfWeight
@@ -95,7 +108,8 @@ class LocusSample:
 
 @dataclass(frozen=True, eq=False)
 class ConeDistance:
-    """Off-cone report: phi-distance from Phi(m) to the orbit cone."""
+    """Off-cone report: phi-distance from Phi(m) to the orbit cone (an
+    (N,) array of per-point distances for a stack of N points)."""
 
     phi: np.ndarray
     distance: float
@@ -145,17 +159,20 @@ class ProjectiveModel:
         return z / np.linalg.norm(z)
 
     def horizontal(self, x, u):
-        """Project an ambient vector onto the horizontal space x^perp."""
-        return u - hermitian_inner(u, x) * x
+        """Project an ambient vector onto the horizontal space x^perp
+        (row by row for stacks)."""
+        inner = np.einsum("...i,...i->...", u, np.conj(x))
+        return u - inner[..., None] * x
 
     def generator_field(self, x, xi):
-        """A_xi x for an algebra coefficient vector xi."""
-        xi = np.asarray(xi, dtype=float)
-        a = sum(c * g for c, g in zip(xi, self.generators))
-        return a @ x
+        """A_xi x for an algebra coefficient vector xi; x and xi may be
+        stacks along a leading axis."""
+        a = np.einsum("...j,jab->...ab", np.asarray(xi, dtype=float), self.generators)
+        return np.einsum("...ab,...b->...a", a, x)
 
     def val(self, x, xi):
-        """Evaluation map: the induced tangent vector xi_M at [x]."""
+        """Evaluation map: the induced tangent vector xi_M at [x] (one
+        point or a stack, as for :meth:`generator_field`)."""
         return self.horizontal(x, self.generator_field(x, xi))
 
     def val_matrix(self, x):
@@ -217,51 +234,62 @@ class ProjectiveModel:
     def locus_decompose(self, nu, x, tol=1e-10):
         """Split Phi(m) = sigma(m) Coad_{h_m}(nu), or report the cone distance.
 
+        ``x`` is one point, shape (d+1,), or a stack of N points, shape
+        (N, d+1), decomposed in one array pass.  A stack gives one
+        :class:`LocusSample` with a leading axis on its array fields when
+        every point lies on the locus, and otherwise one
+        :class:`ConeDistance` with the N per-point distances (about 0 at
+        the on-locus points).  One point is decomposed as a stack of one.
+
         Raises
         ------
         AssumptionViolation
-            If Phi(m) vanishes (the theory requires the moment image to
-            avoid the origin).
+            If Phi(m) vanishes at some point (the theory requires the
+            moment image to avoid the origin).
         """
         group, metric = self.group, self.metric
         nu = half_weight(group, nu)
-        phi = self.moment_map(x)
+        x = np.asarray(x, dtype=complex)
+        xs = np.atleast_2d(x)
+        phi = self.moment_map(xs)
         nphi = metric.norm_covector_full(phi)
-        if nphi < 1e-12:
+        if np.any(nphi < 1e-12):
             raise AssumptionViolation("moment map vanishes at this point")
         q, h = dominant_representative(metric, phi)
         sigma = metric.pair_covectors(q, nu.coords) / metric.norm_covector(nu.coords) ** 2
-        residual = metric.norm_covector(q - sigma * nu.coords)
-        if sigma <= 0 or residual > tol * max(1.0, nphi):
-            distance = metric.norm_covector(q - max(sigma, 0.0) * nu.coords)
+        residual = metric.norm_covector(q - sigma[:, None] * nu.coords)
+        if np.any((sigma <= 0) | (residual > tol * np.maximum(1.0, nphi))):
+            distance = metric.norm_covector(q - np.maximum(sigma, 0.0)[:, None] * nu.coords)
+            if x.ndim == 1:
+                return ConeDistance(phi=phi[0], distance=float(distance[0]))
             return ConeDistance(phi=phi, distance=distance)
         t_basis = tuple(adjoint_action(group, h, embed_cartan_covector(group, e))
                         for e in np.eye(group.rank))
         t_prime = tuple(adjoint_action(group, h, embed_cartan_covector(group, v))
                         for v in _metric_orthonormal_null(metric, nu.coords))
-        return LocusSample(self, nu, np.asarray(x, dtype=complex), phi,
-                           float(sigma), h, t_basis, t_prime, residual)
+        if x.ndim == 1:
+            return LocusSample(self, nu, x, phi[0], float(sigma[0]), h[0],
+                               tuple(e[0] for e in t_basis), tuple(e[0] for e in t_prime),
+                               float(residual[0]))
+        return LocusSample(self, nu, x, phi, sigma, h, t_basis, t_prime, residual)
 
     def d_phi(self, nu, sample):
         """Gram matrix of the pulled-back metric on t'_m and its sqrt-det.
 
-        Returns (D, scalar); the empty determinant convention gives
-        scalar 1 when the rank is 1.
+        Returns (D, scalar) for one point, or (N, m, m) Grams and N
+        scalars for a stacked sample; the empty determinant convention
+        gives scalar 1 when the rank is 1.
         """
-        vecs = [self.val(sample.x, eta) for eta in sample.t_prime_basis]
-        m = len(vecs)
-        if m == 0:
-            return np.zeros((0, 0)), 1.0
-        D = np.empty((m, m))
-        for a in range(m):
-            for b in range(m):
-                D[a, b] = riemann_inner(vecs[a], vecs[b])
-        eigs = np.linalg.eigvalsh(D)
-        if eigs.min() <= 0:
+        x = np.asarray(sample.x)
+        vecs = np.zeros(x.shape[:-1] + (len(sample.t_prime_basis), x.shape[-1]), dtype=complex)
+        for a, eta in enumerate(sample.t_prime_basis):
+            vecs[..., a, :] = self.val(x, eta)
+        D = np.einsum("...ai,...bi->...ab", vecs, vecs.conj()).real
+        if np.any(np.linalg.eigvalsh(D) <= 0):
             raise AssumptionViolation(
                 "pulled-back metric on t'_m is not positive definite "
                 "(transversality of the moment map fails here)")
-        return D, float(np.sqrt(np.linalg.det(D)))
+        return D, scalar_or_stack(np.sqrt(np.linalg.det(D)))
 
     def normal_space(self, nu, sample):
         """Basis {J(eta_M)} of the locus normal space; dimension rank-1."""
@@ -354,34 +382,32 @@ def simplex_quadrature(d, n):
     """Nodes/weights for int_{Delta_d} f(t) dt_1..dt_d, t_0 = 1 - sum.
 
     Returns barycentric nodes of shape (N, d+1); weights sum to 1/d!.
-    Gauss-Legendre tensor rule (Duffy map for d = 2, nested for d = 3).
+    Gauss-Legendre tensor rule (Duffy map for d = 2, nested for d = 3),
+    with the first tensor axis outermost in the node order.
     """
+    if d not in (1, 2, 3):
+        raise ValueError("simplex quadrature implemented for d <= 3")
     xs, ws = leggauss(n)
     xs = 0.5 * (xs + 1.0)
     ws = 0.5 * ws
     if d == 1:
         nodes = np.stack([1.0 - xs, xs], axis=1)
         return nodes, ws
+    grids = np.meshgrid(*([xs] * d), indexing="ij")
+    wgrids = np.meshgrid(*([ws] * d), indexing="ij")
+    u, v = grids[0], grids[1]
+    t = [u, v * (1.0 - u)]
+    weight = wgrids[0] * wgrids[1]
     if d == 2:
-        nodes, weights = [], []
-        for u, wu in zip(xs, ws):
-            for v, wv in zip(xs, ws):
-                t1, t2 = u, v * (1.0 - u)
-                nodes.append([1.0 - t1 - t2, t1, t2])
-                weights.append(wu * wv * (1.0 - u))
-        return np.array(nodes), np.array(weights)
-    if d == 3:
-        nodes, weights = [], []
-        for u, wu in zip(xs, ws):
-            for v, wv in zip(xs, ws):
-                for w, ww in zip(xs, ws):
-                    t1 = u
-                    t2 = v * (1.0 - u)
-                    t3 = w * (1.0 - u) * (1.0 - v)
-                    nodes.append([1.0 - t1 - t2 - t3, t1, t2, t3])
-                    weights.append(wu * wv * ww * (1.0 - u) ** 2 * (1.0 - v))
-        return np.array(nodes), np.array(weights)
-    raise ValueError("simplex quadrature implemented for d <= 3")
+        weight = weight * (1.0 - u)
+    else:
+        t.append(grids[2] * (1.0 - u) * (1.0 - v))
+        weight = weight * wgrids[2] * (1.0 - u) ** 2 * (1.0 - v)
+    t0 = 1.0 - t[0]
+    for tj in t[1:]:
+        t0 = t0 - tj
+    nodes = np.stack([t0] + t, axis=-1).reshape(-1, d + 1)
+    return nodes, weight.ravel()
 
 
 # -- torus models -------------------------------------------------------------
@@ -497,7 +523,8 @@ class TorusModel(ProjectiveModel):
         return self.locus_simplex_curve(nu)(0.5)
 
     def locus_simplex_curve(self, nu):
-        """For r = 2, d = 2 catalog models: the locus segment s -> t(s)."""
+        """For r = 2, d = 2 catalog models: the locus segment s -> t(s),
+        with s in [0, 1] a number or an array (one row of t per s)."""
         raise ValueError(f"{self.id} does not provide a locus curve")
 
 
@@ -517,12 +544,12 @@ class T2CP2Model(TorusModel):
         s_max = n2 / (n1 + n2)
 
         def t_of_s(s):
-            # s in [0, 1] sweeps t2 in [0, s_max]
+            # s in [0, 1] sweeps t2 in [0, s_max]; an array of s gives rows
             t2 = s * s_max
             sigma = (1.0 - t2) / n1
             t3 = sigma * n2 - t2
             t1 = 1.0 - t2 - t3
-            return np.array([t1, t2, t3])
+            return np.stack([t1, t2, t3], axis=-1)
 
         return t_of_s
 
@@ -634,7 +661,7 @@ class U2CP2Model(ProjectiveModel):
 
         def t_of_s(s):
             tau1 = s * t
-            return np.array([tau1, t - tau1, 1.0 - t])
+            return np.stack([tau1, t - tau1, np.full_like(tau1, 1.0 - t)], axis=-1)
 
         return t_of_s
 

@@ -26,7 +26,6 @@ from .groups import (
 from .models import (
     LocusSample,
     hermitian_inner,
-    riemann_inner,
     simplex_quadrature,
 )
 
@@ -54,7 +53,9 @@ def leading_coefficient(model, nu, sample):
 
     every factor coming from the group/character layer.  The result is
     independent of the metric scale; that invariance is an acceptance
-    criterion, not an assumption.
+    criterion, not an assumption.  A stacked sample (see
+    :meth:`ProjectiveModel.locus_decompose`) gives one value per point;
+    only ||Phi(m)|| and D(m) vary along the stack.
     """
     group, metric = model.group, model.metric
     nu = half_weight(group, nu)
@@ -69,7 +70,7 @@ def leading_coefficient(model, nu, sample):
     if det_s == 0:
         raise AssumptionViolation("restricted adjoint operator is singular (nu not regular)")
     vol_g, vol_t = group_volumes(metric)
-    if phi_norm == 0 or dscalar == 0:
+    if np.any(phi_norm == 0) or np.any(dscalar == 0):
         raise AssumptionViolation("vanishing factor in the leading coefficient")
     return (2.0 ** (1 + (r - 1) / 2) * np.pi / (phi_norm * dscalar)
             * vol_orbit_unit ** 2 / det_s * vol_t / vol_g ** 2)
@@ -143,6 +144,8 @@ def predict_near_diagonal(model, nu, sample, k, v1=None, w1=None, v2=None, w2=No
     nu = half_weight(group, nu)
     if not isinstance(sample, LocusSample):
         raise AssumptionViolation("near-diagonal prediction needs an on-locus sample")
+    if np.ndim(sample.sigma) != 0:
+        raise ValueError("near-diagonal prediction takes a one-point sample, not a stack")
     zero = np.zeros(model.ambient_dim, dtype=complex)
     v1 = zero if v1 is None else np.asarray(v1, dtype=complex)
     v2 = zero if v2 is None else np.asarray(v2, dtype=complex)
@@ -184,7 +187,8 @@ def dimension_coefficient(model, nu=None, level=120):
     with the toric dV_M = pi^d dt; rank-2 models integrate over the
     locus hypersurface via its torus-invariant segment parametrization
     with a cosine endpoint map (the locus volume element is
-    sqrt(det Gram(val_1, val_2, d x/d s))).
+    sqrt(det Gram(val_1, val_2, d x/d s))).  Either way the nodes are
+    decomposed and weighted as one stack.
     """
     group = model.group
     nu = model.resolve_nu(nu)
@@ -192,15 +196,11 @@ def dimension_coefficient(model, nu=None, level=120):
     power = model.d + 1 - r
     if r == 1:
         nodes, weights = simplex_quadrature(model.d, max(24, level // 2))
-        total = 0.0
-        for t, w in zip(nodes, weights):
-            x = model.point(np.sqrt(t))
-            sample = model.locus_decompose(nu, x)
-            if not isinstance(sample, LocusSample):
-                raise AssumptionViolation("rank-1 model point off the cone")
-            psi = leading_coefficient(model, nu, sample)
-            total += w * psi / sample.sigma ** power
-        return np.pi ** model.d * total
+        sample = model.locus_decompose(nu, model.point(np.sqrt(nodes)))
+        if not isinstance(sample, LocusSample):
+            raise AssumptionViolation("rank-1 model point off the cone")
+        psi = leading_coefficient(model, nu, sample)
+        return np.pi ** model.d * np.sum(weights * psi / sample.sigma ** power)
     if r == 2 and model.d == 2:
         return _locus_line_integral(model, nu, power, level)
     raise AssumptionViolation(f"no locus quadrature for {model.id}")
@@ -209,31 +209,27 @@ def dimension_coefficient(model, nu=None, level=120):
 def _locus_line_integral(model, nu, power, level):
     t_of_s = model.locus_simplex_curve(nu)
     mult = model.projective_torus_multiplicity()
-    xs, ws = leggauss(level)
-    total = 0.0
+    us, ws = leggauss(level)
     h = 1e-4
-    for u, w in zip(xs, ws):
-        s = 0.5 * (1.0 - np.cos(np.pi * 0.5 * (u + 1.0)))       # cosine map [0,1]
-        ds_du = 0.25 * np.pi * np.sin(np.pi * 0.5 * (u + 1.0))
-        t = t_of_s(s)
-        x = model.point(np.sqrt(t))
-        sample = model.locus_decompose(nu, x)
-        if not isinstance(sample, LocusSample):
-            raise AssumptionViolation("locus curve point fell off the cone")
-        psi = leading_coefficient(model, nu, sample)
-        # the simplex curves are affine in s, so a wide central difference
-        # of t is exact; dx_j/ds = t_j'/(2 sqrt(t_j))
-        tprime = (t_of_s(min(s + h, 1.0)) - t_of_s(max(s - h, 0.0))) \
-            / (min(s + h, 1.0) - max(s - h, 0.0))
-        u_tan = model.horizontal(x, tprime / (2.0 * np.sqrt(t)))
-        v1 = model.val(x, np.eye(model.group.dim)[0])
-        v2 = model.val(x, np.eye(model.group.dim)[1])
-        G = np.array([
-            [riemann_inner(a, b) for b in (v1, v2, u_tan)]
-            for a in (v1, v2, u_tan)])
-        dens = np.sqrt(max(np.linalg.det(G), 0.0))
-        total += w * ds_du * (2 * np.pi) ** 2 / mult * dens * psi / sample.sigma ** power
-    return total / np.sqrt(2.0)
+    s = 0.5 * (1.0 - np.cos(np.pi * 0.5 * (us + 1.0)))          # cosine map [0,1]
+    ds_du = 0.25 * np.pi * np.sin(np.pi * 0.5 * (us + 1.0))
+    t = t_of_s(s)
+    x = model.point(np.sqrt(t))
+    sample = model.locus_decompose(nu, x)
+    if not isinstance(sample, LocusSample):
+        raise AssumptionViolation("locus curve point fell off the cone")
+    psi = leading_coefficient(model, nu, sample)
+    # the simplex curves are affine in s, so a wide central difference
+    # of t is exact; dx_j/ds = t_j'/(2 sqrt(t_j))
+    hi, lo = np.minimum(s + h, 1.0), np.maximum(s - h, 0.0)
+    tprime = (t_of_s(hi) - t_of_s(lo)) / (hi - lo)[:, None]
+    u_tan = model.horizontal(x, tprime / (2.0 * np.sqrt(t)))
+    eye = np.eye(model.group.dim)
+    tangents = np.stack([model.val(x, eye[0]), model.val(x, eye[1]), u_tan], axis=1)
+    G = np.einsum("nai,nbi->nab", tangents, tangents.conj()).real
+    dens = np.sqrt(np.maximum(np.linalg.det(G), 0.0))
+    terms = ws * ds_du * (2 * np.pi) ** 2 / mult * dens * psi / sample.sigma ** power
+    return np.sum(terms) / np.sqrt(2.0)
 
 
 def phase_hessian(metric, nu, sigma, xi_prime=None, tol=1e-10):

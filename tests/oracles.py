@@ -115,6 +115,36 @@ def coin_change_count(weights, total):
     return int(ways[total])
 
 
+def simplex_quadrature_loop(d, n):
+    """The simplex rule of ``models.simplex_quadrature`` built node by node
+    in Python loops (its former implementation): Gauss-Legendre on [0, 1],
+    the Duffy map for d = 2 and the nested map for d = 3."""
+    from numpy.polynomial.legendre import leggauss
+
+    xs, ws = leggauss(n)
+    xs = 0.5 * (xs + 1.0)
+    ws = 0.5 * ws
+    nodes, weights = [], []
+    if d == 2:
+        for u, wu in zip(xs, ws):
+            for v, wv in zip(xs, ws):
+                t1, t2 = u, v * (1.0 - u)
+                nodes.append([1.0 - t1 - t2, t1, t2])
+                weights.append(wu * wv * (1.0 - u))
+    elif d == 3:
+        for u, wu in zip(xs, ws):
+            for v, wv in zip(xs, ws):
+                for w, ww in zip(xs, ws):
+                    t1 = u
+                    t2 = v * (1.0 - u)
+                    t3 = w * (1.0 - u) * (1.0 - v)
+                    nodes.append([1.0 - t1 - t2 - t3, t1, t2, t3])
+                    weights.append(wu * wv * ww * (1.0 - u) ** 2 * (1.0 - v))
+    else:
+        raise ValueError("the loop reference covers d = 2 and d = 3")
+    return np.array(nodes), np.array(weights)
+
+
 def monomial_log_norms_gammaln(d, alphas):
     """log ||z^alpha||^2 = d log pi + sum_j log alpha_j! - log (|alpha| + d)!
     with gammaln called on every exponent entry (no log-factorial table)."""
@@ -136,10 +166,32 @@ def fiber_phase_moment(model, x, xi_coeffs, h=1e-6):
     return -alpha_val
 
 
+def _euler_product(params):
+    """Rz(alpha) Ry(beta) Rz(gamma) e^{i tau} for each row (alpha, beta,
+    gamma[, tau]) of params, multiplied out matrix by matrix, with
+    Rz(t) = diag(e^{it/2}, e^{-it/2}) and Ry(t) the real rotation by t/2."""
+    params = np.atleast_2d(np.asarray(params, dtype=float))
+
+    def rz(t):
+        out = np.zeros((len(t), 2, 2), dtype=complex)
+        out[:, 0, 0], out[:, 1, 1] = np.exp(0.5j * t), np.exp(-0.5j * t)
+        return out
+
+    def ry(t):
+        out = np.empty((len(t), 2, 2), dtype=complex)
+        out[:, 0, 0] = out[:, 1, 1] = np.cos(t / 2)
+        out[:, 1, 0] = np.sin(t / 2)
+        out[:, 0, 1] = -out[:, 1, 0]
+        return out
+
+    out = rz(params[:, 0]) @ ry(params[:, 1]) @ rz(params[:, 2])
+    if params.shape[1] == 4:
+        out *= np.exp(1j * params[:, 3])[:, None, None]
+    return out
+
+
 def _orbit_grid(model, x, y):
     """The orbit-separation search grid: its nodes and a distance map."""
-    from coorbit.groups import euler_elements
-
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     group = model.group
@@ -154,7 +206,7 @@ def _orbit_grid(model, x, y):
                 np.linspace(0, 4 * np.pi, n, endpoint=False)]
         if group.kind == "u":
             axes.append(np.linspace(0, np.pi, n // 2, endpoint=False))
-        elements = euler_elements
+        elements = _euler_product
 
     def distances(params):
         moved = np.einsum("nij,j->ni", model.unitary_batch(elements(params)), x)

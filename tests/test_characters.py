@@ -179,25 +179,49 @@ def test_weyl_integration_formula():
         nus = [half_weight(g, c) for c in labels]
         # left side: Euler-angle Haar quadrature on G
         nodes, weights = haar_quadrature(g, 16 if kind == "su2" else 12)
+        # right side: torus grid against |A_delta|^2 / |W|
+        m = 64
+        grid = 2 * np.pi * np.arange(m) / m
+        axes = np.meshgrid(*([grid] * g.rank), indexing="ij")
+        thetas = np.stack([ax.ravel() for ax in axes], axis=-1)
+        disc = abs(_alternating_sum(g, g.delta, thetas)) ** 2
         for i, a in enumerate(nus):
             for j, b in enumerate(nus):
-                lhs = sum(w * character_at_element(g, a, el)
-                          * np.conj(character_at_element(g, b, el))
-                          for el, w in zip(nodes, weights))
-                # right side: torus grid against |A_delta|^2 / |W|
-                m = 64
-                grid = 2 * np.pi * np.arange(m) / m
-                axes = np.meshgrid(*([grid] * g.rank), indexing="ij")
-                thetas = np.stack([ax.ravel() for ax in axes], axis=-1)
-                total = 0.0 + 0.0j
-                for theta in thetas:
-                    disc = abs(_alternating_sum(g, g.delta, theta)) ** 2
-                    total += (disc * weyl_character(g, a, theta)
-                              * np.conj(weyl_character(g, b, theta)))
-                rhs = total / (g.weyl_order * len(thetas))
+                lhs = np.sum(weights * character_at_element(g, a, nodes)
+                             * np.conj(character_at_element(g, b, nodes)))
+                rhs = np.sum(disc * weyl_character(g, a, thetas)
+                             * np.conj(weyl_character(g, b, thetas)))
+                rhs /= g.weyl_order * len(thetas)
                 target = 1.0 if i == j else 0.0
                 assert abs(lhs - target) < 1e-9
                 assert abs(rhs - target) < 1e-9
+
+
+def test_weyl_character_stack_matches_per_element():
+    # one call on a stack gives what one call per element gives, for
+    # random, near-wall (regular with |A_delta| just above and below the
+    # 1e-8 switch), on-wall and identity elements
+    from coorbit.characters import _alternating_sum
+
+    rng = np.random.default_rng(21)
+    for kind, coords in (("su2", (4.0,)), ("u2", (3.5, 0.5)), ("su3", (2.0, 1.0)),
+                         ("t2", (2.0, 1.0))):
+        g = build_group(kind)
+        nu = half_weight(g, coords)
+        random = rng.uniform(-np.pi, np.pi, size=(40, g.rank))
+        walls = [np.zeros(g.rank)]
+        for beta in g.positive_roots:
+            base = rng.uniform(-np.pi, np.pi, size=g.rank)
+            on_wall = base - (beta @ base) / (beta @ beta) * beta     # <beta, theta> = 0
+            walls += [on_wall + eps * beta for eps in (0.0, 1e-12, 1e-9, 1e-7, 1e-5)]
+        thetas = np.concatenate([random, np.array(walls)])
+        stacked = weyl_character(g, nu, thetas)
+        single = np.array([weyl_character(g, nu, th) for th in thetas])
+        assert stacked.shape == (len(thetas),)
+        np.testing.assert_allclose(stacked, single, rtol=1e-13, atol=1e-13, err_msg=kind)
+        if g.kind != "torus":
+            near = np.abs(_alternating_sum(g, g.delta, thetas)) < 1e-8
+            assert near.sum() >= 2, kind          # the wall branch was exercised
 
 
 # -- exp-map Jacobian ---------------------------------------------------------
@@ -365,12 +389,29 @@ def test_projector_pairing_conjugation_invariance():
     h = random_unitary(2, rng, special=True)
 
     def f(t):
-        return np.exp(1j * np.trace(t).real) * abs(np.trace(t)) ** 2
+        trace = np.trace(t, axis1=-2, axis2=-1)
+        return np.exp(1j * trace.real) * abs(trace) ** 2
 
     base = peter_weyl_projector_weight(g, nu, 1, f, level=16)
     conj = peter_weyl_projector_weight(
         g, nu, 1, lambda t: f(h @ t @ h.conj().T), level=16)
     assert abs(base - conj) < 1e-6 * max(1.0, abs(base))
+
+
+def test_projector_pairing_rejects_per_element_f():
+    # f is called on the whole node stack; a function written for one
+    # element would trace the wrong axes, so the pairing refuses it
+    g = build_group("su2")
+    nu = half_weight(g, 2.0)
+    with pytest.raises(ValueError) as err:
+        peter_weyl_projector_weight(g, nu, 1, lambda t: np.trace(t), level=8)
+    assert "stack" in str(err.value)
+    with pytest.raises(ValueError):
+        peter_weyl_projector_weight(g, nu, 1, lambda t: np.ones((len(t), 1)), level=8)
+    torus = build_group("t1")
+    with pytest.raises(ValueError):
+        peter_weyl_projector_weight(torus, half_weight(torus, 1.0), 1,
+                                    lambda th: np.exp(-1j * th[0]), level=8)
 
 
 def test_projector_pairing_nonconvergence_raises():
@@ -379,7 +420,7 @@ def test_projector_pairing_nonconvergence_raises():
     # a pure mode above the coarse grid size aliases: refinement disagrees
     with pytest.raises(QuadratureDisagreement) as err:
         peter_weyl_projector_weight(
-            g, nu, 1, lambda th: np.exp(-23j * th[0]), level=24)
+            g, nu, 1, lambda th: np.exp(-23j * th[:, 0]), level=24)
     assert "vs" in str(err.value)
 
 

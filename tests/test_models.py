@@ -15,7 +15,7 @@ from coorbit.models import (
     unit_point,
 )
 
-from oracles import fiber_phase_moment
+from oracles import fiber_phase_moment, simplex_quadrature_loop
 
 
 def t3_cp3_model():
@@ -223,6 +223,87 @@ def test_cone_distance_at_nonpositive_sigma_is_moment_norm():
         assert isinstance(out, ConeDistance), model.id
         assert np.isclose(out.distance, model.metric.norm_covector_full(model.moment_map(x)),
                           rtol=1e-12, atol=0), model.id
+
+
+def _locus_stack(model, nu, rng, count=12):
+    """count points of the locus of nu on model, spread over it."""
+    group = model.group
+    if group.rank == 1:
+        points = [model.random_point(rng) for _ in range(count)]   # the locus is all of M
+        if group.kind == "torus":
+            points[0] = model.default_locus_point(nu)
+        return np.array(points)
+    t = model.locus_simplex_curve(nu)(rng.uniform(0.02, 0.98, count))
+    x = np.sqrt(t) * np.exp(1j * rng.uniform(0, 2 * np.pi, t.shape))
+    if group.kind == "u":                      # move along the U(2)-invariant locus
+        gs = np.stack([random_unitary(2, rng) for _ in range(count)])
+        x = np.einsum("nij,nj->ni", model.unitary_batch(gs), x)
+    return x
+
+
+def test_locus_decompose_stack_matches_per_point():
+    from coorbit.predictor import leading_coefficient, predict_near_diagonal
+
+    rng = np.random.default_rng(31)
+    for mid in MODEL_IDS:
+        model = build_model(mid)
+        nu = model.default_nu
+        xs = _locus_stack(model, nu, rng)
+        stacked = model.locus_decompose(nu, xs)
+        singles = [model.locus_decompose(nu, x) for x in xs]
+        assert isinstance(stacked, LocusSample), mid
+        assert all(isinstance(s, LocusSample) for s in singles), mid
+        n = len(xs)
+        assert stacked.phi.shape == (n, model.group.dim) and stacked.sigma.shape == (n,)
+        assert stacked.residual.shape == (n,)
+
+        def close(a, b):
+            np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13, err_msg=mid)
+
+        close(stacked.phi, [s.phi for s in singles])
+        close(stacked.sigma, [s.sigma for s in singles])
+        close(stacked.residual, [s.residual for s in singles])
+        for field in ("t_basis", "t_prime_basis"):
+            per_point = [getattr(s, field) for s in singles]
+            for j, vec in enumerate(getattr(stacked, field)):
+                assert vec.shape == (n, model.group.dim)
+                close(vec, [basis[j] for basis in per_point])
+        for h, s in zip(stacked.h, singles):
+            if model.group.kind == "torus":
+                close(h, s.h)
+            else:   # equal up to the stabilising torus: h^-1 h' is diagonal and unitary
+                rel = h.conj().T @ s.h
+                close(rel - np.diag(np.diag(rel)), 0.0)
+                close(np.abs(np.diag(rel)), 1.0)
+        D, scalar = model.d_phi(nu, stacked)
+        per_point = [model.d_phi(nu, s) for s in singles]
+        close(D, [p[0] for p in per_point])
+        close(scalar, [p[1] for p in per_point])
+        psi = leading_coefficient(model, nu, stacked)
+        assert psi.shape == (n,)
+        close(psi, [leading_coefficient(model, nu, s) for s in singles])
+        with pytest.raises(ValueError):
+            predict_near_diagonal(model, nu, stacked, 64)
+
+
+def test_locus_decompose_mixed_stack_gives_cone_distances():
+    rng = np.random.default_rng(32)
+    for mid, off in (("t2-cp2", [0.25, 0.45, 0.30]), ("u2-cp2", [0.5, 0.3, 0.2])):
+        model = build_model(mid)
+        nu = model.default_nu
+        xs = _locus_stack(model, nu, rng, count=6)
+        xs = np.concatenate([xs[:3], [model.point(np.sqrt(off))], xs[3:]])
+        out = model.locus_decompose(nu, xs)
+        assert isinstance(out, ConeDistance), mid
+        assert out.distance.shape == (len(xs),) and out.phi.shape == (len(xs), 2 if mid == "t2-cp2" else 4)
+        for x, dist in zip(xs, out.distance):
+            single = model.locus_decompose(nu, x)
+            if isinstance(single, ConeDistance):
+                np.testing.assert_allclose(dist, single.distance, rtol=1e-13, atol=0)
+                assert dist > 0.01
+            else:
+                assert dist <= 1e-10 * max(1.0, model.moment_norm(x))
+        assert sum(isinstance(model.locus_decompose(nu, x), ConeDistance) for x in xs) == 1
 
 
 def test_unitary_validates_and_matches_batch():
@@ -474,6 +555,18 @@ def test_simplex_quadrature_moments():
         vals = np.prod(nodes ** np.array(alpha), axis=1)
         exact = np.prod([factorial(a) for a in alpha]) / factorial(sum(alpha) + d)
         assert np.isclose(vals @ w, exact, rtol=1e-12)
+
+
+def test_simplex_quadrature_equals_loop_reference():
+    # the array construction keeps the loop's operation order exactly
+    for d in (2, 3):
+        for n in (1, 7, 16):
+            nodes, w = simplex_quadrature(d, n)
+            ref_nodes, ref_w = simplex_quadrature_loop(d, n)
+            assert np.array_equal(nodes, ref_nodes), (d, n)
+            assert np.array_equal(w, ref_w), (d, n)
+    with pytest.raises(ValueError):
+        simplex_quadrature(4, 8)
 
 
 def test_unitary_lift_commutes_with_fiber_rotation():
