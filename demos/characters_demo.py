@@ -42,18 +42,18 @@ def main():
     m_su2, m_u2 = trace_metric(su2), trace_metric(u2)
     for nu_val in (1.0, 3.0, 6.0):
         nu = half_weight(su2, nu_val)
-        print(f"SU(2) nu={nu_val:.0f}: d_nu={weyl_dimension(su2, m_su2, nu)}"
+        print(f"SU(2) nu={nu_val:.0f}: d_nu={weyl_dimension(su2, nu)}"
               f"  d_(8 nu)={scaled_dimension(su2, nu, 8)}")
     nu = half_weight(u2, (2.5, 0.5))
-    print(f"U(2) nu=(5/2,1/2): d_nu={weyl_dimension(u2, m_u2, nu)}"
+    print(f"U(2) nu=(5/2,1/2): d_nu={weyl_dimension(u2, nu)}"
           f"  d_(5 nu)={scaled_dimension(u2, nu, 5)}")
 
     section("Orbit volumes vs (2 pi)^n d_nu")
     for g, m, coords in ((su2, m_su2, (4.0,)), (u2, m_u2, (2.5, 0.5))):
         nu = half_weight(g, coords)
         quad = orbit_quadrature(g, m, nu)
-        closed = orbit_volume(g, m, nu.coords)
-        d = weyl_dimension(g, m, nu)
+        closed = orbit_volume(g, nu.coords)
+        d = weyl_dimension(g, nu)
         print(f"{g.name}: quadrature={quad.volume:.10f}  closed={closed:.10f}"
               f"  (2 pi)^n d_nu={(2 * np.pi) ** g.n_pos * d:.10f}")
 

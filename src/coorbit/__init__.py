@@ -16,12 +16,10 @@ from .groups import (
     half_weight,
     haar_quadrature,
     trace_metric,
-    torus_metric,
 )
 from .characters import (
     OrbitQuadrature,
     QuadratureDisagreement,
-    WallEvaluationError,
     exp_jacobian,
     kirillov_character,
     orbit_quadrature,
@@ -42,7 +40,6 @@ from .models import (
 from .hardy import (
     IsotypicBasis,
     LevelBasis,
-    diag_profile,
     equivariant_kernel,
     equivariant_kernel_log,
     isotypic_basis,

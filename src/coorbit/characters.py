@@ -21,17 +21,12 @@ from .groups import (
     CompactGroup,
     HalfWeight,
     InvariantMetric,
-    cartan_matrix_of,
+    algebra_matrix,
     half_weight,
     haar_quadrature,
     random_unitary,
     rational_pairing,
-    trace_metric,
 )
-
-
-class WallEvaluationError(ValueError):
-    """Weyl character requested exactly on a singular torus element."""
 
 
 class QuadratureDisagreement(RuntimeError):
@@ -44,21 +39,30 @@ def _coords(nu):
 
 # -- Weyl dimension formula --------------------------------------------------
 
-def weyl_dimension(group, metric, nu):
+def _root_ratios(group, coords):
+    """phi(gamma, beta) / phi(delta, beta) for every positive root beta.
+
+    A metric scale cancels in each ratio, so the trace-form pairing of
+    :attr:`CompactGroup.root_pairing` serves every supported metric.
+    """
+    return (coords @ group.root_pairing) / (group.delta @ group.root_pairing)
+
+
+def weyl_dimension(group, nu):
     """Irrep dimension d_nu = prod_beta phi(nu, beta) / phi(delta, beta).
 
-    The product is metric-independent; ``metric`` fixes the pairing used
-    to evaluate it.  The result must be a positive integer to 1e-9
-    relative and is rounded after that check.
+    The product does not depend on the Ad-invariant metric phi and is
+    empty (d_nu = 1) on tori.  The result must be a positive integer to
+    1e-9 relative and is rounded after that check.
     """
     coords = _coords(nu)
+    singular = np.flatnonzero(np.abs(coords @ group.root_pairing) < 1e-14)
+    if singular.size:
+        raise ValueError(
+            f"nu is not regular: phi(nu, {group.positive_roots[singular[0]]}) = 0")
     val = 1.0
-    for beta in group.positive_roots:
-        num = metric.pair_covectors(coords, beta)
-        den = metric.pair_covectors(group.delta, beta)
-        if abs(num) < 1e-14:
-            raise ValueError(f"nu is not regular: phi(nu, {beta}) = 0")
-        val *= num / den
+    for ratio in _root_ratios(group, coords):
+        val *= ratio
     rounded = round(val)
     if rounded < 1 or abs(val - rounded) > 1e-9 * max(1.0, abs(val)):
         raise ValueError(f"Weyl dimension {val} is not a positive integer")
@@ -107,7 +111,7 @@ def _alternating_sum(group, gamma, theta):
     return (signs * np.exp(1j * phases)).sum(axis=-1)
 
 
-def weyl_character(group, nu, theta, extrapolate=True):
+def weyl_character(group, nu, theta):
     """Character chi_nu at the torus element exp(sum theta_j H_j).
 
     ``theta`` holds ``rank`` angles (a complex is returned) or a stack of
@@ -116,12 +120,6 @@ def weyl_character(group, nu, theta, extrapolate=True):
     regular locus.  Near a wall (|A_delta| < 1e-8) the limit is taken by
     Richardson extrapolation along a fixed regular direction; at the
     identity the dimension is returned directly.
-
-    Raises
-    ------
-    WallEvaluationError
-        If an element is singular and ``extrapolate`` is False; the
-        message names a root beta with <beta, theta> in 2 pi Z.
     """
     nu = half_weight(group, nu)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -137,23 +135,16 @@ def weyl_character(group, nu, theta, extrapolate=True):
         vals = np.divide(_alternating_sum(group, nu.coords, thetas), denom,
                          out=np.empty_like(denom), where=~(at_identity | wall))
         if at_identity.any():
-            vals[at_identity] = weyl_dimension(group, trace_metric(group), nu)
+            vals[at_identity] = weyl_dimension(group, nu)
         if wall.any():
-            vals[wall] = _wall_limit(group, nu, thetas[wall], extrapolate)
+            vals[wall] = _wall_limit(group, nu, thetas[wall])
     return vals if theta.ndim == 2 else vals[0]
 
 
-def _wall_limit(group, nu, thetas, extrapolate):
+def _wall_limit(group, nu, thetas):
     """chi_nu at singular elements (rows of ``thetas``) as the limit of the
     alternating-sum ratio, by Richardson extrapolation along the regular
     delta direction."""
-    if not extrapolate:
-        for beta in group.positive_roots:
-            phase = float(beta @ thetas[0])
-            if abs(np.remainder(phase + np.pi, 2 * np.pi) - np.pi) < 1e-6:
-                raise WallEvaluationError(
-                    f"theta lies on the wall of root {beta} (extrapolation disabled)")
-        raise WallEvaluationError("theta lies on a Weyl wall (extrapolation disabled)")
     direction = group.delta / np.linalg.norm(group.delta)
     steps = np.array([1e-3, 5e-4, 2.5e-4])
     t = thetas[:, None, :] + steps[:, None] * direction       # (M, 3, rank)
@@ -222,10 +213,11 @@ def _angles_to_cartan_coords(group, angles):
 def exp_jacobian(group, xi):
     """Square root P(xi) of the exp-map volume distortion, P(0) = 1.
 
-    For xi in the Cartan algebra (coefficients) this is the root product
-    prod_{beta>0} sin(<beta,xi>/2) / (<beta,xi>/2), extended
-    Ad-invariantly to matrices via eigen-angles.  Validated against a
-    finite-difference Jacobian of the matrix exponential in the tests.
+    For xi in the Cartan algebra, given by its Cartan coefficients, this
+    is the root product prod_{beta>0} sin(<beta,xi>/2) / (<beta,xi>/2);
+    P is Ad-invariant, so that is all a class function needs.  Validated
+    against a finite-difference Jacobian of the matrix exponential in
+    the tests.
 
     Raises
     ------
@@ -236,13 +228,8 @@ def exp_jacobian(group, xi):
     if group.kind == "torus":
         return 1.0
     xi = np.asarray(xi)
-    if xi.ndim == 2:
-        theta = np.sort(np.linalg.eigvalsh(-1j * xi))[::-1]
-        gaps = [theta[j] - theta[k] for j in range(len(theta)) for k in range(j + 1, len(theta))]
-    else:
-        gaps = [float(beta @ xi) for beta in group.positive_roots]
     val = 1.0
-    for a in gaps:
+    for a in (float(beta @ xi) for beta in group.positive_roots):
         if abs(a) >= 2 * np.pi:
             raise ValueError("xi is outside the injectivity domain of exp")
         val *= np.sinc(a / (2 * np.pi))  # sin(a/2)/(a/2)
@@ -251,16 +238,16 @@ def exp_jacobian(group, xi):
 
 # -- coadjoint orbits ---------------------------------------------------------
 
-def orbit_volume(group, metric, gamma):
+def orbit_volume(group, gamma):
     """Symplectic volume of the coadjoint orbit through a regular covector.
 
-    vol(O_gamma) = (2 pi)^{n_pos} prod_beta phi(gamma, beta) / phi(delta, beta);
-    for half-weights this reduces to (2 pi)^{n_pos} d_gamma.
+    vol(O_gamma) = (2 pi)^{n_pos} prod_beta phi(gamma, beta) / phi(delta, beta),
+    which does not depend on phi; for half-weights this reduces to
+    (2 pi)^{n_pos} d_gamma.
     """
-    coords = _coords(gamma)
     val = (2 * np.pi) ** group.n_pos
-    for beta in group.positive_roots:
-        val *= metric.pair_covectors(coords, beta) / metric.pair_covectors(group.delta, beta)
+    for ratio in _root_ratios(group, _coords(gamma)):
+        val *= ratio
     return float(val)
 
 
@@ -271,7 +258,7 @@ class OrbitQuadrature:
     ``nodes_sharp`` holds lambda^phi for each node (matrices for
     SU(n)/U(n), coefficient vectors for tori); ``weights`` sum to
     vol(O_nu).  ``pairing(xi)`` evaluates <lambda, xi> at every node for
-    an algebra element xi (Cartan coefficients or matrix).
+    a Cartan element xi given by its Cartan coefficients.
     """
 
     group: CompactGroup
@@ -295,7 +282,7 @@ class OrbitQuadrature:
         if self.group.kind == "torus":
             xi = np.asarray(xi, dtype=float)
             return (self.nodes_sharp @ self.metric.gram) @ xi
-        xi_mat = xi if np.asarray(xi).ndim == 2 else cartan_matrix_of(self.group, xi)
+        xi_mat = algebra_matrix(self.group, xi)
         vals = np.einsum("nij,ji->n", self.nodes_sharp, xi_mat.conj().T)
         return self.metric.scale * vals.real
 
@@ -336,7 +323,7 @@ def orbit_quadrature(group, metric, nu, level=64):
 
 def _sphere_orbit_quadrature(group, metric, nu, level):
     n_polar, n_azimuth = level, 2 * level
-    nu_sharp = cartan_matrix_of(group, metric.sharp(nu.coords))
+    nu_sharp = algebra_matrix(group, metric.sharp(nu.coords))
     n = group.n
     center = np.trace(nu_sharp) / n * np.eye(n)
     radial = nu_sharp - center
@@ -389,8 +376,8 @@ def _kk_density(metric, lam):
 def _monte_carlo_orbit_quadrature(group, metric, nu, level):
     rng = np.random.default_rng(0)
     count = max(2000, 200 * level)
-    nu_sharp = cartan_matrix_of(group, metric.sharp(nu.coords))
-    vol = orbit_volume(group, metric, nu.coords)
+    nu_sharp = algebra_matrix(group, metric.sharp(nu.coords))
+    vol = orbit_volume(group, nu.coords)
     nodes = np.empty((count, group.n, group.n), dtype=complex)
     for i in range(count):
         g = random_unitary(group.n, rng, special=group.kind == "su")
@@ -403,18 +390,19 @@ def _monte_carlo_orbit_quadrature(group, metric, nu, level):
 
 # -- Kirillov orbit character -------------------------------------------------
 
-def kirillov_character(group, metric, nu, xi, k=1, quad=None, level=64):
-    """Orbit-integral character value at exp(xi).
+def kirillov_character(group, metric, nu, xi, quad=None):
+    """Orbit-integral character value at exp(xi), xi in Cartan coefficients.
 
-    chi_{k nu}(e^xi) = (k / 2 pi)^{n_pos} P(xi)^{-1}
-    int_{O_nu} e^{i k <lambda, xi>} dV(lambda), evaluated with
-    :func:`orbit_quadrature`.  With xi = 0 this returns d_{k nu}.
+    chi_nu(e^xi) = (2 pi)^{-n_pos} P(xi)^{-1}
+    int_{O_nu} e^{i <lambda, xi>} dV(lambda), evaluated with ``quad`` or
+    else :func:`orbit_quadrature` at its default level.  With xi = 0 this
+    returns d_nu.
     """
-    quad = orbit_quadrature(group, metric, nu, level) if quad is None else quad
-    phases = np.exp(1j * k * quad.pairing(xi))
+    quad = orbit_quadrature(group, metric, nu) if quad is None else quad
+    phases = np.exp(1j * quad.pairing(xi))
     integral = np.sum(quad.weights * phases)
     p = exp_jacobian(group, xi)
-    return (k / (2 * np.pi)) ** group.n_pos * integral / p
+    return (1 / (2 * np.pi)) ** group.n_pos * integral / p
 
 
 # -- Peter-Weyl projector pairing --------------------------------------------
@@ -439,8 +427,7 @@ def peter_weyl_projector_weight(group, nu, k, f, level=24):
     """
     nu = half_weight(group, nu)
     knu = half_weight(group, k * nu.coords)
-    metric = trace_metric(group)
-    d = weyl_dimension(group, metric, knu)
+    d = weyl_dimension(group, knu)
 
     def estimate(lvl):
         nodes, weights = haar_quadrature(group, lvl)

@@ -132,9 +132,8 @@ def _dispatch(args):
     if args.command == "dim":
         group = build_group(args.group)
         nu = half_weight(group, _parse_nu(args.nu))
-        metric = trace_metric(group)
         _print({
-            "d_nu": weyl_dimension(group, metric, nu),
+            "d_nu": weyl_dimension(group, nu),
             "k": args.k,
             "d_k_nu": scaled_dimension(group, nu, args.k),
         })
@@ -160,7 +159,7 @@ def _dispatch(args):
         nu = half_weight(group, _parse_nu(args.nu))
         quad = orbit_quadrature(group, metric, nu, level=args.level)
         _print({
-            "closed_form": orbit_volume(group, metric, nu.coords),
+            "closed_form": orbit_volume(group, nu.coords),
             "quadrature_weight_sum": quad.volume,
             "scheme": quad.scheme,
             "std_error": quad.std_error,
@@ -180,7 +179,7 @@ def _dispatch(args):
             "model": model.config(),
             "nu": list(nu.coords),
             "sigma": sample.sigma,
-            "moment_norm": model.metric.norm_covector_full(sample.phi),
+            "moment_norm": model.metric.norm_covector(sample.phi),
             "metric_factor": dscalar,
             "leading_coefficient": leading_coefficient(model, nu, sample),
         }

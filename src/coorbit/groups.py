@@ -8,19 +8,25 @@ closed-form Riemannian volumes.
 
 Conventions
 -----------
-* Cartan covectors are length-``rank`` arrays of values on the fixed
-  Cartan basis: torus uses the standard basis of R^r, SU(n) uses
-  H_j = i(E_jj - E_{j+1,j+1}) and U(n) uses H_j = i E_jj.  For SU(2)
-  this makes the single coordinate the value on Z = diag(i, -i), and
-  for U(n) the coordinates are the usual decreasing tuples.
-* Full coalgebra covectors are length-``dim`` arrays of values on the
-  full fixed basis (Cartan basis followed by the off-diagonal pairs
-  E_jk - E_kj and i(E_jk + E_kj), j < k).
-* Algebra vectors are coefficient arrays with respect to the same
-  basis; for matrix groups :func:`algebra_matrix` realizes them as
-  skew-Hermitian matrices.
+* The fixed basis of the algebra lists the Cartan basis first: torus
+  uses the standard basis of R^r, SU(n) uses H_j = i(E_jj - E_{j+1,j+1})
+  and U(n) uses H_j = i E_jj, followed (SU(n)/U(n)) by the off-diagonal
+  pairs E_jk - E_kj and i(E_jk + E_kj), j < k.  For SU(2) the single
+  Cartan coordinate is the value on Z = diag(i, -i), and for U(n) the
+  Cartan coordinates are the usual decreasing tuples.
+* Covectors are arrays of values on that basis and algebra vectors are
+  coefficient arrays with respect to it.  A Cartan datum is given by
+  its leading ``rank`` coordinates, a full one by all ``dim``; the
+  functions below read the leading block that matches the length, so
+  both kinds go through one rule.  For matrix groups
+  :func:`algebra_matrix` realizes algebra vectors as skew-Hermitian
+  matrices.
 * SU(n)/U(n) metrics are positive multiples of trace(A conj(B)^T);
   tori accept an arbitrary SPD Gram matrix in the standard basis.
+  Every supported Gram matrix is block-diagonal (the Cartan block and
+  its complement), so a Cartan covector extended by zero has its sharp
+  in t and the leading block of the inverse Gram is the inverse of the
+  Cartan block.
 
 All objects are immutable after construction and all functions are
 pure, so everything here is safe to share across threads.
@@ -151,6 +157,14 @@ class CompactGroup:
         return (np.array([mat for mat, _ in self.weyl_elements]),
                 np.array([sign for _, sign in self.weyl_elements], dtype=float))
 
+    @cached_property
+    def root_pairing(self):
+        """Trace-form sharps of the positive roots as columns, shape
+        (rank, n_pos): ``coords @ root_pairing`` gives the trace-form
+        pairing of a Cartan covector with every positive root."""
+        r = self.rank
+        return np.linalg.solve(self.trace_gram[:r, :r], self.positive_roots.T)
+
     @property
     def name(self):
         if self.kind == "torus":
@@ -185,13 +199,10 @@ def build_group(kind, n=None):
 
     Parameters
     ----------
-    kind : str or tuple
-        ``"torus"``/``"su"``/``"u"`` together with ``n``, a tuple like
-        ``("su", 2)``, or a compact string such as ``"t2"``, ``"su2"``,
-        ``"u3"``, ``"torus(3)"``.
+    kind : str
+        ``"torus"``/``"su"``/``"u"`` together with ``n``, or a compact
+        string such as ``"t2"``, ``"su2"``, ``"u3"``, ``"torus(3)"``.
     """
-    if isinstance(kind, tuple):
-        kind, n = kind
     if n is None:
         kind, n = _parse_kind_string(kind)
     kind = kind.lower()
@@ -263,25 +274,31 @@ def _parse_kind_string(text):
     return head, int(num)
 
 
+def _leading_size(group, v):
+    """Length of the last axis of v: ``rank`` for Cartan data, ``dim``
+    for full data."""
+    n = np.shape(v)[-1]
+    if n not in (group.rank, group.dim):
+        raise ValueError(f"expected {group.rank} Cartan or {group.dim} full "
+                         f"coordinates, got {n}")
+    return n
+
+
 def algebra_matrix(group, coeffs):
-    """Realize an algebra coefficient vector (or a stack of them along
-    leading axes) as a skew-Hermitian matrix."""
+    """Realize algebra coefficients, Cartan (length ``rank``) or full
+    (length ``dim``), or a stack of them along leading axes, as
+    skew-Hermitian matrices."""
     if not group.is_matrix_group:
         raise ValueError("torus algebra vectors have no canonical matrix form")
-    return np.einsum("...m,mij->...ij", np.asarray(coeffs, dtype=float), group.basis_matrices)
+    coeffs = np.asarray(coeffs, dtype=float)
+    n = _leading_size(group, coeffs)
+    return np.einsum("...m,mij->...ij", coeffs, group.basis_matrices[:n])
 
 
 def matrix_coefficients(group, mat):
     """Inverse of :func:`algebra_matrix` (trace-orthogonal projection)."""
     vals = -np.einsum("...ij,mji->...m", mat, group.basis_matrices).real
     return np.linalg.solve(group.trace_gram, vals[..., None])[..., 0]
-
-
-def cartan_matrix_of(group, t_coeffs):
-    """Matrix of a Cartan-algebra vector given Cartan-basis coefficients."""
-    full = np.zeros(group.dim)
-    full[:group.rank] = np.asarray(t_coeffs, dtype=float)
-    return algebra_matrix(group, full)
 
 
 def diag_angles(group, t_coeffs):
@@ -320,63 +337,46 @@ class InvariantMetric:
         if np.linalg.eigvalsh(gram).min() <= 0:
             raise ValueError("Gram matrix must be positive definite")
         object.__setattr__(self, "gram", gram)
-        # inverses of the (at most 4 x 4) Gram matrix and its Cartan block, for
-        # the sharp maps and covector norms called thousands of times per suite
-        r = self.group.rank
+        # the inverse Gram matrix, for the sharp maps and covector norms
+        # called thousands of times per suite
         object.__setattr__(self, "_gram_inv", np.linalg.inv(gram))
-        object.__setattr__(self, "_cartan_inv", np.linalg.inv(gram[:r, :r]))
         if self.group.is_matrix_group:
             self._check_ad_invariance()
 
-    # -- pairings ---------------------------------------------------------
+    def _inverse_block(self, gamma):
+        """The leading block of the inverse Gram that matches gamma's length."""
+        n = _leading_size(self.group, gamma)
+        return self._gram_inv[:n, :n]
 
-    def inner(self, a, b):
-        """phi(a, b) for algebra coefficient vectors."""
-        return float(np.asarray(a) @ self.gram @ np.asarray(b))
+    # -- pairings ---------------------------------------------------------
 
     def inner_matrices(self, A, B):
         """phi(A, B) = scale * trace(A conj(B)^T) for matrix arguments."""
         return self.scale * np.trace(A @ B.conj().T).real
 
     def sharp(self, gamma):
-        """gamma^phi for a Cartan covector: Cartan-basis coefficients.
+        """gamma^phi, uniquely determined by gamma = phi(gamma^phi, .).
 
-        Uniquely determined by gamma = phi(gamma^phi, .); Cartan
-        covectors are extended by zero on the phi-orthocomplement of t,
-        which coincides with the trace-orthocomplement for supported
-        metrics, so the inverse is that of the Cartan block.
+        A full covector (``dim`` values) gives full coefficients.  A
+        Cartan covector (``rank`` values) is extended by zero on the
+        phi-orthocomplement of t, so its sharp lies in t and is returned
+        as Cartan coefficients.  ``gamma`` may be a stack along leading
+        axes.
         """
-        return self._cartan_inv @ np.asarray(gamma, dtype=float)
-
-    def sharp_full(self, gamma_full):
-        """gamma^phi for a full coalgebra covector (length-dim coords) or a
-        stack of them along leading axes."""
-        return np.asarray(gamma_full, dtype=float) @ self._gram_inv.T
+        gamma = np.asarray(gamma, dtype=float)
+        return gamma @ self._inverse_block(gamma).T
 
     def norm_covector(self, gamma):
-        """||gamma||_phi = ||gamma^phi||_phi for a Cartan covector; a float
-        for one covector, an array for a stack along leading axes."""
-        return _quadratic_norm(gamma, self._cartan_inv)
-
-    def norm_covector_full(self, gamma_full):
-        """||gamma||_phi for a full coalgebra covector or a stack of them."""
-        return _quadratic_norm(gamma_full, self._gram_inv)
-
-    def norm_vector(self, coeffs):
-        coeffs = np.asarray(coeffs, dtype=float)
-        return float(np.sqrt(coeffs @ self.gram @ coeffs))
-
-    def unit_covector(self, gamma):
-        """gamma_{phi,u} = gamma / ||gamma||_phi."""
-        return np.asarray(gamma, dtype=float) / self.norm_covector(gamma)
-
-    def unit_sharp(self, gamma):
-        """gamma^phi_u = gamma^phi / ||gamma||_phi."""
-        return self.sharp(gamma) / self.norm_covector(gamma)
+        """||gamma||_phi = ||gamma^phi||_phi for a Cartan or full covector;
+        a float for one covector, an array for a stack along leading axes."""
+        gamma = np.asarray(gamma, dtype=float)
+        return scalar_or_stack(np.sqrt(np.einsum(
+            "...i,ij,...j->...", gamma, self._inverse_block(gamma), gamma)))
 
     def pair_covectors(self, a, b):
-        """phi(a, b) for Cartan covectors, i.e. phi(a^phi, b^phi); ``a`` may
-        be a stack along leading axes, which gives an array."""
+        """phi(a, b) = phi(a^phi, b^phi) for covectors of one length (Cartan
+        or full); ``a`` may be a stack along leading axes, which gives an
+        array."""
         return scalar_or_stack(np.asarray(a) @ self.sharp(b))
 
     # -- validation -------------------------------------------------------
@@ -394,24 +394,11 @@ def scalar_or_stack(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
-def _quadratic_norm(v, gram):
-    """sqrt(v . gram . v) along the last axis of v."""
-    v = np.asarray(v, dtype=float)
-    return scalar_or_stack(np.sqrt(np.einsum("...i,ij,...j->...", v, gram, v)))
-
-
 def trace_metric(group, scale=1.0):
     """Default metric: phi(A,B) = scale * trace(A conj(B)^T); identity on tori."""
     if scale <= 0:
         raise ValueError("metric scale must be positive")
     return InvariantMetric(group, scale * group.trace_gram, scale=float(scale))
-
-
-def torus_metric(group, gram):
-    """Torus metric with an arbitrary SPD Gram matrix."""
-    if group.kind != "torus":
-        raise ValueError("torus_metric only applies to tori")
-    return InvariantMetric(group, np.asarray(gram, dtype=float))
 
 
 # -- half-weights ----------------------------------------------------------
@@ -438,11 +425,10 @@ class HalfWeight:
         frac = lam - np.round(lam)
         if np.max(np.abs(frac), initial=0.0) > 1e-9:
             raise ValueError(f"nu - delta = {lam} is not an integral weight")
-        gram_t = g.trace_gram[:g.rank, :g.rank]
-        for beta in g.positive_roots:
-            if coords @ np.linalg.solve(gram_t, beta) <= 0:
-                raise ValueError(
-                    f"nu = {coords} is not regular dominant (fails on root {beta})")
+        failed = np.flatnonzero(coords @ g.root_pairing <= 0)
+        if failed.size:
+            raise ValueError(f"nu = {coords} is not regular dominant "
+                             f"(fails on root {g.positive_roots[failed[0]]})")
         if g.kind == "torus" and np.allclose(coords, 0.0):
             raise ValueError("torus half-weights must be nonzero")
 
@@ -509,7 +495,7 @@ def dominant_representative(metric, gamma_full):
     gamma_full = np.asarray(gamma_full, dtype=float)
     if group.kind == "torus":
         return gamma_full, np.zeros(gamma_full.shape[:-1] + (group.n,))
-    herm = -1j * algebra_matrix(group, metric.sharp_full(gamma_full))
+    herm = -1j * algebra_matrix(group, metric.sharp(gamma_full))
     eigvals, eigvecs = np.linalg.eigh(herm)
     order = np.argsort(eigvals, axis=-1)[..., ::-1]
     theta = np.take_along_axis(eigvals, order, axis=-1)
@@ -518,13 +504,6 @@ def dominant_representative(metric, gamma_full):
         return metric.scale * theta, h
     h = h * (np.linalg.det(h) ** (-1.0 / group.n))[..., None, None]
     return metric.scale * (theta[..., :-1] - theta[..., 1:]), h
-
-
-def embed_cartan_covector(group, gamma):
-    """Extend a Cartan covector by zero on the orthocomplement of t."""
-    full = np.zeros(group.dim)
-    full[:group.rank] = np.asarray(gamma, dtype=float)
-    return full
 
 
 def ad_on_cartan_complement(metric, t_coeffs):

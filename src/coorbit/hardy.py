@@ -330,15 +330,6 @@ def equivariant_kernel_log(model, nu, k, x, y):
     return _basis_sum(basis.alphas, basis.log_norms, x, y)
 
 
-def diag_profile(model, nu, k, points):
-    """Exact diagonal values Pi^mu_{k nu}(x, x) along a list of points."""
-    out = []
-    for x in points:
-        val = equivariant_kernel(model, nu, k, x, x)
-        out.append((np.asarray(x, complex), float(val.real)))
-    return out
-
-
 def _batched_sphere_distances(model, gs, x, y):
     moved = np.einsum("nij,j->ni", model.unitary_batch(gs), x)
     cos = np.clip((moved @ np.conj(y)).real, -1.0, 1.0)

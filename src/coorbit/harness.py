@@ -63,6 +63,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.k_factor < 2 or self.k_min < 1 or self.k_max < self.k_min:
             raise ValueError("k schedule must be strictly increasing (k_factor >= 2)")
+        if self.k_min * self.k_factor > self.k_max:
+            raise ValueError(f"k schedule {self.k_schedule} needs at least two k values "
+                             "for a rate fit (k_max >= k_min * k_factor)")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.fmt!r}")
         if self.model_id.lower() not in MODEL_IDS:
@@ -158,7 +161,7 @@ def run_character_suite(config):
         metric = trace_metric(group)
         nu = half_weight(group, nu_coords)
         quad = orbit_quadrature(group, metric, nu, level=_QUAD_LEVEL)
-        d_nu = weyl_dimension(group, metric, nu)
+        d_nu = weyl_dimension(group, nu)
         xis = np.array([_random_regular_cartan(group, metric, rng) for _ in range(50)])
         kir = np.array([kirillov_character(group, metric, nu, xi, quad=quad) for xi in xis])
         worst = float(np.max(np.abs(kir - weyl_character(group, nu, xis)) / d_nu))

@@ -27,7 +27,7 @@ sign conventions are pinned by the Hamilton-vs-2 omega and
 Duistermaat-Heckman consistency tests, not by fiat.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -39,7 +39,6 @@ from .groups import (
     adjoint_action,
     build_group,
     dominant_representative,
-    embed_cartan_covector,
     half_weight,
     scalar_or_stack,
     trace_metric,
@@ -51,14 +50,6 @@ CHART_RADIUS = 0.9
 def hermitian_inner(u, v):
     """<u, v> = sum u_j conj(v_j)."""
     return complex(np.vdot(v, u))
-
-
-def riemann_inner(u, v):
-    return hermitian_inner(u, v).real
-
-
-def symplectic_inner(u, v):
-    return -hermitian_inner(u, v).imag
 
 
 def _null_space(a):
@@ -187,10 +178,10 @@ class ProjectiveModel:
 
     def phi_sharp(self, x):
         """Phi([x])^phi as algebra coefficients."""
-        return self.metric.sharp_full(self.moment_map(x))
+        return self.metric.sharp(self.moment_map(x))
 
     def moment_norm(self, x):
-        return self.metric.norm_covector_full(self.moment_map(x))
+        return self.metric.norm_covector(self.moment_map(x))
 
     def unitary(self, g):
         """The lifted action of a group element on C^{d+1}."""
@@ -252,7 +243,7 @@ class ProjectiveModel:
         x = np.asarray(x, dtype=complex)
         xs = np.atleast_2d(x)
         phi = self.moment_map(xs)
-        nphi = metric.norm_covector_full(phi)
+        nphi = metric.norm_covector(phi)
         if np.any(nphi < 1e-12):
             raise AssumptionViolation("moment map vanishes at this point")
         q, h = dominant_representative(metric, phi)
@@ -263,9 +254,8 @@ class ProjectiveModel:
             if x.ndim == 1:
                 return ConeDistance(phi=phi[0], distance=float(distance[0]))
             return ConeDistance(phi=phi, distance=distance)
-        t_basis = tuple(adjoint_action(group, h, embed_cartan_covector(group, e))
-                        for e in np.eye(group.rank))
-        t_prime = tuple(adjoint_action(group, h, embed_cartan_covector(group, v))
+        t_basis = tuple(adjoint_action(group, h, e) for e in np.eye(group.rank))
+        t_prime = tuple(adjoint_action(group, h, v)
                         for v in _metric_orthonormal_null(metric, nu.coords))
         if x.ndim == 1:
             return LocusSample(self, nu, x, phi[0], float(sigma[0]), h[0],

@@ -19,7 +19,7 @@ from .characters import orbit_volume
 from .groups import (
     AssumptionViolation,
     ad_on_cartan_complement,
-    cartan_matrix_of,
+    algebra_matrix,
     group_volumes,
     half_weight,
 )
@@ -62,11 +62,11 @@ def leading_coefficient(model, nu, sample):
     if not isinstance(sample, LocusSample):
         raise AssumptionViolation("leading coefficient needs an on-locus sample")
     r = group.rank
-    phi_norm = metric.norm_covector_full(sample.phi)
+    phi_norm = metric.norm_covector(sample.phi)
     _, dscalar = model.d_phi(nu, sample)
-    nu_unit = metric.unit_covector(nu.coords)
-    vol_orbit_unit = orbit_volume(group, metric, nu_unit)
-    _, det_s = ad_on_cartan_complement(metric, metric.unit_sharp(nu.coords))
+    nu_norm = metric.norm_covector(nu.coords)
+    vol_orbit_unit = orbit_volume(group, nu.coords / nu_norm)
+    _, det_s = ad_on_cartan_complement(metric, metric.sharp(nu.coords) / nu_norm)
     if det_s == 0:
         raise AssumptionViolation("restricted adjoint operator is singular (nu not regular)")
     vol_g, vol_t = group_volumes(metric)
@@ -274,8 +274,8 @@ def _remainder_block(metric, nu, xi_prime):
     if xi_prime is None or group.rank == 1:
         m = group.dim - group.rank
         return np.zeros((m, m))
-    xi_mat = cartan_matrix_of(group, np.asarray(xi_prime, dtype=float))
-    nu_mat = cartan_matrix_of(group, metric.sharp(nu.coords))
+    xi_mat = algebra_matrix(group, xi_prime)
+    nu_mat = algebra_matrix(group, metric.sharp(nu.coords))
     basis = _orthonormal_complement_basis(metric)
     m = len(basis)
     B = np.empty((m, m))

@@ -3,7 +3,6 @@ import pytest
 
 from coorbit.characters import (
     QuadratureDisagreement,
-    WallEvaluationError,
     character_at_element,
     exp_jacobian,
     kirillov_character,
@@ -35,41 +34,38 @@ from oracles import (
 def test_weyl_dimension_at_delta_is_one():
     for kind in ("su2", "u2", "su3", "u3"):
         g = build_group(kind)
-        assert weyl_dimension(g, trace_metric(g), g.delta) == 1
+        assert weyl_dimension(g, g.delta) == 1
 
 
 def test_weyl_dimension_su2_weight_oracle():
     g = build_group("su2")
-    m = trace_metric(g)
     # enumerate the weights nu-1, nu-3, ..., -(nu-1): nu of them
     for nu in (1, 2, 3, 8):
         weights = [nu - 1 - 2 * j for j in range(nu)]
-        assert weyl_dimension(g, m, half_weight(g, float(nu))) == len(weights)
-    assert weyl_dimension(g, m, half_weight(g, 3.0)) == 3
+        assert weyl_dimension(g, half_weight(g, float(nu))) == len(weights)
+    assert weyl_dimension(g, half_weight(g, 3.0)) == 3
 
 
 def test_weyl_dimension_u2_gt_oracle():
     g = build_group("u2")
-    m = trace_metric(g)
-    assert weyl_dimension(g, m, half_weight(g, (1.5, -1.5))) == 3
+    assert weyl_dimension(g, half_weight(g, (1.5, -1.5))) == 3
     assert gt_dimension((1, -1)) == 3
     for lam in ((2, 0), (3, 1), (5, -2)):
         nu = half_weight(g, (lam[0] + 0.5, lam[1] - 0.5))
-        assert weyl_dimension(g, m, nu) == gt_dimension(lam)
+        assert weyl_dimension(g, nu) == gt_dimension(lam)
 
 
 def test_weyl_dimension_u3_gt_oracle():
     g = build_group("u3")
-    m = trace_metric(g)
     for lam in ((1, 0, 0), (1, 1, 0), (2, 1, 0), (3, 1, -1)):
         nu = half_weight(g, np.array(lam, dtype=float) + g.delta)
-        assert weyl_dimension(g, m, nu) == gt_dimension(lam)
+        assert weyl_dimension(g, nu) == gt_dimension(lam)
 
 
 def test_weyl_dimension_rejects_nonregular():
     g = build_group("u2")
     with pytest.raises(ValueError):
-        weyl_dimension(g, trace_metric(g), np.array([1.0, 1.0]))
+        weyl_dimension(g, np.array([1.0, 1.0]))
 
 
 # -- dimension scaling --------------------------------------------------------
@@ -131,7 +127,7 @@ def test_weyl_character_identity_gives_dimension():
     for kind, coords in (("su2", (5.0,)), ("u2", (2.5, -0.5))):
         g = build_group(kind)
         nu = half_weight(g, coords)
-        d = weyl_dimension(g, trace_metric(g), nu)
+        d = weyl_dimension(g, nu)
         assert weyl_character(g, nu, np.zeros(g.rank)) == d
 
 
@@ -150,9 +146,6 @@ def test_weyl_character_wall_extrapolation():
     oracle = u2_character_weight_sum(3, 1, 0.8 + 1e-9, 0.8 - 1e-9)
     val = weyl_character(g, nu, theta)
     assert abs(val - oracle) < 1e-5
-    with pytest.raises(WallEvaluationError) as err:
-        weyl_character(g, nu, theta, extrapolate=False)
-    assert "wall" in str(err.value)
 
 
 def test_weyl_character_invariance():
@@ -238,13 +231,15 @@ def test_exp_jacobian_basics():
 
 def test_exp_jacobian_finite_difference_oracle():
     rng = np.random.default_rng(1)
+    # P is evaluated on Cartan coefficients (the kirillov_character path);
+    # the oracle differentiates exp on the whole algebra around that xi
     for kind in ("su2", "u2"):
         g = build_group(kind)
         for _ in range(3):
-            coeffs = 0.4 * rng.standard_normal(g.dim)
-            xi = sum(c * np.asarray(b) for c, b in zip(coeffs, g.basis_matrices))
+            xi = 0.4 * rng.standard_normal(g.rank)
             p = exp_jacobian(g, xi)
-            fd = finite_difference_exp_jacobian(g.basis_matrices, coeffs)
+            fd = finite_difference_exp_jacobian(g.basis_matrices,
+                                                np.pad(xi, (0, g.dim - g.rank)))
             assert abs(p ** 2 - fd) < 1e-6 * max(1.0, fd)
 
 
@@ -267,7 +262,18 @@ def test_orbit_volume_paper_values():
     m2 = trace_metric(u2)
     q2 = orbit_quadrature(u2, m2, half_weight(u2, (1.5, -1.5)), level=48)
     assert np.isclose(q2.volume, 6 * np.pi, rtol=1e-12)      # 2 pi (nu1 - nu2)
-    assert np.isclose(orbit_volume(u2, m2, (1.5, -1.5)), 6 * np.pi, rtol=1e-14)
+    assert np.isclose(orbit_volume(u2, (1.5, -1.5)), 6 * np.pi, rtol=1e-14)
+
+
+def test_orbit_volume_is_dimension_times_2pi_power():
+    # vol(O_nu) = (2 pi)^{n_pos} d_nu in closed form, also where the
+    # trace-form Cartan block is not diagonal (SU(n), n >= 3)
+    for kind, lam in (("su2", (3,)), ("su3", (2, 1)), ("su4", (1, 0, 2)),
+                      ("u3", (3, 1, -1)), ("t2", (2, -1))):
+        g = build_group(kind)
+        nu = half_weight(g, g.delta + np.array(lam, dtype=float))
+        assert np.isclose(orbit_volume(g, nu),
+                          (2 * np.pi) ** g.n_pos * weyl_dimension(g, nu), rtol=1e-13)
 
 
 def test_orbit_nodes_isometric():
@@ -285,7 +291,7 @@ def test_orbit_volume_matches_dimension():
         g = build_group(kind)
         m = trace_metric(g)
         nu = half_weight(g, coords)
-        d = weyl_dimension(g, m, nu)
+        d = weyl_dimension(g, nu)
         q = orbit_quadrature(g, m, nu, level=64)
         assert np.isclose(q.volume, (2 * np.pi) ** g.n_pos * d, rtol=1e-9)
 
@@ -310,7 +316,7 @@ def test_kirillov_dimension_at_zero():
         g = build_group(kind)
         m = trace_metric(g)
         nu = half_weight(g, coords)
-        d = weyl_dimension(g, m, nu)
+        d = weyl_dimension(g, nu)
         val = kirillov_character(g, m, nu, np.zeros(g.rank))
         assert round(val.real) == d and abs(val - d) < 1e-9
 
@@ -337,7 +343,7 @@ def test_kirillov_weyl_consistency_50_samples():
         g = build_group(kind)
         m = trace_metric(g)
         nu = half_weight(g, coords)
-        d = weyl_dimension(g, m, nu)
+        d = weyl_dimension(g, nu)
         quad = orbit_quadrature(g, m, nu, level=64)
         gram_t = m.gram[:g.rank, :g.rank]
         for _ in range(50):
@@ -351,8 +357,9 @@ def test_kirillov_weyl_consistency_50_samples():
 def test_kirillov_k_rescaled():
     g = build_group("su2")
     m = trace_metric(g)
-    nu = half_weight(g, 2.0)
-    val = kirillov_character(g, m, nu, np.array([0.23]), k=7)
+    # the value at k = 7 on O_2 is the value on O_(7 * 2)
+    nu = half_weight(g, 14.0)
+    val = kirillov_character(g, m, nu, np.array([0.23]))
     assert abs(val - su2_character_weight_sum(14, 0.23)) < 1e-8
 
 

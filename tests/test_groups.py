@@ -10,13 +10,11 @@ from coorbit.groups import (
     algebra_matrix,
     build_group,
     coadjoint_action,
-    embed_cartan_covector,
     euler_elements,
     group_volumes,
     half_weight,
     random_unitary,
     trace_metric,
-    torus_metric,
 )
 
 from oracles import group_volumes_quadrature
@@ -106,7 +104,7 @@ def test_metric_rejects_bad_gram():
         trace_metric(g, scale=-1.0)
     t2 = build_group("t2")
     with pytest.raises(ValueError):
-        torus_metric(t2, [[1.0, 2.0], [2.0, 1.0]])  # indefinite
+        InvariantMetric(t2, [[1.0, 2.0], [2.0, 1.0]])  # indefinite
     # SPD grams that are not scale x trace form (SU(2) trace form = 2 I)
     for gram, scale in ((np.diag([2.0, 1.0, 1.0]), 1.0), (4.0 * np.eye(3), 1.0)):
         with pytest.raises(ValueError):
@@ -123,10 +121,10 @@ def test_sharp_su2_paper_values():
     # nu^phi = (nu/2) Z: single Cartan coefficient nu/2
     assert np.allclose(metric.sharp([nu]), [nu / 2])
     assert np.isclose(metric.norm_covector([nu]), nu / np.sqrt(2))
-    # unit elements
-    assert np.allclose(metric.unit_covector([nu]), [np.sqrt(2)])
-    assert np.isclose(metric.norm_vector(
-        np.concatenate([metric.unit_sharp([nu]), np.zeros(g.dim - 1)])), 1.0)
+    # unit elements: nu / ||nu|| = sqrt(2), and the unit sharp has phi-norm 1
+    assert np.allclose(np.array([nu]) / metric.norm_covector([nu]), [np.sqrt(2)])
+    unit = algebra_matrix(g, metric.sharp([nu]) / metric.norm_covector([nu]))
+    assert np.isclose(metric.inner_matrices(unit, unit), 1.0)
 
 
 def test_sharp_u2_paper_values():
@@ -151,7 +149,7 @@ def test_sharp_scaling_covariance():
         m1 = trace_metric(g)
         for c in (2.0, 4.0):
             mc = trace_metric(g, scale=c) if kind != "t2" else \
-                torus_metric(g, c * np.eye(2))
+                InvariantMetric(g, c * np.eye(2))
             assert np.array_equal(mc.sharp(gamma), np.asarray(m1.sharp(gamma)) / c)
             assert np.isclose(mc.norm_covector(gamma),
                               m1.norm_covector(gamma) / np.sqrt(c), rtol=1e-15)
@@ -161,7 +159,7 @@ def test_cached_inverse_gram_matches_the_solve():
     rng = np.random.default_rng(12)
     metrics = [trace_metric(build_group(kind), scale=c)
                for kind in ("t1", "t2", "su2", "u2") for c in (1.0, 2.7)]
-    metrics.append(torus_metric(build_group("t2"), [[2.7, 0.9], [0.9, 1.3]]))
+    metrics.append(InvariantMetric(build_group("t2"), [[2.7, 0.9], [0.9, 1.3]]))
     for metric in metrics:
         gram, cartan = metric.gram, metric.gram[:metric.group.rank, :metric.group.rank]
         for _ in range(5):
@@ -169,12 +167,64 @@ def test_cached_inverse_gram_matches_the_solve():
             full = rng.standard_normal(metric.group.dim)
             pairs = [
                 (metric.sharp(gamma), np.linalg.solve(cartan, gamma)),
-                (metric.sharp_full(full), np.linalg.solve(gram, full)),
+                (metric.sharp(full), np.linalg.solve(gram, full)),
                 (metric.norm_covector(gamma), np.sqrt(gamma @ np.linalg.solve(cartan, gamma))),
-                (metric.norm_covector_full(full), np.sqrt(full @ np.linalg.solve(gram, full))),
+                (metric.norm_covector(full), np.sqrt(full @ np.linalg.solve(gram, full))),
             ]
             for got, want in pairs:
                 assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_cartan_data_are_leading_coordinates():
+    # every supported Gram matrix is block-diagonal, so a Cartan datum is
+    # the leading rank coordinates of a full one: its sharp, norm and
+    # matrix agree with those of its zero extension, whose sharp stays in t
+    rng = np.random.default_rng(14)
+    for kind in ("t1", "t2", "t3", "su2", "su3", "su4", "u2", "u3", "u4"):
+        g = build_group(kind)
+        r = g.rank
+        for scale in (1.0, 2.7, 0.3):
+            metric = trace_metric(g, scale)
+            assert not metric.gram[:r, r:].any()
+            for _ in range(5):
+                gamma = rng.standard_normal(r)
+                full = np.pad(gamma, (0, g.dim - r))
+                sharp = metric.sharp(full)
+                assert not sharp[r:].any()
+                assert np.allclose(metric.sharp(gamma), sharp[:r], rtol=1e-14, atol=1e-14)
+                assert np.isclose(metric.norm_covector(gamma), metric.norm_covector(full),
+                                  rtol=1e-14)
+                if g.is_matrix_group:
+                    assert np.array_equal(algebra_matrix(g, gamma), algebra_matrix(g, full))
+            stack = rng.standard_normal((3, r))
+            assert np.allclose(metric.sharp(stack),
+                               [metric.sharp(row) for row in stack], rtol=1e-14, atol=1e-14)
+        # a length that is neither rank nor dim is refused
+        with pytest.raises(ValueError, match="Cartan or"):
+            trace_metric(g).sharp(np.ones(r + 1))
+        with pytest.raises(ValueError, match="Cartan or"):
+            trace_metric(g).norm_covector(np.ones(r + 1))
+        if g.is_matrix_group:
+            with pytest.raises(ValueError, match="Cartan or"):
+                algebra_matrix(g, np.ones(r + 1))
+
+
+def test_root_pairing_matches_rational_pairing():
+    # the cached trace-form pairing with the positive roots, against the
+    # exact pairing over Q on integer covectors
+    from fractions import Fraction
+    from coorbit.groups import rational_pairing
+
+    rng = np.random.default_rng(15)
+    for kind in ("t2", "su2", "su3", "su4", "u2", "u3"):
+        g = build_group(kind)
+        assert g.root_pairing.shape == (g.rank, g.n_pos)
+        for _ in range(5):
+            a = rng.integers(-5, 6, size=g.rank)
+            exact = [float(rational_pairing(g, [Fraction(int(x)) for x in a],
+                                            [Fraction(x) for x in beta]))
+                     for beta in g.positive_roots]
+            assert np.allclose(a @ g.root_pairing, exact, rtol=1e-14, atol=1e-14)
 
 
 def test_volume_scaling_covariance():
@@ -209,7 +259,7 @@ def test_group_volumes_quadrature_cross_check():
         m = trace_metric(g)
         assert np.isclose(group_volumes_quadrature(m), group_volumes(m)[0], rtol=1e-10)
     t2 = build_group("t2")
-    m = torus_metric(t2, np.diag([2.0, 3.0]))
+    m = InvariantMetric(t2, np.diag([2.0, 3.0]))
     assert np.isclose(group_volumes_quadrature(m), group_volumes(m)[0], rtol=1e-14)
 
 
@@ -254,12 +304,12 @@ def test_adjoint_identity_and_coadjoint_isometry():
         metric = trace_metric(g)
         xi = rng.standard_normal(g.dim)
         assert np.allclose(adjoint_action(g, g.identity_element(), xi), xi)
-        gamma = embed_cartan_covector(g, rng.standard_normal(g.rank))
+        gamma = np.pad(rng.standard_normal(g.rank), (0, g.dim - g.rank))
         for _ in range(20):
             u = random_unitary(g.n, rng, special=(kind == "su2"))
             moved = coadjoint_action(g, u, gamma)
-            assert np.isclose(metric.norm_covector_full(moved),
-                              metric.norm_covector_full(gamma), rtol=1e-11)
+            assert np.isclose(metric.norm_covector(moved),
+                              metric.norm_covector(gamma), rtol=1e-11)
 
 
 def test_coadjoint_intertwines_sharp():
@@ -267,11 +317,11 @@ def test_coadjoint_intertwines_sharp():
     rng = np.random.default_rng(3)
     g = build_group("u2")
     metric = trace_metric(g)
-    gamma = embed_cartan_covector(g, np.array([1.5, -0.5]))
+    gamma = np.array([1.5, -0.5, 0.0, 0.0])
     for _ in range(10):
         u = random_unitary(2, rng)
-        lhs = metric.sharp_full(coadjoint_action(g, u, gamma))
-        rhs = adjoint_action(g, u, metric.sharp_full(gamma))
+        lhs = metric.sharp(coadjoint_action(g, u, gamma))
+        rhs = adjoint_action(g, u, metric.sharp(gamma))
         assert np.allclose(lhs, rhs, atol=1e-11)
 
 
@@ -281,13 +331,13 @@ def test_su2_coadjoint_sweeps_sphere():
     g = build_group("su2")
     metric = trace_metric(g)
     nu = 3.0
-    gamma = embed_cartan_covector(g, [nu])
+    gamma = np.array([nu, 0.0, 0.0])
     sharp_z = []
     for _ in range(300):
         u = random_unitary(2, rng, special=True)
         moved = coadjoint_action(g, u, gamma)
-        assert np.isclose(metric.norm_covector_full(moved), nu / np.sqrt(2), rtol=1e-10)
-        sharp_z.append(metric.sharp_full(moved)[0])  # Z-component of the sharp
+        assert np.isclose(metric.norm_covector(moved), nu / np.sqrt(2), rtol=1e-10)
+        sharp_z.append(metric.sharp(moved)[0])  # Z-component of the sharp
     sharp_z = np.array(sharp_z)
     # the Z-coefficient of nu^phi ranges over [-nu/2, nu/2]
     assert sharp_z.min() < -0.9 * nu / 2 and sharp_z.max() > 0.9 * nu / 2

@@ -12,12 +12,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from coorbit import hardy
 from coorbit.cli import main
-from coorbit.groups import AssumptionViolation, half_weight, random_unitary, trace_metric
+from coorbit.groups import AssumptionViolation, half_weight, random_unitary
 from coorbit.characters import character_at_element, weyl_dimension
 from coorbit.hardy import (
     equivariant_kernel,
     equivariant_kernel_log,
-    diag_profile,
     isotypic_basis,
     isotypic_dim,
     level_basis,
@@ -341,7 +340,7 @@ def test_peter_weyl_consistency_small_k():
         nu = model.default_nu
         group = model.group
         knu = half_weight(group, k * nu.coords)
-        d = weyl_dimension(group, trace_metric(group), knu)
+        d = weyl_dimension(group, knu)
         x, y = (random_sphere_point(model.d, rng) for _ in range(2))
         basis = isotypic_basis(model, nu, k)
         nmax = int(basis.levels.max())
@@ -427,7 +426,7 @@ def test_diag_profile_peak_and_width():
     for k in (64, 128, 256, 512):
         amps = np.linspace(-2.5, 2.5, 41)
         pts = [model.displace(x0, 0.0, a * n_vec / np.sqrt(k)) for a in amps]
-        vals = np.array([v for _, v in diag_profile(model, nu, k, pts)])
+        vals = np.array([equivariant_kernel(model, nu, k, x, x).real for x in pts])
         peak_at = amps[np.argmax(vals)]
         assert abs(peak_at) <= 2 * 5.0 / np.sqrt(k) + 0.51  # grid-resolution peak
         half = vals >= 0.5 * vals.max()
@@ -445,7 +444,7 @@ def test_diag_profile_symmetry():
     k = 12
     ts = np.linspace(0.1, 0.9, 9)
     pts = [unit_point([np.sqrt(1 - t), np.sqrt(t)]) for t in ts]
-    vals = [v for _, v in diag_profile(model, nu, k, pts)]
+    vals = [equivariant_kernel(model, nu, k, p, p).real for p in pts]
     conj_vals = [equivariant_kernel(model, nu, k, np.conj(p), np.conj(p)).real
                  for p in pts]
     assert np.allclose(vals, conj_vals, rtol=1e-12)

@@ -30,6 +30,16 @@ def test_config_validation():
         ExperimentConfig(k_min=64, k_max=8)
     with pytest.raises(ValueError):
         ExperimentConfig(fmt="xml")
+    # a rate fit needs two k values: k_max below k_min * k_factor leaves one
+    for k_max in (64, 127):
+        with pytest.raises(ValueError, match="at least two k values"):
+            ExperimentConfig(k_min=64, k_max=k_max)
+
+
+def test_cli_single_k_schedule_is_a_config_error(capsys):
+    assert main(["suite", "decay", "--model", "t2-cp2", "--kmin", "64",
+                 "--kmax", "64"]) == 4
+    assert "at least two k values" in capsys.readouterr().err
 
 
 def test_config_rejects_unknown_model_id(capsys):

@@ -39,7 +39,7 @@ def test_gaussian_pair_exponent_examples():
 
 def closed_form_leading(model, nu, sample):
     r = model.group.rank
-    nphi = model.metric.norm_covector_full(sample.phi)
+    nphi = model.metric.norm_covector(sample.phi)
     _, dsc = model.d_phi(nu, sample)
     if model.group.kind == "torus":
         return (np.sqrt(2) * np.pi) ** (1 - r) / (nphi * dsc)
