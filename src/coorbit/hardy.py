@@ -10,16 +10,18 @@ against dV_X = (1/2 pi) alpha wedge pi* dV_M.  Everything downstream
 finite sums over explicit exponent sets, evaluated in log space with a
 max-shift so that values remain accurate far below the overflow and
 underflow thresholds of double precision; sums over positive terms are
-then exact to relative rounding error at any magnitude.  A sum runs over
-the exponent array in blocks of _BLOCK_ROWS rows and needs 16 B per term
-on top of the basis.  Log-factorials come from one table, grown on
-demand, of a pure-Python port of Cephes lgam (the values of
-scipy.special.gammaln, bit for bit, with numpy as the only dependency).
-Isotypic dimensions of rank-1 tori are counted exactly without listing
-the set (a quasi-polynomial in k), and a rank-1 basis whose build would
-take more than _BASIS_BUDGET_BYTES is refused before it is listed.
-Orbit separations are a grid minimum polished by a batched pattern
-search.
+then exact to relative rounding error at any magnitude.  A basis holds
+int32 exponents and float64 log-norms (4 (d + 1) + 8 B per monomial); a
+sum streams over it in blocks of _BLOCK_ROWS rows and allocates nothing
+per term.  Log-factorials come from one table, grown on demand, of a
+pure-Python port of Cephes lgam (the values of scipy.special.gammaln,
+bit for bit, with numpy as the only dependency).  Isotypic dimensions of
+rank-1 tori are counted exactly without listing the set (a
+quasi-polynomial in k).  Every other listing, and every basis, has its
+row count and exponent range known before it is listed: one whose build
+would take more than _BASIS_BUDGET_BYTES, or whose exponents could pass
+int32, is refused with AssumptionViolation first.  Orbit separations are
+a grid minimum polished by a batched pattern search.
 """
 
 import math
@@ -29,25 +31,35 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .groups import AssumptionViolation, euler_elements, half_weight
-from .models import SU2CP1Model, TorusModel, hermitian_inner
+from .models import SU2CP1Model, TorusModel, _weighted_count, hermitian_inner
 
 _BIG_NEG = -1.0e6  # stand-in for log 0; alpha * _BIG_NEG underflows exp cleanly
-# Rows of the exponent array cast to complex at a time in _basis_exponents:
-# a block and its products stay in cache, and no (N, d+1) complex copy exists.
+# Rows of the exponent array cast to complex at a time in _basis_exponents
+# and read at a time in monomial_log_norms: a block and its products stay
+# in cache, and no (N, d+1) complex copy exists.
 _BLOCK_ROWS = 4096
-# Largest build a rank-1 torus basis may take: a quarter of an 8 GB machine.
-# k = 16384 on s1-cp2-w123 (22.4M monomials) fits, k = 32768 (89M) does not.
+# A shifted term log below this is exactly +-0 after exp (libm's cexp
+# underflows below -745.13), so the sum skips it.
+_UNDERFLOW = -746.0
+# Largest build a basis (or the log-factorial table) may take: a quarter
+# of an 8 GB machine.  k = 16384 on s1-cp2-w123 (22.4M monomials, 0.54 GB)
+# fits, k = 32768 (89.5M, 2.148 GB) does not.
 _BASIS_BUDGET_BYTES = 2 * 1024 ** 3
 
 
 def _basis_row_bytes(d):
-    """Peak bytes per monomial while a rank-1 basis is listed and normed.
+    """Peak bytes per listed row while a basis is listed, normed and summed.
 
-    tracemalloc at d = 1, 2, 3: listing peaks at 41 / 57 / 73 B per row,
-    the log-norm stage at 57 / 48 / 56 B and a later sum at 40 / 48 / 56 B
-    (basis plus 16 B per term); 8 (d + 1) + 48 bounds them all.
+    tracemalloc at d = 1 / 2 / 3 on rank-1 tori with no rejected rows
+    (s1-cp1-w12 at k = 4e6, s1-cp2-w123 at 8192, weights (1, 2, 3, 4) at
+    1000): listing peaks at 9.7 / 12.6 / 16.9 B per row, the log-norm
+    stage at 16.1 / 20.0 / 24.0 B and a sum at 16.2 / 20.1 / 24.1 B (the
+    basis itself, 4 (d + 1) + 8 B).  Where rows are rejected the kept ones
+    are copied out once: t2-cp2 at k = 1e6 peaks at 20.0 B per listed row
+    and weights (2, 3, 5) at 18.1 B; u2-cp2 peaks at 20.5 B.  8 (d + 1)
+    bounds them all, beside a fixed few MB of block temporaries.
     """
-    return 8 * (d + 1) + 48
+    return 8 * (d + 1)
 
 
 # Cephes lgam (S. L. Moshier): the Stirling correction for 13 <= x < 1000
@@ -90,32 +102,54 @@ def _log_factorials(top):
     """The table of log m!, m = 0 ... top at least (indexable up to top).
 
     Each entry is computed once per process by :func:`_log_factorial`, so
-    the values do not depend on the order in which the table grew.
+    the values do not depend on the order in which the table grew.  A
+    growth over _BASIS_BUDGET_BYTES raises AssumptionViolation before it
+    starts: a new entry peaks at 40 B (a Python float in a list, then its
+    array slot) and an old one at 16 B (the table and its concatenation).
     """
     global _LOG_FACTORIALS
     have = len(_LOG_FACTORIALS)
     if top >= have:
+        need = 40 * (top + 1 - have) + 16 * have
+        if need > _BASIS_BUDGET_BYTES:
+            raise AssumptionViolation(
+                f"log-factorials up to {top}! need about {need} bytes, over the "
+                f"{_BASIS_BUDGET_BYTES}-byte memory budget")
         more = np.array([_log_factorial(m) for m in range(have, top + 1)])
         _LOG_FACTORIALS = np.concatenate([_LOG_FACTORIALS, more])
     return _LOG_FACTORIALS
 
 
 def monomial_log_norms(d, alphas):
-    """log ||z^alpha||^2 for an (N, d+1) exponent array.
+    """log ||z^alpha||^2 for an (N, d+1) integer exponent array.
 
     Every log-factorial is read from the table of :func:`_log_factorials`
-    (the Cephes lgam values), column by column.
+    (the Cephes lgam values), column by column, _BLOCK_ROWS rows at a
+    time: no temporary is N long, and int32 exponents are read as they
+    are.
     """
-    alphas = np.asarray(alphas, dtype=int)
-    n = alphas.sum(axis=1)
-    n += d
-    log_fact = _log_factorials(int(n.max()) if len(n) else d)
-    total = log_fact[alphas[:, 0]]
-    for j in range(1, d + 1):
-        total += log_fact[alphas[:, j]]
-    total += d * np.log(np.pi)
-    total -= log_fact[n]
-    return total
+    alphas = np.asarray(alphas)
+    out = np.empty(len(alphas))
+    blocks = [slice(start, start + _BLOCK_ROWS) for start in range(0, len(alphas), _BLOCK_ROWS)]
+
+    def levels(rows):
+        # |alpha| + d in int64, by column (a sum along the short axis is slow)
+        n = alphas[rows, 0].astype(np.int64)
+        for j in range(1, d + 1):
+            n += alphas[rows, j]
+        n += d
+        return n
+
+    log_fact = _log_factorials(max((int(levels(rows).max()) for rows in blocks), default=d))
+    log_pi = d * np.log(np.pi)
+    for rows in blocks:
+        total = out[rows]
+        np.take(log_fact, alphas[rows, 0], out=total)
+        for j in range(1, d + 1):
+            total += log_fact[alphas[rows, j]]
+        total += log_pi
+        total -= log_fact[levels(rows)]
+    return out
 
 
 def level_exponents(d, n):
@@ -168,26 +202,32 @@ class IsotypicBasis:
         return np.unique(self.alphas.sum(axis=1)) if self.dim else np.array([], dtype=int)
 
 
+def _budgeted_exponents(model, nu, k):
+    """The model's k nu exponent list, refused with AssumptionViolation
+    before anything is allocated when its build would take more than
+    _BASIS_BUDGET_BYTES (the rows come from ``isotypic_extent``)."""
+    rows, _ = model.isotypic_extent(nu, k)
+    need = rows * _basis_row_bytes(model.d)
+    if need > _BASIS_BUDGET_BYTES:
+        raise AssumptionViolation(
+            f"the k = {k} isotypic basis of {model.id} lists {rows} monomials "
+            f"and needs about {need} bytes, over the {_BASIS_BUDGET_BYTES}-byte "
+            "memory budget")
+    return model.isotypic_exponents(nu, k)
+
+
 def isotypic_basis(model, nu, k):
     """The k nu isotypic basis, built once per model and kept in its cache.
 
-    A rank-1 torus basis is counted first (``isotypic_dim``); if its build
-    would take more than _BASIS_BUDGET_BYTES, AssumptionViolation is
-    raised before any exponent array is allocated.
+    Its size is known before it is listed: a build over
+    _BASIS_BUDGET_BYTES, or with an exponent past int32, raises
+    AssumptionViolation first.
     """
     nu = half_weight(model.group, nu)
     key = (tuple(nu.coords.tolist()), int(k))
     basis = model.basis_cache.get(key)
     if basis is None:
-        if isinstance(model, TorusModel) and model.group.rank == 1:
-            count = isotypic_dim(model, nu, k)
-            need = count * _basis_row_bytes(model.d)
-            if need > _BASIS_BUDGET_BYTES:
-                raise AssumptionViolation(
-                    f"the k = {k} isotypic basis of {model.id} has {count} monomials "
-                    f"and needs about {need} bytes, over the {_BASIS_BUDGET_BYTES}-byte "
-                    "memory budget")
-        alphas = model.isotypic_exponents(nu, k)
+        alphas = _budgeted_exponents(model, nu, k)
         basis = IsotypicBasis(nu.coords, int(k), alphas, monomial_log_norms(model.d, alphas))
         model.basis_cache[key] = basis
     return basis
@@ -197,45 +237,14 @@ def isotypic_dim(model, nu, k):
     """Exact dimension of the k nu isotypic subspace (0 is a valid answer).
 
     Rank-1 tori count the exponents without listing them, in
-    O(d lcm(w)) time and memory at any k (:func:`_weighted_count`);
+    O(d lcm(w)) time and memory at any k (``models._weighted_count``);
     every other model takes the length of its exponent list (O(k) long
-    on every catalog model).
+    on every catalog model), under the same budget as a basis.
     """
     if isinstance(model, TorusModel) and model.group.rank == 1:
         target = model.isotypic_target(nu, k)
         return 0 if target is None else _weighted_count(model.weights[0], int(target[0]))
-    return int(len(model.isotypic_exponents(nu, k)))
-
-
-def _weighted_count(weights, total):
-    """#{alpha >= 0 : weights . alpha = total} for positive integer weights,
-    as an exact Python integer, in O(d lcm(w)) time and memory.
-
-    The count is a quasi-polynomial in total of degree d = len(weights) - 1
-    with period L = lcm(weights) (Sylvester's denumerant; Beck & Robins,
-    Computing the Continuous Discretely, ch. 1).  A coin-change pass lists
-    the counts up to r + d L, r = total mod L; the d + 1 of them on the
-    residue class of total fix its polynomial, which Newton's forward
-    differences extend to total exactly.
-    """
-    weights = [int(w) for w in weights]
-    d = len(weights) - 1
-    period = math.lcm(*weights)
-    r = total % period
-    top = min(total, r + d * period)
-    ways = [1] + [0] * top
-    for w in weights:
-        for n in range(w, top + 1):
-            ways[n] += ways[n - w]
-    if total == top:
-        return ways[total]
-    diffs = ways[r::period]
-    steps = (total - r) // period
-    count = 0
-    for j in range(d + 1):
-        count += math.comb(steps, j) * diffs[0]
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    return count
+    return int(len(_budgeted_exponents(model, nu, k)))
 
 
 def _safe_log(z):
@@ -247,40 +256,40 @@ def _safe_log(z):
 
 
 def _basis_exponents(alphas, log_norms, x, y):
-    """(N,) complex logs of the terms x^a conj(y)^a / ||z^a||^2.
-
-    Built _BLOCK_ROWS rows of the exponent array at a time into one
-    preallocated array (16 B per term); each term's arithmetic is that of
-    the one-shot products, bit for bit.
-    """
+    """The complex logs of the terms x^a conj(y)^a / ||z^a||^2, yielded
+    _BLOCK_ROWS rows of the exponent array at a time; each term's
+    arithmetic is that of the one-shot products
+    ``alphas @ lx + alphas @ ly - log_norms``, bit for bit."""
     lx, ly = _safe_log(x), np.conj(_safe_log(y))
-    expo = np.empty(len(alphas), dtype=complex)
     for start in range(0, len(alphas), _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        block = alphas[rows]
-        np.subtract(block @ lx + block @ ly, log_norms[rows], out=expo[rows])
-    return expo
+        # one cast per block: an int32 operand would be cast in each product
+        # on a path many times slower than the complex one
+        block = alphas[start:start + _BLOCK_ROWS].astype(complex)
+        expo = block @ lx + block @ ly
+        expo -= log_norms[start:start + _BLOCK_ROWS]
+        yield expo
 
 
 def _basis_sum(alphas, log_norms, x, y):
     """(log magnitude, phase-sum) of sum_alpha x^a conj(y)^a / ||z^a||^2.
 
-    The terms are shifted by their largest log magnitude and
-    exponentiated in place, block by block, then summed in one pass;
-    needs 16 B per term on top of the basis.
+    One streamed pass over the blocks of :func:`_basis_exponents`: the
+    running sum is kept relative to the largest log magnitude seen so
+    far and rescaled when a block raises it, and only terms whose
+    shifted real part is above _UNDERFLOW are exponentiated (the others
+    are exactly +-0 in double precision).  No array is N long.
     """
-    if len(alphas) == 0:
-        return -np.inf, 0.0 + 0.0j
-    expo = _basis_exponents(alphas, log_norms, x, y)
-    shift = float(np.max(expo.real))
-    if shift <= _BIG_NEG / 2:
-        return -np.inf, 0.0 + 0.0j
-    for start in range(0, len(expo), _BLOCK_ROWS):
-        block = expo[start:start + _BLOCK_ROWS]
-        block -= shift
-        np.exp(block, out=block)
-    total = np.sum(expo)
-    if total == 0:
+    shift, total = -np.inf, 0.0 + 0.0j
+    for expo in _basis_exponents(alphas, log_norms, x, y):
+        top = float(expo.real.max())
+        if top > shift:
+            total *= np.exp(shift - top)
+            shift = top
+        expo -= shift
+        terms = np.zeros_like(expo)
+        np.exp(expo, out=terms, where=expo.real > _UNDERFLOW)
+        total += terms.sum()
+    if shift <= _BIG_NEG / 2 or total == 0:
         return -np.inf, 0.0 + 0.0j
     return shift + float(np.log(np.abs(total))), total / np.abs(total)
 

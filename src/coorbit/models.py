@@ -27,7 +27,10 @@ sign conventions are pinned by the Hamilton-vs-2 omega and
 Duistermaat-Heckman consistency tests, not by fiat.
 """
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -45,6 +48,10 @@ from .groups import (
 )
 
 CHART_RADIUS = 0.9
+# Largest exponent an isotypic basis stores: its exponent arrays are int32.
+_INT32_MAX = int(np.iinfo(np.int32).max)
+# Candidate rows a torus listing expands and checks at a time.
+_LIST_ROWS = 1 << 16
 
 
 def hermitian_inner(u, v):
@@ -314,8 +321,24 @@ class ProjectiveModel:
     # -- isotypic bookkeeping -------------------------------------------------
 
     def isotypic_exponents(self, nu, k):
-        """Monomial exponents spanning the k nu isotypic subspace."""
+        """Monomial exponents spanning the k nu isotypic subspace, as an
+        int32 (N, d+1) array."""
         raise NotImplementedError
+
+    def isotypic_extent(self, nu, k):
+        """(rows, top) of :meth:`isotypic_exponents`, found without listing:
+        the number of rows it allocates and a bound on every exponent sum.
+
+        Raises AssumptionViolation when an exponent could pass int32.
+        """
+        raise NotImplementedError
+
+    def _int32_extent(self, k, rows, top):
+        if top > _INT32_MAX:
+            raise AssumptionViolation(
+                f"the k = {k} isotypic exponents of {self.id} reach {top}, past the "
+                "int32 range of a basis")
+        return rows, top
 
     def valid_k(self, k):
         """Snap k to the nearest valid label multiplier (is a no-op unless
@@ -343,8 +366,7 @@ class ProjectiveModel:
         points = np.concatenate([z / np.linalg.norm(z, axis=1, keepdims=True),
                                  np.eye(self.ambient_dim)])
         phi = self.moment_map(points)
-        norms = np.sqrt(np.einsum("nj,jn->n", phi, np.linalg.solve(self.metric.gram, phi.T)))
-        worst = float(norms.min())
+        worst = float(self.metric.norm_covector(phi).min())
         if worst < 1e-3:
             raise AssumptionViolation(
                 f"moment map nearly vanishes on {self.id} (min |Phi| = {worst:.2e})")
@@ -359,6 +381,37 @@ class ProjectiveModel:
             "default_nu": list(self.default_nu.coords),
             "metric_scale": self.metric.scale,
         }
+
+
+def _weighted_count(weights, total):
+    """#{alpha >= 0 : weights . alpha = total} for positive integer weights,
+    as an exact Python integer, in O(d lcm(w)) time and memory.
+
+    The count is a quasi-polynomial in total of degree d = len(weights) - 1
+    with period L = lcm(weights) (Sylvester's denumerant; Beck & Robins,
+    Computing the Continuous Discretely, ch. 1).  A coin-change pass lists
+    the counts up to r + d L, r = total mod L; the d + 1 of them on the
+    residue class of total fix its polynomial, which Newton's forward
+    differences extend to total exactly.
+    """
+    weights = [int(w) for w in weights]
+    d = len(weights) - 1
+    period = math.lcm(*weights)
+    r = total % period
+    top = min(total, r + d * period)
+    ways = [1] + [0] * top
+    for w in weights:
+        for n in range(w, top + 1):
+            ways[n] += ways[n - w]
+    if total == top:
+        return ways[total]
+    diffs = ways[r::period]
+    steps = (total - r) // period
+    count = 0
+    for j in range(d + 1):
+        count += math.comb(steps, j) * diffs[0]
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return count
 
 
 def _factorial(n):
@@ -423,14 +476,8 @@ class TorusModel(ProjectiveModel):
         self.weights = weights
         note = "fiber weights " + ";".join(",".join(str(w) for w in row) for row in weights)
         super().__init__(model_id, group, metric, m - 1, gens, note, default_nu)
-        self._positive_functional = self._find_positive_functional()
-
-    def _find_positive_functional(self):
-        for cand in [np.ones(self.group.rank), self.default_nu.coords]:
-            proj = cand @ self.weights
-            if np.all(proj > 0):
-                return cand
-        raise AssumptionViolation("weight columns are not contained in an open half-space")
+        # all positive: a zero column makes Phi vanish at a vertex, refused above
+        self._column_sums = weights.sum(axis=0)
 
     def unitary_batch(self, gs):
         thetas = np.asarray(gs, dtype=float)
@@ -449,56 +496,92 @@ class TorusModel(ProjectiveModel):
             return None
         return target
 
+    def isotypic_extent(self, nu, k):
+        target = self.isotypic_target(nu, k)
+        if target is None:
+            return 0, 0
+        total = int(target.sum())
+        _, free = self._pivot_columns
+        # the candidates of isotypic_exponents: {F >= 0 : s_free . F <= total}
+        rows = _weighted_count([int(self._column_sums[j]) for j in free] + [1], total)
+        # s . alpha = total for every listed alpha, so |alpha| <= total / min(s)
+        return self._int32_extent(k, rows, total // int(self._column_sums.min()))
+
     def isotypic_exponents(self, nu, k):
         """Lattice points {alpha >= 0 : W alpha = k nu}, in no fixed order.
 
         The free (non-pivot) coordinates F run over the simplex
-        {F >= 0 : c.W_free F <= c.(k nu)}, c a strictly positive
-        functional on the weight columns, built one coordinate at a time
-        as a ragged array (not over the bounding box of the simplex).
-        The r pivot coordinates are then solved for, and a candidate is
-        kept only if W alpha = k nu and alpha >= 0 hold exactly in
-        integer arithmetic.
+        {F >= 0 : s_free . F <= s . alpha = sum(k nu)}, s the (positive)
+        column sums of W, built one coordinate at a time as a ragged
+        array (not over the bounding box of the simplex).  All but the
+        last free coordinate are listed whole; the last one is expanded
+        _LIST_ROWS candidates at a time, the r pivot coordinates are
+        solved for, and a candidate is kept only if W alpha = k nu and
+        alpha >= 0 hold exactly in int64 arithmetic.  Kept rows go
+        straight into one int32 array of ``isotypic_extent`` rows, cut
+        to the kept ones at the end.
         """
-        target = self.isotypic_target(nu, k)
+        rows, _ = self.isotypic_extent(nu, k)
         m = self.ambient_dim
-        if target is None:
-            return np.zeros((0, m), dtype=int)
-        W = self.weights.astype(np.int64)
-        pivots = self._pivot_columns
-        free = [j for j in range(m) if j not in pivots]
-        c = self._positive_functional
-        cw = c @ self.weights
+        if not rows:
+            return np.zeros((0, m), dtype=np.int32)
+        W, sums = self.weights, self._column_sums
+        pivots, free = self._pivot_columns
+        w_p = W[:, pivots]
+        inv_p = np.linalg.inv(w_p.astype(float)).T
+
+        def solve(rhs):
+            """Pivot coordinates, and the rows where they are exact and >= 0."""
+            a_p = np.rint(rhs @ inv_p).astype(np.int64)
+            good = (a_p >= 0) & (a_p @ w_p.T == rhs)
+            ok = good[:, 0].copy()       # by column: a reduction along rows is slow
+            for col in good.T[1:]:
+                ok &= col
+            return a_p, ok
+
+        target = self.isotypic_target(nu, k)
+        if not free:                             # square W: one candidate
+            a_p, ok = solve(target[None, :])
+            return a_p[ok].astype(np.int32)
         cols, rhs = [], target[None, :]          # rhs = target - W_free F, exactly
-        for j in free:
-            reach = np.floor(rhs @ c / cw[j] + 1e-9).astype(np.int64) + 1
+        for j in free[:-1]:
+            reach = rhs.sum(axis=1) // sums[j] + 1
             starts = np.cumsum(reach) - reach
             step = np.arange(int(reach.sum()), dtype=np.int64) - np.repeat(starts, reach)
             cols = [np.repeat(col, reach) for col in cols] + [step]
             rhs = np.repeat(rhs, reach, axis=0) - step[:, None] * W[:, j]
-        w_p = W[:, pivots]
-        a_p = np.rint(rhs @ np.linalg.inv(w_p.astype(float)).T).astype(np.int64)
-        # the free coordinates are aranges, hence >= 0
-        ok = np.all(a_p >= 0, axis=1) & np.all(a_p @ w_p.T == rhs, axis=1)
-        out = np.empty((len(rhs), m), dtype=int)
-        out[:, pivots] = a_p
-        for j, col in zip(free, cols):
-            out[:, j] = col
-        return out if ok.all() else out[ok]
+        last = free[-1]
+        # candidates edges[i] ... edges[i + 1] - 1 extend prefix row i
+        edges = np.concatenate([[0], np.cumsum(rhs.sum(axis=1) // sums[last] + 1)])
+        out = np.empty((rows, m), dtype=np.int32)
+        kept = 0
+        for lo in range(0, rows, _LIST_ROWS):
+            hi = min(lo + _LIST_ROWS, rows)
+            first = int(np.searchsorted(edges, lo, side="right")) - 1
+            stop = int(np.searchsorted(edges, hi, side="left"))
+            src = np.repeat(np.arange(first, stop),
+                            np.diff(np.clip(edges[first:stop + 1], lo, hi)))
+            step = np.arange(lo, hi) - edges[src]
+            a_p, ok = solve(rhs[src] - step[:, None] * W[:, last])
+            if not ok.all():
+                src, step, a_p = src[ok], step[ok], a_p[ok]
+            block = out[kept:kept + len(step)]
+            block[:, pivots] = a_p
+            for j, col in zip(free[:-1], cols):
+                block[:, j] = col[src]
+            block[:, last] = step
+            kept += len(step)
+        return out if kept == rows else out[:kept].copy()
 
-    @property
+    @cached_property
     def _pivot_columns(self):
-        """First r weight columns forming an invertible integer matrix."""
-        if not hasattr(self, "_pivot_cache"):
-            from itertools import combinations
-            r, m = self.weights.shape
-            for cols in combinations(range(m), r):
-                if abs(np.linalg.det(self.weights[:, cols].astype(float))) > 0.5:
-                    self._pivot_cache = list(cols)
-                    break
-            else:
-                raise AssumptionViolation("weight matrix has rank below the torus rank")
-        return self._pivot_cache
+        """(pivots, free): the first r weight columns forming an invertible
+        integer matrix, and the other columns, each in order."""
+        r, m = self.weights.shape
+        for cols in combinations(range(m), r):
+            if abs(np.linalg.det(self.weights[:, cols].astype(float))) > 0.5:
+                return list(cols), [j for j in range(m) if j not in cols]
+        raise AssumptionViolation("weight matrix has rank below the torus rank")
 
     def default_locus_point(self, nu=None):
         nu = self.resolve_nu(nu)
@@ -574,12 +657,17 @@ class SU2CP1Model(ProjectiveModel):
     def unitary_batch(self, gs):
         return np.asarray(gs, dtype=complex)
 
+    def isotypic_extent(self, nu, k):
+        level = int(round(k * half_weight(self.group, nu).coords[0])) - 1
+        return self._int32_extent(k, max(level + 1, 0), max(level, 0))
+
     def isotypic_exponents(self, nu, k):
-        nu = half_weight(self.group, nu)
-        level = int(round(k * nu.coords[0])) - 1
-        if level < 0:
-            return np.zeros((0, 2), dtype=int)
-        return np.array([[a, level - a] for a in range(level + 1)], dtype=int)
+        """(a, level - a), a = 0 ... level: the whole level k nu - 1."""
+        rows, level = self.isotypic_extent(nu, k)
+        out = np.empty((rows, 2), dtype=np.int32)
+        out[:, 0] = np.arange(rows, dtype=np.int32)
+        out[:, 1] = level - out[:, 0]
+        return out
 
     def default_locus_point(self, nu=None):
         return self.point([np.sqrt(0.7), np.sqrt(0.3)])
@@ -621,19 +709,36 @@ class U2CP2Model(ProjectiveModel):
         k = int(k)
         return k if k % 2 == 1 else k + 1
 
-    def isotypic_exponents(self, nu, k):
+    def _isotypic_piece(self, nu, k):
+        """(m, e): the k nu isotypic exponents are (a, m - a, e), a = 0 ... m;
+        None when there are none."""
         nu = half_weight(self.group, nu)
         if not nu.scaling_is_valid(k):
-            return np.zeros((0, 3), dtype=int)
+            return None
         lam = k * nu.coords - self.group.delta
         l1, l2 = int(round(lam[0])), int(round(lam[1]))
         # level pieces Sym^{n-e}((C^2)*) (x) det^e have highest weight (e, 2e - n)
         e = l1
         n = 2 * e - l2
         m = n - e
-        if m < 0 or e < 0:
-            return np.zeros((0, 3), dtype=int)
-        return np.array([[a, m - a, e] for a in range(m + 1)], dtype=int)
+        return None if m < 0 or e < 0 else (m, e)
+
+    def isotypic_extent(self, nu, k):
+        piece = self._isotypic_piece(nu, k)
+        if piece is None:
+            return 0, 0
+        m, e = piece
+        return self._int32_extent(k, m + 1, m + e)
+
+    def isotypic_exponents(self, nu, k):
+        rows, _ = self.isotypic_extent(nu, k)
+        out = np.empty((rows, 3), dtype=np.int32)
+        if rows:
+            m, e = self._isotypic_piece(nu, k)
+            out[:, 0] = np.arange(m + 1, dtype=np.int32)
+            out[:, 1] = m - out[:, 0]
+            out[:, 2] = e
+        return out
 
     def locus_parameters(self, nu=None):
         """(t, sigma): the locus level ||v||^2 = t and the cone scale."""

@@ -6,6 +6,8 @@ scans.  None of it shares code paths with the library implementations
 it checks.
 """
 
+import math
+
 import numpy as np
 
 
@@ -283,3 +285,28 @@ def group_volumes_quadrature(metric):
         circle = 2 * np.pi * np.sqrt(2 * c)
         return _su2_volume_quadrature(c) * circle / 2.0
     return None
+
+
+def monomial_sum_mp(alphas, x, y, dps=60):
+    """(sum, sum of |terms|) of x^a conj(y)^a / ||z^a||^2 over the rows of
+    alphas, in mpmath at dps digits, as mpmath numbers.
+
+    The norms are exact: ||z^a||^2 = vol(X) a! d! / (|a| + d)! with
+    vol(X) = pi^d / d!, the factorials as integers, so nothing is read
+    from a log-factorial table.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        xs = [mpmath.mpc(complex(v)) for v in x]
+        ys = [mpmath.mpc(complex(v)).conjugate() for v in y]
+        d = len(xs) - 1
+        scale = mpmath.pi ** d
+        total, magnitude = mpmath.mpc(0), mpmath.mpf(0)
+        for a in np.asarray(alphas).tolist():
+            norm_sq = scale * math.prod(math.factorial(j) for j in a) \
+                / math.factorial(sum(a) + d)
+            term = math.prod((xs[j] * ys[j]) ** a[j] for j in range(d + 1)) / norm_sq
+            total += term
+            magnitude += abs(term)
+        return +total, +magnitude

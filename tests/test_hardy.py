@@ -6,6 +6,7 @@ import tracemalloc
 from math import comb
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -32,6 +33,7 @@ from oracles import (
     lattice_points,
     level_kernel_closed,
     monomial_log_norms_gammaln,
+    monomial_sum_mp,
     orbit_separation_grid,
     orbit_separation_nelder_mead,
     szego_kernel,
@@ -201,6 +203,18 @@ def test_isotypic_exponents_are_the_lattice_oracle_set(case):
     listed = [tuple(a) for a in alphas.tolist()]
     assert len(set(listed)) == len(listed)
     assert set(listed) == set(lattice_points(weights, target))
+    # the extent the budget reads bounds the listing it allows
+    rows, top = model.isotypic_extent(np.array(target, dtype=float), 1)
+    assert rows >= len(listed) and all(sum(a) <= top for a in listed)
+
+
+def test_square_weight_matrix_lists_its_one_preimage():
+    # no free coordinate: W^-1 k nu is the only candidate
+    model = TorusModel("t2-cp1", [[2, 1], [1, 1]], (1.0, 1.0))
+    for target in ([3, 2], [1, 2], [5, 3]):
+        alphas = model.isotypic_exponents(np.array(target, dtype=float), 1)
+        assert alphas.dtype == np.int32
+        assert [tuple(a) for a in alphas.tolist()] == lattice_points(model.weights, target)
 
 
 @pytest.fixture(scope="module")
@@ -526,6 +540,15 @@ def _one_shot_terms(alphas, log_norms, x, y):
     return alphas @ hardy._safe_log(x) + alphas @ np.conj(hardy._safe_log(y)) - log_norms
 
 
+def _route_bound(alphas, x, y):
+    # the streamed sum's own error model, relative to sum |terms|: rounding
+    # in the term logs (up to max |a . (lx + ly)| ulps of 1) and in the
+    # summation (log2 N + 2)
+    lx, ly = hardy._safe_log(x), np.conj(hardy._safe_log(y))
+    worst = np.max(np.abs(alphas @ (lx + ly)))
+    return (worst + np.log2(len(alphas)) + 2) * np.finfo(float).eps
+
+
 def test_blocked_basis_sum_matches_the_one_shot_sum():
     model = build_model("s1-cp2-w123")
     basis = isotypic_basis(model, model.default_nu, 512)
@@ -533,15 +556,82 @@ def test_blocked_basis_sum_matches_the_one_shot_sum():
     rng = np.random.default_rng(3)
     x = model.default_locus_point()
     near = unit_point(x + 0.02 * (rng.standard_normal(3) + 1j * rng.standard_normal(3)))
-    for p, q in ((x, near), (random_sphere_point(2, rng), random_sphere_point(2, rng))):
+    far = (random_sphere_point(2, rng), random_sphere_point(2, rng))
+    for p, q in ((x, near), far):
         expo = _one_shot_terms(basis.alphas, basis.log_norms, p, q)
-        assert np.array_equal(hardy._basis_exponents(basis.alphas, basis.log_norms, p, q),
-                              expo)
+        blocks = list(hardy._basis_exponents(basis.alphas, basis.log_norms, p, q))
+        assert np.array_equal(np.concatenate(blocks), expo)
         shift = np.max(expo.real)
         total = np.sum(np.exp(expo - shift))
         logmag, phase = hardy._basis_sum(basis.alphas, basis.log_norms, p, q)
-        assert abs(logmag - (shift + np.log(abs(total)))) <= 1e-14 * abs(logmag)
-        assert abs(phase - total / abs(total)) <= 1e-14
+        if p is x:
+            assert abs(logmag - (shift + np.log(abs(total)))) <= 1e-14 * abs(logmag)
+            assert abs(phase - total / abs(total)) <= 1e-14
+        else:
+            # this pair cancels to about 1e-18 of sum |terms| (mpmath), far
+            # below rounding: both sums are noise of size eps sum |terms|,
+            # so they can only agree to the route's error bound
+            streamed = np.exp(logmag - shift) * phase
+            magnitude = np.sum(np.exp(expo.real - shift))
+            assert abs(streamed - total) <= _route_bound(basis.alphas, p, q) * magnitude
+
+
+def _off_orbit_pairs(model, rng):
+    # the default locus point against a fixed complex point, and a random pair
+    y = model.point(np.sqrt([0.2, 0.25, 0.55]) * np.exp(1j * np.array([0.0, 0.7, -1.3])))
+    return [(model.default_locus_point(), y),
+            (random_sphere_point(2, rng), random_sphere_point(2, rng))]
+
+
+@pytest.mark.parametrize("mid, k", [("s1-cp2-w123", 128), ("t2-cp2", 128), ("u2-cp2", 127)])
+def test_basis_sum_matches_the_multiprecision_oracle(mid, k):
+    model = build_model(mid)
+    basis = isotypic_basis(model, model.default_nu, k)
+    for x, y in _off_orbit_pairs(model, np.random.default_rng(12)):
+        exact, magnitude = monomial_sum_mp(basis.alphas, x, y, dps=40)
+        logmag, phase = hardy._basis_sum(basis.alphas, basis.log_norms, x, y)
+        err = abs(mpmath.exp(logmag) * mpmath.mpc(complex(phase)) - exact) / magnitude
+        # against exact norms the term logs also carry the rounding of the
+        # log-norms, which the route's bound for its own sum leaves out
+        lx, ly = hardy._safe_log(x), np.conj(hardy._safe_log(y))
+        worst = np.max(np.abs(basis.alphas @ lx) + np.abs(basis.alphas @ ly)
+                       + np.abs(basis.log_norms))
+        bound = (worst + np.log2(basis.dim) + 2) * np.finfo(float).eps
+        assert err <= bound, (mid, float(err), bound)
+
+
+def test_underflow_skip_leaves_the_sum_bit_identical(monkeypatch):
+    # d = 1, level 20000: the terms fall to e^-276000 of the largest, and
+    # the block maxima rise from block to block
+    a = np.arange(20001)
+    alphas = np.stack([a, 20000 - a], axis=1)
+    log_norms = monomial_log_norms(1, alphas)
+    x = unit_point([1.0, 1e-3])
+    y = unit_point([np.exp(0.3j), 1e-3 * np.exp(-1.1j)])
+    expo = _one_shot_terms(alphas, log_norms, x, y)
+    shifted = expo.real - expo.real.max()
+    assert np.mean(shifted < hardy._UNDERFLOW) > 0.9
+    assert np.any((shifted > hardy._UNDERFLOW) & (shifted < -700))
+    skipped = hardy._basis_sum(alphas, log_norms, x, y)
+    monkeypatch.setattr(hardy, "_UNDERFLOW", -np.inf)
+    every = hardy._basis_sum(alphas, log_norms, x, y)
+    assert skipped == every
+
+
+# a k with no isotypic monomials: k nu off the weight lattice, level -1, even k
+_EMPTY_K = {"s1-cp1-w12": 0.5, "s1-cp2-w123": 0.5, "t2-cp2": 0.5, "su2-cp1": 0, "u2-cp2": 4}
+
+
+def test_bases_hold_int32_exponents(catalog):
+    for mid, model in catalog.items():
+        for k in (7, 65):
+            alphas = model.isotypic_exponents(model.default_nu, k)
+            assert alphas.dtype == np.int32 and len(alphas), mid
+            wide = alphas.astype(np.int64)
+            assert np.array_equal(monomial_log_norms(model.d, alphas),
+                                  monomial_log_norms(model.d, wide)), mid
+        empty = model.isotypic_exponents(model.default_nu, _EMPTY_K[mid])
+        assert empty.dtype == np.int32 and empty.shape == (0, model.ambient_dim), mid
 
 
 def test_basis_sum_empty_basis_and_zero_coordinates():
@@ -581,32 +671,74 @@ def test_rank1_basis_over_the_memory_budget_is_refused(monkeypatch):
 
 
 def test_cli_exits_3_over_the_memory_budget(monkeypatch, capsys):
-    monkeypatch.setattr(hardy, "_BASIS_BUDGET_BYTES", 1000)
+    # 500 B is below both bases: 374 rows at 24 B and 33 rows at 16 B
+    monkeypatch.setattr(hardy, "_BASIS_BUDGET_BYTES", 500)
     monkeypatch.setattr(TorusModel, "isotypic_exponents", _refuse_listing)
     assert main(["kernel-eval", "--model", "s1-cp2-w123", "--k", "64",
                  "--x", "0.7,0.5,0.5"]) == 3
-    assert "1000-byte memory budget" in capsys.readouterr().err
+    assert "500-byte memory budget" in capsys.readouterr().err
     assert main(["suite", "diag", "--model", "s1-cp1-w12", "--kmin", "64",
                  "--kmax", "128"]) == 3
     assert "33 monomials" in capsys.readouterr().err
 
 
-def test_cli_refuses_a_huge_rank1_basis_fast_and_small(capsys):
-    # the budget check counts the k = 1e9 basis (about 8.3e16 monomials)
-    # without a table of k entries
+def _timed_cli(argv):
+    """(exit code, seconds, traced peak bytes) of one CLI call."""
     tracemalloc.start()
     start = time.perf_counter()
     try:
-        code = main(["kernel-eval", "--model", "s1-cp2-w123", "--k", "1000000000",
-                     "--x", "0.7,0.5,0.5"])
+        code = main(argv)
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return code, elapsed, peak
+
+
+def test_cli_refuses_a_huge_rank1_basis_fast_and_small(capsys):
+    # the budget check counts the k = 1e9 basis (about 8.3e16 monomials)
+    # without a table of k entries
+    code, elapsed, peak = _timed_cli(["kernel-eval", "--model", "s1-cp2-w123",
+                                      "--k", "1000000000", "--x", "0.7,0.5,0.5"])
     assert code == 3
     assert "memory budget" in capsys.readouterr().err
     assert elapsed < 1.0
     assert peak < 10 * 1024 ** 2
+
+
+@pytest.mark.parametrize("mid, k", [("t2-cp2", 200_000_000), ("u2-cp2", 200_000_001)])
+def test_cli_refuses_a_huge_listing_fast_and_small(mid, k, capsys):
+    # the rows are counted (3e8 and 2e8, about 7 and 5 GB) before any listing
+    code, elapsed, peak = _timed_cli(["kernel-eval", "--model", mid, "--k", str(k),
+                                      "--x", "0.7,0.5,0.5"])
+    assert code == 3
+    assert "memory budget" in capsys.readouterr().err
+    assert elapsed < 1.0
+    assert peak < 10 * 1024 ** 2
+
+
+def test_exponents_past_int32_are_refused_before_listing(monkeypatch, capsys):
+    # weights (1, 10^6): 3001 candidate rows at k = 3e9, well under the
+    # budget, but the first exponent reaches 3e9
+    model = TorusModel("s1-cp1-wide", [[1, 1_000_000]], (1.0,))
+    assert model.isotypic_extent(model.default_nu, 2_000_000_000) == (2001, 2_000_000_000)
+    monkeypatch.setattr(TorusModel, "isotypic_exponents", _refuse_listing)
+    with pytest.raises(AssumptionViolation, match="reach 3000000000, past the int32 range"):
+        isotypic_basis(model, model.default_nu, 3_000_000_000)
+    assert not model.basis_cache
+    # t2-cp2 at k = 1e9 reaches 3e9 too, and exits 3 at once
+    assert main(["kernel-eval", "--model", "t2-cp2", "--k", "1000000000",
+                 "--x", "0.7,0.5,0.5"]) == 3
+    assert "int32" in capsys.readouterr().err
+
+
+def test_log_factorial_growth_over_the_budget_is_refused(monkeypatch):
+    have = len(hardy._LOG_FACTORIALS)
+    monkeypatch.setattr(hardy, "_BASIS_BUDGET_BYTES", 16 * have + 40 * 99)
+    with pytest.raises(AssumptionViolation, match="memory budget"):
+        hardy._log_factorials(have + 99)
+    assert len(hardy._LOG_FACTORIALS) == have
+    assert len(hardy._log_factorials(have + 98)) == have + 99
 
 
 def test_cli_dims_suite_runs_to_k_near_1e9(capsys):
