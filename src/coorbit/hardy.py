@@ -10,18 +10,26 @@ against dV_X = (1/2 pi) alpha wedge pi* dV_M.  Everything downstream
 finite sums over explicit exponent sets, evaluated in log space with a
 max-shift so that values remain accurate far below the overflow and
 underflow thresholds of double precision; sums over positive terms are
-then exact to relative rounding error at any magnitude.  A basis holds
-int32 exponents and float64 log-norms (4 (d + 1) + 8 B per monomial); a
-sum streams over it in blocks of _BLOCK_ROWS rows and allocates nothing
-per term.  Log-factorials come from one table, grown on demand, of a
-pure-Python port of Cephes lgam (the values of scipy.special.gammaln,
-bit for bit, with numpy as the only dependency).  Isotypic dimensions of
-rank-1 tori are counted exactly without listing the set (a
-quasi-polynomial in k).  Every other listing, and every basis, has its
-row count and exponent range known before it is listed: one whose build
-would take more than _BASIS_BUDGET_BYTES, or whose exponents could pass
-int32, is refused with AssumptionViolation first.  Orbit separations are
-a grid minimum polished by a batched pattern search.
+then exact to relative rounding error at any magnitude.  A sum runs over
+blocks of _BLOCK_ROWS monomials and allocates nothing per term.  The
+first kernel evaluation of a (nu, k) on a model streams: it lists the
+isotypic monomials chunk by chunk (``isotypic_chunks``,
+``models._LIST_ROWS`` rows at a time), norms each chunk and folds it
+into the sum, holding one chunk and no basis.  A (nu, k)
+asked for again gets a stored basis, int32 exponents and float64
+log-norms (4 (d + 1) + 8 B per monomial, built at about 8 (d + 1) B
+per row), kept on the model and reused.  Both routes cut the rows into
+the same blocks, so they agree bit for bit.  Log-factorials come from
+one table, grown on demand, of a pure-Python port of Cephes lgam (the
+values of scipy.special.gammaln, bit for bit, with numpy as the only
+dependency).
+Isotypic dimensions of rank-1 tori are counted exactly without listing
+the set (a quasi-polynomial in k).  Every other listing has its row
+count and exponent range known before it is listed: one whose basis
+would take more than _BASIS_BUDGET_BYTES to build, or whose exponents
+could pass int32, is refused with AssumptionViolation first, on the
+streamed routes too, so every route refuses at the same k.  Orbit
+separations are a grid minimum polished by a batched pattern search.
 """
 
 import math
@@ -48,16 +56,21 @@ _BASIS_BUDGET_BYTES = 2 * 1024 ** 3
 
 
 def _basis_row_bytes(d):
-    """Peak bytes per listed row while a basis is listed, normed and summed.
+    """Peak bytes per listed row while a basis is built, normed and summed.
 
     tracemalloc at d = 1 / 2 / 3 on rank-1 tori with no rejected rows
     (s1-cp1-w12 at k = 4e6, s1-cp2-w123 at 8192, weights (1, 2, 3, 4) at
-    1000): listing peaks at 9.7 / 12.6 / 16.9 B per row, the log-norm
+    1000): listing peaks at 9.3 / 12.5 / 16.8 B per row, the log-norm
     stage at 16.1 / 20.0 / 24.0 B and a sum at 16.2 / 20.1 / 24.1 B (the
     basis itself, 4 (d + 1) + 8 B).  Where rows are rejected the kept ones
     are copied out once: t2-cp2 at k = 1e6 peaks at 20.0 B per listed row
-    and weights (2, 3, 5) at 18.1 B; u2-cp2 peaks at 20.5 B.  8 (d + 1)
-    bounds them all, beside a fixed few MB of block temporaries.
+    and weights (2, 3, 5) at 18.0 B; u2-cp2 peaks at 20.5 B.  8 (d + 1)
+    bounds them all, beside a fixed few MB of chunk temporaries.  A
+    streamed sum keeps no basis, only one chunk and its temporaries and,
+    on a torus with f = d + 1 - r free coordinates, the listed prefix of
+    all but the last one (O(k^(f - 1)) rows: O(k) on s1-cp2-w123, none on
+    the other catalog models); 3.1 to 7.5 MB in all on the cases above.
+    It is refused at the same row count all the same.
     """
     return 8 * (d + 1)
 
@@ -202,10 +215,12 @@ class IsotypicBasis:
         return np.unique(self.alphas.sum(axis=1)) if self.dim else np.array([], dtype=int)
 
 
-def _budgeted_exponents(model, nu, k):
-    """The model's k nu exponent list, refused with AssumptionViolation
-    before anything is allocated when its build would take more than
-    _BASIS_BUDGET_BYTES (the rows come from ``isotypic_extent``)."""
+def _check_budget(model, nu, k):
+    """Raise AssumptionViolation, before anything is listed, when the k nu
+    basis would take more than _BASIS_BUDGET_BYTES to build (its rows
+    come from ``isotypic_extent``).  Streamed sums and counts, which
+    keep no basis, are held to the same budget, so every route refuses
+    at the same k."""
     rows, _ = model.isotypic_extent(nu, k)
     need = rows * _basis_row_bytes(model.d)
     if need > _BASIS_BUDGET_BYTES:
@@ -213,21 +228,29 @@ def _budgeted_exponents(model, nu, k):
             f"the k = {k} isotypic basis of {model.id} lists {rows} monomials "
             f"and needs about {need} bytes, over the {_BASIS_BUDGET_BYTES}-byte "
             "memory budget")
-    return model.isotypic_exponents(nu, k)
+
+
+def _basis_key(nu, k):
+    return tuple(nu.coords.tolist()), int(k)
 
 
 def isotypic_basis(model, nu, k):
-    """The k nu isotypic basis, built once per model and kept in its cache.
+    """The k nu isotypic basis, built once per model and kept in its cache
+    (a direct call stores it at once; :func:`equivariant_kernel_log`
+    asks for it only on the second evaluation of a (nu, k)).
 
+    A build peaks at about 8 (d + 1) B per listed row
+    (:func:`_basis_row_bytes`) and keeps 4 (d + 1) + 8 B per monomial.
     Its size is known before it is listed: a build over
     _BASIS_BUDGET_BYTES, or with an exponent past int32, raises
     AssumptionViolation first.
     """
     nu = half_weight(model.group, nu)
-    key = (tuple(nu.coords.tolist()), int(k))
+    key = _basis_key(nu, k)
     basis = model.basis_cache.get(key)
     if basis is None:
-        alphas = _budgeted_exponents(model, nu, k)
+        _check_budget(model, nu, k)
+        alphas = model.isotypic_exponents(nu, k)
         basis = IsotypicBasis(nu.coords, int(k), alphas, monomial_log_norms(model.d, alphas))
         model.basis_cache[key] = basis
     return basis
@@ -238,13 +261,15 @@ def isotypic_dim(model, nu, k):
 
     Rank-1 tori count the exponents without listing them, in
     O(d lcm(w)) time and memory at any k (``models._weighted_count``);
-    every other model takes the length of its exponent list (O(k) long
-    on every catalog model), under the same budget as a basis.
+    every other model counts the rows of its listing chunk by chunk
+    (O(k) rows on every catalog model, none of them kept), under the
+    same budget as a basis.
     """
     if isinstance(model, TorusModel) and model.group.rank == 1:
         target = model.isotypic_target(nu, k)
         return 0 if target is None else _weighted_count(model.weights[0], int(target[0]))
-    return int(len(_budgeted_exponents(model, nu, k)))
+    _check_budget(model, nu, k)
+    return sum(len(chunk) for chunk in model.isotypic_chunks(nu, k))
 
 
 def _safe_log(z):
@@ -255,32 +280,62 @@ def _safe_log(z):
     return out
 
 
-def _basis_exponents(alphas, log_norms, x, y):
-    """The complex logs of the terms x^a conj(y)^a / ||z^a||^2, yielded
-    _BLOCK_ROWS rows of the exponent array at a time; each term's
-    arithmetic is that of the one-shot products
-    ``alphas @ lx + alphas @ ly - log_norms``, bit for bit."""
-    lx, ly = _safe_log(x), np.conj(_safe_log(y))
+def _stored_blocks(alphas, log_norms):
+    """(alphas, log_norms) blocks of _BLOCK_ROWS rows of a stored basis."""
     for start in range(0, len(alphas), _BLOCK_ROWS):
+        yield alphas[start:start + _BLOCK_ROWS], log_norms[start:start + _BLOCK_ROWS]
+
+
+def _listed_blocks(d, chunks):
+    """(alphas, log_norms) blocks of a listing, normed chunk by chunk.
+
+    The blocks are the _BLOCK_ROWS-row blocks of the concatenated
+    listing, the rows :func:`_stored_blocks` gives for the basis built
+    from the same chunks: where a chunk's length is not a multiple of
+    _BLOCK_ROWS (a listing that rejected candidates, or the last chunk)
+    its tail is carried into the next block.  No array is N long.
+    """
+    carry = None
+    for chunk in chunks:
+        norms = monomial_log_norms(d, chunk)
+        if carry is not None:
+            chunk = np.concatenate([carry[0], chunk])
+            norms = np.concatenate([carry[1], norms])
+        full = len(chunk) - len(chunk) % _BLOCK_ROWS
+        yield from _stored_blocks(chunk[:full], norms[:full])
+        carry = (chunk[full:], norms[full:]) if full < len(chunk) else None
+    if carry is not None:
+        yield carry
+
+
+def _block_exponents(blocks, x, y):
+    """The complex logs of the terms x^a conj(y)^a / ||z^a||^2, one array
+    per (alphas, log_norms) block; each term's arithmetic is that of the
+    one-shot products ``alphas @ lx + alphas @ ly - log_norms``, bit for
+    bit."""
+    lx, ly = _safe_log(x), np.conj(_safe_log(y))
+    for alphas, log_norms in blocks:
         # one cast per block: an int32 operand would be cast in each product
         # on a path many times slower than the complex one
-        block = alphas[start:start + _BLOCK_ROWS].astype(complex)
+        block = alphas.astype(complex)
         expo = block @ lx + block @ ly
-        expo -= log_norms[start:start + _BLOCK_ROWS]
+        expo -= log_norms
         yield expo
 
 
-def _basis_sum(alphas, log_norms, x, y):
-    """(log magnitude, phase-sum) of sum_alpha x^a conj(y)^a / ||z^a||^2.
+def _block_sum(blocks, x, y):
+    """(log magnitude, phase-sum) of sum_alpha x^a conj(y)^a / ||z^a||^2
+    over (alphas, log_norms) blocks of _BLOCK_ROWS rows.
 
-    One streamed pass over the blocks of :func:`_basis_exponents`: the
-    running sum is kept relative to the largest log magnitude seen so
-    far and rescaled when a block raises it, and only terms whose
-    shifted real part is above _UNDERFLOW are exponentiated (the others
-    are exactly +-0 in double precision).  No array is N long.
+    One pass over the blocks of :func:`_block_exponents`: the running
+    sum is kept relative to the largest log magnitude seen so far and
+    rescaled when a block raises it, and only terms whose shifted real
+    part is above _UNDERFLOW are exponentiated (the others are exactly
+    +-0 in double precision).  The result depends on where the blocks
+    split the rows, so stored and listed sums use the same split.
     """
     shift, total = -np.inf, 0.0 + 0.0j
-    for expo in _basis_exponents(alphas, log_norms, x, y):
+    for expo in _block_exponents(blocks, x, y):
         top = float(expo.real.max())
         if top > shift:
             total *= np.exp(shift - top)
@@ -292,6 +347,11 @@ def _basis_sum(alphas, log_norms, x, y):
     if shift <= _BIG_NEG / 2 or total == 0:
         return -np.inf, 0.0 + 0.0j
     return shift + float(np.log(np.abs(total))), total / np.abs(total)
+
+
+def _basis_sum(alphas, log_norms, x, y):
+    """:func:`_block_sum` over a stored basis: no array is N long."""
+    return _block_sum(_stored_blocks(alphas, log_norms), x, y)
 
 
 def level_kernel(d, n, x, y):
@@ -312,8 +372,8 @@ def equivariant_kernel(model, nu, k, x, y):
     """Exact equivariant kernel Pi^mu_{k nu}(x, y) by basis projection.
 
     SU(2) on CP^1 uses the closed level-kernel form (the isotypic space
-    is one whole level); everything else sums the isotypic monomials of
-    the basis cached on the model.
+    is one whole level); everything else sums the isotypic monomials,
+    streamed or from a stored basis (see :func:`equivariant_kernel_log`).
     """
     logmag, phase = equivariant_kernel_log(model, nu, k, x, y)
     if logmag == -np.inf:
@@ -322,7 +382,15 @@ def equivariant_kernel(model, nu, k, x, y):
 
 
 def equivariant_kernel_log(model, nu, k, x, y):
-    """(log |Pi^mu_{k nu}(x, y)|, unit phase); -inf for the zero kernel."""
+    """(log |Pi^mu_{k nu}(x, y)|, unit phase); -inf for the zero kernel.
+
+    The first evaluation of a (nu, k) on a model streams the listing
+    through the sum and keeps no basis (one listing chunk alive; the key
+    is marked in ``model.basis_cache``); the second builds the basis
+    at about 8 (d + 1) B per row and stores it, and later ones reuse it.
+    Each route refuses a listing over the memory budget at the same k,
+    before anything is listed, and gives the same bits.
+    """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     if isinstance(model, SU2CP1Model):
@@ -335,8 +403,14 @@ def equivariant_kernel_log(model, nu, k, x, y):
         logmag = np.log((n + 1) / np.pi) + n * np.log(abs(inner))
         phase = (inner / abs(inner)) ** n
         return float(logmag), phase
-    basis = isotypic_basis(model, nu, k)
-    return _basis_sum(basis.alphas, basis.log_norms, x, y)
+    nu = half_weight(model.group, nu)
+    key = _basis_key(nu, k)
+    if key in model.basis_cache:       # asked for before: store the basis, or reuse it
+        basis = isotypic_basis(model, nu, k)
+        return _basis_sum(basis.alphas, basis.log_norms, x, y)
+    _check_budget(model, nu, k)
+    model.basis_cache[key] = None      # first request: sum the listing as it streams
+    return _block_sum(_listed_blocks(model.d, model.isotypic_chunks(nu, k)), x, y)
 
 
 def _batched_sphere_distances(model, gs, x, y):

@@ -50,7 +50,8 @@ from .groups import (
 CHART_RADIUS = 0.9
 # Largest exponent an isotypic basis stores: its exponent arrays are int32.
 _INT32_MAX = int(np.iinfo(np.int32).max)
-# Candidate rows a torus listing expands and checks at a time.
+# Rows an isotypic listing yields at a time (on tori: candidate rows
+# expanded and checked at a time).
 _LIST_ROWS = 1 << 16
 
 
@@ -127,7 +128,8 @@ class ProjectiveModel:
         self.generators = np.asarray(generators, dtype=complex)   # (dim, d+1, d+1)
         self.lift_note = lift_note
         self.default_nu = half_weight(group, default_nu)
-        # (nu coords, k) -> hardy.IsotypicBasis, filled by hardy.isotypic_basis
+        # (nu coords, k) -> hardy.IsotypicBasis, filled by hardy.isotypic_basis;
+        # None marks a key whose kernel was evaluated once, with no basis kept
         self.basis_cache = {}
         for a in self.generators:
             if np.linalg.norm(a + a.conj().T) > 1e-12:
@@ -182,10 +184,6 @@ class ProjectiveModel:
         """Phi([x]) as full coalgebra coordinates; x may be a stack of points."""
         x = np.asarray(x, dtype=complex)
         return -np.einsum("...a,jab,...b->...j", x.conj(), self.generators, x).imag
-
-    def phi_sharp(self, x):
-        """Phi([x])^phi as algebra coefficients."""
-        return self.metric.sharp(self.moment_map(x))
 
     def moment_norm(self, x):
         return self.metric.norm_covector(self.moment_map(x))
@@ -320,14 +318,29 @@ class ProjectiveModel:
 
     # -- isotypic bookkeeping -------------------------------------------------
 
-    def isotypic_exponents(self, nu, k):
-        """Monomial exponents spanning the k nu isotypic subspace, as an
-        int32 (N, d+1) array."""
+    def isotypic_chunks(self, nu, k):
+        """Monomial exponents spanning the k nu isotypic subspace, yielded
+        as int32 (n, d+1) chunks of at most _LIST_ROWS rows; their
+        concatenation is :meth:`isotypic_exponents`, row for row."""
         raise NotImplementedError
 
+    def isotypic_exponents(self, nu, k):
+        """All of :meth:`isotypic_chunks` as one int32 (N, d+1) array: the
+        chunks are written into one array of ``isotypic_extent`` rows, cut
+        to the listed ones (once) when the listing rejected candidates."""
+        rows, _ = self.isotypic_extent(nu, k)
+        out = np.empty((rows, self.ambient_dim), dtype=np.int32)
+        kept = 0
+        for chunk in self.isotypic_chunks(nu, k):
+            out[kept:kept + len(chunk)] = chunk
+            kept += len(chunk)
+            del chunk                    # not alive while the next one is listed
+        return out if kept == rows else out[:kept].copy()
+
     def isotypic_extent(self, nu, k):
-        """(rows, top) of :meth:`isotypic_exponents`, found without listing:
-        the number of rows it allocates and a bound on every exponent sum.
+        """(rows, top) of :meth:`isotypic_chunks`, found without listing:
+        a bound on the rows it lists (the rows :meth:`isotypic_exponents`
+        allocates) and a bound on every exponent sum.
 
         Raises AssumptionViolation when an exponent could pass int32.
         """
@@ -412,6 +425,14 @@ def _weighted_count(weights, total):
         count += math.comb(steps, j) * diffs[0]
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     return count
+
+
+def _segment_chunks(rows, level, *tail):
+    """The int32 rows (a, level - a, *tail), a = 0 ... rows - 1, in chunks
+    of _LIST_ROWS rows."""
+    for lo in range(0, rows, _LIST_ROWS):
+        a = np.arange(lo, min(lo + _LIST_ROWS, rows), dtype=np.int32)
+        yield np.stack([a, level - a] + [np.full_like(a, t) for t in tail], axis=1)
 
 
 def _factorial(n):
@@ -502,12 +523,12 @@ class TorusModel(ProjectiveModel):
             return 0, 0
         total = int(target.sum())
         _, free = self._pivot_columns
-        # the candidates of isotypic_exponents: {F >= 0 : s_free . F <= total}
+        # the candidates of isotypic_chunks: {F >= 0 : s_free . F <= total}
         rows = _weighted_count([int(self._column_sums[j]) for j in free] + [1], total)
         # s . alpha = total for every listed alpha, so |alpha| <= total / min(s)
         return self._int32_extent(k, rows, total // int(self._column_sums.min()))
 
-    def isotypic_exponents(self, nu, k):
+    def isotypic_chunks(self, nu, k):
         """Lattice points {alpha >= 0 : W alpha = k nu}, in no fixed order.
 
         The free (non-pivot) coordinates F run over the simplex
@@ -517,14 +538,13 @@ class TorusModel(ProjectiveModel):
         last free coordinate are listed whole; the last one is expanded
         _LIST_ROWS candidates at a time, the r pivot coordinates are
         solved for, and a candidate is kept only if W alpha = k nu and
-        alpha >= 0 hold exactly in int64 arithmetic.  Kept rows go
-        straight into one int32 array of ``isotypic_extent`` rows, cut
-        to the kept ones at the end.
+        alpha >= 0 hold exactly in int64 arithmetic.  Each expansion
+        yields one int32 chunk of its kept rows.
         """
         rows, _ = self.isotypic_extent(nu, k)
-        m = self.ambient_dim
         if not rows:
-            return np.zeros((0, m), dtype=np.int32)
+            return
+        m = self.ambient_dim
         W, sums = self.weights, self._column_sums
         pivots, free = self._pivot_columns
         w_p = W[:, pivots]
@@ -532,8 +552,10 @@ class TorusModel(ProjectiveModel):
 
         def solve(rhs):
             """Pivot coordinates, and the rows where they are exact and >= 0."""
-            a_p = np.rint(rhs @ inv_p).astype(np.int64)
-            good = (a_p >= 0) & (a_p @ w_p.T == rhs)
+            a_p = rhs @ inv_p
+            a_p = np.rint(a_p, out=a_p).astype(np.int64)
+            good = a_p >= 0
+            good &= a_p @ w_p.T == rhs
             ok = good[:, 0].copy()       # by column: a reduction along rows is slow
             for col in good.T[1:]:
                 ok &= col
@@ -542,7 +564,8 @@ class TorusModel(ProjectiveModel):
         target = self.isotypic_target(nu, k)
         if not free:                             # square W: one candidate
             a_p, ok = solve(target[None, :])
-            return a_p[ok].astype(np.int32)
+            yield a_p[ok].astype(np.int32)
+            return
         cols, rhs = [], target[None, :]          # rhs = target - W_free F, exactly
         for j in free[:-1]:
             reach = rhs.sum(axis=1) // sums[j] + 1
@@ -553,25 +576,29 @@ class TorusModel(ProjectiveModel):
         last = free[-1]
         # candidates edges[i] ... edges[i + 1] - 1 extend prefix row i
         edges = np.concatenate([[0], np.cumsum(rhs.sum(axis=1) // sums[last] + 1)])
-        out = np.empty((rows, m), dtype=np.int32)
-        kept = 0
-        for lo in range(0, rows, _LIST_ROWS):
-            hi = min(lo + _LIST_ROWS, rows)
+
+        def expand(lo, hi):
+            """The kept rows among candidates lo ... hi - 1 (a function, so
+            that its temporaries are gone while the chunk is consumed)."""
             first = int(np.searchsorted(edges, lo, side="right")) - 1
             stop = int(np.searchsorted(edges, hi, side="left"))
             src = np.repeat(np.arange(first, stop),
                             np.diff(np.clip(edges[first:stop + 1], lo, hi)))
-            step = np.arange(lo, hi) - edges[src]
-            a_p, ok = solve(rhs[src] - step[:, None] * W[:, last])
-            if not ok.all():
-                src, step, a_p = src[ok], step[ok], a_p[ok]
-            block = out[kept:kept + len(step)]
-            block[:, pivots] = a_p
+            chunk = np.empty((hi - lo, m), dtype=np.int32)
             for j, col in zip(free[:-1], cols):
-                block[:, j] = col[src]
-            block[:, last] = step
-            kept += len(step)
-        return out if kept == rows else out[:kept].copy()
+                chunk[:, j] = col[src]
+            step = np.arange(lo, hi)
+            step -= edges[src]
+            chunk[:, last] = step
+            rhs_c = rhs[src]
+            rhs_c -= step[:, None] * W[:, last]
+            del src, step                        # written to the chunk already
+            a_p, ok = solve(rhs_c)
+            chunk[:, pivots] = a_p
+            return chunk if ok.all() else chunk[ok]
+
+        for lo in range(0, rows, _LIST_ROWS):
+            yield expand(lo, min(lo + _LIST_ROWS, rows))
 
     @cached_property
     def _pivot_columns(self):
@@ -661,13 +688,10 @@ class SU2CP1Model(ProjectiveModel):
         level = int(round(k * half_weight(self.group, nu).coords[0])) - 1
         return self._int32_extent(k, max(level + 1, 0), max(level, 0))
 
-    def isotypic_exponents(self, nu, k):
+    def isotypic_chunks(self, nu, k):
         """(a, level - a), a = 0 ... level: the whole level k nu - 1."""
         rows, level = self.isotypic_extent(nu, k)
-        out = np.empty((rows, 2), dtype=np.int32)
-        out[:, 0] = np.arange(rows, dtype=np.int32)
-        out[:, 1] = level - out[:, 0]
-        return out
+        yield from _segment_chunks(rows, level)
 
     def default_locus_point(self, nu=None):
         return self.point([np.sqrt(0.7), np.sqrt(0.3)])
@@ -730,15 +754,12 @@ class U2CP2Model(ProjectiveModel):
         m, e = piece
         return self._int32_extent(k, m + 1, m + e)
 
-    def isotypic_exponents(self, nu, k):
+    def isotypic_chunks(self, nu, k):
+        """(a, m - a, e), a = 0 ... m (see :meth:`_isotypic_piece`)."""
         rows, _ = self.isotypic_extent(nu, k)
-        out = np.empty((rows, 3), dtype=np.int32)
         if rows:
             m, e = self._isotypic_piece(nu, k)
-            out[:, 0] = np.arange(m + 1, dtype=np.int32)
-            out[:, 1] = m - out[:, 0]
-            out[:, 2] = e
-        return out
+            yield from _segment_chunks(rows, m, e)
 
     def locus_parameters(self, nu=None):
         """(t, sigma): the locus level ||v||^2 = t and the cone scale."""

@@ -559,7 +559,8 @@ def test_blocked_basis_sum_matches_the_one_shot_sum():
     far = (random_sphere_point(2, rng), random_sphere_point(2, rng))
     for p, q in ((x, near), far):
         expo = _one_shot_terms(basis.alphas, basis.log_norms, p, q)
-        blocks = list(hardy._basis_exponents(basis.alphas, basis.log_norms, p, q))
+        blocks = list(hardy._block_exponents(hardy._stored_blocks(basis.alphas, basis.log_norms),
+                                              p, q))
         assert np.array_equal(np.concatenate(blocks), expo)
         shift = np.max(expo.real)
         total = np.sum(np.exp(expo - shift))
@@ -652,6 +653,61 @@ def test_basis_sum_empty_basis_and_zero_coordinates():
     assert hardy._basis_sum(basis.alphas, basis.log_norms, e0, e1) == (-np.inf, 0.0 + 0.0j)
 
 
+# k with at least 3 blocks and a partial last one; weights (2, 3, 5) reject
+# about half their candidates, so its 3 chunks of kept rows (32778, 32787
+# and 1436 long) are carried across block boundaries
+_STREAMED_CASES = [("s1-cp1-w12", 20000), ("s1-cp2-w123", 400), ("t2-cp2", 10000),
+                   ("su2-cp1", 10000), ("u2-cp2", 10001), ("w235", 2000)]
+
+
+def _streamed_model(mid):
+    return TorusModel("w235", [[2, 3, 5]], (1.0,)) if mid == "w235" else build_model(mid)
+
+
+def _streamed_sum(model, nu, k, x, y):
+    return hardy._block_sum(hardy._listed_blocks(model.d, model.isotypic_chunks(nu, k)), x, y)
+
+
+@pytest.mark.parametrize("mid, k", _STREAMED_CASES)
+def test_streamed_sum_is_the_stored_basis_sum_bit_for_bit(mid, k):
+    model = _streamed_model(mid)
+    nu = model.default_nu
+    basis = isotypic_basis(model, nu, k)
+    assert basis.dim > 2 * hardy._BLOCK_ROWS and basis.dim % hardy._BLOCK_ROWS
+    rng = np.random.default_rng(21)
+    x = model.default_locus_point()
+    near = unit_point(x + 0.02 * (rng.standard_normal(model.ambient_dim)
+                                  + 1j * rng.standard_normal(model.ambient_dim)))
+    off = random_sphere_point(model.d, rng)
+    for p, q in ((x, x), (x, near), (near, off), (off, off)):
+        stored = hardy._basis_sum(basis.alphas, basis.log_norms, p, q)
+        assert stored[0] > -np.inf, mid
+        assert _streamed_sum(model, nu, k, p, q) == stored, (mid, k)
+    if mid in _EMPTY_K:
+        assert _streamed_sum(model, nu, _EMPTY_K[mid], x, x) == (-np.inf, 0.0 + 0.0j)
+
+
+def test_a_kernel_streams_first_stores_second_and_reuses_after(monkeypatch):
+    model = build_model("s1-cp2-w123")
+    nu, k = model.default_nu, 256
+    key = (tuple(nu.coords.tolist()), k)
+    x = model.default_locus_point()
+    first = equivariant_kernel_log(model, nu, k, x, x)
+    assert model.basis_cache == {key: None}          # asked for once, nothing kept
+    second = equivariant_kernel_log(model, nu, k, x, x)
+    basis = model.basis_cache[key]
+    assert isinstance(basis, hardy.IsotypicBasis) and basis.dim == isotypic_dim(model, nu, k)
+    monkeypatch.setattr(TorusModel, "isotypic_chunks", _refuse_listing)
+    third = equivariant_kernel_log(model, nu, k, x, x)
+    assert model.basis_cache[key] is basis and isotypic_basis(model, nu, k) is basis
+    assert first == second == third
+    monkeypatch.undo()
+    # an explicit request stores at once
+    other = build_model("s1-cp2-w123")
+    stored = isotypic_basis(other, nu, k)
+    assert other.basis_cache == {key: stored}
+
+
 def _refuse_listing(self, nu, k):
     raise AssertionError("an over-budget basis was listed")
 
@@ -661,7 +717,7 @@ def test_rank1_basis_over_the_memory_budget_is_refused(monkeypatch):
     nu, k = model.default_nu, 64
     need = isotypic_dim(model, nu, k) * hardy._basis_row_bytes(model.d)
     monkeypatch.setattr(hardy, "_BASIS_BUDGET_BYTES", need - 1)
-    monkeypatch.setattr(TorusModel, "isotypic_exponents", _refuse_listing)
+    monkeypatch.setattr(TorusModel, "isotypic_chunks", _refuse_listing)
     with pytest.raises(AssumptionViolation, match=f"374 monomials.*{need} bytes.*{need - 1}-byte"):
         isotypic_basis(model, nu, k)
     assert not model.basis_cache
@@ -670,10 +726,30 @@ def test_rank1_basis_over_the_memory_budget_is_refused(monkeypatch):
     assert isotypic_basis(model, nu, k).dim == 374
 
 
+@pytest.mark.parametrize("mid, k", [("s1-cp2-w123", 64), ("t2-cp2", 64), ("u2-cp2", 65)])
+def test_streamed_evaluation_over_the_budget_is_refused_before_listing(mid, k, monkeypatch):
+    model = build_model(mid)
+    nu = model.default_nu
+    rows, _ = model.isotypic_extent(nu, k)
+    need = rows * hardy._basis_row_bytes(model.d)
+    monkeypatch.setattr(hardy, "_BASIS_BUDGET_BYTES", need - 1)
+    monkeypatch.setattr(type(model), "isotypic_chunks", _refuse_listing)
+    x = model.default_locus_point()
+    with pytest.raises(AssumptionViolation, match=f"{rows} monomials.*{need} bytes"):
+        equivariant_kernel_log(model, nu, k, x, x)
+    assert not model.basis_cache                     # a refusal marks no key
+    if mid != "s1-cp2-w123":                         # rank-1 tori count without listing
+        with pytest.raises(AssumptionViolation, match="memory budget"):
+            isotypic_dim(model, nu, k)
+    monkeypatch.undo()
+    monkeypatch.setattr(hardy, "_BASIS_BUDGET_BYTES", need)
+    assert equivariant_kernel_log(model, nu, k, x, x)[0] > -np.inf
+
+
 def test_cli_exits_3_over_the_memory_budget(monkeypatch, capsys):
     # 500 B is below both bases: 374 rows at 24 B and 33 rows at 16 B
     monkeypatch.setattr(hardy, "_BASIS_BUDGET_BYTES", 500)
-    monkeypatch.setattr(TorusModel, "isotypic_exponents", _refuse_listing)
+    monkeypatch.setattr(TorusModel, "isotypic_chunks", _refuse_listing)
     assert main(["kernel-eval", "--model", "s1-cp2-w123", "--k", "64",
                  "--x", "0.7,0.5,0.5"]) == 3
     assert "500-byte memory budget" in capsys.readouterr().err
@@ -706,6 +782,19 @@ def test_cli_refuses_a_huge_rank1_basis_fast_and_small(capsys):
     assert peak < 10 * 1024 ** 2
 
 
+def test_cli_diag_suite_keeps_no_basis(capsys):
+    # diag evaluates each (model, k) once, so each sum streams its listing:
+    # traced peak 4.6 MB when measured (about 3 MB of it one 65536-row
+    # listing chunk and its temporaries), where the stored k = 4096 basis
+    # alone takes 28 MB (1.4M rows at 20 B) and storing both bases, as
+    # every first evaluation used to, peaked at 34 MB
+    code, _, peak = _timed_cli(["suite", "diag", "--model", "s1-cp2-w123",
+                                "--kmin", "2048", "--kmax", "4096"])
+    assert code == 0
+    assert ",4096,diag-ratio," in capsys.readouterr().out
+    assert peak < 8 * 1024 ** 2
+
+
 @pytest.mark.parametrize("mid, k", [("t2-cp2", 200_000_000), ("u2-cp2", 200_000_001)])
 def test_cli_refuses_a_huge_listing_fast_and_small(mid, k, capsys):
     # the rows are counted (3e8 and 2e8, about 7 and 5 GB) before any listing
@@ -722,7 +811,7 @@ def test_exponents_past_int32_are_refused_before_listing(monkeypatch, capsys):
     # budget, but the first exponent reaches 3e9
     model = TorusModel("s1-cp1-wide", [[1, 1_000_000]], (1.0,))
     assert model.isotypic_extent(model.default_nu, 2_000_000_000) == (2001, 2_000_000_000)
-    monkeypatch.setattr(TorusModel, "isotypic_exponents", _refuse_listing)
+    monkeypatch.setattr(TorusModel, "isotypic_chunks", _refuse_listing)
     with pytest.raises(AssumptionViolation, match="reach 3000000000, past the int32 range"):
         isotypic_basis(model, model.default_nu, 3_000_000_000)
     assert not model.basis_cache
