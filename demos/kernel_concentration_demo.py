@@ -10,7 +10,7 @@ fixed off-locus point.
 
 import numpy as np
 
-from coorbit import build_model, equivariant_kernel, predict_near_diagonal
+from coorbit import build_model, equivariant_kernel, predict_near_diagonal, unit_point
 from coorbit.hardy import equivariant_kernel_log
 
 
@@ -40,7 +40,7 @@ def main():
         print(f"  k={k:4d}: exact={exact:12.4f} predicted={pred:12.4f} "
               f"ratio={exact / pred:.5f}")
 
-    x_off = model.point(np.sqrt([0.25, 0.45, 0.30]))
+    x_off = unit_point(np.sqrt([0.25, 0.45, 0.30]))
     print("\nfixed off-locus point: log |Pi_k(x,x)| plummets superpolynomially:")
     for k in (64, 128, 256, 512):
         lv, _ = equivariant_kernel_log(model, nu, k, x_off, x_off)

@@ -11,7 +11,6 @@ from .groups import (
     ad_on_cartan_complement,
     adjoint_action,
     build_group,
-    coadjoint_action,
     group_volumes,
     half_weight,
     haar_quadrature,
@@ -39,13 +38,10 @@ from .models import (
 )
 from .hardy import (
     IsotypicBasis,
-    LevelBasis,
     equivariant_kernel,
     equivariant_kernel_log,
     isotypic_basis,
     isotypic_dim,
-    level_basis,
-    level_kernel,
     orbit_separation,
 )
 from .predictor import (

@@ -6,6 +6,10 @@ The two character routes implemented here are deliberately independent:
 while ``kirillov_character`` integrates a Fourier kernel over the
 coadjoint orbit and divides by the exp-map Jacobian.  Their agreement on
 regular torus elements is one of the package's acceptance criteria.
+The orbit route is deterministic and covers the groups whose orbits
+are points or round 2-spheres: tori, SU(2) and U(2).  SU(n)/U(n) with
+n >= 3 get the Weyl route only; their orbit quadrature is refused with
+UnsupportedGroupError.
 
 Quadrature sums rely on numpy's pairwise summation, so results are
 reproducible independently of how the node set would be partitioned.
@@ -21,10 +25,10 @@ from .groups import (
     CompactGroup,
     HalfWeight,
     InvariantMetric,
+    UnsupportedGroupError,
     algebra_matrix,
     half_weight,
     haar_quadrature,
-    random_unitary,
     rational_pairing,
 )
 
@@ -267,7 +271,6 @@ class OrbitQuadrature:
     nodes_sharp: np.ndarray
     weights: np.ndarray
     scheme: str
-    std_error: float = 0.0
 
     @property
     def node_count(self):
@@ -286,17 +289,6 @@ class OrbitQuadrature:
         vals = np.einsum("nij,ji->n", self.nodes_sharp, xi_mat.conj().T)
         return self.metric.scale * vals.real
 
-    def integrate(self, values):
-        return float(np.sum(self.weights * values)) if np.isrealobj(values) \
-            else complex(np.sum(self.weights * values))
-
-    def norms(self):
-        """||lambda||_phi at every node (constant on the orbit)."""
-        lam = self.nodes_sharp
-        if self.group.kind == "torus":
-            return np.sqrt(np.einsum("ni,ij,nj->n", lam, self.metric.gram, lam))
-        return np.sqrt(self.metric.scale * np.einsum("nij,nij->n", lam, lam.conj()).real)
-
 
 def orbit_quadrature(group, metric, nu, level=64):
     """Nodes and weights integrating against the orbit volume form.
@@ -306,19 +298,23 @@ def orbit_quadrature(group, metric, nu, level=64):
     uniform product grid and each weight carries the Kostant-Kirillov
     density computed from sigma(ad_xi lambda, ad_eta lambda) =
     <lambda, [xi, eta]> (the weight sum is a genuine prediction, checked
-    against (2 pi)^{n_pos} d_nu in the tests).  SU(n)/U(n) with n >= 3:
-    Monte Carlo only, max(2000, 200 level) Haar-random conjugates drawn
-    from ``default_rng(0)`` (the same nodes on every call), normalized by
-    the closed-form orbit volume, with the standard error reported.
+    against (2 pi)^{n_pos} d_nu in the tests).
+
+    Raises
+    ------
+    UnsupportedGroupError
+        For SU(n)/U(n) with n >= 3, whose orbits have no deterministic
+        rule here (:func:`haar_quadrature` refuses them too).
     """
     nu = half_weight(group, nu)
     if group.kind == "torus":
         return OrbitQuadrature(group, metric, nu.coords,
                                metric.sharp(nu.coords)[None, :],
                                np.array([1.0]), "point")
-    if group.n == 2:
-        return _sphere_orbit_quadrature(group, metric, nu, level)
-    return _monte_carlo_orbit_quadrature(group, metric, nu, level)
+    if group.n != 2:
+        raise UnsupportedGroupError(
+            f"no orbit quadrature for {group.name}; supported: tori, SU(2), U(2)")
+    return _sphere_orbit_quadrature(group, metric, nu, level)
 
 
 def _sphere_orbit_quadrature(group, metric, nu, level):
@@ -373,21 +369,6 @@ def _kk_density(metric, lam):
     return np.abs(sigma) / np.sqrt(area2[rows, j])
 
 
-def _monte_carlo_orbit_quadrature(group, metric, nu, level):
-    rng = np.random.default_rng(0)
-    count = max(2000, 200 * level)
-    nu_sharp = algebra_matrix(group, metric.sharp(nu.coords))
-    vol = orbit_volume(group, nu.coords)
-    nodes = np.empty((count, group.n, group.n), dtype=complex)
-    for i in range(count):
-        g = random_unitary(group.n, rng, special=group.kind == "su")
-        nodes[i] = g @ nu_sharp @ g.conj().T
-    weights = np.full(count, vol / count)
-    return OrbitQuadrature(group, metric, nu.coords, nodes, weights,
-                           f"montecarlo-{count}-volume-normalized",
-                           std_error=vol / np.sqrt(count))
-
-
 # -- Kirillov orbit character -------------------------------------------------
 
 def kirillov_character(group, metric, nu, xi, quad=None):
@@ -395,8 +376,8 @@ def kirillov_character(group, metric, nu, xi, quad=None):
 
     chi_nu(e^xi) = (2 pi)^{-n_pos} P(xi)^{-1}
     int_{O_nu} e^{i <lambda, xi>} dV(lambda), evaluated with ``quad`` or
-    else :func:`orbit_quadrature` at its default level.  With xi = 0 this
-    returns d_nu.
+    else :func:`orbit_quadrature` at its default level (which refuses
+    SU(n)/U(n) with n >= 3).  With xi = 0 this returns d_nu.
     """
     quad = orbit_quadrature(group, metric, nu) if quad is None else quad
     phases = np.exp(1j * quad.pairing(xi))

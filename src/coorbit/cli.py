@@ -6,12 +6,14 @@ group-info     root datum, Weyl order, volumes for a group
 dim            Weyl dimension and the exact k-scaling value
 character      alternating-sum vs orbit-integral character values
 orbit-volume   closed-form orbit volume vs quadrature weight sum
+               (the orbit integral covers tori, SU(2) and U(2) only)
 psi-nu         leading coefficient at a locus point, with its breakdown
 kernel-eval    exact equivariant kernel at a pair of points
 suite          characters | diag | gaussian | decay | dims | all
 
 Exit codes: 0 all pass, 2 numerical fail, 3 precondition fail
-(including an isotypic basis over the memory budget), 4 config error.
+(including an isotypic basis over the memory budget), 4 config error
+(including an orbit integral on SU(n)/U(n) with n >= 3).
 """
 
 import argparse
@@ -162,7 +164,6 @@ def _dispatch(args):
             "closed_form": orbit_volume(group, nu.coords),
             "quadrature_weight_sum": quad.volume,
             "scheme": quad.scheme,
-            "std_error": quad.std_error,
         })
         return 0
 

@@ -117,9 +117,6 @@ class CompactGroup:
         Half-sum of the positive roots.
     weyl_elements : tuple of (ndarray, int)
         Orthogonal actions on Cartan covector coordinates with signs.
-    lattice_basis : ndarray, shape (rank, rank)
-        Columns span the lattice of integral forms L(G).  For U(n) the
-        valid irrep labels are delta + L(G) (half-odd-integer tuples).
     trace_gram : ndarray, shape (dim, dim)
         Gram matrix of the reference metric in the fixed basis: the
         identity on tori, -trace(A B) on SU(n)/U(n).
@@ -134,7 +131,6 @@ class CompactGroup:
     positive_roots: np.ndarray
     delta: np.ndarray
     weyl_elements: tuple
-    lattice_basis: np.ndarray
     trace_gram: np.ndarray = field(repr=False)
     basis_matrices: np.ndarray = field(repr=False, default=())
 
@@ -170,11 +166,6 @@ class CompactGroup:
         if self.kind == "torus":
             return f"T^{self.n}"
         return f"{self.kind.upper()}({self.n})"
-
-    def identity_element(self):
-        if self.kind == "torus":
-            return np.zeros(self.n)
-        return np.eye(self.n, dtype=complex)
 
     def check_element(self, g):
         """Validate a group element (angles for tori, unitary matrix else)
@@ -215,7 +206,6 @@ def build_group(kind, n=None):
             positive_roots=np.zeros((0, r)),
             delta=np.zeros(r),
             weyl_elements=((np.eye(r), 1),),
-            lattice_basis=np.eye(r),
             trace_gram=np.eye(r),
         )
     if kind not in ("su", "u"):
@@ -256,7 +246,6 @@ def build_group(kind, n=None):
         kind=kind, n=n, dim=dim, rank=rank,
         positive_roots=roots, delta=delta,
         weyl_elements=tuple(weyl),
-        lattice_basis=np.eye(rank),
         trace_gram=-np.einsum("aij,bji->ab", basis, basis).real,
         basis_matrices=basis,
     )
@@ -304,9 +293,7 @@ def matrix_coefficients(group, mat):
 def diag_angles(group, t_coeffs):
     """Eigen-pattern theta with sum c_j H_j = diag(i theta_1, ...)."""
     c = np.asarray(t_coeffs, dtype=float)
-    if group.kind == "torus":
-        return c
-    if group.kind == "u":
+    if group.kind != "su":
         return c
     theta = np.zeros(group.n)
     for j, cj in enumerate(c):
@@ -436,10 +423,6 @@ class HalfWeight:
     def highest_weight(self):
         return self.coords - self.group.delta
 
-    def scaled(self, k):
-        """k*nu (valid as a label only when k*nu - delta stays integral)."""
-        return HalfWeight(self.group, k * self.coords)
-
     def scaling_is_valid(self, k):
         lam = k * self.coords - self.group.delta
         return bool(np.max(np.abs(lam - np.round(lam)), initial=0.0) <= 1e-9)
@@ -466,19 +449,6 @@ def adjoint_action(group, g, coeffs):
         return np.asarray(coeffs, dtype=float) + np.zeros(g.shape[:-1] + (1,))
     xi = algebra_matrix(group, coeffs)
     return matrix_coefficients(group, g @ xi @ g.conj().swapaxes(-1, -2))
-
-
-def coadjoint_action(group, g, gamma_full):
-    """Coad_g on full coalgebra coordinates: <Coad_g gamma, xi> = <gamma, Ad_{g^-1} xi>."""
-    if group.kind == "torus":
-        return np.asarray(gamma_full, dtype=float)
-    g = group.check_element(g)
-    gamma_full = np.asarray(gamma_full, dtype=float)
-    out = np.empty(group.dim)
-    for m, b in enumerate(group.basis_matrices):
-        back = matrix_coefficients(group, g.conj().T @ b @ g)
-        out[m] = gamma_full @ back
-    return out
 
 
 def dominant_representative(metric, gamma_full):
@@ -658,11 +628,9 @@ def random_unitary(n, rng, special=False):
 
 def rational_pairing(group, a, b):
     """Exact trace-form pairing phi(a, b) of Cartan covectors over Q."""
-    if group.kind == "torus":
+    if group.kind != "su":
         return sum(Fraction(x) * Fraction(y) for x, y in zip(a, b))
     n = group.n
-    if group.kind == "u":
-        return sum(Fraction(x) * Fraction(y) for x, y in zip(a, b))
     # SU(n): convert coords to sum-zero patterns with rational arithmetic
     def pattern(coords):
         g = [Fraction(0)] * n

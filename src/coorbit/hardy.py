@@ -34,12 +34,17 @@ separations are a grid minimum polished by a batched pattern search.
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .groups import AssumptionViolation, euler_elements, half_weight
-from .models import SU2CP1Model, TorusModel, _weighted_count, hermitian_inner
+from .models import (
+    _BASIS_BUDGET_BYTES,
+    SU2CP1Model,
+    TorusModel,
+    _weighted_count,
+    hermitian_inner,
+)
 
 _BIG_NEG = -1.0e6  # stand-in for log 0; alpha * _BIG_NEG underflows exp cleanly
 # Rows of the exponent array cast to complex at a time in _basis_exponents
@@ -49,10 +54,6 @@ _BLOCK_ROWS = 4096
 # A shifted term log below this is exactly +-0 after exp (libm's cexp
 # underflows below -745.13), so the sum skips it.
 _UNDERFLOW = -746.0
-# Largest build a basis (or the log-factorial table) may take: a quarter
-# of an 8 GB machine.  k = 16384 on s1-cp2-w123 (22.4M monomials, 0.54 GB)
-# fits, k = 32768 (89.5M, 2.148 GB) does not.
-_BASIS_BUDGET_BYTES = 2 * 1024 ** 3
 
 
 def _basis_row_bytes(d):
@@ -165,38 +166,6 @@ def monomial_log_norms(d, alphas):
     return out
 
 
-def level_exponents(d, n):
-    """All exponent multi-indices with |alpha| = n (lexicographic)."""
-    out = []
-    for bars in combinations_with_replacement(range(d + 1), n):
-        alpha = [0] * (d + 1)
-        for b in bars:
-            alpha[b] += 1
-        out.append(alpha)
-    if not out:
-        out = [[0] * (d + 1)]
-    return np.array(sorted(out), dtype=int)
-
-
-@dataclass(frozen=True, eq=False)
-class LevelBasis:
-    """Monomial basis of one Fourier level of the Hardy space."""
-
-    d: int
-    level: int
-    alphas: np.ndarray
-    log_norms: np.ndarray
-
-    @property
-    def dim(self):
-        return len(self.alphas)
-
-
-def level_basis(d, n):
-    alphas = level_exponents(d, n)
-    return LevelBasis(d, n, alphas, monomial_log_norms(d, alphas))
-
-
 @dataclass(frozen=True, eq=False)
 class IsotypicBasis:
     """Monomials spanning the k nu isotypic subspace of a model."""
@@ -209,10 +178,6 @@ class IsotypicBasis:
     @property
     def dim(self):
         return len(self.alphas)
-
-    @property
-    def levels(self):
-        return np.unique(self.alphas.sum(axis=1)) if self.dim else np.array([], dtype=int)
 
 
 def _check_budget(model, nu, k):
@@ -260,10 +225,10 @@ def isotypic_dim(model, nu, k):
     """Exact dimension of the k nu isotypic subspace (0 is a valid answer).
 
     Rank-1 tori count the exponents without listing them, in
-    O(d lcm(w)) time and memory at any k (``models._weighted_count``);
-    every other model counts the rows of its listing chunk by chunk
-    (O(k) rows on every catalog model, none of them kept), under the
-    same budget as a basis.
+    O(d lcm(w)) time and memory at any k (``models._weighted_count``,
+    which refuses a table over the same budget); every other model
+    counts the rows of its listing chunk by chunk (O(k) rows on every
+    catalog model, none of them kept), under the same budget as a basis.
     """
     if isinstance(model, TorusModel) and model.group.rank == 1:
         target = model.isotypic_target(nu, k)
@@ -352,20 +317,6 @@ def _block_sum(blocks, x, y):
 def _basis_sum(alphas, log_norms, x, y):
     """:func:`_block_sum` over a stored basis: no array is N long."""
     return _block_sum(_stored_blocks(alphas, log_norms), x, y)
-
-
-def level_kernel(d, n, x, y):
-    """Level-n Szego kernel by explicit basis projection.
-
-    Equals (dim_n / vol(X)) <x, y>^n; the closed form serves as the
-    internal oracle in the tests, this function keeps the honest sum.
-    """
-    basis = level_basis(d, n)
-    logmag, phase = _basis_sum(basis.alphas, basis.log_norms, np.asarray(x, complex),
-                               np.asarray(y, complex))
-    if logmag == -np.inf:
-        return 0.0 + 0.0j
-    return np.exp(logmag) * phase
 
 
 def equivariant_kernel(model, nu, k, x, y):

@@ -34,7 +34,7 @@ from .hardy import (
     isotypic_dim,
     orbit_separation,
 )
-from .models import MODEL_IDS, LocusSample, build_model
+from .models import MODEL_IDS, LocusSample, build_model, unit_point
 from .predictor import (
     dimension_coefficient,
     gaussian_pair_exponent,
@@ -400,13 +400,13 @@ def run_decay_suite(config):
 def _separated_pair(model, nu):
     if model.d == 1:
         if model.group.kind == "torus":
-            return model.point([np.sqrt(0.7), np.sqrt(0.3)]), \
-                model.point([np.sqrt(0.45), np.sqrt(0.55)])
+            return unit_point([np.sqrt(0.7), np.sqrt(0.3)]), \
+                unit_point([np.sqrt(0.45), np.sqrt(0.55)])
         # SU(2) acts transitively on the circle bundle of CP^1: every
         # pair has orbit separation 0 and the suite records exactly that
-        return model.point([1.0, 0.0]), model.point([np.sqrt(0.5), np.sqrt(0.5)])
+        return unit_point([1.0, 0.0]), unit_point([np.sqrt(0.5), np.sqrt(0.5)])
     t_base = model.default_locus_point(nu)
-    y = model.point(np.sqrt(np.array([0.2, 0.25, 0.55])))
+    y = unit_point(np.sqrt(np.array([0.2, 0.25, 0.55])))
     return t_base, y
 
 
@@ -414,11 +414,11 @@ def _off_locus_point(model, nu):
     if model.group.rank == 1:
         return None  # the locus has codimension 0
     if model.id == "t2-cp2":
-        return model.point(np.sqrt(np.array([0.25, 0.45, 0.30])))
+        return unit_point(np.sqrt(np.array([0.25, 0.45, 0.30])))
     if model.id == "u2-cp2":
         t, _ = model.locus_parameters(nu)
         t_off = min(0.95, t + 0.25)
-        return model.point(np.sqrt(np.array([0.6 * t_off, 0.4 * t_off, 1.0 - t_off])))
+        return unit_point(np.sqrt(np.array([0.6 * t_off, 0.4 * t_off, 1.0 - t_off])))
     return None
 
 

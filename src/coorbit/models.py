@@ -53,6 +53,10 @@ _INT32_MAX = int(np.iinfo(np.int32).max)
 # Rows an isotypic listing yields at a time (on tori: candidate rows
 # expanded and checked at a time).
 _LIST_ROWS = 1 << 16
+# Largest build a basis, the log-factorial table or a coin-change count
+# may take: a quarter of an 8 GB machine.  k = 16384 on s1-cp2-w123
+# (22.4M monomials, 0.54 GB) fits, k = 32768 (89.5M, 2.148 GB) does not.
+_BASIS_BUDGET_BYTES = 2 * 1024 ** 3
 
 
 def hermitian_inner(u, v):
@@ -143,20 +147,9 @@ class ProjectiveModel:
     def ambient_dim(self):
         return self.d + 1
 
-    def volume_m(self):
-        """vol(M) = vol(X) = pi^d / d! under the line-area-pi normalization."""
-        return np.pi ** self.d / _factorial(self.d)
-
-    def point(self, coeffs):
-        return unit_point(coeffs)
-
     def resolve_nu(self, coords=None):
         """The half-weight with these coordinates, or the model's default."""
         return self.default_nu if coords is None else half_weight(self.group, coords)
-
-    def random_point(self, rng):
-        z = rng.standard_normal(self.ambient_dim) + 1j * rng.standard_normal(self.ambient_dim)
-        return z / np.linalg.norm(z)
 
     def horizontal(self, x, u):
         """Project an ambient vector onto the horizontal space x^perp
@@ -184,13 +177,6 @@ class ProjectiveModel:
         """Phi([x]) as full coalgebra coordinates; x may be a stack of points."""
         x = np.asarray(x, dtype=complex)
         return -np.einsum("...a,jab,...b->...j", x.conj(), self.generators, x).imag
-
-    def moment_norm(self, x):
-        return self.metric.norm_covector(self.moment_map(x))
-
-    def unitary(self, g):
-        """The lifted action of a group element on C^{d+1}."""
-        return self.unitary_batch(self.group.check_element(g)[None])[0]
 
     def unitary_batch(self, gs):
         """Lifted actions of a stack of group elements (not validated)."""
@@ -373,7 +359,8 @@ class ProjectiveModel:
             raise AssumptionViolation("circle-bundle volume normalization broken")
 
     def _check_moment_nonvanishing(self):
-        # the draw matches 400 successive random_point calls, then the vertices
+        # 400 Gaussian unit points from default_rng(11), each drawn as its real
+        # then its imaginary parts, then the vertices
         z = default_rng(11).standard_normal((400, 2, self.ambient_dim))
         z = z[:, 0] + 1j * z[:, 1]
         points = np.concatenate([z / np.linalg.norm(z, axis=1, keepdims=True),
@@ -406,12 +393,23 @@ def _weighted_count(weights, total):
     the counts up to r + d L, r = total mod L; the d + 1 of them on the
     residue class of total fix its polynomial, which Newton's forward
     differences extend to total exactly.
+
+    Raises AssumptionViolation, before the list is built, when its
+    top + 1 entries (about 40 B each: a pointer and a Python int) would
+    take more than _BASIS_BUDGET_BYTES, as weights whose lcm is in the
+    billions do.
     """
     weights = [int(w) for w in weights]
     d = len(weights) - 1
     period = math.lcm(*weights)
     r = total % period
     top = min(total, r + d * period)
+    need = 40 * (top + 1)
+    if need > _BASIS_BUDGET_BYTES:
+        raise AssumptionViolation(
+            f"counting weights {weights} at total {total} lists {top + 1} partial "
+            f"counts and needs about {need} bytes, over the {_BASIS_BUDGET_BYTES}-byte "
+            "memory budget")
     ways = [1] + [0] * top
     for w in weights:
         for n in range(w, top + 1):
@@ -613,7 +611,7 @@ class TorusModel(ProjectiveModel):
     def default_locus_point(self, nu=None):
         nu = self.resolve_nu(nu)
         t = self._default_simplex_point(nu)
-        return self.point(np.sqrt(t))
+        return unit_point(np.sqrt(t))
 
     def _default_simplex_point(self, nu):
         if self.group.rank == 1:
@@ -694,7 +692,7 @@ class SU2CP1Model(ProjectiveModel):
         yield from _segment_chunks(rows, level)
 
     def default_locus_point(self, nu=None):
-        return self.point([np.sqrt(0.7), np.sqrt(0.3)])
+        return unit_point([np.sqrt(0.7), np.sqrt(0.3)])
 
 
 # -- U(2) on CP^2 ---------------------------------------------------------------
@@ -783,7 +781,7 @@ class U2CP2Model(ProjectiveModel):
 
     def default_locus_point(self, nu=None):
         t, _ = self.locus_parameters(nu)
-        return self.point([np.sqrt(0.6 * t), np.sqrt(0.4 * t), np.sqrt(1.0 - t)])
+        return unit_point([np.sqrt(0.6 * t), np.sqrt(0.4 * t), np.sqrt(1.0 - t)])
 
 
 # -- catalog -------------------------------------------------------------------

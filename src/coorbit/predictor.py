@@ -27,6 +27,7 @@ from .models import (
     LocusSample,
     hermitian_inner,
     simplex_quadrature,
+    unit_point,
 )
 
 
@@ -196,7 +197,7 @@ def dimension_coefficient(model, nu=None, level=120):
     power = model.d + 1 - r
     if r == 1:
         nodes, weights = simplex_quadrature(model.d, max(24, level // 2))
-        sample = model.locus_decompose(nu, model.point(np.sqrt(nodes)))
+        sample = model.locus_decompose(nu, unit_point(np.sqrt(nodes)))
         if not isinstance(sample, LocusSample):
             raise AssumptionViolation("rank-1 model point off the cone")
         psi = leading_coefficient(model, nu, sample)
@@ -214,7 +215,7 @@ def _locus_line_integral(model, nu, power, level):
     s = 0.5 * (1.0 - np.cos(np.pi * 0.5 * (us + 1.0)))          # cosine map [0,1]
     ds_du = 0.25 * np.pi * np.sin(np.pi * 0.5 * (us + 1.0))
     t = t_of_s(s)
-    x = model.point(np.sqrt(t))
+    x = unit_point(np.sqrt(t))
     sample = model.locus_decompose(nu, x)
     if not isinstance(sample, LocusSample):
         raise AssumptionViolation("locus curve point fell off the cone")

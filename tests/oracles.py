@@ -11,6 +11,34 @@ import math
 import numpy as np
 
 
+def random_sphere_point(d, rng):
+    """A Gaussian unit vector of C^{d+1}: d + 1 real parts, then d + 1
+    imaginary parts, from rng."""
+    z = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+    return z / np.linalg.norm(z)
+
+
+def coadjoint(basis_matrices, g, gamma):
+    """Coad_g gamma on full coalgebra coordinates, from its definition
+    <Coad_g gamma, xi> = <gamma, Ad_{g^-1} xi>.
+
+    The value on basis matrix B_m is gamma paired with the coordinates of
+    g^-1 B_m g, which are found by least squares in the real span of the
+    basis (entries split into real and imaginary parts), not by the
+    library's trace-form projection.
+    """
+    basis = np.asarray(basis_matrices, dtype=complex)
+    g = np.asarray(g, dtype=complex)
+
+    def real_rows(mats):
+        flat = mats.reshape(len(mats), -1)
+        return np.concatenate([flat.real, flat.imag], axis=1).T
+
+    moved = np.linalg.inv(g) @ basis @ g
+    coords, *_ = np.linalg.lstsq(real_rows(basis), real_rows(moved), rcond=None)
+    return np.asarray(gamma, dtype=float) @ coords
+
+
 def su2_character_weight_sum(nu, theta):
     """chi_nu(e^{theta Z}) = sum_{j=0}^{nu-1} e^{i (nu-1-2j) theta}."""
     nu = int(round(nu))

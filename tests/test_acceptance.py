@@ -27,7 +27,7 @@ from coorbit.harness import (
     run_diag_convergence,
     run_gaussian_profile,
 )
-from coorbit.models import MODEL_IDS, LocusSample, build_model
+from coorbit.models import MODEL_IDS, LocusSample, build_model, unit_point
 from coorbit.predictor import (
     dimension_coefficient,
     leading_coefficient,
@@ -265,7 +265,7 @@ def test_criterion_10_structural_invariants():
     # symplectic involution of the normal directions (rank-3 torus model)
     t3 = TorusModel("t3-cp3", [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]],
                     (2.0, 1.0, 1.0))
-    s3 = t3.locus_decompose(t3.default_nu, t3.point(np.sqrt([0.5, 0.2, 0.2, 0.1])))
+    s3 = t3.locus_decompose(t3.default_nu, unit_point(np.sqrt([0.5, 0.2, 0.2, 0.1])))
     n1, n2 = t3.normal_space(t3.default_nu, s3)
     ok &= abs(hermitian_inner(n1, n2).imag) <= 1e-10
     elapsed = time.monotonic() - start

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from coorbit.characters import (
     weyl_dimension,
 )
 from coorbit.groups import (
+    UnsupportedGroupError,
     build_group,
     half_weight,
     haar_quadrature,
@@ -282,7 +285,9 @@ def test_orbit_nodes_isometric():
         m = trace_metric(g)
         nu = half_weight(g, coords)
         q = orbit_quadrature(g, m, nu, level=24)
-        assert np.allclose(q.norms(), m.norm_covector(nu.coords), atol=1e-12)
+        lam = q.nodes_sharp
+        norms = np.sqrt(m.scale * np.einsum("nij,nij->n", lam, lam.conj()).real)
+        assert np.allclose(norms, m.norm_covector(nu.coords), atol=1e-12)
 
 
 def test_orbit_volume_matches_dimension():
@@ -296,17 +301,19 @@ def test_orbit_volume_matches_dimension():
         assert np.isclose(q.volume, (2 * np.pi) ** g.n_pos * d, rtol=1e-9)
 
 
-def test_orbit_quadrature_monte_carlo_mode():
-    g = build_group("su3")
-    m = trace_metric(g)
-    nu = half_weight(g, g.delta + np.array([1.0, 0.0]))
-    q = orbit_quadrature(g, m, nu, level=40)
-    assert "montecarlo" in q.scheme
-    assert q.std_error > 0
-    xi = 0.2 * np.ones(g.rank)
-    kir = kirillov_character(g, m, nu, xi, quad=q)
-    wey = weyl_character(g, nu, xi)
-    assert abs(kir - wey) < 0.05 * abs(wey)
+def test_orbit_quadrature_refuses_su3_and_u3():
+    # SU(n)/U(n) with n >= 3 have no deterministic orbit rule, as they
+    # have no Haar rule: both refuse, and so does the orbit character
+    for kind in ("su3", "u3"):
+        g = build_group(kind)
+        m = trace_metric(g)
+        nu = half_weight(g, g.delta + np.eye(g.rank)[0])
+        with pytest.raises(UnsupportedGroupError, match=re.escape(g.name)):
+            orbit_quadrature(g, m, nu)
+        with pytest.raises(UnsupportedGroupError):
+            haar_quadrature(g)
+        with pytest.raises(UnsupportedGroupError):
+            kirillov_character(g, m, nu, 0.2 * np.ones(g.rank))
 
 
 # -- Kirillov character -------------------------------------------------------

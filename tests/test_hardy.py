@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from itertools import combinations_with_replacement
 from math import comb
 from pathlib import Path
 
@@ -20,8 +21,6 @@ from coorbit.hardy import (
     equivariant_kernel_log,
     isotypic_basis,
     isotypic_dim,
-    level_basis,
-    level_kernel,
     monomial_log_norms,
     orbit_separation,
 )
@@ -36,6 +35,7 @@ from oracles import (
     monomial_sum_mp,
     orbit_separation_grid,
     orbit_separation_nelder_mead,
+    random_sphere_point,
     szego_kernel,
 )
 
@@ -43,23 +43,35 @@ from oracles import (
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def random_sphere_point(d, rng):
-    z = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
-    return z / np.linalg.norm(z)
+# -- level kernels as monomial sums ----------------------------------------------
+
+def level_exponents(d, n):
+    """Every exponent row alpha of length d + 1 with |alpha| = n, by stars
+    and bars."""
+    rows = [np.bincount(np.array(bars, dtype=int), minlength=d + 1)
+            for bars in combinations_with_replacement(range(d + 1), n)]
+    return np.array(rows).reshape(-1, d + 1)
 
 
-# -- level bases ---------------------------------------------------------------
+def level_kernel_sum(d, n, x, y):
+    """The level-n Szego kernel as the monomial sum of ``hardy._basis_sum``
+    over the whole level (its closed form is ``oracles.level_kernel_closed``)."""
+    alphas = level_exponents(d, n)
+    logmag, phase = hardy._basis_sum(alphas, monomial_log_norms(d, alphas),
+                                     np.asarray(x, complex), np.asarray(y, complex))
+    return 0.0 + 0.0j if logmag == -np.inf else np.exp(logmag) * phase
+
 
 def test_level_kernel_homogeneity_invariant():
     # sum_a |z^a(x)|^2 / ||z^a||^2 is constant = dim / vol(X)
     rng = np.random.default_rng(0)
     for d, n in ((1, 7), (2, 5)):
-        basis = level_basis(d, n)
+        assert len(level_exponents(d, n)) == comb(n + d, d)
         vol = np.pi ** d / np.prod(np.arange(1, d + 1))
-        expected = basis.dim / vol
+        expected = comb(n + d, d) / vol
         for _ in range(5):
             x = random_sphere_point(d, rng)
-            val = level_kernel(d, n, x, x)
+            val = level_kernel_sum(d, n, x, x)
             assert abs(val - expected) < 1e-10 * expected
 
 
@@ -97,7 +109,7 @@ def test_level_kernel_closed_form_identity():
     rng = np.random.default_rng(1)
     for d, n in ((1, 6), (2, 4)):
         x, y = random_sphere_point(d, rng), random_sphere_point(d, rng)
-        assert abs(level_kernel(d, n, x, y)
+        assert abs(level_kernel_sum(d, n, x, y)
                    - level_kernel_closed(d, n, x, y)) < 1e-12
 
 
@@ -106,9 +118,9 @@ def test_level_kernel_diagonal_and_orthogonal_points():
     d, n = 2, 5
     x = unit_point([1, 0, 0])
     vol = np.pi ** 2 / 2
-    assert abs(level_kernel(d, n, x, x) - comb(n + d, d) / vol) < 1e-12
+    assert abs(level_kernel_sum(d, n, x, x) - comb(n + d, d) / vol) < 1e-12
     y = unit_point([0, 1, 0])   # <x, y> = 0
-    assert abs(level_kernel(d, n, x, y)) == 0.0
+    assert abs(level_kernel_sum(d, n, x, y)) == 0.0
 
 
 def test_level_kernel_reproducing_property():
@@ -123,9 +135,9 @@ def test_level_kernel_reproducing_property():
     for t, wt in zip(nodes, w):
         for p1 in phases:
             y = np.sqrt(t) * np.exp(1j * np.array([0.0, p1]))
-            total += wt / m_phase * abs(level_kernel(d, n, x, y)) ** 2
+            total += wt / m_phase * abs(level_kernel_sum(d, n, x, y)) ** 2
     total *= (2 * np.pi) ** (d + 1) / 2 ** d / (2 * np.pi)
-    assert abs(total - level_kernel(d, n, x, x).real) < 1e-6
+    assert abs(total - level_kernel_sum(d, n, x, x).real) < 1e-6
 
 
 def test_szego_kernel_sums_levels():
@@ -262,6 +274,22 @@ def test_rank1_count_at_huge_k_is_the_closed_form():
         assert hardy._weighted_count([1, 2, 3], total) == ((total + 3) ** 2 + 6) // 12
 
 
+def test_rank1_count_with_a_huge_period_is_refused_before_its_table():
+    # lcm(1009, 1013, 1019) is about 1.04e9, so the coin-change table would
+    # list about 3e9 partial counts (over 100 GB as Python ints)
+    model = TorusModel("s1-cp2-w1009", [[1009, 1013, 1019]], (1.0,))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(AssumptionViolation, match="partial counts.*memory budget"):
+            isotypic_dim(model, model.default_nu, 10 ** 12)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 10 * 2 ** 20, (elapsed, peak)
+
+
 def test_isotypic_dim_u2_equals_rep_dimension():
     from coorbit.characters import scaled_dimension
     model = build_model("u2-cp2")
@@ -323,7 +351,7 @@ def test_kernel_su2_equals_level_kernel_sum():
     x, y = (random_sphere_point(1, rng) for _ in range(2))
     k = 9
     direct = equivariant_kernel(model, nu, k, x, y)
-    via_sum = level_kernel(1, k - 1, x, y)
+    via_sum = level_kernel_sum(1, k - 1, x, y)
     assert abs(direct - via_sum) < 1e-10 * max(1.0, abs(direct))
 
 
@@ -337,7 +365,7 @@ def test_kernel_equivariance():
         g = (rng.uniform(0, 2 * np.pi, model.group.rank)
              if model.group.kind == "torus"
              else random_unitary(model.group.n, rng, special=(model.group.kind == "su")))
-        U = model.unitary(g)
+        U = model.unitary_batch([g])[0]
         a = equivariant_kernel(model, nu, k, U @ x, U @ y)
         b = equivariant_kernel(model, nu, k, x, y)
         assert abs(a - b) < 1e-10 * max(1.0, abs(b))
@@ -357,9 +385,9 @@ def test_peter_weyl_consistency_small_k():
         d = weyl_dimension(group, knu)
         x, y = (random_sphere_point(model.d, rng) for _ in range(2))
         basis = isotypic_basis(model, nu, k)
-        nmax = int(basis.levels.max())
+        nmax = int(basis.alphas.sum(axis=1).max())
         nodes, weights = haar_quadrature(group, level)
-        moved = [model.unitary(g).conj().T @ x for g in nodes]
+        moved = [u.conj().T @ x for u in model.unitary_batch(nodes)]
         chis = np.array([np.conj(character_at_element(group, knu, g)) for g in nodes])
         total = 0j
         for n in range(nmax + 2):
@@ -432,7 +460,7 @@ def test_diag_profile_peak_and_width():
     nu = model.default_nu
     curve = model.locus_simplex_curve(nu)
     t0 = curve(0.5)
-    x0 = model.point(np.sqrt(t0))
+    x0 = unit_point(np.sqrt(t0))
     sample = model.locus_decompose(nu, x0)
     n_vec = model.normal_space(nu, sample)[0]
     n_vec = n_vec / np.linalg.norm(n_vec)
@@ -469,7 +497,7 @@ def test_off_orbit_value_metadata():
     nu = model.default_nu
     x = unit_point([np.sqrt(0.7), np.sqrt(0.3)])
     # y on the same orbit: separation ~ 0
-    y = model.unitary(np.array([1.3])) @ x
+    y = model.unitary_batch([[1.3]])[0] @ x
     assert orbit_separation(model, x, y) < 1e-6
     # separated pair: superpolynomial decay of the log-magnitude slope
     y2 = unit_point([np.sqrt(0.45), np.sqrt(0.55)])
@@ -579,7 +607,7 @@ def test_blocked_basis_sum_matches_the_one_shot_sum():
 
 def _off_orbit_pairs(model, rng):
     # the default locus point against a fixed complex point, and a random pair
-    y = model.point(np.sqrt([0.2, 0.25, 0.55]) * np.exp(1j * np.array([0.0, 0.7, -1.3])))
+    y = unit_point(np.sqrt([0.2, 0.25, 0.55]) * np.exp(1j * np.array([0.0, 0.7, -1.3])))
     return [(model.default_locus_point(), y),
             (random_sphere_point(2, rng), random_sphere_point(2, rng))]
 
@@ -642,15 +670,16 @@ def test_basis_sum_empty_basis_and_zero_coordinates():
     # a zero coordinate of x kills every term with a positive exponent there
     rng = np.random.default_rng(4)
     y = random_sphere_point(2, rng)
-    basis = level_basis(2, 6)
+    alphas = level_exponents(2, 6)
+    log_norms = monomial_log_norms(2, alphas)
     terms = [np.prod(x ** a) * np.prod(np.conj(y) ** a) / np.exp(ln)
-             for a, ln in zip(basis.alphas, basis.log_norms)]
+             for a, ln in zip(alphas, log_norms)]
     direct = sum(terms)
-    logmag, phase = hardy._basis_sum(basis.alphas, basis.log_norms, x, y)
+    logmag, phase = hardy._basis_sum(alphas, log_norms, x, y)
     assert abs(np.exp(logmag) * phase - direct) < 1e-13 * abs(direct)
     # every term vanishes: <e_0, e_1>^n
     e0, e1 = unit_point([1, 0, 0]), unit_point([0, 1, 0])
-    assert hardy._basis_sum(basis.alphas, basis.log_norms, e0, e1) == (-np.inf, 0.0 + 0.0j)
+    assert hardy._basis_sum(alphas, log_norms, e0, e1) == (-np.inf, 0.0 + 0.0j)
 
 
 # k with at least 3 blocks and a partial last one; weights (2, 3, 5) reject

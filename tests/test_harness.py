@@ -1,10 +1,12 @@
 import importlib.util
 import json
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coorbit
 from coorbit.cli import main
 from coorbit.harness import (
     ExperimentConfig,
@@ -142,6 +144,18 @@ def test_cli_orbit_volume(capsys):
     assert abs(out["quadrature_weight_sum"] - 4 * np.pi) < 1e-9
 
 
+def test_cli_orbit_integral_refuses_su3(capsys):
+    # no orbit quadrature for SU(n)/U(n), n >= 3: a config error (exit 4);
+    # the Weyl character alone still runs there
+    assert main(["orbit-volume", "--group", "su3", "--nu", "2,1"]) == 4
+    assert "no orbit quadrature for SU(3)" in capsys.readouterr().err
+    character = ["character", "--group", "su3", "--nu", "2,1", "--theta", "0.2,0.3"]
+    assert main(character + ["--kirillov"]) == 4
+    assert "no orbit quadrature for SU(3)" in capsys.readouterr().err
+    assert main(character) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {"weyl"}
+
+
 def test_cli_psi_nu_and_kernel_eval(capsys):
     assert main(["psi-nu", "--model", "su2-cp1"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -230,3 +244,24 @@ def test_benchmark_tracer_names_resolve():
         module = importlib.import_module(f"coorbit.{mod_name}")
         assert any(isinstance(cls, type) and cls.__module__ == module.__name__
                    and attr in cls.__dict__ for cls in vars(module).values()), qual
+
+
+def test_public_names_are_frozen():
+    """The names ``import coorbit`` exports, so that adding or removing
+    one is a deliberate edit of this list."""
+    public = sorted(name for name, value in vars(coorbit).items()
+                    if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert public == [
+        "AssumptionViolation", "CompactGroup", "ConeDistance", "ExperimentConfig",
+        "FitResult", "HalfWeight", "InvariantMetric", "IsotypicBasis", "LocusSample",
+        "MODEL_IDS", "OrbitQuadrature", "Prediction", "ProjectiveModel",
+        "QuadratureDisagreement", "Row", "UnsupportedGroupError",
+        "ad_on_cartan_complement", "adjoint_action", "build_group", "build_model",
+        "dimension_coefficient", "equivariant_kernel", "equivariant_kernel_log",
+        "exp_jacobian", "gaussian_pair_exponent", "group_volumes", "haar_quadrature",
+        "half_weight", "isotypic_basis", "isotypic_dim", "kirillov_character",
+        "leading_coefficient", "orbit_quadrature", "orbit_separation", "orbit_volume",
+        "peter_weyl_projector_weight", "phase_hessian", "predict_near_diagonal",
+        "run_suite", "scaled_dimension", "trace_metric", "unit_point",
+        "weyl_character", "weyl_dimension",
+    ]

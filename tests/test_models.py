@@ -13,7 +13,12 @@ from coorbit.models import (
     unit_point,
 )
 
-from oracles import fiber_phase_moment, simplex_quadrature_loop
+from oracles import (
+    coadjoint,
+    fiber_phase_moment,
+    random_sphere_point,
+    simplex_quadrature_loop,
+)
 
 
 def t3_cp3_model():
@@ -46,7 +51,7 @@ def test_moment_map_finite_difference_oracle():
     for mid in MODEL_IDS:
         model = build_model(mid)
         for _ in range(3):
-            x = model.random_point(rng)
+            x = random_sphere_point(model.d, rng)
             xi = rng.standard_normal(model.group.dim)
             fd = fiber_phase_moment(model, x, xi)
             assert np.isclose(model.moment_map(x) @ xi, fd, atol=1e-5)
@@ -57,39 +62,38 @@ def test_su2_moment_norm_constant():
     model = build_model("su2-cp1")
     rng = np.random.default_rng(1)
     for _ in range(20):
-        x = model.random_point(rng)
-        assert np.isclose(model.moment_norm(x), 1 / np.sqrt(2), rtol=1e-12)
+        x = random_sphere_point(model.d, rng)
+        assert np.isclose(model.metric.norm_covector(model.moment_map(x)), 1 / np.sqrt(2),
+                          rtol=1e-12)
 
 
 def test_su2_duistermaat_heckman_consistency():
     # the moment image of (CP^1, 2 omega) is a single coadjoint orbit
-    # whose symplectic volume must equal int_M 2 omega = 2 pi; this pins
-    # lambda(m) = 1/2 independently of the kernel checks
+    # whose symplectic volume must equal int_M 2 omega = 2 vol(CP^1) = 2 pi;
+    # this pins lambda(m) = 1/2 independently of the kernel checks
     from coorbit.characters import orbit_volume
     model = build_model("su2-cp1")
     nu = model.default_nu
     s = model.locus_decompose(nu, model.default_locus_point(nu))
     q_dominant = s.sigma * nu.coords     # dominant coordinates of Phi(m)
     vol_orbit = orbit_volume(model.group, q_dominant)
-    assert np.isclose(vol_orbit, 2 * np.pi * model.volume_m() / np.pi * 1.0, rtol=1e-12)
     assert np.isclose(vol_orbit, 2 * np.pi, rtol=1e-12)
 
 
 def test_moment_equivariance():
     rng = np.random.default_rng(2)
-    from coorbit.groups import coadjoint_action
     for mid in ("su2-cp1", "u2-cp2"):
         model = build_model(mid)
         for _ in range(10):
-            x = model.random_point(rng)
+            x = random_sphere_point(model.d, rng)
             g = random_unitary(model.group.n, rng, special=(model.group.kind == "su"))
-            lhs = model.moment_map(model.unitary(g) @ x)
-            rhs = coadjoint_action(model.group, g, model.moment_map(x))
+            lhs = model.moment_map(model.unitary_batch([g])[0] @ x)
+            rhs = coadjoint(model.group.basis_matrices, g, model.moment_map(x))
             assert np.allclose(lhs, rhs, atol=1e-10)
     model = build_model("t2-cp2")
-    x = model.random_point(rng)
+    x = random_sphere_point(model.d, rng)
     theta = rng.uniform(0, 2 * np.pi, 2)
-    assert np.allclose(model.moment_map(model.unitary(theta) @ x),
+    assert np.allclose(model.moment_map(model.unitary_batch([theta])[0] @ x),
                        model.moment_map(x), atol=1e-12)
 
 
@@ -99,7 +103,7 @@ def test_hamilton_condition_finite_difference():
     for mid in MODEL_IDS:
         model = build_model(mid)
         for _ in range(4):
-            x = model.random_point(rng)
+            x = random_sphere_point(model.d, rng)
             xi = rng.standard_normal(model.group.dim)
             u = model.horizontal(x, rng.standard_normal(model.ambient_dim)
                                  + 1j * rng.standard_normal(model.ambient_dim))
@@ -154,7 +158,7 @@ def test_locus_decompose_su2_sigma():
     for nu_val in (1.0, 3.0):
         nu = half_weight(model.group, nu_val)
         for _ in range(5):
-            x = model.random_point(rng)
+            x = random_sphere_point(model.d, rng)
             s = model.locus_decompose(nu, x)
             assert isinstance(s, LocusSample)
             assert np.isclose(s.sigma, 1.0 / nu_val, rtol=1e-10)
@@ -193,13 +197,13 @@ def test_locus_sample_invariants():
 def test_locus_decompose_off_cone_distance():
     model = build_model("t2-cp2")
     nu = model.default_nu
-    x = model.point(np.sqrt([0.25, 0.45, 0.30]))
+    x = unit_point(np.sqrt([0.25, 0.45, 0.30]))
     out = model.locus_decompose(nu, x)
     assert isinstance(out, ConeDistance)
     assert out.distance > 0.05
     model2 = build_model("u2-cp2")
     out2 = model2.locus_decompose(model2.default_nu,
-                                  model2.point(np.sqrt([0.5, 0.3, 0.2])))
+                                  unit_point(np.sqrt([0.5, 0.3, 0.2])))
     assert isinstance(out2, ConeDistance) and out2.distance > 0.01
 
 
@@ -208,14 +212,14 @@ def test_cone_distance_at_nonpositive_sigma_is_moment_norm():
     rng = np.random.default_rng(12)
     model = build_model("t2-cp2")         # Phi = (t1 + t3, t2 + t3) >= 0
     nu = half_weight(model.group, (-1.0, -1.0))
-    cases = [(model, nu, model.random_point(rng)) for _ in range(5)]
+    cases = [(model, nu, random_sphere_point(model.d, rng)) for _ in range(5)]
     model = build_model("u2-cp2")         # |c|^2 >= |v|^2 makes both q_j >= 0
     nu = half_weight(model.group, (-0.5, -1.5))
     for _ in range(5):
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         v *= np.sqrt(0.3) / np.linalg.norm(v)
         c = np.sqrt(0.7) * np.exp(1j * rng.uniform(0, 6))
-        cases.append((model, nu, model.point([v[0], v[1], c])))
+        cases.append((model, nu, unit_point([v[0], v[1], c])))
     for model, nu, x in cases:
         out = model.locus_decompose(nu, x)
         assert isinstance(out, ConeDistance), model.id
@@ -227,7 +231,7 @@ def _locus_stack(model, nu, rng, count=12):
     """count points of the locus of nu on model, spread over it."""
     group = model.group
     if group.rank == 1:
-        points = [model.random_point(rng) for _ in range(count)]   # the locus is all of M
+        points = [random_sphere_point(model.d, rng) for _ in range(count)]   # the locus is all of M
         if group.kind == "torus":
             points[0] = model.default_locus_point(nu)
         return np.array(points)
@@ -290,7 +294,7 @@ def test_locus_decompose_mixed_stack_gives_cone_distances():
         model = build_model(mid)
         nu = model.default_nu
         xs = _locus_stack(model, nu, rng, count=6)
-        xs = np.concatenate([xs[:3], [model.point(np.sqrt(off))], xs[3:]])
+        xs = np.concatenate([xs[:3], [unit_point(np.sqrt(off))], xs[3:]])
         out = model.locus_decompose(nu, xs)
         assert isinstance(out, ConeDistance), mid
         assert out.distance.shape == (len(xs),) and out.phi.shape == (len(xs), 2 if mid == "t2-cp2" else 4)
@@ -300,11 +304,13 @@ def test_locus_decompose_mixed_stack_gives_cone_distances():
                 np.testing.assert_allclose(dist, single.distance, rtol=1e-13, atol=0)
                 assert dist > 0.01
             else:
-                assert dist <= 1e-10 * max(1.0, model.moment_norm(x))
+                assert dist <= 1e-10 * max(1.0, model.metric.norm_covector(model.moment_map(x)))
         assert sum(isinstance(model.locus_decompose(nu, x), ConeDistance) for x in xs) == 1
 
 
 def test_unitary_validates_and_matches_batch():
+    # group elements are validated one by one and as a stack; the lifted
+    # unitaries of a stack are those of its elements taken one at a time
     rng = np.random.default_rng(13)
     for mid in MODEL_IDS:
         model = build_model(mid)
@@ -316,27 +322,29 @@ def test_unitary_validates_and_matches_batch():
             gs = np.stack([random_unitary(group.n, rng, special=group.kind == "su")
                            for _ in range(4)])
             bad = 1.1 * gs[0]
-        with pytest.raises(ValueError):
-            model.unitary(bad)
-        single = np.stack([model.unitary(g) for g in gs])
+        assert group.check_element(gs) is gs
+        for candidate in (bad, np.stack([gs[0], bad])):
+            with pytest.raises(ValueError):
+                group.check_element(candidate)
+        single = np.stack([model.unitary_batch(g[None])[0] for g in gs])
         np.testing.assert_allclose(single, model.unitary_batch(gs), rtol=0, atol=1e-15)
     su2 = build_model("su2-cp1")
     with pytest.raises(ValueError):
-        su2.unitary(np.exp(0.3j) * np.eye(2))              # unitary, det != 1
+        su2.group.check_element(np.exp(0.3j) * np.eye(2))  # unitary, det != 1
 
 
 def test_moment_map_stack_and_min_norm_reference():
     rng = np.random.default_rng(14)
     for mid in MODEL_IDS:
         model = build_model(mid)
-        xs = np.stack([model.random_point(rng) for _ in range(6)])
+        xs = np.stack([random_sphere_point(model.d, rng) for _ in range(6)])
         per_point = [[-hermitian_inner(a @ x, x).imag for a in model.generators] for x in xs]
         np.testing.assert_allclose(model.moment_map(xs), per_point, rtol=0, atol=1e-14)
         # construction-time minimum vs the per-point loop over the same draw
         draw = np.random.default_rng(11)
-        points = [model.random_point(draw) for _ in range(400)]
+        points = [random_sphere_point(model.d, draw) for _ in range(400)]
         points += list(np.eye(model.ambient_dim, dtype=complex))
-        worst = min(model.moment_norm(x) for x in points)
+        worst = min(model.metric.norm_covector(model.moment_map(x)) for x in points)
         assert np.isclose(model.min_moment_norm, worst, rtol=1e-14, atol=0), mid
 
 
@@ -365,7 +373,7 @@ def test_d_phi_basis_invariance():
     # the sqrt-determinant is independent of the phi-orthonormal basis
     model = t3_cp3_model()
     nu = model.default_nu
-    x = model.point(np.sqrt([0.5, 0.2, 0.2, 0.1]))
+    x = unit_point(np.sqrt([0.5, 0.2, 0.2, 0.1]))
     s = model.locus_decompose(nu, x)
     assert isinstance(s, LocusSample)
     _, scalar = model.d_phi(nu, s)
@@ -397,7 +405,7 @@ def test_normal_space_orthogonal_to_locus_tangent():
         curve = model.locus_simplex_curve(nu)
         h = 1e-5
         for s_par in (0.35, 0.6):
-            x = model.point(np.sqrt(curve(s_par)))
+            x = unit_point(np.sqrt(curve(s_par)))
             samp = model.locus_decompose(nu, x)
             n = model.normal_space(nu, samp)[0]
             # tangents: the curve direction and the torus orbit directions
@@ -414,7 +422,7 @@ def test_normal_vectors_symplectically_involutive():
     # omega(v1, v2) = 0 for normal vectors (needs rank >= 3 for two of them)
     model = t3_cp3_model()
     nu = model.default_nu
-    x = model.point(np.sqrt([0.5, 0.2, 0.2, 0.1]))
+    x = unit_point(np.sqrt([0.5, 0.2, 0.2, 0.1]))
     s = model.locus_decompose(nu, x)
     normals = model.normal_space(nu, s)
     assert len(normals) == 2
@@ -464,7 +472,7 @@ def test_w_space_meets_normal_space_trivially():
 def test_displace_chart_properties():
     model = build_model("s1-cp2-w123")
     rng = np.random.default_rng(5)
-    x = model.random_point(rng)
+    x = random_sphere_point(model.d, rng)
     assert np.allclose(model.displace(x, 0.0, np.zeros(3)), x)
     v = model.horizontal(x, rng.standard_normal(3) + 1j * rng.standard_normal(3))
     v *= 0.3 / np.linalg.norm(v)
@@ -573,7 +581,7 @@ def test_unitary_lift_commutes_with_fiber_rotation():
         model = build_model(mid)
         g = (rng.uniform(0, 2 * np.pi, model.group.rank) if model.group.kind == "torus"
              else random_unitary(model.group.n, rng, special=(model.group.kind == "su")))
-        U = model.unitary(g)
+        U = model.unitary_batch([g])[0]
         assert np.allclose(U @ U.conj().T, np.eye(model.ambient_dim), atol=1e-12)
-        x = model.random_point(rng)
+        x = random_sphere_point(model.d, rng)
         assert np.allclose(U @ (1j * x), 1j * (U @ x))

@@ -9,7 +9,7 @@ from coorbit.groups import (
     trace_metric,
 )
 from coorbit.hardy import equivariant_kernel, isotypic_dim
-from coorbit.models import MODEL_IDS, build_model
+from coorbit.models import MODEL_IDS, build_model, unit_point
 from coorbit.predictor import (
     dimension_coefficient,
     gaussian_pair_exponent,
@@ -79,7 +79,7 @@ def test_leading_coefficient_group_invariance():
         psi0 = leading_coefficient(model, nu, model.locus_decompose(nu, x))
         for _ in range(5):
             g = random_unitary(model.group.n, rng, special=(model.group.kind == "su"))
-            moved = model.unitary(g) @ x
+            moved = model.unitary_batch([g])[0] @ x
             psi = leading_coefficient(model, nu, model.locus_decompose(nu, moved))
             assert abs(psi / psi0 - 1) <= 1e-10
 
@@ -87,7 +87,7 @@ def test_leading_coefficient_group_invariance():
 def test_leading_coefficient_needs_locus_sample():
     model = build_model("t2-cp2")
     nu = model.default_nu
-    off = model.locus_decompose(nu, model.point(np.sqrt([0.25, 0.45, 0.3])))
+    off = model.locus_decompose(nu, unit_point(np.sqrt([0.25, 0.45, 0.3])))
     with pytest.raises(AssumptionViolation):
         leading_coefficient(model, nu, off)
 
@@ -167,7 +167,7 @@ def test_prediction_membership_errors():
         predict_near_diagonal(model, nu, s, 64, v1=t)
     with pytest.raises(AssumptionViolation):
         predict_near_diagonal(model, nu, s, 64, w1=t)
-    off = model.locus_decompose(nu, model.point(np.sqrt([0.25, 0.45, 0.3])))
+    off = model.locus_decompose(nu, unit_point(np.sqrt([0.25, 0.45, 0.3])))
     with pytest.raises(AssumptionViolation):
         predict_near_diagonal(model, nu, off, 64)
     v = model.normal_space(nu, s)[0]
