@@ -29,7 +29,6 @@ from .groups import (
     algebra_matrix,
     half_weight,
     haar_quadrature,
-    rational_pairing,
 )
 
 
@@ -46,10 +45,11 @@ def _coords(nu):
 def _root_ratios(group, coords):
     """phi(gamma, beta) / phi(delta, beta) for every positive root beta.
 
-    A metric scale cancels in each ratio, so the trace-form pairing of
-    :attr:`CompactGroup.root_pairing` serves every supported metric.
+    beta^phi is a positive multiple of the coroot beta^vee for every
+    supported metric, so each ratio is <gamma, beta^vee> / <delta, beta^vee>
+    with :attr:`CompactGroup.coroots`.
     """
-    return (coords @ group.root_pairing) / (group.delta @ group.root_pairing)
+    return (coords @ group.coroots) / (group.delta @ group.coroots)
 
 
 def weyl_dimension(group, nu):
@@ -60,7 +60,7 @@ def weyl_dimension(group, nu):
     1e-9 relative and is rounded after that check.
     """
     coords = _coords(nu)
-    singular = np.flatnonzero(np.abs(coords @ group.root_pairing) < 1e-14)
+    singular = np.flatnonzero(np.abs(coords @ group.coroots) < 1e-14)
     if singular.size:
         raise ValueError(
             f"nu is not regular: phi(nu, {group.positive_roots[singular[0]]}) = 0")
@@ -77,7 +77,8 @@ def scaled_dimension(group, nu, k):
     """d_{k nu}, with the identity d_{k nu} = k^{n_pos} d_nu checked exactly.
 
     Both sides are evaluated in rational arithmetic on the product
-    formula, so the assertion is exact, not a float comparison.
+    formula over the integer coroots, so the assertion is exact, not a
+    float comparison.
     """
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise ValueError("k must be a positive integer")
@@ -86,9 +87,9 @@ def scaled_dimension(group, nu, k):
 
     def product(cs):
         val = Fraction(1)
-        for beta in group.positive_roots:
-            b = [Fraction(x).limit_denominator(10 ** 9) for x in beta]
-            val *= rational_pairing(group, cs, b) / rational_pairing(group, delta, b)
+        for coroot in group.coroots.T.tolist():
+            val *= (sum(c * b for c, b in zip(cs, coroot))
+                    / sum(d * b for d, b in zip(delta, coroot)))
         return val
 
     d_nu = product(coords)
@@ -169,8 +170,10 @@ def character_at_element(group, nu, g):
     or a stack of elements along a leading axis, as returned by
     :func:`haar_quadrature`; a stack gives an array of values and one
     element a scalar.  Uses the stable homogeneous-sum form of the
-    character for n = 2 (no wall singularities); falls back on
-    :func:`weyl_character` with extrapolation otherwise.
+    character for n = 2 (no wall singularities); otherwise maps the
+    eigen-angles to Cartan coordinates through the pseudo-inverse of
+    :attr:`~coorbit.groups.CompactGroup.cartan_diagonal` and calls
+    :func:`weyl_character`, which extrapolates at walls.
     """
     nu = half_weight(group, nu)
     g = np.asarray(g)
@@ -186,7 +189,11 @@ def character_at_element(group, nu, g):
             return _homogeneous_sum(x1, x2, m)
         l1, l2 = int(round(lam[0])), int(round(lam[1]))
         return (x1 * x2) ** l2 * _homogeneous_sum(x1, x2, l1 - l2)
-    return weyl_character(group, nu, _angles_to_cartan_coords(group, angles))
+    if group.kind == "su":
+        # the angles of det = 1 sum to a multiple of 2 pi; the Cartan
+        # coordinates need the sum-zero representative
+        angles[..., -1] -= 2 * np.pi * np.round(angles.sum(axis=-1) / (2 * np.pi))
+    return weyl_character(group, nu, angles @ np.linalg.pinv(group.cartan_diagonal))
 
 
 def _homogeneous_sum(x1, x2, m):
@@ -201,15 +208,6 @@ def _homogeneous_sum(x1, x2, m):
         total += p
         p *= ratio
     return total
-
-
-def _angles_to_cartan_coords(group, angles):
-    if group.kind == "u":
-        return np.asarray(angles, dtype=float)
-    # SU(n): coords_j = theta_j - theta_{j+1} on the sum-zero pattern
-    th = np.asarray(angles, dtype=float)
-    th = th - th.mean(axis=-1, keepdims=True)
-    return th[..., :-1] - th[..., 1:]
 
 
 # -- exp-map Jacobian ---------------------------------------------------------

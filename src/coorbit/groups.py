@@ -14,6 +14,12 @@ Conventions
   pairs E_jk - E_kj and i(E_jk + E_kj), j < k.  For SU(2) the single
   Cartan coordinate is the value on Z = diag(i, -i), and for U(n) the
   Cartan coordinates are the usual decreasing tuples.
+* :attr:`CompactGroup.cartan_diagonal` D (row j is diag(H_j)/i) is the one
+  map between Cartan coordinates and eigen-angles: exp(sum c_j H_j) =
+  diag(e^{i c D}), and a covector with eigen-pattern g (the sum-zero
+  vector with <gamma, diag(i theta)> = sum g_j theta_j on SU(n)) has
+  Cartan coordinates D g.  Roots, coroots and Weyl matrices are read
+  from it.
 * Covectors are arrays of values on that basis and algebra vectors are
   coefficient arrays with respect to it.  A Cartan datum is given by
   its leading ``rank`` coordinates, a full one by all ``dim``; the
@@ -32,9 +38,9 @@ All objects are immutable after construction and all functions are
 pure, so everything here is safe to share across threads.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -82,23 +88,6 @@ def _basis_matrices(kind, n):
     return mats
 
 
-def _su_coord_maps(n):
-    """Maps between SU(n) Cartan covector coords and R^n eigen-patterns.
-
-    Coordinates are values on H_j = i(E_jj - E_{j+1,j+1}); the pattern g
-    is the sum-zero vector with <gamma, diag(i theta)> = sum g_j theta_j,
-    so coords_j = g_j - g_{j+1}.
-    """
-    T = np.zeros((n - 1, n))
-    for j in range(n - 1):
-        T[j, j] = 1.0
-        T[j, j + 1] = -1.0
-    # right inverse landing in the sum-zero subspace
-    P0 = np.eye(n) - np.full((n, n), 1.0 / n)
-    Tplus = P0 @ T.T @ np.linalg.inv(T @ P0 @ T.T)
-    return T, Tplus
-
-
 @dataclass(frozen=True, eq=False)
 class CompactGroup:
     """Root datum of a supported compact connected group.
@@ -120,6 +109,9 @@ class CompactGroup:
     trace_gram : ndarray, shape (dim, dim)
         Gram matrix of the reference metric in the fixed basis: the
         identity on tori, -trace(A B) on SU(n)/U(n).
+    cartan_diagonal : ndarray, shape (rank, n)
+        Row j is diag(H_j)/i, the eigen-angles of the Cartan basis
+        element H_j (the identity on tori, whose elements are angles).
     basis_matrices : ndarray, shape (dim, n, n)
         The fixed skew-Hermitian basis (empty on tori).
     """
@@ -132,6 +124,7 @@ class CompactGroup:
     delta: np.ndarray
     weyl_elements: tuple
     trace_gram: np.ndarray = field(repr=False)
+    cartan_diagonal: np.ndarray = field(repr=False)
     basis_matrices: np.ndarray = field(repr=False, default=())
 
     @property
@@ -154,12 +147,15 @@ class CompactGroup:
                 np.array([sign for _, sign in self.weyl_elements], dtype=float))
 
     @cached_property
-    def root_pairing(self):
-        """Trace-form sharps of the positive roots as columns, shape
-        (rank, n_pos): ``coords @ root_pairing`` gives the trace-form
-        pairing of a Cartan covector with every positive root."""
-        r = self.rank
-        return np.linalg.solve(self.trace_gram[:r, :r], self.positive_roots.T)
+    def coroots(self):
+        """Coroots beta^vee = 2 beta^phi / phi(beta, beta) of the positive
+        roots as integer columns of Cartan coefficients, shape
+        (rank, n_pos): ``coords @ coroots`` pairs a Cartan covector with
+        every coroot.  The root beta with eigen-pattern e_j - e_k has
+        trace length sqrt 2 and coroot the Cartan element c with
+        eigen-angles D^T c = e_j - e_k, that is (D D^T) c = beta."""
+        D = self.cartan_diagonal
+        return np.rint(np.linalg.solve(D @ D.T, self.positive_roots.T)).astype(int)
 
     @property
     def name(self):
@@ -207,6 +203,7 @@ def build_group(kind, n=None):
             delta=np.zeros(r),
             weyl_elements=((np.eye(r), 1),),
             trace_gram=np.eye(r),
+            cartan_diagonal=np.eye(r),
         )
     if kind not in ("su", "u"):
         raise UnsupportedGroupError(f"unsupported group kind {kind!r}")
@@ -217,36 +214,32 @@ def build_group(kind, n=None):
     if n > _MAX_WEYL_RANK:
         raise UnsupportedGroupError(f"n={n} too large (Weyl group is materialized)")
 
-    if kind == "u":
-        rank, dim = n, n * n
-        pattern_to_coords = np.eye(n)
-        coords_to_pattern = np.eye(n)
-    else:
-        rank, dim = n - 1, n * n - 1
-        pattern_to_coords, coords_to_pattern = _su_coord_maps(n)
+    rank, dim = (n, n * n) if kind == "u" else (n - 1, n * n - 1)
+    basis = np.array(_basis_matrices(kind, n))
+    D = np.diagonal(basis[:rank], axis1=1, axis2=2).imag
+    D_plus = np.linalg.pinv(D)
 
-    roots = []
-    for j, k in _pair_indices(n):
-        pat = np.zeros(n)
-        pat[j], pat[k] = 1.0, -1.0
-        roots.append(pattern_to_coords @ pat)
-    roots = np.array(roots)
+    pairs = _pair_indices(n)
+    patterns = np.zeros((len(pairs), n))
+    for idx, (j, k) in enumerate(pairs):
+        patterns[idx, [j, k]] = 1.0, -1.0
+    roots = patterns @ D.T
     delta = 0.5 * roots.sum(axis=0)
 
     weyl = []
     for perm in permutations(range(n)):
         P = np.zeros((n, n))
         P[list(perm), range(n)] = 1.0
-        mat = pattern_to_coords @ P @ coords_to_pattern
-        sign = int(round(np.linalg.det(P)))
-        weyl.append((mat, sign))
+        # W preserves the lattice of the H_j, so the matrix is integral and
+        # rounding only removes pinv noise (+ 0.0 turns -0.0 into 0.0)
+        weyl.append((np.rint(D @ P @ D_plus) + 0.0, int(round(np.linalg.det(P)))))
 
-    basis = np.array(_basis_matrices(kind, n))
     return CompactGroup(
         kind=kind, n=n, dim=dim, rank=rank,
         positive_roots=roots, delta=delta,
         weyl_elements=tuple(weyl),
         trace_gram=-np.einsum("aij,bji->ab", basis, basis).real,
+        cartan_diagonal=D,
         basis_matrices=basis,
     )
 
@@ -288,18 +281,6 @@ def matrix_coefficients(group, mat):
     """Inverse of :func:`algebra_matrix` (trace-orthogonal projection)."""
     vals = -np.einsum("...ij,mji->...m", mat, group.basis_matrices).real
     return np.linalg.solve(group.trace_gram, vals[..., None])[..., 0]
-
-
-def diag_angles(group, t_coeffs):
-    """Eigen-pattern theta with sum c_j H_j = diag(i theta_1, ...)."""
-    c = np.asarray(t_coeffs, dtype=float)
-    if group.kind != "su":
-        return c
-    theta = np.zeros(group.n)
-    for j, cj in enumerate(c):
-        theta[j] += cj
-        theta[j + 1] -= cj
-    return theta
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,7 +393,7 @@ class HalfWeight:
         frac = lam - np.round(lam)
         if np.max(np.abs(frac), initial=0.0) > 1e-9:
             raise ValueError(f"nu - delta = {lam} is not an integral weight")
-        failed = np.flatnonzero(coords @ g.root_pairing <= 0)
+        failed = np.flatnonzero(coords @ g.coroots <= 0)
         if failed.size:
             raise ValueError(f"nu = {coords} is not regular dominant "
                              f"(fails on root {g.positive_roots[failed[0]]})")
@@ -455,8 +436,8 @@ def dominant_representative(metric, gamma_full):
     """Dominant Cartan coordinates q and a move h with gamma = Coad_h(q).
 
     Tori: (gamma, identity).  SU(n)/U(n): the eigenvalues i theta of
-    gamma^phi in descending theta order give q = scale * theta (U) or
-    q = scale * (theta_j - theta_{j+1}) (SU), and h is the matching
+    gamma^phi in descending theta order give q = scale * D theta with D
+    the :attr:`~CompactGroup.cartan_diagonal`, and h is the matching
     eigenvector matrix (determinant 1 for SU); h is defined modulo the
     stabilising torus.  ``gamma_full`` may be a stack of covectors along
     leading axes; q and h then carry those axes.
@@ -470,10 +451,9 @@ def dominant_representative(metric, gamma_full):
     order = np.argsort(eigvals, axis=-1)[..., ::-1]
     theta = np.take_along_axis(eigvals, order, axis=-1)
     h = np.take_along_axis(eigvecs, order[..., None, :], axis=-1)
-    if group.kind == "u":
-        return metric.scale * theta, h
-    h = h * (np.linalg.det(h) ** (-1.0 / group.n))[..., None, None]
-    return metric.scale * (theta[..., :-1] - theta[..., 1:]), h
+    if group.kind == "su":
+        h = h * (np.linalg.det(h) ** (-1.0 / group.n))[..., None, None]
+    return metric.scale * (theta @ group.cartan_diagonal.T), h
 
 
 def ad_on_cartan_complement(metric, t_coeffs):
@@ -497,7 +477,7 @@ def ad_on_cartan_complement(metric, t_coeffs):
     group = metric.group
     if group.kind == "torus":
         return np.zeros((0, 0)), 1.0
-    theta = diag_angles(group, t_coeffs)
+    theta = np.asarray(t_coeffs, dtype=float) @ group.cartan_diagonal
     pairs = _pair_indices(group.n)
     m = 2 * len(pairs)
     mat = np.zeros((m, m))
@@ -526,8 +506,6 @@ def group_volumes(metric):
     if group.kind == "torus":
         v = (2 * np.pi) ** group.n * np.sqrt(np.linalg.det(metric.gram))
         return v, v
-    import math
-
     n, c = group.n, metric.scale
     fact = 1.0
     for k in range(1, n):
@@ -625,19 +603,3 @@ def random_unitary(n, rng, special=False):
         q = q * np.linalg.det(q) ** (-1.0 / n)
     return q
 
-
-def rational_pairing(group, a, b):
-    """Exact trace-form pairing phi(a, b) of Cartan covectors over Q."""
-    if group.kind != "su":
-        return sum(Fraction(x) * Fraction(y) for x, y in zip(a, b))
-    n = group.n
-    # SU(n): convert coords to sum-zero patterns with rational arithmetic
-    def pattern(coords):
-        g = [Fraction(0)] * n
-        # solve g_j - g_{j+1} = coords_j with sum zero
-        for j in range(n - 1, 0, -1):
-            g[j - 1] = g[j] + Fraction(coords[j - 1])
-        shift = sum(g, Fraction(0)) / n
-        return [x - shift for x in g]
-    pa, pb = pattern(a), pattern(b)
-    return sum(x * y for x, y in zip(pa, pb))

@@ -47,7 +47,7 @@ from .models import (
 )
 
 _BIG_NEG = -1.0e6  # stand-in for log 0; alpha * _BIG_NEG underflows exp cleanly
-# Rows of the exponent array cast to complex at a time in _basis_exponents
+# Rows of the exponent array cast to complex at a time in _block_exponents
 # and read at a time in monomial_log_norms: a block and its products stay
 # in cache, and no (N, d+1) complex copy exists.
 _BLOCK_ROWS = 4096

@@ -339,11 +339,18 @@ def run_gaussian_profile(config):
     return rows, fits
 
 
-def _decay_fit(fits, label, ks, logvals):
+def _decay_sweep(rows, fits, model, nu, ks, x, y, label, fit_label):
+    """One row of log|Pi_{k nu}(x, y)| per k, then the decay fit of the
+    local slopes."""
+    logvals = []
+    for k in ks:
+        lv, _ = equivariant_kernel_log(model, nu, k, x, y)
+        logvals.append(lv)
+        rows.append(Row(model.id, _nu_str(nu.coords), k, label, lv, -np.inf, 0.0))
     slopes = local_slopes(ks, logvals)
     monotone = bool(np.all(np.diff(slopes) <= 1e-6))
     passed = bool(slopes[-1] < -5.0) and monotone
-    fits.append(FitResult(label, float(slopes[-1]), np.nan,
+    fits.append(FitResult(fit_label, float(slopes[-1]), np.nan,
                           float(np.max(slopes)), passed, band=(-np.inf, -5.0),
                           note="slopes must decrease monotonically"))
 
@@ -367,23 +374,13 @@ def run_decay_suite(config):
         fits.append(FitResult("off-orbit-decay", np.nan, np.nan, sep, True,
                               note="pair lies on one orbit; no decay expected"))
     else:
-        logvals = []
-        for k in ks:
-            ov_log, _ = equivariant_kernel_log(model, nu, k, x, y)
-            logvals.append(ov_log)
-            rows.append(Row(model.id, _nu_str(nu.coords), k,
-                            f"off-orbit-log-abs-sep={sep:.4f}", ov_log, -np.inf, 0.0))
-        _decay_fit(fits, "off-orbit-decay", ks, logvals)
+        _decay_sweep(rows, fits, model, nu, ks, x, y,
+                     f"off-orbit-log-abs-sep={sep:.4f}", "off-orbit-decay")
 
     x_off = _off_locus_point(model, nu)
     if x_off is not None:
-        logvals = []
-        for k in ks:
-            lv, _ = equivariant_kernel_log(model, nu, k, x_off, x_off)
-            logvals.append(lv)
-            rows.append(Row(model.id, _nu_str(nu.coords), k, "off-locus-log-abs",
-                            lv, -np.inf, 0.0))
-        _decay_fit(fits, "off-locus-decay", ks, logvals)
+        _decay_sweep(rows, fits, model, nu, ks, x_off, x_off,
+                     "off-locus-log-abs", "off-locus-decay")
 
     if model.group.kind == "torus":
         mismatch = -np.asarray(nu.coords)

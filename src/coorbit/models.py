@@ -354,7 +354,7 @@ class ProjectiveModel:
         nodes, weights = simplex_quadrature(self.d, 24)
         total = weights.sum()                         # = vol(simplex) = 1/d!
         vol_x = (2 * np.pi) ** self.d / 2 ** self.d * total
-        target = np.pi ** self.d / _factorial(self.d)
+        target = np.pi ** self.d / math.factorial(self.d)
         if abs(vol_x - target) > 1e-10 * target:
             raise AssumptionViolation("circle-bundle volume normalization broken")
 
@@ -431,13 +431,6 @@ def _segment_chunks(rows, level, *tail):
     for lo in range(0, rows, _LIST_ROWS):
         a = np.arange(lo, min(lo + _LIST_ROWS, rows), dtype=np.int32)
         yield np.stack([a, level - a] + [np.full_like(a, t) for t in tail], axis=1)
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def simplex_quadrature(d, n):

@@ -93,7 +93,7 @@ def test_scaling_law_exact_catalog_groups():
 
 
 def test_scaling_law_higher_rank_groups():
-    # exercises the rational sum-zero pattern arithmetic for SU(3)
+    # exercises the rational coroot arithmetic on rank-2 and rank-3 groups
     for kind, lam in (("su3", (1.0, 1.0)), ("u3", (2.0, 1.0, 0.0))):
         g = build_group(kind)
         nu = half_weight(g, np.array(lam) + g.delta)
@@ -101,6 +101,26 @@ def test_scaling_law_higher_rank_groups():
         assert d1 == gt_dimension(lam) if kind == "u3" else True
         for k in (2, 3, 5, 8):
             assert scaled_dimension(g, nu, k) == k ** g.n_pos * d1
+
+
+def test_su_dimensions_match_the_gelfand_tsetlin_count():
+    # the SU(n) irrep with Dynkin labels l (its highest weight's Cartan
+    # coordinates) is the U(n) irrep of the partition mu_j = l_j + ... +
+    # l_{n-1}, and k nu has labels k l + (k - 1) (1, ..., 1)
+    def partition(labels):
+        return list(np.cumsum(labels[::-1])[::-1]) + [0]
+
+    for kind, cases, ks in (("su3", ((1, 0), (0, 1), (1, 1), (2, 1), (3, 0)), (2, 3)),
+                            ("su4", ((1, 0, 0), (0, 1, 0), (1, 1, 1), (2, 0, 1)), (2,))):
+        g = build_group(kind)
+        for lam in cases:
+            lam = np.array(lam)
+            nu = half_weight(g, lam + g.delta)
+            d = gt_dimension(partition(lam))
+            assert weyl_dimension(g, nu) == d
+            assert scaled_dimension(g, nu, 1) == d
+            for k in ks:
+                assert scaled_dimension(g, nu, k) == gt_dimension(partition(k * lam + k - 1))
 
 
 # -- Weyl character -----------------------------------------------------------
@@ -218,6 +238,25 @@ def test_weyl_character_stack_matches_per_element():
         if g.kind != "torus":
             near = np.abs(_alternating_sum(g, g.delta, thetas)) < 1e-8
             assert near.sum() >= 2, kind          # the wall branch was exercised
+
+
+def test_character_at_element_is_the_trace_of_the_defining_rep():
+    # chi of the defining representation (highest weight (1, 0, ..., 0))
+    # is tr U: on 100 Haar draws per group, and on an SU(3) element whose
+    # eigen-angles (2.6, 2.4, -5.0 + 2 pi after np.angle) sum to 2 pi
+    rng = np.random.default_rng(0)
+    for kind, coords in (("su3", (2.0, 1.0)), ("su4", (2.0, 1.0, 1.0)),
+                         ("u3", (2.0, 0.0, -1.0))):
+        g = build_group(kind)
+        assert weyl_dimension(g, coords) == g.n
+        us = np.array([random_unitary(g.n, rng, special=g.kind == "su")
+                       for _ in range(100)])
+        np.testing.assert_allclose(character_at_element(g, coords, us),
+                                   np.trace(us, axis1=1, axis2=2), rtol=0, atol=1e-12,
+                                   err_msg=kind)
+    wrapped = np.diag(np.exp(1j * np.array([2.6, 2.4, -5.0])))
+    value = character_at_element(build_group("su3"), (2.0, 1.0), wrapped)
+    assert abs(value - np.trace(wrapped)) < 1e-12
 
 
 # -- exp-map Jacobian ---------------------------------------------------------

@@ -32,6 +32,9 @@ def test_build_group_examples():
     u2 = build_group("u", 2)
     assert (u2.dim, u2.rank, u2.n_pos) == (4, 2, 1)
 
+    u1 = build_group("u", 1)
+    assert u1.positive_roots.shape == (0, 1) and np.array_equal(u1.delta, [0.0])
+
 
 def test_build_group_string_forms():
     assert build_group("t2").rank == 2
@@ -52,16 +55,17 @@ def test_weyl_group_orders():
     assert build_group("u3").weyl_order == 6
 
 
-@pytest.mark.parametrize("kind", ["su2", "u2", "su3"])
+@pytest.mark.parametrize("kind", ["su2", "u2", "su3", "su4", "su5", "u3", "u4", "u5"])
 def test_weyl_preserves_roots_up_to_sign(kind):
+    # the matrices are exact integers, so the images are compared exactly
     g = build_group(kind)
-    roots = [tuple(np.round(r, 9)) for r in g.positive_roots]
-    full = set(roots) | {tuple(np.round(-np.array(r), 9)) for r in roots}
+    roots = {tuple(r) for r in g.positive_roots}
+    full = roots | {tuple(-np.array(r)) for r in roots}
     for mat, sign in g.weyl_elements:
         assert sign in (-1, 1)
+        assert np.array_equal(mat, np.rint(mat))
         for beta in g.positive_roots:
-            image = tuple(np.round(mat @ beta, 9))
-            assert image in full
+            assert tuple(mat @ beta) in full
 
 
 def test_delta_in_lattice():
@@ -208,22 +212,19 @@ def test_cartan_data_are_leading_coordinates():
                 algebra_matrix(g, np.ones(r + 1))
 
 
-def test_root_pairing_matches_rational_pairing():
-    # the cached trace-form pairing with the positive roots, against the
-    # exact pairing over Q on integer covectors
-    from fractions import Fraction
-    from coorbit.groups import rational_pairing
-
-    rng = np.random.default_rng(15)
+def test_coroots_are_integral_and_dual_to_the_roots():
+    # beta^vee = 2 beta^phi / phi(beta, beta) with the sharp solved on the
+    # Cartan block of the trace Gram matrix; the coroots are integers and
+    # pair to 2 with their roots
     for kind in ("t2", "su2", "su3", "su4", "u2", "u3"):
         g = build_group(kind)
-        assert g.root_pairing.shape == (g.rank, g.n_pos)
-        for _ in range(5):
-            a = rng.integers(-5, 6, size=g.rank)
-            exact = [float(rational_pairing(g, [Fraction(int(x)) for x in a],
-                                            [Fraction(x) for x in beta]))
-                     for beta in g.positive_roots]
-            assert np.allclose(a @ g.root_pairing, exact, rtol=1e-14, atol=1e-14)
+        r = g.rank
+        assert g.coroots.shape == (r, g.n_pos) and g.coroots.dtype.kind == "i"
+        sharps = np.linalg.solve(g.trace_gram[:r, :r], g.positive_roots.T)
+        lengths = np.einsum("bi,ib->b", g.positive_roots, sharps)   # phi(beta, beta)
+        np.testing.assert_allclose(g.coroots, 2 * sharps / lengths, rtol=0, atol=1e-14)
+        assert np.array_equal(np.einsum("bi,ib->b", g.positive_roots, g.coroots),
+                              np.full(g.n_pos, 2.0))
 
 
 def test_volume_scaling_covariance():
