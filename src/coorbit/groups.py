@@ -318,6 +318,14 @@ class InvariantMetric:
 
     # -- pairings ---------------------------------------------------------
 
+    def inner(self, a, b):
+        """phi(a, b) for coefficient vectors of one length, Cartan (``rank``
+        values) or full (``dim`` values), through the matching leading
+        block of the Gram matrix; a float for one pair."""
+        a = np.asarray(a, dtype=float)
+        n = _leading_size(self.group, a)
+        return scalar_or_stack(a @ self.gram[:n, :n] @ np.asarray(b, dtype=float))
+
     def inner_matrices(self, A, B):
         """phi(A, B) = scale * trace(A conj(B)^T) for matrix arguments."""
         return self.scale * np.trace(A @ B.conj().T).real

@@ -14,22 +14,26 @@ then exact to relative rounding error at any magnitude.  A sum runs over
 blocks of _BLOCK_ROWS monomials and allocates nothing per term.  The
 first kernel evaluation of a (nu, k) on a model streams: it lists the
 isotypic monomials chunk by chunk (``isotypic_chunks``,
-``models._LIST_ROWS`` rows at a time), norms each chunk and folds it
-into the sum, holding one chunk and no basis.  A (nu, k)
-asked for again gets a stored basis, int32 exponents and float64
-log-norms (4 (d + 1) + 8 B per monomial, built at about 8 (d + 1) B
-per row), kept on the model and reused.  Both routes cut the rows into
-the same blocks, so they agree bit for bit.  Log-factorials come from
-one table, grown on demand, of a pure-Python port of Cephes lgam (the
-values of scipy.special.gammaln, bit for bit, with numpy as the only
-dependency).
+``models._LIST_ROWS`` rows at a time; on tori the prefix columns are
+run-length expanded and the pivot coordinates solved with the integer
+adjugate of the pivot columns, so every kept row is exact), norms each
+chunk against a log-factorial table sized once from the listing's
+exponent bound, and folds it into the sum, holding one chunk and no
+basis.  A (nu, k) asked for again gets a stored basis, int32 exponents
+and float64 log-norms (4 (d + 1) + 8 B per monomial, built at about
+8 (d + 1) B per row), kept on the model and reused.  Both routes cut the
+rows into the same blocks, so they agree bit for bit.  Log-factorials come
+from one table, grown on demand, of a pure-Python port of Cephes lgam
+(the values of scipy.special.gammaln, bit for bit, with numpy as the
+only dependency).
 Isotypic dimensions of rank-1 tori are counted exactly without listing
 the set (a quasi-polynomial in k).  Every other listing has its row
 count and exponent range known before it is listed: one whose basis
-would take more than _BASIS_BUDGET_BYTES to build, or whose exponents
-could pass int32, is refused with AssumptionViolation first, on the
-streamed routes too, so every route refuses at the same k.  Orbit
-separations are a grid minimum polished by a batched pattern search.
+would take more than _BASIS_BUDGET_BYTES to build, whose exponents could
+pass int32 or whose torus pivot solve could pass int64, is refused with
+AssumptionViolation first, on the streamed routes too, so every route
+refuses at the same k.  Orbit separations are a grid minimum polished by
+a batched pattern search.
 """
 
 import math
@@ -61,16 +65,16 @@ def _basis_row_bytes(d):
 
     tracemalloc at d = 1 / 2 / 3 on rank-1 tori with no rejected rows
     (s1-cp1-w12 at k = 4e6, s1-cp2-w123 at 8192, weights (1, 2, 3, 4) at
-    1000): listing peaks at 9.3 / 12.5 / 16.8 B per row, the log-norm
+    1000): listing peaks at 8.8 / 12.4 / 16.8 B per row, the log-norm
     stage at 16.1 / 20.0 / 24.0 B and a sum at 16.2 / 20.1 / 24.1 B (the
     basis itself, 4 (d + 1) + 8 B).  Where rows are rejected the kept ones
     are copied out once: t2-cp2 at k = 1e6 peaks at 20.0 B per listed row
-    and weights (2, 3, 5) at 18.0 B; u2-cp2 peaks at 20.5 B.  8 (d + 1)
-    bounds them all, beside a fixed few MB of chunk temporaries.  A
-    streamed sum keeps no basis, only one chunk and its temporaries and,
+    and weights (2, 3, 5) at 18.0 B; u2-cp2 at k = 2e6 + 1 peaks at 20.3 B.
+    8 (d + 1) bounds them all, beside a fixed few MB of chunk temporaries.
+    A streamed sum keeps no basis, only one chunk and its temporaries and,
     on a torus with f = d + 1 - r free coordinates, the listed prefix of
     all but the last one (O(k^(f - 1)) rows: O(k) on s1-cp2-w123, none on
-    the other catalog models); 3.1 to 7.5 MB in all on the cases above.
+    the other catalog models); 2.8 to 7.0 MB in all on the cases above.
     It is refused at the same row count all the same.
     """
     return 8 * (d + 1)
@@ -134,35 +138,40 @@ def _log_factorials(top):
     return _LOG_FACTORIALS
 
 
-def monomial_log_norms(d, alphas):
-    """log ||z^alpha||^2 for an (N, d+1) integer exponent array.
+def monomial_log_norms(d, alphas, top):
+    """log ||z^alpha||^2 for an (N, d+1) integer exponent array whose every
+    |alpha| is at most top (a listing's ``isotypic_extent`` top).
 
     Every log-factorial is read from the table of :func:`_log_factorials`
-    (the Cephes lgam values), column by column, _BLOCK_ROWS rows at a
-    time: no temporary is N long, and int32 exponents are read as they
-    are.
+    (the Cephes lgam values), grown to top + d before the first row is
+    read, _BLOCK_ROWS rows at a time: a block's exponents are copied once
+    into reused intp columns, its levels |alpha| + d added up by column,
+    and each column read through ``np.take``; no temporary is N long.  A
+    level past top + d raises ValueError before any entry is read, so the
+    reads never clip.
     """
     alphas = np.asarray(alphas)
     out = np.empty(len(alphas))
-    blocks = [slice(start, start + _BLOCK_ROWS) for start in range(0, len(alphas), _BLOCK_ROWS)]
-
-    def levels(rows):
-        # |alpha| + d in int64, by column (a sum along the short axis is slow)
-        n = alphas[rows, 0].astype(np.int64)
-        for j in range(1, d + 1):
-            n += alphas[rows, j]
-        n += d
-        return n
-
-    log_fact = _log_factorials(max((int(levels(rows).max()) for rows in blocks), default=d))
+    log_fact = _log_factorials(top + d)
     log_pi = d * np.log(np.pi)
-    for rows in blocks:
-        total = out[rows]
-        np.take(log_fact, alphas[rows, 0], out=total)
-        for j in range(1, d + 1):
-            total += log_fact[alphas[rows, j]]
+    rows = min(len(alphas), _BLOCK_ROWS)
+    cols = np.empty((d + 1, rows), dtype=np.intp)
+    levels, terms = np.empty(rows, dtype=np.intp), np.empty(rows)
+    for start in range(0, len(alphas), _BLOCK_ROWS):
+        block = alphas[start:start + _BLOCK_ROWS]
+        size = len(block)
+        col, n, term, total = cols[:, :size], levels[:size], terms[:size], out[start:start + size]
+        col[...] = block.T
+        np.add(col[0], d, out=n)
+        for c in col[1:]:
+            n += c
+        if n.max() > top + d:
+            raise ValueError(f"an exponent row sums past top = {top}")
+        np.take(log_fact, col[0], out=total, mode="clip")
+        for c in col[1:]:
+            total += np.take(log_fact, c, out=term, mode="clip")
         total += log_pi
-        total -= log_fact[levels(rows)]
+        total -= np.take(log_fact, n, out=term, mode="clip")
     return out
 
 
@@ -183,16 +192,17 @@ class IsotypicBasis:
 def _check_budget(model, nu, k):
     """Raise AssumptionViolation, before anything is listed, when the k nu
     basis would take more than _BASIS_BUDGET_BYTES to build (its rows
-    come from ``isotypic_extent``).  Streamed sums and counts, which
-    keep no basis, are held to the same budget, so every route refuses
-    at the same k."""
-    rows, _ = model.isotypic_extent(nu, k)
+    come from ``isotypic_extent``); else return the extent's bound top on
+    every |alpha|.  Streamed sums and counts, which keep no basis, are
+    held to the same budget, so every route refuses at the same k."""
+    rows, top = model.isotypic_extent(nu, k)
     need = rows * _basis_row_bytes(model.d)
     if need > _BASIS_BUDGET_BYTES:
         raise AssumptionViolation(
             f"the k = {k} isotypic basis of {model.id} lists {rows} monomials "
             f"and needs about {need} bytes, over the {_BASIS_BUDGET_BYTES}-byte "
             "memory budget")
+    return top
 
 
 def _basis_key(nu, k):
@@ -214,9 +224,9 @@ def isotypic_basis(model, nu, k):
     key = _basis_key(nu, k)
     basis = model.basis_cache.get(key)
     if basis is None:
-        _check_budget(model, nu, k)
+        top = _check_budget(model, nu, k)
         alphas = model.isotypic_exponents(nu, k)
-        basis = IsotypicBasis(nu.coords, int(k), alphas, monomial_log_norms(model.d, alphas))
+        basis = IsotypicBasis(nu.coords, int(k), alphas, monomial_log_norms(model.d, alphas, top))
         model.basis_cache[key] = basis
     return basis
 
@@ -251,8 +261,9 @@ def _stored_blocks(alphas, log_norms):
         yield alphas[start:start + _BLOCK_ROWS], log_norms[start:start + _BLOCK_ROWS]
 
 
-def _listed_blocks(d, chunks):
-    """(alphas, log_norms) blocks of a listing, normed chunk by chunk.
+def _listed_blocks(d, chunks, top):
+    """(alphas, log_norms) blocks of a listing whose every |alpha| is at
+    most top, normed chunk by chunk.
 
     The blocks are the _BLOCK_ROWS-row blocks of the concatenated
     listing, the rows :func:`_stored_blocks` gives for the basis built
@@ -262,7 +273,7 @@ def _listed_blocks(d, chunks):
     """
     carry = None
     for chunk in chunks:
-        norms = monomial_log_norms(d, chunk)
+        norms = monomial_log_norms(d, chunk, top)
         if carry is not None:
             chunk = np.concatenate([carry[0], chunk])
             norms = np.concatenate([carry[1], norms])
@@ -359,9 +370,9 @@ def equivariant_kernel_log(model, nu, k, x, y):
     if key in model.basis_cache:       # asked for before: store the basis, or reuse it
         basis = isotypic_basis(model, nu, k)
         return _basis_sum(basis.alphas, basis.log_norms, x, y)
-    _check_budget(model, nu, k)
+    top = _check_budget(model, nu, k)
     model.basis_cache[key] = None      # first request: sum the listing as it streams
-    return _block_sum(_listed_blocks(model.d, model.isotypic_chunks(nu, k)), x, y)
+    return _block_sum(_listed_blocks(model.d, model.isotypic_chunks(nu, k), top), x, y)
 
 
 def _batched_sphere_distances(model, gs, x, y):

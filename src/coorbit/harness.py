@@ -115,10 +115,9 @@ def _nu_str(coords):
 
 def _random_regular_cartan(group, metric, rng):
     """Cartan coefficients with phi-norm in [0.3, 1], away from all walls."""
-    gram_t = metric.gram[:group.rank, :group.rank]
     while True:
         c = rng.uniform(-1.0, 1.0, size=group.rank)
-        n = np.sqrt(c @ gram_t @ c)
+        n = np.sqrt(metric.inner(c, c))
         c = c * (rng.uniform(0.3, 1.0) / n)
         if all(abs(float(beta @ c)) > 2e-2 for beta in group.positive_roots):
             return c

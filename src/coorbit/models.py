@@ -50,6 +50,7 @@ from .groups import (
 CHART_RADIUS = 0.9
 # Largest exponent an isotypic basis stores: its exponent arrays are int32.
 _INT32_MAX = int(np.iinfo(np.int32).max)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 # Rows an isotypic listing yields at a time (on tori: candidate rows
 # expanded and checked at a time).
 _LIST_ROWS = 1 << 16
@@ -425,6 +426,16 @@ def _weighted_count(weights, total):
     return count
 
 
+def _integer_det(rows):
+    """Determinant of a square matrix of Python ints (a list of rows), by
+    cofactor expansion along the first row: exact, in r! steps (r is a
+    torus rank)."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * a * _integer_det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j, a in enumerate(rows[0]) if a)
+
+
 def _segment_chunks(rows, level, *tail):
     """The int32 rows (a, level - a, *tail), a = 0 ... rows - 1, in chunks
     of _LIST_ROWS rows."""
@@ -514,23 +525,36 @@ class TorusModel(ProjectiveModel):
             return 0, 0
         total = int(target.sum())
         _, free = self._pivot_columns
+        adj, _ = self._pivot_adjugate
+        # |rhs| <= total entrywise, so a pivot numerator of isotypic_chunks
+        # and each of its two terms stay below total * |adj| row sum
+        if 2 * total * int(np.abs(adj).sum(axis=1).max()) > _INT64_MAX:
+            raise AssumptionViolation(
+                f"the k = {k} pivot solve of {self.id} could pass int64")
         # the candidates of isotypic_chunks: {F >= 0 : s_free . F <= total}
         rows = _weighted_count([int(self._column_sums[j]) for j in free] + [1], total)
         # s . alpha = total for every listed alpha, so |alpha| <= total / min(s)
         return self._int32_extent(k, rows, total // int(self._column_sums.min()))
 
     def isotypic_chunks(self, nu, k):
-        """Lattice points {alpha >= 0 : W alpha = k nu}, in no fixed order.
+        """Lattice points {alpha >= 0 : W alpha = k nu}, free coordinates
+        ascending with the first one outermost.
 
         The free (non-pivot) coordinates F run over the simplex
         {F >= 0 : s_free . F <= s . alpha = sum(k nu)}, s the (positive)
         column sums of W, built one coordinate at a time as a ragged
         array (not over the bounding box of the simplex).  All but the
-        last free coordinate are listed whole; the last one is expanded
-        _LIST_ROWS candidates at a time, the r pivot coordinates are
-        solved for, and a candidate is kept only if W alpha = k nu and
-        alpha >= 0 hold exactly in int64 arithmetic.  Each expansion
-        yields one int32 chunk of its kept rows.
+        last free coordinate are listed whole, as prefix rows; the last
+        one is expanded _LIST_ROWS candidates at a time, each prefix
+        column run-length expanded (``np.repeat``) over the candidates
+        that extend its rows.  The pivot coordinates are
+        adj (k nu - W_free F) / det, with adj and det > 0 the integer
+        adjugate and determinant of W[:, pivots], found once per model:
+        each numerator is its prefix row's, repeated, less the last free
+        coordinate times adj W[:, last], in int64.  A candidate is kept
+        iff every numerator is >= 0 and a multiple of det (nothing is
+        divided when det = 1), which is W alpha = k nu with alpha >= 0,
+        exactly.  Each expansion yields one int32 chunk of its kept rows.
         """
         rows, _ = self.isotypic_extent(nu, k)
         if not rows:
@@ -538,24 +562,37 @@ class TorusModel(ProjectiveModel):
         m = self.ambient_dim
         W, sums = self.weights, self._column_sums
         pivots, free = self._pivot_columns
-        w_p = W[:, pivots]
-        inv_p = np.linalg.inv(w_p.astype(float)).T
-
-        def solve(rhs):
-            """Pivot coordinates, and the rows where they are exact and >= 0."""
-            a_p = rhs @ inv_p
-            a_p = np.rint(a_p, out=a_p).astype(np.int64)
-            good = a_p >= 0
-            good &= a_p @ w_p.T == rhs
-            ok = good[:, 0].copy()       # by column: a reduction along rows is slow
-            for col in good.T[1:]:
-                ok &= col
-            return a_p, ok
-
+        adj, det = self._pivot_adjugate
         target = self.isotypic_target(nu, k)
+
+        def assemble(free_cols, numerators):
+            """The int32 chunk of the kept rows: free_cols in free order, then
+            numerator / det for each pivot from its int64 numerators, a row
+            kept iff every numerator is >= 0 and a multiple of det.  The
+            chunk is allocated after its columns, so that they are freed
+            below it: allocated first, it left them at the heap top, which
+            malloc trims and the next chunk faults in again (s1-cp2-w123 at
+            k = 4096: about 7800 minor faults per streamed evaluation with
+            the chunk allocated first, 600 to 1300 with it last, as the
+            heap's history varies)."""
+            columns, ok = list(free_cols), None
+            for num in numerators:
+                good = num >= 0
+                if det != 1:
+                    num, rem = np.divmod(num, det)
+                    good &= rem == 0
+                columns.append(num)
+                if ok is None:
+                    ok = good
+                else:
+                    ok &= good
+            chunk = np.empty((len(ok), m), dtype=np.int32)
+            for j, col in zip(free + pivots, columns):
+                chunk[:, j] = col
+            return chunk if ok.all() else chunk[ok]
+
         if not free:                             # square W: one candidate
-            a_p, ok = solve(target[None, :])
-            yield a_p[ok].astype(np.int32)
+            yield assemble([], adj @ target[:, None])
             return
         cols, rhs = [], target[None, :]          # rhs = target - W_free F, exactly
         for j in free[:-1]:
@@ -564,29 +601,30 @@ class TorusModel(ProjectiveModel):
             step = np.arange(int(reach.sum()), dtype=np.int64) - np.repeat(starts, reach)
             cols = [np.repeat(col, reach) for col in cols] + [step]
             rhs = np.repeat(rhs, reach, axis=0) - step[:, None] * W[:, j]
+        cols = [col.astype(np.int32) for col in cols]
         last = free[-1]
-        # candidates edges[i] ... edges[i + 1] - 1 extend prefix row i
+        # candidates edges[i] ... edges[i + 1] - 1 extend prefix row i, whose
+        # pivot numerators at last-coordinate 0 are column i of base
         edges = np.concatenate([[0], np.cumsum(rhs.sum(axis=1) // sums[last] + 1)])
+        base = adj @ rhs.T
+        slope = (adj @ W[:, last]).tolist()
+        # freed before the first chunk: kept, it took a fresh deep-k pass
+        # from 5.4k to 24.9k minor faults (see assemble)
+        del rhs
 
         def expand(lo, hi):
             """The kept rows among candidates lo ... hi - 1 (a function, so
             that its temporaries are gone while the chunk is consumed)."""
             first = int(np.searchsorted(edges, lo, side="right")) - 1
             stop = int(np.searchsorted(edges, hi, side="left"))
-            src = np.repeat(np.arange(first, stop),
-                            np.diff(np.clip(edges[first:stop + 1], lo, hi)))
-            chunk = np.empty((hi - lo, m), dtype=np.int32)
-            for j, col in zip(free[:-1], cols):
-                chunk[:, j] = col[src]
+            counts = np.diff(np.clip(edges[first:stop + 1], lo, hi))
+            columns = [np.repeat(col[first:stop], counts) for col in cols]
             step = np.arange(lo, hi)
-            step -= edges[src]
-            chunk[:, last] = step
-            rhs_c = rhs[src]
-            rhs_c -= step[:, None] * W[:, last]
-            del src, step                        # written to the chunk already
-            a_p, ok = solve(rhs_c)
-            chunk[:, pivots] = a_p
-            return chunk if ok.all() else chunk[ok]
+            step -= np.repeat(edges[first:stop], counts)
+            numerators = [np.repeat(row[first:stop], counts) for row in base]
+            for num, s in zip(numerators, slope):
+                num -= step * s
+            return assemble(columns + [step], numerators)
 
         for lo in range(0, rows, _LIST_ROWS):
             yield expand(lo, min(lo + _LIST_ROWS, rows))
@@ -600,6 +638,22 @@ class TorusModel(ProjectiveModel):
             if abs(np.linalg.det(self.weights[:, cols].astype(float))) > 0.5:
                 return list(cols), [j for j in range(m) if j not in cols]
         raise AssumptionViolation("weight matrix has rank below the torus rank")
+
+    @cached_property
+    def _pivot_adjugate(self):
+        """(adj, det): int64 adj and int det > 0 with adj W_p = det I,
+        W_p = W[:, pivots], from exact integer cofactors."""
+        pivots, _ = self._pivot_columns
+        w_p = self.weights[:, pivots].tolist()
+        r = len(w_p)
+
+        def minor(i, j):
+            return [row[:j] + row[j + 1:] for row in w_p[:i] + w_p[i + 1:]]
+
+        adj = np.array([[(-1) ** (i + j) * _integer_det(minor(j, i)) for j in range(r)]
+                        for i in range(r)], dtype=np.int64)
+        det = _integer_det(w_p)
+        return (adj, det) if det > 0 else (-adj, -det)
 
     def default_locus_point(self, nu=None):
         nu = self.resolve_nu(nu)
@@ -648,13 +702,12 @@ class T2CP2Model(TorusModel):
 def _metric_orthonormal_null(metric, nu_coords):
     """phi-orthonormal basis of {eta in t : <nu, eta> = 0}."""
     basis = _null_space(np.asarray(nu_coords, dtype=float)[None, :])
-    gram_t = metric.gram[:len(nu_coords), :len(nu_coords)]
     out = []
     for j in range(basis.shape[1]):
         v = basis[:, j]
         for u in out:
-            v = v - (u @ gram_t @ v) * u
-        v = v / np.sqrt(v @ gram_t @ v)
+            v = v - metric.inner(u, v) * u
+        v = v / np.sqrt(metric.inner(v, v))
         out.append(v)
     return out
 

@@ -121,6 +121,54 @@ def lattice_points(weights, target):
             if np.array_equal(W @ np.array(alpha), target)]
 
 
+def lattice_points_nested(weights, target, pivots, free):
+    """{alpha >= 0 : W alpha = target} (as tuples) in nested-loop order.
+
+    The free columns are looped over outer to inner, each ascending from 0
+    while its column sum times it fits in what is left of sum(target);
+    the pivot coordinates are solved from W[:, pivots] a = target -
+    W[:, free] F by Gauss-Jordan elimination in fractions.Fraction, and a
+    row is kept iff a is integral and >= 0.
+    """
+    from fractions import Fraction
+
+    W = np.asarray(weights, dtype=int).tolist()
+    target = [int(t) for t in target]
+    r, m = len(W), len(W[0])
+    sums = [sum(row[j] for row in W) for j in range(m)]
+    rows = []
+
+    def solve(rhs):
+        a = [[Fraction(W[i][p]) for p in pivots] + [Fraction(rhs[i])] for i in range(r)]
+        for c in range(r):
+            lead = next(i for i in range(c, r) if a[i][c] != 0)
+            a[c], a[lead] = a[lead], a[c]
+            pivot = a[c][c]
+            a[c] = [v / pivot for v in a[c]]
+            for i in range(r):
+                factor = a[i][c]
+                if i != c and factor:
+                    a[i] = [vi - factor * vc for vi, vc in zip(a[i], a[c])]
+        return [row[r] for row in a]
+
+    def loop(fixed, left):
+        if len(fixed) < len(free):
+            s = sums[free[len(fixed)]]
+            for v in range(left // s + 1):
+                loop(fixed + [v], left - v * s)
+            return
+        rhs = [target[i] - sum(W[i][j] * v for j, v in zip(free, fixed)) for i in range(r)]
+        solved = solve(rhs)
+        if all(v.denominator == 1 and v >= 0 for v in solved):
+            alpha = [0] * m
+            for j, v in zip(list(free) + list(pivots), fixed + solved):
+                alpha[j] = int(v)
+            rows.append(tuple(alpha))
+
+    loop([], sum(target))
+    return rows
+
+
 def lattice_count(weights, target):
     """Brute-force count of {alpha >= 0 : W alpha = target}."""
     return len(lattice_points(weights, target))

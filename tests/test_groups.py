@@ -130,6 +130,21 @@ def test_sharp_su2_paper_values():
     assert np.isclose(metric.inner_matrices(unit, unit), 1.0)
 
 
+def test_inner_of_coefficients_is_the_matrix_inner():
+    rng = np.random.default_rng(3)
+    for kind, scale in (("su2", 1.0), ("u2", 2.5), ("su3", 0.7)):
+        g = build_group(kind)
+        metric = trace_metric(g, scale)
+        for n in (g.rank, g.dim):                # Cartan, then full coefficients
+            a, b = rng.standard_normal((2, n))
+            expected = metric.inner_matrices(algebra_matrix(g, a), algebra_matrix(g, b))
+            assert np.isclose(metric.inner(a, b), expected, rtol=1e-13), (kind, n)
+    t2 = InvariantMetric(build_group("t2"), [[2.7, 0.9], [0.9, 1.3]])
+    assert np.isclose(t2.inner([1.0, 2.0], [0.5, -1.0]), -1.25, rtol=1e-15)
+    with pytest.raises(ValueError):
+        t2.inner([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+
+
 def test_sharp_u2_paper_values():
     g = build_group("u2")
     metric = trace_metric(g)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from coorbit import hardy
+from coorbit import hardy, models
 from coorbit.cli import main
 from coorbit.groups import AssumptionViolation, half_weight, random_unitary
 from coorbit.characters import character_at_element, weyl_dimension
@@ -30,6 +30,7 @@ from oracles import (
     coin_change_count,
     lattice_count,
     lattice_points,
+    lattice_points_nested,
     level_kernel_closed,
     monomial_log_norms_gammaln,
     monomial_sum_mp,
@@ -57,7 +58,7 @@ def level_kernel_sum(d, n, x, y):
     """The level-n Szego kernel as the monomial sum of ``hardy._basis_sum``
     over the whole level (its closed form is ``oracles.level_kernel_closed``)."""
     alphas = level_exponents(d, n)
-    logmag, phase = hardy._basis_sum(alphas, monomial_log_norms(d, alphas),
+    logmag, phase = hardy._basis_sum(alphas, monomial_log_norms(d, alphas, n),
                                      np.asarray(x, complex), np.asarray(y, complex))
     return 0.0 + 0.0j if logmag == -np.inf else np.exp(logmag) * phase
 
@@ -83,19 +84,23 @@ def test_monomial_norms_quadrature_audit():
         nodes, w = simplex_quadrature(d, 24)
         integral = (2 * np.pi) ** (d + 1) / 2 ** d / (2 * np.pi) \
             * float(np.prod(nodes ** alpha, axis=1) @ w)
-        closed = np.exp(monomial_log_norms(d, alpha[None, :])[0])
+        closed = np.exp(monomial_log_norms(d, alpha[None, :], n)[0])
         assert abs(integral - closed) < 1e-10 * closed
 
 
 def test_log_norm_table_equals_gammaln_on_every_entry():
     rng = np.random.default_rng(7)
-    cases = [(d, rng.integers(0, hi, size=(n, d + 1)))
+    # the bound top only sizes the table: a loose one reads the same entries
+    cases = [(d, rng.integers(0, hi, size=(n, d + 1)), (d + 1) * hi)
              for d, hi, n in ((1, 5000, 300), (2, 9000, 400), (3, 60, 500))]
-    cases += [(2, np.zeros((4, 3), dtype=int)), (3, np.zeros((0, 4), dtype=int))]
-    for d, alphas in cases:
-        got = monomial_log_norms(d, alphas)
+    cases += [(2, np.zeros((4, 3), dtype=int), 0), (3, np.zeros((0, 4), dtype=int), 0)]
+    for d, alphas, top in cases:
+        got = monomial_log_norms(d, alphas, top)
         assert got.shape == (len(alphas),)
         assert np.array_equal(got, monomial_log_norms_gammaln(d, alphas))
+    # a row past the bound is refused, not read from a clipped index
+    with pytest.raises(ValueError, match="past top = 7"):
+        monomial_log_norms(2, np.array([[0, 0, 1], [3, 1, 4]]), 7)
 
 
 def test_log_factorial_table_equals_gammaln():
@@ -215,6 +220,8 @@ def test_isotypic_exponents_are_the_lattice_oracle_set(case):
     listed = [tuple(a) for a in alphas.tolist()]
     assert len(set(listed)) == len(listed)
     assert set(listed) == set(lattice_points(weights, target))
+    # row for row: a sum's bits depend on the order of its terms
+    assert listed == lattice_points_nested(weights, target, *model._pivot_columns)
     # the extent the budget reads bounds the listing it allows
     rows, top = model.isotypic_extent(np.array(target, dtype=float), 1)
     assert rows >= len(listed) and all(sum(a) <= top for a in listed)
@@ -227,6 +234,63 @@ def test_square_weight_matrix_lists_its_one_preimage():
         alphas = model.isotypic_exponents(np.array(target, dtype=float), 1)
         assert alphas.dtype == np.int32
         assert [tuple(a) for a in alphas.tolist()] == lattice_points(model.weights, target)
+
+
+# (weights, det of the pivot columns): det = -1, |det| > 1 of either sign
+# at rank 1 and 2, one free coordinate or two, and square W
+_PIVOT_CASES = [([[2, 3, 5]], 2), ([[0, 1, 1], [1, 0, 1]], -1), ([[2, 1, 1], [1, 3, 2]], 5),
+                ([[1, 2, 1], [3, 1, 2]], -5), ([[2, 1, 1, 3], [1, 3, 2, 1]], 5),
+                ([[2, 1], [1, 3]], 5), ([[1, 2], [3, 1]], -5)]
+
+
+@pytest.mark.parametrize("weights, det", _PIVOT_CASES)
+@pytest.mark.parametrize("list_rows", [models._LIST_ROWS, 5])
+def test_torus_listing_is_the_nested_loop_order(weights, det, list_rows, monkeypatch):
+    # 5-row chunks cut prefix rows and carry rejections across chunk edges
+    monkeypatch.setattr(models, "_LIST_ROWS", list_rows)
+    model = TorusModel("t-pivots", weights, np.ones(len(weights)))
+    pivots, free = model._pivot_columns
+    assert round(np.linalg.det(model.weights[:, pivots])) == det
+    for scale in (1, 3, 7, 12):
+        for offset in ([0, 1, 2][:len(weights)], [2, 0, 1][:len(weights)]):
+            target = scale * np.arange(1, len(weights) + 1) + np.array(offset)
+            alphas = model.isotypic_exponents(target.astype(float), 1)
+            assert alphas.dtype == np.int32
+            assert [tuple(a) for a in alphas.tolist()] \
+                == lattice_points_nested(weights, target, pivots, free), (weights, target)
+
+
+def test_catalog_tori_list_in_nested_loop_order(catalog):
+    for mid in ("s1-cp1-w12", "s1-cp2-w123", "t2-cp2"):
+        model = catalog[mid]
+        for k in range(1, 41):
+            target = model.isotypic_target(model.default_nu, k)
+            alphas = model.isotypic_exponents(model.default_nu, k)
+            assert [tuple(a) for a in alphas.tolist()] == lattice_points_nested(
+                model.weights, target, *model._pivot_columns), (mid, k)
+
+
+@pytest.mark.parametrize("mid, k", [("s1-cp2-w123", 900), ("t2-cp2", 10000)])
+def test_both_kernel_routes_are_the_oracle_ordered_sum_bit_for_bit(mid, k):
+    # the streamed first evaluation and the stored second one both give
+    # the block sum over the nested-loop rows normed by gammaln, bit for bit
+    model = build_model(mid)
+    nu = model.default_nu
+    alphas = np.array(lattice_points_nested(model.weights, model.isotypic_target(nu, k),
+                                            *model._pivot_columns))
+    if mid == "s1-cp2-w123":
+        assert len(alphas) > models._LIST_ROWS
+    log_norms = monomial_log_norms_gammaln(model.d, alphas)
+    x = model.default_locus_point()
+    y = unit_point(x + 0.05 * np.exp(1j * np.arange(model.ambient_dim)))
+    for p, q in ((x, x), (x, y)):
+        expected = hardy._basis_sum(alphas, log_norms, p, q)
+        model.basis_cache.clear()
+        streamed = equivariant_kernel_log(model, nu, k, p, q)
+        assert model.basis_cache == {hardy._basis_key(half_weight(model.group, nu), k): None}
+        stored = equivariant_kernel_log(model, nu, k, p, q)
+        assert isinstance(next(iter(model.basis_cache.values())), hardy.IsotypicBasis)
+        assert streamed == expected and stored == expected, (mid, p is q)
 
 
 @pytest.fixture(scope="module")
@@ -634,7 +698,7 @@ def test_underflow_skip_leaves_the_sum_bit_identical(monkeypatch):
     # the block maxima rise from block to block
     a = np.arange(20001)
     alphas = np.stack([a, 20000 - a], axis=1)
-    log_norms = monomial_log_norms(1, alphas)
+    log_norms = monomial_log_norms(1, alphas, 20000)
     x = unit_point([1.0, 1e-3])
     y = unit_point([np.exp(0.3j), 1e-3 * np.exp(-1.1j)])
     expo = _one_shot_terms(alphas, log_norms, x, y)
@@ -657,8 +721,9 @@ def test_bases_hold_int32_exponents(catalog):
             alphas = model.isotypic_exponents(model.default_nu, k)
             assert alphas.dtype == np.int32 and len(alphas), mid
             wide = alphas.astype(np.int64)
-            assert np.array_equal(monomial_log_norms(model.d, alphas),
-                                  monomial_log_norms(model.d, wide)), mid
+            _, top = model.isotypic_extent(model.default_nu, k)
+            assert np.array_equal(monomial_log_norms(model.d, alphas, top),
+                                  monomial_log_norms(model.d, wide, top)), mid
         empty = model.isotypic_exponents(model.default_nu, _EMPTY_K[mid])
         assert empty.dtype == np.int32 and empty.shape == (0, model.ambient_dim), mid
 
@@ -671,7 +736,7 @@ def test_basis_sum_empty_basis_and_zero_coordinates():
     rng = np.random.default_rng(4)
     y = random_sphere_point(2, rng)
     alphas = level_exponents(2, 6)
-    log_norms = monomial_log_norms(2, alphas)
+    log_norms = monomial_log_norms(2, alphas, 6)
     terms = [np.prod(x ** a) * np.prod(np.conj(y) ** a) / np.exp(ln)
              for a, ln in zip(alphas, log_norms)]
     direct = sum(terms)
@@ -694,7 +759,9 @@ def _streamed_model(mid):
 
 
 def _streamed_sum(model, nu, k, x, y):
-    return hardy._block_sum(hardy._listed_blocks(model.d, model.isotypic_chunks(nu, k)), x, y)
+    _, top = model.isotypic_extent(nu, k)
+    return hardy._block_sum(hardy._listed_blocks(model.d, model.isotypic_chunks(nu, k), top),
+                            x, y)
 
 
 @pytest.mark.parametrize("mid, k", _STREAMED_CASES)
@@ -850,6 +917,20 @@ def test_exponents_past_int32_are_refused_before_listing(monkeypatch, capsys):
     assert "int32" in capsys.readouterr().err
 
 
+def test_pivot_solve_past_int64_is_refused_before_listing(monkeypatch):
+    # adj = diag(3e10, 1): at k = 2e8 a pivot numerator could reach
+    # 3e10 * 4e8 = 1.2e19, past int64, on 2e5 candidate rows
+    weights = [[1, 0, 1000], [0, 30_000_000_000, 1000]]
+    model = TorusModel("t2-wide", weights, (1.0, 1.0))
+    assert model.isotypic_exponents(model.default_nu, 2000).tolist() \
+        == [list(a) for a in lattice_points_nested(weights, [2000, 2000],
+                                                   *model._pivot_columns)] == [[0, 0, 2]]
+    monkeypatch.setattr(TorusModel, "isotypic_chunks", _refuse_listing)
+    with pytest.raises(AssumptionViolation, match="pivot solve of t2-wide could pass int64"):
+        isotypic_basis(model, model.default_nu, 200_000_000)
+    assert not model.basis_cache
+
+
 def test_log_factorial_growth_over_the_budget_is_refused(monkeypatch):
     have = len(hardy._LOG_FACTORIALS)
     monkeypatch.setattr(hardy, "_BASIS_BUDGET_BYTES", 16 * have + 40 * 99)
@@ -880,7 +961,7 @@ for mid in ("s1-cp2-w123", "u2-cp2"):
     hardy.orbit_separation(model, x, y)
     model.w_space(x)
     model.normal_space(nu, model.locus_decompose(nu, x))
-hardy.monomial_log_norms(2, np.array([[3, 1, 4], [0, 0, 9]]))
+hardy.monomial_log_norms(2, np.array([[3, 1, 4], [0, 0, 9]]), 9)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
