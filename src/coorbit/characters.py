@@ -27,6 +27,7 @@ from .groups import (
     InvariantMetric,
     UnsupportedGroupError,
     algebra_matrix,
+    complement_frame,
     half_weight,
     haar_quadrature,
 )
@@ -110,10 +111,9 @@ def _alternating_sum(group, gamma, theta):
     rank axis, so each value is computed the same way whatever the
     stack holds.
     """
-    mats, signs = group.weyl_arrays
-    images = mats @ gamma                                   # (|W|, rank)
+    images = group.weyl_matrices @ gamma                    # (|W|, rank)
     phases = (np.asarray(theta, dtype=float)[..., None, :] * images).sum(axis=-1)
-    return (signs * np.exp(1j * phases)).sum(axis=-1)
+    return (group.weyl_signs * np.exp(1j * phases)).sum(axis=-1)
 
 
 def weyl_character(group, nu, theta):
@@ -323,10 +323,8 @@ def _sphere_orbit_quadrature(group, metric, nu, level):
     radial = nu_sharp - center
     radius = np.sqrt(metric.inner_matrices(radial, radial))
 
-    c = metric.scale
-    z_hat = np.array([[1j, 0], [0, -1j]], dtype=complex) / np.sqrt(2 * c)
-    x_hat = np.array([[0, 1], [-1, 0]], dtype=complex) / np.sqrt(2 * c)
-    y_hat = np.array([[0, 1j], [1j, 0]], dtype=complex) / np.sqrt(2 * c)
+    z_hat = np.array([[1j, 0], [0, -1j]], dtype=complex) / np.sqrt(2 * metric.scale)
+    x_hat, y_hat = complement_frame(metric)
 
     xs, ws = leggauss(n_polar)
     phis = 2 * np.pi * np.arange(n_azimuth) / n_azimuth

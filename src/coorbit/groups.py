@@ -104,8 +104,11 @@ class CompactGroup:
         Positive roots as Cartan covector coordinates.
     delta : ndarray, shape (rank,)
         Half-sum of the positive roots.
-    weyl_elements : tuple of (ndarray, int)
-        Orthogonal actions on Cartan covector coordinates with signs.
+    weyl_matrices : ndarray, shape (|W|, rank, rank)
+        The Weyl group as orthogonal integer matrices acting on Cartan
+        covector coordinates.
+    weyl_signs : ndarray, shape (|W|,)
+        Their signs det(w) = +-1, as floats.
     trace_gram : ndarray, shape (dim, dim)
         Gram matrix of the reference metric in the fixed basis: the
         identity on tori, -trace(A B) on SU(n)/U(n).
@@ -122,7 +125,8 @@ class CompactGroup:
     rank: int
     positive_roots: np.ndarray
     delta: np.ndarray
-    weyl_elements: tuple
+    weyl_matrices: np.ndarray
+    weyl_signs: np.ndarray
     trace_gram: np.ndarray = field(repr=False)
     cartan_diagonal: np.ndarray = field(repr=False)
     basis_matrices: np.ndarray = field(repr=False, default=())
@@ -137,14 +141,7 @@ class CompactGroup:
 
     @property
     def weyl_order(self):
-        return len(self.weyl_elements)
-
-    @cached_property
-    def weyl_arrays(self):
-        """The Weyl elements as arrays: matrices (|W|, rank, rank) and
-        signs (|W|,), built once per group."""
-        return (np.array([mat for mat, _ in self.weyl_elements]),
-                np.array([sign for _, sign in self.weyl_elements], dtype=float))
+        return len(self.weyl_signs)
 
     @cached_property
     def coroots(self):
@@ -201,7 +198,8 @@ def build_group(kind, n=None):
             kind="torus", n=r, dim=r, rank=r,
             positive_roots=np.zeros((0, r)),
             delta=np.zeros(r),
-            weyl_elements=((np.eye(r), 1),),
+            weyl_matrices=np.eye(r)[None],
+            weyl_signs=np.ones(1),
             trace_gram=np.eye(r),
             cartan_diagonal=np.eye(r),
         )
@@ -226,18 +224,20 @@ def build_group(kind, n=None):
     roots = patterns @ D.T
     delta = 0.5 * roots.sum(axis=0)
 
-    weyl = []
+    mats, signs = [], []
     for perm in permutations(range(n)):
         P = np.zeros((n, n))
         P[list(perm), range(n)] = 1.0
         # W preserves the lattice of the H_j, so the matrix is integral and
         # rounding only removes pinv noise (+ 0.0 turns -0.0 into 0.0)
-        weyl.append((np.rint(D @ P @ D_plus) + 0.0, int(round(np.linalg.det(P)))))
+        mats.append(np.rint(D @ P @ D_plus) + 0.0)
+        signs.append(round(np.linalg.det(P)))
 
     return CompactGroup(
         kind=kind, n=n, dim=dim, rank=rank,
         positive_roots=roots, delta=delta,
-        weyl_elements=tuple(weyl),
+        weyl_matrices=np.array(mats),
+        weyl_signs=np.array(signs, dtype=float),
         trace_gram=-np.einsum("aij,bji->ab", basis, basis).real,
         cartan_diagonal=D,
         basis_matrices=basis,
@@ -462,6 +462,14 @@ def dominant_representative(metric, gamma_full):
     if group.kind == "su":
         h = h * (np.linalg.det(h) ** (-1.0 / group.n))[..., None, None]
     return metric.scale * (theta @ group.cartan_diagonal.T), h
+
+
+def complement_frame(metric):
+    """The phi-orthonormal frame of t^{perp_phi} in which
+    :func:`ad_on_cartan_complement` is written: the off-diagonal basis
+    pairs over sqrt(2 scale), shape (dim - rank, n, n)."""
+    group = metric.group
+    return group.basis_matrices[group.rank:] / np.sqrt(2 * metric.scale)
 
 
 def ad_on_cartan_complement(metric, t_coeffs):

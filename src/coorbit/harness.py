@@ -8,6 +8,7 @@ seed makes output byte-identical across runs.
 """
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, replace
 
@@ -101,10 +102,10 @@ class Row:
 @dataclass
 class FitResult:
     quantity: str
-    exponent: float
-    intercept: float
     residual: float
     passed: bool
+    exponent: float = np.nan
+    intercept: float = np.nan
     band: tuple = None
     note: str = ""
 
@@ -139,10 +140,54 @@ def fit_power(ks, errs):
     return float(slope), float(intercept), residual
 
 
-def local_slopes(ks, values_log):
-    ks = np.asarray(ks, dtype=float)
-    v = np.asarray(values_log, dtype=float)
-    return (v[1:] - v[:-1]) / (np.log(ks[1:]) - np.log(ks[:-1]))
+# -- shared builders --------------------------------------------------------
+
+
+def _check(rows, fits, name, row, passed, **fit):
+    """Record ``row`` and the fitless verdict ``name`` it backs, whose
+    residual is the row's error."""
+    rows.append(row)
+    fits.append(FitResult(name, row.err, bool(passed), **fit))
+
+
+def _rate_fit(name, rows, floor, band, at_floor, last_err=np.inf):
+    """Verdict on the error law of ``rows`` (one per k): exact when every
+    error is at most ``floor`` (recorded with the fields ``at_floor``),
+    else a power-law fit whose slope lies in ``band`` and whose last
+    error is at most ``last_err``."""
+    ks, errs = [r.k for r in rows], [r.err for r in rows]
+    if max(errs) <= floor:
+        return FitResult(name, max(errs), True, **at_floor)
+    slope, intercept, resid = fit_power(ks, errs)
+    passed = band[0] <= slope <= band[1] and errs[-1] <= last_err
+    return FitResult(name, resid, bool(passed), slope, intercept, band=band)
+
+
+def _profile(rows, model, nu, x, k, diag, direction, name, predicted):
+    """One row of log(Pi(x_a, x_a) / Pi(x, x)) per displacement a, with
+    x_a = x moved by a * direction / sqrt(k) and ``predicted`` holding
+    one value per a; returns the log-ratios."""
+    logs = []
+    for a, pred in zip(_DISPLACEMENTS, predicted):
+        xa = model.displace(x, 0.0, a * direction / np.sqrt(k))
+        log_ratio = np.log(equivariant_kernel(model, nu, k, xa, xa).real / diag)
+        rows.append(Row(model.id, _nu_str(nu.coords), k, f"{name}-log-ratio-a={a}",
+                        log_ratio, pred, abs(log_ratio - pred)))
+        logs.append(log_ratio)
+    return np.array(logs)
+
+
+def _decay_sweep(rows, fits, model, nu, ks, x, y, label, fit_label):
+    """One row of log|Pi_{k nu}(x, y)| per k, then the decay fit of the
+    local slopes."""
+    logvals = [equivariant_kernel_log(model, nu, k, x, y)[0] for k in ks]
+    rows.extend(Row(model.id, _nu_str(nu.coords), k, label, lv, -np.inf, 0.0)
+                for k, lv in zip(ks, logvals))
+    slopes = np.diff(logvals) / np.diff(np.log(ks))
+    passed = slopes[-1] < -5.0 and np.all(np.diff(slopes) <= 1e-6)
+    fits.append(FitResult(fit_label, float(np.max(slopes)), bool(passed),
+                          float(slopes[-1]), band=(-np.inf, -5.0),
+                          note="slopes must decrease monotonically"))
 
 
 # -- suites ---------------------------------------------------------------
@@ -159,47 +204,43 @@ def run_character_suite(config):
         group = build_group(kind)
         metric = trace_metric(group)
         nu = half_weight(group, nu_coords)
+        nu_s = _nu_str(nu.coords)
         quad = orbit_quadrature(group, metric, nu, level=_QUAD_LEVEL)
         d_nu = weyl_dimension(group, nu)
         xis = np.array([_random_regular_cartan(group, metric, rng) for _ in range(50)])
         kir = np.array([kirillov_character(group, metric, nu, xi, quad=quad) for xi in xis])
         worst = float(np.max(np.abs(kir - weyl_character(group, nu, xis)) / d_nu))
-        rows.append(Row(kind, _nu_str(nu.coords), 1, "kirillov-vs-weyl-max-rel-err",
-                        worst, 0.0, worst))
-        fits.append(FitResult(f"{kind}-kirillov-vs-weyl", np.nan, np.nan, worst,
-                              worst <= 1e-6, band=(0.0, 1e-6)))
+        _check(rows, fits, f"{kind}-kirillov-vs-weyl",
+               Row(kind, nu_s, 1, "kirillov-vs-weyl-max-rel-err", worst, 0.0, worst),
+               worst <= 1e-6, band=(0.0, 1e-6))
 
         at_zero = kirillov_character(group, metric, nu, np.zeros(group.rank),
                                      quad=quad).real
         dim_err = abs(at_zero - d_nu)
-        rounded_ok = int(round(at_zero)) == d_nu
-        rows.append(Row(kind, _nu_str(nu.coords), 1, "orbit-dimension-at-zero",
-                        d_nu + dim_err, d_nu, dim_err))
-        fits.append(FitResult(f"{kind}-dimension-at-zero", np.nan, np.nan, dim_err,
-                              rounded_ok and dim_err < 1e-6))
+        _check(rows, fits, f"{kind}-dimension-at-zero",
+               Row(kind, nu_s, 1, "orbit-dimension-at-zero", d_nu + dim_err, d_nu, dim_err),
+               int(round(at_zero)) == d_nu and dim_err < 1e-6)
 
         thetas = np.array([rng.uniform(-2.0, 2.0, size=group.rank) for _ in range(10)])
         base = weyl_character(group, nu, thetas)
         winv = max(float(np.max(np.abs(weyl_character(group, nu, thetas @ mat.T) - base)))
-                   for mat, _sign in group.weyl_elements)
-        rows.append(Row(kind, _nu_str(nu.coords), 1, "weyl-invariance-max-err",
-                        winv, 0.0, winv))
-        fits.append(FitResult(f"{kind}-weyl-invariance", np.nan, np.nan, winv,
-                              winv <= 1e-10))
+                   for mat in group.weyl_matrices)
+        _check(rows, fits, f"{kind}-weyl-invariance",
+               Row(kind, nu_s, 1, "weyl-invariance-max-err", winv, 0.0, winv),
+               winv <= 1e-10)
 
-        vol_err = abs(quad.volume - (2 * np.pi) ** group.n_pos * d_nu) / quad.volume
-        rows.append(Row(kind, _nu_str(nu.coords), 1, "orbit-volume-vs-dimension",
-                        quad.volume, (2 * np.pi) ** group.n_pos * d_nu, vol_err))
-        fits.append(FitResult(f"{kind}-orbit-volume", np.nan, np.nan, vol_err,
-                              vol_err <= 1e-9))
+        closed = (2 * np.pi) ** group.n_pos * d_nu
+        vol_err = abs(quad.volume - closed) / quad.volume
+        _check(rows, fits, f"{kind}-orbit-volume",
+               Row(kind, nu_s, 1, "orbit-volume-vs-dimension", quad.volume, closed, vol_err),
+               vol_err <= 1e-9)
 
-        scale_ok = True
-        for k in (2, 3, 5, 8, 13, 21, 34, 64):
-            if scaled_dimension(group, nu, k) != k ** group.n_pos * d_nu:
-                scale_ok = False
-        rows.append(Row(kind, _nu_str(nu.coords), 64, "dimension-scaling-exact",
-                        1.0 if scale_ok else 0.0, 1.0, 0.0 if scale_ok else 1.0))
-        fits.append(FitResult(f"{kind}-dimension-scaling", np.nan, np.nan, 0.0, scale_ok))
+        scale_ok = all(scaled_dimension(group, nu, k) == k ** group.n_pos * d_nu
+                       for k in (2, 3, 5, 8, 13, 21, 34, 64))
+        _check(rows, fits, f"{kind}-dimension-scaling",
+               Row(kind, nu_s, 64, "dimension-scaling-exact",
+                   float(scale_ok), 1.0, float(not scale_ok)),
+               scale_ok)
 
     group = build_group("torus", 2)
     nu = half_weight(group, (2.0, 1.0))
@@ -209,8 +250,9 @@ def run_character_suite(config):
     kir = np.array([kirillov_character(group, metric, nu, theta) for theta in thetas])
     err = float(max(np.max(np.abs(weyl_character(group, nu, thetas) - exact)),
                     np.max(np.abs(kir - exact))))
-    rows.append(Row("t2", _nu_str(nu.coords), 1, "torus-character-exactness", err, 0.0, err))
-    fits.append(FitResult("torus-characters", np.nan, np.nan, err, err <= 1e-12))
+    _check(rows, fits, "torus-characters",
+           Row("t2", _nu_str(nu.coords), 1, "torus-character-exactness", err, 0.0, err),
+           err <= 1e-12)
 
     # conjugation invariance of the Haar quadrature pairing
     g = build_group("su2")
@@ -225,11 +267,9 @@ def run_character_suite(config):
     conj = peter_weyl_projector_weight(
         g, nu, 1, lambda t: f(h @ t @ h.conj().T), level=12)
     cerr = abs(base - conj) / max(1.0, abs(base))
-    rows.append(Row("su2", _nu_str(nu.coords), 1, "haar-conjugation-invariance",
-                    cerr, 0.0, cerr))
-    fits.append(FitResult("su2-haar-conjugation-invariance", np.nan, np.nan,
-                          cerr, cerr <= 1e-6))
-
+    _check(rows, fits, "su2-haar-conjugation-invariance",
+           Row("su2", _nu_str(nu.coords), 1, "haar-conjugation-invariance", cerr, 0.0, cerr),
+           cerr <= 1e-6)
     return rows, fits
 
 
@@ -248,26 +288,17 @@ def _locus_base(config):
 def run_diag_convergence(config):
     """Exact vs predicted diagonal values along the k schedule."""
     model, nu, x, sample = _locus_base(config)
-    rows, errs, ks_used = [], [], []
+    rows = []
     for k in config.k_schedule:
         k = model.valid_k(k)
         exact = equivariant_kernel(model, nu, k, x, x).real
         pred = predict_near_diagonal(model, nu, sample, k).value.real
-        ratio = exact / pred
         rows.append(Row(model.id, _nu_str(nu.coords), k, "diag-ratio",
-                        exact, pred, abs(ratio - 1.0)))
-        errs.append(abs(ratio - 1.0))
-        ks_used.append(k)
-    floor = 1e-12
-    if max(errs) <= floor:
-        fit = FitResult("diag-error-exponent", np.nan, np.nan, max(errs), True,
-                        band=(-1.2, -0.8), note="both sides closed form; error at rounding floor")
-    else:
-        slope, intercept, resid = fit_power(ks_used, errs)
-        passed = (-1.2 <= slope <= -0.8) and errs[-1] <= 0.05
-        fit = FitResult("diag-error-exponent", slope, intercept, resid, passed,
-                        band=(-1.2, -0.8))
-    return rows, [fit]
+                        exact, pred, abs(exact / pred - 1.0)))
+    band = (-1.2, -0.8)
+    return rows, [_rate_fit("diag-error-exponent", rows, 1e-12, band, last_err=0.05,
+                            at_floor=dict(band=band, note="both sides closed form; "
+                                          "error at rounding floor"))]
 
 
 def run_gaussian_profile(config):
@@ -276,82 +307,45 @@ def run_gaussian_profile(config):
     model, nu, x, sample = _locus_base(config)
     sigma = sample.sigma
     rows, fits = [], []
-    amps = _DISPLACEMENTS
+    normal, wbasis = model.normal_space(nu, sample), model.w_space(x)
+    if not (normal or wbasis):
+        return rows, fits   # nothing to profile, so no diagonal is evaluated
+    k0, k1 = model.valid_k(config.k_min), model.valid_k(config.k_max)
+    diag1 = equivariant_kernel(model, nu, k1, x, x).real
 
-    normal = model.normal_space(nu, sample)
     if normal:
         vhat = normal[0] / np.linalg.norm(normal[0])
-        k = model.valid_k(config.k_max)
-        diag = equivariant_kernel(model, nu, k, x, x).real
-        logs = []
-        for a in amps:
-            xa = model.displace(x, 0.0, a * vhat / np.sqrt(k))
-            val = equivariant_kernel(model, nu, k, xa, xa).real
-            logs.append(np.log(val / diag))
-            rows.append(Row(model.id, _nu_str(nu.coords), k, f"v-log-ratio-a={a}",
-                            np.log(val / diag), -2.0 * a * a / sigma,
-                            abs(np.log(val / diag) + 2.0 * a * a / sigma)))
-        slope = float(np.polyfit(amps ** 2, logs, 1)[0])
+        logs = _profile(rows, model, nu, x, k1, diag1, vhat, "v",
+                        [-2.0 * a * a / sigma for a in _DISPLACEMENTS])
+        slope = float(np.polyfit(_DISPLACEMENTS ** 2, logs, 1)[0])
         target = -2.0 / sigma
-        passed = abs(slope - target) <= 0.1 * abs(target)
-        fits.append(FitResult("v-gaussian-slope", slope, np.nan,
-                              abs(slope - target) / abs(target), passed,
+        fits.append(FitResult("v-gaussian-slope", abs(slope - target) / abs(target),
+                              abs(slope - target) <= 0.1 * abs(target), slope,
                               band=(1.1 * target, 0.9 * target)))
 
-    wbasis = model.w_space(x)
     if wbasis:
         what = wbasis[0] / np.linalg.norm(wbasis[0])
-        max_devs = {}
-        for k in (config.k_min, config.k_max):
-            k = model.valid_k(k)
-            diag = equivariant_kernel(model, nu, k, x, x).real
-            dev = 0.0
-            for a in amps:
-                xa = model.displace(x, 0.0, a * what / np.sqrt(k))
-                val = equivariant_kernel(model, nu, k, xa, xa).real
-                dev = max(dev, abs(np.log(val / diag)))
-                rows.append(Row(model.id, _nu_str(nu.coords), k, f"w-log-ratio-a={a}",
-                                np.log(val / diag), 0.0, abs(np.log(val / diag))))
-            max_devs[k] = dev
-        k0, k1 = model.valid_k(config.k_min), model.valid_k(config.k_max)
-        band_c = max_devs[k0] * np.sqrt(k0)
+        flat = np.zeros(len(_DISPLACEMENTS))
+        diag0 = equivariant_kernel(model, nu, k0, x, x).real
+        dev0 = np.max(np.abs(_profile(rows, model, nu, x, k0, diag0, what, "w", flat)))
+        dev1 = np.max(np.abs(_profile(rows, model, nu, x, k1, diag1, what, "w", flat)))
+        band_c = dev0 * np.sqrt(k0)
         bound = 1.25 * band_c / np.sqrt(k1)
-        passed = max_devs[k1] <= bound
-        fits.append(FitResult("w-flatness-band", np.nan, np.nan, max_devs[k1], passed,
+        fits.append(FitResult("w-flatness-band", dev1, bool(dev1 <= bound),
                               band=(0.0, bound),
                               note=f"C calibrated at k={k0}: {band_c:.3g}"))
 
         # two-point modulus with w2 = -w1
-        k = model.valid_k(config.k_max)
-        diag = equivariant_kernel(model, nu, k, x, x).real
-        a = amps[len(amps) // 2]
-        w1 = a * what
-        x1 = model.displace(x, 0.0, w1 / np.sqrt(k))
-        x2 = model.displace(x, 0.0, -w1 / np.sqrt(k))
-        val = abs(equivariant_kernel(model, nu, k, x1, x2))
-        pred = diag * abs(np.exp(gaussian_pair_exponent(w1, -w1) / sigma))
+        w1 = _DISPLACEMENTS[len(_DISPLACEMENTS) // 2] * what
+        x1 = model.displace(x, 0.0, w1 / np.sqrt(k1))
+        x2 = model.displace(x, 0.0, -w1 / np.sqrt(k1))
+        val = abs(equivariant_kernel(model, nu, k1, x1, x2))
+        pred = diag1 * abs(np.exp(gaussian_pair_exponent(w1, -w1) / sigma))
         err = abs(val / pred - 1.0)
-        rows.append(Row(model.id, _nu_str(nu.coords), k, "two-point-w-modulus",
-                        val, pred, err))
-        fits.append(FitResult("two-point-w-modulus", np.nan, np.nan, err,
-                              err <= 0.10, band=(0.0, 0.10)))
+        _check(rows, fits, "two-point-w-modulus",
+               Row(model.id, _nu_str(nu.coords), k1, "two-point-w-modulus", val, pred, err),
+               err <= 0.10, band=(0.0, 0.10))
     return rows, fits
-
-
-def _decay_sweep(rows, fits, model, nu, ks, x, y, label, fit_label):
-    """One row of log|Pi_{k nu}(x, y)| per k, then the decay fit of the
-    local slopes."""
-    logvals = []
-    for k in ks:
-        lv, _ = equivariant_kernel_log(model, nu, k, x, y)
-        logvals.append(lv)
-        rows.append(Row(model.id, _nu_str(nu.coords), k, label, lv, -np.inf, 0.0))
-    slopes = local_slopes(ks, logvals)
-    monotone = bool(np.all(np.diff(slopes) <= 1e-6))
-    passed = bool(slopes[-1] < -5.0) and monotone
-    fits.append(FitResult(fit_label, float(slopes[-1]), np.nan,
-                          float(np.max(slopes)), passed, band=(-np.inf, -5.0),
-                          note="slopes must decrease monotonically"))
 
 
 def run_decay_suite(config):
@@ -368,10 +362,10 @@ def run_decay_suite(config):
         # the pair lies on a single group orbit (e.g. SU(2) acts
         # transitively on the CP^1 bundle): separation 0 is recorded and
         # no decay is claimed
-        rows.append(Row(model.id, _nu_str(nu.coords), ks[-1],
-                        "off-orbit-separation-zero", sep, 0.0, sep))
-        fits.append(FitResult("off-orbit-decay", np.nan, np.nan, sep, True,
-                              note="pair lies on one orbit; no decay expected"))
+        _check(rows, fits, "off-orbit-decay",
+               Row(model.id, _nu_str(nu.coords), ks[-1], "off-orbit-separation-zero",
+                   sep, 0.0, sep),
+               True, note="pair lies on one orbit; no decay expected")
     else:
         _decay_sweep(rows, fits, model, nu, ks, x, y,
                      f"off-orbit-log-abs-sep={sep:.4f}", "off-orbit-decay")
@@ -386,10 +380,10 @@ def run_decay_suite(config):
         bad_nu = half_weight(model.group, mismatch)
         dims = [isotypic_dim(model, bad_nu, k) for k in ks]
         all_zero = all(d == 0 for d in dims)
-        rows.append(Row(model.id, _nu_str(mismatch), ks[-1],
-                        "weight-mismatch-dim", float(sum(dims)), 0.0,
-                        0.0 if all_zero else 1.0))
-        fits.append(FitResult("weight-mismatch-zero", np.nan, np.nan, 0.0, all_zero))
+        _check(rows, fits, "weight-mismatch-zero",
+               Row(model.id, _nu_str(mismatch), ks[-1], "weight-mismatch-dim",
+                   float(sum(dims)), 0.0, float(not all_zero)),
+               all_zero)
     return rows, fits
 
 
@@ -424,7 +418,7 @@ def run_dim_growth(config):
     nu = model.resolve_nu(config.nu)
     delta0 = dimension_coefficient(model, nu, level=_QUAD_LEVEL)
     power = model.d + 1 - model.group.rank
-    rows, errs, ks_used = [], [], []
+    rows = []
     for k in config.k_schedule:
         k = model.valid_k(k)
         dim = isotypic_dim(model, nu, k)
@@ -432,19 +426,10 @@ def run_dim_growth(config):
         if dim == 0 and pred > 0.5:
             raise AssumptionViolation(
                 f"isotypic spaces of {model.id} at nu={nu.coords} are empty")
-        err = abs(dim - pred) / pred
-        rows.append(Row(model.id, _nu_str(nu.coords), k, "dim-growth", dim, pred, err))
-        errs.append(err)
-        ks_used.append(k)
-    floor = 1e-11
-    if max(errs) <= floor:
-        fit = FitResult("dim-growth-exponent", np.nan, np.nan, max(errs), True,
-                        note="exact agreement")
-    else:
-        slope, intercept, resid = fit_power(ks_used, errs)
-        fit = FitResult("dim-growth-exponent", slope, intercept, resid,
-                        -1.4 <= slope <= -0.6, band=(-1.4, -0.6))
-    return rows, [fit]
+        rows.append(Row(model.id, _nu_str(nu.coords), k, "dim-growth",
+                        dim, pred, abs(dim - pred) / pred))
+    return rows, [_rate_fit("dim-growth-exponent", rows, 1e-11, (-1.4, -0.6),
+                            at_floor=dict(note="exact agreement"))]
 
 
 SUITES = {
@@ -510,28 +495,32 @@ def rows_to_csv(rows):
     return "\n".join(lines) + "\n"
 
 
-def summary_json(name, rows, fits, passed):
-    return json.dumps({
+def _summary(name, rows, fits, passed):
+    """The JSON summary in plain JSON values: numpy scalars become Python
+    numbers and non-finite floats null, since RFC 8259 JSON has no NaN
+    or Infinity."""
+    return _plain({
         "suite": name,
         "rows": [asdict(r) for r in rows],
-        "fits": [_fit_dict(f) for f in fits],
+        "fits": [asdict(f) for f in fits],
         "pass": passed,
-    }, sort_keys=True, default=_json_default)
+    })
 
 
-def _fit_dict(f):
-    d = asdict(f)
-    if d["band"] is not None:
-        d["band"] = list(d["band"])
-    return d
-
-
-def _json_default(obj):
-    if isinstance(obj, float) and (np.isnan(obj) or np.isinf(obj)):
+def _plain(obj):
+    if isinstance(obj, dict):
+        return {key: _plain(v) for key, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    raise TypeError(f"cannot serialize {obj!r}")
+    return obj
+
+
+def summary_json(name, rows, fits, passed):
+    return json.dumps(_summary(name, rows, fits, passed), sort_keys=True, allow_nan=False)
 
 
 def emit(name, config, rows, fits, passed):
@@ -541,7 +530,7 @@ def emit(name, config, rows, fits, passed):
         with open(path, "w") as fh:
             fh.write(rows_to_csv(rows))
     path = os.path.join(config.out_dir, f"suite_{name}.json")
-    clean = json.loads(summary_json(name, rows, fits, passed))
     with open(path, "w") as fh:
-        json.dump(clean, fh, sort_keys=True, indent=1)
+        json.dump(_summary(name, rows, fits, passed), fh, sort_keys=True, indent=1,
+                  allow_nan=False)
         fh.write("\n")

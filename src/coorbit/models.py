@@ -29,7 +29,7 @@ Duistermaat-Heckman consistency tests, not by fiat.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
 
 import numpy as np
@@ -833,6 +833,17 @@ class U2CP2Model(ProjectiveModel):
 # -- catalog -------------------------------------------------------------------
 
 
+# id -> (group, constructor from the metric), in catalog order
+_CATALOG = {
+    "s1-cp1-w12": ("t1", partial(TorusModel, "s1-cp1-w12", [[1, 2]], (1.0,))),
+    "s1-cp2-w123": ("t1", partial(TorusModel, "s1-cp2-w123", [[1, 2, 3]], (1.0,))),
+    "t2-cp2": ("t2", T2CP2Model),
+    "su2-cp1": ("su2", SU2CP1Model),
+    "u2-cp2": ("u2", U2CP2Model),
+}
+MODEL_IDS = tuple(_CATALOG)
+
+
 def build_model(model_id, metric_scale=1.0):
     """Instantiate a catalog model by string id.
 
@@ -840,25 +851,7 @@ def build_model(model_id, metric_scale=1.0):
     ``s1-cp2-w123`` (S^1 on CP^2, weights (1,2,3)), ``t2-cp2``
     (T^2 on CP^2, weights (1,0,1)/(0,1,1)), ``su2-cp1`` and ``u2-cp2``.
     """
-    model_id = model_id.lower()
-    if model_id == "s1-cp1-w12":
-        group = build_group("torus", 1)
-        return TorusModel("s1-cp1-w12", [[1, 2]], (1.0,),
-                          trace_metric(group, metric_scale))
-    if model_id == "s1-cp2-w123":
-        group = build_group("torus", 1)
-        return TorusModel("s1-cp2-w123", [[1, 2, 3]], (1.0,),
-                          trace_metric(group, metric_scale))
-    if model_id == "t2-cp2":
-        group = build_group("torus", 2)
-        return T2CP2Model(trace_metric(group, metric_scale))
-    if model_id == "su2-cp1":
-        group = build_group("su", 2)
-        return SU2CP1Model(trace_metric(group, metric_scale))
-    if model_id == "u2-cp2":
-        group = build_group("u", 2)
-        return U2CP2Model(trace_metric(group, metric_scale))
-    raise ValueError(f"unknown model id {model_id!r}; see build_model.__doc__")
-
-
-MODEL_IDS = ("s1-cp1-w12", "s1-cp2-w123", "t2-cp2", "su2-cp1", "u2-cp2")
+    if model_id.lower() not in _CATALOG:
+        raise ValueError(f"unknown model id {model_id!r}; see build_model.__doc__")
+    group, make = _CATALOG[model_id.lower()]
+    return make(trace_metric(build_group(group), metric_scale))

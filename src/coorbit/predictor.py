@@ -20,6 +20,7 @@ from .groups import (
     AssumptionViolation,
     ad_on_cartan_complement,
     algebra_matrix,
+    complement_frame,
     group_volumes,
     half_weight,
 )
@@ -277,7 +278,7 @@ def _remainder_block(metric, nu, xi_prime):
         return np.zeros((m, m))
     xi_mat = algebra_matrix(group, xi_prime)
     nu_mat = algebra_matrix(group, metric.sharp(nu.coords))
-    basis = _orthonormal_complement_basis(metric)
+    basis = complement_frame(metric)
     m = len(basis)
     B = np.empty((m, m))
     for i in range(m):
@@ -287,13 +288,3 @@ def _remainder_block(metric, nu, xi_prime):
                     + ej @ (ei @ nu_mat - nu_mat @ ei) - (ei @ nu_mat - nu_mat @ ei) @ ej)
             B[i, j] = 0.5 * metric.inner_matrices(term, xi_mat)
     return B
-
-
-def _orthonormal_complement_basis(metric):
-    """phi-orthonormal basis of t^perp matching ad_on_cartan_complement."""
-    group = metric.group
-    scale = metric.scale
-    out = []
-    for b in group.basis_matrices[group.rank:]:
-        out.append(np.asarray(b) / np.sqrt(2 * scale))
-    return out

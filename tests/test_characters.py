@@ -179,7 +179,7 @@ def test_weyl_character_invariance():
         for _ in range(10):
             theta = rng.uniform(-2, 2, size=g.rank)
             base = weyl_character(g, nu, theta)
-            for mat, _sign in g.weyl_elements:
+            for mat in g.weyl_matrices:
                 assert abs(weyl_character(g, nu, mat @ theta) - base) < 1e-10
 
 

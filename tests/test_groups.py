@@ -61,7 +61,7 @@ def test_weyl_preserves_roots_up_to_sign(kind):
     g = build_group(kind)
     roots = {tuple(r) for r in g.positive_roots}
     full = roots | {tuple(-np.array(r)) for r in roots}
-    for mat, sign in g.weyl_elements:
+    for mat, sign in zip(g.weyl_matrices, g.weyl_signs):
         assert sign in (-1, 1)
         assert np.array_equal(mat, np.rint(mat))
         for beta in g.positive_roots:

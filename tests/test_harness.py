@@ -1,6 +1,8 @@
 import importlib.util
+import io
 import json
 import types
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -212,20 +214,50 @@ def test_csv_numbers_are_plain_floats():
 
 # -- suite all and the benchmark's view of the package ----------------------------
 
-def test_suite_all_composition(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def suite_all(tmp_path_factory):
+    """`suite all --seed 0` written with --out, and the JSON summary it
+    prints with --format json."""
+    out = tmp_path_factory.mktemp("suite_all")
+    stdout = io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+        assert main(["suite", "all", "--seed", "0", "--out", str(out)]) == 0
+        assert main(["suite", "all", "--seed", "0", "--format", "json"]) == 0
+    return out, stdout.getvalue()
+
+
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_suite_all_composition(suite_all):
     """`suite all` runs each suite on its models in the order the
-    benchmark reference froze: the same fit names, the same row keys."""
-    assert main(["suite", "all", "--seed", "0", "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    fits = json.loads((tmp_path / "suite_all.json").read_text())["fits"]
+    benchmark reference froze: the same fit names, the same row keys, and
+    values within the benchmark's own tolerances."""
+    out, _ = suite_all
+    fits = json.loads((out / "suite_all.json").read_text())["fits"]
     reference_fits = (PERFBENCH / "reference" / "suite-all.fits").read_text().split()
     assert [f["quantity"] for f in fits] == reference_fits
+    workloads = _load_perfbench("workloads")
+    assert workloads.check_suite_csv((out / "suite_all.csv").read_text(),
+                                     (PERFBENCH / "reference" / "suite-all.csv").read_text()) == []
 
-    def row_keys(text):
-        return [line.split(",")[:4] for line in text.splitlines()]
 
-    assert row_keys((tmp_path / "suite_all.csv").read_text()) == \
-        row_keys((PERFBENCH / "reference" / "suite-all.csv").read_text())
+def test_suite_all_json_is_strict(suite_all):
+    """The summary file and the --format json stdout parse as strict JSON
+    (no NaN or Infinity tokens) and agree."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    out, stdout = suite_all
+    from_file = json.loads((out / "suite_all.json").read_text(), parse_constant=refuse)
+    assert json.loads(stdout, parse_constant=refuse) == from_file
+    decay = next(f for f in from_file["fits"] if f["quantity"] == "t2-cp2:off-orbit-decay")
+    assert decay["band"] == [None, -5.0] and decay["intercept"] is None
 
 
 def test_benchmark_tracer_names_resolve():
