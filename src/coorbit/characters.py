@@ -293,10 +293,12 @@ def orbit_quadrature(group, metric, nu, level=64):
 
     Tori: the orbit is the single point nu (weight 1 = vol).  SU(2) and
     U(2): the orbit is a round 2-sphere; nodes are a Gauss-Legendre x
-    uniform product grid and each weight carries the Kostant-Kirillov
-    density computed from sigma(ad_xi lambda, ad_eta lambda) =
-    <lambda, [xi, eta]> (the weight sum is a genuine prediction, checked
-    against (2 pi)^{n_pos} d_nu in the tests).
+    uniform product grid and each weight is its area weight times the
+    Kostant-Kirillov density computed from sigma(ad_xi lambda, ad_eta
+    lambda) = <lambda, [xi, eta]>.  The density is G-invariant, hence
+    one number per orbit, evaluated at the first node (the weight sum is
+    a genuine prediction, checked against (2 pi)^{n_pos} d_nu in the
+    tests).
 
     Raises
     ------
@@ -333,8 +335,9 @@ def _sphere_orbit_quadrature(group, metric, nu, level):
     s = np.sqrt(1.0 - u * u)
     nodes = center + radius * (u * z_hat + s * (np.cos(phi) * x_hat + np.sin(phi) * y_hat))
     area_w = np.repeat(ws, n_azimuth) * (2 * np.pi / n_azimuth) * radius ** 2
+    # the density is G-invariant, so one node gives it for the whole orbit
     return OrbitQuadrature(group, metric, nu.coords, nodes,
-                           area_w * _kk_density(metric, nodes),
+                           area_w * _kk_density(metric, nodes[:1]),
                            f"gauss-sphere-{n_polar}x{n_azimuth}")
 
 

@@ -32,8 +32,10 @@ count and exponent range known before it is listed: one whose basis
 would take more than _BASIS_BUDGET_BYTES to build, whose exponents could
 pass int32 or whose torus pivot solve could pass int64, is refused with
 AssumptionViolation first, on the streamed routes too, so every route
-refuses at the same k.  Orbit separations are a grid minimum polished by
-a batched pattern search.
+refuses at the same k.  Orbit separations are closed forms: each catalog
+model gives the point of an orbit nearest to a target (rank-1 tori and
+t2-cp2 from the roots of a critical-point polynomial, su2-cp1 and u2-cp2
+directly).
 """
 
 import math
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import AssumptionViolation, euler_elements, half_weight
+from .groups import AssumptionViolation, half_weight
 from .models import (
     _BASIS_BUDGET_BYTES,
     SU2CP1Model,
@@ -375,70 +377,17 @@ def equivariant_kernel_log(model, nu, k, x, y):
     return _block_sum(_listed_blocks(model.d, model.isotypic_chunks(nu, k), top), x, y)
 
 
-def _batched_sphere_distances(model, gs, x, y):
-    moved = np.einsum("nij,j->ni", model.unitary_batch(gs), x)
-    cos = np.clip((moved @ np.conj(y)).real, -1.0, 1.0)
-    return np.arccos(cos)
-
-
-def _pattern_search(distances, centre, best, step):
-    """Refine a grid minimizer by compass search over the 3^p stencil.
-
-    Each step evaluates the 3^p - 1 neighbours centre + step * e, e a
-    nonzero vector in {-1, 0, 1}^p, in one batch; the centre moves to the
-    best neighbour when it improves, and the step halves when none does,
-    until every step is below 1e-12.  Returns the smallest distance seen,
-    so never more than ``best``.
-    """
-    p = len(centre)
-    offsets = np.stack(np.meshgrid(*[(-1.0, 0.0, 1.0)] * p, indexing="ij"),
-                       axis=-1).reshape(-1, p)
-    offsets = offsets[np.any(offsets != 0.0, axis=1)]
-    while step.max() >= 1e-12:
-        nodes = centre + offsets * step
-        dists = distances(nodes)
-        i = int(np.argmin(dists))
-        if dists[i] < best:
-            best, centre = dists[i], nodes[i]
-        else:
-            step = step / 2
-    return float(best)
-
-
 def orbit_separation(model, x, y):
-    """dist_X(G x, G y) by dense grid minimization plus local refinement.
+    """dist_X(G x, G y): the round-sphere geodesic distance from y to the
+    nearest point g x of the orbit of x, in closed form per model
+    (``model.nearest_orbit_point``).
 
-    The distance is the round-sphere geodesic distance, uniformly
-    equivalent to the bundle metric; only its k-scaling matters to the
-    decay fits that consume it.  Grid densities: 1024 angles for a
-    circle, 64 per axis for higher-rank tori, a 32^3 Euler grid for
-    SU(2), 24^3 x 12 for U(2).  A pattern search (:func:`_pattern_search`)
-    started at the best node with half the grid spacing polishes it.
+    The round-sphere distance is uniformly equivalent to the bundle
+    metric; only its k-scaling matters to the decay fits that consume it.
+    It is evaluated as 2 asin(|g x - y| / 2), accurate to rounding near 0
+    (an arccos of the inner product resolves angles only to about
+    sqrt(eps) = 1.5e-8 there).
     """
-    x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    group = model.group
-
-    if group.kind == "torus":
-        r = group.rank
-        grid_n = 1024 if r == 1 else 64
-        rngs = [2 * np.pi * np.arange(grid_n) / grid_n] * r
-
-        def distances(params):
-            return _batched_sphere_distances(model, params, x, y)
-    else:
-        n_grid = 32 if group.kind == "su" else 24
-        rngs = [np.linspace(0, 2 * np.pi, n_grid, endpoint=False),
-                np.linspace(0, np.pi, n_grid // 2 + 1),
-                np.linspace(0, 4 * np.pi, n_grid, endpoint=False)]
-        if group.kind != "su":
-            rngs.append(np.linspace(0, np.pi, n_grid // 2, endpoint=False))
-
-        def distances(params):
-            return _batched_sphere_distances(model, euler_elements(params), x, y)
-
-    flat = np.stack(np.meshgrid(*rngs, indexing="ij"), axis=-1).reshape(-1, len(rngs))
-    dists = distances(flat)
-    i = int(np.argmin(dists))
-    spacing = np.array([axis[1] - axis[0] for axis in rngs])
-    return _pattern_search(distances, flat[i], dists[i], spacing / 2)
+    gap = float(np.linalg.norm(model.nearest_orbit_point(x, y) - y))
+    return 2 * math.asin(min(gap / 2, 1.0))

@@ -33,12 +33,14 @@ from functools import cached_property, partial
 from itertools import combinations
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from numpy.polynomial.legendre import leggauss
 from numpy.random import default_rng
 
 from .groups import (
     AssumptionViolation,
     HalfWeight,
+    UnsupportedGroupError,
     adjoint_action,
     build_group,
     dominant_representative,
@@ -181,6 +183,11 @@ class ProjectiveModel:
 
     def unitary_batch(self, gs):
         """Lifted actions of a stack of group elements (not validated)."""
+        raise NotImplementedError
+
+    def nearest_orbit_point(self, x, y):
+        """The point of the orbit G x nearest to y, for unit vectors x, y
+        (each model solves this in closed form)."""
         raise NotImplementedError
 
     def displace(self, x, theta, v):
@@ -489,9 +496,9 @@ class TorusModel(ProjectiveModel):
     def __init__(self, model_id, weights, default_nu, metric=None):
         weights = np.asarray(weights, dtype=int)
         r, m = weights.shape
-        group = build_group("torus", r)
-        metric = metric or trace_metric(group)
-        if metric.group.rank != r:
+        metric = metric or trace_metric(build_group("torus", r))
+        group = metric.group
+        if group.kind != "torus" or group.rank != r:
             raise ValueError("metric rank does not match the weight matrix")
         if np.any(weights < 0):
             raise ValueError("torus models require nonnegative lift weights")
@@ -509,6 +516,49 @@ class TorusModel(ProjectiveModel):
         idx = np.arange(self.ambient_dim)
         out[:, idx, idx] = phases
         return out
+
+    def nearest_orbit_point(self, x, y):
+        """exp(-i theta W) x at the theta maximizing Re <g x, y> =
+        Re sum_j a_j z^{w_j}, a_j = x_j conj(y_j), z = e^{-i theta}.
+
+        With W = max w, the critical points are the roots of the degree-2W
+        polynomial sum_j w_j a_j z^{W + w_j} - sum_j w_j conj(a_j) z^{W - w_j}
+        (z^W Im sum_j w_j a_j z^{w_j}, times 2i, on the unit circle).  The
+        objective is evaluated at the angle of every root and at theta = 0,
+        and the best angle polished (:meth:`_polished_point`).  Tori of
+        rank 2 or more other than :class:`T2CP2Model` are refused.
+        """
+        if self.group.rank != 1:
+            raise UnsupportedGroupError(
+                f"no closed-form orbit separation for {self.id}; supported: "
+                "rank-1 tori, t2-cp2, su2-cp1 and u2-cp2")
+        x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+        w = self.weights[0]
+        a = x * np.conj(y)
+        top = int(w.max())
+        coeffs = np.zeros(2 * top + 1, dtype=complex)       # lowest power first
+        np.add.at(coeffs, top + w, w * a)
+        np.add.at(coeffs, top - w, -w * np.conj(a))
+        z = np.exp(1j * np.angle(np.append(P.polyroots(coeffs), 1.0)))
+        values = (a * z[:, None] ** w).real.sum(axis=1)
+        theta = -np.angle(z[np.argmax(values)])
+        return self._polished_point(x, y, np.array([theta]))
+
+    def _polished_point(self, x, y, theta):
+        """The nearer to y of exp(-i theta W) x and the point after one Newton
+        step on F(theta) = Re sum_j a_j e^{-i theta . w_j} from theta.
+
+        A maximum at which the critical polynomial has a double root (every
+        pair on one t2-cp2 orbit) comes out of the roots to about sqrt(eps)
+        only; F is quadratic there, so one step restores full precision.
+        """
+        W = self.weights
+        terms = x * np.conj(y) * np.exp(-1j * (theta @ W))
+        grad = W @ terms.imag
+        hess = -(W * terms.real) @ W.T
+        step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        points = x * np.exp(-1j * (np.stack([theta, theta - step]) @ W))
+        return points[np.argmin(np.linalg.norm(points - y, axis=1))]
 
     def isotypic_target(self, nu, k):
         """k nu as an integer weight vector, or None when no monomial has
@@ -679,6 +729,35 @@ class T2CP2Model(TorusModel):
     def __init__(self, metric=None):
         super().__init__("t2-cp2", [[1, 0, 1], [0, 1, 1]], (2.0, 1.0), metric)
 
+    def nearest_orbit_point(self, x, y):
+        """The orbit point (x_0 u, x_1 v, x_2 u v) nearest to y, u = e^{-i theta_1},
+        v = e^{-i theta_2}.
+
+        With a_j = x_j conj(y_j), Re <g x, y> = Re(a_0 u) + Re((a_1 + a_2 u) v),
+        so the best v is conj(a_1 + a_2 u) / |a_1 + a_2 u| (any v where that
+        is 0) and u maximizes h(u) = Re(a_0 u) + |a_1 + a_2 u|.  On the unit
+        circle h'(u) = 0 squares to Im(a_0 u)^2 |a_1 + a_2 u|^2 =
+        Im(conj(a_1) a_2 u)^2, times u^3 the degree-6 polynomial
+        (a_0 u^2 - conj a_0)^2 (a_1 + a_2 u)(conj(a_1) u + conj a_2)
+        - u (b u^2 - conj b)^2, b = conj(a_1) a_2.  h is evaluated at every
+        root projected onto the circle, at u = 1 and at conj(a_0) / |a_0|
+        (the maximum when a_1 = a_2 = 0 and the polynomial vanishes), and
+        the best (u, v) polished (:meth:`_polished_point`).
+        """
+        x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+        a0, a1, a2 = x * np.conj(y)
+        b = np.conj(a1) * a2
+        quartic = P.polypow([-np.conj(a0), 0, a0], 2)
+        poly = P.polysub(P.polymul(quartic, P.polymul([a1, a2], [np.conj(a2), np.conj(a1)])),
+                         P.polymul([0, 1], P.polypow([-np.conj(b), 0, b], 2)))
+        candidates = np.append(P.polyroots(poly), [1.0, np.conj(a0)])
+        u = np.exp(1j * np.angle(candidates))
+        inner = a1 + a2 * u
+        best = int(np.argmax((a0 * u).real + np.abs(inner)))
+        u, inner = u[best], inner[best]
+        v = np.conj(inner) / abs(inner) if inner != 0 else 1.0
+        return self._polished_point(x, y, -np.angle([u, v]))
+
     def locus_simplex_curve(self, nu):
         nu = half_weight(self.group, nu)
         n1, n2 = nu.coords
@@ -719,14 +798,20 @@ class SU2CP1Model(ProjectiveModel):
     """SU(2) acting on CP^1 through the defining representation."""
 
     def __init__(self, metric=None):
-        group = build_group("su", 2)
-        metric = metric or trace_metric(group)
+        metric = metric or trace_metric(build_group("su", 2))
+        group = metric.group
+        if (group.kind, group.n) != ("su", 2):
+            raise ValueError("the metric is not on SU(2)")
         gens = [np.asarray(b) for b in group.basis_matrices]
         super().__init__("su2-cp1", group, metric, 1, gens,
                          "defining representation, no fiber twist", (1.0,))
 
     def unitary_batch(self, gs):
         return np.asarray(gs, dtype=complex)
+
+    def nearest_orbit_point(self, x, y):
+        """y itself: SU(2) is transitive on the unit sphere of C^2."""
+        return np.array(y, dtype=complex)
 
     def isotypic_extent(self, nu, k):
         level = int(round(k * half_weight(self.group, nu).coords[0])) - 1
@@ -754,8 +839,10 @@ class U2CP2Model(ProjectiveModel):
     """
 
     def __init__(self, metric=None):
-        group = build_group("u", 2)
-        metric = metric or trace_metric(group)
+        metric = metric or trace_metric(build_group("u", 2))
+        group = metric.group
+        if (group.kind, group.n) != ("u", 2):
+            raise ValueError("the metric is not on U(2)")
         gens = []
         for b in group.basis_matrices:
             a = np.zeros((3, 3), dtype=complex)
@@ -771,6 +858,23 @@ class U2CP2Model(ProjectiveModel):
         out = np.zeros((len(gs), 3, 3), dtype=complex)
         out[:, :2, :2] = gs
         out[:, 2, 2] = 1.0 / np.linalg.det(gs)
+        return out
+
+    def nearest_orbit_point(self, x, y):
+        """(|v| v' / |v'|, |c| c' / |c'|) for x = (v, c), y = (v', c').
+
+        SU(2) is transitive on each sphere of C^2 and the centre e^{i psi} I
+        turns c by e^{-2 i psi}, so the orbit of x is every (v'', c'') with
+        |v''| = |v| and |c''| = |c|; the distance to y is then
+        sqrt((|v| - |v'|)^2 + (|c| - |c'|)^2).  Where v' or c' is 0, every
+        point of that factor is equally near and x's own is kept.
+        """
+        x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+        out = x.copy()
+        for part in (slice(0, 2), slice(2, 3)):
+            norm = np.linalg.norm(y[part])
+            if norm > 0:
+                out[part] = np.linalg.norm(x[part]) / norm * y[part]
         return out
 
     def valid_k(self, k):

@@ -499,6 +499,28 @@ def test_kk_density_constant_on_orbit():
             assert np.ptp(dens) <= 1e-12 * dens.mean(), (kind, scale)
 
 
+def test_orbit_quadrature_weights_are_area_times_per_node_density():
+    # the quadrature reads the density at one node; the reference reads it
+    # at every node and takes the area weights from Gauss-Legendre x uniform
+    from numpy.polynomial.legendre import leggauss
+
+    from coorbit.characters import _kk_density
+
+    level = 16
+    _, ws = leggauss(level)
+    for kind, coords in (("su2", (4.0,)), ("u2", (2.5, 0.5))):
+        g = build_group(kind)
+        for scale in (1.0, 2.7):
+            m = trace_metric(g, scale)
+            q = orbit_quadrature(g, m, half_weight(g, coords), level=level)
+            nodes = q.nodes_sharp
+            center = np.trace(nodes[0]) / 2 * np.eye(2)
+            radius2 = m.inner_matrices(nodes[0] - center, nodes[0] - center)
+            area = np.repeat(ws, 2 * level) * (np.pi / level) * radius2
+            ref = area * _kk_density(m, nodes)
+            np.testing.assert_allclose(q.weights, ref, rtol=1e-12, atol=0)
+
+
 def test_character_at_element_on_stack():
     rng = np.random.default_rng(13)
     for kind, coords in (("su2", (4.0,)), ("u2", (3.5, 0.5)), ("t2", (2.0, 1.0))):

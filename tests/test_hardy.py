@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from coorbit import hardy, models
 from coorbit.cli import main
-from coorbit.groups import AssumptionViolation, half_weight, random_unitary
+from coorbit.groups import AssumptionViolation, UnsupportedGroupError, half_weight, random_unitary
 from coorbit.characters import character_at_element, weyl_dimension
 from coorbit.hardy import (
     equivariant_kernel,
@@ -580,15 +580,16 @@ def _separation_pairs():
     for mid in MODEL_IDS:
         model = build_model(mid)
         yield model, *_separated_pair(model, model.default_nu)
+        # a coordinate point: on t2-cp2 the critical polynomial vanishes
+        yield model, np.eye(model.d + 1, dtype=complex)[0], random_sphere_point(model.d, rng)
         for _ in range(4):
             yield model, random_sphere_point(model.d, rng), random_sphere_point(model.d, rng)
 
 
-def test_orbit_separation_pattern_search_matches_nelder_mead():
-    # Near separation 0, arccos resolves an angle only to about
-    # sqrt(eps) = 1.5e-8, so there both routes can only be asked to reach
-    # that floor (SU(2) is transitive on the CP^1 bundle: all its pairs
-    # have separation 0).
+def test_orbit_separation_closed_form_matches_nelder_mead():
+    # SU(2) is transitive on the CP^1 bundle: all its pairs have
+    # separation 0, which the closed form gives exactly; Nelder-Mead
+    # stops near 1e-14 there, so only the closed form meets the floor
     for model, x, y in _separation_pairs():
         sep = orbit_separation(model, x, y)
         ref = orbit_separation_nelder_mead(model, x, y)
@@ -596,7 +597,31 @@ def test_orbit_separation_pattern_search_matches_nelder_mead():
         if ref > 1e-6:
             assert abs(sep - ref) <= 1e-10, model.id
         else:
-            assert sep <= 1e-7, model.id
+            assert sep <= 1e-12, model.id
+
+
+def test_orbit_separation_of_one_orbit_is_zero():
+    # y = g x: the separation is rounding, not the sqrt(eps) = 1.5e-8 floor
+    # of an arccos (on t2-cp2 the best angle is a double root of the
+    # critical polynomial, found only to sqrt(eps) before its Newton step)
+    rng = np.random.default_rng(31)
+    for mid in MODEL_IDS:
+        model = build_model(mid)
+        for _ in range(10):
+            x = random_sphere_point(model.d, rng)
+            if model.group.kind == "torus":
+                g = rng.uniform(0.0, 2 * np.pi, model.group.rank)
+            else:
+                g = random_unitary(2, rng, special=model.group.kind == "su")
+            y = model.unitary_batch([g])[0] @ x
+            assert orbit_separation(model, x, y) <= 1e-12, mid
+
+
+def test_orbit_separation_refuses_other_rank_2_tori():
+    model = TorusModel("t2-cp1", [[2, 1], [1, 1]], (1.0, 1.0))
+    x, y = unit_point([0.6, 0.8]), unit_point([0.8, 0.6j])
+    with pytest.raises(UnsupportedGroupError, match="no closed-form orbit separation"):
+        orbit_separation(model, x, y)
 
 
 def test_log_space_evaluation_survives_large_k():
@@ -953,8 +978,8 @@ import numpy as np
 import coorbit
 from coorbit import hardy
 from coorbit.harness import _separated_pair
-from coorbit.models import build_model
-for mid in ("s1-cp2-w123", "u2-cp2"):
+from coorbit.models import MODEL_IDS, build_model
+for mid in MODEL_IDS:
     model = build_model(mid)
     nu = model.default_nu
     x, y = _separated_pair(model, nu)

@@ -35,6 +35,14 @@ def test_catalog_builds_and_configs():
         assert model.min_moment_norm > 1e-3
 
 
+def test_model_holds_the_metric_group():
+    # one CompactGroup per model: CompactGroup compares by identity
+    for mid in MODEL_IDS:
+        for scale in (1.0, 2.5):
+            model = build_model(mid, scale)
+            assert model.group is model.metric.group, (mid, scale)
+
+
 def test_moment_map_fixed_points_give_lift_weights():
     model = build_model("s1-cp1-w12")
     assert np.isclose(model.moment_map(unit_point([1, 0]))[0], 1.0)
