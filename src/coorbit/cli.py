@@ -45,8 +45,22 @@ def _parse_nu(text):
     return tuple(float(Fraction(part)) for part in text.split(","))
 
 
-def _parse_point(text):
-    return unit_point([complex(part) for part in text.split(",")])
+def _parse_point(text, model):
+    """The unit vector along comma-separated complex coordinates, refused
+    unless there are d + 1 of them, finite and not all zero."""
+    with np.errstate(all="ignore"):
+        x = unit_point([complex(part) for part in text.split(",")])
+        if len(x) != model.ambient_dim or not abs(np.linalg.norm(x) - 1.0) < 1e-12:
+            raise ValueError(f"a point of {model.id} takes {model.ambient_dim} finite "
+                             f"coordinates, not all zero; got {text!r}")
+    return x
+
+
+def _positive_int(text):
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError("k must be a positive integer")
+    return k
 
 
 def _print(obj):
@@ -81,13 +95,13 @@ def main(argv=None):
     p.add_argument("--model", required=True)
     p.add_argument("--nu", default=None)
     p.add_argument("--point", default=None, help="complex coords, comma-separated")
-    p.add_argument("--k", type=int, default=None,
+    p.add_argument("--k", type=_positive_int, default=None,
                    help="also emit the leading-order diagonal prediction at k")
 
     p = sub.add_parser("kernel-eval", help="equivariant kernel at (x, y)")
     p.add_argument("--model", required=True)
     p.add_argument("--nu", default=None)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_positive_int, required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--y", default=None, help="defaults to x (diagonal)")
 
@@ -170,7 +184,8 @@ def _dispatch(args):
     if args.command == "psi-nu":
         model = build_model(args.model)
         nu = model.resolve_nu(_parse_nu(args.nu))
-        x = model.default_locus_point(nu) if args.point is None else _parse_point(args.point)
+        x = (model.default_locus_point(nu) if args.point is None
+             else _parse_point(args.point, model))
         sample = model.locus_decompose(nu, x)
         if not isinstance(sample, LocusSample):
             raise AssumptionViolation(
@@ -194,8 +209,8 @@ def _dispatch(args):
         model = build_model(args.model)
         nu = model.resolve_nu(_parse_nu(args.nu))
         k = model.valid_k(args.k)
-        x = _parse_point(args.x)
-        y = x if args.y is None else _parse_point(args.y)
+        x = _parse_point(args.x, model)
+        y = x if args.y is None else _parse_point(args.y, model)
         val = equivariant_kernel(model, nu, k, x, y)
         _print({
             "model": model.config(), "nu": list(nu.coords), "k": k,

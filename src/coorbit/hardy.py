@@ -5,8 +5,8 @@ monomials z^alpha with squared norms
 
     ||z^alpha||^2 = vol(X) * alpha! * d! / (n + d)!   (vol(X) = pi^d/d!),
 
-against dV_X = (1/2 pi) alpha wedge pi* dV_M.  Everything downstream
-(equivariant kernels, isotypic dimensions, diagonal profiles) reduces to
+against dV_X = (1/2 pi) alpha wedge pi* dV_M.  Equivariant kernels and
+diagonal profiles (su2-cp1's closed level kernel aside) reduce to
 finite sums over explicit exponent sets, evaluated in log space with a
 max-shift so that values remain accurate far below the overflow and
 underflow thresholds of double precision; sums over positive terms are
@@ -26,16 +26,16 @@ rows into the same blocks, so they agree bit for bit.  Log-factorials come
 from one table, grown on demand, of a pure-Python port of Cephes lgam
 (the values of scipy.special.gammaln, bit for bit, with numpy as the
 only dependency).
-Isotypic dimensions of rank-1 tori are counted exactly without listing
-the set (a quasi-polynomial in k).  Every other listing has its row
-count and exponent range known before it is listed: one whose basis
-would take more than _BASIS_BUDGET_BYTES to build, whose exponents could
-pass int32 or whose torus pivot solve could pass int64, is refused with
-AssumptionViolation first, on the streamed routes too, so every route
-refuses at the same k.  Orbit separations are closed forms: each catalog
-model gives the point of an orbit nearest to a target (rank-1 tori and
-t2-cp2 from the roots of a critical-point polynomial, su2-cp1 and u2-cp2
-directly).
+Isotypic dimensions are never listed: each catalog model counts its own
+in closed form (``isotypic_dim``), at any k.  Only the listings behind a
+kernel sum are budgeted: each has its row count and exponent range known
+before it is listed, and one whose basis would take more than
+_BASIS_BUDGET_BYTES to build, whose exponents could pass int32 or whose
+torus pivot solve could pass int64, is refused with AssumptionViolation
+first, on the streamed route too, so both kernel routes refuse at the
+same k.  Orbit separations are closed forms: each catalog model gives
+the point of an orbit nearest to a target (rank-1 tori and t2-cp2 from
+the roots of a critical-point polynomial, su2-cp1 and u2-cp2 directly).
 """
 
 import math
@@ -44,13 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import AssumptionViolation, half_weight
-from .models import (
-    _BASIS_BUDGET_BYTES,
-    SU2CP1Model,
-    TorusModel,
-    _weighted_count,
-    hermitian_inner,
-)
+from .models import _BASIS_BUDGET_BYTES, SU2CP1Model, hermitian_inner
 
 _BIG_NEG = -1.0e6  # stand-in for log 0; alpha * _BIG_NEG underflows exp cleanly
 # Rows of the exponent array cast to complex at a time in _block_exponents
@@ -195,8 +189,8 @@ def _check_budget(model, nu, k):
     """Raise AssumptionViolation, before anything is listed, when the k nu
     basis would take more than _BASIS_BUDGET_BYTES to build (its rows
     come from ``isotypic_extent``); else return the extent's bound top on
-    every |alpha|.  Streamed sums and counts, which keep no basis, are
-    held to the same budget, so every route refuses at the same k."""
+    every |alpha|.  Streamed sums, which keep no basis, are held to the
+    same budget, so both kernel routes refuse at the same k."""
     rows, top = model.isotypic_extent(nu, k)
     need = rows * _basis_row_bytes(model.d)
     if need > _BASIS_BUDGET_BYTES:
@@ -234,19 +228,10 @@ def isotypic_basis(model, nu, k):
 
 
 def isotypic_dim(model, nu, k):
-    """Exact dimension of the k nu isotypic subspace (0 is a valid answer).
-
-    Rank-1 tori count the exponents without listing them, in
-    O(d lcm(w)) time and memory at any k (``models._weighted_count``,
-    which refuses a table over the same budget); every other model
-    counts the rows of its listing chunk by chunk (O(k) rows on every
-    catalog model, none of them kept), under the same budget as a basis.
-    """
-    if isinstance(model, TorusModel) and model.group.rank == 1:
-        target = model.isotypic_target(nu, k)
-        return 0 if target is None else _weighted_count(model.weights[0], int(target[0]))
-    _check_budget(model, nu, k)
-    return sum(len(chunk) for chunk in model.isotypic_chunks(nu, k))
+    """Exact dimension of the k nu isotypic subspace (0 is a valid answer):
+    the model's own closed-form count (``model.isotypic_dim``): nothing is
+    listed, so a catalog model answers at any k."""
+    return model.isotypic_dim(nu, k)
 
 
 def _safe_log(z):
@@ -358,7 +343,7 @@ def equivariant_kernel_log(model, nu, k, x, y):
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     if isinstance(model, SU2CP1Model):
-        n = int(round(k * half_weight(model.group, nu).coords[0])) - 1
+        n = model.isotypic_level(nu, k)
         if n < 0:
             return -np.inf, 0.0 + 0.0j
         inner = hermitian_inner(x, y)

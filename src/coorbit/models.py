@@ -181,10 +181,6 @@ class ProjectiveModel:
         x = np.asarray(x, dtype=complex)
         return -np.einsum("...a,jab,...b->...j", x.conj(), self.generators, x).imag
 
-    def unitary_batch(self, gs):
-        """Lifted actions of a stack of group elements (not validated)."""
-        raise NotImplementedError
-
     def nearest_orbit_point(self, x, y):
         """The point of the orbit G x nearest to y, for unit vectors x, y
         (each model solves this in closed form)."""
@@ -311,6 +307,11 @@ class ProjectiveModel:
         return abs(det)
 
     # -- isotypic bookkeeping -------------------------------------------------
+
+    def isotypic_dim(self, nu, k):
+        """Exact dimension of the k nu isotypic subspace (0 is a valid
+        answer), counted in closed form: nothing is listed."""
+        raise NotImplementedError
 
     def isotypic_chunks(self, nu, k):
         """Monomial exponents spanning the k nu isotypic subspace, yielded
@@ -443,14 +444,6 @@ def _integer_det(rows):
                for j, a in enumerate(rows[0]) if a)
 
 
-def _segment_chunks(rows, level, *tail):
-    """The int32 rows (a, level - a, *tail), a = 0 ... rows - 1, in chunks
-    of _LIST_ROWS rows."""
-    for lo in range(0, rows, _LIST_ROWS):
-        a = np.arange(lo, min(lo + _LIST_ROWS, rows), dtype=np.int32)
-        yield np.stack([a, level - a] + [np.full_like(a, t) for t in tail], axis=1)
-
-
 def simplex_quadrature(d, n):
     """Nodes/weights for int_{Delta_d} f(t) dt_1..dt_d, t_0 = 1 - sum.
 
@@ -509,14 +502,6 @@ class TorusModel(ProjectiveModel):
         # all positive: a zero column makes Phi vanish at a vertex, refused above
         self._column_sums = weights.sum(axis=0)
 
-    def unitary_batch(self, gs):
-        thetas = np.asarray(gs, dtype=float)
-        phases = np.exp(-1j * thetas @ self.weights)
-        out = np.zeros((len(thetas), self.ambient_dim, self.ambient_dim), dtype=complex)
-        idx = np.arange(self.ambient_dim)
-        out[:, idx, idx] = phases
-        return out
-
     def nearest_orbit_point(self, x, y):
         """exp(-i theta W) x at the theta maximizing Re <g x, y> =
         Re sum_j a_j z^{w_j}, a_j = x_j conj(y_j), z = e^{-i theta}.
@@ -543,6 +528,17 @@ class TorusModel(ProjectiveModel):
         values = (a * z[:, None] ** w).real.sum(axis=1)
         theta = -np.angle(z[np.argmax(values)])
         return self._polished_point(x, y, np.array([theta]))
+
+    def isotypic_dim(self, nu, k):
+        """Rank 1: the exponents counted by :func:`_weighted_count`, in
+        O(d lcm(w)) time and memory at any k.  Tori of rank 2 or more
+        other than :class:`T2CP2Model` are refused."""
+        if self.group.rank != 1:
+            raise UnsupportedGroupError(
+                f"no closed-form isotypic dimension for {self.id}; supported: "
+                "rank-1 tori, t2-cp2, su2-cp1 and u2-cp2")
+        target = self.isotypic_target(nu, k)
+        return 0 if target is None else _weighted_count(self.weights[0], int(target[0]))
 
     def _polished_point(self, x, y, theta):
         """The nearer to y of exp(-i theta W) x and the point after one Newton
@@ -758,6 +754,12 @@ class T2CP2Model(TorusModel):
         v = np.conj(inner) / abs(inner) if inner != 0 else 1.0
         return self._polished_point(x, y, -np.angle([u, v]))
 
+    def isotypic_dim(self, nu, k):
+        """min(K_1, K_2) + 1 for k nu = (K_1, K_2): the exponents are
+        (K_1 - t, K_2 - t, t), t = 0 ... min(K_1, K_2)."""
+        target = self.isotypic_target(nu, k)
+        return 0 if target is None else int(target.min()) + 1
+
     def locus_simplex_curve(self, nu):
         nu = half_weight(self.group, nu)
         n1, n2 = nu.coords
@@ -806,21 +808,18 @@ class SU2CP1Model(ProjectiveModel):
         super().__init__("su2-cp1", group, metric, 1, gens,
                          "defining representation, no fiber twist", (1.0,))
 
-    def unitary_batch(self, gs):
-        return np.asarray(gs, dtype=complex)
-
     def nearest_orbit_point(self, x, y):
         """y itself: SU(2) is transitive on the unit sphere of C^2."""
         return np.array(y, dtype=complex)
 
-    def isotypic_extent(self, nu, k):
-        level = int(round(k * half_weight(self.group, nu).coords[0])) - 1
-        return self._int32_extent(k, max(level + 1, 0), max(level, 0))
+    def isotypic_level(self, nu, k):
+        """The level n = k nu - 1: the k nu isotypic subspace is the whole
+        of it (empty when n < 0)."""
+        return int(round(k * half_weight(self.group, nu).coords[0])) - 1
 
-    def isotypic_chunks(self, nu, k):
-        """(a, level - a), a = 0 ... level: the whole level k nu - 1."""
-        rows, level = self.isotypic_extent(nu, k)
-        yield from _segment_chunks(rows, level)
+    def isotypic_dim(self, nu, k):
+        """n + 1, the dimension of level n = :meth:`isotypic_level`."""
+        return max(self.isotypic_level(nu, k) + 1, 0)
 
     def default_locus_point(self, nu=None):
         return unit_point([np.sqrt(0.7), np.sqrt(0.3)])
@@ -852,13 +851,6 @@ class U2CP2Model(ProjectiveModel):
         super().__init__("u2-cp2", group, metric, 2, gens,
                          "defining rep on C^2, det^-1 twist on the third coordinate",
                          (1.5, 0.5))
-
-    def unitary_batch(self, gs):
-        gs = np.asarray(gs, dtype=complex)
-        out = np.zeros((len(gs), 3, 3), dtype=complex)
-        out[:, :2, :2] = gs
-        out[:, 2, 2] = 1.0 / np.linalg.det(gs)
-        return out
 
     def nearest_orbit_point(self, x, y):
         """(|v| v' / |v'|, |c| c' / |c'|) for x = (v, c), y = (v', c').
@@ -902,12 +894,19 @@ class U2CP2Model(ProjectiveModel):
         m, e = piece
         return self._int32_extent(k, m + 1, m + e)
 
+    def isotypic_dim(self, nu, k):
+        """m + 1 (see :meth:`_isotypic_piece`)."""
+        piece = self._isotypic_piece(nu, k)
+        return 0 if piece is None else piece[0] + 1
+
     def isotypic_chunks(self, nu, k):
         """(a, m - a, e), a = 0 ... m (see :meth:`_isotypic_piece`)."""
         rows, _ = self.isotypic_extent(nu, k)
         if rows:
             m, e = self._isotypic_piece(nu, k)
-            yield from _segment_chunks(rows, m, e)
+            for lo in range(0, rows, _LIST_ROWS):
+                a = np.arange(lo, min(lo + _LIST_ROWS, rows), dtype=np.int32)
+                yield np.stack([a, m - a, np.full_like(a, e)], axis=1)
 
     def locus_parameters(self, nu=None):
         """(t, sigma): the locus level ||v||^2 = t and the cone scale."""

@@ -244,6 +244,23 @@ def fiber_phase_moment(model, x, xi_coeffs, h=1e-6):
     return -alpha_val
 
 
+def lifted_action(model, gs):
+    """The lifted actions on C^{d+1} of a stack of group elements, by the
+    catalog's lift rules: diag(e^{-i theta . W}) for torus angles theta
+    (W the model's weight matrix), g itself on su2-cp1 and the block
+    matrix (g, det(g)^{-1}) on u2-cp2."""
+    if model.group.kind == "torus":
+        phases = np.exp(-1j * np.asarray(gs, dtype=float) @ model.weights)
+        return phases[:, :, None] * np.eye(model.ambient_dim)
+    gs = np.asarray(gs, dtype=complex)
+    if model.group.kind == "su":
+        return gs
+    out = np.zeros((len(gs), 3, 3), dtype=complex)
+    out[:, :2, :2] = gs
+    out[:, 2, 2] = 1.0 / np.linalg.det(gs)
+    return out
+
+
 def _euler_product(params):
     """Rz(alpha) Ry(beta) Rz(gamma) e^{i tau} for each row (alpha, beta,
     gamma[, tau]) of params, multiplied out matrix by matrix, with
@@ -287,7 +304,7 @@ def _orbit_grid(model, x, y):
         elements = _euler_product
 
     def distances(params):
-        moved = np.einsum("nij,j->ni", model.unitary_batch(elements(params)), x)
+        moved = np.einsum("nij,j->ni", lifted_action(model, elements(params)), x)
         # the chord form: arccos of the inner product is accurate only to
         # about sqrt(eps) = 1.5e-8 near 0, and to eps / sin(distance) above
         gaps = np.linalg.norm(moved - y, axis=1)

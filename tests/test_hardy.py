@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from coorbit import hardy, models
 from coorbit.cli import main
 from coorbit.groups import AssumptionViolation, UnsupportedGroupError, half_weight, random_unitary
-from coorbit.characters import character_at_element, weyl_dimension
+from coorbit.characters import character_at_element, scaled_dimension, weyl_dimension
 from coorbit.hardy import (
     equivariant_kernel,
     equivariant_kernel_log,
@@ -32,6 +33,7 @@ from oracles import (
     lattice_points,
     lattice_points_nested,
     level_kernel_closed,
+    lifted_action,
     monomial_log_norms_gammaln,
     monomial_sum_mp,
     orbit_separation_grid,
@@ -303,7 +305,25 @@ def catalog():
 def test_isotypic_dim_is_the_number_of_exponents(catalog, mid, k):
     model = catalog[mid]
     nu = model.default_nu
-    assert isotypic_dim(model, nu, k) == len(model.isotypic_exponents(nu, k))
+    if mid == "su2-cp1":                  # one whole level, never listed
+        assert isotypic_dim(model, nu, k) == scaled_dimension(model.group, nu, k)
+    else:
+        assert isotypic_dim(model, nu, k) == len(model.isotypic_exponents(nu, k))
+
+
+def test_isotypic_dim_lists_nothing_at_k_2_to_the_30(catalog, monkeypatch):
+    # every catalog model counts in closed form: no listing is asked for,
+    # even where one would be far over the memory budget
+    for cls in {type(model) for model in catalog.values()}:
+        monkeypatch.setattr(cls, "isotypic_chunks", _refuse_listing)
+    k = 2 ** 30
+    expected = {"s1-cp1-w12": k // 2 + 1, "s1-cp2-w123": ((k + 3) ** 2 + 6) // 12,
+                "t2-cp2": k + 1, "su2-cp1": k, "u2-cp2": k + 1}
+    for mid, model in catalog.items():
+        assert isotypic_dim(model, model.default_nu, model.valid_k(k)) == expected[mid], mid
+    other = TorusModel("t2-cp1", [[2, 1], [1, 1]], (1.0, 1.0))
+    with pytest.raises(UnsupportedGroupError, match="no closed-form isotypic dimension"):
+        isotypic_dim(other, other.default_nu, 4)
 
 
 @_DERANDOMIZED
@@ -329,13 +349,13 @@ def test_rank1_count_is_exact_up_to_the_int64_limit():
 @given(weights=st.lists(st.integers(1, 9), min_size=1, max_size=5),
        total=st.integers(0, 20_000))
 def test_rank1_count_matches_the_coin_change_oracle(weights, total):
-    assert hardy._weighted_count(weights, total) == coin_change_count(weights, total)
+    assert models._weighted_count(weights, total) == coin_change_count(weights, total)
 
 
 def test_rank1_count_at_huge_k_is_the_closed_form():
     # (1, 2, 3): the nearest integer to (K + 3)^2 / 12
     for total in (10 ** 9, 10 ** 12 + 5, 10 ** 30 + 1):
-        assert hardy._weighted_count([1, 2, 3], total) == ((total + 3) ** 2 + 6) // 12
+        assert models._weighted_count([1, 2, 3], total) == ((total + 3) ** 2 + 6) // 12
 
 
 def test_rank1_count_with_a_huge_period_is_refused_before_its_table():
@@ -355,7 +375,6 @@ def test_rank1_count_with_a_huge_period_is_refused_before_its_table():
 
 
 def test_isotypic_dim_u2_equals_rep_dimension():
-    from coorbit.characters import scaled_dimension
     model = build_model("u2-cp2")
     nu = model.default_nu
     for k in (1, 3, 9, 33):
@@ -429,7 +448,7 @@ def test_kernel_equivariance():
         g = (rng.uniform(0, 2 * np.pi, model.group.rank)
              if model.group.kind == "torus"
              else random_unitary(model.group.n, rng, special=(model.group.kind == "su")))
-        U = model.unitary_batch([g])[0]
+        U = lifted_action(model, [g])[0]
         a = equivariant_kernel(model, nu, k, U @ x, U @ y)
         b = equivariant_kernel(model, nu, k, x, y)
         assert abs(a - b) < 1e-10 * max(1.0, abs(b))
@@ -448,10 +467,12 @@ def test_peter_weyl_consistency_small_k():
         knu = half_weight(group, k * nu.coords)
         d = weyl_dimension(group, knu)
         x, y = (random_sphere_point(model.d, rng) for _ in range(2))
-        basis = isotypic_basis(model, nu, k)
-        nmax = int(basis.alphas.sum(axis=1).max())
+        if mid == "su2-cp1":
+            nmax = model.isotypic_level(nu, k)
+        else:
+            nmax = int(isotypic_basis(model, nu, k).alphas.sum(axis=1).max())
         nodes, weights = haar_quadrature(group, level)
-        moved = [u.conj().T @ x for u in model.unitary_batch(nodes)]
+        moved = [u.conj().T @ x for u in lifted_action(model, nodes)]
         chis = np.array([np.conj(character_at_element(group, knu, g)) for g in nodes])
         total = 0j
         for n in range(nmax + 2):
@@ -561,7 +582,7 @@ def test_off_orbit_value_metadata():
     nu = model.default_nu
     x = unit_point([np.sqrt(0.7), np.sqrt(0.3)])
     # y on the same orbit: separation ~ 0
-    y = model.unitary_batch([[1.3]])[0] @ x
+    y = lifted_action(model, [[1.3]])[0] @ x
     assert orbit_separation(model, x, y) < 1e-6
     # separated pair: superpolynomial decay of the log-magnitude slope
     y2 = unit_point([np.sqrt(0.45), np.sqrt(0.55)])
@@ -613,7 +634,7 @@ def test_orbit_separation_of_one_orbit_is_zero():
                 g = rng.uniform(0.0, 2 * np.pi, model.group.rank)
             else:
                 g = random_unitary(2, rng, special=model.group.kind == "su")
-            y = model.unitary_batch([g])[0] @ x
+            y = lifted_action(model, [g])[0] @ x
             assert orbit_separation(model, x, y) <= 1e-12, mid
 
 
@@ -736,12 +757,14 @@ def test_underflow_skip_leaves_the_sum_bit_identical(monkeypatch):
     assert skipped == every
 
 
-# a k with no isotypic monomials: k nu off the weight lattice, level -1, even k
-_EMPTY_K = {"s1-cp1-w12": 0.5, "s1-cp2-w123": 0.5, "t2-cp2": 0.5, "su2-cp1": 0, "u2-cp2": 4}
+# for each listing model, a k with no isotypic monomials: k nu off the
+# weight lattice, even k
+_EMPTY_K = {"s1-cp1-w12": 0.5, "s1-cp2-w123": 0.5, "t2-cp2": 0.5, "u2-cp2": 4}
 
 
 def test_bases_hold_int32_exponents(catalog):
-    for mid, model in catalog.items():
+    for mid, empty_k in _EMPTY_K.items():
+        model = catalog[mid]
         for k in (7, 65):
             alphas = model.isotypic_exponents(model.default_nu, k)
             assert alphas.dtype == np.int32 and len(alphas), mid
@@ -749,7 +772,7 @@ def test_bases_hold_int32_exponents(catalog):
             _, top = model.isotypic_extent(model.default_nu, k)
             assert np.array_equal(monomial_log_norms(model.d, alphas, top),
                                   monomial_log_norms(model.d, wide, top)), mid
-        empty = model.isotypic_exponents(model.default_nu, _EMPTY_K[mid])
+        empty = model.isotypic_exponents(model.default_nu, empty_k)
         assert empty.dtype == np.int32 and empty.shape == (0, model.ambient_dim), mid
 
 
@@ -776,7 +799,7 @@ def test_basis_sum_empty_basis_and_zero_coordinates():
 # about half their candidates, so its 3 chunks of kept rows (32778, 32787
 # and 1436 long) are carried across block boundaries
 _STREAMED_CASES = [("s1-cp1-w12", 20000), ("s1-cp2-w123", 400), ("t2-cp2", 10000),
-                   ("su2-cp1", 10000), ("u2-cp2", 10001), ("w235", 2000)]
+                   ("u2-cp2", 10001), ("w235", 2000)]
 
 
 def _streamed_model(mid):
@@ -852,6 +875,7 @@ def test_streamed_evaluation_over_the_budget_is_refused_before_listing(mid, k, m
     model = build_model(mid)
     nu = model.default_nu
     rows, _ = model.isotypic_extent(nu, k)
+    dim = len(model.isotypic_exponents(nu, k))
     need = rows * hardy._basis_row_bytes(model.d)
     monkeypatch.setattr(hardy, "_BASIS_BUDGET_BYTES", need - 1)
     monkeypatch.setattr(type(model), "isotypic_chunks", _refuse_listing)
@@ -859,9 +883,7 @@ def test_streamed_evaluation_over_the_budget_is_refused_before_listing(mid, k, m
     with pytest.raises(AssumptionViolation, match=f"{rows} monomials.*{need} bytes"):
         equivariant_kernel_log(model, nu, k, x, x)
     assert not model.basis_cache                     # a refusal marks no key
-    if mid != "s1-cp2-w123":                         # rank-1 tori count without listing
-        with pytest.raises(AssumptionViolation, match="memory budget"):
-            isotypic_dim(model, nu, k)
+    assert isotypic_dim(model, nu, k) == dim         # a count lists nothing
     monkeypatch.undo()
     monkeypatch.setattr(hardy, "_BASIS_BUDGET_BYTES", need)
     assert equivariant_kernel_log(model, nu, k, x, x)[0] > -np.inf
@@ -966,9 +988,20 @@ def test_log_factorial_growth_over_the_budget_is_refused(monkeypatch):
 
 
 def test_cli_dims_suite_runs_to_k_near_1e9(capsys):
-    # rank-1 dimensions are counted, never listed, so k = 2^29 costs nothing
-    assert main(["suite", "dims", "--model", "s1-cp2-w123", "--kmax", "1000000000"]) == 0
-    assert "s1-cp2-w123,1.0,536870912,dim-growth," in capsys.readouterr().out
+    # dimensions are counted in closed form, never listed, so k = 2^29
+    # costs nothing (u2-cp2 snaps it to the odd 2^29 + 1)
+    for mid in MODEL_IDS:
+        assert main(["suite", "dims", "--model", mid, "--kmax", "1000000000"]) == 0, mid
+        k = build_model(mid).valid_k(2 ** 29)
+        assert f",{k},dim-growth," in capsys.readouterr().out, mid
+
+
+def test_cli_kernel_eval_su2_at_k_1e9(capsys):
+    # the level closed form and the level size: nothing is listed
+    assert main(["kernel-eval", "--model", "su2-cp1", "--k", "1000000000", "--x", "1,0"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["isotypic_dim"] == 10 ** 9
+    assert out["value"][0] == pytest.approx(10 ** 9 / np.pi, rel=1e-12)
 
 
 def test_runtime_never_imports_scipy():

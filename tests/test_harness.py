@@ -169,6 +169,29 @@ def test_cli_psi_nu_and_kernel_eval(capsys):
     assert out["isotypic_dim"] == 8
 
 
+_KERNEL_EVAL = ["kernel-eval", "--model", "s1-cp1-w12", "--k", "8"]
+
+
+_BAD_POINT = "a point of {} takes {} finite coordinates, not all zero; got '{}'"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_KERNEL_EVAL + ["--x", "0,0"], _BAD_POINT.format("s1-cp1-w12", 2, "0,0")),
+    (_KERNEL_EVAL + ["--x", "1,nan"], "got '1,nan'"),
+    (_KERNEL_EVAL + ["--x", "1e308,1e308"], "got '1e308,1e308'"),   # its norm overflows
+    (_KERNEL_EVAL + ["--x", "1,0", "--y", "1,inf"], "got '1,inf'"),
+    (_KERNEL_EVAL + ["--x", "1,0,0"], _BAD_POINT.format("s1-cp1-w12", 2, "1,0,0")),
+    (["kernel-eval", "--model", "s1-cp1-w12", "--k", "0", "--x", "1,0"],
+     "k must be a positive integer"),
+    (["psi-nu", "--model", "t2-cp2", "--point", "0,0,0"], "got '0,0,0'"),
+    (["psi-nu", "--model", "t2-cp2", "--point", "1,0"], _BAD_POINT.format("t2-cp2", 3, "1,0")),
+    (["psi-nu", "--model", "t2-cp2", "--k", "-5"], "k must be a positive integer"),
+])
+def test_cli_refuses_bad_points_and_k(argv, message, capsys):
+    assert main(argv) == 4
+    assert message in capsys.readouterr().err
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # config error: unknown model
     assert main(["suite", "diag", "--model", "nope"]) == 4

@@ -16,6 +16,7 @@ from coorbit.models import (
 from oracles import (
     coadjoint,
     fiber_phase_moment,
+    lifted_action,
     random_sphere_point,
     simplex_quadrature_loop,
 )
@@ -95,13 +96,13 @@ def test_moment_equivariance():
         for _ in range(10):
             x = random_sphere_point(model.d, rng)
             g = random_unitary(model.group.n, rng, special=(model.group.kind == "su"))
-            lhs = model.moment_map(model.unitary_batch([g])[0] @ x)
+            lhs = model.moment_map(lifted_action(model, [g])[0] @ x)
             rhs = coadjoint(model.group.basis_matrices, g, model.moment_map(x))
             assert np.allclose(lhs, rhs, atol=1e-10)
     model = build_model("t2-cp2")
     x = random_sphere_point(model.d, rng)
     theta = rng.uniform(0, 2 * np.pi, 2)
-    assert np.allclose(model.moment_map(model.unitary_batch([theta])[0] @ x),
+    assert np.allclose(model.moment_map(lifted_action(model, [theta])[0] @ x),
                        model.moment_map(x), atol=1e-12)
 
 
@@ -247,7 +248,7 @@ def _locus_stack(model, nu, rng, count=12):
     x = np.sqrt(t) * np.exp(1j * rng.uniform(0, 2 * np.pi, t.shape))
     if group.kind == "u":                      # move along the U(2)-invariant locus
         gs = np.stack([random_unitary(2, rng) for _ in range(count)])
-        x = np.einsum("nij,nj->ni", model.unitary_batch(gs), x)
+        x = np.einsum("nij,nj->ni", lifted_action(model, gs), x)
     return x
 
 
@@ -316,9 +317,7 @@ def test_locus_decompose_mixed_stack_gives_cone_distances():
         assert sum(isinstance(model.locus_decompose(nu, x), ConeDistance) for x in xs) == 1
 
 
-def test_unitary_validates_and_matches_batch():
-    # group elements are validated one by one and as a stack; the lifted
-    # unitaries of a stack are those of its elements taken one at a time
+def test_group_elements_are_validated_singly_and_as_a_stack():
     rng = np.random.default_rng(13)
     for mid in MODEL_IDS:
         model = build_model(mid)
@@ -334,8 +333,6 @@ def test_unitary_validates_and_matches_batch():
         for candidate in (bad, np.stack([gs[0], bad])):
             with pytest.raises(ValueError):
                 group.check_element(candidate)
-        single = np.stack([model.unitary_batch(g[None])[0] for g in gs])
-        np.testing.assert_allclose(single, model.unitary_batch(gs), rtol=0, atol=1e-15)
     su2 = build_model("su2-cp1")
     with pytest.raises(ValueError):
         su2.group.check_element(np.exp(0.3j) * np.eye(2))  # unitary, det != 1
@@ -584,12 +581,16 @@ def test_simplex_quadrature_equals_loop_reference():
 
 
 def test_unitary_lift_commutes_with_fiber_rotation():
+    # the lift of exp(xi) is the flow of the model's generators at xi
+    from scipy.linalg import expm
     rng = np.random.default_rng(6)
     for mid in MODEL_IDS:
         model = build_model(mid)
-        g = (rng.uniform(0, 2 * np.pi, model.group.rank) if model.group.kind == "torus"
-             else random_unitary(model.group.n, rng, special=(model.group.kind == "su")))
-        U = model.unitary_batch([g])[0]
+        xi = rng.uniform(-np.pi, np.pi, model.group.dim)
+        g = xi if model.group.kind == "torus" else expm(
+            np.einsum("j,jab->ab", xi, np.asarray(model.group.basis_matrices)))
+        U = lifted_action(model, [g])[0]
+        assert np.allclose(U, expm(np.einsum("j,jab->ab", xi, model.generators)), atol=1e-12)
         assert np.allclose(U @ U.conj().T, np.eye(model.ambient_dim), atol=1e-12)
         x = random_sphere_point(model.d, rng)
         assert np.allclose(U @ (1j * x), 1j * (U @ x))

@@ -18,6 +18,8 @@ from coorbit.predictor import (
     predict_near_diagonal,
 )
 
+from oracles import lifted_action
+
 
 # -- the universal Gaussian exponent ----------------------------------------
 
@@ -79,7 +81,7 @@ def test_leading_coefficient_group_invariance():
         psi0 = leading_coefficient(model, nu, model.locus_decompose(nu, x))
         for _ in range(5):
             g = random_unitary(model.group.n, rng, special=(model.group.kind == "su"))
-            moved = model.unitary_batch([g])[0] @ x
+            moved = lifted_action(model, [g])[0] @ x
             psi = leading_coefficient(model, nu, model.locus_decompose(nu, moved))
             assert abs(psi / psi0 - 1) <= 1e-10
 
