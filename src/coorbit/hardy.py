@@ -11,8 +11,12 @@ finite sums over explicit exponent sets, evaluated in log space with a
 max-shift so that values remain accurate far below the overflow and
 underflow thresholds of double precision; sums over positive terms are
 then exact to relative rounding error at any magnitude.  A sum runs over
-blocks of _BLOCK_ROWS monomials and allocates nothing per term.  The
-first kernel evaluation of a (nu, k) on a model streams: it lists the
+blocks of _BLOCK_ROWS monomials in one workspace and allocates nothing
+per term, and it exponentiates only the terms within e^-60 of the largest
+so far (_NEGLIGIBLE): the rest, on a basis the memory budget admits, add
+under 1.2e-18 of the largest term, below eps / 100 (the kernels
+concentrate, so most terms are cut where k is large).  The first kernel
+evaluation of a (nu, k) on a model streams: it lists the
 isotypic monomials chunk by chunk (``isotypic_chunks``,
 ``models._LIST_ROWS`` rows at a time; on tori the prefix columns are
 run-length expanded and the pivot coordinates solved with the integer
@@ -51,9 +55,13 @@ _BIG_NEG = -1.0e6  # stand-in for log 0; alpha * _BIG_NEG underflows exp cleanly
 # and read at a time in monomial_log_norms: a block and its products stay
 # in cache, and no (N, d+1) complex copy exists.
 _BLOCK_ROWS = 4096
-# A shifted term log below this is exactly +-0 after exp (libm's cexp
-# underflows below -745.13), so the sum skips it.
-_UNDERFLOW = -746.0
+# A term whose shifted log is below this is not exponentiated.  The memory
+# budget admits at most _BASIS_BUDGET_BYTES / _basis_row_bytes(1) = 2^27
+# rows, and each skipped term is below e^-60 of the running largest, so all
+# of them together are under 2^27 e^-60 = 1.2e-18 of the largest term: less
+# than eps / 100, which grows the sum's rounding bound
+# eps (worst + log2 N + 2) sum |terms| by under 1%.
+_NEGLIGIBLE = -60.0
 
 
 def _basis_row_bytes(d):
@@ -63,14 +71,16 @@ def _basis_row_bytes(d):
     (s1-cp1-w12 at k = 4e6, s1-cp2-w123 at 8192, weights (1, 2, 3, 4) at
     1000): listing peaks at 8.8 / 12.4 / 16.8 B per row, the log-norm
     stage at 16.1 / 20.0 / 24.0 B and a sum at 16.2 / 20.1 / 24.1 B (the
-    basis itself, 4 (d + 1) + 8 B).  Where rows are rejected the kept ones
-    are copied out once: t2-cp2 at k = 1e6 peaks at 20.0 B per listed row
-    and weights (2, 3, 5) at 18.0 B; u2-cp2 at k = 2e6 + 1 peaks at 20.3 B.
+    basis itself, 4 (d + 1) + 8 B, and one block workspace of 0.49 / 0.49
+    / 0.60 MB, measured with the negligible-term cut).  Where rows are
+    rejected the kept ones are copied out once: t2-cp2 at k = 1e6 peaks
+    at 20.0 B per listed row and weights (2, 3, 5) at 18.0 B; u2-cp2 at
+    k = 2e6 + 1 peaks at 20.3 B.
     8 (d + 1) bounds them all, beside a fixed few MB of chunk temporaries.
     A streamed sum keeps no basis, only one chunk and its temporaries and,
     on a torus with f = d + 1 - r free coordinates, the listed prefix of
     all but the last one (O(k^(f - 1)) rows: O(k) on s1-cp2-w123, none on
-    the other catalog models); 2.8 to 7.0 MB in all on the cases above.
+    the other catalog models); 3.0 to 7.5 MB in all on the cases above.
     It is refused at the same row count all the same.
     """
     return 8 * (d + 1)
@@ -275,13 +285,24 @@ def _block_exponents(blocks, x, y):
     """The complex logs of the terms x^a conj(y)^a / ||z^a||^2, one array
     per (alphas, log_norms) block; each term's arithmetic is that of the
     one-shot products ``alphas @ lx + alphas @ ly - log_norms``, bit for
-    bit."""
+    bit.
+
+    The blocks share one workspace, sized by the first block: a yielded
+    array is valid only until the next one is asked for.
+    """
     lx, ly = _safe_log(x), np.conj(_safe_log(y))
+    cast = None
     for alphas, log_norms in blocks:
+        size = len(alphas)
+        if cast is None or size > len(cast):      # the first block is the largest
+            cast = np.empty(alphas.shape, dtype=complex)
+            expos, other = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
         # one cast per block: an int32 operand would be cast in each product
         # on a path many times slower than the complex one
-        block = alphas.astype(complex)
-        expo = block @ lx + block @ ly
+        block, expo = cast[:size], expos[:size]
+        block[...] = alphas
+        np.matmul(block, lx, out=expo)
+        expo += np.matmul(block, ly, out=other[:size])
         expo -= log_norms
         yield expo
 
@@ -293,20 +314,27 @@ def _block_sum(blocks, x, y):
     One pass over the blocks of :func:`_block_exponents`: the running
     sum is kept relative to the largest log magnitude seen so far and
     rescaled when a block raises it, and only terms whose shifted real
-    part is above _UNDERFLOW are exponentiated (the others are exactly
-    +-0 in double precision).  The result depends on where the blocks
-    split the rows, so stored and listed sums use the same split.
+    part is above _NEGLIGIBLE are exponentiated, each with the arithmetic
+    of the uncut sum, into a reused buffer of zeros.  The skipped ones add
+    under 2^27 e^-60 = 1.2e-18 of the largest term (see _NEGLIGIBLE),
+    below eps / 100.  The result depends on where the blocks split the
+    rows, so stored and listed sums use the same split.
     """
-    shift, total = -np.inf, 0.0 + 0.0j
+    shift, total, terms = -np.inf, 0.0 + 0.0j, None
     for expo in _block_exponents(blocks, x, y):
         top = float(expo.real.max())
         if top > shift:
             total *= np.exp(shift - top)
             shift = top
-        expo -= shift
-        terms = np.zeros_like(expo)
-        np.exp(expo, out=terms, where=expo.real > _UNDERFLOW)
-        total += terms.sum()
+        expo.real -= shift
+        if terms is None or len(expo) > len(terms):
+            terms = np.zeros_like(expo)
+        kept = np.flatnonzero(expo.real > _NEGLIGIBLE)
+        term = terms[:len(expo)]
+        kept_terms = expo[kept]
+        term[kept] = np.exp(kept_terms, out=kept_terms)
+        total += term.sum()
+        term[kept] = 0
     if shift <= _BIG_NEG / 2 or total == 0:
         return -np.inf, 0.0 + 0.0j
     return shift + float(np.log(np.abs(total))), total / np.abs(total)

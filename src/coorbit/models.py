@@ -796,6 +796,10 @@ def _metric_orthonormal_null(metric, nu_coords):
 # -- SU(2) on CP^1 -------------------------------------------------------------
 
 
+_SU2_NO_LISTING = ("su2-cp1 lists no monomials: its k nu isotypic subspace is one "
+                   "whole level, and its kernel is the closed level form")
+
+
 class SU2CP1Model(ProjectiveModel):
     """SU(2) acting on CP^1 through the defining representation."""
 
@@ -820,6 +824,12 @@ class SU2CP1Model(ProjectiveModel):
     def isotypic_dim(self, nu, k):
         """n + 1, the dimension of level n = :meth:`isotypic_level`."""
         return max(self.isotypic_level(nu, k) + 1, 0)
+
+    def isotypic_extent(self, nu, k):
+        raise NotImplementedError(_SU2_NO_LISTING)
+
+    def isotypic_chunks(self, nu, k):
+        raise NotImplementedError(_SU2_NO_LISTING)
 
     def default_locus_point(self, nu=None):
         return unit_point([np.sqrt(0.7), np.sqrt(0.3)])

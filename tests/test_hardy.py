@@ -326,6 +326,17 @@ def test_isotypic_dim_lists_nothing_at_k_2_to_the_30(catalog, monkeypatch):
         isotypic_dim(other, other.default_nu, 4)
 
 
+def test_su2_listing_says_its_kernel_is_the_closed_level_form(catalog):
+    model = catalog["su2-cp1"]
+    nu = model.default_nu
+    for listing in (lambda: isotypic_basis(model, nu, 8),
+                    lambda: model.isotypic_exponents(nu, 8),
+                    lambda: model.isotypic_chunks(nu, 8)):
+        with pytest.raises(NotImplementedError,
+                           match="su2-cp1 lists no monomials: .* closed level form"):
+            listing()
+
+
 @_DERANDOMIZED
 @given(mid=st.sampled_from(["s1-cp1-w12", "s1-cp2-w123"]), n=st.integers(1, 4096),
        q=st.integers(2, 7), negative=st.booleans())
@@ -697,8 +708,9 @@ def test_blocked_basis_sum_matches_the_one_shot_sum():
     far = (random_sphere_point(2, rng), random_sphere_point(2, rng))
     for p, q in ((x, near), far):
         expo = _one_shot_terms(basis.alphas, basis.log_norms, p, q)
-        blocks = list(hardy._block_exponents(hardy._stored_blocks(basis.alphas, basis.log_norms),
-                                              p, q))
+        # a yielded block is valid only until the next one: copy each
+        blocks = [b.copy() for b in hardy._block_exponents(
+            hardy._stored_blocks(basis.alphas, basis.log_norms), p, q)]
         assert np.array_equal(np.concatenate(blocks), expo)
         shift = np.max(expo.real)
         total = np.sum(np.exp(expo - shift))
@@ -739,22 +751,45 @@ def test_basis_sum_matches_the_multiprecision_oracle(mid, k):
         assert err <= bound, (mid, float(err), bound)
 
 
-def test_underflow_skip_leaves_the_sum_bit_identical(monkeypatch):
+def test_negligible_cut_moves_the_sum_by_under_eps_of_its_largest_term(monkeypatch):
     # d = 1, level 20000: the terms fall to e^-276000 of the largest, and
-    # the block maxima rise from block to block
+    # the block maxima rise from block to block; a fixed tolerance, so a
+    # looser cut (e^-30 skips terms near 1e-13 of the largest) fails
     a = np.arange(20001)
     alphas = np.stack([a, 20000 - a], axis=1)
     log_norms = monomial_log_norms(1, alphas, 20000)
     x = unit_point([1.0, 1e-3])
     y = unit_point([np.exp(0.3j), 1e-3 * np.exp(-1.1j)])
-    expo = _one_shot_terms(alphas, log_norms, x, y)
-    shifted = expo.real - expo.real.max()
-    assert np.mean(shifted < hardy._UNDERFLOW) > 0.9
-    assert np.any((shifted > hardy._UNDERFLOW) & (shifted < -700))
-    skipped = hardy._basis_sum(alphas, log_norms, x, y)
-    monkeypatch.setattr(hardy, "_UNDERFLOW", -np.inf)
+    largest = _one_shot_terms(alphas, log_norms, x, y).real.max()
+    cut = hardy._basis_sum(alphas, log_norms, x, y)
+    monkeypatch.setattr(hardy, "_NEGLIGIBLE", -np.inf)
     every = hardy._basis_sum(alphas, log_norms, x, y)
-    assert skipped == every
+    gap = np.exp(cut[0] - largest) * cut[1] - np.exp(every[0] - largest) * every[1]
+    assert abs(gap) <= np.finfo(float).eps
+
+
+def test_negligible_cut_leaves_a_concentrated_kernel_bit_identical(monkeypatch):
+    # the kernel-scan basis of s1-cp2-w123 at k = 2048: most terms are
+    # cut, and the sum keeps every bit on the diagonal and a near pair
+    model = build_model("s1-cp2-w123")
+    basis = isotypic_basis(model, model.default_nu, 2048)
+    rng = np.random.default_rng(5)
+    x = model.default_locus_point()
+    near = unit_point(x + 0.02 * (rng.standard_normal(3) + 1j * rng.standard_normal(3)))
+    for p, q in ((x, x), (x, near)):
+        expo = _one_shot_terms(basis.alphas, basis.log_norms, p, q).real
+        assert np.mean(expo - expo.max() < hardy._NEGLIGIBLE) > 0.5
+        cut = hardy._basis_sum(basis.alphas, basis.log_norms, p, q)
+        with monkeypatch.context() as patch:
+            patch.setattr(hardy, "_NEGLIGIBLE", -np.inf)
+            assert hardy._basis_sum(basis.alphas, basis.log_norms, p, q) == cut
+
+
+def test_negligible_cut_is_under_eps_over_a_whole_budget_of_rows():
+    # the most rows the memory budget admits, each just under the cut,
+    # stay below eps / 2 of the largest term
+    rows = hardy._BASIS_BUDGET_BYTES // hardy._basis_row_bytes(1)
+    assert rows * np.exp(hardy._NEGLIGIBLE) < np.finfo(float).eps / 2
 
 
 # for each listing model, a k with no isotypic monomials: k nu off the
