@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .groups import (
     CompactGroup,
@@ -28,6 +27,7 @@ from .groups import (
     UnsupportedGroupError,
     algebra_matrix,
     complement_frame,
+    gauss_legendre,
     half_weight,
     haar_quadrature,
 )
@@ -164,50 +164,43 @@ def _wall_limit(group, nu, thetas):
 
 
 def character_at_element(group, nu, g):
-    """chi_{nu} at a group element or a stack of them, via eigen-angles.
+    """chi_{nu} at a group element or a stack of them.
 
     ``g`` is one element (an angle vector for tori, a matrix otherwise)
     or a stack of elements along a leading axis, as returned by
     :func:`haar_quadrature`; a stack gives an array of values and one
-    element a scalar.  Uses the stable homogeneous-sum form of the
-    character for n = 2 (no wall singularities); otherwise maps the
-    eigen-angles to Cartan coordinates through the pseudo-inverse of
-    :attr:`~coorbit.groups.CompactGroup.cartan_diagonal` and calls
+    element a scalar.  For n = 2 the character with highest weight
+    (l1, l2) is e2^{l2} h_{l1-l2}(x1, x2), a polynomial in the trace e1
+    and the determinant e2 read from the entries (l2 = 0 on SU(2)): no
+    eigenvalues and no wall singularities.  h_m runs in s = e1 / 2 and the
+    discriminant D = e1^2/4 - e2 = ((g00 - g11)/2)^2 + g01 g10 as
+    h_j = s h_{j-1} + v_j, v_{j+1} = s v_j + D h_{j-1}, v_j = (x1^j + x2^j)/2;
+    near +-I, where e1^2/4 - e2 cancels, the Newton-Girard form
+    h_j = e1 h_{j-1} - e2 h_{j-2} loses m^2 eps relative and D read from
+    the entries does not.  Otherwise the eigen-angles are mapped to
+    Cartan coordinates through the pseudo-inverse of
+    :attr:`~coorbit.groups.CompactGroup.cartan_diagonal` and passed to
     :func:`weyl_character`, which extrapolates at walls.
     """
     nu = half_weight(group, nu)
     g = np.asarray(g)
     if group.kind == "torus":
         return np.exp(1j * (g.astype(float) @ nu.coords))
-    eig = np.linalg.eigvals(g)
-    angles = np.sort(np.angle(eig), axis=-1)[..., ::-1]
     if group.n == 2:
-        lam = nu.highest_weight
-        x1, x2 = np.exp(1j * angles[..., 0]), np.exp(1j * angles[..., 1])
-        if group.kind == "su":
-            m = int(round(lam[0]))          # chi = sum_{j=0..m} e^{i (m - 2j) t}
-            return _homogeneous_sum(x1, x2, m)
-        l1, l2 = int(round(lam[0])), int(round(lam[1]))
-        return (x1 * x2) ** l2 * _homogeneous_sum(x1, x2, l1 - l2)
+        lam = np.rint(nu.highest_weight).astype(int)
+        l1, l2 = (lam[0], 0) if group.kind == "su" else lam
+        a, b, c, d = g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]
+        s, disc = (a + d) / 2, ((a - d) / 2) ** 2 + b * c
+        h, v = np.ones_like(s), s
+        for _ in range(l1 - l2):
+            h, v = s * h + v, s * v + disc * h
+        return (a * d - b * c) ** l2 * h
+    angles = np.sort(np.angle(np.linalg.eigvals(g)), axis=-1)[..., ::-1]
     if group.kind == "su":
         # the angles of det = 1 sum to a multiple of 2 pi; the Cartan
         # coordinates need the sum-zero representative
         angles[..., -1] -= 2 * np.pi * np.round(angles.sum(axis=-1) / (2 * np.pi))
     return weyl_character(group, nu, angles @ np.linalg.pinv(group.cartan_diagonal))
-
-
-def _homogeneous_sum(x1, x2, m):
-    """sum_{j=0}^{m} x1^{m-j} x2^{j}, stable near x1 = x2.
-
-    Elementwise on arrays; x1 is a unit-modulus eigenvalue, never 0.
-    """
-    total = 0.0 + 0.0j
-    p = x1 ** m
-    ratio = x2 / x1
-    for _ in range(m + 1):
-        total += p
-        p *= ratio
-    return total
 
 
 # -- exp-map Jacobian ---------------------------------------------------------
@@ -328,7 +321,7 @@ def _sphere_orbit_quadrature(group, metric, nu, level):
     z_hat = np.array([[1j, 0], [0, -1j]], dtype=complex) / np.sqrt(2 * metric.scale)
     x_hat, y_hat = complement_frame(metric)
 
-    xs, ws = leggauss(n_polar)
+    xs, ws = gauss_legendre(n_polar)
     phis = 2 * np.pi * np.arange(n_azimuth) / n_azimuth
     u = np.repeat(xs, n_azimuth)[:, None, None]      # polar-major node order
     phi = np.tile(phis, n_polar)[:, None, None]

@@ -40,7 +40,7 @@ pure, so everything here is safe to share across threads.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -537,6 +537,16 @@ def group_volumes(metric):
 
 # -- Haar quadrature --------------------------------------------------------
 
+@lru_cache(maxsize=16)
+def gauss_legendre(n):
+    """The n-point Gauss-Legendre rule on [-1, 1] as read-only (nodes,
+    weights), computed once per order and shared by every quadrature."""
+    rule = leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def haar_quadrature(group, level=48):
     """Nodes and weights for the normalized Haar measure.
 
@@ -562,7 +572,7 @@ def haar_quadrature(group, level=48):
     if group.n != 2:
         raise UnsupportedGroupError(
             f"no Haar quadrature for {group.name}; supported: tori, SU(2), U(2)")
-    x, gw = leggauss(level)
+    x, gw = gauss_legendre(level)
     betas = 0.5 * np.pi * (x + 1.0)
     bw = 0.5 * np.pi * gw * np.sin(betas) / 2.0  # integrates to 1
     alphas = 2 * np.pi * np.arange(level) / level

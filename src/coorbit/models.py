@@ -34,7 +34,6 @@ from itertools import combinations
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from numpy.polynomial.legendre import leggauss
 from numpy.random import default_rng
 
 from .groups import (
@@ -44,6 +43,7 @@ from .groups import (
     adjoint_action,
     build_group,
     dominant_representative,
+    gauss_legendre,
     half_weight,
     scalar_or_stack,
     trace_metric,
@@ -453,7 +453,7 @@ def simplex_quadrature(d, n):
     """
     if d not in (1, 2, 3):
         raise ValueError("simplex quadrature implemented for d <= 3")
-    xs, ws = leggauss(n)
+    xs, ws = gauss_legendre(n)
     xs = 0.5 * (xs + 1.0)
     ws = 0.5 * ws
     if d == 1:
@@ -710,7 +710,7 @@ class TorusModel(ProjectiveModel):
         if self.group.rank == 1:
             if self.d == 1:
                 return np.array([0.6, 0.4])
-            return np.array([0.5, 0.3, 0.2])
+            return np.concatenate([[0.5, 0.3], np.full(self.d - 1, 0.2 / (self.d - 1))])
         return self.locus_simplex_curve(nu)(0.5)
 
     def locus_simplex_curve(self, nu):

@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .characters import orbit_volume
 from .groups import (
@@ -21,6 +20,7 @@ from .groups import (
     ad_on_cartan_complement,
     algebra_matrix,
     complement_frame,
+    gauss_legendre,
     group_volumes,
     half_weight,
 )
@@ -211,7 +211,7 @@ def dimension_coefficient(model, nu=None, level=120):
 def _locus_line_integral(model, nu, power, level):
     t_of_s = model.locus_simplex_curve(nu)
     mult = model.projective_torus_multiplicity()
-    us, ws = leggauss(level)
+    us, ws = gauss_legendre(level)
     h = 1e-4
     s = 0.5 * (1.0 - np.cos(np.pi * 0.5 * (us + 1.0)))          # cosine map [0,1]
     ds_du = 0.25 * np.pi * np.sin(np.pi * 0.5 * (us + 1.0))

@@ -56,6 +56,39 @@ def u2_character_weight_sum(lam1, lam2, theta1, theta2):
     return total
 
 
+def u2_character_eigen_angles(lam1, lam2, g):
+    """chi_(lam1, lam2) at a stack of U(2) (or SU(2), with lam2 = 0)
+    matrices by the eigen-angle route: np.linalg.eigvals, the angles
+    sorted in decreasing order, and (x1 x2)^lam2 h_{lam1-lam2}(x1, x2) with
+    the complete homogeneous sum taken term by term as x1^m (x2/x1)^j."""
+    angles = np.sort(np.angle(np.linalg.eigvals(g)), axis=-1)[..., ::-1]
+    x1, x2 = np.exp(1j * angles[..., 0]), np.exp(1j * angles[..., 1])
+    m = lam1 - lam2
+    total, p, ratio = 0.0 + 0.0j, x1 ** m, x2 / x1
+    for _ in range(m + 1):
+        total += p
+        p *= ratio
+    return (x1 * x2) ** lam2 * total
+
+
+def u2_character_from_euler(lam1, lam2, params):
+    """chi_(lam1, lam2) at Rz(alpha) Ry(beta) Rz(gamma) e^{i tau}, one row
+    (alpha, beta, gamma[, tau]) of params each (tau = 0 is SU(2)), as
+    e^{i tau (lam1 + lam2)} sin((m+1) theta) / sin(theta), m = lam1 - lam2,
+    with the half rotation angle theta from cos(theta) = cos(beta/2)
+    cos((alpha+gamma)/2).  theta is taken as atan2 of sin and |cos|, so it
+    stays accurate near -I, and the sign (-1)^m restores cos < 0."""
+    params = np.atleast_2d(np.asarray(params, dtype=float))
+    a, b, c = params[:, 0], params[:, 1], params[:, 2]
+    tau = params[:, 3] if params.shape[1] == 4 else 0.0
+    m = lam1 - lam2
+    cos_t = np.cos(b / 2) * np.cos((a + c) / 2)
+    sin_t = np.hypot(np.sin(b / 2), np.cos(b / 2) * np.sin((a + c) / 2))
+    theta = np.arctan2(sin_t, np.abs(cos_t))
+    sign = np.where(cos_t < 0, (-1.0) ** m, 1.0)
+    return np.exp(1j * tau * (lam1 + lam2)) * sign * np.sin((m + 1) * theta) / np.sin(theta)
+
+
 def gt_dimension(lam):
     """U(n) irrep dimension by counting Gelfand-Tsetlin patterns."""
     lam = [int(round(x)) for x in lam]
@@ -261,7 +294,7 @@ def lifted_action(model, gs):
     return out
 
 
-def _euler_product(params):
+def euler_product(params):
     """Rz(alpha) Ry(beta) Rz(gamma) e^{i tau} for each row (alpha, beta,
     gamma[, tau]) of params, multiplied out matrix by matrix, with
     Rz(t) = diag(e^{it/2}, e^{-it/2}) and Ry(t) the real rotation by t/2."""
@@ -301,7 +334,7 @@ def _orbit_grid(model, x, y):
                 np.linspace(0, 4 * np.pi, n, endpoint=False)]
         if group.kind == "u":
             axes.append(np.linspace(0, np.pi, n // 2, endpoint=False))
-        elements = _euler_product
+        elements = euler_product
 
     def distances(params):
         moved = np.einsum("nij,j->ni", lifted_action(model, elements(params)), x)

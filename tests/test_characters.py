@@ -25,9 +25,12 @@ from coorbit.groups import (
 )
 
 from oracles import (
+    euler_product,
     finite_difference_exp_jacobian,
     gt_dimension,
     su2_character_weight_sum,
+    u2_character_eigen_angles,
+    u2_character_from_euler,
     u2_character_weight_sum,
 )
 
@@ -257,6 +260,69 @@ def test_character_at_element_is_the_trace_of_the_defining_rep():
     wrapped = np.diag(np.exp(1j * np.array([2.6, 2.4, -5.0])))
     value = character_at_element(build_group("su3"), (2.0, 1.0), wrapped)
     assert abs(value - np.trace(wrapped)) < 1e-12
+
+
+def _euler_stacks(kind, rng, n=200):
+    """Euler-angle rows (alpha, beta, gamma[, tau]): uniform draws, then
+    draws within 1e-9..1e-3 of I and of -I (alpha + gamma near 0 or 2 pi)."""
+    alpha = rng.uniform(0, 2 * np.pi, n)
+    delta = 10.0 ** rng.uniform(-9, -3, n)
+    u, v, w = rng.uniform(-1, 1, (3, n))
+    stacks = [np.stack([alpha, rng.uniform(0, np.pi, n), rng.uniform(0, 4 * np.pi, n),
+                        rng.uniform(0, np.pi, n)], axis=1)]
+    for center in (0.0, 2 * np.pi):
+        stacks.append(np.stack([alpha, delta * np.abs(u), center - alpha + delta * v,
+                                delta * w], axis=1))
+    return [p if kind == "u2" else p[:, :3] for p in stacks]
+
+
+@pytest.mark.parametrize("kind", ["su2", "u2"])
+def test_character_at_element_matches_the_eigen_angle_and_sine_routes(kind):
+    # e2^l2 h_m from trace and determinant against the eigen-angle
+    # homogeneous sum (Haar nodes and Euler stacks) and against
+    # sin((m+1) theta) / sin(theta) from the Euler angles, up to m = 2048,
+    # within 1e-10 (m + 1)
+    g = build_group(kind)
+    haar, _ = haar_quadrature(g, 8)
+    stacks = [(p, euler_product(p)) for p in _euler_stacks(kind, np.random.default_rng(19))]
+    for m in (0, 1, 2, 7, 64, 513, 2048):
+        for l2 in ((0,) if kind == "su2" else (-3, 2)):
+            l1 = m + l2
+            nu = (l1 + 1.0,) if kind == "su2" else (l1 + 0.5, l2 - 0.5)
+            bound = 1e-10 * (m + 1)
+            err = np.abs(character_at_element(g, nu, haar)
+                         - u2_character_eigen_angles(l1, l2, haar)).max()
+            assert err <= bound, (m, l2, err)
+            for params, els in stacks:
+                value = character_at_element(g, nu, els)
+                for ref in (u2_character_eigen_angles(l1, l2, els),
+                            u2_character_from_euler(l1, l2, params)):
+                    err = np.abs(value - ref).max()
+                    assert err <= bound, (m, l2, err)
+
+
+def test_two_by_two_characters_solve_no_eigenproblem(monkeypatch):
+    # the n = 2 route reads trace and determinant only: eigvals raises on
+    # a 2 x 2 input, and SU(3) still reaches it through the Weyl route
+    real_eigvals = np.linalg.eigvals
+    shapes = []
+
+    def eigvals(a):
+        shapes.append(np.shape(a)[-2:])
+        if np.shape(a)[-1] == 2:
+            raise AssertionError("eigvals called on a 2 x 2 element")
+        return real_eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    for kind, coords, dim in (("su2", (3.0,), 3), ("u2", (2.5, 0.5), 2)):
+        g = build_group(kind)
+        val = peter_weyl_projector_weight(
+            g, coords, 1, lambda t: character_at_element(g, coords, t), level=10)
+        assert abs(val - dim) < 1e-7, kind
+    assert shapes == []
+    u = random_unitary(3, np.random.default_rng(5), special=True)
+    assert abs(character_at_element(build_group("su3"), (2.0, 1.0), u) - np.trace(u)) < 1e-12
+    assert shapes == [(3, 3)]
 
 
 # -- exp-map Jacobian ---------------------------------------------------------

@@ -10,6 +10,7 @@ from coorbit.groups import (
     algebra_matrix,
     build_group,
     euler_elements,
+    gauss_legendre,
     group_volumes,
     half_weight,
     random_unitary,
@@ -450,3 +451,22 @@ def test_euler_elements_match_rotation_product():
             assert np.allclose(g @ g.conj().T, np.eye(2), rtol=0, atol=1e-14)
         if cols == 3:
             assert np.allclose(np.linalg.det(gs), 1.0, rtol=0, atol=1e-14)
+
+
+def test_gauss_legendre_is_numpys_rule_computed_once_and_read_only():
+    from numpy.polynomial.legendre import leggauss
+
+    # every order the package asks for: Haar levels 12 and 19 (the suite's
+    # conjugation check), 24 and 37 (the pairing default), 48 (the Haar
+    # default); simplex orders 24 (model construction), 32 and 60; sphere
+    # and locus-line orders 64 and 120
+    for n in (12, 19, 24, 32, 37, 48, 60, 64, 120):
+        x, w = gauss_legendre(n)
+        ref_x, ref_w = leggauss(n)
+        assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes(), n
+        again = gauss_legendre(n)
+        assert again[0] is x and again[1] is w
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w *= 2.0

@@ -25,7 +25,14 @@ from coorbit.hardy import (
     monomial_log_norms,
     orbit_separation,
 )
-from coorbit.models import MODEL_IDS, TorusModel, build_model, simplex_quadrature, unit_point
+from coorbit.models import (
+    MODEL_IDS,
+    LocusSample,
+    TorusModel,
+    build_model,
+    simplex_quadrature,
+    unit_point,
+)
 
 from oracles import (
     coin_change_count,
@@ -236,6 +243,19 @@ def test_square_weight_matrix_lists_its_one_preimage():
         alphas = model.isotypic_exponents(np.array(target, dtype=float), 1)
         assert alphas.dtype == np.int32
         assert [tuple(a) for a in alphas.tolist()] == lattice_points(model.weights, target)
+
+
+def test_default_locus_point_of_a_rank1_torus_on_cp3():
+    # d = 3 needs an interior simplex point of length 4; the kernel there
+    # matches the exact-norm oracle summed over the lattice oracle's rows
+    model = TorusModel("w1234", [[1, 2, 3, 4]], (1.0,))
+    x = model.default_locus_point()
+    assert x.shape == (4,)
+    assert isinstance(model.locus_decompose(model.default_nu, x), LocusSample)
+    logmag, phase = equivariant_kernel_log(model, model.default_nu, 12, x, x)
+    assert np.isfinite(logmag)
+    exact, _ = monomial_sum_mp(lattice_points(model.weights, [12]), x, x, dps=40)
+    assert abs(np.exp(logmag) * phase - complex(exact)) <= 1e-12 * abs(complex(exact))
 
 
 # (weights, det of the pivot columns): det = -1, |det| > 1 of either sign
