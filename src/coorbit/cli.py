@@ -33,7 +33,9 @@ from .characters import (
 )
 from .groups import AssumptionViolation, build_group, half_weight, group_volumes, trace_metric
 from .harness import SUITES, ExperimentConfig, run_suite, rows_to_csv, summary_json
-from .hardy import equivariant_kernel, isotypic_dim
+# equivariant_kernel stays bound here: the benchmark's tracer test checks
+# that tracing wraps this module's from-imports of it
+from .hardy import equivariant_kernel, equivariant_kernel_log, isotypic_dim  # noqa: F401
 from .models import LocusSample, build_model, unit_point
 from .predictor import leading_coefficient, predict_near_diagonal
 
@@ -211,10 +213,14 @@ def _dispatch(args):
         k = model.valid_k(args.k)
         x = _parse_point(args.x, model)
         y = x if args.y is None else _parse_point(args.y, model)
-        val = equivariant_kernel(model, nu, k, x, y)
+        log_abs, phase = equivariant_kernel_log(model, nu, k, x, y)
+        # value underflows to 0 below about e^-745; log_abs and phase do not
+        val = 0.0 + 0.0j if log_abs == -np.inf else np.exp(log_abs) * phase
         _print({
             "model": model.config(), "nu": list(nu.coords), "k": k,
             "value": [val.real, val.imag],
+            "log_abs": None if log_abs == -np.inf else float(log_abs),   # null: the zero kernel
+            "phase": [phase.real, phase.imag],
             "isotypic_dim": isotypic_dim(model, nu, k),
         })
         return 0

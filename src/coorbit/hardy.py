@@ -15,29 +15,39 @@ blocks of _BLOCK_ROWS monomials in one workspace and allocates nothing
 per term, and it exponentiates only the terms within e^-60 of the largest
 so far (_NEGLIGIBLE): the rest, on a basis the memory budget admits, add
 under 1.2e-18 of the largest term, below eps / 100 (the kernels
-concentrate, so most terms are cut where k is large).  The first kernel
-evaluation of a (nu, k) on a model streams: it lists the
-isotypic monomials chunk by chunk (``isotypic_chunks``,
-``models._LIST_ROWS`` rows at a time; on tori the prefix columns are
-run-length expanded and the pivot coordinates solved with the integer
-adjugate of the pivot columns, so every kept row is exact), norms each
+concentrate, so most terms are cut where k is large).  A listing is a
+set of runs (``isotypic_runs``): lines of candidate exponents, on tori
+the prefix rows of all but the last free coordinate with the last one
+stepping and the pivot coordinates solved with the integer adjugate of
+the pivot columns, so every listed row is exact.  A kernel whose listing
+fits one ``models._LIST_ROWS`` chunk (its row count is known before
+anything is listed) streams on the first evaluation of a (nu, k): it
+lists the monomials chunk by chunk (``isotypic_chunks``), norms each
 chunk against a log-factorial table sized once from the listing's
 exponent bound, and folds it into the sum, holding one chunk and no
 basis.  A (nu, k) asked for again gets a stored basis, int32 exponents
 and float64 log-norms (4 (d + 1) + 8 B per monomial, built at about
 8 (d + 1) B per row), kept on the model and reused.  Both routes cut the
-rows into the same blocks, so they agree bit for bit.  Log-factorials come
-from one table, grown on demand, of a pure-Python port of Cephes lgam
-(the values of scipy.special.gammaln, bit for bit, with numpy as the
-only dependency).
+rows into the same blocks, so they agree bit for bit.  A longer listing
+is summed over its concentration windows at every evaluation, and
+nothing is stored: the method-of-types bound on each term's log
+(:func:`_log_bound`) is concave along every run, so the rows whose bound
+is within 61 of the largest term found form one interval per run, found
+by bisection, and only those are listed, normed and summed.  Each row
+left out is below e^-61 of the largest term, inside the e^-60 cut, and
+each row kept has the full sum's exponent arithmetic, so the value is
+the full sum's to within its rounding bound (s1-cp2-w123 at k = 8192
+sums 213k of its 5.6M rows).  Log-factorials come from one table, grown
+on demand, of a pure-Python port of Cephes lgam (the values of
+scipy.special.gammaln, bit for bit, with numpy as the only dependency).
 Isotypic dimensions are never listed: each catalog model counts its own
 in closed form (``isotypic_dim``), at any k.  Only the listings behind a
 kernel sum are budgeted: each has its row count and exponent range known
 before it is listed, and one whose basis would take more than
 _BASIS_BUDGET_BYTES to build, whose exponents could pass int32 or whose
 torus pivot solve could pass int64, is refused with AssumptionViolation
-first, on the streamed route too, so both kernel routes refuse at the
-same k.  Orbit separations are closed forms: each catalog model gives
+first, on the streamed and windowed routes too, so every kernel route
+refuses at the same k.  Orbit separations are closed forms: each catalog model gives
 the point of an orbit nearest to a target (rank-1 tori and t2-cp2 from
 the roots of a critical-point polynomial, su2-cp1 and u2-cp2 directly).
 """
@@ -48,9 +58,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import AssumptionViolation, half_weight
-from .models import _BASIS_BUDGET_BYTES, SU2CP1Model, hermitian_inner
+from .models import _BASIS_BUDGET_BYTES, _LIST_ROWS, SU2CP1Model, hermitian_inner
 
 _BIG_NEG = -1.0e6  # stand-in for log 0; alpha * _BIG_NEG underflows exp cleanly
+_TINY = np.finfo(float).tiny
 # Rows of the exponent array cast to complex at a time in _block_exponents
 # and read at a time in monomial_log_norms: a block and its products stay
 # in cache, and no (N, d+1) complex copy exists.
@@ -62,6 +73,11 @@ _BLOCK_ROWS = 4096
 # than eps / 100, which grows the sum's rounding bound
 # eps (worst + log2 N + 2) sum |terms| by under 1%.
 _NEGLIGIBLE = -60.0
+# A windowed sum lists only the rows whose bound is within 61 of the
+# largest term exponent it has found: each row left out is below e^-61 of
+# the largest term, under the cut above with a unit margin for the
+# rounding of the bound.
+_WINDOW_CUT = _NEGLIGIBLE - 1.0
 
 
 def _basis_row_bytes(d):
@@ -77,11 +93,12 @@ def _basis_row_bytes(d):
     at 20.0 B per listed row and weights (2, 3, 5) at 18.0 B; u2-cp2 at
     k = 2e6 + 1 peaks at 20.3 B.
     8 (d + 1) bounds them all, beside a fixed few MB of chunk temporaries.
-    A streamed sum keeps no basis, only one chunk and its temporaries and,
-    on a torus with f = d + 1 - r free coordinates, the listed prefix of
-    all but the last one (O(k^(f - 1)) rows: O(k) on s1-cp2-w123, none on
-    the other catalog models); 3.0 to 7.5 MB in all on the cases above.
-    It is refused at the same row count all the same.
+    A streamed or windowed sum keeps no basis, only one chunk and its
+    temporaries and the listing's runs, kept on the model (on a torus with
+    f = d + 1 - r free coordinates, one per prefix row of all but the last
+    one, O(k^(f - 1)): O(k) on s1-cp2-w123, one on the other catalog
+    models); 3.0 to 7.5 MB in all on the cases above.  It is refused at
+    the same row count all the same.
     """
     return 8 * (d + 1)
 
@@ -198,9 +215,10 @@ class IsotypicBasis:
 def _check_budget(model, nu, k):
     """Raise AssumptionViolation, before anything is listed, when the k nu
     basis would take more than _BASIS_BUDGET_BYTES to build (its rows
-    come from ``isotypic_extent``); else return the extent's bound top on
-    every |alpha|.  Streamed sums, which keep no basis, are held to the
-    same budget, so both kernel routes refuse at the same k."""
+    come from ``isotypic_extent``); else return the extent, its rows and
+    its bound top on every |alpha|.  Streamed and windowed sums, which
+    keep no basis, are held to the same budget, so every kernel route
+    refuses at the same k."""
     rows, top = model.isotypic_extent(nu, k)
     need = rows * _basis_row_bytes(model.d)
     if need > _BASIS_BUDGET_BYTES:
@@ -208,7 +226,7 @@ def _check_budget(model, nu, k):
             f"the k = {k} isotypic basis of {model.id} lists {rows} monomials "
             f"and needs about {need} bytes, over the {_BASIS_BUDGET_BYTES}-byte "
             "memory budget")
-    return top
+    return rows, top
 
 
 def _basis_key(nu, k):
@@ -218,7 +236,9 @@ def _basis_key(nu, k):
 def isotypic_basis(model, nu, k):
     """The k nu isotypic basis, built once per model and kept in its cache
     (a direct call stores it at once; :func:`equivariant_kernel_log`
-    asks for it only on the second evaluation of a (nu, k)).
+    asks for it only on the second evaluation of a (nu, k) whose listing
+    fits one chunk, and sums a longer listing's concentration windows
+    instead, unless a basis is stored already).
 
     A build peaks at about 8 (d + 1) B per listed row
     (:func:`_basis_row_bytes`) and keeps 4 (d + 1) + 8 B per monomial.
@@ -230,7 +250,7 @@ def isotypic_basis(model, nu, k):
     key = _basis_key(nu, k)
     basis = model.basis_cache.get(key)
     if basis is None:
-        top = _check_budget(model, nu, k)
+        _, top = _check_budget(model, nu, k)
         alphas = model.isotypic_exponents(nu, k)
         basis = IsotypicBasis(nu.coords, int(k), alphas, monomial_log_norms(model.d, alphas, top))
         model.basis_cache[key] = basis
@@ -266,7 +286,8 @@ def _listed_blocks(d, chunks, top):
     listing, the rows :func:`_stored_blocks` gives for the basis built
     from the same chunks: where a chunk's length is not a multiple of
     _BLOCK_ROWS (a listing that rejected candidates, or the last chunk)
-    its tail is carried into the next block.  No array is N long.
+    its tail is carried into the next block.  No array is N long, and a
+    chunk and its norms are gone before the next chunk is listed.
     """
     carry = None
     for chunk in chunks:
@@ -276,7 +297,8 @@ def _listed_blocks(d, chunks, top):
             norms = np.concatenate([carry[1], norms])
         full = len(chunk) - len(chunk) % _BLOCK_ROWS
         yield from _stored_blocks(chunk[:full], norms[:full])
-        carry = (chunk[full:], norms[full:]) if full < len(chunk) else None
+        carry = (chunk[full:].copy(), norms[full:].copy()) if full < len(chunk) else None
+        del chunk, norms
     if carry is not None:
         yield carry
 
@@ -305,6 +327,7 @@ def _block_exponents(blocks, x, y):
         expo += np.matmul(block, ly, out=other[:size])
         expo -= log_norms
         yield expo
+        del alphas, log_norms            # not alive while the next block is listed
 
 
 def _block_sum(blocks, x, y):
@@ -345,12 +368,120 @@ def _basis_sum(alphas, log_norms, x, y):
     return _block_sum(_stored_blocks(alphas, log_norms), x, y)
 
 
+def _xlogx(v):
+    """v log v entrywise, 0 where v = 0."""
+    return v * np.log(np.maximum(v, _TINY))
+
+
+def _log_bound(starts, step, s, linear):
+    """The method-of-types bound B at the real rows alpha = starts[:, i] +
+    s[i] step, one per run (a column of the (d+1, R) starts each).
+
+    For alpha >= 0 with |alpha| = n, (n choose alpha) <= n^n / prod_j
+    alpha_j^alpha_j (Cover & Thomas, Elements of Information Theory,
+    Thm 11.1.4), so log |x^alpha conj(y)^alpha| / ||z^alpha||^2 is at most
+
+        B = sum_{i <= d} log(n + i) - d log pi + n log n
+            - sum_j alpha_j log alpha_j + alpha . linear,
+
+    linear_j = log |x_j| + log |y_j| (_BIG_NEG for log 0, as in the sum,
+    so a zero coordinate gives a finite stand-in and never NaN).  B is
+    concave in alpha (n log n - sum alpha_j log alpha_j is the
+    perspective of the entropy, log(n + i) is concave) and so along every
+    run.
+    """
+    alpha = starts + step[:, None] * s
+    n = alpha.sum(axis=0)
+    d = len(alpha) - 1
+    bound = _xlogx(n) - _xlogx(alpha).sum(axis=0) + linear @ alpha - d * np.log(np.pi)
+    for i in range(1, d + 1):
+        bound += np.log(n + i)
+    return bound
+
+
+def _first_true(lo, hi, test):
+    """Per run, the least s in [lo, hi] at which test holds, by bisection
+    over all runs at once; test takes one s per run and is false, then
+    true, along [lo, hi) (hi when it never holds there).  Every s it is
+    given lies in [lo, hi]."""
+    while True:
+        active = lo < hi
+        if not active.any():
+            return lo
+        mid = (lo + hi) // 2
+        holds = test(mid)
+        hi = np.where(active & holds, mid, hi)
+        lo = np.where(active & ~holds, mid + 1, lo)
+
+
+def _peak_exponent(runs, d, top, x, y, peak):
+    """E*: the largest term exponent, in the sum's own arithmetic, among
+    the listed rows within det - 1 candidates of each run's peak (a
+    run's rows are at most det apart, so a run with any has one there);
+    None when there is none, so that the listing is empty."""
+    reach = int(runs.scale.max()) - 1
+    first = np.maximum(peak - reach, 0)
+    counts = np.minimum(peak + reach, runs.lengths - 1) - first + 1
+    blocks = _listed_blocks(d, runs.chunks(first, counts), top)
+    return max((float(expo.real.max()) for expo in _block_exponents(blocks, x, y)),
+               default=None)
+
+
+def _concentration_windows(runs, d, top, x, y):
+    """(first, counts): the candidates first[i] ... first[i] + counts[i] - 1
+    of each run i whose bound B (:func:`_log_bound`) is at least
+    E* + _WINDOW_CUT.
+
+    B is concave along each run, so those candidates form one interval
+    per run, found by bisection vectorized over runs: first each run's
+    peak (the first candidate at which B stops rising), then E*, the
+    largest exact exponent next to the peaks (:func:`_peak_exponent`),
+    then the two ends of every run whose peak reaches the cut.  Every
+    count is 0 when the listing is empty.
+    """
+    first, counts = np.zeros_like(runs.lengths), np.zeros_like(runs.lengths)
+    if not len(runs.lengths):
+        return first, counts
+    linear = _safe_log(x).real + _safe_log(y).real
+    starts, step = runs.real_lines
+    last = runs.lengths - 1
+    peak = _first_true(np.zeros_like(last), last, lambda s: _log_bound(
+        starts, step, np.minimum(s + 1, last), linear) <= _log_bound(starts, step, s, linear))
+    largest = _peak_exponent(runs, d, top, x, y, peak)
+    if largest is None:
+        return first, counts
+    cut = largest + _WINDOW_CUT
+    live = np.flatnonzero(_log_bound(starts, step, peak, linear) >= cut)   # windows not empty
+    starts, peak, last = starts[:, live], peak[live], last[live]
+    lo = _first_true(np.zeros_like(peak), peak,
+                     lambda s: _log_bound(starts, step, s, linear) >= cut)
+    hi = _first_true(peak, last, lambda s: _log_bound(
+        starts, step, np.minimum(s + 1, last), linear) < cut)
+    first[live], counts[live] = lo, hi - lo + 1
+    return first, counts
+
+
+def _windowed_sum(runs, d, top, x, y):
+    """:func:`_block_sum` over the rows of a listing's concentration
+    windows (:func:`_concentration_windows`), listed, normed and summed
+    chunk by chunk; nothing is stored.
+
+    Each row left out has a log term below E* - 61, at most the largest
+    term's - 61, so together they add under N e^-61 of the largest term,
+    inside the e^-60 cut every sum makes (see _NEGLIGIBLE); every row
+    kept has the exact exponent arithmetic of the full sum.
+    """
+    first, counts = _concentration_windows(runs, d, top, x, y)
+    return _block_sum(_listed_blocks(d, runs.chunks(first, counts), top), x, y)
+
+
 def equivariant_kernel(model, nu, k, x, y):
     """Exact equivariant kernel Pi^mu_{k nu}(x, y) by basis projection.
 
     SU(2) on CP^1 uses the closed level-kernel form (the isotypic space
     is one whole level); everything else sums the isotypic monomials,
-    streamed or from a stored basis (see :func:`equivariant_kernel_log`).
+    streamed, windowed or from a stored basis (see
+    :func:`equivariant_kernel_log`).
     """
     logmag, phase = equivariant_kernel_log(model, nu, k, x, y)
     if logmag == -np.inf:
@@ -361,12 +492,20 @@ def equivariant_kernel(model, nu, k, x, y):
 def equivariant_kernel_log(model, nu, k, x, y):
     """(log |Pi^mu_{k nu}(x, y)|, unit phase); -inf for the zero kernel.
 
-    The first evaluation of a (nu, k) on a model streams the listing
-    through the sum and keeps no basis (one listing chunk alive; the key
-    is marked in ``model.basis_cache``); the second builds the basis
-    at about 8 (d + 1) B per row and stores it, and later ones reuse it.
-    Each route refuses a listing over the memory budget at the same k,
-    before anything is listed, and gives the same bits.
+    A listing of at most one ``models._LIST_ROWS`` chunk (its row count
+    from ``isotypic_extent``, before anything is listed): the first
+    evaluation of a (nu, k) on a model streams the listing through the
+    sum and keeps no basis (one listing chunk alive; the key is marked in
+    ``model.basis_cache``); the second builds the basis at about
+    8 (d + 1) B per row and stores it, and later ones reuse it, with the
+    same bits.  A longer listing is summed over its concentration
+    windows at every evaluation (:func:`_windowed_sum`) and nothing is
+    stored: each row left out is below e^-61 of the largest term, so the
+    value is the full sum's within its rounding bound
+    eps (worst + log2 N + 2) sum |terms|.  A basis already stored (by
+    :func:`isotypic_basis`) is summed whole.  Every route refuses a
+    listing over the memory budget at the same k, before anything is
+    listed.
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
@@ -385,7 +524,9 @@ def equivariant_kernel_log(model, nu, k, x, y):
     if key in model.basis_cache:       # asked for before: store the basis, or reuse it
         basis = isotypic_basis(model, nu, k)
         return _basis_sum(basis.alphas, basis.log_norms, x, y)
-    top = _check_budget(model, nu, k)
+    rows, top = _check_budget(model, nu, k)
+    if rows > _LIST_ROWS:              # over one chunk: sum its concentration windows
+        return _windowed_sum(model.isotypic_runs(nu, k), model.d, top, x, y)
     model.basis_cache[key] = None      # first request: sum the listing as it streams
     return _block_sum(_listed_blocks(model.d, model.isotypic_chunks(nu, k), top), x, y)
 

@@ -121,10 +121,78 @@ class ConeDistance:
     distance: float
 
 
+class IsotypicRuns:
+    """The candidate rows of an isotypic listing, as lines of exponents.
+
+    Candidate s of run i, 0 <= s < lengths[i], is the row
+    (starts[i] + s step) / scale, column by column, and it is listed iff
+    every entry is an integer.  Every candidate is >= 0 (each run is cut
+    to where it is), so a candidate that is not listed is still a point of
+    the real exponent cone.  ``scale`` is 1 except on a torus's pivot
+    columns, which it divides by the pivot determinant, so where it is 1
+    every candidate is listed.  The starts are int64 numerators: O(runs)
+    memory.  Read-only once made (a plain class: a dataclass took 1 ms
+    of every ``import coorbit``).
+    """
+
+    def __init__(self, starts, step, scale, lengths):
+        self.starts = starts      # (R, d+1) int64
+        self.step = step          # (d+1,) int64
+        self.scale = scale        # (d+1,) int64, positive
+        self.lengths = lengths    # (R,) int64, positive
+
+    @cached_property
+    def real_lines(self):
+        """(starts, step) in float64, a run per column of the (d+1, R)
+        starts: candidate s of run i is the real row starts[:, i] + s step."""
+        return np.ascontiguousarray((self.starts / self.scale).T), self.step / self.scale
+
+    def chunks(self, first=None, counts=None):
+        """The listed rows among candidates first[i] ... first[i] + counts[i] - 1
+        of each run i (every candidate by default), run after run, as one
+        int32 (n, d+1) chunk per _LIST_ROWS candidates."""
+        if first is None:
+            first, counts = np.zeros_like(self.lengths), self.lengths
+        edges = np.concatenate([[0], np.cumsum(counts)])
+        total = int(edges[-1])
+        for lo in range(0, total, _LIST_ROWS):
+            yield self._expand(edges, first, lo, min(lo + _LIST_ROWS, total))
+
+    def _expand(self, edges, first, lo, hi):
+        """The listed rows among candidates lo ... hi - 1 of :meth:`chunks`
+        (a function, so that its temporaries are gone while the chunk is
+        consumed).
+
+        Each column is its run's start, run-length expanded
+        (``np.repeat``) over the candidates, plus the candidate times the
+        step, in int64, and is written into the int32 chunk as soon as it
+        is made, so that one int64 column and its temporaries are alive
+        at a time; a column with scale > 1 is divided by it first, a row
+        kept iff every remainder is 0.
+        """
+        first_run = int(np.searchsorted(edges, lo, side="right")) - 1
+        stop_run = int(np.searchsorted(edges, hi, side="left"))
+        runs = slice(first_run, stop_run)
+        counts = np.diff(np.clip(edges[first_run:stop_run + 1], lo, hi))
+        s = np.arange(lo, hi)
+        s -= np.repeat(edges[runs] - first[runs], counts)
+        chunk, ok = np.empty((hi - lo, len(self.step)), dtype=np.int32), None
+        for j, (start, step, scale) in enumerate(zip(self.starts[runs].T, self.step.tolist(),
+                                                     self.scale.tolist())):
+            col = np.repeat(start, counts)
+            if step:
+                col += s * step
+            if scale != 1:
+                col, rem = np.divmod(col, scale)
+                ok = rem == 0 if ok is None else ok & (rem == 0)
+            chunk[:, j] = col
+        return chunk if ok is None or ok.all() else chunk[ok]
+
+
 class ProjectiveModel:
     """Base class; subclasses fix the group, the lift, and the isotypic
-    bookkeeping.  All state except ``basis_cache`` is immutable after
-    construction."""
+    bookkeeping.  All state except ``basis_cache`` and ``runs_cache`` is
+    immutable after construction."""
 
     def __init__(self, model_id, group, metric, d, generators, lift_note,
                  default_nu):
@@ -138,6 +206,8 @@ class ProjectiveModel:
         # (nu coords, k) -> hardy.IsotypicBasis, filled by hardy.isotypic_basis;
         # None marks a key whose kernel was evaluated once, with no basis kept
         self.basis_cache = {}
+        # (nu coords, k) -> IsotypicRuns, filled by isotypic_runs
+        self.runs_cache = {}
         for a in self.generators:
             if np.linalg.norm(a + a.conj().T) > 1e-12:
                 raise ValueError("generators must be skew-Hermitian")
@@ -313,11 +383,35 @@ class ProjectiveModel:
         answer), counted in closed form: nothing is listed."""
         raise NotImplementedError
 
+    def isotypic_runs(self, nu, k):
+        """The :class:`IsotypicRuns` whose listed rows span the k nu isotypic
+        subspace, built once per (nu, k) and kept in ``runs_cache``.
+
+        Raises AssumptionViolation, before anything is built, when an
+        exponent could pass int32 (see :meth:`isotypic_extent`).
+        """
+        nu = half_weight(self.group, nu)
+        key = (tuple(nu.coords.tolist()), k)     # not int(k): k = 2.5 lists nothing, k = 2 does
+        runs = self.runs_cache.get(key)
+        if runs is None:
+            rows, _ = self.isotypic_extent(nu, k)
+            runs = self._isotypic_runs(nu, k) if rows else IsotypicRuns(
+                np.zeros((0, self.ambient_dim), dtype=np.int64),
+                np.zeros(self.ambient_dim, dtype=np.int64),
+                np.ones(self.ambient_dim, dtype=np.int64), np.zeros(0, dtype=np.int64))
+            self.runs_cache[key] = runs
+        return runs
+
+    def _isotypic_runs(self, nu, k):
+        """The runs of :meth:`isotypic_runs` for a nonempty extent."""
+        raise NotImplementedError
+
     def isotypic_chunks(self, nu, k):
         """Monomial exponents spanning the k nu isotypic subspace, yielded
-        as int32 (n, d+1) chunks of at most _LIST_ROWS rows; their
-        concatenation is :meth:`isotypic_exponents`, row for row."""
-        raise NotImplementedError
+        as int32 (n, d+1) chunks of at most _LIST_ROWS rows, run after run
+        (:meth:`IsotypicRuns.chunks`); their concatenation is
+        :meth:`isotypic_exponents`, row for row."""
+        yield from self.isotypic_runs(nu, k).chunks()
 
     def isotypic_exponents(self, nu, k):
         """All of :meth:`isotypic_chunks` as one int32 (N, d+1) array: the
@@ -582,98 +676,60 @@ class TorusModel(ProjectiveModel):
         # s . alpha = total for every listed alpha, so |alpha| <= total / min(s)
         return self._int32_extent(k, rows, total // int(self._column_sums.min()))
 
-    def isotypic_chunks(self, nu, k):
-        """Lattice points {alpha >= 0 : W alpha = k nu}, free coordinates
-        ascending with the first one outermost.
+    def _isotypic_runs(self, nu, k):
+        """Lattice points {alpha >= 0 : W alpha = k nu} as runs, free
+        coordinates ascending with the first one outermost.
 
         The free (non-pivot) coordinates F run over the simplex
         {F >= 0 : s_free . F <= s . alpha = sum(k nu)}, s the (positive)
         column sums of W, built one coordinate at a time as a ragged
         array (not over the bounding box of the simplex).  All but the
-        last free coordinate are listed whole, as prefix rows; the last
-        one is expanded _LIST_ROWS candidates at a time, each prefix
-        column run-length expanded (``np.repeat``) over the candidates
-        that extend its rows.  The pivot coordinates are
-        adj (k nu - W_free F) / det, with adj and det > 0 the integer
-        adjugate and determinant of W[:, pivots], found once per model:
-        each numerator is its prefix row's, repeated, less the last free
-        coordinate times adj W[:, last], in int64.  A candidate is kept
-        iff every numerator is >= 0 and a multiple of det (nothing is
-        divided when det = 1), which is W alpha = k nu with alpha >= 0,
-        exactly.  Each expansion yields one int32 chunk of its kept rows.
+        last free coordinate are listed whole, as prefix rows, one run
+        each; along a run the last one steps from 0.  The pivot
+        coordinates are adj (k nu - W_free F) / det, with adj and det > 0
+        the integer adjugate and determinant of W[:, pivots], found once
+        per model: each run starts at its prefix row's numerators, in
+        int64, and steps by -adj W[:, last].  A candidate is listed iff
+        every numerator is >= 0 (the runs are cut to that) and a multiple
+        of det (nothing is divided when det = 1), which is W alpha = k nu
+        with alpha >= 0, exactly.
         """
-        rows, _ = self.isotypic_extent(nu, k)
-        if not rows:
-            return
         m = self.ambient_dim
         W, sums = self.weights, self._column_sums
         pivots, free = self._pivot_columns
         adj, det = self._pivot_adjugate
-        target = self.isotypic_target(nu, k)
-
-        def assemble(free_cols, numerators):
-            """The int32 chunk of the kept rows: free_cols in free order, then
-            numerator / det for each pivot from its int64 numerators, a row
-            kept iff every numerator is >= 0 and a multiple of det.  The
-            chunk is allocated after its columns, so that they are freed
-            below it: allocated first, it left them at the heap top, which
-            malloc trims and the next chunk faults in again (s1-cp2-w123 at
-            k = 4096: about 7800 minor faults per streamed evaluation with
-            the chunk allocated first, 600 to 1300 with it last, as the
-            heap's history varies)."""
-            columns, ok = list(free_cols), None
-            for num in numerators:
-                good = num >= 0
-                if det != 1:
-                    num, rem = np.divmod(num, det)
-                    good &= rem == 0
-                columns.append(num)
-                if ok is None:
-                    ok = good
-                else:
-                    ok &= good
-            chunk = np.empty((len(ok), m), dtype=np.int32)
-            for j, col in zip(free + pivots, columns):
-                chunk[:, j] = col
-            return chunk if ok.all() else chunk[ok]
-
-        if not free:                             # square W: one candidate
-            yield assemble([], adj @ target[:, None])
-            return
-        cols, rhs = [], target[None, :]          # rhs = target - W_free F, exactly
+        cols, rhs = [], self.isotypic_target(nu, k)[None, :]   # rhs = target - W_free F
         for j in free[:-1]:
             reach = rhs.sum(axis=1) // sums[j] + 1
             starts = np.cumsum(reach) - reach
             step = np.arange(int(reach.sum()), dtype=np.int64) - np.repeat(starts, reach)
             cols = [np.repeat(col, reach) for col in cols] + [step]
             rhs = np.repeat(rhs, reach, axis=0) - step[:, None] * W[:, j]
-        cols = [col.astype(np.int32) for col in cols]
-        last = free[-1]
-        # candidates edges[i] ... edges[i + 1] - 1 extend prefix row i, whose
-        # pivot numerators at last-coordinate 0 are column i of base
-        edges = np.concatenate([[0], np.cumsum(rhs.sum(axis=1) // sums[last] + 1)])
-        base = adj @ rhs.T
-        slope = (adj @ W[:, last]).tolist()
-        # freed before the first chunk: kept, it took a fresh deep-k pass
-        # from 5.4k to 24.9k minor faults (see assemble)
-        del rhs
-
-        def expand(lo, hi):
-            """The kept rows among candidates lo ... hi - 1 (a function, so
-            that its temporaries are gone while the chunk is consumed)."""
-            first = int(np.searchsorted(edges, lo, side="right")) - 1
-            stop = int(np.searchsorted(edges, hi, side="left"))
-            counts = np.diff(np.clip(edges[first:stop + 1], lo, hi))
-            columns = [np.repeat(col[first:stop], counts) for col in cols]
-            step = np.arange(lo, hi)
-            step -= np.repeat(edges[first:stop], counts)
-            numerators = [np.repeat(row[first:stop], counts) for row in base]
-            for num, s in zip(numerators, slope):
-                num -= step * s
-            return assemble(columns + [step], numerators)
-
-        for lo in range(0, rows, _LIST_ROWS):
-            yield expand(lo, min(lo + _LIST_ROWS, rows))
+        starts = np.zeros((len(rhs), m), dtype=np.int64)
+        for j, col in zip(free, cols):
+            starts[:, j] = col
+        starts[:, pivots] = rhs @ adj.T
+        step, scale = np.zeros(m, dtype=np.int64), np.ones(m, dtype=np.int64)
+        scale[pivots] = det
+        lengths = np.ones(len(rhs), dtype=np.int64)   # square W: one candidate
+        if free:
+            last = free[-1]
+            step[last] = 1
+            step[pivots] = -(adj @ W[:, last])
+            lengths = rhs.sum(axis=1) // sums[last] + 1
+        # cut each run to where its pivot numerators are >= 0 (the free
+        # coordinates are): s from first to lengths - 1
+        first = np.zeros_like(lengths)
+        for j in pivots:
+            if step[j] < 0:
+                lengths = np.minimum(lengths, starts[:, j] // -step[j] + 1)
+            elif step[j] > 0:
+                first = np.maximum(first, -(starts[:, j] // step[j]))
+            else:
+                lengths = np.where(starts[:, j] < 0, 0, lengths)
+        keep = lengths > first
+        return IsotypicRuns(starts[keep] + first[keep, None] * step, step, scale,
+                            (lengths - first)[keep])
 
     @cached_property
     def _pivot_columns(self):
@@ -909,14 +965,12 @@ class U2CP2Model(ProjectiveModel):
         piece = self._isotypic_piece(nu, k)
         return 0 if piece is None else piece[0] + 1
 
-    def isotypic_chunks(self, nu, k):
-        """(a, m - a, e), a = 0 ... m (see :meth:`_isotypic_piece`)."""
-        rows, _ = self.isotypic_extent(nu, k)
-        if rows:
-            m, e = self._isotypic_piece(nu, k)
-            for lo in range(0, rows, _LIST_ROWS):
-                a = np.arange(lo, min(lo + _LIST_ROWS, rows), dtype=np.int32)
-                yield np.stack([a, m - a, np.full_like(a, e)], axis=1)
+    def _isotypic_runs(self, nu, k):
+        """One run, (a, m - a, e) for a = 0 ... m (see :meth:`_isotypic_piece`)."""
+        m, e = self._isotypic_piece(nu, k)
+        return IsotypicRuns(np.array([[0, m, e]], dtype=np.int64),
+                            np.array([1, -1, 0], dtype=np.int64),
+                            np.ones(3, dtype=np.int64), np.array([m + 1], dtype=np.int64))
 
     def locus_parameters(self, nu=None):
         """(t, sigma): the locus level ||v||^2 = t and the cone scale."""

@@ -294,25 +294,37 @@ def test_catalog_tori_list_in_nested_loop_order(catalog):
 
 @pytest.mark.parametrize("mid, k", [("s1-cp2-w123", 900), ("t2-cp2", 10000)])
 def test_both_kernel_routes_are_the_oracle_ordered_sum_bit_for_bit(mid, k):
-    # the streamed first evaluation and the stored second one both give
-    # the block sum over the nested-loop rows normed by gammaln, bit for bit
+    # one listing chunk: the streamed first evaluation and the stored second
+    # one both give the block sum over the nested-loop rows normed by
+    # gammaln, bit for bit.  A longer listing (s1-cp2-w123 at k = 900, 67.8k
+    # rows) sums its concentration windows at every evaluation and stores
+    # nothing, within the full sum's rounding bound of the same sum
     model = build_model(mid)
     nu = model.default_nu
     alphas = np.array(lattice_points_nested(model.weights, model.isotypic_target(nu, k),
                                             *model._pivot_columns))
-    if mid == "s1-cp2-w123":
-        assert len(alphas) > models._LIST_ROWS
+    windowed = len(alphas) > models._LIST_ROWS
+    assert windowed == (mid == "s1-cp2-w123")
     log_norms = monomial_log_norms_gammaln(model.d, alphas)
     x = model.default_locus_point()
     y = unit_point(x + 0.05 * np.exp(1j * np.arange(model.ambient_dim)))
     for p, q in ((x, x), (x, y)):
         expected = hardy._basis_sum(alphas, log_norms, p, q)
         model.basis_cache.clear()
-        streamed = equivariant_kernel_log(model, nu, k, p, q)
+        first = equivariant_kernel_log(model, nu, k, p, q)
+        if windowed:
+            assert equivariant_kernel_log(model, nu, k, p, q) == first
+            assert model.basis_cache == {}
+            expo = _one_shot_terms(alphas, log_norms, p, q)
+            shift = expo.real.max()
+            gap = abs(np.exp(first[0] - shift) * first[1] - np.exp(expected[0] - shift) * expected[1])
+            bound = _exact_norm_bound(alphas, log_norms, p, q)
+            assert gap <= bound * np.sum(np.exp(expo.real - shift)), (p is q, gap)
+            continue
         assert model.basis_cache == {hardy._basis_key(half_weight(model.group, nu), k): None}
         stored = equivariant_kernel_log(model, nu, k, p, q)
         assert isinstance(next(iter(model.basis_cache.values())), hardy.IsotypicBasis)
-        assert streamed == expected and stored == expected, (mid, p is q)
+        assert first == expected and stored == expected, (mid, p is q)
 
 
 @pytest.fixture(scope="module")
@@ -747,6 +759,15 @@ def test_blocked_basis_sum_matches_the_one_shot_sum():
             assert abs(streamed - total) <= _route_bound(basis.alphas, p, q) * magnitude
 
 
+def _exact_norm_bound(alphas, log_norms, x, y):
+    # the bound of test_basis_sum_matches_the_multiprecision_oracle, relative
+    # to sum |terms|: against exact norms the term logs also carry the
+    # rounding of the log-norms
+    lx, ly = hardy._safe_log(x), np.conj(hardy._safe_log(y))
+    worst = np.max(np.abs(alphas @ lx) + np.abs(alphas @ ly) + np.abs(log_norms))
+    return (worst + np.log2(len(alphas)) + 2) * np.finfo(float).eps
+
+
 def _off_orbit_pairs(model, rng):
     # the default locus point against a fixed complex point, and a random pair
     y = unit_point(np.sqrt([0.2, 0.25, 0.55]) * np.exp(1j * np.array([0.0, 0.7, -1.3])))
@@ -769,6 +790,27 @@ def test_basis_sum_matches_the_multiprecision_oracle(mid, k):
                        + np.abs(basis.log_norms))
         bound = (worst + np.log2(basis.dim) + 2) * np.finfo(float).eps
         assert err <= bound, (mid, float(err), bound)
+
+
+def test_windowed_sum_matches_the_multiprecision_oracle(monkeypatch):
+    # the windowed route, taken at k = 200 (3434 rows) under a 2048-row
+    # chunk, sums 2.0k and 2.6k rows on these complex off-orbit pairs and
+    # meets the full sum's bound against exact norms
+    monkeypatch.setattr(hardy, "_LIST_ROWS", 2048)
+    model = build_model("s1-cp2-w123")
+    nu, k = model.default_nu, 200
+    alphas = model.isotypic_exponents(nu, k)
+    _, top = model.isotypic_extent(nu, k)
+    log_norms = monomial_log_norms(model.d, alphas, top)
+    for x, y in _off_orbit_pairs(model, np.random.default_rng(12)):
+        _, counts = hardy._concentration_windows(model.isotypic_runs(nu, k), model.d, top, x, y)
+        assert counts.sum() < 0.8 * len(alphas)
+        logmag, phase = equivariant_kernel_log(model, nu, k, x, y)
+        assert model.basis_cache == {}
+        exact, magnitude = monomial_sum_mp(alphas, x, y, dps=40)
+        err = abs(mpmath.exp(logmag) * mpmath.mpc(complex(phase)) - exact) / magnitude
+        bound = _exact_norm_bound(alphas, log_norms, x, y)
+        assert err <= bound, (float(err), bound)
 
 
 def test_negligible_cut_moves_the_sum_by_under_eps_of_its_largest_term(monkeypatch):
@@ -907,6 +949,101 @@ def test_a_kernel_streams_first_stores_second_and_reuses_after(monkeypatch):
     assert other.basis_cache == {key: stored}
 
 
+def test_a_multi_chunk_kernel_sums_its_windows_and_keeps_no_basis(monkeypatch):
+    # a listing over one chunk: each evaluation lists the rows at its 513
+    # run peaks and its concentration windows only (25.1k of the 87.9k
+    # rows at k = 1024) and keeps neither a basis nor a marker
+    model = build_model("s1-cp2-w123")
+    nu, k = model.default_nu, 1024
+    rows, _ = model.isotypic_extent(nu, k)
+    assert rows > models._LIST_ROWS
+    listed, chunks = [], models.IsotypicRuns.chunks
+
+    def counted(self, first=None, counts=None):
+        for chunk in chunks(self, first, counts):
+            listed.append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(models.IsotypicRuns, "chunks", counted)
+    x = model.default_locus_point()
+    values = []
+    for _ in range(3):
+        listed.clear()
+        values.append(equivariant_kernel_log(model, nu, k, x, x))
+        assert 0 < sum(listed) < rows // 3
+    assert values[0] == values[1] == values[2]
+    assert model.basis_cache == {}
+
+
+# (model, smallest k, largest k) for the window property test: every
+# listing model, and weights (2, 3, 5) with pivot determinant 2, whose odd
+# candidates are rejected inside the windows too
+_WINDOW_CASES = [("s1-cp1-w12", 2, 20000), ("s1-cp2-w123", 2, 400), ("t2-cp2", 2, 10000),
+                 ("u2-cp2", 3, 10001), ("w235", 2000, 2000)]
+
+
+def _oracle_log_terms(alphas, x, y):
+    """log |x^a conj(y)^a| / ||z^a||^2 per row, norms by gammaln; -inf
+    where a positive exponent meets a zero coordinate."""
+    with np.errstate(divide="ignore"):
+        linear = np.log(np.abs(x)) + np.log(np.abs(y))
+    dead = ~np.isfinite(linear)
+    terms = alphas @ np.where(dead, 0.0, linear) - monomial_log_norms_gammaln(
+        alphas.shape[1] - 1, alphas)
+    terms[(alphas[:, dead] > 0).any(axis=1)] = -np.inf
+    return terms
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(case=st.sampled_from(_WINDOW_CASES), where=st.floats(0, 1), seed=st.integers(0, 2 ** 32),
+       pair=st.sampled_from(["diagonal", "near", "random"]), zero=st.integers(-1, 3))
+def test_window_bound_holds_on_every_row_and_keeps_every_summed_one(catalog, case, where, seed,
+                                                                    pair, zero):
+    mid, k_lo, k_hi = case
+    model = _streamed_model(mid) if mid == "w235" else catalog[mid]
+    nu, d = model.default_nu, model.d
+    k = model.valid_k(round(k_lo + where * (k_hi - k_lo)))
+    rng = np.random.default_rng(seed)
+    x = random_sphere_point(d, rng)
+    if 0 <= zero <= d:                 # a zero coordinate: 0 log 0 = 0, never NaN
+        x[zero] = 0.0
+        x = unit_point(x)
+    y = {"diagonal": x, "near": unit_point(x + 0.05 * random_sphere_point(d, rng)),
+         "random": random_sphere_point(d, rng)}[pair]
+    alphas = model.isotypic_exponents(nu, k)
+    terms = _oracle_log_terms(alphas, x, y)
+    linear = hardy._safe_log(x).real + hardy._safe_log(y).real
+    bound = hardy._log_bound(alphas.T.astype(float), np.zeros(d + 1),
+                             np.zeros(len(alphas), dtype=int), linear)
+    assert not np.isnan(bound).any()
+    assert np.all(bound >= terms - 1e-9 * np.maximum(1.0, np.abs(terms))), (mid, k)
+    assert np.all(bound[terms == -np.inf] < hardy._BIG_NEG / 2)
+    # every row the full sum keeps within e^-60 of its largest term is in
+    # a window
+    _, top = model.isotypic_extent(nu, k)
+    runs = model.isotypic_runs(nu, k)
+    first, counts = hardy._concentration_windows(runs, d, top, x, y)
+    window = np.concatenate([np.zeros((0, d + 1), dtype=np.int32)]
+                            + list(runs.chunks(first, counts)))
+    assert len(window) <= len(alphas)
+
+    def keys(rows):
+        return rows.astype(np.int64) @ (top + 1) ** np.arange(d + 1, dtype=np.int64)
+
+    if terms.max() > -np.inf:
+        summed = alphas[terms >= terms.max() + hardy._NEGLIGIBLE]
+        assert np.isin(keys(summed), keys(window)).all(), (mid, k)
+    # and the windowed sum is the full sum within its rounding bound
+    full = hardy._basis_sum(alphas, monomial_log_norms(d, alphas, top), x, y)
+    windowed = hardy._windowed_sum(runs, d, top, x, y)
+    if full[0] == -np.inf:
+        assert windowed == full
+    else:
+        gap = abs(np.exp(windowed[0] - full[0]) * windowed[1] - full[1])
+        magnitude = np.sum(np.exp(terms - full[0]))
+        assert gap <= _route_bound(alphas, x, y) * magnitude, (mid, k, gap)
+
+
 def _refuse_listing(self, nu, k):
     raise AssertionError("an over-budget basis was listed")
 
@@ -981,15 +1118,14 @@ def test_cli_refuses_a_huge_rank1_basis_fast_and_small(capsys):
 
 
 def test_cli_diag_suite_keeps_no_basis(capsys):
-    # diag evaluates each (model, k) once, so each sum streams its listing:
-    # traced peak 4.6 MB when measured (about 3 MB of it one 65536-row
-    # listing chunk and its temporaries), where the stored k = 4096 basis
-    # alone takes 28 MB (1.4M rows at 20 B) and storing both bases, as
-    # every first evaluation used to, peaked at 34 MB
+    # each listing here is over one chunk, so each sum lists its
+    # concentration windows chunk by chunk (213k of 5.6M rows at k = 8192):
+    # traced peak 3.5 MB when measured, where the stored k = 4096 basis
+    # alone takes 28 MB (1.4M rows at 20 B) and the k = 8192 one 112 MB
     code, _, peak = _timed_cli(["suite", "diag", "--model", "s1-cp2-w123",
-                                "--kmin", "2048", "--kmax", "4096"])
+                                "--kmin", "2048", "--kmax", "8192"])
     assert code == 0
-    assert ",4096,diag-ratio," in capsys.readouterr().out
+    assert ",8192,diag-ratio," in capsys.readouterr().out
     assert peak < 8 * 1024 ** 2
 
 
@@ -1049,6 +1185,30 @@ def test_cli_dims_suite_runs_to_k_near_1e9(capsys):
         assert main(["suite", "dims", "--model", mid, "--kmax", "1000000000"]) == 0, mid
         k = build_model(mid).valid_k(2 ** 29)
         assert f",{k},dim-growth," in capsys.readouterr().out, mid
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_cli_kernel_eval_prints_the_log_of_a_kernel_that_underflows(capsys):
+    # |Pi| = e^-784 underflows to 0 in value; log_abs and phase keep it
+    # apart from a weight-mismatch zero, whose log is null
+    argv = ["kernel-eval", "--model", "t2-cp2", "--k", "2048", "--x", "0.7,0.5,0.5"]
+    assert main(argv + ["--y", "0.5,0.7,0.5"]) == 0
+    out = _strict_json(capsys.readouterr().out)
+    model = build_model("t2-cp2")
+    x, y = unit_point([0.7, 0.5, 0.5]), unit_point([0.5, 0.7, 0.5])
+    log_abs, phase = equivariant_kernel_log(model, model.default_nu, 2048, x, y)
+    assert out["value"] == [0.0, 0.0]
+    assert out["log_abs"] == log_abs and -800 < log_abs < -700
+    assert out["phase"] == [phase.real, phase.imag]
+    assert main(argv + ["--nu", "2,-1"]) == 0
+    out = _strict_json(capsys.readouterr().out)
+    assert out["isotypic_dim"] == 0 and out["value"] == [0.0, 0.0]
+    assert out["log_abs"] is None and out["phase"] == [0.0, 0.0]
 
 
 def test_cli_kernel_eval_su2_at_k_1e9(capsys):
