@@ -49,7 +49,6 @@ from .predictor import (
     dimension_coefficient,
     gaussian_pair_exponent,
     leading_coefficient,
-    phase_hessian,
     predict_near_diagonal,
 )
 from .harness import ExperimentConfig, FitResult, Row, run_suite

@@ -19,21 +19,20 @@ concentrate, so most terms are cut where k is large).  A listing is a
 set of runs (``isotypic_runs``): lines of candidate exponents, on tori
 the prefix rows of all but the last free coordinate with the last one
 stepping and the pivot coordinates solved with the integer adjugate of
-the pivot columns, so every listed row is exact.  A kernel whose listing
-fits one ``models._LIST_ROWS`` chunk (its row count is known before
-anything is listed) streams on the first evaluation of a (nu, k): it
-lists the monomials chunk by chunk (``isotypic_chunks``), norms each
-chunk against a log-factorial table sized once from the listing's
-exponent bound, and folds it into the sum, holding one chunk and no
-basis.  A (nu, k) asked for again gets a stored basis, int32 exponents
-and float64 log-norms (4 (d + 1) + 8 B per monomial, built at about
-8 (d + 1) B per row), kept on the model and reused.  Both routes cut the
-rows into the same blocks, so they agree bit for bit.  A longer listing
-is summed over its concentration windows at every evaluation, and
-nothing is stored: the method-of-types bound on each term's log
-(:func:`_log_bound`) is concave along every run, so the rows whose bound
-is within 61 of the largest term found form one interval per run, found
-by bisection, and only those are listed, normed and summed.  Each row
+the pivot columns, so every listed row is exact.  A kernel sum takes
+one of two routes, chosen by the listing's row count alone (known from
+``isotypic_extent`` before anything is listed).  A listing of at most
+one ``models._LIST_ROWS`` chunk is stored on the first evaluation of a
+(nu, k): a basis of int32 exponents and float64 log-norms (normed
+against a log-factorial table sized once from the listing's exponent
+bound; 4 (d + 1) + 8 B per monomial, built at about 8 (d + 1) B per
+row), kept on the model under (nu, k) and summed whole from then on.
+A longer listing is summed over its concentration windows at every
+evaluation, and nothing is stored: the method-of-types bound on each
+term's log (:func:`_log_bound`) is concave along every run, so the rows
+whose bound is within 61 of the largest term found form one interval
+per run, found by bisection, and only those are listed, normed and
+summed.  Each row
 left out is below e^-61 of the largest term, inside the e^-60 cut, and
 each row kept has the full sum's exponent arithmetic, so the value is
 the full sum's to within its rounding bound (s1-cp2-w123 at k = 8192
@@ -46,8 +45,8 @@ kernel sum are budgeted: each has its row count and exponent range known
 before it is listed, and one whose basis would take more than
 _BASIS_BUDGET_BYTES to build, whose exponents could pass int32 or whose
 torus pivot solve could pass int64, is refused with AssumptionViolation
-first, on the streamed and windowed routes too, so every kernel route
-refuses at the same k.  Orbit separations are closed forms: each catalog model gives
+first, on the windowed route too, so both kernel routes refuse at the
+same k.  Orbit separations are closed forms: each catalog model gives
 the point of an orbit nearest to a target (rank-1 tori and t2-cp2 from
 the roots of a critical-point polynomial, su2-cp1 and u2-cp2 directly).
 """
@@ -93,12 +92,15 @@ def _basis_row_bytes(d):
     at 20.0 B per listed row and weights (2, 3, 5) at 18.0 B; u2-cp2 at
     k = 2e6 + 1 peaks at 20.3 B.
     8 (d + 1) bounds them all, beside a fixed few MB of chunk temporaries.
-    A streamed or windowed sum keeps no basis, only one chunk and its
-    temporaries and the listing's runs, kept on the model (on a torus with
-    f = d + 1 - r free coordinates, one per prefix row of all but the last
-    one, O(k^(f - 1)): O(k) on s1-cp2-w123, one on the other catalog
-    models); 3.0 to 7.5 MB in all on the cases above.  It is refused at
-    the same row count all the same.
+    The kernel stores only bases of at most one ``_LIST_ROWS`` chunk
+    (under 2.5 MB each at d <= 3); a longer one is built only on a direct
+    :func:`isotypic_basis` request and not kept.  A windowed sum keeps no
+    basis, only one chunk and its temporaries and the listing's runs,
+    kept on the model (on a torus with f = d + 1 - r free coordinates,
+    one per prefix row of all but the last one, O(k^(f - 1)): O(k) on
+    s1-cp2-w123, one on the other catalog models); 3.0 to 7.5 MB in all
+    on the cases above.  It is refused at the same row count all the
+    same.
     """
     return 8 * (d + 1)
 
@@ -216,9 +218,9 @@ def _check_budget(model, nu, k):
     """Raise AssumptionViolation, before anything is listed, when the k nu
     basis would take more than _BASIS_BUDGET_BYTES to build (its rows
     come from ``isotypic_extent``); else return the extent, its rows and
-    its bound top on every |alpha|.  Streamed and windowed sums, which
-    keep no basis, are held to the same budget, so every kernel route
-    refuses at the same k."""
+    its bound top on every |alpha|.  Windowed sums, which keep no basis,
+    are held to the same budget, so both kernel routes refuse at the same
+    k."""
     rows, top = model.isotypic_extent(nu, k)
     need = rows * _basis_row_bytes(model.d)
     if need > _BASIS_BUDGET_BYTES:
@@ -230,15 +232,18 @@ def _check_budget(model, nu, k):
 
 
 def _basis_key(nu, k):
-    return tuple(nu.coords.tolist()), int(k)
+    return tuple(nu.coords.tolist()), k     # not int(k): k = 2.5 lists nothing, k = 2 does
 
 
 def isotypic_basis(model, nu, k):
-    """The k nu isotypic basis, built once per model and kept in its cache
-    (a direct call stores it at once; :func:`equivariant_kernel_log`
-    asks for it only on the second evaluation of a (nu, k) whose listing
-    fits one chunk, and sums a longer listing's concentration windows
-    instead, unless a basis is stored already).
+    """The k nu isotypic basis: int32 exponents and float64 log-norms.
+
+    A basis of at most one ``models._LIST_ROWS`` chunk (the rows of
+    ``isotypic_extent``) is built once and kept in the model's
+    ``basis_cache`` under (nu, k), k exactly as given;
+    :func:`equivariant_kernel_log` sums it from there.  A longer one is
+    built on every request and not kept: the kernel sums such a listing
+    over its concentration windows instead.
 
     A build peaks at about 8 (d + 1) B per listed row
     (:func:`_basis_row_bytes`) and keeps 4 (d + 1) + 8 B per monomial.
@@ -250,10 +255,11 @@ def isotypic_basis(model, nu, k):
     key = _basis_key(nu, k)
     basis = model.basis_cache.get(key)
     if basis is None:
-        _, top = _check_budget(model, nu, k)
+        rows, top = _check_budget(model, nu, k)
         alphas = model.isotypic_exponents(nu, k)
-        basis = IsotypicBasis(nu.coords, int(k), alphas, monomial_log_norms(model.d, alphas, top))
-        model.basis_cache[key] = basis
+        basis = IsotypicBasis(nu.coords, k, alphas, monomial_log_norms(model.d, alphas, top))
+        if rows <= _LIST_ROWS:
+            model.basis_cache[key] = basis
     return basis
 
 
@@ -279,28 +285,13 @@ def _stored_blocks(alphas, log_norms):
 
 
 def _listed_blocks(d, chunks, top):
-    """(alphas, log_norms) blocks of a listing whose every |alpha| is at
-    most top, normed chunk by chunk.
-
-    The blocks are the _BLOCK_ROWS-row blocks of the concatenated
-    listing, the rows :func:`_stored_blocks` gives for the basis built
-    from the same chunks: where a chunk's length is not a multiple of
-    _BLOCK_ROWS (a listing that rejected candidates, or the last chunk)
-    its tail is carried into the next block.  No array is N long, and a
-    chunk and its norms are gone before the next chunk is listed.
-    """
-    carry = None
+    """(alphas, log_norms) blocks of at most _BLOCK_ROWS rows of a listing
+    whose every |alpha| is at most top, normed chunk by chunk.  No array
+    is N long, and a chunk and its norms are gone before the next chunk
+    is listed."""
     for chunk in chunks:
-        norms = monomial_log_norms(d, chunk, top)
-        if carry is not None:
-            chunk = np.concatenate([carry[0], chunk])
-            norms = np.concatenate([carry[1], norms])
-        full = len(chunk) - len(chunk) % _BLOCK_ROWS
-        yield from _stored_blocks(chunk[:full], norms[:full])
-        carry = (chunk[full:].copy(), norms[full:].copy()) if full < len(chunk) else None
-        del chunk, norms
-    if carry is not None:
-        yield carry
+        yield from _stored_blocks(chunk, monomial_log_norms(d, chunk, top))
+        del chunk
 
 
 def _block_exponents(blocks, x, y):
@@ -340,8 +331,7 @@ def _block_sum(blocks, x, y):
     part is above _NEGLIGIBLE are exponentiated, each with the arithmetic
     of the uncut sum, into a reused buffer of zeros.  The skipped ones add
     under 2^27 e^-60 = 1.2e-18 of the largest term (see _NEGLIGIBLE),
-    below eps / 100.  The result depends on where the blocks split the
-    rows, so stored and listed sums use the same split.
+    below eps / 100.
     """
     shift, total, terms = -np.inf, 0.0 + 0.0j, None
     for expo in _block_exponents(blocks, x, y):
@@ -480,7 +470,7 @@ def equivariant_kernel(model, nu, k, x, y):
 
     SU(2) on CP^1 uses the closed level-kernel form (the isotypic space
     is one whole level); everything else sums the isotypic monomials,
-    streamed, windowed or from a stored basis (see
+    from a stored basis or over concentration windows (see
     :func:`equivariant_kernel_log`).
     """
     logmag, phase = equivariant_kernel_log(model, nu, k, x, y)
@@ -492,20 +482,17 @@ def equivariant_kernel(model, nu, k, x, y):
 def equivariant_kernel_log(model, nu, k, x, y):
     """(log |Pi^mu_{k nu}(x, y)|, unit phase); -inf for the zero kernel.
 
-    A listing of at most one ``models._LIST_ROWS`` chunk (its row count
-    from ``isotypic_extent``, before anything is listed): the first
-    evaluation of a (nu, k) on a model streams the listing through the
-    sum and keeps no basis (one listing chunk alive; the key is marked in
-    ``model.basis_cache``); the second builds the basis at about
-    8 (d + 1) B per row and stores it, and later ones reuse it, with the
-    same bits.  A longer listing is summed over its concentration
-    windows at every evaluation (:func:`_windowed_sum`) and nothing is
-    stored: each row left out is below e^-61 of the largest term, so the
-    value is the full sum's within its rounding bound
-    eps (worst + log2 N + 2) sum |terms|.  A basis already stored (by
-    :func:`isotypic_basis`) is summed whole.  Every route refuses a
-    listing over the memory budget at the same k, before anything is
-    listed.
+    Two routes, chosen by the listing's row count (``isotypic_extent``,
+    before anything is listed).  A listing of at most one
+    ``models._LIST_ROWS`` chunk is built into a basis by
+    :func:`isotypic_basis` on the first evaluation of a (nu, k), at about
+    8 (d + 1) B per row, kept on the model and summed whole at every
+    evaluation, with the same bits.  A longer listing is summed over its
+    concentration windows at every evaluation (:func:`_windowed_sum`) and
+    nothing is stored: each row left out is below e^-61 of the largest
+    term, so the value is the full sum's within its rounding bound
+    eps (worst + log2 N + 2) sum |terms|.  Both routes refuse a listing
+    over the memory budget at the same k, before anything is listed.
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
@@ -520,15 +507,12 @@ def equivariant_kernel_log(model, nu, k, x, y):
         phase = (inner / abs(inner)) ** n
         return float(logmag), phase
     nu = half_weight(model.group, nu)
-    key = _basis_key(nu, k)
-    if key in model.basis_cache:       # asked for before: store the basis, or reuse it
-        basis = isotypic_basis(model, nu, k)
-        return _basis_sum(basis.alphas, basis.log_norms, x, y)
-    rows, top = _check_budget(model, nu, k)
-    if rows > _LIST_ROWS:              # over one chunk: sum its concentration windows
-        return _windowed_sum(model.isotypic_runs(nu, k), model.d, top, x, y)
-    model.basis_cache[key] = None      # first request: sum the listing as it streams
-    return _block_sum(_listed_blocks(model.d, model.isotypic_chunks(nu, k), top), x, y)
+    if _basis_key(nu, k) not in model.basis_cache:
+        rows, top = _check_budget(model, nu, k)
+        if rows > _LIST_ROWS:          # over one chunk: sum its concentration windows
+            return _windowed_sum(model.isotypic_runs(nu, k), model.d, top, x, y)
+    basis = isotypic_basis(model, nu, k)       # kept, as it fits one chunk
+    return _basis_sum(basis.alphas, basis.log_norms, x, y)
 
 
 def orbit_separation(model, x, y):

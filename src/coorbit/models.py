@@ -203,8 +203,8 @@ class ProjectiveModel:
         self.generators = np.asarray(generators, dtype=complex)   # (dim, d+1, d+1)
         self.lift_note = lift_note
         self.default_nu = half_weight(group, default_nu)
-        # (nu coords, k) -> hardy.IsotypicBasis, filled by hardy.isotypic_basis;
-        # None marks a key whose kernel was evaluated once, with no basis kept
+        # (nu coords, k) -> hardy.IsotypicBasis, k exactly as given, filled by
+        # hardy.isotypic_basis with bases of at most _LIST_ROWS rows only
         self.basis_cache = {}
         # (nu coords, k) -> IsotypicRuns, filled by isotypic_runs
         self.runs_cache = {}

@@ -1,7 +1,6 @@
 """Prediction side of the scaling theorems: the universal Gaussian
 exponent, the leading coefficient on the locus, near-diagonal kernel
-predictions, the dimension-growth coefficient, and the stationary-phase
-Hessian blocks.
+predictions and the dimension-growth coefficient.
 
 Only the leading term of the near-diagonal expansion is computed; the
 k^{-1/2} correction ladder enters the package solely through fitted
@@ -18,8 +17,6 @@ from .characters import orbit_volume
 from .groups import (
     AssumptionViolation,
     ad_on_cartan_complement,
-    algebra_matrix,
-    complement_frame,
     gauss_legendre,
     group_volumes,
     half_weight,
@@ -233,58 +230,3 @@ def _locus_line_integral(model, nu, power, level):
     terms = ws * ds_du * (2 * np.pi) ** 2 / mult * dens * psi / sample.sigma ** power
     return np.sum(terms) / np.sqrt(2.0)
 
-
-def phase_hessian(metric, nu, sigma, xi_prime=None, tol=1e-10):
-    """Assemble the stationary-phase Hessian and check det and signature.
-
-    Blocks: the (u, s) pair with off-diagonal sigma ||nu^phi||, the
-    skew block Z of the restricted adjoint operator at nu^phi against
-    the Cartan complement, and the second-order remainder block driven
-    by xi' in t_nu.  Returns (det, signature); both are asserted against
-    det = -sigma^2 ||nu^phi||^2 det(Z)^2 and signature 0.
-    """
-    group = metric.group
-    nu = half_weight(group, nu)
-    nu_sharp = metric.sharp(nu.coords)
-    nu_norm = metric.norm_covector(nu.coords)
-    Z, det_z = ad_on_cartan_complement(metric, nu_sharp)
-    if group.n_pos and det_z == 0:
-        raise ValueError("nu is not regular; the restricted adjoint block is singular")
-    m = Z.shape[0]
-    size = 2 + 2 * m
-    H = np.zeros((size, size))
-    a = sigma * nu_norm
-    H[0, 1] = H[1, 0] = a
-    if m:
-        H[2:2 + m, 2 + m:] = Z
-        H[2 + m:, 2:2 + m] = -Z
-        H[2 + m:, 2 + m:] = _remainder_block(metric, nu, xi_prime)
-    det = float(np.linalg.det(H))
-    predicted = -sigma ** 2 * nu_norm ** 2 * det_z ** 2
-    if abs(det - predicted) > tol * max(1.0, abs(predicted)):
-        raise AssertionError(f"Hessian determinant {det} != predicted {predicted}")
-    eigs = np.linalg.eigvalsh(H)
-    signature = int(np.sum(eigs > 0) - np.sum(eigs < 0))
-    if signature != 0:
-        raise AssertionError(f"Hessian signature {signature} != 0")
-    return det, signature
-
-
-def _remainder_block(metric, nu, xi_prime):
-    """Hessian of gamma -> phi(R_2(gamma), xi') at 0 for xi' in t_nu."""
-    group = metric.group
-    if xi_prime is None or group.rank == 1:
-        m = group.dim - group.rank
-        return np.zeros((m, m))
-    xi_mat = algebra_matrix(group, xi_prime)
-    nu_mat = algebra_matrix(group, metric.sharp(nu.coords))
-    basis = complement_frame(metric)
-    m = len(basis)
-    B = np.empty((m, m))
-    for i in range(m):
-        for j in range(m):
-            ei, ej = basis[i], basis[j]
-            term = (ei @ (ej @ nu_mat - nu_mat @ ej) - (ej @ nu_mat - nu_mat @ ej) @ ei
-                    + ej @ (ei @ nu_mat - nu_mat @ ei) - (ei @ nu_mat - nu_mat @ ei) @ ej)
-            B[i, j] = 0.5 * metric.inner_matrices(term, xi_mat)
-    return B

@@ -292,14 +292,16 @@ def test_catalog_tori_list_in_nested_loop_order(catalog):
                 model.weights, target, *model._pivot_columns), (mid, k)
 
 
-@pytest.mark.parametrize("mid, k", [("s1-cp2-w123", 900), ("t2-cp2", 10000)])
-def test_both_kernel_routes_are_the_oracle_ordered_sum_bit_for_bit(mid, k):
-    # one listing chunk: the streamed first evaluation and the stored second
-    # one both give the block sum over the nested-loop rows normed by
-    # gammaln, bit for bit.  A longer listing (s1-cp2-w123 at k = 900, 67.8k
-    # rows) sums its concentration windows at every evaluation and stores
-    # nothing, within the full sum's rounding bound of the same sum
-    model = build_model(mid)
+@pytest.mark.parametrize("mid, k", [("s1-cp2-w123", 900), ("t2-cp2", 10000), ("w235", 1000)])
+def test_both_kernel_routes_are_the_oracle_ordered_sum_bit_for_bit(mid, k, monkeypatch):
+    # one listing chunk: the first evaluation stores the basis and every
+    # evaluation is the block sum over the nested-loop rows normed by
+    # gammaln, bit for bit, the later ones listing nothing.  Weights
+    # (2, 3, 5) at k = 1000 keep 16,834 of 33,634 candidates in that one
+    # chunk.  A longer listing (s1-cp2-w123 at k = 900, 67.8k rows) sums
+    # its concentration windows at every evaluation and stores nothing,
+    # within the full sum's rounding bound of the same sum
+    model = _listing_model(mid)
     nu = model.default_nu
     alphas = np.array(lattice_points_nested(model.weights, model.isotypic_target(nu, k),
                                             *model._pivot_columns))
@@ -321,10 +323,12 @@ def test_both_kernel_routes_are_the_oracle_ordered_sum_bit_for_bit(mid, k):
             bound = _exact_norm_bound(alphas, log_norms, p, q)
             assert gap <= bound * np.sum(np.exp(expo.real - shift)), (p is q, gap)
             continue
-        assert model.basis_cache == {hardy._basis_key(half_weight(model.group, nu), k): None}
-        stored = equivariant_kernel_log(model, nu, k, p, q)
-        assert isinstance(next(iter(model.basis_cache.values())), hardy.IsotypicBasis)
-        assert first == expected and stored == expected, (mid, p is q)
+        basis = model.basis_cache[hardy._basis_key(half_weight(model.group, nu), k)]
+        assert len(model.basis_cache) == 1 and basis.dim == len(alphas)
+        with monkeypatch.context() as patch:
+            patch.setattr(type(model), "isotypic_chunks", _refuse_listing)
+            later = equivariant_kernel_log(model, nu, k, p, q)
+        assert first == expected and later == expected, (mid, p is q)
 
 
 @pytest.fixture(scope="module")
@@ -722,7 +726,7 @@ def _one_shot_terms(alphas, log_norms, x, y):
 
 
 def _route_bound(alphas, x, y):
-    # the streamed sum's own error model, relative to sum |terms|: rounding
+    # the block sum's own error model, relative to sum |terms|: rounding
     # in the term logs (up to max |a . (lx + ly)| ulps of 1) and in the
     # summation (log2 N + 2)
     lx, ly = hardy._safe_log(x), np.conj(hardy._safe_log(y))
@@ -754,9 +758,9 @@ def test_blocked_basis_sum_matches_the_one_shot_sum():
             # this pair cancels to about 1e-18 of sum |terms| (mpmath), far
             # below rounding: both sums are noise of size eps sum |terms|,
             # so they can only agree to the route's error bound
-            streamed = np.exp(logmag - shift) * phase
+            blocked = np.exp(logmag - shift) * phase
             magnitude = np.sum(np.exp(expo.real - shift))
-            assert abs(streamed - total) <= _route_bound(basis.alphas, p, q) * magnitude
+            assert abs(blocked - total) <= _route_bound(basis.alphas, p, q) * magnitude
 
 
 def _exact_norm_bound(alphas, log_norms, x, y):
@@ -892,67 +896,66 @@ def test_basis_sum_empty_basis_and_zero_coordinates():
     assert hardy._basis_sum(alphas, log_norms, e0, e1) == (-np.inf, 0.0 + 0.0j)
 
 
-# k with at least 3 blocks and a partial last one; weights (2, 3, 5) reject
-# about half their candidates, so its 3 chunks of kept rows (32778, 32787
-# and 1436 long) are carried across block boundaries
-_STREAMED_CASES = [("s1-cp1-w12", 20000), ("s1-cp2-w123", 400), ("t2-cp2", 10000),
-                   ("u2-cp2", 10001), ("w235", 2000)]
-
-
-def _streamed_model(mid):
+def _listing_model(mid):
+    """A catalog model, or weights (2, 3, 5) on CP^2 (pivot determinant 2:
+    about half its candidates are rejected) for mid = "w235"."""
     return TorusModel("w235", [[2, 3, 5]], (1.0,)) if mid == "w235" else build_model(mid)
 
 
-def _streamed_sum(model, nu, k, x, y):
-    _, top = model.isotypic_extent(nu, k)
-    return hardy._block_sum(hardy._listed_blocks(model.d, model.isotypic_chunks(nu, k), top),
-                            x, y)
-
-
-@pytest.mark.parametrize("mid, k", _STREAMED_CASES)
-def test_streamed_sum_is_the_stored_basis_sum_bit_for_bit(mid, k):
-    model = _streamed_model(mid)
-    nu = model.default_nu
-    basis = isotypic_basis(model, nu, k)
-    assert basis.dim > 2 * hardy._BLOCK_ROWS and basis.dim % hardy._BLOCK_ROWS
-    rng = np.random.default_rng(21)
-    x = model.default_locus_point()
-    near = unit_point(x + 0.02 * (rng.standard_normal(model.ambient_dim)
-                                  + 1j * rng.standard_normal(model.ambient_dim)))
-    off = random_sphere_point(model.d, rng)
-    for p, q in ((x, x), (x, near), (near, off), (off, off)):
-        stored = hardy._basis_sum(basis.alphas, basis.log_norms, p, q)
-        assert stored[0] > -np.inf, mid
-        assert _streamed_sum(model, nu, k, p, q) == stored, (mid, k)
-    if mid in _EMPTY_K:
-        assert _streamed_sum(model, nu, _EMPTY_K[mid], x, x) == (-np.inf, 0.0 + 0.0j)
-
-
-def test_a_kernel_streams_first_stores_second_and_reuses_after(monkeypatch):
+def test_a_kernel_stores_its_basis_first_and_reuses_after(monkeypatch):
     model = build_model("s1-cp2-w123")
     nu, k = model.default_nu, 256
     key = (tuple(nu.coords.tolist()), k)
     x = model.default_locus_point()
     first = equivariant_kernel_log(model, nu, k, x, x)
-    assert model.basis_cache == {key: None}          # asked for once, nothing kept
-    second = equivariant_kernel_log(model, nu, k, x, x)
-    basis = model.basis_cache[key]
-    assert isinstance(basis, hardy.IsotypicBasis) and basis.dim == isotypic_dim(model, nu, k)
+    basis = model.basis_cache[key]                   # one chunk: stored at once
+    assert model.basis_cache == {key: basis} and basis.dim == isotypic_dim(model, nu, k)
+    assert first == hardy._basis_sum(basis.alphas, basis.log_norms, x, x)
     monkeypatch.setattr(TorusModel, "isotypic_chunks", _refuse_listing)
+    second = equivariant_kernel_log(model, nu, k, x, x)
     third = equivariant_kernel_log(model, nu, k, x, x)
-    assert model.basis_cache[key] is basis and isotypic_basis(model, nu, k) is basis
+    assert model.basis_cache == {key: basis} and isotypic_basis(model, nu, k) is basis
     assert first == second == third
     monkeypatch.undo()
-    # an explicit request stores at once
+    # an explicit request stores the same basis
     other = build_model("s1-cp2-w123")
     stored = isotypic_basis(other, nu, k)
     assert other.basis_cache == {key: stored}
+    assert np.array_equal(stored.alphas, basis.alphas)
+
+
+def test_a_kernel_key_is_k_as_given():
+    # k = 2.5 puts k nu off the weight lattice, so its kernel is zero
+    # whether or not k = 2 was evaluated first, and it leaves k = 2 alone
+    model = build_model("s1-cp1-w12")
+    nu, x = model.default_nu, model.default_locus_point()
+    before = equivariant_kernel_log(model, nu, 2, x, x)
+    assert before[0] > -np.inf
+    assert equivariant_kernel_log(model, nu, 2.5, x, x) == (-np.inf, 0.0 + 0.0j)
+    assert equivariant_kernel_log(model, nu, 2, x, x) == before
+    assert isotypic_basis(model, nu, 2.5).dim == 0 and isotypic_basis(model, nu, 2).dim == 2
+
+
+def test_a_direct_basis_request_leaves_a_windowed_kernel_as_it_was():
+    # a long basis built on request is not kept, so the kernel sums the
+    # same windows, with the same bits, before and after it
+    model = build_model("s1-cp2-w123")
+    nu, k = model.default_nu, 1024
+    rng = np.random.default_rng(31)
+    x = model.default_locus_point()
+    pairs = [(x, unit_point(x + 0.05 * random_sphere_point(2, rng))) for _ in range(4)] \
+        + [(random_sphere_point(2, rng), random_sphere_point(2, rng)) for _ in range(4)]
+    before = [equivariant_kernel_log(model, nu, k, p, q) for p, q in pairs]
+    basis = isotypic_basis(model, nu, k)
+    assert basis.dim == isotypic_dim(model, nu, k) > models._LIST_ROWS
+    assert [equivariant_kernel_log(model, nu, k, p, q) for p, q in pairs] == before
+    assert model.basis_cache == {}
 
 
 def test_a_multi_chunk_kernel_sums_its_windows_and_keeps_no_basis(monkeypatch):
     # a listing over one chunk: each evaluation lists the rows at its 513
     # run peaks and its concentration windows only (25.1k of the 87.9k
-    # rows at k = 1024) and keeps neither a basis nor a marker
+    # rows at k = 1024) and keeps no basis
     model = build_model("s1-cp2-w123")
     nu, k = model.default_nu, 1024
     rows, _ = model.isotypic_extent(nu, k)
@@ -1000,7 +1003,7 @@ def _oracle_log_terms(alphas, x, y):
 def test_window_bound_holds_on_every_row_and_keeps_every_summed_one(catalog, case, where, seed,
                                                                     pair, zero):
     mid, k_lo, k_hi = case
-    model = _streamed_model(mid) if mid == "w235" else catalog[mid]
+    model = _listing_model(mid) if mid == "w235" else catalog[mid]
     nu, d = model.default_nu, model.d
     k = model.valid_k(round(k_lo + where * (k_hi - k_lo)))
     rng = np.random.default_rng(seed)
@@ -1063,7 +1066,7 @@ def test_rank1_basis_over_the_memory_budget_is_refused(monkeypatch):
 
 
 @pytest.mark.parametrize("mid, k", [("s1-cp2-w123", 64), ("t2-cp2", 64), ("u2-cp2", 65)])
-def test_streamed_evaluation_over_the_budget_is_refused_before_listing(mid, k, monkeypatch):
+def test_kernel_evaluation_over_the_budget_is_refused_before_listing(mid, k, monkeypatch):
     model = build_model(mid)
     nu = model.default_nu
     rows, _ = model.isotypic_extent(nu, k)
@@ -1074,7 +1077,7 @@ def test_streamed_evaluation_over_the_budget_is_refused_before_listing(mid, k, m
     x = model.default_locus_point()
     with pytest.raises(AssumptionViolation, match=f"{rows} monomials.*{need} bytes"):
         equivariant_kernel_log(model, nu, k, x, x)
-    assert not model.basis_cache                     # a refusal marks no key
+    assert not model.basis_cache                     # a refusal stores nothing
     assert isotypic_dim(model, nu, k) == dim         # a count lists nothing
     monkeypatch.undo()
     monkeypatch.setattr(hardy, "_BASIS_BUDGET_BYTES", need)

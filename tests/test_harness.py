@@ -316,7 +316,7 @@ def test_public_names_are_frozen():
         "exp_jacobian", "gaussian_pair_exponent", "group_volumes", "haar_quadrature",
         "half_weight", "isotypic_basis", "isotypic_dim", "kirillov_character",
         "leading_coefficient", "orbit_quadrature", "orbit_separation", "orbit_volume",
-        "peter_weyl_projector_weight", "phase_hessian", "predict_near_diagonal",
+        "peter_weyl_projector_weight", "predict_near_diagonal",
         "run_suite", "scaled_dimension", "trace_metric", "unit_point",
         "weyl_character", "weyl_dimension",
     ]

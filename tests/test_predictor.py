@@ -3,10 +3,8 @@ import pytest
 
 from coorbit.groups import (
     AssumptionViolation,
-    build_group,
     half_weight,
     random_unitary,
-    trace_metric,
 )
 from coorbit.hardy import equivariant_kernel, isotypic_dim
 from coorbit.models import MODEL_IDS, build_model, unit_point
@@ -14,7 +12,6 @@ from coorbit.predictor import (
     dimension_coefficient,
     gaussian_pair_exponent,
     leading_coefficient,
-    phase_hessian,
     predict_near_diagonal,
 )
 
@@ -247,42 +244,3 @@ def test_dimension_coefficient_empty_locus():
     with pytest.raises(AssumptionViolation):
         dimension_coefficient(model, (2.0, -1.0))
 
-
-# -- stationary-phase Hessian ------------------------------------------------------
-
-def test_phase_hessian_su2_frozen_value():
-    g = build_group("su2")
-    det, sig = phase_hessian(trace_metric(g), half_weight(g, 2.0), 0.5)
-    assert np.isclose(det, -8.0, rtol=1e-12)
-    assert sig == 0
-
-
-def test_phase_hessian_torus_two_by_two():
-    g = build_group("t2")
-    m = trace_metric(g)
-    nu = half_weight(g, (2.0, 1.0))
-    sigma = 0.4
-    det, sig = phase_hessian(m, nu, sigma)
-    assert np.isclose(det, -sigma ** 2 * m.norm_covector(nu.coords) ** 2, rtol=1e-12)
-    assert sig == 0
-
-
-def test_phase_hessian_all_models():
-    for mid in MODEL_IDS:
-        model = build_model(mid)
-        nu = model.default_nu
-        s = model.locus_decompose(nu, model.default_locus_point(nu))
-        xi_prime = None
-        if model.group.rank >= 2:
-            xi_prime = np.zeros(model.group.rank)
-            # a direction in t_nu: orthogonal to nu under the duality pairing
-            xi_prime[0], xi_prime[1] = nu.coords[1], -nu.coords[0]
-        det, sig = phase_hessian(model.metric, nu, s.sigma, xi_prime=xi_prime)
-        assert sig == 0
-        assert det < 0
-
-
-def test_phase_hessian_rejects_nonregular():
-    g = build_group("u2")
-    with pytest.raises(ValueError):
-        phase_hessian(trace_metric(g), (1.5, 1.5), 0.5)   # on the wall nu1 = nu2
