@@ -31,8 +31,8 @@ A longer listing is summed over its concentration windows at every
 evaluation, and nothing is stored: the method-of-types bound on each
 term's log (:func:`_log_bound`) is concave along every run, so the rows
 whose bound is within 61 of the largest term found form one interval
-per run, found by bisection, and only those are listed, normed and
-summed.  Each row
+per run, and only those are listed, normed and summed (found exactly by
+Newton guesses checked in one batch of bounds per search).  Each row
 left out is below e^-61 of the largest term, inside the e^-60 cut, and
 each row kept has the full sum's exponent arithmetic, so the value is
 the full sum's to within its rounding bound (s1-cp2-w123 at k = 8192
@@ -358,14 +358,10 @@ def _basis_sum(alphas, log_norms, x, y):
     return _block_sum(_stored_blocks(alphas, log_norms), x, y)
 
 
-def _xlogx(v):
-    """v log v entrywise, 0 where v = 0."""
-    return v * np.log(np.maximum(v, _TINY))
-
-
 def _log_bound(starts, step, s, linear):
     """The method-of-types bound B at the real rows alpha = starts[:, i] +
-    s[i] step, one per run (a column of the (d+1, R) starts each).
+    s[i] step, one per run (a column of the (d+1, R) starts each; or s a
+    (k, R) stack and starts (d+1, 1, R)).
 
     For alpha >= 0 with |alpha| = n, (n choose alpha) <= n^n / prod_j
     alpha_j^alpha_j (Cover & Thomas, Elements of Information Theory,
@@ -378,30 +374,48 @@ def _log_bound(starts, step, s, linear):
     so a zero coordinate gives a finite stand-in and never NaN).  B is
     concave in alpha (n log n - sum alpha_j log alpha_j is the
     perspective of the entropy, log(n + i) is concave) and so along every
-    run.
+    run.  No matrix product: a row's B has the same bits in any batch.
     """
-    alpha = starts + step[:, None] * s
-    n = alpha.sum(axis=0)
-    d = len(alpha) - 1
-    bound = _xlogx(n) - _xlogx(alpha).sum(axis=0) + linear @ alpha - d * np.log(np.pi)
+    alpha = np.multiply.outer(step, s)
+    alpha += starts
+    n, d = alpha.sum(axis=0), len(alpha) - 1
+    gain = np.maximum(alpha, _TINY)                  # alpha_j (log alpha_j - linear_j), in place
+    np.log(gain, out=gain)
+    gain -= np.expand_dims(linear, tuple(range(1, alpha.ndim)))
+    gain *= alpha
+    bound = n * np.log(np.maximum(n, _TINY)) - gain.sum(axis=0) - d * np.log(np.pi)
     for i in range(1, d + 1):
         bound += np.log(n + i)
     return bound
 
 
-def _first_true(lo, hi, test):
-    """Per run, the least s in [lo, hi] at which test holds, by bisection
-    over all runs at once; test takes one s per run and is false, then
-    true, along [lo, hi) (hi when it never holds there).  Every s it is
-    given lies in [lo, hi]."""
-    while True:
-        active = lo < hi
-        if not active.any():
-            return lo
-        mid = (lo + hi) // 2
-        holds = test(mid)
-        hi = np.where(active & holds, mid, hi)
-        lo = np.where(active & ~holds, mid + 1, lo)
+def _log_slopes(starts, step, s, linear):
+    """(dB/ds, about d2B/ds2 < 0) of :func:`_log_bound` at real s of each
+    run, e = sum_j step_j: step . linear + e log n - sum_j step_j log alpha_j
+    + sum_{i <= d} e / (n + i), and e^2 / n - sum_j step_j^2 / alpha_j
+    (alpha floored at 1e-200: a zero coordinate gives a finite slope)."""
+    alpha = np.maximum(starts + step[:, None] * s, 1e-200)
+    n, e = alpha.sum(axis=0), step.sum()
+    slope = e * np.log(n) + step @ linear - step @ np.log(alpha)
+    for i in range(1, len(alpha)):
+        slope += e / (n + i)
+    return slope, e * e / n - step ** 2 @ (1 / alpha)
+
+
+def _first_true(hi, test, guess):
+    """Per run, the least s in [0, hi] where test(i, s) holds (run indices
+    i, k consecutive s per run as a (k, m) array; false, then true, along
+    [0, hi), false below 0, true from hi on), asked at guess - 1, guess
+    and guess + 1, then by bisection of the runs still unsettled only."""
+    lo, hi, runs = np.zeros_like(hi), hi.copy(), np.arange(len(hi))
+    s = guess + np.arange(-1, 2)[:, None]
+    while len(runs):
+        holds = test(runs, s)
+        hi[runs] = np.where(holds, s, hi[runs]).min(axis=0)
+        lo[runs] = np.where(holds, lo[runs], s + 1).max(axis=0)
+        runs = runs[lo[runs] < hi[runs]]
+        s = (lo[runs] + hi[runs])[None] // 2
+    return lo
 
 
 def _peak_exponent(runs, d, top, x, y, peak):
@@ -423,11 +437,14 @@ def _concentration_windows(runs, d, top, x, y):
     E* + _WINDOW_CUT.
 
     B is concave along each run, so those candidates form one interval
-    per run, found by bisection vectorized over runs: first each run's
-    peak (the first candidate at which B stops rising), then E*, the
-    largest exact exponent next to the peaks (:func:`_peak_exponent`),
-    then the two ends of every run whose peak reaches the cut.  Every
-    count is 0 when the listing is empty.
+    per run.  Newton steps on B's slope (:func:`_log_slopes`) guess each
+    run's peak, the first candidate at which B stops rising; then come
+    E*, the largest exact exponent next to the peaks
+    (:func:`_peak_exponent`), and both ends of every run whose peak
+    reaches the cut at once, from a parabola at the peak and Newton steps
+    on B - cut.  :func:`_first_true` checks each guess, so the windows
+    are exact.  Nothing is kept between evaluations.  Every count is 0
+    when the listing is empty.
     """
     first, counts = np.zeros_like(runs.lengths), np.zeros_like(runs.lengths)
     if not len(runs.lengths):
@@ -435,19 +452,52 @@ def _concentration_windows(runs, d, top, x, y):
     linear = _safe_log(x).real + _safe_log(y).real
     starts, step = runs.real_lines
     last = runs.lengths - 1
-    peak = _first_true(np.zeros_like(last), last, lambda s: _log_bound(
-        starts, step, np.minimum(s + 1, last), linear) <= _log_bound(starts, step, s, linear))
+    # Newton in v = artanh of s's place between the ends of the run's line in
+    # the cone (a bounded listing's step has both signs), where the slope's
+    # log singularities are linear; one-candidate runs stay at 0
+    curve, root, moving = np.full(len(last), -1.0), np.zeros(len(last)), np.flatnonzero(last)
+    lines, edge = np.take(starts, moving, axis=1), last[moving] - 0.25
+    left = (-lines[step > 0] / step[step > 0, None]).max(axis=0)
+    half = ((lines[step < 0] / -step[step < 0, None]).min(axis=0) - left) / 2
+    at = np.clip(left + half, 0.25, edge)
+    for _ in range(3):
+        slope, curve[moving] = _log_slopes(lines, step, at, linear)
+        z = (at - left) / half - 1
+        v = np.arctanh(z) - slope / (curve[moving] * half * (1 - z * z))
+        at = np.clip(left + half * (1 + np.tanh(v)), 0.25, edge)
+    root[moving] = at
+
+    def falls(i, s):                # B(s + 1) <= B(s), s a (k, m) stack
+        bound = _log_bound(np.take(starts, i, axis=1)[:, None], step,
+                           np.clip(np.concatenate([s, s[-1:] + 1]), 0, last[i]), linear)
+        return (bound[1:] <= bound[:-1]) & (s >= 0) | (s >= last[i])
+
+    peak = _first_true(last, falls, np.floor(root).astype(last.dtype))
     largest = _peak_exponent(runs, d, top, x, y, peak)
     if largest is None:
         return first, counts
     cut = largest + _WINDOW_CUT
-    live = np.flatnonzero(_log_bound(starts, step, peak, linear) >= cut)   # windows not empty
-    starts, peak, last = starts[:, live], peak[live], last[live]
-    lo = _first_true(np.zeros_like(peak), peak,
-                     lambda s: _log_bound(starts, step, s, linear) >= cut)
-    hi = _first_true(peak, last, lambda s: _log_bound(
-        starts, step, np.minimum(s + 1, last), linear) < cut)
-    first[live], counts[live] = lo, hi - lo + 1
+    height = _log_bound(starts, step, peak, linear)
+    live = np.flatnonzero(height >= cut)                 # windows not empty
+    # t rows out from the peak: column i the left end of live run i,
+    # column len(live) + i its right end
+    both, out = np.tile(live, 2), np.repeat([-1, 1], len(live))
+    at, peak = np.take(starts, both, axis=1), peak[both]
+    reach = np.where(out < 0, peak, last[both] - peak)
+    t = np.minimum(np.sqrt(2 * (height[both] - cut) / -curve[both]), reach)
+    for _ in range(2):      # from outside the end on, as B is concave
+        s = peak + out * t
+        slope, _ = _log_slopes(at, step, s, linear)
+        t = np.clip(t + (_log_bound(at, step, s, linear) - cut)
+                    / np.maximum(-out * slope, 1e-9), 0, reach)
+
+    def beyond(i, t):               # B one row further out is under the cut
+        bound = _log_bound(np.take(at, i, axis=1)[:, None], step,
+                           peak[i] + out[i] * np.clip(t + 1, 0, reach[i]), linear)
+        return (bound < cut) & (t >= 0) | (t >= reach[i])
+
+    t = _first_true(reach, beyond, np.floor(t).astype(reach.dtype) - 1)
+    first[live], counts[live] = peak[:len(live)] - t[:len(live)], t[:len(live)] + t[len(live):] + 1
     return first, counts
 
 

@@ -56,6 +56,9 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 # Rows an isotypic listing yields at a time (on tori: candidate rows
 # expanded and checked at a time).
 _LIST_ROWS = 1 << 16
+# Candidates a chunk expands at a time: its int64 temporaries (96 KB) stay
+# under glibc's 128 KB mmap threshold, so they are reused, not faulted anew.
+_EXPAND_ROWS = 12288
 # Largest build a basis, the log-factorial table or a coin-change count
 # may take: a quarter of an 8 GB machine.  k = 16384 on s1-cp2-w123
 # (22.4M monomials, 0.54 GB) fits, k = 32768 (89.5M, 2.148 GB) does not.
@@ -165,27 +168,30 @@ class IsotypicRuns:
 
         Each column is its run's start, run-length expanded
         (``np.repeat``) over the candidates, plus the candidate times the
-        step, in int64, and is written into the int32 chunk as soon as it
-        is made, so that one int64 column and its temporaries are alive
-        at a time; a column with scale > 1 is divided by it first, a row
-        kept iff every remainder is 0.
+        step, in int64, written into the int32 chunk _EXPAND_ROWS
+        candidates at a time; a column with scale > 1 is divided by it
+        first, a row kept iff every remainder is 0.
         """
-        first_run = int(np.searchsorted(edges, lo, side="right")) - 1
-        stop_run = int(np.searchsorted(edges, hi, side="left"))
-        runs = slice(first_run, stop_run)
-        counts = np.diff(np.clip(edges[first_run:stop_run + 1], lo, hi))
-        s = np.arange(lo, hi)
-        s -= np.repeat(edges[runs] - first[runs], counts)
         chunk, ok = np.empty((hi - lo, len(self.step)), dtype=np.int32), None
-        for j, (start, step, scale) in enumerate(zip(self.starts[runs].T, self.step.tolist(),
-                                                     self.scale.tolist())):
-            col = np.repeat(start, counts)
-            if step:
-                col += s * step
-            if scale != 1:
-                col, rem = np.divmod(col, scale)
-                ok = rem == 0 if ok is None else ok & (rem == 0)
-            chunk[:, j] = col
+        for a in range(lo, hi, _EXPAND_ROWS):
+            b = min(a + _EXPAND_ROWS, hi)
+            first_run = int(np.searchsorted(edges, a, side="right")) - 1
+            stop_run = int(np.searchsorted(edges, b, side="left"))
+            runs, rows = slice(first_run, stop_run), slice(a - lo, b - lo)
+            counts = np.diff(np.clip(edges[first_run:stop_run + 1], a, b))
+            s = np.arange(a, b)
+            s -= np.repeat(edges[runs] - first[runs], counts)
+            for j, (start, step, scale) in enumerate(zip(self.starts[runs].T, self.step.tolist(),
+                                                         self.scale.tolist())):
+                col = np.repeat(start, counts)
+                if step:
+                    col += s * step
+                if scale != 1:
+                    col, rem = np.divmod(col, scale)
+                    if ok is None:
+                        ok = np.ones(hi - lo, dtype=bool)
+                    ok[rows] &= rem == 0
+                chunk[rows, j] = col
         return chunk if ok is None or ok.all() else chunk[ok]
 
 

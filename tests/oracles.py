@@ -439,3 +439,45 @@ def monomial_sum_mp(alphas, x, y, dps=60):
             total += term
             magnitude += abs(term)
         return +total, +magnitude
+
+
+def bisected_windows(runs, d, top, x, y):
+    """The concentration windows (first, counts) of
+    ``hardy._concentration_windows``, found by plain bisection over every
+    run at every step: each run's peak (two bound evaluations per step),
+    then E*, then each end of every run whose peak reaches the cut.  It
+    shares the bound B and E* with the library and checks only the search.
+    """
+    from coorbit import hardy
+
+    def first_true(lo, hi, test):
+        while True:
+            active = lo < hi
+            if not active.any():
+                return lo
+            mid = (lo + hi) // 2
+            holds = test(mid)
+            hi = np.where(active & holds, mid, hi)
+            lo = np.where(active & ~holds, mid + 1, lo)
+
+    log_bound = hardy._log_bound
+    first, counts = np.zeros_like(runs.lengths), np.zeros_like(runs.lengths)
+    if not len(runs.lengths):
+        return first, counts
+    linear = hardy._safe_log(x).real + hardy._safe_log(y).real
+    starts, step = runs.real_lines
+    last = runs.lengths - 1
+    peak = first_true(np.zeros_like(last), last, lambda s: log_bound(
+        starts, step, np.minimum(s + 1, last), linear) <= log_bound(starts, step, s, linear))
+    largest = hardy._peak_exponent(runs, d, top, x, y, peak)
+    if largest is None:
+        return first, counts
+    cut = largest + hardy._WINDOW_CUT
+    live = np.flatnonzero(log_bound(starts, step, peak, linear) >= cut)
+    starts, peak, last = starts[:, live], peak[live], last[live]
+    lo = first_true(np.zeros_like(peak), peak,
+                    lambda s: log_bound(starts, step, s, linear) >= cut)
+    hi = first_true(peak, last, lambda s: log_bound(
+        starts, step, np.minimum(s + 1, last), linear) < cut)
+    first[live], counts[live] = lo, hi - lo + 1
+    return first, counts

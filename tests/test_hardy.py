@@ -35,6 +35,7 @@ from coorbit.models import (
 )
 
 from oracles import (
+    bisected_windows,
     coin_change_count,
     lattice_count,
     lattice_points,
@@ -1045,6 +1046,60 @@ def test_window_bound_holds_on_every_row_and_keeps_every_summed_one(catalog, cas
         gap = abs(np.exp(windowed[0] - full[0]) * windowed[1] - full[1])
         magnitude = np.sum(np.exp(terms - full[0]))
         assert gap <= _route_bound(alphas, x, y) * magnitude, (mid, k, gap)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(case=st.sampled_from(_WINDOW_CASES), where=st.floats(0, 1), seed=st.integers(0, 2 ** 32),
+       pair=st.sampled_from(["diagonal", "near", "random"]), zero=st.integers(-1, 3))
+def test_window_search_finds_the_bisection_windows(catalog, case, where, seed, pair, zero):
+    # the Newton-guided search and the plain bisection of every run give
+    # the same window on every run with one (an empty one may start
+    # anywhere); a zero coordinate must not warn (warnings are errors)
+    mid, k_lo, k_hi = case
+    model = _listing_model(mid) if mid == "w235" else catalog[mid]
+    nu, d = model.default_nu, model.d
+    k = model.valid_k(round(k_lo + where * (k_hi - k_lo)))
+    rng = np.random.default_rng(seed)
+    x = random_sphere_point(d, rng)
+    if 0 <= zero <= d:
+        x[zero] = 0.0
+        x = unit_point(x)
+    y = {"diagonal": x, "near": unit_point(x + 0.05 * random_sphere_point(d, rng)),
+         "random": random_sphere_point(d, rng)}[pair]
+    _, top = model.isotypic_extent(nu, k)
+    runs = model.isotypic_runs(nu, k)
+    first, counts = hardy._concentration_windows(runs, d, top, x, y)
+    want_first, want_counts = bisected_windows(runs, d, top, x, y)
+    assert np.array_equal(counts, want_counts), (mid, k)
+    assert np.array_equal(first[counts > 0], want_first[counts > 0]), (mid, k)
+
+
+def test_window_search_takes_a_few_batched_bound_evaluations(monkeypatch):
+    # one windowed s1-cp2-w123 evaluation at k = 2048 (1025 runs, the
+    # kernel-scan key): the bisection of every run took 38 bound
+    # evaluations over 26 run-columns per run; the Newton-guided search
+    # takes 10 bound and slope evaluations over 11 to 13 run-columns per
+    # run, and finds the same windows
+    model = build_model("s1-cp2-w123")
+    nu, k = model.default_nu, 2048
+    rows, top = model.isotypic_extent(nu, k)
+    runs = model.isotypic_runs(nu, k)
+    assert rows > models._LIST_ROWS and len(runs.lengths) == 1025
+    columns = []
+    for name in ("_log_bound", "_log_slopes"):
+        monkeypatch.setattr(hardy, name, lambda starts, step, s, linear, f=getattr(hardy, name):
+                            columns.append(np.size(s)) or f(starts, step, s, linear))
+    rng = np.random.default_rng(17)
+    x = model.default_locus_point()
+    for p, q in [(x, x), (x, unit_point(x + 0.02 * random_sphere_point(2, rng))),
+                 (random_sphere_point(2, rng), random_sphere_point(2, rng))]:
+        columns.clear()
+        equivariant_kernel_log(model, nu, k, p, q)
+        assert len(columns) <= 12 and sum(columns) <= 14 * len(runs.lengths), columns
+        first, counts = hardy._concentration_windows(runs, model.d, top, p, q)
+        want_first, want_counts = bisected_windows(runs, model.d, top, p, q)
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(first[counts > 0], want_first[counts > 0])
 
 
 def _refuse_listing(self, nu, k):
