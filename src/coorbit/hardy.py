@@ -26,7 +26,11 @@ one ``models._LIST_ROWS`` chunk is stored on the first evaluation of a
 (nu, k): a basis of int32 exponents and float64 log-norms (normed
 against a log-factorial table sized once from the listing's exponent
 bound; 4 (d + 1) + 8 B per monomial, built at about 8 (d + 1) B per
-row), kept on the model under (nu, k) and summed whole from then on.
+row) and kept on the model under (nu, k).  Each evaluation takes the
+real part of every stored row's exponent by one float product, and sums
+only the rows within 61 of the largest (t2-cp2 at k = 8192 keeps about
+10% of its 8193 rows): each row left out is below e^-60 of the largest
+term, under the cut, and each row kept has the full sum's exponent bits.
 A longer listing is summed over its concentration windows at every
 evaluation, and nothing is stored: the method-of-types bound on each
 term's log (:func:`_log_bound`) is concave along every run, so the rows
@@ -37,7 +41,7 @@ left out is below e^-61 of the largest term, inside the e^-60 cut, and
 each row kept has the full sum's exponent arithmetic, so the value is
 the full sum's to within its rounding bound (s1-cp2-w123 at k = 8192
 sums 213k of its 5.6M rows).  Log-factorials come from one table, grown
-on demand, of a pure-Python port of Cephes lgam (the values of
+on demand, of a numpy port of Cephes lgam (the values of
 scipy.special.gammaln, bit for bit, with numpy as the only dependency).
 Isotypic dimensions are never listed: each catalog model counts its own
 in closed form (``isotypic_dim``), at any k.  Only the listings behind a
@@ -73,9 +77,10 @@ _BLOCK_ROWS = 4096
 # eps (worst + log2 N + 2) sum |terms| by under 1%.
 _NEGLIGIBLE = -60.0
 # A windowed sum lists only the rows whose bound is within 61 of the
-# largest term exponent it has found: each row left out is below e^-61 of
-# the largest term, under the cut above with a unit margin for the
-# rounding of the bound.
+# largest term exponent it has found, and a stored sum sums only the rows
+# whose exponent, by a float product, is within 61 of the largest: each
+# row left out is under the cut above, with a unit margin for the rounding
+# of the bound or the product.
 _WINDOW_CUT = _NEGLIGIBLE - 1.0
 
 
@@ -94,7 +99,10 @@ def _basis_row_bytes(d):
     8 (d + 1) bounds them all, beside a fixed few MB of chunk temporaries.
     The kernel stores only bases of at most one ``_LIST_ROWS`` chunk
     (under 2.5 MB each at d <= 3); a longer one is built only on a direct
-    :func:`isotypic_basis` request and not kept.  A windowed sum keeps no
+    :func:`isotypic_basis` request and not kept.  A sum of a stored basis
+    adds 8 (d + 2) B per row for its float pre-pass (a float copy of the
+    exponents and the row logs, 2.1 MB at 65535 rows at d = 2) and a copy
+    of the rows it keeps.  A windowed sum keeps no
     basis, only one chunk and its temporaries and the listing's runs,
     kept on the model (on a torus with f = d + 1 - r free coordinates,
     one per prefix row of all but the last one, O(k^(f - 1)): O(k) on
@@ -105,37 +113,20 @@ def _basis_row_bytes(d):
     return 8 * (d + 1)
 
 
-# Cephes lgam (S. L. Moshier): the Stirling correction for 13 <= x < 1000
-# and log sqrt(2 pi).
+# Cephes lgam (S. L. Moshier): for x = m + 1 the Stirling correction's
+# Horner coefficients in p = 1 / x^2, for 13 <= x < 1000 and for
+# 1000 <= x <= 1e8 (none past that), and log sqrt(2 pi).
 _LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
            7.93650340457716943945e-4, -2.77777777730099687205e-3,
            8.33333333333331927722e-2)
 _LS2PI = 0.91893853320467274178
-
-
-def _log_factorial(m):
-    """log m! as Cephes lgam(m + 1.0) computes it, with libm's log.
-
-    For x = m + 1 < 13 Cephes takes the log of the exact product
-    (x - 1)!; above that, Stirling's series with its polynomial
-    correction (a two-term one from x = 1000, none past 1e8).  These are
-    the values of ``scipy.special.gammaln(m + 1.0)``, bit for bit.
-    """
-    x = m + 1.0
-    if x < 13.0:
-        return math.log(math.factorial(m))
-    q = (x - 0.5) * math.log(x) - x + _LS2PI
-    if x > 1.0e8:
-        return q
-    p = 1.0 / (x * x)
-    if x >= 1000.0:
-        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-                    + 0.0833333333333333333333) / x
-    poly = _LGAM_A[0]
-    for coef in _LGAM_A[1:]:
-        poly = poly * p + coef
-    return q + poly / x
-
+_LGAM_B = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3,
+           0.0833333333333333333333)
+# Peak bytes of a log-factorial table growth per new entry (x, the new
+# values, p and one correction slice, 8 B each: tracemalloc gives 32.0 B
+# at 1e5 and 1e6 new entries) and per old entry (the table and its
+# concatenation).
+_LOG_FACTORIAL_NEW_BYTES, _LOG_FACTORIAL_OLD_BYTES = 40, 16
 
 # log m! for m = 0 ... len - 1; grown on demand, never shrunk or rewritten.
 _LOG_FACTORIALS = np.zeros(1)
@@ -144,21 +135,39 @@ _LOG_FACTORIALS = np.zeros(1)
 def _log_factorials(top):
     """The table of log m!, m = 0 ... top at least (indexable up to top).
 
-    Each entry is computed once per process by :func:`_log_factorial`, so
-    the values do not depend on the order in which the table grew.  A
-    growth over _BASIS_BUDGET_BYTES raises AssumptionViolation before it
-    starts: a new entry peaks at 40 B (a Python float in a list, then its
-    array slot) and an old one at 16 B (the table and its concatenation).
+    Each new entry is log m! as Cephes lgam(m + 1.0) computes it, in its
+    order of operations and with libm's log (``math.log``; numpy's log
+    differs in the last bit on a few entries): the log of the exact
+    (x - 1)! for x = m + 1 < 13, and above that Stirling's series with
+    its correction.  These are the values of ``scipy.special.gammaln(m +
+    1.0)``, bit for bit, by elementwise arithmetic, so they do not depend
+    on the order in which the table grew.  A growth over
+    _BASIS_BUDGET_BYTES raises AssumptionViolation before it starts.
     """
     global _LOG_FACTORIALS
     have = len(_LOG_FACTORIALS)
     if top >= have:
-        need = 40 * (top + 1 - have) + 16 * have
+        need = _LOG_FACTORIAL_NEW_BYTES * (top + 1 - have) + _LOG_FACTORIAL_OLD_BYTES * have
         if need > _BASIS_BUDGET_BYTES:
             raise AssumptionViolation(
                 f"log-factorials up to {top}! need about {need} bytes, over the "
                 f"{_BASIS_BUDGET_BYTES}-byte memory budget")
-        more = np.array([_log_factorial(m) for m in range(have, top + 1)])
+        x = np.arange(have + 1, top + 2, dtype=float)
+        more = x - 0.5                  # (x - 0.5) log x - x + log sqrt(2 pi)
+        more *= np.fromiter(map(math.log, range(have + 1, top + 2)), float, len(x))
+        more -= x
+        more += _LS2PI
+        p = x * x
+        np.divide(1.0, p, out=p)
+        small, mid, big = np.searchsorted(x, (13.0, 1000.0, 1.0e8 + 1.0))
+        more[:small] = [math.log(math.factorial(m)) for m in range(have, have + small)]
+        for part, coefs in ((slice(small, mid), _LGAM_A), (slice(mid, big), _LGAM_B)):
+            poly = np.full(part.stop - part.start, coefs[0])
+            for coef in coefs[1:]:
+                poly *= p[part]
+                poly += coef
+            poly /= x[part]
+            more[part] += poly
         _LOG_FACTORIALS = np.concatenate([_LOG_FACTORIALS, more])
     return _LOG_FACTORIALS
 
@@ -241,7 +250,8 @@ def isotypic_basis(model, nu, k):
     A basis of at most one ``models._LIST_ROWS`` chunk (the rows of
     ``isotypic_extent``) is built once and kept in the model's
     ``basis_cache`` under (nu, k), k exactly as given;
-    :func:`equivariant_kernel_log` sums it from there.  A longer one is
+    :func:`equivariant_kernel_log` sums its rows that can reach the cut
+    from there (:func:`_basis_sum`).  A longer one is
     built on every request and not kept: the kernel sums such a listing
     over its concentration windows instead.
 
@@ -272,6 +282,8 @@ def isotypic_dim(model, nu, k):
 
 def _safe_log(z):
     z = np.asarray(z, dtype=complex)
+    if z.all():                 # no zero: the same bits, without the masks
+        return np.log(z)
     out = np.full(z.shape, _BIG_NEG, dtype=complex)
     mask = np.abs(z) > 0
     out[mask] = np.log(z[mask])
@@ -308,14 +320,18 @@ def _block_exponents(blocks, x, y):
     for alphas, log_norms in blocks:
         size = len(alphas)
         if cast is None or size > len(cast):      # the first block is the largest
-            cast = np.empty(alphas.shape, dtype=complex)
-            expos, other = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+            cast = np.empty((max(size, 2), alphas.shape[1]), dtype=complex)
+            cast[size:] = 0                         # the padding row of a one-row block
+            expos, other = np.empty(len(cast), dtype=complex), np.empty(len(cast), dtype=complex)
         # one cast per block: an int32 operand would be cast in each product
-        # on a path many times slower than the complex one
-        block, expo = cast[:size], expos[:size]
-        block[...] = alphas
-        np.matmul(block, lx, out=expo)
-        expo += np.matmul(block, ly, out=other[:size])
+        # on a path many times slower than the complex one; and two rows at
+        # least: numpy takes a one-row product through its dot path, which
+        # rounds differently from gemv, so a row's bits would hang on its block
+        rows = max(size, 2)
+        cast[:size] = alphas
+        np.matmul(cast[:rows], lx, out=expos[:rows])
+        expos[:rows] += np.matmul(cast[:rows], ly, out=other[:rows])
+        expo = expos[:size]
         expo -= log_norms
         yield expo
         del alphas, log_norms            # not alive while the next block is listed
@@ -353,9 +369,26 @@ def _block_sum(blocks, x, y):
     return shift + float(np.log(np.abs(total))), total / np.abs(total)
 
 
+def _reaching_rows(alphas, log_norms, x, y):
+    """Indices of the rows of a stored basis whose term can reach the cut:
+    the real part of each exponent, by one float product
+    ``alphas @ (log|x| + log|y|) - log_norms``, within 61 of the largest
+    (_WINDOW_CUT: the e^-60 cut with a unit margin for the product's
+    rounding, as in the windows)."""
+    reach = alphas @ (_safe_log(x).real + _safe_log(y).real)
+    reach -= log_norms
+    return np.flatnonzero(reach >= reach.max(initial=-np.inf) + _WINDOW_CUT)
+
+
 def _basis_sum(alphas, log_norms, x, y):
-    """:func:`_block_sum` over a stored basis: no array is N long."""
-    return _block_sum(_stored_blocks(alphas, log_norms), x, y)
+    """:func:`_block_sum` over the rows of a stored basis that can reach
+    the cut (:func:`_reaching_rows`).  Each row left out is below e^-60 of
+    the largest term, so it is one the uncut sum's negligible-term bound
+    covers (see _NEGLIGIBLE); each row kept goes through the same complex
+    product, with the same bits."""
+    kept = _reaching_rows(alphas, log_norms, x, y)
+    return _block_sum(_stored_blocks(np.take(alphas, kept, axis=0), np.take(log_norms, kept)),
+                      x, y)
 
 
 def _log_bound(starts, step, s, linear):
@@ -418,14 +451,29 @@ def _first_true(hi, test, guess):
     return lo
 
 
-def _peak_exponent(runs, d, top, x, y, peak):
+def _peak_exponent(runs, d, top, x, y, peak, height):
     """E*: the largest term exponent, in the sum's own arithmetic, among
     the listed rows within det - 1 candidates of each run's peak (a
     run's rows are at most det apart, so a run with any has one there);
-    None when there is none, so that the listing is empty."""
+    None when there is none, so that the listing is empty.
+
+    Only the runs whose peak bound (height) reaches L - 1 are listed, L
+    the exponent of the candidate at the highest peak bound if it is a
+    listed row (-inf if not), in float arithmetic: B bounds every row of
+    its run and peaks at the peak, and E* >= L up to a rounding far
+    inside the unit margin, so no other run holds E*, which keeps its bits.
+    """
+    best, found = np.argmax(height), -np.inf
+    row = runs.starts[best] + peak[best] * runs.step
+    if not (row % runs.scale).any():
+        row //= runs.scale
+        log_fact = _log_factorials(top + d)
+        found = row @ (_safe_log(x).real + _safe_log(y).real) - log_fact[row].sum() \
+            - d * np.log(np.pi) + log_fact[row.sum() + d]
     reach = int(runs.scale.max()) - 1
     first = np.maximum(peak - reach, 0)
     counts = np.minimum(peak + reach, runs.lengths - 1) - first + 1
+    counts[height < found - 1.0] = 0
     blocks = _listed_blocks(d, runs.chunks(first, counts), top)
     return max((float(expo.real.max()) for expo in _block_exponents(blocks, x, y)),
                default=None)
@@ -440,7 +488,8 @@ def _concentration_windows(runs, d, top, x, y):
     per run.  Newton steps on B's slope (:func:`_log_slopes`) guess each
     run's peak, the first candidate at which B stops rising; then come
     E*, the largest exact exponent next to the peaks
-    (:func:`_peak_exponent`), and both ends of every run whose peak
+    (:func:`_peak_exponent`, which lists only the runs whose peak bound
+    can reach it), and both ends of every run whose peak
     reaches the cut at once, from a parabola at the peak and Newton steps
     on B - cut.  :func:`_first_true` checks each guess, so the windows
     are exact.  Nothing is kept between evaluations.  Every count is 0
@@ -473,11 +522,11 @@ def _concentration_windows(runs, d, top, x, y):
         return (bound[1:] <= bound[:-1]) & (s >= 0) | (s >= last[i])
 
     peak = _first_true(last, falls, np.floor(root).astype(last.dtype))
-    largest = _peak_exponent(runs, d, top, x, y, peak)
+    height = _log_bound(starts, step, peak, linear)
+    largest = _peak_exponent(runs, d, top, x, y, peak, height)
     if largest is None:
         return first, counts
     cut = largest + _WINDOW_CUT
-    height = _log_bound(starts, step, peak, linear)
     live = np.flatnonzero(height >= cut)                 # windows not empty
     # t rows out from the peak: column i the left end of live run i,
     # column len(live) + i its right end
@@ -536,11 +585,13 @@ def equivariant_kernel_log(model, nu, k, x, y):
     before anything is listed).  A listing of at most one
     ``models._LIST_ROWS`` chunk is built into a basis by
     :func:`isotypic_basis` on the first evaluation of a (nu, k), at about
-    8 (d + 1) B per row, kept on the model and summed whole at every
-    evaluation, with the same bits.  A longer listing is summed over its
+    8 (d + 1) B per row, and kept on the model; every evaluation sums its
+    rows whose exponent, by one float product, is within 61 of the
+    largest (:func:`_basis_sum`).  A longer listing is summed over its
     concentration windows at every evaluation (:func:`_windowed_sum`) and
-    nothing is stored: each row left out is below e^-61 of the largest
-    term, so the value is the full sum's within its rounding bound
+    nothing is stored.  On either route each row left out is below e^-60
+    of the largest term, so the value is the full sum's within its
+    rounding bound
     eps (worst + log2 N + 2) sum |terms|.  Both routes refuse a listing
     over the memory budget at the same k, before anything is listed.
     """

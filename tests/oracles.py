@@ -469,11 +469,12 @@ def bisected_windows(runs, d, top, x, y):
     last = runs.lengths - 1
     peak = first_true(np.zeros_like(last), last, lambda s: log_bound(
         starts, step, np.minimum(s + 1, last), linear) <= log_bound(starts, step, s, linear))
-    largest = hardy._peak_exponent(runs, d, top, x, y, peak)
+    height = log_bound(starts, step, peak, linear)
+    largest = hardy._peak_exponent(runs, d, top, x, y, peak, height)
     if largest is None:
         return first, counts
     cut = largest + hardy._WINDOW_CUT
-    live = np.flatnonzero(log_bound(starts, step, peak, linear) >= cut)
+    live = np.flatnonzero(height >= cut)
     starts, peak, last = starts[:, live], peak[live], last[live]
     lo = first_true(np.zeros_like(peak), peak,
                     lambda s: log_bound(starts, step, s, linear) >= cut)

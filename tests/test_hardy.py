@@ -745,10 +745,7 @@ def test_blocked_basis_sum_matches_the_one_shot_sum():
     far = (random_sphere_point(2, rng), random_sphere_point(2, rng))
     for p, q in ((x, near), far):
         expo = _one_shot_terms(basis.alphas, basis.log_norms, p, q)
-        # a yielded block is valid only until the next one: copy each
-        blocks = [b.copy() for b in hardy._block_exponents(
-            hardy._stored_blocks(basis.alphas, basis.log_norms), p, q)]
-        assert np.array_equal(np.concatenate(blocks), expo)
+        assert np.array_equal(_stored_exponents(basis.alphas, basis.log_norms, p, q), expo)
         shift = np.max(expo.real)
         total = np.sum(np.exp(expo - shift))
         logmag, phase = hardy._basis_sum(basis.alphas, basis.log_norms, p, q)
@@ -895,6 +892,87 @@ def test_basis_sum_empty_basis_and_zero_coordinates():
     # every term vanishes: <e_0, e_1>^n
     e0, e1 = unit_point([1, 0, 0]), unit_point([0, 1, 0])
     assert hardy._basis_sum(alphas, log_norms, e0, e1) == (-np.inf, 0.0 + 0.0j)
+
+
+def _stored_exponents(alphas, log_norms, x, y):
+    # every block's exponents of a stored basis, as one array (a yielded
+    # block is valid only until the next one: copy each)
+    blocks = [block.copy() for block in hardy._block_exponents(
+        hardy._stored_blocks(alphas, log_norms), x, y)]
+    return np.concatenate([np.zeros(0, dtype=complex)] + blocks)
+
+
+# (model, smallest k, largest k) for the stored-sum property test: each
+# listing is at most one chunk, so the kernel stores and sums it
+_STORED_CASES = [("s1-cp1-w12", 2, 20000), ("t2-cp2", 2, 10000), ("u2-cp2", 3, 10001),
+                 ("w235", 200, 1000)]
+
+
+@_DERANDOMIZED
+@given(case=st.sampled_from(_STORED_CASES), where=st.floats(0, 1), seed=st.integers(0, 2 ** 32),
+       pair=st.sampled_from(["diagonal", "near", "far"]), zero=st.integers(-1, 3))
+def test_stored_sum_leaves_out_only_rows_under_the_cut(catalog, case, where, seed, pair, zero):
+    # every row the pre-pass leaves out is below e^-60 of the largest term,
+    # the rows it keeps have the whole basis's exponent bits, and the sum
+    # is the uncut one-shot sum within its rounding bound
+    mid, k_lo, k_hi = case
+    model = _listing_model(mid) if mid == "w235" else catalog[mid]
+    nu, d = model.default_nu, model.d
+    k = model.valid_k(round(k_lo + where * (k_hi - k_lo)))
+    rng = np.random.default_rng(seed)
+    x = random_sphere_point(d, rng)
+    if 0 <= zero <= d:                 # a zero coordinate: its terms are at _BIG_NEG
+        x[zero] = 0.0
+        x = unit_point(x)
+    y = {"diagonal": x, "near": unit_point(x + 0.05 * random_sphere_point(d, rng)),
+         "far": random_sphere_point(d, rng)}[pair]
+    basis = isotypic_basis(model, nu, k)
+    assert 0 < basis.dim <= models._LIST_ROWS
+    every = _stored_exponents(basis.alphas, basis.log_norms, x, y)
+    kept = hardy._reaching_rows(basis.alphas, basis.log_norms, x, y)
+    shift = every.real.max()
+    assert np.all(np.delete(every.real, kept) < shift + hardy._NEGLIGIBLE), (mid, k)
+    gathered = _stored_exponents(basis.alphas[kept], basis.log_norms[kept], x, y)
+    assert np.array_equal(gathered, every[kept]), (mid, k)
+    logmag, phase = hardy._basis_sum(basis.alphas, basis.log_norms, x, y)
+    if shift <= hardy._BIG_NEG / 2:                  # every term vanishes
+        assert (logmag, phase) == (-np.inf, 0.0 + 0.0j)
+        return
+    expo = _one_shot_terms(basis.alphas, basis.log_norms, x, y)
+    gap = abs(np.exp(logmag - shift) * phase - np.sum(np.exp(expo - shift)))
+    magnitude = np.sum(np.exp(expo.real - shift))
+    assert gap <= _route_bound(basis.alphas, x, y) * magnitude, (mid, k, gap)
+
+
+def test_a_concentrated_stored_sum_keeps_few_rows():
+    # t2-cp2 at k = 8192, the kernel-scan key: the pre-pass keeps 11.5% of
+    # the 8193 rows on a near pair, and the sum exponentiates only those
+    model = build_model("t2-cp2")
+    basis = isotypic_basis(model, model.default_nu, 8192)
+    rng = np.random.default_rng(5)
+    x = model.default_locus_point()
+    near = unit_point(x + 0.02 * (rng.standard_normal(3) + 1j * rng.standard_normal(3)))
+    kept = hardy._reaching_rows(basis.alphas, basis.log_norms, x, near)
+    assert len(kept) < 0.15 * basis.dim
+
+
+def test_a_one_row_block_has_the_bits_of_the_whole_product():
+    # t2-cp2 at k = 8192 has 8193 rows: two full blocks and a block of one
+    # row.  numpy would multiply a block of one row through its dot path,
+    # whose bits differ from gemv's on about a quarter of these rows, were
+    # the product not two rows long at least
+    model = build_model("t2-cp2")
+    basis = isotypic_basis(model, model.default_nu, 8192)
+    assert basis.dim % hardy._BLOCK_ROWS == 1
+    rng = np.random.default_rng(8)
+    x = model.default_locus_point()
+    for y in (x, unit_point(x + 0.02 * random_sphere_point(2, rng)), random_sphere_point(2, rng)):
+        expo = _one_shot_terms(basis.alphas, basis.log_norms, x, y)
+        assert np.array_equal(_stored_exponents(basis.alphas, basis.log_norms, x, y), expo)
+        for i in range(0, basis.dim, 31):
+            row = slice(i, i + 1)
+            alone = _stored_exponents(basis.alphas[row], basis.log_norms[row], x, y)
+            assert alone[0] == expo[i], i
 
 
 def _listing_model(mid):
@@ -1074,6 +1152,58 @@ def test_window_search_finds_the_bisection_windows(catalog, case, where, seed, p
     assert np.array_equal(first[counts > 0], want_first[counts > 0]), (mid, k)
 
 
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(case=st.sampled_from(_WINDOW_CASES), where=st.floats(0, 1), seed=st.integers(0, 2 ** 32),
+       pair=st.sampled_from(["diagonal", "near", "random"]), zero=st.integers(-1, 3))
+def test_peak_exponent_is_the_largest_next_to_every_peak(catalog, case, where, seed, pair, zero):
+    # E* lists only the runs whose peak bound can reach it, and it has
+    # the bits of the largest exponent over the rows next to every peak
+    mid, k_lo, k_hi = case
+    model = _listing_model(mid) if mid == "w235" else catalog[mid]
+    nu, d = model.default_nu, model.d
+    k = model.valid_k(round(k_lo + where * (k_hi - k_lo)))
+    rng = np.random.default_rng(seed)
+    x = random_sphere_point(d, rng)
+    if 0 <= zero <= d:
+        x[zero] = 0.0
+        x = unit_point(x)
+    y = {"diagonal": x, "near": unit_point(x + 0.05 * random_sphere_point(d, rng)),
+         "random": random_sphere_point(d, rng)}[pair]
+    _, top = model.isotypic_extent(nu, k)
+    runs, calls = model.isotypic_runs(nu, k), []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hardy, "_peak_exponent", lambda *args, f=hardy._peak_exponent:
+                      calls.append((args, f(*args))) or calls[-1][1])
+        hardy._concentration_windows(runs, d, top, x, y)
+    if not calls:                            # no runs: nothing to list
+        return
+    (*_, peak, _), largest = calls[0]
+    reach = int(runs.scale.max()) - 1
+    first = np.maximum(peak - reach, 0)
+    rows = np.concatenate([np.zeros((0, d + 1), dtype=np.int32)] + list(runs.chunks(
+        first, np.minimum(peak + reach, runs.lengths - 1) - first + 1)))
+    every = _stored_exponents(rows, monomial_log_norms(d, rows, top), x, y)
+    assert largest == (float(every.real.max()) if len(every) else None), (mid, k)
+
+
+def test_peak_exponent_lists_the_peaks_of_a_few_runs(monkeypatch):
+    # s1-cp2-w123 at k = 2048, the kernel-scan key: on the diagonal E*
+    # lists the rows at the peaks of 125 of the 1025 runs, not all of them
+    model = build_model("s1-cp2-w123")
+    nu, k = model.default_nu, 2048
+    _, top = model.isotypic_extent(nu, k)
+    runs, calls, listed = model.isotypic_runs(nu, k), [], []
+    peak_exponent, chunks = hardy._peak_exponent, models.IsotypicRuns.chunks
+    monkeypatch.setattr(hardy, "_peak_exponent",
+                        lambda *args: calls.append(args) or peak_exponent(*args))
+    x = model.default_locus_point()
+    hardy._concentration_windows(runs, model.d, top, x, x)
+    monkeypatch.setattr(models.IsotypicRuns, "chunks", lambda self, first, counts:
+                        listed.append(int(np.sum(counts))) or chunks(self, first, counts))
+    peak_exponent(*calls[0])
+    assert len(runs.lengths) == 1025 and 0 < listed[0] < 0.15 * 1025
+
+
 def test_window_search_takes_a_few_batched_bound_evaluations(monkeypatch):
     # one windowed s1-cp2-w123 evaluation at k = 2048 (1025 runs, the
     # kernel-scan key): the bisection of every run took 38 bound
@@ -1229,7 +1359,8 @@ def test_pivot_solve_past_int64_is_refused_before_listing(monkeypatch):
 
 def test_log_factorial_growth_over_the_budget_is_refused(monkeypatch):
     have = len(hardy._LOG_FACTORIALS)
-    monkeypatch.setattr(hardy, "_BASIS_BUDGET_BYTES", 16 * have + 40 * 99)
+    monkeypatch.setattr(hardy, "_BASIS_BUDGET_BYTES", hardy._LOG_FACTORIAL_OLD_BYTES * have
+                        + hardy._LOG_FACTORIAL_NEW_BYTES * 99)
     with pytest.raises(AssumptionViolation, match="memory budget"):
         hardy._log_factorials(have + 99)
     assert len(hardy._LOG_FACTORIALS) == have
