@@ -252,8 +252,9 @@ class OrbitQuadrature:
 
     ``nodes_sharp`` holds lambda^phi for each node (matrices for
     SU(n)/U(n), coefficient vectors for tori); ``weights`` sum to
-    vol(O_nu).  ``pairing(xi)`` evaluates <lambda, xi> at every node for
-    a Cartan element xi given by its Cartan coefficients.
+    vol(O_nu).  Each run of ``ring`` consecutive nodes is one orbit of the
+    maximal torus: an azimuth ring of the polar-major sphere rule
+    (``ring`` = 2 level), or the single node of a torus point rule.
     """
 
     group: CompactGroup
@@ -262,6 +263,7 @@ class OrbitQuadrature:
     nodes_sharp: np.ndarray
     weights: np.ndarray
     scheme: str
+    ring: int
 
     @property
     def node_count(self):
@@ -272,12 +274,17 @@ class OrbitQuadrature:
         return float(np.sum(self.weights))
 
     def pairing(self, xi):
-        """<lambda, xi> for every node."""
+        """<lambda, xi> at the first node of every ring, xi given by its
+        Cartan coefficients.  The torus fixes xi, so this is the value at
+        every node of the ring, bit for bit: it reads only the diagonal of
+        lambda^phi, which the off-diagonal frame turning a node around its
+        ring leaves exactly alone."""
+        nodes = self.nodes_sharp[::self.ring]
         if self.group.kind == "torus":
             xi = np.asarray(xi, dtype=float)
-            return (self.nodes_sharp @ self.metric.gram) @ xi
+            return (nodes @ self.metric.gram) @ xi
         xi_mat = algebra_matrix(self.group, xi)
-        vals = np.einsum("nij,ji->n", self.nodes_sharp, xi_mat.conj().T)
+        vals = np.einsum("nij,ji->n", nodes, xi_mat.conj().T)
         return self.metric.scale * vals.real
 
 
@@ -303,7 +310,7 @@ def orbit_quadrature(group, metric, nu, level=64):
     if group.kind == "torus":
         return OrbitQuadrature(group, metric, nu.coords,
                                metric.sharp(nu.coords)[None, :],
-                               np.array([1.0]), "point")
+                               np.array([1.0]), "point", 1)
     if group.n != 2:
         raise UnsupportedGroupError(
             f"no orbit quadrature for {group.name}; supported: tori, SU(2), U(2)")
@@ -331,7 +338,7 @@ def _sphere_orbit_quadrature(group, metric, nu, level):
     # the density is G-invariant, so one node gives it for the whole orbit
     return OrbitQuadrature(group, metric, nu.coords, nodes,
                            area_w * _kk_density(metric, nodes[:1]),
-                           f"gauss-sphere-{n_polar}x{n_azimuth}")
+                           f"gauss-sphere-{n_polar}x{n_azimuth}", n_azimuth)
 
 
 def _kk_density(metric, lam):
@@ -369,10 +376,17 @@ def kirillov_character(group, metric, nu, xi, quad=None):
     chi_nu(e^xi) = (2 pi)^{-n_pos} P(xi)^{-1}
     int_{O_nu} e^{i <lambda, xi>} dV(lambda), evaluated with ``quad`` or
     else :func:`orbit_quadrature` at its default level (which refuses
-    SU(n)/U(n) with n >= 3).  With xi = 0 this returns d_nu.
+    SU(n)/U(n) with n >= 3).  The phase is one per torus ring of the rule
+    (:meth:`OrbitQuadrature.pairing`), repeated over the ring's nodes, so
+    the sum has the bits of a phase per node.  With xi = 0 this returns
+    d_nu.  An xi that is not ``rank`` Cartan coefficients is refused.
     """
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (group.rank,):
+        raise ValueError(f"xi must be the {group.rank} Cartan coefficients of a "
+                         f"{group.name} element, not shape {xi.shape}")
     quad = orbit_quadrature(group, metric, nu) if quad is None else quad
-    phases = np.exp(1j * quad.pairing(xi))
+    phases = np.repeat(np.exp(1j * quad.pairing(xi)), quad.ring)
     integral = np.sum(quad.weights * phases)
     p = exp_jacobian(group, xi)
     return (1 / (2 * np.pi)) ** group.n_pos * integral / p

@@ -306,16 +306,16 @@ def _listed_blocks(d, chunks, top):
         del chunk
 
 
-def _block_exponents(blocks, x, y):
+def _block_exponents(blocks, lx, ly):
     """The complex logs of the terms x^a conj(y)^a / ||z^a||^2, one array
-    per (alphas, log_norms) block; each term's arithmetic is that of the
-    one-shot products ``alphas @ lx + alphas @ ly - log_norms``, bit for
-    bit.
+    per (alphas, log_norms) block, from lx = _safe_log(x) and
+    ly = _safe_log(y); each term's arithmetic is that of the one-shot
+    products ``alphas @ lx + alphas @ conj(ly) - log_norms``, bit for bit.
 
     The blocks share one workspace, sized by the first block: a yielded
     array is valid only until the next one is asked for.
     """
-    lx, ly = _safe_log(x), np.conj(_safe_log(y))
+    ly = np.conj(ly)
     cast = None
     for alphas, log_norms in blocks:
         size = len(alphas)
@@ -337,9 +337,10 @@ def _block_exponents(blocks, x, y):
         del alphas, log_norms            # not alive while the next block is listed
 
 
-def _block_sum(blocks, x, y):
+def _block_sum(blocks, lx, ly):
     """(log magnitude, phase-sum) of sum_alpha x^a conj(y)^a / ||z^a||^2
-    over (alphas, log_norms) blocks of _BLOCK_ROWS rows.
+    over (alphas, log_norms) blocks of _BLOCK_ROWS rows, from
+    lx = _safe_log(x) and ly = _safe_log(y).
 
     One pass over the blocks of :func:`_block_exponents`: the running
     sum is kept relative to the largest log magnitude seen so far and
@@ -350,7 +351,7 @@ def _block_sum(blocks, x, y):
     below eps / 100.
     """
     shift, total, terms = -np.inf, 0.0 + 0.0j, None
-    for expo in _block_exponents(blocks, x, y):
+    for expo in _block_exponents(blocks, lx, ly):
         top = float(expo.real.max())
         if top > shift:
             total *= np.exp(shift - top)
@@ -369,13 +370,13 @@ def _block_sum(blocks, x, y):
     return shift + float(np.log(np.abs(total))), total / np.abs(total)
 
 
-def _reaching_rows(alphas, log_norms, x, y):
+def _reaching_rows(alphas, log_norms, lx, ly):
     """Indices of the rows of a stored basis whose term can reach the cut:
     the real part of each exponent, by one float product
-    ``alphas @ (log|x| + log|y|) - log_norms``, within 61 of the largest
-    (_WINDOW_CUT: the e^-60 cut with a unit margin for the product's
-    rounding, as in the windows)."""
-    reach = alphas @ (_safe_log(x).real + _safe_log(y).real)
+    ``alphas @ (log|x| + log|y|) - log_norms`` (lx = _safe_log(x),
+    ly = _safe_log(y)), within 61 of the largest (_WINDOW_CUT: the e^-60
+    cut with a unit margin for the product's rounding, as in the windows)."""
+    reach = alphas @ (lx.real + ly.real)
     reach -= log_norms
     return np.flatnonzero(reach >= reach.max(initial=-np.inf) + _WINDOW_CUT)
 
@@ -386,9 +387,10 @@ def _basis_sum(alphas, log_norms, x, y):
     the largest term, so it is one the uncut sum's negligible-term bound
     covers (see _NEGLIGIBLE); each row kept goes through the same complex
     product, with the same bits."""
-    kept = _reaching_rows(alphas, log_norms, x, y)
+    lx, ly = _safe_log(x), _safe_log(y)
+    kept = _reaching_rows(alphas, log_norms, lx, ly)
     return _block_sum(_stored_blocks(np.take(alphas, kept, axis=0), np.take(log_norms, kept)),
-                      x, y)
+                      lx, ly)
 
 
 def _log_bound(starts, step, s, linear):
@@ -464,18 +466,19 @@ def _peak_exponent(runs, d, top, x, y, peak, height):
     inside the unit margin, so no other run holds E*, which keeps its bits.
     """
     best, found = np.argmax(height), -np.inf
+    lx, ly = _safe_log(x), _safe_log(y)
     row = runs.starts[best] + peak[best] * runs.step
     if not (row % runs.scale).any():
         row //= runs.scale
         log_fact = _log_factorials(top + d)
-        found = row @ (_safe_log(x).real + _safe_log(y).real) - log_fact[row].sum() \
+        found = row @ (lx.real + ly.real) - log_fact[row].sum() \
             - d * np.log(np.pi) + log_fact[row.sum() + d]
     reach = int(runs.scale.max()) - 1
     first = np.maximum(peak - reach, 0)
     counts = np.minimum(peak + reach, runs.lengths - 1) - first + 1
     counts[height < found - 1.0] = 0
     blocks = _listed_blocks(d, runs.chunks(first, counts), top)
-    return max((float(expo.real.max()) for expo in _block_exponents(blocks, x, y)),
+    return max((float(expo.real.max()) for expo in _block_exponents(blocks, lx, ly)),
                default=None)
 
 
@@ -561,7 +564,8 @@ def _windowed_sum(runs, d, top, x, y):
     kept has the exact exponent arithmetic of the full sum.
     """
     first, counts = _concentration_windows(runs, d, top, x, y)
-    return _block_sum(_listed_blocks(d, runs.chunks(first, counts), top), x, y)
+    return _block_sum(_listed_blocks(d, runs.chunks(first, counts), top),
+                      _safe_log(x), _safe_log(y))
 
 
 def equivariant_kernel(model, nu, k, x, y):

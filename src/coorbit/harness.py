@@ -247,7 +247,8 @@ def run_character_suite(config):
     metric = trace_metric(group)
     thetas = np.array([rng.uniform(-np.pi, np.pi, size=2) for _ in range(20)])
     exact = np.exp(1j * (thetas @ nu.coords))
-    kir = np.array([kirillov_character(group, metric, nu, theta) for theta in thetas])
+    quad = orbit_quadrature(group, metric, nu)
+    kir = np.array([kirillov_character(group, metric, nu, theta, quad=quad) for theta in thetas])
     err = float(max(np.max(np.abs(weyl_character(group, nu, thetas) - exact)),
                     np.max(np.abs(kir - exact))))
     _check(rows, fits, "torus-characters",
@@ -263,9 +264,12 @@ def run_character_suite(config):
         trace = np.trace(t, axis1=-2, axis2=-1)
         return np.exp(1j * trace.real) * abs(trace) ** 2
 
+    # h t h^H by two flat products over the stack: a = t h^H as (2N, 2) @
+    # (2, 2), then (h a)_ik = sum_j h_ij a_jk as (N, 4) @ (4, 4)
+    right, left = h.conj().T, np.kron(h, np.eye(2)).T
     base = peter_weyl_projector_weight(g, nu, 1, f, level=12)
-    conj = peter_weyl_projector_weight(
-        g, nu, 1, lambda t: f(h @ t @ h.conj().T), level=12)
+    conj = peter_weyl_projector_weight(g, nu, 1, lambda t: f(
+        ((t.reshape(-1, 2) @ right).reshape(-1, 4) @ left).reshape(t.shape)), level=12)
     cerr = abs(base - conj) / max(1.0, abs(base))
     _check(rows, fits, "su2-haar-conjugation-invariance",
            Row("su2", _nu_str(nu.coords), 1, "haar-conjugation-invariance", cerr, 0.0, cerr),

@@ -482,3 +482,24 @@ def bisected_windows(runs, d, top, x, y):
         starts, step, np.minimum(s + 1, last), linear) < cut)
     first[live], counts[live] = lo, hi - lo + 1
     return first, counts
+
+
+def kirillov_full_node(quad, xi):
+    """The orbit-integral character (2 pi)^{-n_pos} P(xi)^{-1}
+    sum_n w_n e^{i <lambda_n, xi>} of ``characters.kirillov_character``
+    with one complex exponential at every node of the rule ``quad``: the
+    pairing of each node with the Cartan element xi (its coefficients on
+    the Cartan basis matrices for SU(2)/U(2), the metric's Gram matrix on
+    tori), whatever the rule's rings."""
+    from coorbit.characters import exp_jacobian
+
+    group, metric = quad.group, quad.metric
+    xi = np.asarray(xi, dtype=float)
+    if group.kind == "torus":
+        pairing = (quad.nodes_sharp @ metric.gram) @ xi
+    else:
+        xi_mat = np.einsum("m,mij->ij", xi, group.basis_matrices[:group.rank])
+        pairing = metric.scale * np.einsum("nij,ji->n", quad.nodes_sharp,
+                                           xi_mat.conj().T).real
+    integral = np.sum(quad.weights * np.exp(1j * pairing))
+    return (1 / (2 * np.pi)) ** group.n_pos * integral / exp_jacobian(group, xi)

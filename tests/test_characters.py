@@ -1,8 +1,11 @@
 import re
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from coorbit import characters
 from coorbit.characters import (
     QuadratureDisagreement,
     character_at_element,
@@ -28,6 +31,7 @@ from oracles import (
     euler_product,
     finite_difference_exp_jacobian,
     gt_dimension,
+    kirillov_full_node,
     su2_character_weight_sum,
     u2_character_eigen_angles,
     u2_character_from_euler,
@@ -357,7 +361,7 @@ def test_orbit_quadrature_torus_point():
     g = build_group("t2")
     m = trace_metric(g)
     q = orbit_quadrature(g, m, half_weight(g, (2.0, 1.0)))
-    assert q.node_count == 1
+    assert q.node_count == 1 and q.ring == 1
     assert np.isclose(q.volume, 1.0)
 
 
@@ -473,6 +477,84 @@ def test_kirillov_k_rescaled():
     nu = half_weight(g, 14.0)
     val = kirillov_character(g, m, nu, np.array([0.23]))
     assert abs(val - su2_character_weight_sum(14, 0.23)) < 1e-8
+
+
+def _cartan_samples(g, m, rng, count):
+    # regular Cartan elements of phi-norm at most 1, inside exp's
+    # injectivity domain, and xi = 0
+    gram_t = m.gram[:g.rank, :g.rank]
+    xis = [np.zeros(g.rank)]
+    for _ in range(count):
+        xi = rng.uniform(-1, 1, size=g.rank)
+        xis.append(xi / max(1.0, np.sqrt(xi @ gram_t @ xi)))
+    return xis
+
+
+_SPHERE_ORBITS = (("su2", (4.0,)), ("u2", (2.5, 0.5)))
+
+
+def test_orbit_pairing_is_constant_on_each_ring():
+    # the sphere rule is polar-major: each run of 2 level nodes is an
+    # azimuth ring, an orbit of the maximal torus, and the pairing with a
+    # Cartan element has the same bits at every node of it
+    rng = np.random.default_rng(41)
+    for kind, coords in _SPHERE_ORBITS:
+        g = build_group(kind)
+        m = trace_metric(g)
+        q = orbit_quadrature(g, m, half_weight(g, coords), level=64)
+        assert q.ring == 128 and q.node_count == 64 * q.ring
+        every_node = replace(q, ring=1)
+        for xi in _cartan_samples(g, m, rng, 10):
+            rings = every_node.pairing(xi).reshape(64, q.ring)
+            assert np.array_equal(rings, np.repeat(rings[:, :1], q.ring, axis=1)), kind
+            assert np.array_equal(q.pairing(xi), rings[:, 0]), kind
+
+
+def test_kirillov_character_is_the_full_node_sum_bit_for_bit():
+    rng = np.random.default_rng(43)
+    for kind, coords in (*_SPHERE_ORBITS, ("t2", (2.0, 1.0))):
+        g = build_group(kind)
+        m = trace_metric(g)
+        nu = half_weight(g, coords)
+        q = orbit_quadrature(g, m, nu, level=64)
+        for xi in _cartan_samples(g, m, rng, 50):
+            assert kirillov_character(g, m, nu, xi, quad=q) == kirillov_full_node(q, xi), \
+                (kind, xi)
+
+
+def test_kirillov_character_takes_one_exponential_per_ring(monkeypatch):
+    # one complex exponential per azimuth ring: 64 for the 64 x 128 rule,
+    # where one per node took 8192
+    sizes = []
+
+    def counted_exp(z, *args, **kwargs):
+        sizes.append(np.size(z))
+        return np.exp(z, *args, **kwargs)
+
+    monkeypatch.setattr(characters, "np", SimpleNamespace(**{**vars(np), "exp": counted_exp}))
+    for kind, coords in _SPHERE_ORBITS:
+        g = build_group(kind)
+        m = trace_metric(g)
+        nu = half_weight(g, coords)
+        q = orbit_quadrature(g, m, nu, level=64)
+        sizes.clear()
+        val = kirillov_character(g, m, nu, 0.3 * np.ones(g.rank), quad=q)
+        assert sum(sizes) <= 64, (kind, sizes)
+        assert abs(val - weyl_character(g, nu, 0.3 * np.ones(g.rank))) <= 1e-6 * weyl_dimension(g, nu)
+
+
+def test_kirillov_character_refuses_a_non_cartan_xi(monkeypatch):
+    # a full algebra vector would pair with every node and then fail in
+    # the Jacobian; it is refused before any quadrature is built
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a quadrature was built")
+
+    monkeypatch.setattr(characters, "orbit_quadrature", no_quadrature)
+    for kind, coords in _SPHERE_ORBITS:
+        g = build_group(kind)
+        m = trace_metric(g)
+        with pytest.raises(ValueError, match=f"the {g.rank} Cartan coefficients"):
+            kirillov_character(g, m, half_weight(g, coords), np.full(g.dim, 0.1))
 
 
 # -- Peter-Weyl projector pairing ----------------------------------------------

@@ -898,8 +898,14 @@ def _stored_exponents(alphas, log_norms, x, y):
     # every block's exponents of a stored basis, as one array (a yielded
     # block is valid only until the next one: copy each)
     blocks = [block.copy() for block in hardy._block_exponents(
-        hardy._stored_blocks(alphas, log_norms), x, y)]
+        hardy._stored_blocks(alphas, log_norms), hardy._safe_log(x), hardy._safe_log(y))]
     return np.concatenate([np.zeros(0, dtype=complex)] + blocks)
+
+
+def _reaching_rows(basis, x, y):
+    # the stored sum's pre-pass on a basis at the points x and y
+    return hardy._reaching_rows(basis.alphas, basis.log_norms,
+                                hardy._safe_log(x), hardy._safe_log(y))
 
 
 # (model, smallest k, largest k) for the stored-sum property test: each
@@ -929,7 +935,7 @@ def test_stored_sum_leaves_out_only_rows_under_the_cut(catalog, case, where, see
     basis = isotypic_basis(model, nu, k)
     assert 0 < basis.dim <= models._LIST_ROWS
     every = _stored_exponents(basis.alphas, basis.log_norms, x, y)
-    kept = hardy._reaching_rows(basis.alphas, basis.log_norms, x, y)
+    kept = _reaching_rows(basis, x, y)
     shift = every.real.max()
     assert np.all(np.delete(every.real, kept) < shift + hardy._NEGLIGIBLE), (mid, k)
     gathered = _stored_exponents(basis.alphas[kept], basis.log_norms[kept], x, y)
@@ -952,7 +958,7 @@ def test_a_concentrated_stored_sum_keeps_few_rows():
     rng = np.random.default_rng(5)
     x = model.default_locus_point()
     near = unit_point(x + 0.02 * (rng.standard_normal(3) + 1j * rng.standard_normal(3)))
-    kept = hardy._reaching_rows(basis.alphas, basis.log_norms, x, near)
+    kept = _reaching_rows(basis, x, near)
     assert len(kept) < 0.15 * basis.dim
 
 
