@@ -16,6 +16,7 @@ reproducible independently of how the node set would be partitioned.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -250,20 +251,28 @@ def orbit_volume(group, gamma):
 class OrbitQuadrature:
     """Quadrature for the Kostant-Kirillov volume on a coadjoint orbit.
 
-    ``nodes_sharp`` holds lambda^phi for each node (matrices for
-    SU(n)/U(n), coefficient vectors for tori); ``weights`` sum to
-    vol(O_nu).  Each run of ``ring`` consecutive nodes is one orbit of the
-    maximal torus: an azimuth ring of the polar-major sphere rule
-    (``ring`` = 2 level), or the single node of a torus point rule.
+    ``weights`` sum to vol(O_nu).  Each run of ``ring`` consecutive nodes
+    is one orbit of the maximal torus: an azimuth ring of the polar-major
+    sphere rule (``ring`` = 2 level), or the single node of a torus point
+    rule.  ``ring_nodes`` holds lambda^phi (matrices for SU(n)/U(n),
+    coefficient vectors for tori) at the first node of each ring, all the
+    sums read; :attr:`nodes_sharp`, every node, is built on first use.
     """
 
     group: CompactGroup
     metric: InvariantMetric
     nu: np.ndarray
-    nodes_sharp: np.ndarray
+    ring_nodes: np.ndarray
     weights: np.ndarray
     scheme: str
     ring: int
+
+    @cached_property
+    def nodes_sharp(self):
+        """lambda^phi at every node, ring by ring."""
+        if self.ring == 1:
+            return self.ring_nodes
+        return _sphere_nodes(self.group, self.metric, self.nu, self.ring // 2, self.ring)[0]
 
     @property
     def node_count(self):
@@ -279,7 +288,7 @@ class OrbitQuadrature:
         every node of the ring, bit for bit: it reads only the diagonal of
         lambda^phi, which the off-diagonal frame turning a node around its
         ring leaves exactly alone."""
-        nodes = self.nodes_sharp[::self.ring]
+        nodes = self.ring_nodes
         if self.group.kind == "torus":
             xi = np.asarray(xi, dtype=float)
             return (nodes @ self.metric.gram) @ xi
@@ -314,31 +323,33 @@ def orbit_quadrature(group, metric, nu, level=64):
     if group.n != 2:
         raise UnsupportedGroupError(
             f"no orbit quadrature for {group.name}; supported: tori, SU(2), U(2)")
-    return _sphere_orbit_quadrature(group, metric, nu, level)
+    n_azimuth = 2 * level
+    nodes, radius = _sphere_nodes(group, metric, nu.coords, level, 1)   # one per ring
+    area_w = np.repeat(gauss_legendre(level)[1], n_azimuth) * (2 * np.pi / n_azimuth)
+    # the density is G-invariant, so one node gives it for the whole orbit
+    return OrbitQuadrature(group, metric, nu.coords, nodes,
+                           area_w * radius ** 2 * _kk_density(metric, nodes[:1]),
+                           f"gauss-sphere-{level}x{n_azimuth}", n_azimuth)
 
 
-def _sphere_orbit_quadrature(group, metric, nu, level):
-    n_polar, n_azimuth = level, 2 * level
-    nu_sharp = algebra_matrix(group, metric.sharp(nu.coords))
-    n = group.n
-    center = np.trace(nu_sharp) / n * np.eye(n)
+def _sphere_nodes(group, metric, coords, level, azimuths):
+    """lambda^phi on the first ``azimuths`` of the 2 level azimuths of
+    each of the ``level`` Gauss-Legendre polar rings (polar-major), and
+    the sphere's radius."""
+    nu_sharp = algebra_matrix(group, metric.sharp(coords))
+    center = np.trace(nu_sharp) / group.n * np.eye(group.n)
     radial = nu_sharp - center
     radius = np.sqrt(metric.inner_matrices(radial, radial))
 
     z_hat = np.array([[1j, 0], [0, -1j]], dtype=complex) / np.sqrt(2 * metric.scale)
     x_hat, y_hat = complement_frame(metric)
 
-    xs, ws = gauss_legendre(n_polar)
-    phis = 2 * np.pi * np.arange(n_azimuth) / n_azimuth
-    u = np.repeat(xs, n_azimuth)[:, None, None]      # polar-major node order
-    phi = np.tile(phis, n_polar)[:, None, None]
+    xs = gauss_legendre(level)[0]
+    phis = 2 * np.pi * np.arange(azimuths) / (2 * level)
+    u = np.repeat(xs, azimuths)[:, None, None]
+    phi = np.tile(phis, level)[:, None, None]
     s = np.sqrt(1.0 - u * u)
-    nodes = center + radius * (u * z_hat + s * (np.cos(phi) * x_hat + np.sin(phi) * y_hat))
-    area_w = np.repeat(ws, n_azimuth) * (2 * np.pi / n_azimuth) * radius ** 2
-    # the density is G-invariant, so one node gives it for the whole orbit
-    return OrbitQuadrature(group, metric, nu.coords, nodes,
-                           area_w * _kk_density(metric, nodes[:1]),
-                           f"gauss-sphere-{n_polar}x{n_azimuth}", n_azimuth)
+    return center + radius * (u * z_hat + s * (np.cos(phi) * x_hat + np.sin(phi) * y_hat)), radius
 
 
 def _kk_density(metric, lam):

@@ -10,7 +10,7 @@ seed makes output byte-identical across runs.
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -277,21 +277,20 @@ def run_character_suite(config):
     return rows, fits
 
 
-def _locus_base(config):
-    """(model, nu, x, sample): the configured model and nu, the default
-    locus point x and its locus decomposition."""
-    model = build_model(config.model_id)
+def _locus_base(config, model):
+    """(nu, x, sample): the configured nu of ``model``, the default locus
+    point x and its locus decomposition."""
     nu = model.resolve_nu(config.nu)
     x = model.default_locus_point(nu)
     sample = model.locus_decompose(nu, x)
     if not isinstance(sample, LocusSample):
         raise AssumptionViolation(f"base point of {model.id} is off the locus")
-    return model, nu, x, sample
+    return nu, x, sample
 
 
-def run_diag_convergence(config):
-    """Exact vs predicted diagonal values along the k schedule."""
-    model, nu, x, sample = _locus_base(config)
+def run_diag_convergence(config, model):
+    """Exact vs predicted diagonal values of ``model`` along the k schedule."""
+    nu, x, sample = _locus_base(config, model)
     rows = []
     for k in config.k_schedule:
         k = model.valid_k(k)
@@ -305,10 +304,10 @@ def run_diag_convergence(config):
                                           "error at rounding floor"))]
 
 
-def run_gaussian_profile(config):
-    """Gaussian decay in locus-normal directions and flatness along the
-    h-orthocomplement of the orbit directions."""
-    model, nu, x, sample = _locus_base(config)
+def run_gaussian_profile(config, model):
+    """Gaussian decay of ``model``'s kernel in locus-normal directions and
+    flatness along the h-orthocomplement of the orbit directions."""
+    nu, x, sample = _locus_base(config, model)
     sigma = sample.sigma
     rows, fits = [], []
     normal, wbasis = model.normal_space(nu, sample), model.w_space(x)
@@ -352,10 +351,9 @@ def run_gaussian_profile(config):
     return rows, fits
 
 
-def run_decay_suite(config):
-    """Off-orbit and off-locus rapid decrease, plus the identically-zero
-    weight-mismatch row on torus models."""
-    model = build_model(config.model_id)
+def run_decay_suite(config, model):
+    """Off-orbit and off-locus rapid decrease of ``model``'s kernel, plus
+    the identically-zero weight-mismatch row on torus models."""
     nu = model.resolve_nu(config.nu)
     rows, fits = [], []
     ks = [model.valid_k(k) for k in config.k_schedule]
@@ -416,9 +414,8 @@ def _off_locus_point(model, nu):
     return None
 
 
-def run_dim_growth(config):
-    """Exact isotypic dimensions vs (k/pi)^{d+1-r} delta_0."""
-    model = build_model(config.model_id)
+def run_dim_growth(config, model):
+    """Exact isotypic dimensions of ``model`` vs (k/pi)^{d+1-r} delta_0."""
     nu = model.resolve_nu(config.nu)
     delta0 = dimension_coefficient(model, nu, level=_QUAD_LEVEL)
     power = model.d + 1 - model.group.rank
@@ -463,6 +460,11 @@ def run_suite(name, config):
     """Run one named suite on ``config`` (or 'all', on the models of
     ALL_MODELS) and emit CSV/JSON if configured.
 
+    Each catalog model the run needs is built once and shared by every
+    suite run on it, so later suites read the bases and listings earlier
+    ones stored; the models are dropped on return.  The characters suite
+    takes none.
+
     Returns (rows, fits, passed).
     """
     if name == "all":
@@ -471,12 +473,17 @@ def run_suite(name, config):
         plan = {name: (None,)}
     else:
         raise ValueError(f"unknown suite {name!r}")
-    rows, fits = [], []
+    rows, fits, models = [], [], {}
     for key, model_ids in plan.items():
         for mid in model_ids:
+            cfg = config if mid is None else replace(config, model_id=mid, nu=None)
             # looked up per call, so a wrapper patched into SUITES is used
-            r, f = SUITES[key](config if mid is None
-                               else replace(config, model_id=mid, nu=None))
+            if key == "characters":
+                r, f = SUITES[key](cfg)
+            else:
+                if cfg.model_id not in models:
+                    models[cfg.model_id] = build_model(cfg.model_id)
+                r, f = SUITES[key](cfg, models[cfg.model_id])
             if mid is not None:
                 for fit in f:
                     fit.quantity = f"{mid}:{fit.quantity}"
@@ -502,11 +509,12 @@ def rows_to_csv(rows):
 def _summary(name, rows, fits, passed):
     """The JSON summary in plain JSON values: numpy scalars become Python
     numbers and non-finite floats null, since RFC 8259 JSON has no NaN
-    or Infinity."""
+    or Infinity.  Each dataclass's own field dict is read, not a deep
+    copy of it: _plain builds new containers anyway."""
     return _plain({
         "suite": name,
-        "rows": [asdict(r) for r in rows],
-        "fits": [asdict(f) for f in fits],
+        "rows": [vars(r) for r in rows],
+        "fits": [vars(f) for f in fits],
         "pass": passed,
     })
 
@@ -535,6 +543,5 @@ def emit(name, config, rows, fits, passed):
             fh.write(rows_to_csv(rows))
     path = os.path.join(config.out_dir, f"suite_{name}.json")
     with open(path, "w") as fh:
-        json.dump(_summary(name, rows, fits, passed), fh, sort_keys=True, indent=1,
-                  allow_nan=False)
-        fh.write("\n")
+        fh.write(json.dumps(_summary(name, rows, fits, passed), sort_keys=True, indent=1,
+                            allow_nan=False) + "\n")

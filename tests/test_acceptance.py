@@ -130,7 +130,7 @@ def test_criterion_4_diagonal_scaling():
     details = []
     for mid in MODEL_IDS:
         cfg = ExperimentConfig(model_id=mid, k_min=64, k_max=512)
-        rows, fits = run_diag_convergence(cfg)
+        rows, fits = run_diag_convergence(cfg, build_model(cfg.model_id))
         fit = fits[0]
         last_err = rows[-1].err
         if mid == "su2-cp1":
@@ -151,12 +151,12 @@ def test_criterion_5_gaussian_profile():
     ok = True
     for mid in ("t2-cp2", "u2-cp2"):
         cfg = ExperimentConfig(model_id=mid, k_min=64, k_max=512)
-        _, fits = run_gaussian_profile(cfg)
+        _, fits = run_gaussian_profile(cfg, build_model(cfg.model_id))
         vfit = [f for f in fits if f.quantity == "v-gaussian-slope"][0]
         ok &= vfit.passed and vfit.residual <= 0.10
         details.append(f"{mid}: v-slope rel err {vfit.residual:.3f} <= 0.10")
     cfg = ExperimentConfig(model_id="s1-cp2-w123", k_min=64, k_max=512)
-    _, fits = run_gaussian_profile(cfg)
+    _, fits = run_gaussian_profile(cfg, build_model(cfg.model_id))
     wfit = [f for f in fits if f.quantity == "w-flatness-band"][0]
     ok &= wfit.passed
     details.append(f"s1-cp2-w123: w deviation {wfit.residual:.4f} inside "
@@ -169,7 +169,7 @@ def test_criterion_6_rapid_decrease():
     details = []
     for mid in MODEL_IDS:
         cfg = ExperimentConfig(model_id=mid, k_min=64, k_max=512)
-        _, fits = run_decay_suite(cfg)
+        _, fits = run_decay_suite(cfg, build_model(cfg.model_id))
         for f in fits:
             ok &= f.passed
             if not np.isnan(f.exponent):
@@ -223,7 +223,7 @@ def _diag_and_dims_verdicts():
     for mid in MODEL_IDS:
         config = ExperimentConfig(model_id=mid)
         for suite in (run_diag_convergence, run_dim_growth):
-            for fit in suite(config)[1]:
+            for fit in suite(config, build_model(mid))[1]:
                 verdicts[f"{mid}:{fit.quantity}"] = fit.passed
     return verdicts
 

@@ -503,7 +503,7 @@ def test_orbit_pairing_is_constant_on_each_ring():
         m = trace_metric(g)
         q = orbit_quadrature(g, m, half_weight(g, coords), level=64)
         assert q.ring == 128 and q.node_count == 64 * q.ring
-        every_node = replace(q, ring=1)
+        every_node = replace(q, ring_nodes=q.nodes_sharp, ring=1)
         for xi in _cartan_samples(g, m, rng, 10):
             rings = every_node.pairing(xi).reshape(64, q.ring)
             assert np.array_equal(rings, np.repeat(rings[:, :1], q.ring, axis=1)), kind
@@ -541,6 +541,36 @@ def test_kirillov_character_takes_one_exponential_per_ring(monkeypatch):
         val = kirillov_character(g, m, nu, 0.3 * np.ones(g.rank), quad=q)
         assert sum(sizes) <= 64, (kind, sizes)
         assert abs(val - weyl_character(g, nu, 0.3 * np.ones(g.rank))) <= 1e-6 * weyl_dimension(g, nu)
+
+
+def test_ring_nodes_are_the_first_node_of_each_ring_bit_for_bit():
+    # the rule keeps one lambda^phi per ring; the full stack, built on
+    # first use from the same formula on every azimuth, starts each ring
+    # with exactly that node
+    for kind, coords in (*_SPHERE_ORBITS, ("t2", (2.0, 1.0))):
+        g = build_group(kind)
+        for scale in (1.0, 2.7):
+            q = orbit_quadrature(g, trace_metric(g, scale), half_weight(g, coords), level=64)
+            assert "nodes_sharp" not in vars(q)
+            assert q.nodes_sharp.shape[0] == q.node_count == len(q.ring_nodes) * q.ring
+            assert np.array_equal(q.nodes_sharp[::q.ring], q.ring_nodes), (kind, scale)
+            assert q.nodes_sharp is q.nodes_sharp
+
+
+def test_character_values_never_build_the_full_node_stack(monkeypatch):
+    from coorbit.harness import ExperimentConfig, run_character_suite
+
+    def no_full_stack(quad):
+        raise AssertionError("the full node stack was built")
+
+    monkeypatch.setattr(characters.OrbitQuadrature, "nodes_sharp", property(no_full_stack))
+    for kind, coords in (*_SPHERE_ORBITS, ("t2", (2.0, 1.0))):
+        g = build_group(kind)
+        nu = half_weight(g, coords)
+        val = kirillov_character(g, trace_metric(g), nu, 0.3 * np.ones(g.rank))
+        assert abs(val - weyl_character(g, nu, 0.3 * np.ones(g.rank))) <= 1e-6 * weyl_dimension(g, nu)
+    _, fits = run_character_suite(ExperimentConfig())
+    assert all(f.passed for f in fits)
 
 
 def test_kirillov_character_refuses_a_non_cartan_xi(monkeypatch):

@@ -1,16 +1,21 @@
+import gc
 import importlib.util
 import io
 import json
 import types
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import coorbit
+from coorbit import harness
 from coorbit.cli import main
 from coorbit.harness import (
+    ALL_MODELS,
     ExperimentConfig,
     fit_power,
     rows_to_csv,
@@ -21,6 +26,7 @@ from coorbit.harness import (
     run_suite,
     summary_json,
 )
+from coorbit.models import MODEL_IDS, build_model
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -64,7 +70,7 @@ def test_fit_power_recovers_slope():
 
 def test_diag_suite_small_run():
     cfg = ExperimentConfig(model_id="s1-cp1-w12", k_min=32, k_max=256)
-    rows, fits = run_diag_convergence(cfg)
+    rows, fits = run_diag_convergence(cfg, build_model(cfg.model_id))
     assert len(rows) == 4
     assert fits[0].passed
     assert -1.2 <= fits[0].exponent <= -0.8
@@ -74,12 +80,12 @@ def test_dim_suite_exit_on_empty_locus():
     from coorbit.groups import AssumptionViolation
     cfg = ExperimentConfig(model_id="t2-cp2", nu=(2.0, -1.0), k_min=8, k_max=32)
     with pytest.raises(AssumptionViolation):
-        run_dim_growth(cfg)
+        run_dim_growth(cfg, build_model(cfg.model_id))
 
 
 def test_decay_suite_su2_records_zero_separation():
     cfg = ExperimentConfig(model_id="su2-cp1", k_min=32, k_max=128)
-    rows, fits = run_decay_suite(cfg)
+    rows, fits = run_decay_suite(cfg, build_model(cfg.model_id))
     assert any("separation-zero" in r.quantity for r in rows)
     assert all(f.passed for f in fits)
 
@@ -107,14 +113,14 @@ def test_fit_robust_to_schedule_change():
     # doubling vs tripling schedules fit the same error law
     cfg2 = ExperimentConfig(model_id="s1-cp1-w12", k_min=64, k_max=512, k_factor=2)
     cfg3 = ExperimentConfig(model_id="s1-cp1-w12", k_min=19, k_max=513, k_factor=3)
-    _, fits2 = run_diag_convergence(cfg2)
-    _, fits3 = run_diag_convergence(cfg3)
+    _, fits2 = run_diag_convergence(cfg2, build_model(cfg2.model_id))
+    _, fits3 = run_diag_convergence(cfg3, build_model(cfg3.model_id))
     assert abs(fits2[0].exponent - fits3[0].exponent) <= 0.05
 
 
 def test_gaussian_suite_t2():
     cfg = ExperimentConfig(model_id="t2-cp2", k_min=64, k_max=256)
-    rows, fits = run_gaussian_profile(cfg)
+    rows, fits = run_gaussian_profile(cfg, build_model(cfg.model_id))
     names = [f.quantity for f in fits]
     assert "v-gaussian-slope" in names
     assert all(f.passed for f in fits)
@@ -218,7 +224,7 @@ def test_cli_suite_json_stdout(capsys):
 
 def test_rows_to_csv_and_summary_roundtrip():
     cfg = ExperimentConfig(model_id="su2-cp1", k_min=16, k_max=64)
-    rows, fits = run_diag_convergence(cfg)
+    rows, fits = run_diag_convergence(cfg, build_model(cfg.model_id))
     csv = rows_to_csv(rows)
     assert csv.count("\n") == len(rows) + 1
     summary = json.loads(summary_json("diag", rows, fits, True))
@@ -281,6 +287,49 @@ def test_suite_all_json_is_strict(suite_all):
     assert json.loads(stdout, parse_constant=refuse) == from_file
     decay = next(f for f in from_file["fits"] if f["quantity"] == "t2-cp2:off-orbit-decay")
     assert decay["band"] == [None, -5.0] and decay["intercept"] is None
+
+
+def test_suite_all_builds_each_catalog_model_once(monkeypatch):
+    """One `suite all` builds every catalog model once, shares it across
+    its suites and drops it on return; the JSON summary read from each
+    dataclass's field dict equals the one read from a deep copy."""
+    built = []
+
+    def counted_build_model(model_id):
+        model = build_model(model_id)
+        built.append((model_id, weakref.ref(model)))
+        return model
+
+    monkeypatch.setattr(harness, "build_model", counted_build_model)
+    rows, fits, passed = run_suite("all", ExperimentConfig(seed=0))
+    assert sorted(mid for mid, _ in built) == sorted(MODEL_IDS)
+    gc.collect()
+    assert all(ref() is None for _, ref in built)
+    reference = harness._plain({"suite": "all", "rows": [asdict(r) for r in rows],
+                                "fits": [asdict(f) for f in fits], "pass": passed})
+    assert harness._summary("all", rows, fits, passed) == reference
+
+
+def test_suite_all_equals_its_suites_run_alone(suite_all):
+    """Each suite's rows and fits inside `suite all` are those of the suite
+    run alone on a model of its own."""
+    out, _ = suite_all
+    config = ExperimentConfig(seed=0)
+    rows, fits = [], []
+    for name, model_ids in ALL_MODELS.items():
+        for mid in model_ids:
+            r, f, _ = run_suite(name, config if mid is None
+                                else replace(config, model_id=mid))
+            if mid is not None:
+                for fit in f:
+                    fit.quantity = f"{mid}:{fit.quantity}"
+            rows.extend(r)
+            fits.extend(f)
+    alone = json.loads(summary_json("all", rows, fits, True))
+    together = json.loads((out / "suite_all.json").read_text())
+    assert together["rows"] == alone["rows"]
+    assert together["fits"] == alone["fits"]
+    assert (out / "suite_all.csv").read_text() == rows_to_csv(rows)
 
 
 def test_benchmark_tracer_names_resolve():
