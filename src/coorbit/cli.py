@@ -109,7 +109,7 @@ def main(argv=None):
 
     p = sub.add_parser("suite", help="run a verification suite")
     p.add_argument("name", choices=[*SUITES, "all"])
-    p.add_argument("--model", default="s1-cp1-w12")
+    p.add_argument("--model", default=None, help="default s1-cp1-w12; not for characters, all")
     p.add_argument("--nu", default=None)
     p.add_argument("--kmin", type=int, default=64)
     p.add_argument("--kmax", type=int, default=512)
@@ -226,8 +226,11 @@ def _dispatch(args):
         return 0
 
     if args.command == "suite":
+        if args.name in ("characters", "all") and (args.model, args.nu) != (None, None):
+            raise ValueError(f"suite {args.name} takes no --model or --nu: it runs on fixed "
+                             "groups and models (harness.ALL_MODELS), each at its default nu")
         config = ExperimentConfig(
-            model_id=args.model,
+            model_id=ExperimentConfig.model_id if args.model is None else args.model,
             nu=_parse_nu(args.nu),
             k_min=args.kmin, k_max=args.kmax, k_factor=args.kfactor,
             out_dir=args.out, fmt=args.fmt, seed=args.seed)

@@ -16,17 +16,20 @@ per term, and it exponentiates only the terms within e^-60 of the largest
 so far (_NEGLIGIBLE): the rest, on a basis the memory budget admits, add
 under 1.2e-18 of the largest term, below eps / 100 (the kernels
 concentrate, so most terms are cut where k is large).  A listing is a
-set of runs (``isotypic_runs``): lines of candidate exponents, on tori
-the prefix rows of all but the last free coordinate with the last one
-stepping and the pivot coordinates solved with the integer adjugate of
-the pivot columns, so every listed row is exact.  A kernel sum takes
-one of two routes, chosen by the listing's row count alone (known from
-``isotypic_extent`` before anything is listed).  A listing of at most
-one ``models._LIST_ROWS`` chunk is stored on the first evaluation of a
-(nu, k): a basis of int32 exponents and float64 log-norms (normed
-against a log-factorial table sized once from the listing's exponent
-bound; 4 (d + 1) + 8 B per monomial, built at about 8 (d + 1) B per
-row) and kept on the model under (nu, k).  Each evaluation takes the
+set of runs (``isotypic_runs``): lines of isotypic monomials, on a
+rank-1 torus with a unit weight the prefix rows of all but the last
+free coordinate with the last one stepping and the unit-weight
+coordinate solved from the others, on t2-cp2 and u2-cp2 one line.
+Every row is a monomial, so a listing's row count is the model's
+closed-form ``isotypic_dim``; any other torus lists nothing and raises
+UnsupportedGroupError first.  A kernel sum takes one of two routes,
+chosen by that row count alone (``isotypic_extent``, known before
+anything is listed).  A listing of at most one ``models._LIST_ROWS``
+chunk is stored on the first evaluation of a (nu, k): a basis of int32
+exponents and float64 log-norms (normed against a log-factorial table
+sized once from the listing's exponent bound; 4 (d + 1) + 8 B per
+monomial, built at about 8 (d + 1) B per row) and kept on the model
+under (nu, k).  Each evaluation takes the
 real part of every stored row's exponent by one float product, and sums
 only the rows within 61 of the largest (t2-cp2 at k = 8192 keeps about
 10% of its 8193 rows): each row left out is below e^-60 of the largest
@@ -47,12 +50,12 @@ Isotypic dimensions are never listed: each catalog model counts its own
 in closed form (``isotypic_dim``), at any k.  Only the listings behind a
 kernel sum are budgeted: each has its row count and exponent range known
 before it is listed, and one whose basis would take more than
-_BASIS_BUDGET_BYTES to build, whose exponents could pass int32 or whose
-torus pivot solve could pass int64, is refused with AssumptionViolation
-first, on the windowed route too, so both kernel routes refuse at the
-same k.  Orbit separations are closed forms: each catalog model gives
-the point of an orbit nearest to a target (rank-1 tori and t2-cp2 from
-the roots of a critical-point polynomial, su2-cp1 and u2-cp2 directly).
+_BASIS_BUDGET_BYTES to build, or whose exponents could pass int32, is
+refused with AssumptionViolation first, on the windowed route too, so
+both kernel routes refuse at the same k.  Orbit separations are closed
+forms: each catalog model gives the point of an orbit nearest to a
+target (rank-1 tori and t2-cp2 from the roots of a critical-point
+polynomial, su2-cp1 and u2-cp2 directly).
 """
 
 import math
@@ -87,16 +90,14 @@ _WINDOW_CUT = _NEGLIGIBLE - 1.0
 def _basis_row_bytes(d):
     """Peak bytes per listed row while a basis is built, normed and summed.
 
-    tracemalloc at d = 1 / 2 / 3 on rank-1 tori with no rejected rows
-    (s1-cp1-w12 at k = 4e6, s1-cp2-w123 at 8192, weights (1, 2, 3, 4) at
-    1000): listing peaks at 8.8 / 12.4 / 16.8 B per row, the log-norm
-    stage at 16.1 / 20.0 / 24.0 B and a sum at 16.2 / 20.1 / 24.1 B (the
-    basis itself, 4 (d + 1) + 8 B, and one block workspace of 0.49 / 0.49
-    / 0.60 MB, measured with the negligible-term cut).  Where rows are
-    rejected the kept ones are copied out once: t2-cp2 at k = 1e6 peaks
-    at 20.0 B per listed row and weights (2, 3, 5) at 18.0 B; u2-cp2 at
-    k = 2e6 + 1 peaks at 20.3 B.
-    8 (d + 1) bounds them all, beside a fixed few MB of chunk temporaries.
+    tracemalloc at d = 1 / 2 / 3 on rank-1 tori (s1-cp1-w12 at k = 4e6,
+    s1-cp2-w123 at 8192, weights (1, 2, 3, 4) at 1000): listing peaks at
+    8.8 / 12.4 / 16.8 B per row, the log-norm stage at 16.1 / 20.0 /
+    24.0 B and a sum at 16.2 / 20.1 / 24.1 B (the basis itself,
+    4 (d + 1) + 8 B, and one block workspace of 0.49 / 0.49 / 0.60 MB,
+    measured with the negligible-term cut); u2-cp2 at k = 2e6 + 1 peaks
+    at 20.3 B.  8 (d + 1) bounds them all, beside a fixed few MB of
+    chunk temporaries.
     The kernel stores only bases of at most one ``_LIST_ROWS`` chunk
     (under 2.5 MB each at d <= 3); a longer one is built only on a direct
     :func:`isotypic_basis` request and not kept.  A sum of a stored basis
@@ -104,8 +105,8 @@ def _basis_row_bytes(d):
     exponents and the row logs, 2.1 MB at 65535 rows at d = 2) and a copy
     of the rows it keeps.  A windowed sum keeps no
     basis, only one chunk and its temporaries and the listing's runs,
-    kept on the model (on a torus with f = d + 1 - r free coordinates,
-    one per prefix row of all but the last one, O(k^(f - 1)): O(k) on
+    kept on the model (on a rank-1 torus one per prefix row of all but
+    the last of its d free coordinates, O(k^(d - 1)): O(k) on
     s1-cp2-w123, one on the other catalog models); 3.0 to 7.5 MB in all
     on the cases above.  It is refused at the same row count all the
     same.
@@ -455,42 +456,35 @@ def _first_true(hi, test, guess):
 
 def _peak_exponent(runs, d, top, x, y, peak, height):
     """E*: the largest term exponent, in the sum's own arithmetic, among
-    the listed rows within det - 1 candidates of each run's peak (a
-    run's rows are at most det apart, so a run with any has one there);
-    None when there is none, so that the listing is empty.
+    the rows at the runs' peaks.
 
     Only the runs whose peak bound (height) reaches L - 1 are listed, L
-    the exponent of the candidate at the highest peak bound if it is a
-    listed row (-inf if not), in float arithmetic: B bounds every row of
-    its run and peaks at the peak, and E* >= L up to a rounding far
-    inside the unit margin, so no other run holds E*, which keeps its bits.
+    the exponent of the row at the highest peak bound, in float
+    arithmetic: B bounds every row of its run and peaks at the peak, and
+    E* >= L up to a rounding far inside the unit margin, so no other run
+    holds E*, which keeps its bits.
     """
-    best, found = np.argmax(height), -np.inf
+    best = np.argmax(height)
     lx, ly = _safe_log(x), _safe_log(y)
     row = runs.starts[best] + peak[best] * runs.step
-    if not (row % runs.scale).any():
-        row //= runs.scale
-        log_fact = _log_factorials(top + d)
-        found = row @ (lx.real + ly.real) - log_fact[row].sum() \
-            - d * np.log(np.pi) + log_fact[row.sum() + d]
-    reach = int(runs.scale.max()) - 1
-    first = np.maximum(peak - reach, 0)
-    counts = np.minimum(peak + reach, runs.lengths - 1) - first + 1
+    log_fact = _log_factorials(top + d)
+    found = row @ (lx.real + ly.real) - log_fact[row].sum() \
+        - d * np.log(np.pi) + log_fact[row.sum() + d]
+    counts = np.ones_like(peak)
     counts[height < found - 1.0] = 0
-    blocks = _listed_blocks(d, runs.chunks(first, counts), top)
-    return max((float(expo.real.max()) for expo in _block_exponents(blocks, lx, ly)),
-               default=None)
+    blocks = _listed_blocks(d, runs.chunks(peak, counts), top)
+    return max(float(expo.real.max()) for expo in _block_exponents(blocks, lx, ly))
 
 
 def _concentration_windows(runs, d, top, x, y):
-    """(first, counts): the candidates first[i] ... first[i] + counts[i] - 1
-    of each run i whose bound B (:func:`_log_bound`) is at least
+    """(first, counts): the rows first[i] ... first[i] + counts[i] - 1 of
+    each run i whose bound B (:func:`_log_bound`) is at least
     E* + _WINDOW_CUT.
 
-    B is concave along each run, so those candidates form one interval
-    per run.  Newton steps on B's slope (:func:`_log_slopes`) guess each
-    run's peak, the first candidate at which B stops rising; then come
-    E*, the largest exact exponent next to the peaks
+    B is concave along each run, so those rows form one interval per
+    run.  Newton steps on B's slope (:func:`_log_slopes`) guess each
+    run's peak, the first row at which B stops rising; then come E*, the
+    largest exact exponent at the peaks
     (:func:`_peak_exponent`, which lists only the runs whose peak bound
     can reach it), and both ends of every run whose peak
     reaches the cut at once, from a parabola at the peak and Newton steps
@@ -506,7 +500,7 @@ def _concentration_windows(runs, d, top, x, y):
     last = runs.lengths - 1
     # Newton in v = artanh of s's place between the ends of the run's line in
     # the cone (a bounded listing's step has both signs), where the slope's
-    # log singularities are linear; one-candidate runs stay at 0
+    # log singularities are linear; one-row runs stay at 0
     curve, root, moving = np.full(len(last), -1.0), np.zeros(len(last)), np.flatnonzero(last)
     lines, edge = np.take(starts, moving, axis=1), last[moving] - 0.25
     left = (-lines[step > 0] / step[step > 0, None]).max(axis=0)
@@ -526,10 +520,7 @@ def _concentration_windows(runs, d, top, x, y):
 
     peak = _first_true(last, falls, np.floor(root).astype(last.dtype))
     height = _log_bound(starts, step, peak, linear)
-    largest = _peak_exponent(runs, d, top, x, y, peak, height)
-    if largest is None:
-        return first, counts
-    cut = largest + _WINDOW_CUT
+    cut = _peak_exponent(runs, d, top, x, y, peak, height) + _WINDOW_CUT
     live = np.flatnonzero(height >= cut)                 # windows not empty
     # t rows out from the peak: column i the left end of live run i,
     # column len(live) + i its right end

@@ -179,13 +179,16 @@ def _profile(rows, model, nu, x, k, diag, direction, name, predicted):
 
 def _decay_sweep(rows, fits, model, nu, ks, x, y, label, fit_label):
     """One row of log|Pi_{k nu}(x, y)| per k, then the decay fit of the
-    local slopes."""
+    local slopes: its residual is the largest rise from one slope to the
+    next (negative when every slope falls, 0 with one slope), which must
+    be at most 1e-6."""
     logvals = [equivariant_kernel_log(model, nu, k, x, y)[0] for k in ks]
     rows.extend(Row(model.id, _nu_str(nu.coords), k, label, lv, -np.inf, 0.0)
                 for k, lv in zip(ks, logvals))
     slopes = np.diff(logvals) / np.diff(np.log(ks))
-    passed = slopes[-1] < -5.0 and np.all(np.diff(slopes) <= 1e-6)
-    fits.append(FitResult(fit_label, float(np.max(slopes)), bool(passed),
+    rises = np.diff(slopes)
+    rise = float(rises.max()) if len(rises) else 0.0
+    fits.append(FitResult(fit_label, rise, bool(slopes[-1] < -5.0 and rise <= 1e-6),
                           float(slopes[-1]), band=(-np.inf, -5.0),
                           note="slopes must decrease monotonically"))
 

@@ -30,7 +30,6 @@ Duistermaat-Heckman consistency tests, not by fiat.
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import combinations
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -52,11 +51,9 @@ from .groups import (
 CHART_RADIUS = 0.9
 # Largest exponent an isotypic basis stores: its exponent arrays are int32.
 _INT32_MAX = int(np.iinfo(np.int32).max)
-_INT64_MAX = int(np.iinfo(np.int64).max)
-# Rows an isotypic listing yields at a time (on tori: candidate rows
-# expanded and checked at a time).
+# Rows an isotypic listing yields at a time.
 _LIST_ROWS = 1 << 16
-# Candidates a chunk expands at a time: its int64 temporaries (96 KB) stay
+# Rows a chunk expands at a time: its int64 temporaries (96 KB) stay
 # under glibc's 128 KB mmap threshold, so they are reused, not faulted anew.
 _EXPAND_ROWS = 12288
 # Largest build a basis, the log-factorial table or a coin-change count
@@ -125,35 +122,30 @@ class ConeDistance:
 
 
 class IsotypicRuns:
-    """The candidate rows of an isotypic listing, as lines of exponents.
+    """The rows of an isotypic listing, as lines of exponents.
 
-    Candidate s of run i, 0 <= s < lengths[i], is the row
-    (starts[i] + s step) / scale, column by column, and it is listed iff
-    every entry is an integer.  Every candidate is >= 0 (each run is cut
-    to where it is), so a candidate that is not listed is still a point of
-    the real exponent cone.  ``scale`` is 1 except on a torus's pivot
-    columns, which it divides by the pivot determinant, so where it is 1
-    every candidate is listed.  The starts are int64 numerators: O(runs)
-    memory.  Read-only once made (a plain class: a dataclass took 1 ms
-    of every ``import coorbit``).
+    Row s of run i, 0 <= s < lengths[i], is starts[i] + s step, and every
+    row is the exponent of an isotypic monomial: nothing is rejected, so
+    a listing's row count is its model's ``isotypic_dim``.  The starts
+    are int64: O(runs) memory.  Read-only once made (a plain class: a
+    dataclass took 1 ms of every ``import coorbit``).
     """
 
-    def __init__(self, starts, step, scale, lengths):
+    def __init__(self, starts, step, lengths):
         self.starts = starts      # (R, d+1) int64
         self.step = step          # (d+1,) int64
-        self.scale = scale        # (d+1,) int64, positive
         self.lengths = lengths    # (R,) int64, positive
 
     @cached_property
     def real_lines(self):
         """(starts, step) in float64, a run per column of the (d+1, R)
-        starts: candidate s of run i is the real row starts[:, i] + s step."""
-        return np.ascontiguousarray((self.starts / self.scale).T), self.step / self.scale
+        starts: row s of run i is starts[:, i] + s step."""
+        return np.ascontiguousarray(self.starts.T, dtype=float), self.step.astype(float)
 
     def chunks(self, first=None, counts=None):
-        """The listed rows among candidates first[i] ... first[i] + counts[i] - 1
-        of each run i (every candidate by default), run after run, as one
-        int32 (n, d+1) chunk per _LIST_ROWS candidates."""
+        """Rows first[i] ... first[i] + counts[i] - 1 of each run i (every
+        row by default), run after run, as one int32 (n, d+1) chunk per
+        _LIST_ROWS rows."""
         if first is None:
             first, counts = np.zeros_like(self.lengths), self.lengths
         edges = np.concatenate([[0], np.cumsum(counts)])
@@ -162,37 +154,29 @@ class IsotypicRuns:
             yield self._expand(edges, first, lo, min(lo + _LIST_ROWS, total))
 
     def _expand(self, edges, first, lo, hi):
-        """The listed rows among candidates lo ... hi - 1 of :meth:`chunks`
-        (a function, so that its temporaries are gone while the chunk is
-        consumed).
+        """Rows lo ... hi - 1 of :meth:`chunks` (a function, so that its
+        temporaries are gone while the chunk is consumed).
 
         Each column is its run's start, run-length expanded
-        (``np.repeat``) over the candidates, plus the candidate times the
-        step, in int64, written into the int32 chunk _EXPAND_ROWS
-        candidates at a time; a column with scale > 1 is divided by it
-        first, a row kept iff every remainder is 0.
+        (``np.repeat``) over the rows, plus the row's place times the
+        step, in int64, written into the int32 chunk _EXPAND_ROWS rows at
+        a time.
         """
-        chunk, ok = np.empty((hi - lo, len(self.step)), dtype=np.int32), None
+        chunk = np.empty((hi - lo, len(self.step)), dtype=np.int32)
         for a in range(lo, hi, _EXPAND_ROWS):
             b = min(a + _EXPAND_ROWS, hi)
             first_run = int(np.searchsorted(edges, a, side="right")) - 1
             stop_run = int(np.searchsorted(edges, b, side="left"))
-            runs, rows = slice(first_run, stop_run), slice(a - lo, b - lo)
+            runs = slice(first_run, stop_run)
             counts = np.diff(np.clip(edges[first_run:stop_run + 1], a, b))
             s = np.arange(a, b)
             s -= np.repeat(edges[runs] - first[runs], counts)
-            for j, (start, step, scale) in enumerate(zip(self.starts[runs].T, self.step.tolist(),
-                                                         self.scale.tolist())):
+            for j, (start, step) in enumerate(zip(self.starts[runs].T, self.step.tolist())):
                 col = np.repeat(start, counts)
                 if step:
                     col += s * step
-                if scale != 1:
-                    col, rem = np.divmod(col, scale)
-                    if ok is None:
-                        ok = np.ones(hi - lo, dtype=bool)
-                    ok[rows] &= rem == 0
-                chunk[rows, j] = col
-        return chunk if ok is None or ok.all() else chunk[ok]
+                chunk[a - lo:b - lo, j] = col
+        return chunk
 
 
 class ProjectiveModel:
@@ -393,8 +377,9 @@ class ProjectiveModel:
         """The :class:`IsotypicRuns` whose listed rows span the k nu isotypic
         subspace, built once per (nu, k) and kept in ``runs_cache``.
 
-        Raises AssumptionViolation, before anything is built, when an
-        exponent could pass int32 (see :meth:`isotypic_extent`).
+        Raises, before anything is built, what :meth:`isotypic_extent`
+        raises: AssumptionViolation when an exponent could pass int32,
+        UnsupportedGroupError for a torus no exact listing covers.
         """
         nu = half_weight(self.group, nu)
         key = (tuple(nu.coords.tolist()), k)     # not int(k): k = 2.5 lists nothing, k = 2 does
@@ -403,8 +388,7 @@ class ProjectiveModel:
             rows, _ = self.isotypic_extent(nu, k)
             runs = self._isotypic_runs(nu, k) if rows else IsotypicRuns(
                 np.zeros((0, self.ambient_dim), dtype=np.int64),
-                np.zeros(self.ambient_dim, dtype=np.int64),
-                np.ones(self.ambient_dim, dtype=np.int64), np.zeros(0, dtype=np.int64))
+                np.zeros(self.ambient_dim, dtype=np.int64), np.zeros(0, dtype=np.int64))
             self.runs_cache[key] = runs
         return runs
 
@@ -420,24 +404,24 @@ class ProjectiveModel:
         yield from self.isotypic_runs(nu, k).chunks()
 
     def isotypic_exponents(self, nu, k):
-        """All of :meth:`isotypic_chunks` as one int32 (N, d+1) array: the
-        chunks are written into one array of ``isotypic_extent`` rows, cut
-        to the listed ones (once) when the listing rejected candidates."""
+        """All of :meth:`isotypic_chunks` as one int32 (N, d+1) array, N
+        the ``isotypic_extent`` rows, written chunk by chunk."""
         rows, _ = self.isotypic_extent(nu, k)
         out = np.empty((rows, self.ambient_dim), dtype=np.int32)
-        kept = 0
+        at = 0
         for chunk in self.isotypic_chunks(nu, k):
-            out[kept:kept + len(chunk)] = chunk
-            kept += len(chunk)
+            out[at:at + len(chunk)] = chunk
+            at += len(chunk)
             del chunk                    # not alive while the next one is listed
-        return out if kept == rows else out[:kept].copy()
+        return out
 
     def isotypic_extent(self, nu, k):
         """(rows, top) of :meth:`isotypic_chunks`, found without listing:
-        a bound on the rows it lists (the rows :meth:`isotypic_exponents`
-        allocates) and a bound on every exponent sum.
+        the rows it lists, which is :meth:`isotypic_dim`, and a bound on
+        every exponent sum.
 
-        Raises AssumptionViolation when an exponent could pass int32.
+        Raises AssumptionViolation when an exponent could pass int32, and
+        UnsupportedGroupError for a torus no exact listing covers.
         """
         raise NotImplementedError
 
@@ -534,16 +518,6 @@ def _weighted_count(weights, total):
     return count
 
 
-def _integer_det(rows):
-    """Determinant of a square matrix of Python ints (a list of rows), by
-    cofactor expansion along the first row: exact, in r! steps (r is a
-    torus rank)."""
-    if not rows:
-        return 1
-    return sum((-1) ** j * a * _integer_det([row[:j] + row[j + 1:] for row in rows[1:]])
-               for j, a in enumerate(rows[0]) if a)
-
-
 def simplex_quadrature(d, n):
     """Nodes/weights for int_{Delta_d} f(t) dt_1..dt_d, t_0 = 1 - sum.
 
@@ -599,8 +573,6 @@ class TorusModel(ProjectiveModel):
         self.weights = weights
         note = "fiber weights " + ";".join(",".join(str(w) for w in row) for row in weights)
         super().__init__(model_id, group, metric, m - 1, gens, note, default_nu)
-        # all positive: a zero column makes Phi vanish at a vertex, refused above
-        self._column_sums = weights.sum(axis=0)
 
     def nearest_orbit_point(self, x, y):
         """exp(-i theta W) x at the theta maximizing Re <g x, y> =
@@ -666,102 +638,50 @@ class TorusModel(ProjectiveModel):
         return target
 
     def isotypic_extent(self, nu, k):
+        """Rank 1 with a unit weight: the :meth:`isotypic_dim` rows, each
+        with |alpha| <= w . alpha = k nu, as every weight is at least 1 (a
+        zero weight makes Phi vanish at a vertex, refused on
+        construction).  Any other torus lists nothing and is refused."""
+        if self.group.rank != 1 or not (self.weights[0] == 1).any():
+            raise UnsupportedGroupError(
+                f"no exact monomial listing for {self.id}; supported: rank-1 tori with "
+                "a unit weight, t2-cp2 and u2-cp2")
         target = self.isotypic_target(nu, k)
         if target is None:
             return 0, 0
-        total = int(target.sum())
-        _, free = self._pivot_columns
-        adj, _ = self._pivot_adjugate
-        # |rhs| <= total entrywise, so a pivot numerator of isotypic_chunks
-        # and each of its two terms stay below total * |adj| row sum
-        if 2 * total * int(np.abs(adj).sum(axis=1).max()) > _INT64_MAX:
-            raise AssumptionViolation(
-                f"the k = {k} pivot solve of {self.id} could pass int64")
-        # the candidates of isotypic_chunks: {F >= 0 : s_free . F <= total}
-        rows = _weighted_count([int(self._column_sums[j]) for j in free] + [1], total)
-        # s . alpha = total for every listed alpha, so |alpha| <= total / min(s)
-        return self._int32_extent(k, rows, total // int(self._column_sums.min()))
+        total = int(target[0])
+        return self._int32_extent(k, _weighted_count(self.weights[0], total), total)
 
     def _isotypic_runs(self, nu, k):
-        """Lattice points {alpha >= 0 : W alpha = k nu} as runs, free
-        coordinates ascending with the first one outermost.
+        """{alpha >= 0 : w . alpha = K}, K = k nu, as runs: the pivot is
+        the first coordinate of weight 1, and the other (free) coordinates
+        ascend with the first one outermost.
 
-        The free (non-pivot) coordinates F run over the simplex
-        {F >= 0 : s_free . F <= s . alpha = sum(k nu)}, s the (positive)
-        column sums of W, built one coordinate at a time as a ragged
-        array (not over the bounding box of the simplex).  All but the
+        The free coordinates F run over the simplex {F >= 0 : w_free . F
+        <= K}, built one coordinate at a time as a ragged array (not over
+        its bounding box), and the pivot is K - w_free . F (its weight is
+        1), so every point of the simplex is a monomial.  All but the
         last free coordinate are listed whole, as prefix rows, one run
-        each; along a run the last one steps from 0.  The pivot
-        coordinates are adj (k nu - W_free F) / det, with adj and det > 0
-        the integer adjugate and determinant of W[:, pivots], found once
-        per model: each run starts at its prefix row's numerators, in
-        int64, and steps by -adj W[:, last].  A candidate is listed iff
-        every numerator is >= 0 (the runs are cut to that) and a multiple
-        of det (nothing is divided when det = 1), which is W alpha = k nu
-        with alpha >= 0, exactly.
+        each; along a run the last one steps up from 0 and the pivot down
+        by its weight.
         """
-        m = self.ambient_dim
-        W, sums = self.weights, self._column_sums
-        pivots, free = self._pivot_columns
-        adj, det = self._pivot_adjugate
-        cols, rhs = [], self.isotypic_target(nu, k)[None, :]   # rhs = target - W_free F
+        m, w = self.ambient_dim, self.weights[0]
+        pivot = int(np.argmax(w == 1))
+        free = [j for j in range(m) if j != pivot]
+        cols, left = [], self.isotypic_target(nu, k)[:1]   # left = K - w_free . F
         for j in free[:-1]:
-            reach = rhs.sum(axis=1) // sums[j] + 1
+            reach = left // w[j] + 1
             starts = np.cumsum(reach) - reach
-            step = np.arange(int(reach.sum()), dtype=np.int64) - np.repeat(starts, reach)
-            cols = [np.repeat(col, reach) for col in cols] + [step]
-            rhs = np.repeat(rhs, reach, axis=0) - step[:, None] * W[:, j]
-        starts = np.zeros((len(rhs), m), dtype=np.int64)
+            value = np.arange(int(reach.sum()), dtype=np.int64) - np.repeat(starts, reach)
+            cols = [np.repeat(col, reach) for col in cols] + [value]
+            left = np.repeat(left, reach) - value * w[j]
+        starts = np.zeros((len(left), m), dtype=np.int64)
         for j, col in zip(free, cols):
             starts[:, j] = col
-        starts[:, pivots] = rhs @ adj.T
-        step, scale = np.zeros(m, dtype=np.int64), np.ones(m, dtype=np.int64)
-        scale[pivots] = det
-        lengths = np.ones(len(rhs), dtype=np.int64)   # square W: one candidate
-        if free:
-            last = free[-1]
-            step[last] = 1
-            step[pivots] = -(adj @ W[:, last])
-            lengths = rhs.sum(axis=1) // sums[last] + 1
-        # cut each run to where its pivot numerators are >= 0 (the free
-        # coordinates are): s from first to lengths - 1
-        first = np.zeros_like(lengths)
-        for j in pivots:
-            if step[j] < 0:
-                lengths = np.minimum(lengths, starts[:, j] // -step[j] + 1)
-            elif step[j] > 0:
-                first = np.maximum(first, -(starts[:, j] // step[j]))
-            else:
-                lengths = np.where(starts[:, j] < 0, 0, lengths)
-        keep = lengths > first
-        return IsotypicRuns(starts[keep] + first[keep, None] * step, step, scale,
-                            (lengths - first)[keep])
-
-    @cached_property
-    def _pivot_columns(self):
-        """(pivots, free): the first r weight columns forming an invertible
-        integer matrix, and the other columns, each in order."""
-        r, m = self.weights.shape
-        for cols in combinations(range(m), r):
-            if abs(np.linalg.det(self.weights[:, cols].astype(float))) > 0.5:
-                return list(cols), [j for j in range(m) if j not in cols]
-        raise AssumptionViolation("weight matrix has rank below the torus rank")
-
-    @cached_property
-    def _pivot_adjugate(self):
-        """(adj, det): int64 adj and int det > 0 with adj W_p = det I,
-        W_p = W[:, pivots], from exact integer cofactors."""
-        pivots, _ = self._pivot_columns
-        w_p = self.weights[:, pivots].tolist()
-        r = len(w_p)
-
-        def minor(i, j):
-            return [row[:j] + row[j + 1:] for row in w_p[:i] + w_p[i + 1:]]
-
-        adj = np.array([[(-1) ** (i + j) * _integer_det(minor(j, i)) for j in range(r)]
-                        for i in range(r)], dtype=np.int64)
-        det = _integer_det(w_p)
-        return (adj, det) if det > 0 else (-adj, -det)
+        starts[:, pivot] = left
+        step = np.zeros(m, dtype=np.int64)
+        step[free[-1]], step[pivot] = 1, -w[free[-1]]
+        return IsotypicRuns(starts, step, left // w[free[-1]] + 1)
 
     def default_locus_point(self, nu=None):
         nu = self.resolve_nu(nu)
@@ -821,6 +741,19 @@ class T2CP2Model(TorusModel):
         (K_1 - t, K_2 - t, t), t = 0 ... min(K_1, K_2)."""
         target = self.isotypic_target(nu, k)
         return 0 if target is None else int(target.min()) + 1
+
+    def isotypic_extent(self, nu, k):
+        target = self.isotypic_target(nu, k)
+        if target is None:
+            return 0, 0
+        return self._int32_extent(k, int(target.min()) + 1, int(target.sum()))
+
+    def _isotypic_runs(self, nu, k):
+        """One run, (K_1 - t, K_2 - t, t) for t = 0 ... min(K_1, K_2)."""
+        k1, k2 = self.isotypic_target(nu, k).tolist()
+        return IsotypicRuns(np.array([[k1, k2, 0]], dtype=np.int64),
+                            np.array([-1, -1, 1], dtype=np.int64),
+                            np.array([min(k1, k2) + 1], dtype=np.int64))
 
     def locus_simplex_curve(self, nu):
         nu = half_weight(self.group, nu)
@@ -975,8 +908,7 @@ class U2CP2Model(ProjectiveModel):
         """One run, (a, m - a, e) for a = 0 ... m (see :meth:`_isotypic_piece`)."""
         m, e = self._isotypic_piece(nu, k)
         return IsotypicRuns(np.array([[0, m, e]], dtype=np.int64),
-                            np.array([1, -1, 0], dtype=np.int64),
-                            np.ones(3, dtype=np.int64), np.array([m + 1], dtype=np.int64))
+                            np.array([1, -1, 0], dtype=np.int64), np.array([m + 1], dtype=np.int64))
 
     def locus_parameters(self, nu=None):
         """(t, sigma): the locus level ||v||^2 = t and the cone scale."""

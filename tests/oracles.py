@@ -143,8 +143,8 @@ def finite_difference_exp_jacobian(basis_matrices, xi_coeffs, h=1e-5):
 
 def lattice_points(weights, target):
     """Brute-force list of {alpha >= 0 : W alpha = target} (as tuples) by
-    scanning the full box (independent of the library's pivot solver and
-    of its counting pass)."""
+    scanning the full box (independent of the library's listing and of
+    its counting pass)."""
     from itertools import product
 
     W = np.asarray(weights, dtype=int)
@@ -470,10 +470,7 @@ def bisected_windows(runs, d, top, x, y):
     peak = first_true(np.zeros_like(last), last, lambda s: log_bound(
         starts, step, np.minimum(s + 1, last), linear) <= log_bound(starts, step, s, linear))
     height = log_bound(starts, step, peak, linear)
-    largest = hardy._peak_exponent(runs, d, top, x, y, peak, height)
-    if largest is None:
-        return first, counts
-    cut = largest + hardy._WINDOW_CUT
+    cut = hardy._peak_exponent(runs, d, top, x, y, peak, height) + hardy._WINDOW_CUT
     live = np.flatnonzero(height >= cut)
     starts, peak, last = starts[:, live], peak[live], last[live]
     lo = first_true(np.zeros_like(peak), peak,

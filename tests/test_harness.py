@@ -289,6 +289,35 @@ def test_suite_all_json_is_strict(suite_all):
     assert decay["band"] == [None, -5.0] and decay["intercept"] is None
 
 
+def test_decay_fit_residual_is_the_largest_slope_rise(suite_all):
+    """A decay fit's residual is the largest rise from one local slope of
+    its log rows to the next, the quantity its monotonicity check bounds
+    by 1e-6; a sweep of one slope records 0."""
+    out, _ = suite_all
+    summary = json.loads((out / "suite_all.json").read_text())
+    decays = [f for f in summary["fits"]
+              if f["quantity"].endswith("-decay") and f["exponent"] is not None]
+    assert len(decays) == 6
+    for fit in decays:
+        mid, name = fit["quantity"].split(":")
+        label = "off-orbit-log-abs-sep=" if name == "off-orbit-decay" else "off-locus-log-abs"
+        rows = [r for r in summary["rows"] if r["model"] == mid and r["quantity"].startswith(label)]
+        slopes = np.diff([r["value"] for r in rows]) / np.diff(np.log([r["k"] for r in rows]))
+        assert fit["residual"] == np.max(np.diff(slopes)) <= 1e-6, fit["quantity"]
+    cfg = ExperimentConfig(model_id="t2-cp2", k_min=64, k_max=128)
+    _, fits = run_decay_suite(cfg, build_model(cfg.model_id))
+    assert [f.residual for f in fits if f.quantity.endswith("-decay")] == [0.0, 0.0]
+
+
+def test_cli_suites_on_fixed_models_refuse_model_and_nu(capsys):
+    # suite characters runs on its own groups and suite all on the models
+    # of ALL_MODELS: a --model or --nu would be ignored, so it is refused
+    for name in ("characters", "all"):
+        for flags in (["--model", "t2-cp2"], ["--nu", "7,3"], ["--model", "t2-cp2", "--nu", "7,3"]):
+            assert main(["suite", name, *flags]) == 4, (name, flags)
+            assert f"suite {name} takes no --model or --nu" in capsys.readouterr().err
+
+
 def test_suite_all_builds_each_catalog_model_once(monkeypatch):
     """One `suite all` builds every catalog model once, shares it across
     its suites and drops it on return; the JSON summary read from each
