@@ -58,11 +58,15 @@ def _parse_point(text, model):
     return x
 
 
-def _positive_int(text):
-    k = int(text)
-    if k < 1:
-        raise argparse.ArgumentTypeError("k must be a positive integer")
-    return k
+def _positive_int(name):
+    """The argparse type of an option that takes an integer of at least 1;
+    a refusal names the option."""
+    def positive_int(text):
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{name} must be a positive integer; got {text!r}")
+        return value
+    return positive_int
 
 
 def _print(obj):
@@ -91,19 +95,19 @@ def main(argv=None):
     p = sub.add_parser("orbit-volume", help="coadjoint orbit volume")
     p.add_argument("--group", required=True)
     p.add_argument("--nu", required=True)
-    p.add_argument("--level", type=int, default=64)
+    p.add_argument("--level", type=_positive_int("level"), default=64)
 
     p = sub.add_parser("psi-nu", help="leading coefficient at a locus point")
     p.add_argument("--model", required=True)
     p.add_argument("--nu", default=None)
     p.add_argument("--point", default=None, help="complex coords, comma-separated")
-    p.add_argument("--k", type=_positive_int, default=None,
+    p.add_argument("--k", type=_positive_int("k"), default=None,
                    help="also emit the leading-order diagonal prediction at k")
 
     p = sub.add_parser("kernel-eval", help="equivariant kernel at (x, y)")
     p.add_argument("--model", required=True)
     p.add_argument("--nu", default=None)
-    p.add_argument("--k", type=_positive_int, required=True)
+    p.add_argument("--k", type=_positive_int("k"), required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--y", default=None, help="defaults to x (diagonal)")
 

@@ -20,16 +20,16 @@ set of runs (``isotypic_runs``): lines of isotypic monomials, on a
 rank-1 torus with a unit weight the prefix rows of all but the last
 free coordinate with the last one stepping and the unit-weight
 coordinate solved from the others, on t2-cp2 and u2-cp2 one line.
-Every row is a monomial, so a listing's row count is the model's
-closed-form ``isotypic_dim``; any other torus lists nothing and raises
-UnsupportedGroupError first.  A kernel sum takes one of two routes,
-chosen by that row count alone (``isotypic_extent``, known before
-anything is listed).  A listing of at most one ``models._LIST_ROWS``
+Every row is a monomial, so a listing's row count (its ``rows``) is the
+model's closed-form ``isotypic_dim``; any other torus lists nothing and
+raises UnsupportedGroupError first.  A kernel sum takes one of two
+routes, chosen by that row count alone, known before anything is
+listed.  A listing of at most one ``models._LIST_ROWS``
 chunk is stored on the first evaluation of a (nu, k): a basis of int32
 exponents and float64 log-norms (normed against a log-factorial table
-sized once from the listing's exponent bound; 4 (d + 1) + 8 B per
-monomial, built at about 8 (d + 1) B per row) and kept on the model
-under (nu, k).  Each evaluation takes the
+sized once from the listing's largest |alpha|, its ``top``;
+4 (d + 1) + 8 B per monomial, built at about 8 (d + 1) B per row) and
+kept on the model under (nu, k).  Each evaluation takes the
 real part of every stored row's exponent by one float product, and sums
 only the rows within 61 of the largest (t2-cp2 at k = 8192 keeps about
 10% of its 8193 rows): each row left out is below e^-60 of the largest
@@ -48,12 +48,12 @@ on demand, of a numpy port of Cephes lgam (the values of
 scipy.special.gammaln, bit for bit, with numpy as the only dependency).
 Isotypic dimensions are never listed: each catalog model counts its own
 in closed form (``isotypic_dim``), at any k.  Only the listings behind a
-kernel sum are budgeted: each has its row count and exponent range known
-before it is listed, and one whose basis would take more than
-_BASIS_BUDGET_BYTES to build, or whose exponents could pass int32, is
-refused with AssumptionViolation first, on the windowed route too, so
-both kernel routes refuse at the same k.  Orbit separations are closed
-forms: each catalog model gives the point of an orbit nearest to a
+kernel sum are budgeted, once per (nu, k), by ``model.isotypic_runs``:
+one whose basis would take more than _BASIS_BUDGET_BYTES to build (its
+rows counted first) or whose exponents pass int32 (its ``top``, before a
+row is listed) is refused with AssumptionViolation, on the windowed route
+too, so both kernel routes refuse at the same k.  Orbit separations are
+closed forms: each catalog model gives the point of an orbit nearest to a
 target (rank-1 tori and t2-cp2 from the roots of a critical-point
 polynomial, su2-cp1 and u2-cp2 directly).
 """
@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import AssumptionViolation, half_weight
-from .models import _BASIS_BUDGET_BYTES, _LIST_ROWS, SU2CP1Model, hermitian_inner
+from .models import _BASIS_BUDGET_BYTES, _LIST_ROWS, SU2CP1Model, _cache_key, hermitian_inner
 
 _BIG_NEG = -1.0e6  # stand-in for log 0; alpha * _BIG_NEG underflows exp cleanly
 _TINY = np.finfo(float).tiny
@@ -73,10 +73,10 @@ _TINY = np.finfo(float).tiny
 # in cache, and no (N, d+1) complex copy exists.
 _BLOCK_ROWS = 4096
 # A term whose shifted log is below this is not exponentiated.  The memory
-# budget admits at most _BASIS_BUDGET_BYTES / _basis_row_bytes(1) = 2^27
-# rows, and each skipped term is below e^-60 of the running largest, so all
-# of them together are under 2^27 e^-60 = 1.2e-18 of the largest term: less
-# than eps / 100, which grows the sum's rounding bound
+# budget admits at most _BASIS_BUDGET_BYTES / models._basis_row_bytes(1) =
+# 2^27 rows, and each skipped term is below e^-60 of the running largest,
+# so all of them together are under 2^27 e^-60 = 1.2e-18 of the largest
+# term: less than eps / 100, which grows the sum's rounding bound
 # eps (worst + log2 N + 2) sum |terms| by under 1%.
 _NEGLIGIBLE = -60.0
 # A windowed sum lists only the rows whose bound is within 61 of the
@@ -85,33 +85,6 @@ _NEGLIGIBLE = -60.0
 # row left out is under the cut above, with a unit margin for the rounding
 # of the bound or the product.
 _WINDOW_CUT = _NEGLIGIBLE - 1.0
-
-
-def _basis_row_bytes(d):
-    """Peak bytes per listed row while a basis is built, normed and summed.
-
-    tracemalloc at d = 1 / 2 / 3 on rank-1 tori (s1-cp1-w12 at k = 4e6,
-    s1-cp2-w123 at 8192, weights (1, 2, 3, 4) at 1000): listing peaks at
-    8.8 / 12.4 / 16.8 B per row, the log-norm stage at 16.1 / 20.0 /
-    24.0 B and a sum at 16.2 / 20.1 / 24.1 B (the basis itself,
-    4 (d + 1) + 8 B, and one block workspace of 0.49 / 0.49 / 0.60 MB,
-    measured with the negligible-term cut); u2-cp2 at k = 2e6 + 1 peaks
-    at 20.3 B.  8 (d + 1) bounds them all, beside a fixed few MB of
-    chunk temporaries.
-    The kernel stores only bases of at most one ``_LIST_ROWS`` chunk
-    (under 2.5 MB each at d <= 3); a longer one is built only on a direct
-    :func:`isotypic_basis` request and not kept.  A sum of a stored basis
-    adds 8 (d + 2) B per row for its float pre-pass (a float copy of the
-    exponents and the row logs, 2.1 MB at 65535 rows at d = 2) and a copy
-    of the rows it keeps.  A windowed sum keeps no
-    basis, only one chunk and its temporaries and the listing's runs,
-    kept on the model (on a rank-1 torus one per prefix row of all but
-    the last of its d free coordinates, O(k^(d - 1)): O(k) on
-    s1-cp2-w123, one on the other catalog models); 3.0 to 7.5 MB in all
-    on the cases above.  It is refused at the same row count all the
-    same.
-    """
-    return 8 * (d + 1)
 
 
 # Cephes lgam (S. L. Moshier): for x = m + 1 the Stirling correction's
@@ -175,7 +148,7 @@ def _log_factorials(top):
 
 def monomial_log_norms(d, alphas, top):
     """log ||z^alpha||^2 for an (N, d+1) integer exponent array whose every
-    |alpha| is at most top (a listing's ``isotypic_extent`` top).
+    |alpha| is at most top (a listing's ``IsotypicRuns.top``).
 
     Every log-factorial is read from the table of :func:`_log_factorials`
     (the Cephes lgam values), grown to top + d before the first row is
@@ -215,7 +188,6 @@ class IsotypicBasis:
     """Monomials spanning the k nu isotypic subspace of a model."""
 
     nu_coords: np.ndarray
-    k: int
     alphas: np.ndarray
     log_norms: np.ndarray
 
@@ -224,52 +196,31 @@ class IsotypicBasis:
         return len(self.alphas)
 
 
-def _check_budget(model, nu, k):
-    """Raise AssumptionViolation, before anything is listed, when the k nu
-    basis would take more than _BASIS_BUDGET_BYTES to build (its rows
-    come from ``isotypic_extent``); else return the extent, its rows and
-    its bound top on every |alpha|.  Windowed sums, which keep no basis,
-    are held to the same budget, so both kernel routes refuse at the same
-    k."""
-    rows, top = model.isotypic_extent(nu, k)
-    need = rows * _basis_row_bytes(model.d)
-    if need > _BASIS_BUDGET_BYTES:
-        raise AssumptionViolation(
-            f"the k = {k} isotypic basis of {model.id} lists {rows} monomials "
-            f"and needs about {need} bytes, over the {_BASIS_BUDGET_BYTES}-byte "
-            "memory budget")
-    return rows, top
-
-
-def _basis_key(nu, k):
-    return tuple(nu.coords.tolist()), k     # not int(k): k = 2.5 lists nothing, k = 2 does
-
-
 def isotypic_basis(model, nu, k):
     """The k nu isotypic basis: int32 exponents and float64 log-norms.
 
-    A basis of at most one ``models._LIST_ROWS`` chunk (the rows of
-    ``isotypic_extent``) is built once and kept in the model's
-    ``basis_cache`` under (nu, k), k exactly as given;
+    A basis of at most one ``models._LIST_ROWS`` chunk (the ``rows`` of
+    its listing, ``model.isotypic_runs``) is built once and kept in the
+    model's ``basis_cache`` under (nu, k), k exactly as given;
     :func:`equivariant_kernel_log` sums its rows that can reach the cut
     from there (:func:`_basis_sum`).  A longer one is
     built on every request and not kept: the kernel sums such a listing
     over its concentration windows instead.
 
     A build peaks at about 8 (d + 1) B per listed row
-    (:func:`_basis_row_bytes`) and keeps 4 (d + 1) + 8 B per monomial.
-    Its size is known before it is listed: a build over
+    (``models._basis_row_bytes``) and keeps 4 (d + 1) + 8 B per
+    monomial.  Its size is known before it is listed: a build over
     _BASIS_BUDGET_BYTES, or with an exponent past int32, raises
-    AssumptionViolation first.
+    AssumptionViolation first (``model.isotypic_runs``).
     """
     nu = half_weight(model.group, nu)
-    key = _basis_key(nu, k)
+    key = _cache_key(nu, k)
     basis = model.basis_cache.get(key)
     if basis is None:
-        rows, top = _check_budget(model, nu, k)
+        runs = model.isotypic_runs(nu, k)
         alphas = model.isotypic_exponents(nu, k)
-        basis = IsotypicBasis(nu.coords, k, alphas, monomial_log_norms(model.d, alphas, top))
-        if rows <= _LIST_ROWS:
+        basis = IsotypicBasis(nu.coords, alphas, monomial_log_norms(model.d, alphas, runs.top))
+        if runs.rows <= _LIST_ROWS:
             model.basis_cache[key] = basis
     return basis
 
@@ -454,7 +405,7 @@ def _first_true(hi, test, guess):
     return lo
 
 
-def _peak_exponent(runs, d, top, x, y, peak, height):
+def _peak_exponent(runs, d, lx, ly, peak, height):
     """E*: the largest term exponent, in the sum's own arithmetic, among
     the rows at the runs' peaks.
 
@@ -465,21 +416,20 @@ def _peak_exponent(runs, d, top, x, y, peak, height):
     holds E*, which keeps its bits.
     """
     best = np.argmax(height)
-    lx, ly = _safe_log(x), _safe_log(y)
     row = runs.starts[best] + peak[best] * runs.step
-    log_fact = _log_factorials(top + d)
+    log_fact = _log_factorials(runs.top + d)
     found = row @ (lx.real + ly.real) - log_fact[row].sum() \
         - d * np.log(np.pi) + log_fact[row.sum() + d]
     counts = np.ones_like(peak)
     counts[height < found - 1.0] = 0
-    blocks = _listed_blocks(d, runs.chunks(peak, counts), top)
+    blocks = _listed_blocks(d, runs.chunks(peak, counts), runs.top)
     return max(float(expo.real.max()) for expo in _block_exponents(blocks, lx, ly))
 
 
-def _concentration_windows(runs, d, top, x, y):
+def _concentration_windows(runs, d, lx, ly):
     """(first, counts): the rows first[i] ... first[i] + counts[i] - 1 of
-    each run i whose bound B (:func:`_log_bound`) is at least
-    E* + _WINDOW_CUT.
+    each run i whose bound B (:func:`_log_bound`) at the pair with
+    lx = _safe_log(x), ly = _safe_log(y) is at least E* + _WINDOW_CUT.
 
     B is concave along each run, so those rows form one interval per
     run.  Newton steps on B's slope (:func:`_log_slopes`) guess each
@@ -495,7 +445,7 @@ def _concentration_windows(runs, d, top, x, y):
     first, counts = np.zeros_like(runs.lengths), np.zeros_like(runs.lengths)
     if not len(runs.lengths):
         return first, counts
-    linear = _safe_log(x).real + _safe_log(y).real
+    linear = lx.real + ly.real
     starts, step = runs.real_lines
     last = runs.lengths - 1
     # Newton in v = artanh of s's place between the ends of the run's line in
@@ -520,7 +470,7 @@ def _concentration_windows(runs, d, top, x, y):
 
     peak = _first_true(last, falls, np.floor(root).astype(last.dtype))
     height = _log_bound(starts, step, peak, linear)
-    cut = _peak_exponent(runs, d, top, x, y, peak, height) + _WINDOW_CUT
+    cut = _peak_exponent(runs, d, lx, ly, peak, height) + _WINDOW_CUT
     live = np.flatnonzero(height >= cut)                 # windows not empty
     # t rows out from the peak: column i the left end of live run i,
     # column len(live) + i its right end
@@ -544,19 +494,20 @@ def _concentration_windows(runs, d, top, x, y):
     return first, counts
 
 
-def _windowed_sum(runs, d, top, x, y):
+def _windowed_sum(runs, d, x, y):
     """:func:`_block_sum` over the rows of a listing's concentration
     windows (:func:`_concentration_windows`), listed, normed and summed
-    chunk by chunk; nothing is stored.
+    chunk by chunk; nothing is stored.  The logs of x and y are taken once
+    and shared by the window search and the sum.
 
     Each row left out has a log term below E* - 61, at most the largest
     term's - 61, so together they add under N e^-61 of the largest term,
     inside the e^-60 cut every sum makes (see _NEGLIGIBLE); every row
     kept has the exact exponent arithmetic of the full sum.
     """
-    first, counts = _concentration_windows(runs, d, top, x, y)
-    return _block_sum(_listed_blocks(d, runs.chunks(first, counts), top),
-                      _safe_log(x), _safe_log(y))
+    lx, ly = _safe_log(x), _safe_log(y)
+    first, counts = _concentration_windows(runs, d, lx, ly)
+    return _block_sum(_listed_blocks(d, runs.chunks(first, counts), runs.top), lx, ly)
 
 
 def equivariant_kernel(model, nu, k, x, y):
@@ -576,9 +527,9 @@ def equivariant_kernel(model, nu, k, x, y):
 def equivariant_kernel_log(model, nu, k, x, y):
     """(log |Pi^mu_{k nu}(x, y)|, unit phase); -inf for the zero kernel.
 
-    Two routes, chosen by the listing's row count (``isotypic_extent``,
-    before anything is listed).  A listing of at most one
-    ``models._LIST_ROWS`` chunk is built into a basis by
+    Two routes, chosen by the listing's row count (the ``rows`` of
+    ``model.isotypic_runs``, before anything is listed).  A listing of at
+    most one ``models._LIST_ROWS`` chunk is built into a basis by
     :func:`isotypic_basis` on the first evaluation of a (nu, k), at about
     8 (d + 1) B per row, and kept on the model; every evaluation sums its
     rows whose exponent, by one float product, is within 61 of the
@@ -603,10 +554,10 @@ def equivariant_kernel_log(model, nu, k, x, y):
         phase = (inner / abs(inner)) ** n
         return float(logmag), phase
     nu = half_weight(model.group, nu)
-    if _basis_key(nu, k) not in model.basis_cache:
-        rows, top = _check_budget(model, nu, k)
-        if rows > _LIST_ROWS:          # over one chunk: sum its concentration windows
-            return _windowed_sum(model.isotypic_runs(nu, k), model.d, top, x, y)
+    if _cache_key(nu, k) not in model.basis_cache:
+        runs = model.isotypic_runs(nu, k)
+        if runs.rows > _LIST_ROWS:          # over one chunk: sum its concentration windows
+            return _windowed_sum(runs, model.d, x, y)
     basis = isotypic_basis(model, nu, k)       # kept, as it fits one chunk
     return _basis_sum(basis.alphas, basis.log_norms, x, y)
 

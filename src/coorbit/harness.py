@@ -466,7 +466,9 @@ def run_suite(name, config):
     Each catalog model the run needs is built once and shared by every
     suite run on it, so later suites read the bases and listings earlier
     ones stored; the models are dropped on return.  The characters suite
-    takes none.
+    takes none.  A suite that yields no fit on a model (gaussian on
+    su2-cp1 or s1-cp1-w12, whose loci have no normal or flat direction to
+    profile) raises ValueError: a run with no verdict passes nothing.
 
     Returns (rows, fits, passed).
     """
@@ -487,6 +489,9 @@ def run_suite(name, config):
                 if cfg.model_id not in models:
                     models[cfg.model_id] = build_model(cfg.model_id)
                 r, f = SUITES[key](cfg, models[cfg.model_id])
+            if not f:
+                raise ValueError(f"suite {key} gives no verdict on {cfg.model_id}: it has "
+                                 "nothing to check there")
             if mid is not None:
                 for fit in f:
                     fit.quantity = f"{mid}:{fit.quantity}"

@@ -62,6 +62,38 @@ _EXPAND_ROWS = 12288
 _BASIS_BUDGET_BYTES = 2 * 1024 ** 3
 
 
+def _basis_row_bytes(d):
+    """Peak bytes per listed row while a basis is built, normed and summed.
+
+    tracemalloc at d = 1 / 2 / 3 on rank-1 tori (s1-cp1-w12 at k = 4e6,
+    s1-cp2-w123 at 8192, weights (1, 2, 3, 4) at 1000): listing peaks at
+    8.8 / 12.4 / 16.8 B per row, the log-norm stage at 16.1 / 20.0 /
+    24.0 B and a sum at 16.2 / 20.1 / 24.1 B (the basis itself,
+    4 (d + 1) + 8 B, and one block workspace of 0.49 / 0.49 / 0.60 MB,
+    measured with the negligible-term cut); u2-cp2 at k = 2e6 + 1 peaks
+    at 20.3 B.  8 (d + 1) bounds them all, beside a fixed few MB of
+    chunk temporaries.
+    The kernel stores only bases of at most one ``_LIST_ROWS`` chunk
+    (under 2.5 MB each at d <= 3); a longer one is built only on a direct
+    ``hardy.isotypic_basis`` request and not kept.  A sum of a stored basis
+    adds 8 (d + 2) B per row for its float pre-pass (a float copy of the
+    exponents and the row logs, 2.1 MB at 65535 rows at d = 2) and a copy
+    of the rows it keeps.  A windowed sum keeps no
+    basis, only one chunk and its temporaries and the listing's runs,
+    kept on the model (on a rank-1 torus one per prefix row of all but
+    the last of its d free coordinates, O(k^(d - 1)): O(k) on
+    s1-cp2-w123, one on the other catalog models); 3.0 to 7.5 MB in all
+    on the cases above.  It is refused at the same row count all the
+    same.
+    """
+    return 8 * (d + 1)
+
+
+def _cache_key(nu, k):
+    """The key of a model's ``runs_cache`` and ``basis_cache`` for the half-weight nu."""
+    return tuple(nu.coords.tolist()), k     # not int(k): k = 2.5 lists nothing, k = 2 does
+
+
 def hermitian_inner(u, v):
     """<u, v> = sum u_j conj(v_j)."""
     return complex(np.vdot(v, u))
@@ -126,8 +158,10 @@ class IsotypicRuns:
 
     Row s of run i, 0 <= s < lengths[i], is starts[i] + s step, and every
     row is the exponent of an isotypic monomial: nothing is rejected, so
-    a listing's row count is its model's ``isotypic_dim``.  The starts
-    are int64: O(runs) memory.  Read-only once made (a plain class: a
+    ``rows``, the row count, is its model's ``isotypic_dim``.  ``top`` is
+    the largest |alpha| of a row (0 for an empty listing): |alpha| is
+    linear along a run, so it is reached at a run end.  The starts are
+    int64: O(runs) memory.  Read-only once made (a plain class: a
     dataclass took 1 ms of every ``import coorbit``).
     """
 
@@ -135,6 +169,9 @@ class IsotypicRuns:
         self.starts = starts      # (R, d+1) int64
         self.step = step          # (d+1,) int64
         self.lengths = lengths    # (R,) int64, positive
+        self.rows = int(lengths.sum())
+        first = starts.sum(axis=1)
+        self.top = int(np.maximum(first, first + (lengths - 1) * step.sum()).max(initial=0))
 
     @cached_property
     def real_lines(self):
@@ -193,10 +230,10 @@ class ProjectiveModel:
         self.generators = np.asarray(generators, dtype=complex)   # (dim, d+1, d+1)
         self.lift_note = lift_note
         self.default_nu = half_weight(group, default_nu)
-        # (nu coords, k) -> hardy.IsotypicBasis, k exactly as given, filled by
+        # _cache_key(nu, k) -> hardy.IsotypicBasis, filled by
         # hardy.isotypic_basis with bases of at most _LIST_ROWS rows only
         self.basis_cache = {}
-        # (nu coords, k) -> IsotypicRuns, filled by isotypic_runs
+        # _cache_key(nu, k) -> IsotypicRuns, filled by isotypic_runs
         self.runs_cache = {}
         for a in self.generators:
             if np.linalg.norm(a + a.conj().T) > 1e-12:
@@ -377,60 +414,55 @@ class ProjectiveModel:
         """The :class:`IsotypicRuns` whose listed rows span the k nu isotypic
         subspace, built once per (nu, k) and kept in ``runs_cache``.
 
-        Raises, before anything is built, what :meth:`isotypic_extent`
-        raises: AssumptionViolation when an exponent could pass int32,
-        UnsupportedGroupError for a torus no exact listing covers.
+        A listing's size checks all run here, once per (nu, k), in order:
+        a model no exact listing covers is refused (:meth:`_check_listing`)
+        before its rows are counted; a listing whose basis would take more
+        than _BASIS_BUDGET_BYTES to build (its rows, :meth:`isotypic_dim`,
+        at :func:`_basis_row_bytes` each) raises AssumptionViolation before
+        any run is built; and one whose ``top`` passes int32 raises
+        AssumptionViolation before its runs are kept or any row is listed.
         """
         nu = half_weight(self.group, nu)
-        key = (tuple(nu.coords.tolist()), k)     # not int(k): k = 2.5 lists nothing, k = 2 does
+        key = _cache_key(nu, k)
         runs = self.runs_cache.get(key)
         if runs is None:
-            rows, _ = self.isotypic_extent(nu, k)
+            self._check_listing()
+            rows = self.isotypic_dim(nu, k)
+            need = rows * _basis_row_bytes(self.d)
+            if need > _BASIS_BUDGET_BYTES:
+                raise AssumptionViolation(
+                    f"the k = {k} isotypic basis of {self.id} lists {rows} monomials "
+                    f"and needs about {need} bytes, over the {_BASIS_BUDGET_BYTES}-byte "
+                    "memory budget")
             runs = self._isotypic_runs(nu, k) if rows else IsotypicRuns(
                 np.zeros((0, self.ambient_dim), dtype=np.int64),
                 np.zeros(self.ambient_dim, dtype=np.int64), np.zeros(0, dtype=np.int64))
+            if runs.top > _INT32_MAX:
+                raise AssumptionViolation(
+                    f"the k = {k} isotypic exponents of {self.id} reach {runs.top}, past "
+                    "the int32 range of a basis")
             self.runs_cache[key] = runs
         return runs
 
+    def _check_listing(self):
+        """Raise, before a listing is counted, when no exact monomial
+        listing covers this model; the base class refuses none."""
+
     def _isotypic_runs(self, nu, k):
-        """The runs of :meth:`isotypic_runs` for a nonempty extent."""
+        """The runs of :meth:`isotypic_runs` for a nonempty listing."""
         raise NotImplementedError
 
-    def isotypic_chunks(self, nu, k):
-        """Monomial exponents spanning the k nu isotypic subspace, yielded
-        as int32 (n, d+1) chunks of at most _LIST_ROWS rows, run after run
-        (:meth:`IsotypicRuns.chunks`); their concatenation is
-        :meth:`isotypic_exponents`, row for row."""
-        yield from self.isotypic_runs(nu, k).chunks()
-
     def isotypic_exponents(self, nu, k):
-        """All of :meth:`isotypic_chunks` as one int32 (N, d+1) array, N
-        the ``isotypic_extent`` rows, written chunk by chunk."""
-        rows, _ = self.isotypic_extent(nu, k)
-        out = np.empty((rows, self.ambient_dim), dtype=np.int32)
+        """Every row of :meth:`isotypic_runs` as one int32 (N, d+1) array,
+        N its ``rows``, written chunk by chunk (:meth:`IsotypicRuns.chunks`)."""
+        runs = self.isotypic_runs(nu, k)
+        out = np.empty((runs.rows, self.ambient_dim), dtype=np.int32)
         at = 0
-        for chunk in self.isotypic_chunks(nu, k):
+        for chunk in runs.chunks():
             out[at:at + len(chunk)] = chunk
             at += len(chunk)
             del chunk                    # not alive while the next one is listed
         return out
-
-    def isotypic_extent(self, nu, k):
-        """(rows, top) of :meth:`isotypic_chunks`, found without listing:
-        the rows it lists, which is :meth:`isotypic_dim`, and a bound on
-        every exponent sum.
-
-        Raises AssumptionViolation when an exponent could pass int32, and
-        UnsupportedGroupError for a torus no exact listing covers.
-        """
-        raise NotImplementedError
-
-    def _int32_extent(self, k, rows, top):
-        if top > _INT32_MAX:
-            raise AssumptionViolation(
-                f"the k = {k} isotypic exponents of {self.id} reach {top}, past the "
-                "int32 range of a basis")
-        return rows, top
 
     def valid_k(self, k):
         """Snap k to the nearest valid label multiplier (is a no-op unless
@@ -637,20 +669,13 @@ class TorusModel(ProjectiveModel):
             return None
         return target
 
-    def isotypic_extent(self, nu, k):
-        """Rank 1 with a unit weight: the :meth:`isotypic_dim` rows, each
-        with |alpha| <= w . alpha = k nu, as every weight is at least 1 (a
-        zero weight makes Phi vanish at a vertex, refused on
-        construction).  Any other torus lists nothing and is refused."""
+    def _check_listing(self):
+        """A rank-1 torus with a unit weight lists exactly (t2-cp2 does too,
+        see :class:`T2CP2Model`); any other torus is refused."""
         if self.group.rank != 1 or not (self.weights[0] == 1).any():
             raise UnsupportedGroupError(
                 f"no exact monomial listing for {self.id}; supported: rank-1 tori with "
                 "a unit weight, t2-cp2 and u2-cp2")
-        target = self.isotypic_target(nu, k)
-        if target is None:
-            return 0, 0
-        total = int(target[0])
-        return self._int32_extent(k, _weighted_count(self.weights[0], total), total)
 
     def _isotypic_runs(self, nu, k):
         """{alpha >= 0 : w . alpha = K}, K = k nu, as runs: the pivot is
@@ -742,11 +767,8 @@ class T2CP2Model(TorusModel):
         target = self.isotypic_target(nu, k)
         return 0 if target is None else int(target.min()) + 1
 
-    def isotypic_extent(self, nu, k):
-        target = self.isotypic_target(nu, k)
-        if target is None:
-            return 0, 0
-        return self._int32_extent(k, int(target.min()) + 1, int(target.sum()))
+    def _check_listing(self):
+        """t2-cp2, unlike the other rank-2 tori, lists exactly: one run."""
 
     def _isotypic_runs(self, nu, k):
         """One run, (K_1 - t, K_2 - t, t) for t = 0 ... min(K_1, K_2)."""
@@ -820,10 +842,7 @@ class SU2CP1Model(ProjectiveModel):
         """n + 1, the dimension of level n = :meth:`isotypic_level`."""
         return max(self.isotypic_level(nu, k) + 1, 0)
 
-    def isotypic_extent(self, nu, k):
-        raise NotImplementedError(_SU2_NO_LISTING)
-
-    def isotypic_chunks(self, nu, k):
+    def _check_listing(self):
         raise NotImplementedError(_SU2_NO_LISTING)
 
     def default_locus_point(self, nu=None):
@@ -891,13 +910,6 @@ class U2CP2Model(ProjectiveModel):
         n = 2 * e - l2
         m = n - e
         return None if m < 0 or e < 0 else (m, e)
-
-    def isotypic_extent(self, nu, k):
-        piece = self._isotypic_piece(nu, k)
-        if piece is None:
-            return 0, 0
-        m, e = piece
-        return self._int32_extent(k, m + 1, m + e)
 
     def isotypic_dim(self, nu, k):
         """m + 1 (see :meth:`_isotypic_piece`)."""

@@ -441,7 +441,7 @@ def monomial_sum_mp(alphas, x, y, dps=60):
         return +total, +magnitude
 
 
-def bisected_windows(runs, d, top, x, y):
+def bisected_windows(runs, d, x, y):
     """The concentration windows (first, counts) of
     ``hardy._concentration_windows``, found by plain bisection over every
     run at every step: each run's peak (two bound evaluations per step),
@@ -464,13 +464,14 @@ def bisected_windows(runs, d, top, x, y):
     first, counts = np.zeros_like(runs.lengths), np.zeros_like(runs.lengths)
     if not len(runs.lengths):
         return first, counts
-    linear = hardy._safe_log(x).real + hardy._safe_log(y).real
+    lx, ly = hardy._safe_log(x), hardy._safe_log(y)
+    linear = lx.real + ly.real
     starts, step = runs.real_lines
     last = runs.lengths - 1
     peak = first_true(np.zeros_like(last), last, lambda s: log_bound(
         starts, step, np.minimum(s + 1, last), linear) <= log_bound(starts, step, s, linear))
     height = log_bound(starts, step, peak, linear)
-    cut = hardy._peak_exponent(runs, d, top, x, y, peak, height) + hardy._WINDOW_CUT
+    cut = hardy._peak_exponent(runs, d, lx, ly, peak, height) + hardy._WINDOW_CUT
     live = np.flatnonzero(height >= cut)
     starts, peak, last = starts[:, live], peak[live], last[live]
     lo = first_true(np.zeros_like(peak), peak,

@@ -242,16 +242,16 @@ def test_isotypic_exponents_are_the_lattice_oracle_set(case):
     assert set(listed) == set(lattice_points([weights], [target]))
     # row for row: a sum's bits depend on the order of its terms
     assert listed == _nested_rows(model, [target])
-    # the extent the budget reads is the listing's exact size
-    rows, top = model.isotypic_extent(model.default_nu, target)
-    assert rows == len(listed) and all(sum(a) <= top for a in listed)
+    # the size the budget reads is the listing's exact size
+    runs = model.isotypic_runs(model.default_nu, target)
+    assert runs.rows == len(listed) and runs.top == max(map(sum, listed), default=0)
 
 
 def test_other_tori_are_refused_before_anything_is_listed(monkeypatch):
     # rank 1 with no unit weight, and a rank-2 torus other than t2-cp2: no
     # listing is exact for them, so none is started.  The count stays
     # general on rank 1
-    monkeypatch.setattr(TorusModel, "isotypic_chunks", _refuse_listing)
+    _forbid_listing(monkeypatch, TorusModel)
     for weights, nu in (([[2, 3, 5]], (1.0,)), ([[2, 1], [1, 1]], (1.0, 1.0))):
         model = TorusModel("t-other", weights, nu)
         x = model.default_locus_point() if len(weights) == 1 else unit_point([0.6, 0.8])
@@ -336,10 +336,10 @@ def test_both_kernel_routes_are_the_oracle_ordered_sum_bit_for_bit(mid, k, monke
             bound = _exact_norm_bound(alphas, log_norms, p, q)
             assert gap <= bound * np.sum(np.exp(expo.real - shift)), (p is q, gap)
             continue
-        basis = model.basis_cache[hardy._basis_key(half_weight(model.group, nu), k)]
+        basis = model.basis_cache[models._cache_key(half_weight(model.group, nu), k)]
         assert len(model.basis_cache) == 1 and basis.dim == len(alphas)
         with monkeypatch.context() as patch:
-            patch.setattr(type(model), "isotypic_chunks", _refuse_listing)
+            patch.setattr(models.IsotypicRuns, "chunks", _refuse_listing)
             later = equivariant_kernel_log(model, nu, k, p, q)
         assert first == expected and later == expected, (mid, p is q)
 
@@ -366,16 +366,19 @@ _LARGE_K = {"s1-cp1-w12": (20000, 200000), "s1-cp2-w123": (512, 1024),
             "t2-cp2": (8192, 100000), "u2-cp2": (8193, 100001)}
 
 
-def test_isotypic_extent_is_the_exact_listing(catalog):
+def test_a_listing_has_isotypic_dim_rows_and_its_largest_level_as_top(catalog):
     # every listed row is a monomial, so the rows the budget, the route and
-    # the allocation read are the closed-form dimension, not a bound on it
+    # the allocation read are the closed-form dimension, not a bound on it;
+    # top, which sizes the log-factorial table and the int32 guard, is the
+    # largest |alpha| listed
     for mid, (stored, windowed) in _LARGE_K.items():
         model = catalog[mid]
         nu = model.default_nu
         for k in [*range(1, 65), stored, windowed]:
-            rows, _ = model.isotypic_extent(nu, k)
-            assert rows == isotypic_dim(model, nu, k) == len(model.isotypic_exponents(nu, k)), \
-                (mid, k)
+            runs = model.isotypic_runs(nu, k)
+            alphas = model.isotypic_exponents(nu, k)
+            assert runs.rows == isotypic_dim(model, nu, k) == len(alphas), (mid, k)
+            assert runs.top == alphas.sum(axis=1, dtype=np.int64).max(initial=0), (mid, k)
         assert isotypic_dim(model, nu, stored) <= models._LIST_ROWS \
             < isotypic_dim(model, nu, windowed), mid
 
@@ -384,7 +387,7 @@ def test_isotypic_dim_lists_nothing_at_k_2_to_the_30(catalog, monkeypatch):
     # every catalog model counts in closed form: no listing is asked for,
     # even where one would be far over the memory budget
     for cls in {type(model) for model in catalog.values()}:
-        monkeypatch.setattr(cls, "isotypic_chunks", _refuse_listing)
+        _forbid_listing(monkeypatch, cls)
     k = 2 ** 30
     expected = {"s1-cp1-w12": k // 2 + 1, "s1-cp2-w123": ((k + 3) ** 2 + 6) // 12,
                 "t2-cp2": k + 1, "su2-cp1": k, "u2-cp2": k + 1}
@@ -400,7 +403,7 @@ def test_su2_listing_says_its_kernel_is_the_closed_level_form(catalog):
     nu = model.default_nu
     for listing in (lambda: isotypic_basis(model, nu, 8),
                     lambda: model.isotypic_exponents(nu, 8),
-                    lambda: model.isotypic_chunks(nu, 8)):
+                    lambda: model.isotypic_runs(nu, 8)):
         with pytest.raises(NotImplementedError,
                            match="su2-cp1 lists no monomials: .* closed level form"):
             listing()
@@ -834,10 +837,10 @@ def test_windowed_sum_matches_the_multiprecision_oracle(monkeypatch):
     model = build_model("s1-cp2-w123")
     nu, k = model.default_nu, 200
     alphas = model.isotypic_exponents(nu, k)
-    _, top = model.isotypic_extent(nu, k)
-    log_norms = monomial_log_norms(model.d, alphas, top)
+    runs = model.isotypic_runs(nu, k)
+    log_norms = monomial_log_norms(model.d, alphas, runs.top)
     for x, y in _off_orbit_pairs(model, np.random.default_rng(12)):
-        _, counts = hardy._concentration_windows(model.isotypic_runs(nu, k), model.d, top, x, y)
+        _, counts = _windows(runs, model.d, x, y)
         assert counts.sum() < 0.8 * len(alphas)
         logmag, phase = equivariant_kernel_log(model, nu, k, x, y)
         assert model.basis_cache == {}
@@ -884,7 +887,7 @@ def test_negligible_cut_leaves_a_concentrated_kernel_bit_identical(monkeypatch):
 def test_negligible_cut_is_under_eps_over_a_whole_budget_of_rows():
     # the most rows the memory budget admits, each just under the cut,
     # stay below eps / 2 of the largest term
-    rows = hardy._BASIS_BUDGET_BYTES // hardy._basis_row_bytes(1)
+    rows = models._BASIS_BUDGET_BYTES // models._basis_row_bytes(1)
     assert rows * np.exp(hardy._NEGLIGIBLE) < np.finfo(float).eps / 2
 
 
@@ -900,7 +903,7 @@ def test_bases_hold_int32_exponents(catalog):
             alphas = model.isotypic_exponents(model.default_nu, k)
             assert alphas.dtype == np.int32 and len(alphas), mid
             wide = alphas.astype(np.int64)
-            _, top = model.isotypic_extent(model.default_nu, k)
+            top = model.isotypic_runs(model.default_nu, k).top
             assert np.array_equal(monomial_log_norms(model.d, alphas, top),
                                   monomial_log_norms(model.d, wide, top)), mid
         empty = model.isotypic_exponents(model.default_nu, empty_k)
@@ -1019,6 +1022,11 @@ def _listing_model(mid):
     return TorusModel("w215", [[2, 1, 5]], (1.0,)) if mid == "w215" else build_model(mid)
 
 
+def _windows(runs, d, x, y):
+    """The concentration windows (first, counts) of runs at the pair (x, y)."""
+    return hardy._concentration_windows(runs, d, hardy._safe_log(x), hardy._safe_log(y))
+
+
 def test_a_kernel_stores_its_basis_first_and_reuses_after(monkeypatch):
     model = build_model("s1-cp2-w123")
     nu, k = model.default_nu, 256
@@ -1028,7 +1036,7 @@ def test_a_kernel_stores_its_basis_first_and_reuses_after(monkeypatch):
     basis = model.basis_cache[key]                   # one chunk: stored at once
     assert model.basis_cache == {key: basis} and basis.dim == isotypic_dim(model, nu, k)
     assert first == hardy._basis_sum(basis.alphas, basis.log_norms, x, x)
-    monkeypatch.setattr(TorusModel, "isotypic_chunks", _refuse_listing)
+    monkeypatch.setattr(models.IsotypicRuns, "chunks", _refuse_listing)
     second = equivariant_kernel_log(model, nu, k, x, x)
     third = equivariant_kernel_log(model, nu, k, x, x)
     assert model.basis_cache == {key: basis} and isotypic_basis(model, nu, k) is basis
@@ -1039,6 +1047,28 @@ def test_a_kernel_stores_its_basis_first_and_reuses_after(monkeypatch):
     stored = isotypic_basis(other, nu, k)
     assert other.basis_cache == {key: stored}
     assert np.array_equal(stored.alphas, basis.alphas)
+
+
+@pytest.mark.parametrize("mid, stored, windowed", [("t2-cp2", 8192, 100000),
+                                                    ("s1-cp2-w123", 512, 2048)])
+def test_a_first_kernel_evaluation_counts_its_listing_once(mid, stored, windowed, monkeypatch):
+    # the route, the budget, the allocation and the log-factorial table all
+    # read the listing's runs, so the closed-form count (on a rank-1 torus,
+    # one coin-change count) runs once per (nu, k) on either route, and not
+    # again on a later evaluation
+    model = build_model(mid)
+    nu, x = model.default_nu, model.default_locus_point()
+    counted, count, weighted = [], type(model).isotypic_dim, models._weighted_count
+    monkeypatch.setattr(type(model), "isotypic_dim",
+                        lambda self, nu, k: counted.append(k) or count(self, nu, k))
+    monkeypatch.setattr(models, "_weighted_count",
+                        lambda w, total: counted.append(total) or weighted(w, total))
+    for k in (stored, windowed):
+        for _ in range(2):
+            equivariant_kernel_log(model, nu, k, x, x)
+            assert counted == ([k] if model.group.rank > 1 else [k, k]), (mid, k)
+        counted.clear()
+    assert list(model.basis_cache) == [models._cache_key(nu, stored)]
 
 
 def test_a_kernel_key_is_k_as_given():
@@ -1075,7 +1105,7 @@ def test_a_multi_chunk_kernel_sums_its_windows_and_keeps_no_basis(monkeypatch):
     # rows at k = 1024) and keeps no basis
     model = build_model("s1-cp2-w123")
     nu, k = model.default_nu, 1024
-    rows, _ = model.isotypic_extent(nu, k)
+    rows = model.isotypic_runs(nu, k).rows
     assert rows > models._LIST_ROWS
     listed, chunks = [], models.IsotypicRuns.chunks
 
@@ -1140,9 +1170,9 @@ def test_window_bound_holds_on_every_row_and_keeps_every_summed_one(catalog, cas
     assert np.all(bound[terms == -np.inf] < hardy._BIG_NEG / 2)
     # every row the full sum keeps within e^-60 of its largest term is in
     # a window
-    _, top = model.isotypic_extent(nu, k)
     runs = model.isotypic_runs(nu, k)
-    first, counts = hardy._concentration_windows(runs, d, top, x, y)
+    top = runs.top
+    first, counts = _windows(runs, d, x, y)
     window = np.concatenate([np.zeros((0, d + 1), dtype=np.int32)]
                             + list(runs.chunks(first, counts)))
     assert len(window) <= len(alphas)
@@ -1155,7 +1185,7 @@ def test_window_bound_holds_on_every_row_and_keeps_every_summed_one(catalog, cas
         assert np.isin(keys(summed), keys(window)).all(), (mid, k)
     # and the windowed sum is the full sum within its rounding bound
     full = hardy._basis_sum(alphas, monomial_log_norms(d, alphas, top), x, y)
-    windowed = hardy._windowed_sum(runs, d, top, x, y)
+    windowed = hardy._windowed_sum(runs, d, x, y)
     if full[0] == -np.inf:
         assert windowed == full
     else:
@@ -1182,10 +1212,9 @@ def test_window_search_finds_the_bisection_windows(catalog, case, where, seed, p
         x = unit_point(x)
     y = {"diagonal": x, "near": unit_point(x + 0.05 * random_sphere_point(d, rng)),
          "random": random_sphere_point(d, rng)}[pair]
-    _, top = model.isotypic_extent(nu, k)
     runs = model.isotypic_runs(nu, k)
-    first, counts = hardy._concentration_windows(runs, d, top, x, y)
-    want_first, want_counts = bisected_windows(runs, d, top, x, y)
+    first, counts = _windows(runs, d, x, y)
+    want_first, want_counts = bisected_windows(runs, d, x, y)
     assert np.array_equal(counts, want_counts), (mid, k)
     assert np.array_equal(first[counts > 0], want_first[counts > 0]), (mid, k)
 
@@ -1207,17 +1236,16 @@ def test_peak_exponent_is_the_largest_next_to_every_peak(catalog, case, where, s
         x = unit_point(x)
     y = {"diagonal": x, "near": unit_point(x + 0.05 * random_sphere_point(d, rng)),
          "random": random_sphere_point(d, rng)}[pair]
-    _, top = model.isotypic_extent(nu, k)
     runs, calls = model.isotypic_runs(nu, k), []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(hardy, "_peak_exponent", lambda *args, f=hardy._peak_exponent:
                       calls.append((args, f(*args))) or calls[-1][1])
-        hardy._concentration_windows(runs, d, top, x, y)
+        _windows(runs, d, x, y)
     if not calls:                            # no runs: nothing to list
         return
     (*_, peak, _), largest = calls[0]
     rows = np.concatenate(list(runs.chunks(peak, np.ones_like(peak))))
-    every = _stored_exponents(rows, monomial_log_norms(d, rows, top), x, y)
+    every = _stored_exponents(rows, monomial_log_norms(d, rows, runs.top), x, y)
     assert largest == float(every.real.max()), (mid, k)
 
 
@@ -1226,13 +1254,12 @@ def test_peak_exponent_lists_the_peaks_of_a_few_runs(monkeypatch):
     # lists the rows at the peaks of 125 of the 1025 runs, not all of them
     model = build_model("s1-cp2-w123")
     nu, k = model.default_nu, 2048
-    _, top = model.isotypic_extent(nu, k)
     runs, calls, listed = model.isotypic_runs(nu, k), [], []
     peak_exponent, chunks = hardy._peak_exponent, models.IsotypicRuns.chunks
     monkeypatch.setattr(hardy, "_peak_exponent",
                         lambda *args: calls.append(args) or peak_exponent(*args))
     x = model.default_locus_point()
-    hardy._concentration_windows(runs, model.d, top, x, x)
+    _windows(runs, model.d, x, x)
     monkeypatch.setattr(models.IsotypicRuns, "chunks", lambda self, first, counts:
                         listed.append(int(np.sum(counts))) or chunks(self, first, counts))
     peak_exponent(*calls[0])
@@ -1247,9 +1274,8 @@ def test_window_search_takes_a_few_batched_bound_evaluations(monkeypatch):
     # run, and finds the same windows
     model = build_model("s1-cp2-w123")
     nu, k = model.default_nu, 2048
-    rows, top = model.isotypic_extent(nu, k)
     runs = model.isotypic_runs(nu, k)
-    assert rows > models._LIST_ROWS and len(runs.lengths) == 1025
+    assert runs.rows > models._LIST_ROWS and len(runs.lengths) == 1025
     columns = []
     for name in ("_log_bound", "_log_slopes"):
         monkeypatch.setattr(hardy, name, lambda starts, step, s, linear, f=getattr(hardy, name):
@@ -1261,53 +1287,59 @@ def test_window_search_takes_a_few_batched_bound_evaluations(monkeypatch):
         columns.clear()
         equivariant_kernel_log(model, nu, k, p, q)
         assert len(columns) <= 12 and sum(columns) <= 14 * len(runs.lengths), columns
-        first, counts = hardy._concentration_windows(runs, model.d, top, p, q)
-        want_first, want_counts = bisected_windows(runs, model.d, top, p, q)
+        first, counts = _windows(runs, model.d, p, q)
+        want_first, want_counts = bisected_windows(runs, model.d, p, q)
         assert np.array_equal(counts, want_counts)
         assert np.array_equal(first[counts > 0], want_first[counts > 0])
 
 
-def _refuse_listing(self, nu, k):
-    raise AssertionError("an over-budget basis was listed")
+def _refuse_listing(*args, **kwargs):
+    raise AssertionError("a refused listing was built or listed")
+
+
+def _forbid_listing(patch, cls):
+    """Fail the test if the runs of a cls listing are built or a row is listed."""
+    patch.setattr(cls, "_isotypic_runs", _refuse_listing)
+    patch.setattr(models.IsotypicRuns, "chunks", _refuse_listing)
 
 
 def test_rank1_basis_over_the_memory_budget_is_refused(monkeypatch):
     model = build_model("s1-cp2-w123")
     nu, k = model.default_nu, 64
-    need = isotypic_dim(model, nu, k) * hardy._basis_row_bytes(model.d)
-    monkeypatch.setattr(hardy, "_BASIS_BUDGET_BYTES", need - 1)
-    monkeypatch.setattr(TorusModel, "isotypic_chunks", _refuse_listing)
+    need = isotypic_dim(model, nu, k) * models._basis_row_bytes(model.d)
+    monkeypatch.setattr(models, "_BASIS_BUDGET_BYTES", need - 1)
+    _forbid_listing(monkeypatch, TorusModel)
     with pytest.raises(AssumptionViolation, match=f"374 monomials.*{need} bytes.*{need - 1}-byte"):
         isotypic_basis(model, nu, k)
-    assert not model.basis_cache
+    assert not model.basis_cache and not model.runs_cache
     monkeypatch.undo()
-    monkeypatch.setattr(hardy, "_BASIS_BUDGET_BYTES", need)
+    monkeypatch.setattr(models, "_BASIS_BUDGET_BYTES", need)
     assert isotypic_basis(model, nu, k).dim == 374
 
 
 @pytest.mark.parametrize("mid, k", [("s1-cp2-w123", 64), ("t2-cp2", 64), ("u2-cp2", 65)])
 def test_kernel_evaluation_over_the_budget_is_refused_before_listing(mid, k, monkeypatch):
-    model = build_model(mid)
+    model, listed = build_model(mid), build_model(mid)
     nu = model.default_nu
-    rows, _ = model.isotypic_extent(nu, k)
-    dim = len(model.isotypic_exponents(nu, k))
-    need = rows * hardy._basis_row_bytes(model.d)
-    monkeypatch.setattr(hardy, "_BASIS_BUDGET_BYTES", need - 1)
-    monkeypatch.setattr(type(model), "isotypic_chunks", _refuse_listing)
+    rows = isotypic_dim(model, nu, k)
+    dim = len(listed.isotypic_exponents(nu, k))
+    need = rows * models._basis_row_bytes(model.d)
+    monkeypatch.setattr(models, "_BASIS_BUDGET_BYTES", need - 1)
+    _forbid_listing(monkeypatch, type(model))
     x = model.default_locus_point()
     with pytest.raises(AssumptionViolation, match=f"{rows} monomials.*{need} bytes"):
         equivariant_kernel_log(model, nu, k, x, x)
-    assert not model.basis_cache                     # a refusal stores nothing
-    assert isotypic_dim(model, nu, k) == dim         # a count lists nothing
+    assert not model.basis_cache and not model.runs_cache    # a refusal stores nothing
+    assert isotypic_dim(model, nu, k) == dim                 # a count lists nothing
     monkeypatch.undo()
-    monkeypatch.setattr(hardy, "_BASIS_BUDGET_BYTES", need)
+    monkeypatch.setattr(models, "_BASIS_BUDGET_BYTES", need)
     assert equivariant_kernel_log(model, nu, k, x, x)[0] > -np.inf
 
 
 def test_cli_exits_3_over_the_memory_budget(monkeypatch, capsys):
     # 500 B is below both bases: 374 rows at 24 B and 33 rows at 16 B
-    monkeypatch.setattr(hardy, "_BASIS_BUDGET_BYTES", 500)
-    monkeypatch.setattr(TorusModel, "isotypic_chunks", _refuse_listing)
+    monkeypatch.setattr(models, "_BASIS_BUDGET_BYTES", 500)
+    _forbid_listing(monkeypatch, TorusModel)
     assert main(["kernel-eval", "--model", "s1-cp2-w123", "--k", "64",
                  "--x", "0.7,0.5,0.5"]) == 3
     assert "500-byte memory budget" in capsys.readouterr().err
@@ -1367,15 +1399,22 @@ def test_exponents_past_int32_are_refused_before_listing(monkeypatch, capsys):
     # weights (1, 10^6): 3001 rows at k = 3e9, well under the
     # budget, but the first exponent reaches 3e9
     model = TorusModel("s1-cp1-wide", [[1, 1_000_000]], (1.0,))
-    assert model.isotypic_extent(model.default_nu, 2_000_000_000) == (2001, 2_000_000_000)
-    monkeypatch.setattr(TorusModel, "isotypic_chunks", _refuse_listing)
+    runs = model.isotypic_runs(model.default_nu, 2_000_000_000)
+    assert (runs.rows, runs.top) == (2001, 2_000_000_000)
+    monkeypatch.setattr(models.IsotypicRuns, "chunks", _refuse_listing)
     with pytest.raises(AssumptionViolation, match="reach 3000000000, past the int32 range"):
         isotypic_basis(model, model.default_nu, 3_000_000_000)
-    assert not model.basis_cache
-    # t2-cp2 at k = 1e9 reaches 3e9 too, and exits 3 at once
+    assert not model.basis_cache and len(model.runs_cache) == 1     # the k = 2e9 runs only
+    # t2-cp2 at nu = (3, 0) and k = 1e9 lists one row, which reaches 3e9,
+    # and exits 3 at once
+    assert main(["kernel-eval", "--model", "t2-cp2", "--nu", "3,0", "--k", "1000000000",
+                 "--x", "0.7,0.5,0.5"]) == 3
+    assert "reach 3000000000, past the int32 range" in capsys.readouterr().err
+    # at its default nu (2, 1) the 1e9 + 1 rows are counted first, and are
+    # over the budget
     assert main(["kernel-eval", "--model", "t2-cp2", "--k", "1000000000",
                  "--x", "0.7,0.5,0.5"]) == 3
-    assert "int32" in capsys.readouterr().err
+    assert "1000000001 monomials" in capsys.readouterr().err
 
 
 def test_log_factorial_growth_over_the_budget_is_refused(monkeypatch):

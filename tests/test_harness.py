@@ -164,6 +164,18 @@ def test_cli_orbit_integral_refuses_su3(capsys):
     assert set(json.loads(capsys.readouterr().out)) == {"weyl"}
 
 
+@pytest.mark.parametrize("mid", ["su2-cp1", "s1-cp1-w12"])
+def test_a_suite_with_no_verdict_is_refused(mid, capsys):
+    # neither locus has a normal or a flat direction to profile, so the
+    # gaussian suite has nothing to check there, and a run with no fit
+    # must not pass
+    with pytest.raises(ValueError, match=f"suite gaussian gives no verdict on {mid}"):
+        run_suite("gaussian", ExperimentConfig(model_id=mid))
+    assert main(["suite", "gaussian", "--model", mid, "--format", "json"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and f"suite gaussian gives no verdict on {mid}" in err
+
+
 def test_cli_psi_nu_and_kernel_eval(capsys):
     assert main(["psi-nu", "--model", "su2-cp1"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -192,6 +204,11 @@ _BAD_POINT = "a point of {} takes {} finite coordinates, not all zero; got '{}'"
     (["psi-nu", "--model", "t2-cp2", "--point", "0,0,0"], "got '0,0,0'"),
     (["psi-nu", "--model", "t2-cp2", "--point", "1,0"], _BAD_POINT.format("t2-cp2", 3, "1,0")),
     (["psi-nu", "--model", "t2-cp2", "--k", "-5"], "k must be a positive integer"),
+    # not numpy's "deg must be a positive integer" from the quadrature
+    (["orbit-volume", "--group", "su2", "--nu", "2", "--level", "0"],
+     "argument --level: level must be a positive integer; got '0'"),
+    (["orbit-volume", "--group", "su2", "--nu", "2", "--level", "-3"],
+     "argument --level: level must be a positive integer; got '-3'"),
 ])
 def test_cli_refuses_bad_points_and_k(argv, message, capsys):
     assert main(argv) == 4
