@@ -2,21 +2,21 @@
 coadjoint-orbit quadrature and the orbit-integral (Kirillov) character.
 
 The two character routes implemented here are deliberately independent:
-``weyl_character`` is the alternating-sum ratio over the Weyl group,
-while ``kirillov_character`` integrates a Fourier kernel over the
-coadjoint orbit and divides by the exp-map Jacobian.  Their agreement on
-regular torus elements is one of the package's acceptance criteria.
-The orbit route is deterministic and covers the groups whose orbits
-are points or round 2-spheres: tori, SU(2) and U(2).  SU(n)/U(n) with
-n >= 3 get the Weyl route only; their orbit quadrature is refused with
-UnsupportedGroupError.
+``weyl_character`` is the alternating-sum ratio over the Weyl group
+(its exact limit on walls), while ``kirillov_character`` integrates a
+Fourier kernel over the coadjoint orbit, one node per torus ring, and
+divides by the exp-map Jacobian.  Their agreement on regular torus
+elements is one of the package's acceptance criteria.  The orbit route
+covers the groups whose orbits are points or round 2-spheres: tori,
+SU(2) and U(2).  SU(n)/U(n) with n >= 3 get the Weyl route only; their
+orbit quadrature is refused with UnsupportedGroupError.
 
 Quadrature sums rely on numpy's pairwise summation, so results are
 reproducible independently of how the node set would be partitioned.
 """
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -123,9 +123,9 @@ def weyl_character(group, nu, theta):
     ``theta`` holds ``rank`` angles (a complex is returned) or a stack of
     them, shape (N, rank) (an (N,) array is returned), evaluated in one
     pass.  Evaluates the alternating-sum ratio A_nu / A_delta on the
-    regular locus.  Near a wall (|A_delta| < 1e-8) the limit is taken by
-    Richardson extrapolation along a fixed regular direction; at the
-    identity the dimension is returned directly.
+    regular locus.  On and near a wall (|A_delta| < 1e-8) its limit is
+    taken exactly, however many roots vanish (:func:`_wall_limit`); at
+    the identity the dimension is returned directly.
     """
     nu = half_weight(group, nu)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -148,20 +148,57 @@ def weyl_character(group, nu, theta):
 
 
 def _wall_limit(group, nu, thetas):
-    """chi_nu at singular elements (rows of ``thetas``) as the limit of the
-    alternating-sum ratio, by Richardson extrapolation along the regular
-    delta direction."""
-    direction = group.delta / np.linalg.norm(group.delta)
-    steps = np.array([1e-3, 5e-4, 2.5e-4])
-    t = thetas[:, None, :] + steps[:, None] * direction       # (M, 3, rank)
-    ratios = _alternating_sum(group, nu.coords, t) / _alternating_sum(group, group.delta, t)
-    # Neville extrapolation to h = 0, on all M elements at once
-    v = list(ratios.T)
-    h = list(steps)
-    for lvl in range(1, 3):
-        for i in range(3 - lvl):
-            v[i] = v[i + 1] + (v[i + 1] - v[i]) * h[i + lvl] / (h[i] - h[i + lvl])
-    return v[0]
+    """chi_nu at rows theta of ``thetas`` on or near walls, as an exact limit.
+
+    eta solves <beta, eta> = (<beta, theta> off 2 pi Z) in least norm for
+    the roots :func:`_near_walls` picks; theta0 = theta - eta lies on
+    their walls, eta pairing to zero with m0 of the m roots vanishing
+    there.  Along xi = 2 rho^vee (the coroot sum, pairing to >= 2 with
+    every positive root) A_gamma(theta + t xi) has t^{m0} coefficient
+    sum_w sign(w) <w gamma, xi>^{m0} e^{i <w gamma, theta0>} E(i <w gamma, eta>),
+    E(z) = sum_{j >= m - m0} z^j / j! (the lower terms vanish at theta0),
+    times a factor common to gamma = nu and delta: on a wall, m0-th
+    derivatives; near one, no cancellation of the vanishing factors."""
+    roots, xi = group.positive_roots, group.coroots.sum(axis=1)
+    # |<w gamma, eta>| <~ 1 within this reach: 40 terms of E give every digit
+    reach = 1.0 / (1.0 + np.linalg.norm(nu.coords))
+    images = np.stack([group.weyl_matrices @ gamma for gamma in (nu.coords, group.delta)])
+    out = np.empty(len(thetas), dtype=complex)
+    for row, theta in enumerate(thetas):
+        offset = (roots @ theta + np.pi) % (2 * np.pi) - np.pi
+        near, flat = _near_walls(np.abs(offset), reach)
+        eta = np.linalg.lstsq(roots[near], offset[near], rcond=None)[0]
+        walls = np.abs((roots @ (theta - eta) + np.pi) % (2 * np.pi) - np.pi) <= _ON_WALL
+        m0 = np.count_nonzero(walls & (np.abs(roots @ eta) <= flat))
+        m1 = np.count_nonzero(walls) - m0
+        z = 1j * (images @ eta)
+        term = tail = z ** m1 / math.factorial(m1)
+        for j in range(m1 + 1, m1 + 40):
+            term = term * z / j
+            tail = tail + term
+        num, den = (group.weyl_signs * (images @ xi) ** m0
+                    * np.exp(1j * (images @ (theta - eta))) * tail).sum(axis=1)
+        out[row] = num / den
+    return out
+
+
+_ON_WALL = 1e-13   # a root angle this close to 2 pi Z is on its wall
+
+
+def _near_walls(dist, reach):
+    """The c roots nearest 2 pi Z (``dist``) within ``reach`` and the largest
+    eta pairing taken as zero, c minimizing the loss in eps: 1 / distance
+    per root left out; per root in, (largest distance in) / distance, or
+    distance / eps below sqrt(eps) times that largest distance."""
+    eps, order = np.finfo(float).eps, np.argsort(dist)
+    d = np.maximum(dist[order], _ON_WALL)
+    best = (np.inf, 0, _ON_WALL)
+    for c in range(np.count_nonzero(dist <= reach) + 1):
+        inner, flat = d[:c], max(_ON_WALL, np.sqrt(eps * d[c - 1]))
+        loss = (np.prod(1 / np.minimum(d[c:], 1.0)) + np.prod(d[c - 1] / inner[inner > flat])
+                + inner[(inner > _ON_WALL) & (inner <= flat)].sum() / eps)
+        best = min(best, (loss, c, flat))
+    return np.isin(np.arange(len(dist)), order[:best[1]]), best[2]
 
 
 def character_at_element(group, nu, g):
@@ -181,7 +218,7 @@ def character_at_element(group, nu, g):
     the entries does not.  Otherwise the eigen-angles are mapped to
     Cartan coordinates through the pseudo-inverse of
     :attr:`~coorbit.groups.CompactGroup.cartan_diagonal` and passed to
-    :func:`weyl_character`, which extrapolates at walls.
+    :func:`weyl_character`, which takes the exact limit on walls.
     """
     nu = half_weight(group, nu)
     g = np.asarray(g)
@@ -251,28 +288,20 @@ def orbit_volume(group, gamma):
 class OrbitQuadrature:
     """Quadrature for the Kostant-Kirillov volume on a coadjoint orbit.
 
-    ``weights`` sum to vol(O_nu).  Each run of ``ring`` consecutive nodes
-    is one orbit of the maximal torus: an azimuth ring of the polar-major
-    sphere rule (``ring`` = 2 level), or the single node of a torus point
-    rule.  ``ring_nodes`` holds lambda^phi (matrices for SU(n)/U(n),
-    coefficient vectors for tori) at the first node of each ring, all the
-    sums read; :attr:`nodes_sharp`, every node, is built on first use.
+    ``weights`` sum to vol(O_nu).  Each run of ``ring`` consecutive
+    weights is one orbit of the maximal torus: an azimuth ring of the
+    polar-major sphere rule (``ring`` = 2 level), or the single node of a
+    torus point rule.  ``ring_nodes`` holds lambda^phi (matrices for
+    SU(n)/U(n), coefficient vectors for tori) at the first (azimuth-0)
+    node of each ring, the only node any sum reads; no other is built.
     """
 
     group: CompactGroup
     metric: InvariantMetric
-    nu: np.ndarray
     ring_nodes: np.ndarray
     weights: np.ndarray
     scheme: str
     ring: int
-
-    @cached_property
-    def nodes_sharp(self):
-        """lambda^phi at every node, ring by ring."""
-        if self.ring == 1:
-            return self.ring_nodes
-        return _sphere_nodes(self.group, self.metric, self.nu, self.ring // 2, self.ring)[0]
 
     @property
     def node_count(self):
@@ -301,13 +330,14 @@ def orbit_quadrature(group, metric, nu, level=64):
     """Nodes and weights integrating against the orbit volume form.
 
     Tori: the orbit is the single point nu (weight 1 = vol).  SU(2) and
-    U(2): the orbit is a round 2-sphere; nodes are a Gauss-Legendre x
-    uniform product grid and each weight is its area weight times the
-    Kostant-Kirillov density computed from sigma(ad_xi lambda, ad_eta
-    lambda) = <lambda, [xi, eta]>.  The density is G-invariant, hence
-    one number per orbit, evaluated at the first node (the weight sum is
-    a genuine prediction, checked against (2 pi)^{n_pos} d_nu in the
-    tests).
+    U(2): the orbit is a round 2-sphere; the rule is ``level``
+    Gauss-Legendre polar rings x 2 level uniform azimuths, of which only
+    each ring's first node is built, and each weight is its area weight
+    times the Kostant-Kirillov density computed from sigma(ad_xi lambda,
+    ad_eta lambda) = <lambda, [xi, eta]>.  The density is G-invariant,
+    hence one number per orbit, evaluated at the first node (the weight
+    sum is a genuine prediction, checked against (2 pi)^{n_pos} d_nu in
+    the tests).
 
     Raises
     ------
@@ -317,39 +347,35 @@ def orbit_quadrature(group, metric, nu, level=64):
     """
     nu = half_weight(group, nu)
     if group.kind == "torus":
-        return OrbitQuadrature(group, metric, nu.coords,
-                               metric.sharp(nu.coords)[None, :],
+        return OrbitQuadrature(group, metric, metric.sharp(nu.coords)[None, :],
                                np.array([1.0]), "point", 1)
     if group.n != 2:
         raise UnsupportedGroupError(
             f"no orbit quadrature for {group.name}; supported: tori, SU(2), U(2)")
     n_azimuth = 2 * level
-    nodes, radius = _sphere_nodes(group, metric, nu.coords, level, 1)   # one per ring
+    nodes, radius = _sphere_nodes(group, metric, nu.coords, level)
     area_w = np.repeat(gauss_legendre(level)[1], n_azimuth) * (2 * np.pi / n_azimuth)
     # the density is G-invariant, so one node gives it for the whole orbit
-    return OrbitQuadrature(group, metric, nu.coords, nodes,
+    return OrbitQuadrature(group, metric, nodes,
                            area_w * radius ** 2 * _kk_density(metric, nodes[:1]),
                            f"gauss-sphere-{level}x{n_azimuth}", n_azimuth)
 
 
-def _sphere_nodes(group, metric, coords, level, azimuths):
-    """lambda^phi on the first ``azimuths`` of the 2 level azimuths of
-    each of the ``level`` Gauss-Legendre polar rings (polar-major), and
-    the sphere's radius."""
+def _sphere_nodes(group, metric, coords, level):
+    """lambda^phi at the azimuth-0 node center + radius (u z + s x),
+    s = sqrt(1 - u^2), of each of the ``level`` Gauss-Legendre polar
+    rings u, and the sphere's radius."""
     nu_sharp = algebra_matrix(group, metric.sharp(coords))
     center = np.trace(nu_sharp) / group.n * np.eye(group.n)
     radial = nu_sharp - center
     radius = np.sqrt(metric.inner_matrices(radial, radial))
 
     z_hat = np.array([[1j, 0], [0, -1j]], dtype=complex) / np.sqrt(2 * metric.scale)
-    x_hat, y_hat = complement_frame(metric)
+    x_hat = complement_frame(metric)[0]
 
-    xs = gauss_legendre(level)[0]
-    phis = 2 * np.pi * np.arange(azimuths) / (2 * level)
-    u = np.repeat(xs, azimuths)[:, None, None]
-    phi = np.tile(phis, level)[:, None, None]
+    u = gauss_legendre(level)[0][:, None, None]
     s = np.sqrt(1.0 - u * u)
-    return center + radius * (u * z_hat + s * (np.cos(phi) * x_hat + np.sin(phi) * y_hat)), radius
+    return center + radius * (u * z_hat + s * x_hat), radius
 
 
 def _kk_density(metric, lam):

@@ -105,7 +105,7 @@ class Prediction:
         return json.dumps(d, sort_keys=True)
 
 
-def _real_span_residual(vec, basis):
+def _span_residual(vec, basis):
     """Distance of vec from the real span of the basis vectors."""
     vec = np.asarray(vec, dtype=complex)
     if np.linalg.norm(vec) == 0:
@@ -117,18 +117,6 @@ def _real_span_residual(vec, basis):
     vr = np.concatenate([vec.real, vec.imag])
     coef, *_ = np.linalg.lstsq(Br, vr, rcond=None)
     return float(np.linalg.norm(vr - Br @ coef))
-
-
-def _complex_span_residual(vec, basis):
-    """Distance of vec from the complex span of the basis vectors."""
-    vec = np.asarray(vec, dtype=complex)
-    if np.linalg.norm(vec) == 0:
-        return 0.0
-    if not basis:
-        return float(np.linalg.norm(vec))
-    B = np.stack([np.asarray(b, dtype=complex) for b in basis], axis=1)
-    coef, *_ = np.linalg.lstsq(B, vec, rcond=None)
-    return float(np.linalg.norm(vec - B @ coef))
 
 
 def predict_near_diagonal(model, nu, sample, k, v1=None, w1=None, v2=None, w2=None):
@@ -152,12 +140,12 @@ def predict_near_diagonal(model, nu, sample, k, v1=None, w1=None, v2=None, w2=No
     w2 = zero if w2 is None else np.asarray(w2, dtype=complex)
 
     normal = model.normal_space(nu, sample)
-    wbasis = model.w_space(sample.x)
+    wspan = [c * b for b in model.w_space(sample.x) for c in (1, 1j)]   # R-span = C-span of w
     for v in (v1, v2):
-        if _real_span_residual(v, normal) > 1e-8 * max(1.0, np.linalg.norm(v)):
+        if _span_residual(v, normal) > 1e-8 * max(1.0, np.linalg.norm(v)):
             raise AssumptionViolation("v displacement is not normal to the locus")
     for w in (w1, w2):
-        if _complex_span_residual(w, wbasis) > 1e-8 * max(1.0, np.linalg.norm(w)):
+        if _span_residual(w, wspan) > 1e-8 * max(1.0, np.linalg.norm(w)):
             raise AssumptionViolation("w displacement is not h-orthogonal to the orbit")
     bound = 3.0 * k ** (1.0 / 6.0)
     for vec in (v1, v2, w1, w2):

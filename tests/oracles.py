@@ -3,7 +3,9 @@
 Everything here is deliberately primitive: explicit weight enumeration,
 Gelfand-Tsetlin counting, finite differences, and brute-force lattice
 scans.  None of it shares code paths with the library implementations
-it checks.
+it checks; the one import from ``coorbit`` is ``hardy`` inside
+``bisected_windows``, which checks only the window search
+(``tests/test_oracles.py`` pins this).
 """
 
 import math
@@ -97,6 +99,23 @@ def gt_dimension(lam):
     total = 0
     for mu in _interlacings(lam):
         total += gt_dimension(mu)
+    return total
+
+
+def gt_character(lam, angles):
+    """U(n) character with highest weight ``lam`` at diag(e^{i angles}),
+    as the sum of e^{i <weight, angles>} over the Gelfand-Tsetlin
+    patterns: s_lam(x_1..x_n) = sum over mu interlacing lam of
+    x_n^{|lam| - |mu|} s_mu(x_1..x_{n-1}).  An SU(n) irrep is the U(n)
+    irrep of its partition, at eigen-angles summing to a multiple of
+    2 pi."""
+    lam = [int(round(x)) for x in lam]
+    n = len(lam)
+    if n == 1:
+        return complex(np.exp(1j * lam[0] * angles[0]))
+    total = 0.0 + 0.0j
+    for mu in _interlacings(lam):
+        total += np.exp(1j * (sum(lam) - sum(mu)) * angles[n - 1]) * gt_character(mu, angles[:n - 1])
     return total
 
 
@@ -482,22 +501,59 @@ def bisected_windows(runs, d, x, y):
     return first, counts
 
 
-def kirillov_full_node(quad, xi):
+def orbit_rule_nodes(group, metric, coords, level):
+    """lambda^phi at every node of the orbit rule through the covector
+    ``coords``, ring by ring, from the rule's definition.
+
+    Tori: the orbit is the single point coords^phi, coords @ inv(Gram).
+    SU(2)/U(2): the round sphere about the centre (trace part) of
+    coords^phi, at ``level`` Gauss-Legendre polar nodes u, each ring
+    center + radius (u z + s (cos phi x + sin phi y)), s = sqrt(1 - u^2),
+    over 2 level uniform azimuths phi; z = diag(i, -i) and x, y the
+    off-diagonal basis matrices, each over sqrt(2 scale).
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    coords = np.asarray(coords, dtype=float)
+    inverse = np.linalg.inv(metric.gram)[:group.rank, :group.rank]
+    sharp = coords @ inverse.T
+    if group.kind == "torus":
+        return sharp[None, :]
+    basis = group.basis_matrices
+    lam = np.einsum("...m,mij->...ij", sharp, basis[:group.rank])
+    center = np.trace(lam) / group.n * np.eye(group.n)
+    radial = lam - center
+    radius = np.sqrt(metric.scale * np.trace(radial @ radial.conj().T).real)
+    unit = np.sqrt(2 * metric.scale)
+    z_hat = np.array([[1j, 0], [0, -1j]], dtype=complex) / unit
+    x_hat, y_hat = basis[group.rank] / unit, basis[group.rank + 1] / unit
+    azimuths = 2 * level
+    u = np.repeat(leggauss(level)[0], azimuths)[:, None, None]
+    phi = np.tile(2 * np.pi * np.arange(azimuths) / azimuths, level)[:, None, None]
+    s = np.sqrt(1.0 - u * u)
+    return center + radius * (u * z_hat + s * (np.cos(phi) * x_hat + np.sin(phi) * y_hat))
+
+
+def kirillov_full_node(quad, coords, xi):
     """The orbit-integral character (2 pi)^{-n_pos} P(xi)^{-1}
     sum_n w_n e^{i <lambda_n, xi>} of ``characters.kirillov_character``
-    with one complex exponential at every node of the rule ``quad``: the
-    pairing of each node with the Cartan element xi (its coefficients on
-    the Cartan basis matrices for SU(2)/U(2), the metric's Gram matrix on
-    tori), whatever the rule's rings."""
-    from coorbit.characters import exp_jacobian
-
+    with one complex exponential at every node of
+    :func:`orbit_rule_nodes` through ``coords`` (the rule's weights
+    ``quad.weights``, 2 level = ``quad.ring`` azimuths): the pairing of
+    each node with the Cartan element xi (its coefficients on the Cartan
+    basis matrices for SU(2)/U(2), the metric's Gram matrix on tori),
+    whatever the rule's rings, and P(xi) = prod_beta sinc(<beta, xi>/2)
+    over the positive roots."""
     group, metric = quad.group, quad.metric
+    nodes = orbit_rule_nodes(group, metric, coords, quad.ring // 2)
     xi = np.asarray(xi, dtype=float)
     if group.kind == "torus":
-        pairing = (quad.nodes_sharp @ metric.gram) @ xi
+        pairing = (nodes @ metric.gram) @ xi
     else:
         xi_mat = np.einsum("m,mij->ij", xi, group.basis_matrices[:group.rank])
-        pairing = metric.scale * np.einsum("nij,ji->n", quad.nodes_sharp,
-                                           xi_mat.conj().T).real
+        pairing = metric.scale * np.einsum("nij,ji->n", nodes, xi_mat.conj().T).real
     integral = np.sum(quad.weights * np.exp(1j * pairing))
-    return (1 / (2 * np.pi)) ** group.n_pos * integral / exp_jacobian(group, xi)
+    p = 1.0
+    for a in (float(beta @ xi) for beta in group.positive_roots):
+        p *= np.sinc(a / (2 * np.pi))
+    return (1 / (2 * np.pi)) ** group.n_pos * integral / float(p)

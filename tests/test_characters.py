@@ -30,8 +30,10 @@ from coorbit.groups import (
 from oracles import (
     euler_product,
     finite_difference_exp_jacobian,
+    gt_character,
     gt_dimension,
     kirillov_full_node,
+    orbit_rule_nodes,
     su2_character_weight_sum,
     u2_character_eigen_angles,
     u2_character_from_euler,
@@ -173,9 +175,89 @@ def test_weyl_character_wall_extrapolation():
     nu = half_weight(g, (3.5, 0.5))
     # theta on the wall theta1 = theta2 (the root (1,-1) vanishes)
     theta = np.array([0.8, 0.8])
-    oracle = u2_character_weight_sum(3, 1, 0.8 + 1e-9, 0.8 - 1e-9)
     val = weyl_character(g, nu, theta)
-    assert abs(val - oracle) < 1e-5
+    assert abs(val - u2_character_weight_sum(3, 1, 0.8, 0.8)) < 1e-13
+    assert abs(val - gt_character((3, 1), theta)) < 1e-13
+
+
+def _gt_value(g, nu, theta):
+    """chi_nu at the Cartan coefficients theta by the Gelfand-Tsetlin sum:
+    an SU(n) highest weight's coordinates are its Dynkin labels l, the
+    partition mu_j = l_j + ... + l_{n-1}, mu_n = 0."""
+    lam = np.rint(half_weight(g, nu).highest_weight).astype(int)
+    if g.kind == "su":
+        lam = list(np.cumsum(lam[::-1])[::-1]) + [0]
+    return gt_character(lam, np.asarray(theta, dtype=float) @ g.cartan_diagonal)
+
+
+def _on_simple_walls(g, rng):
+    """One random Cartan element on the wall of each simple root
+    e_j - e_{j+1}: eigen-angles j and j + 1 equal."""
+    out = []
+    for j in range(g.n - 1):
+        angles = rng.uniform(-np.pi, np.pi, g.n)
+        angles[j + 1] = angles[j]
+        if g.kind == "su":
+            angles -= angles.mean()
+        out.append(angles @ np.linalg.pinv(g.cartan_diagonal))
+    return out
+
+
+def test_weyl_character_on_walls_is_the_gelfand_tsetlin_sum():
+    # elements where one root or several vanish modulo 2 pi: a direction
+    # lying in a wall (SU(4) at (0.3, 0.5, 0.7) has eigen-angles 0.2 and
+    # 0.2), the identity and the centre written as 2 pi multiples, and a
+    # random element on each simple wall
+    tau = 2 * np.pi
+    cases = [("su4", (2.0, 1.0, 1.0), (0.3, 0.5, 0.7)),
+             ("su3", (2.0, 1.0), (tau, 0.0)),
+             ("su3", (2.0, 1.0), (tau / 3, 2 * tau / 3)),
+             ("su3", (3.0, 2.0), (tau / 3, 2 * tau / 3)),
+             ("u3", (2.0, 0.0, -1.0), (tau, 0.0, 0.0)),
+             ("su4", (2.0, 1.0, 1.0), (tau, 0.0, 0.0)),
+             ("su5", (2.0, 1.0, 1.0, 1.0), (tau, 0.0, 0.0, 0.0))]
+    rng = np.random.default_rng(17)
+    for kind, coords in (("su3", (3.0, 2.0)), ("u3", (3.0, 1.0, -2.0)),
+                         ("su4", (2.0, 2.0, 1.0)), ("su5", (2.0, 1.0, 2.0, 1.0))):
+        cases += [(kind, coords, theta) for theta in _on_simple_walls(build_group(kind), rng)]
+    for kind, coords, theta in cases:
+        g = build_group(kind)
+        val = weyl_character(g, coords, np.array(theta))
+        assert abs(val - _gt_value(g, coords, theta)) < 1e-10, (kind, coords, theta)
+    # the defining representation of SU(4) at (0.3, 0.5, 0.7) is the trace
+    val = weyl_character(build_group("su4"), (2.0, 1.0, 1.0), np.array([0.3, 0.5, 0.7]))
+    assert abs(val - np.exp(1j * np.array([0.3, 0.2, 0.2, -0.7])).sum()) < 1e-13
+    # the centre omega I of SU(3) through the eigen-angle route
+    g = build_group("su3")
+    omega = np.exp(2j * np.pi / 3)
+    assert abs(character_at_element(g, (2.0, 1.0), omega * np.eye(3)) - 3 * omega) < 1e-12
+
+
+def test_weyl_character_near_walls_is_the_gelfand_tsetlin_sum():
+    # the near-wall set of test_weyl_character_stack_matches_per_element:
+    # below the 1e-8 switch on |A_delta| the wall limit holds to 1e-12;
+    # above it the plain ratio loses digits as 1 / |A_delta| (6.2e-8 at
+    # 1e-9 off an SU(3) wall)
+    from coorbit.characters import _alternating_sum
+
+    rng = np.random.default_rng(21)
+    for kind, coords in (("su2", (4.0,)), ("u2", (3.5, 0.5)), ("su3", (2.0, 1.0))):
+        g = build_group(kind)
+        rng.uniform(-np.pi, np.pi, size=(40, g.rank))
+        for beta in g.positive_roots:
+            base = rng.uniform(-np.pi, np.pi, size=g.rank)
+            on_wall = base - (beta @ base) / (beta @ beta) * beta
+            for eps in (0.0, 1e-12, 1e-9, 1e-7, 1e-5):
+                theta = on_wall + eps * beta
+                err = abs(weyl_character(g, coords, theta) - _gt_value(g, coords, theta))
+                near = abs(_alternating_sum(g, g.delta, theta)) < 1e-8
+                assert err < (1e-12 if near else 1e-7), (kind, beta, eps)
+    # 4e-13 off one SU(3) wall and 5e-3 off the other two: the
+    # expansion takes in the near wall only
+    g = build_group("su3")
+    theta = np.array([0.4, 0.4 - 5e-3, 0.4 - 5e-3 + 4e-13])
+    theta = (theta - theta.mean()) @ np.linalg.pinv(g.cartan_diagonal)
+    assert abs(weyl_character(g, (3.0, 2.0), theta) - _gt_value(g, (3.0, 2.0), theta)) < 1e-11
 
 
 def test_weyl_character_invariance():
@@ -393,8 +475,8 @@ def test_orbit_nodes_isometric():
         g = build_group(kind)
         m = trace_metric(g)
         nu = half_weight(g, coords)
-        q = orbit_quadrature(g, m, nu, level=24)
-        lam = q.nodes_sharp
+        lam = orbit_rule_nodes(g, m, nu.coords, 24)
+        assert len(lam) == orbit_quadrature(g, m, nu, level=24).node_count
         norms = np.sqrt(m.scale * np.einsum("nij,nij->n", lam, lam.conj()).real)
         assert np.allclose(norms, m.norm_covector(nu.coords), atol=1e-12)
 
@@ -503,7 +585,7 @@ def test_orbit_pairing_is_constant_on_each_ring():
         m = trace_metric(g)
         q = orbit_quadrature(g, m, half_weight(g, coords), level=64)
         assert q.ring == 128 and q.node_count == 64 * q.ring
-        every_node = replace(q, ring_nodes=q.nodes_sharp, ring=1)
+        every_node = replace(q, ring_nodes=orbit_rule_nodes(g, m, coords, 64), ring=1)
         for xi in _cartan_samples(g, m, rng, 10):
             rings = every_node.pairing(xi).reshape(64, q.ring)
             assert np.array_equal(rings, np.repeat(rings[:, :1], q.ring, axis=1)), kind
@@ -518,7 +600,7 @@ def test_kirillov_character_is_the_full_node_sum_bit_for_bit():
         nu = half_weight(g, coords)
         q = orbit_quadrature(g, m, nu, level=64)
         for xi in _cartan_samples(g, m, rng, 50):
-            assert kirillov_character(g, m, nu, xi, quad=q) == kirillov_full_node(q, xi), \
+            assert kirillov_character(g, m, nu, xi, quad=q) == kirillov_full_node(q, nu.coords, xi), \
                 (kind, xi)
 
 
@@ -544,33 +626,17 @@ def test_kirillov_character_takes_one_exponential_per_ring(monkeypatch):
 
 
 def test_ring_nodes_are_the_first_node_of_each_ring_bit_for_bit():
-    # the rule keeps one lambda^phi per ring; the full stack, built on
-    # first use from the same formula on every azimuth, starts each ring
-    # with exactly that node
+    # the rule keeps one lambda^phi per ring; the oracle's rule, built on
+    # every azimuth from the rule's definition, starts each ring with
+    # exactly that node and has one node per weight
     for kind, coords in (*_SPHERE_ORBITS, ("t2", (2.0, 1.0))):
         g = build_group(kind)
         for scale in (1.0, 2.7):
-            q = orbit_quadrature(g, trace_metric(g, scale), half_weight(g, coords), level=64)
-            assert "nodes_sharp" not in vars(q)
-            assert q.nodes_sharp.shape[0] == q.node_count == len(q.ring_nodes) * q.ring
-            assert np.array_equal(q.nodes_sharp[::q.ring], q.ring_nodes), (kind, scale)
-            assert q.nodes_sharp is q.nodes_sharp
-
-
-def test_character_values_never_build_the_full_node_stack(monkeypatch):
-    from coorbit.harness import ExperimentConfig, run_character_suite
-
-    def no_full_stack(quad):
-        raise AssertionError("the full node stack was built")
-
-    monkeypatch.setattr(characters.OrbitQuadrature, "nodes_sharp", property(no_full_stack))
-    for kind, coords in (*_SPHERE_ORBITS, ("t2", (2.0, 1.0))):
-        g = build_group(kind)
-        nu = half_weight(g, coords)
-        val = kirillov_character(g, trace_metric(g), nu, 0.3 * np.ones(g.rank))
-        assert abs(val - weyl_character(g, nu, 0.3 * np.ones(g.rank))) <= 1e-6 * weyl_dimension(g, nu)
-    _, fits = run_character_suite(ExperimentConfig())
-    assert all(f.passed for f in fits)
+            m = trace_metric(g, scale)
+            q = orbit_quadrature(g, m, half_weight(g, coords), level=64)
+            nodes = orbit_rule_nodes(g, m, coords, 64)
+            assert len(nodes) == q.node_count == len(q.ring_nodes) * q.ring
+            assert np.array_equal(nodes[::q.ring], q.ring_nodes), (kind, scale)
 
 
 def test_kirillov_character_refuses_a_non_cartan_xi(monkeypatch):
@@ -672,7 +738,7 @@ def test_kk_density_constant_on_orbit():
         for scale in (1.0, 2.7):
             m = trace_metric(g, scale)
             q = orbit_quadrature(g, m, half_weight(g, coords), level=64)
-            dens = _kk_density(m, q.nodes_sharp)
+            dens = _kk_density(m, orbit_rule_nodes(g, m, coords, 64))
             assert dens.shape == (q.node_count,)
             assert np.ptp(dens) <= 1e-12 * dens.mean(), (kind, scale)
 
@@ -691,7 +757,7 @@ def test_orbit_quadrature_weights_are_area_times_per_node_density():
         for scale in (1.0, 2.7):
             m = trace_metric(g, scale)
             q = orbit_quadrature(g, m, half_weight(g, coords), level=level)
-            nodes = q.nodes_sharp
+            nodes = orbit_rule_nodes(g, m, coords, level)
             center = np.trace(nodes[0]) / 2 * np.eye(2)
             radius2 = m.inner_matrices(nodes[0] - center, nodes[0] - center)
             area = np.repeat(ws, 2 * level) * (np.pi / level) * radius2

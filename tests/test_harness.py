@@ -2,6 +2,9 @@ import gc
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 import types
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
@@ -29,6 +32,7 @@ from coorbit.harness import (
 from coorbit.models import MODEL_IDS, build_model
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_config_validation():
@@ -162,6 +166,25 @@ def test_cli_orbit_integral_refuses_su3(capsys):
     assert "no orbit quadrature for SU(3)" in capsys.readouterr().err
     assert main(character) == 0
     assert set(json.loads(capsys.readouterr().out)) == {"weyl"}
+
+
+def test_cli_character_on_walls_prints_strict_json():
+    # SU(4) at (2 pi, 0, 0) is the identity, where all six roots vanish
+    # modulo 2 pi; at (0.3, 0.5, 0.7) its eigen-angles 0.2 and 0.2 meet.
+    # The defining representation's character is the trace, under -W error
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    for theta, trace in (("6.283185307179586,0,0", 4.0),
+                         ("0.3,0.5,0.7", np.exp(1j * np.array([0.3, 0.2, 0.2, -0.7])).sum())):
+        out = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "coorbit.cli", "character", "--group", "su4",
+             "--nu", "2,1,1", "--theta", theta], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])})
+        assert out.returncode == 0 and not out.stderr, out.stderr
+        re, im = json.loads(out.stdout, parse_constant=refuse)["weyl"]
+        assert abs(complex(re, im) - trace) < 1e-12, theta
 
 
 @pytest.mark.parametrize("mid", ["su2-cp1", "s1-cp1-w12"])
