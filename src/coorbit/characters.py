@@ -123,9 +123,11 @@ def weyl_character(group, nu, theta):
     ``theta`` holds ``rank`` angles (a complex is returned) or a stack of
     them, shape (N, rank) (an (N,) array is returned), evaluated in one
     pass.  Evaluates the alternating-sum ratio A_nu / A_delta on the
-    regular locus.  On and near a wall (|A_delta| < 1e-8) its limit is
-    taken exactly, however many roots vanish (:func:`_wall_limit`); at
-    the identity the dimension is returned directly.
+    regular locus, where it loses eps |W| / |A_delta| times a factor that
+    grows with nu (up to 17 at |nu| <= 4).  On and near a wall, where
+    eps |W| / |A_delta| passes 1e-13, its limit is taken exactly instead,
+    however many roots vanish (:func:`_wall_limit`); at the identity the
+    dimension is returned directly.
     """
     nu = half_weight(group, nu)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -137,7 +139,7 @@ def weyl_character(group, nu, theta):
     else:
         denom = _alternating_sum(group, group.delta, thetas)
         at_identity = np.abs(thetas).max(axis=1) <= 1e-8
-        wall = (np.abs(denom) < 1e-8) & ~at_identity
+        wall = (np.abs(denom) < 1e13 * np.finfo(float).eps * group.weyl_order) & ~at_identity
         vals = np.divide(_alternating_sum(group, nu.coords, thetas), denom,
                          out=np.empty_like(denom), where=~(at_identity | wall))
         if at_identity.any():

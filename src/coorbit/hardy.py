@@ -12,14 +12,15 @@ max-shift so that values remain accurate far below the overflow and
 underflow thresholds of double precision; sums over positive terms are
 then exact to relative rounding error at any magnitude.  A sum runs over
 blocks of _BLOCK_ROWS monomials in one workspace and allocates nothing
-per term, and it exponentiates only the terms within e^-60 of the largest
-so far (_NEGLIGIBLE): the rest, on a basis the memory budget admits, add
-under 1.2e-18 of the largest term, below eps / 100 (the kernels
-concentrate, so most terms are cut where k is large).  A listing is a
-set of runs (``isotypic_runs``): lines of isotypic monomials, on a
-rank-1 torus with a unit weight the prefix rows of all but the last
-free coordinate with the last one stepping and the unit-weight
-coordinate solved from the others, on t2-cp2 and u2-cp2 one line.
+per term.  The kernels concentrate, so where k is large most terms lie
+far below the largest; each kernel route leaves out, before it sums,
+the rows that cannot come within e^-60 of the largest term (_ROW_CUT,
+which carries the error budget), the only place a term is dropped.
+A listing is a set of runs (``isotypic_runs``): lines of isotypic
+monomials, on a rank-1 torus with a unit weight the prefix rows of all
+but the last free coordinate with the last one stepping and the
+unit-weight coordinate solved from the others, on t2-cp2 and u2-cp2 one
+line.
 Every row is a monomial, so a listing's row count (its ``rows``) is the
 model's closed-form ``isotypic_dim``; any other torus lists nothing and
 raises UnsupportedGroupError first.  A kernel sum takes one of two
@@ -32,18 +33,16 @@ sized once from the listing's largest |alpha|, its ``top``;
 kept on the model under (nu, k).  Each evaluation takes the
 real part of every stored row's exponent by one float product, and sums
 only the rows within 61 of the largest (t2-cp2 at k = 8192 keeps about
-10% of its 8193 rows): each row left out is below e^-60 of the largest
-term, under the cut, and each row kept has the full sum's exponent bits.
+10% of its 8193 rows), each with the full sum's exponent bits.
 A longer listing is summed over its concentration windows at every
 evaluation, and nothing is stored: the method-of-types bound on each
 term's log (:func:`_log_bound`) is concave along every run, so the rows
 whose bound is within 61 of the largest term found form one interval
 per run, and only those are listed, normed and summed (found exactly by
-Newton guesses checked in one batch of bounds per search).  Each row
-left out is below e^-61 of the largest term, inside the e^-60 cut, and
-each row kept has the full sum's exponent arithmetic, so the value is
-the full sum's to within its rounding bound (s1-cp2-w123 at k = 8192
-sums 213k of its 5.6M rows).  Log-factorials come from one table, grown
+Newton guesses checked in one batch of bounds per search), each with
+the full sum's exponent arithmetic (s1-cp2-w123 at k = 8192 sums 213k
+of its 5.6M rows).  On either route the value is the full sum's to
+within its rounding bound.  Log-factorials come from one table, grown
 on demand, of a numpy port of Cephes lgam (the values of
 scipy.special.gammaln, bit for bit, with numpy as the only dependency).
 Isotypic dimensions are never listed: each catalog model counts its own
@@ -72,19 +71,17 @@ _TINY = np.finfo(float).tiny
 # and read at a time in monomial_log_norms: a block and its products stay
 # in cache, and no (N, d+1) complex copy exists.
 _BLOCK_ROWS = 4096
-# A term whose shifted log is below this is not exponentiated.  The memory
-# budget admits at most _BASIS_BUDGET_BYTES / models._basis_row_bytes(1) =
-# 2^27 rows, and each skipped term is below e^-60 of the running largest,
-# so all of them together are under 2^27 e^-60 = 1.2e-18 of the largest
-# term: less than eps / 100, which grows the sum's rounding bound
+# A kernel sum takes only the rows whose term can come within e^-60 of
+# the largest: a stored sum (_reaching_rows) the rows whose exponent, by a
+# float product, is within 61 of the largest, a windowed sum
+# (_concentration_windows) the rows whose bound is within 61 of the
+# largest term exponent it has found, a unit margin for the rounding of
+# the product or the bound.  The memory budget admits at most
+# _BASIS_BUDGET_BYTES / models._basis_row_bytes(1) = 2^27 rows, so the
+# rows left out add under 2^27 e^-60 = 1.2e-18 of the largest term: less
+# than eps / 100, which grows the sum's rounding bound
 # eps (worst + log2 N + 2) sum |terms| by under 1%.
-_NEGLIGIBLE = -60.0
-# A windowed sum lists only the rows whose bound is within 61 of the
-# largest term exponent it has found, and a stored sum sums only the rows
-# whose exponent, by a float product, is within 61 of the largest: each
-# row left out is under the cut above, with a unit margin for the rounding
-# of the bound or the product.
-_WINDOW_CUT = _NEGLIGIBLE - 1.0
+_ROW_CUT = -61.0
 
 
 # Cephes lgam (S. L. Moshier): for x = m + 1 the Stirling correction's
@@ -294,29 +291,18 @@ def _block_sum(blocks, lx, ly):
     over (alphas, log_norms) blocks of _BLOCK_ROWS rows, from
     lx = _safe_log(x) and ly = _safe_log(y).
 
-    One pass over the blocks of :func:`_block_exponents`: the running
-    sum is kept relative to the largest log magnitude seen so far and
-    rescaled when a block raises it, and only terms whose shifted real
-    part is above _NEGLIGIBLE are exponentiated, each with the arithmetic
-    of the uncut sum, into a reused buffer of zeros.  The skipped ones add
-    under 2^27 e^-60 = 1.2e-18 of the largest term (see _NEGLIGIBLE),
-    below eps / 100.
+    One pass over the blocks of :func:`_block_exponents`, every term
+    exponentiated in place: the running sum is kept relative to the
+    largest log magnitude seen so far and rescaled when a block raises it.
     """
-    shift, total, terms = -np.inf, 0.0 + 0.0j, None
+    shift, total = -np.inf, 0.0 + 0.0j
     for expo in _block_exponents(blocks, lx, ly):
         top = float(expo.real.max())
         if top > shift:
             total *= np.exp(shift - top)
             shift = top
         expo.real -= shift
-        if terms is None or len(expo) > len(terms):
-            terms = np.zeros_like(expo)
-        kept = np.flatnonzero(expo.real > _NEGLIGIBLE)
-        term = terms[:len(expo)]
-        kept_terms = expo[kept]
-        term[kept] = np.exp(kept_terms, out=kept_terms)
-        total += term.sum()
-        term[kept] = 0
+        total += np.exp(expo, out=expo).sum()
     if shift <= _BIG_NEG / 2 or total == 0:
         return -np.inf, 0.0 + 0.0j
     return shift + float(np.log(np.abs(total))), total / np.abs(total)
@@ -326,19 +312,16 @@ def _reaching_rows(alphas, log_norms, lx, ly):
     """Indices of the rows of a stored basis whose term can reach the cut:
     the real part of each exponent, by one float product
     ``alphas @ (log|x| + log|y|) - log_norms`` (lx = _safe_log(x),
-    ly = _safe_log(y)), within 61 of the largest (_WINDOW_CUT: the e^-60
-    cut with a unit margin for the product's rounding, as in the windows)."""
+    ly = _safe_log(y)), within 61 of the largest (_ROW_CUT)."""
     reach = alphas @ (lx.real + ly.real)
     reach -= log_norms
-    return np.flatnonzero(reach >= reach.max(initial=-np.inf) + _WINDOW_CUT)
+    return np.flatnonzero(reach >= reach.max(initial=-np.inf) + _ROW_CUT)
 
 
 def _basis_sum(alphas, log_norms, x, y):
     """:func:`_block_sum` over the rows of a stored basis that can reach
-    the cut (:func:`_reaching_rows`).  Each row left out is below e^-60 of
-    the largest term, so it is one the uncut sum's negligible-term bound
-    covers (see _NEGLIGIBLE); each row kept goes through the same complex
-    product, with the same bits."""
+    the cut (:func:`_reaching_rows`); each row kept goes through the same
+    complex product, with the same bits."""
     lx, ly = _safe_log(x), _safe_log(y)
     kept = _reaching_rows(alphas, log_norms, lx, ly)
     return _block_sum(_stored_blocks(np.take(alphas, kept, axis=0), np.take(log_norms, kept)),
@@ -429,7 +412,7 @@ def _peak_exponent(runs, d, lx, ly, peak, height):
 def _concentration_windows(runs, d, lx, ly):
     """(first, counts): the rows first[i] ... first[i] + counts[i] - 1 of
     each run i whose bound B (:func:`_log_bound`) at the pair with
-    lx = _safe_log(x), ly = _safe_log(y) is at least E* + _WINDOW_CUT.
+    lx = _safe_log(x), ly = _safe_log(y) is at least E* + _ROW_CUT.
 
     B is concave along each run, so those rows form one interval per
     run.  Newton steps on B's slope (:func:`_log_slopes`) guess each
@@ -470,7 +453,7 @@ def _concentration_windows(runs, d, lx, ly):
 
     peak = _first_true(last, falls, np.floor(root).astype(last.dtype))
     height = _log_bound(starts, step, peak, linear)
-    cut = _peak_exponent(runs, d, lx, ly, peak, height) + _WINDOW_CUT
+    cut = _peak_exponent(runs, d, lx, ly, peak, height) + _ROW_CUT
     live = np.flatnonzero(height >= cut)                 # windows not empty
     # t rows out from the peak: column i the left end of live run i,
     # column len(live) + i its right end
@@ -498,12 +481,9 @@ def _windowed_sum(runs, d, x, y):
     """:func:`_block_sum` over the rows of a listing's concentration
     windows (:func:`_concentration_windows`), listed, normed and summed
     chunk by chunk; nothing is stored.  The logs of x and y are taken once
-    and shared by the window search and the sum.
-
-    Each row left out has a log term below E* - 61, at most the largest
-    term's - 61, so together they add under N e^-61 of the largest term,
-    inside the e^-60 cut every sum makes (see _NEGLIGIBLE); every row
-    kept has the exact exponent arithmetic of the full sum.
+    and shared by the window search and the sum.  Each row left out has a
+    log term below E* - 61, at most the largest term's - 61 (_ROW_CUT);
+    every row kept has the exact exponent arithmetic of the full sum.
     """
     lx, ly = _safe_log(x), _safe_log(y)
     first, counts = _concentration_windows(runs, d, lx, ly)
@@ -535,11 +515,10 @@ def equivariant_kernel_log(model, nu, k, x, y):
     rows whose exponent, by one float product, is within 61 of the
     largest (:func:`_basis_sum`).  A longer listing is summed over its
     concentration windows at every evaluation (:func:`_windowed_sum`) and
-    nothing is stored.  On either route each row left out is below e^-60
-    of the largest term, so the value is the full sum's within its
-    rounding bound
-    eps (worst + log2 N + 2) sum |terms|.  Both routes refuse a listing
-    over the memory budget at the same k, before anything is listed.
+    nothing is stored.  On either route the value is the full sum's within
+    its rounding bound eps (worst + log2 N + 2) sum |terms| (_ROW_CUT).
+    Both routes refuse a listing over the memory budget at the same k,
+    before anything is listed.
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
@@ -554,10 +533,9 @@ def equivariant_kernel_log(model, nu, k, x, y):
         phase = (inner / abs(inner)) ** n
         return float(logmag), phase
     nu = half_weight(model.group, nu)
-    if _cache_key(nu, k) not in model.basis_cache:
-        runs = model.isotypic_runs(nu, k)
-        if runs.rows > _LIST_ROWS:          # over one chunk: sum its concentration windows
-            return _windowed_sum(runs, model.d, x, y)
+    runs = model.isotypic_runs(nu, k)
+    if runs.rows > _LIST_ROWS:          # over one chunk: sum its concentration windows
+        return _windowed_sum(runs, model.d, x, y)
     basis = isotypic_basis(model, nu, k)       # kept, as it fits one chunk
     return _basis_sum(basis.alphas, basis.log_norms, x, y)
 

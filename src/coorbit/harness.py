@@ -48,8 +48,8 @@ class ExperimentConfig:
     """Declarative description of one suite run.
 
     The k schedule is geometric: k_min, k_min*k_factor, ... <= k_max,
-    and must be strictly increasing.  A fixed seed makes CSV output
-    byte-identical.
+    with k_min >= 1, k_max >= k_min and k_factor >= 2, so it is strictly
+    increasing.  A fixed seed makes CSV output byte-identical.
     """
 
     model_id: str = "s1-cp1-w12"
@@ -62,8 +62,12 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k_factor < 2 or self.k_min < 1 or self.k_max < self.k_min:
-            raise ValueError("k schedule must be strictly increasing (k_factor >= 2)")
+        for bad, bound, got in ((self.k_min < 1, "k_min >= 1", self.k_min),
+                                (self.k_max < self.k_min, f"k_max >= k_min = {self.k_min}",
+                                 self.k_max),
+                                (self.k_factor < 2, "k_factor >= 2", self.k_factor)):
+            if bad:
+                raise ValueError(f"k schedule needs {bound}; got {got}")
         if self.k_min * self.k_factor > self.k_max:
             raise ValueError(f"k schedule {self.k_schedule} needs at least two k values "
                              "for a rate fit (k_max >= k_min * k_factor)")

@@ -69,8 +69,8 @@ def _basis_row_bytes(d):
     s1-cp2-w123 at 8192, weights (1, 2, 3, 4) at 1000): listing peaks at
     8.8 / 12.4 / 16.8 B per row, the log-norm stage at 16.1 / 20.0 /
     24.0 B and a sum at 16.2 / 20.1 / 24.1 B (the basis itself,
-    4 (d + 1) + 8 B, and one block workspace of 0.49 / 0.49 / 0.60 MB,
-    measured with the negligible-term cut); u2-cp2 at k = 2e6 + 1 peaks
+    4 (d + 1) + 8 B, and one block workspace of 0.33 / 0.40 / 0.46 MB,
+    every row summed); u2-cp2 at k = 2e6 + 1 peaks
     at 20.3 B.  8 (d + 1) bounds them all, beside a fixed few MB of
     chunk temporaries.
     The kernel stores only bases of at most one ``_LIST_ROWS`` chunk

@@ -234,24 +234,47 @@ def test_weyl_character_on_walls_is_the_gelfand_tsetlin_sum():
 
 
 def test_weyl_character_near_walls_is_the_gelfand_tsetlin_sum():
-    # the near-wall set of test_weyl_character_stack_matches_per_element:
-    # below the 1e-8 switch on |A_delta| the wall limit holds to 1e-12;
-    # above it the plain ratio loses digits as 1 / |A_delta| (6.2e-8 at
-    # 1e-9 off an SU(3) wall)
+    # elements 0 ... 1e-5 along each root from a wall of SU(2), U(2) and
+    # SU(3) (rng 21), and 40 random simple-wall elements per group moved
+    # 1e-12 ... 3e-1 along a random direction (rng 7).  Where the ratio is
+    # taken (eps |W| / |A_delta| under 1e-13) it holds to 2e-12: a 1e-8
+    # switch on |A_delta| left 1.1e-6 on SU(4) just above it.  The wall
+    # limit holds to 1e-12 on the first set and to 1e-10 on the second,
+    # whose SU(3) draws put one element 1.1e-2 from two walls (4.9e-11
+    # there at nu = (3, 2))
     from coorbit.characters import _alternating_sum
+
+    def check(g, labels, thetas, wall_bound):
+        ratio = np.abs(_alternating_sum(g, g.delta, thetas)) >= 1e13 * np.finfo(float).eps \
+            * g.weyl_order
+        for coords in labels:
+            err = np.abs(weyl_character(g, coords, thetas)
+                         - [_gt_value(g, coords, theta) for theta in thetas])
+            assert err[ratio].max(initial=0) < 2e-12, (g.kind, coords)
+            assert err[~ratio].max(initial=0) < wall_bound, (g.kind, coords)
 
     rng = np.random.default_rng(21)
     for kind, coords in (("su2", (4.0,)), ("u2", (3.5, 0.5)), ("su3", (2.0, 1.0))):
         g = build_group(kind)
         rng.uniform(-np.pi, np.pi, size=(40, g.rank))
+        along = []
         for beta in g.positive_roots:
             base = rng.uniform(-np.pi, np.pi, size=g.rank)
             on_wall = base - (beta @ base) / (beta @ beta) * beta
-            for eps in (0.0, 1e-12, 1e-9, 1e-7, 1e-5):
-                theta = on_wall + eps * beta
-                err = abs(weyl_character(g, coords, theta) - _gt_value(g, coords, theta))
-                near = abs(_alternating_sum(g, g.delta, theta)) < 1e-8
-                assert err < (1e-12 if near else 1e-7), (kind, beta, eps)
+            along += [on_wall + eps * beta for eps in (0.0, 1e-12, 1e-9, 1e-7, 1e-5)]
+        check(g, [coords], np.array(along), 1e-12)
+    offsets = np.geomspace(1e-12, 3e-1, 24)
+    for kind, labels in (("su2", ((4.0,), (9.0,))), ("u2", ((3.5, 0.5), (6.5, -2.5))),
+                         ("su3", ((2.0, 1.0), (3.0, 2.0))),
+                         ("u3", ((2.0, 0.0, -1.0), (3.0, 1.0, -2.0))),
+                         ("su4", ((2.0, 1.0, 1.0), (2.0, 2.0, 1.0)))):
+        g = build_group(kind)
+        rng, swept = np.random.default_rng(7), []
+        for _ in range(40):
+            wall = _on_simple_walls(g, rng)[rng.integers(g.n - 1)]
+            u = rng.standard_normal(g.rank)
+            swept += list(wall + np.multiply.outer(offsets, u / np.linalg.norm(u)))
+        check(g, labels, np.array(swept), 1e-10)
     # 4e-13 off one SU(3) wall and 5e-3 off the other two: the
     # expansion takes in the near wall only
     g = build_group("su3")

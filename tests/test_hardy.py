@@ -850,45 +850,36 @@ def test_windowed_sum_matches_the_multiprecision_oracle(monkeypatch):
         assert err <= bound, (float(err), bound)
 
 
-def test_negligible_cut_moves_the_sum_by_under_eps_of_its_largest_term(monkeypatch):
-    # d = 1, level 20000: the terms fall to e^-276000 of the largest, and
-    # the block maxima rise from block to block; a fixed tolerance, so a
-    # looser cut (e^-30 skips terms near 1e-13 of the largest) fails
+def test_negligible_cut_moves_the_sum_by_under_eps_of_its_largest_term():
+    # d = 1, level 20000: the terms fall to e^-276000 of the largest.  The
+    # stored sum keeps the last 12 rows; a block sum over every row meets
+    # block maxima rising from block to block, so its running sum is
+    # rescaled.  Both are within eps of the largest term of the one-shot
+    # log-sum-exp over every row
     a = np.arange(20001)
     alphas = np.stack([a, 20000 - a], axis=1)
     log_norms = monomial_log_norms(1, alphas, 20000)
     x = unit_point([1.0, 1e-3])
     y = unit_point([np.exp(0.3j), 1e-3 * np.exp(-1.1j)])
-    largest = _one_shot_terms(alphas, log_norms, x, y).real.max()
-    cut = hardy._basis_sum(alphas, log_norms, x, y)
-    monkeypatch.setattr(hardy, "_NEGLIGIBLE", -np.inf)
-    every = hardy._basis_sum(alphas, log_norms, x, y)
-    gap = np.exp(cut[0] - largest) * cut[1] - np.exp(every[0] - largest) * every[1]
-    assert abs(gap) <= np.finfo(float).eps
-
-
-def test_negligible_cut_leaves_a_concentrated_kernel_bit_identical(monkeypatch):
-    # the kernel-scan basis of s1-cp2-w123 at k = 2048: most terms are
-    # cut, and the sum keeps every bit on the diagonal and a near pair
-    model = build_model("s1-cp2-w123")
-    basis = isotypic_basis(model, model.default_nu, 2048)
-    rng = np.random.default_rng(5)
-    x = model.default_locus_point()
-    near = unit_point(x + 0.02 * (rng.standard_normal(3) + 1j * rng.standard_normal(3)))
-    for p, q in ((x, x), (x, near)):
-        expo = _one_shot_terms(basis.alphas, basis.log_norms, p, q).real
-        assert np.mean(expo - expo.max() < hardy._NEGLIGIBLE) > 0.5
-        cut = hardy._basis_sum(basis.alphas, basis.log_norms, p, q)
-        with monkeypatch.context() as patch:
-            patch.setattr(hardy, "_NEGLIGIBLE", -np.inf)
-            assert hardy._basis_sum(basis.alphas, basis.log_norms, p, q) == cut
+    expo = _one_shot_terms(alphas, log_norms, x, y)
+    largest = expo.real.max()
+    assert np.all(np.diff([expo.real[i:i + hardy._BLOCK_ROWS].max()
+                           for i in range(0, len(a), hardy._BLOCK_ROWS)]) > 0)
+    one_shot = np.exp(expo - largest).sum()
+    one_shot = largest + np.log(np.abs(one_shot)), one_shot / np.abs(one_shot)
+    every = hardy._block_sum(hardy._stored_blocks(alphas, log_norms),
+                             hardy._safe_log(x), hardy._safe_log(y))
+    for logmag, phase in (hardy._basis_sum(alphas, log_norms, x, y), every):
+        gap = np.exp(logmag - largest) * phase - np.exp(one_shot[0] - largest) * one_shot[1]
+        assert abs(gap) <= np.finfo(float).eps
 
 
 def test_negligible_cut_is_under_eps_over_a_whole_budget_of_rows():
-    # the most rows the memory budget admits, each just under the cut,
+    # the most rows the memory budget admits, each left out at the cut
+    # (below e^-60 of the largest term, a unit margin inside _ROW_CUT),
     # stay below eps / 2 of the largest term
     rows = models._BASIS_BUDGET_BYTES // models._basis_row_bytes(1)
-    assert rows * np.exp(hardy._NEGLIGIBLE) < np.finfo(float).eps / 2
+    assert rows * np.exp(hardy._ROW_CUT + 1) < np.finfo(float).eps / 2
 
 
 # for each listing model, a k with no isotypic monomials: k nu off the
@@ -972,7 +963,7 @@ def test_stored_sum_leaves_out_only_rows_under_the_cut(catalog, case, where, see
     every = _stored_exponents(basis.alphas, basis.log_norms, x, y)
     kept = _reaching_rows(basis, x, y)
     shift = every.real.max()
-    assert np.all(np.delete(every.real, kept) < shift + hardy._NEGLIGIBLE), (mid, k)
+    assert np.all(np.delete(every.real, kept) < shift + hardy._ROW_CUT + 1), (mid, k)
     gathered = _stored_exponents(basis.alphas[kept], basis.log_norms[kept], x, y)
     assert np.array_equal(gathered, every[kept]), (mid, k)
     logmag, phase = hardy._basis_sum(basis.alphas, basis.log_norms, x, y)
@@ -1181,7 +1172,7 @@ def test_window_bound_holds_on_every_row_and_keeps_every_summed_one(catalog, cas
         return rows.astype(np.int64) @ (top + 1) ** np.arange(d + 1, dtype=np.int64)
 
     if terms.max() > -np.inf:
-        summed = alphas[terms >= terms.max() + hardy._NEGLIGIBLE]
+        summed = alphas[terms >= terms.max() + hardy._ROW_CUT + 1]
         assert np.isin(keys(summed), keys(window)).all(), (mid, k)
     # and the windowed sum is the full sum within its rounding bound
     full = hardy._basis_sum(alphas, monomial_log_norms(d, alphas, top), x, y)

@@ -232,6 +232,11 @@ _BAD_POINT = "a point of {} takes {} finite coordinates, not all zero; got '{}'"
      "argument --level: level must be a positive integer; got '0'"),
     (["orbit-volume", "--group", "su2", "--nu", "2", "--level", "-3"],
      "argument --level: level must be a positive integer; got '-3'"),
+    # each k schedule refusal names the bound it failed and the value
+    (["suite", "dims", "--kmin", "0"], "k schedule needs k_min >= 1; got 0"),
+    (["suite", "dims", "--kmin", "-4"], "k schedule needs k_min >= 1; got -4"),
+    (["suite", "dims", "--kmin", "5", "--kmax", "3"], "k schedule needs k_max >= k_min = 5; got 3"),
+    (["suite", "dims", "--kfactor", "1"], "k schedule needs k_factor >= 2; got 1"),
 ])
 def test_cli_refuses_bad_points_and_k(argv, message, capsys):
     assert main(argv) == 4
