@@ -2,9 +2,9 @@
 """Walk through the character-theory layer.
 
 Builds the supported groups, prints their root data, and compares the
-two independent character evaluations (alternating sum over the Weyl
-group vs the Fourier integral over the coadjoint orbit) on a handful of
-regular torus elements.
+two independent character evaluations (Weyl's character as the
+Jacobi-Trudi determinant of the eigenvalues vs the Fourier integral over
+the coadjoint orbit) on a handful of regular torus elements.
 """
 
 import numpy as np
@@ -57,7 +57,7 @@ def main():
         print(f"{g.name}: quadrature={quad.volume:.10f}  closed={closed:.10f}"
               f"  (2 pi)^n d_nu={(2 * np.pi) ** g.n_pos * d:.10f}")
 
-    section("Kirillov orbit integral vs Weyl alternating sum")
+    section("Kirillov orbit integral vs Weyl character (Jacobi-Trudi)")
     rng = np.random.default_rng(0)
     for g, m, coords in ((su2, m_su2, (4.0,)), (u2, m_u2, (2.5, 0.5))):
         nu = half_weight(g, coords)

@@ -2,8 +2,9 @@
 coadjoint-orbit quadrature and the orbit-integral (Kirillov) character.
 
 The two character routes implemented here are deliberately independent:
-``weyl_character`` is the alternating-sum ratio over the Weyl group
-(its exact limit on walls), while ``kirillov_character`` integrates a
+``weyl_character`` is Weyl's quotient written as the Schur polynomial
+of the eigenvalues, one Jacobi-Trudi determinant with no division and
+so no special case on walls, while ``kirillov_character`` integrates a
 Fourier kernel over the coadjoint orbit, one node per torus ring, and
 divides by the exp-map Jacobian.  Their agreement on regular torus
 elements is one of the package's acceptance criteria.  The orbit route
@@ -15,7 +16,6 @@ Quadrature sums rely on numpy's pairwise summation, so results are
 reproducible independently of how the node set would be partitioned.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,25 +54,33 @@ def _root_ratios(group, coords):
     return (coords @ group.coroots) / (group.delta @ group.coroots)
 
 
+def _exact_dimension(group, coords, k=1):
+    """prod_beta <k gamma, beta^vee> / <delta, beta^vee> as a Fraction, each
+    coordinate of gamma read as the nearest fraction with denominator
+    <= 10^9; every <delta, beta^vee> is a positive integer."""
+    gamma = [k * Fraction(c).limit_denominator(10 ** 9) for c in np.atleast_1d(coords)]
+    val = Fraction(1)
+    for coroot, height in zip(group.coroots.T.tolist(), (group.delta @ group.coroots).tolist()):
+        val *= sum(c * b for c, b in zip(gamma, coroot)) / round(height)
+    return val
+
+
 def weyl_dimension(group, nu):
     """Irrep dimension d_nu = prod_beta phi(nu, beta) / phi(delta, beta).
 
     The product does not depend on the Ad-invariant metric phi and is
-    empty (d_nu = 1) on tori.  The result must be a positive integer to
-    1e-9 relative and is rounded after that check.
+    empty (d_nu = 1) on tori.  It is taken in exact rational arithmetic,
+    so the integer is right at any size, and must be a positive integer.
     """
     coords = _coords(nu)
     singular = np.flatnonzero(np.abs(coords @ group.coroots) < 1e-14)
     if singular.size:
         raise ValueError(
             f"nu is not regular: phi(nu, {group.positive_roots[singular[0]]}) = 0")
-    val = 1.0
-    for ratio in _root_ratios(group, coords):
-        val *= ratio
-    rounded = round(val)
-    if rounded < 1 or abs(val - rounded) > 1e-9 * max(1.0, abs(val)):
+    val = _exact_dimension(group, coords)
+    if val < 1 or val.denominator != 1:
         raise ValueError(f"Weyl dimension {val} is not a positive integer")
-    return rounded
+    return int(val)
 
 
 def scaled_dimension(group, nu, k):
@@ -84,18 +92,8 @@ def scaled_dimension(group, nu, k):
     """
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise ValueError("k must be a positive integer")
-    coords = [Fraction(x).limit_denominator(10 ** 9) for x in np.atleast_1d(_coords(nu))]
-    delta = [Fraction(x).limit_denominator(10 ** 9) for x in group.delta]
-
-    def product(cs):
-        val = Fraction(1)
-        for coroot in group.coroots.T.tolist():
-            val *= (sum(c * b for c, b in zip(cs, coroot))
-                    / sum(d * b for d, b in zip(delta, coroot)))
-        return val
-
-    d_nu = product(coords)
-    d_knu = product([k * c for c in coords])
+    d_nu = _exact_dimension(group, _coords(nu))
+    d_knu = _exact_dimension(group, _coords(nu), k)
     assert d_knu == Fraction(k) ** group.n_pos * d_nu, "scaling law violated"
     if d_knu.denominator != 1:
         raise ValueError(f"dimension {d_knu} is not an integer")
@@ -104,17 +102,50 @@ def scaled_dimension(group, nu, k):
 
 # -- Weyl character formula ---------------------------------------------------
 
-def _alternating_sum(group, gamma, theta):
-    """A_gamma(theta) = sum_w sign(w) e^{i <w gamma, theta>}.
+def _partition(group, nu):
+    """The highest weight of ``nu`` as a non-increasing integer n-tuple p:
+    U(n) labels as they are; SU(n) Dynkin labels l as
+    p_j = l_j + ... + l_{n-1}, p_n = 0."""
+    labels = np.rint(half_weight(group, nu).highest_weight).astype(int)
+    if group.kind == "su":
+        return np.append(np.cumsum(labels[::-1])[::-1], 0)
+    return labels
 
-    ``theta`` is one angle vector (shape (rank,)) or a stack along
-    leading axes.  The phases are elementwise products summed over the
-    rank axis, so each value is computed the same way whatever the
-    stack holds.
+
+def _schur(p, x):
+    """The Schur polynomial s_p(x) at the n values x (shape (..., n)).
+
+    s_p = det(x)^{p_n} s_q with q = p - p_n a partition of length l, and
+    s_q = det[h_{q_i - i + j}], 1 <= i, j <= l, by the Jacobi-Trudi
+    identity (Macdonald, Symmetric Functions and Hall Polynomials, 2nd
+    ed., I.3).  h_0 ... h_m take one pass per value, h_m += x_j h_{m-1},
+    after l zeros that stand for h_{-l} ... h_{-1}; the determinant is
+    the signed product of the pivots of an elimination with partial
+    pivoting, run on the whole stack at once.  Nothing is divided by a
+    difference of values, so walls and the identity need no special
+    case, and q = () gives det(x)^{p_n}.
     """
-    images = group.weyl_matrices @ gamma                    # (|W|, rank)
-    phases = (np.asarray(theta, dtype=float)[..., None, :] * images).sum(axis=-1)
-    return (group.weyl_signs * np.exp(1j * phases)).sum(axis=-1)
+    x = np.asarray(x, dtype=complex)
+    shape, x = x.shape[:-1], x.reshape(-1, x.shape[-1])
+    q = p[p > p[-1]] - p[-1]
+    size = len(q)
+    h = np.zeros((len(x), 2 * size + (q[0] if size else 1)), dtype=complex)
+    h[:, size] = 1
+    for xj in x.T:
+        for m in range(size + 1, h.shape[1]):
+            h[:, m] += xj * h[:, m - 1]
+    a = h[:, size + q[:, None] + np.arange(size) - np.arange(size)[:, None]]
+    rows, det = np.arange(len(x)), np.prod(x, axis=1) ** p[-1]
+    for k in range(size - 1):
+        pivot = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
+        top = a[rows, pivot]
+        a[rows, pivot], a[:, k] = a[:, k], top
+        det[pivot != k] *= -1
+        below = a[:, k + 1:, k]
+        factor = np.divide(below, top[:, k, None], out=np.zeros_like(below),
+                           where=top[:, k, None] != 0)
+        a[:, k + 1:] -= factor[:, :, None] * top[:, None, :]
+    return (det * np.prod(np.diagonal(a, axis1=1, axis2=2), axis=1)).reshape(shape)[()]
 
 
 def weyl_character(group, nu, theta):
@@ -122,85 +153,19 @@ def weyl_character(group, nu, theta):
 
     ``theta`` holds ``rank`` angles (a complex is returned) or a stack of
     them, shape (N, rank) (an (N,) array is returned), evaluated in one
-    pass.  Evaluates the alternating-sum ratio A_nu / A_delta on the
-    regular locus, where it loses eps |W| / |A_delta| times a factor that
-    grows with nu (up to 17 at |nu| <= 4).  On and near a wall, where
-    eps |W| / |A_delta| passes 1e-13, its limit is taken exactly instead,
-    however many roots vanish (:func:`_wall_limit`); at the identity the
-    dimension is returned directly.
+    pass.  Off tori this is Weyl's quotient A_nu / A_delta written as the
+    Schur polynomial of the eigenvalues e^{i theta D}
+    (D = :attr:`~coorbit.groups.CompactGroup.cartan_diagonal`), taken by
+    :func:`_schur` without a division, so regular elements, walls and the
+    identity go one way.
     """
     nu = half_weight(group, nu)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.ndim > 2 or theta.shape[-1] != group.rank:
         raise ValueError(f"theta needs {group.rank} angles (or a stack of them)")
-    thetas = np.atleast_2d(theta)
     if group.kind == "torus":
-        vals = np.exp(1j * (thetas @ nu.coords))
-    else:
-        denom = _alternating_sum(group, group.delta, thetas)
-        at_identity = np.abs(thetas).max(axis=1) <= 1e-8
-        wall = (np.abs(denom) < 1e13 * np.finfo(float).eps * group.weyl_order) & ~at_identity
-        vals = np.divide(_alternating_sum(group, nu.coords, thetas), denom,
-                         out=np.empty_like(denom), where=~(at_identity | wall))
-        if at_identity.any():
-            vals[at_identity] = weyl_dimension(group, nu)
-        if wall.any():
-            vals[wall] = _wall_limit(group, nu, thetas[wall])
-    return vals if theta.ndim == 2 else vals[0]
-
-
-def _wall_limit(group, nu, thetas):
-    """chi_nu at rows theta of ``thetas`` on or near walls, as an exact limit.
-
-    eta solves <beta, eta> = (<beta, theta> off 2 pi Z) in least norm for
-    the roots :func:`_near_walls` picks; theta0 = theta - eta lies on
-    their walls, eta pairing to zero with m0 of the m roots vanishing
-    there.  Along xi = 2 rho^vee (the coroot sum, pairing to >= 2 with
-    every positive root) A_gamma(theta + t xi) has t^{m0} coefficient
-    sum_w sign(w) <w gamma, xi>^{m0} e^{i <w gamma, theta0>} E(i <w gamma, eta>),
-    E(z) = sum_{j >= m - m0} z^j / j! (the lower terms vanish at theta0),
-    times a factor common to gamma = nu and delta: on a wall, m0-th
-    derivatives; near one, no cancellation of the vanishing factors."""
-    roots, xi = group.positive_roots, group.coroots.sum(axis=1)
-    # |<w gamma, eta>| <~ 1 within this reach: 40 terms of E give every digit
-    reach = 1.0 / (1.0 + np.linalg.norm(nu.coords))
-    images = np.stack([group.weyl_matrices @ gamma for gamma in (nu.coords, group.delta)])
-    out = np.empty(len(thetas), dtype=complex)
-    for row, theta in enumerate(thetas):
-        offset = (roots @ theta + np.pi) % (2 * np.pi) - np.pi
-        near, flat = _near_walls(np.abs(offset), reach)
-        eta = np.linalg.lstsq(roots[near], offset[near], rcond=None)[0]
-        walls = np.abs((roots @ (theta - eta) + np.pi) % (2 * np.pi) - np.pi) <= _ON_WALL
-        m0 = np.count_nonzero(walls & (np.abs(roots @ eta) <= flat))
-        m1 = np.count_nonzero(walls) - m0
-        z = 1j * (images @ eta)
-        term = tail = z ** m1 / math.factorial(m1)
-        for j in range(m1 + 1, m1 + 40):
-            term = term * z / j
-            tail = tail + term
-        num, den = (group.weyl_signs * (images @ xi) ** m0
-                    * np.exp(1j * (images @ (theta - eta))) * tail).sum(axis=1)
-        out[row] = num / den
-    return out
-
-
-_ON_WALL = 1e-13   # a root angle this close to 2 pi Z is on its wall
-
-
-def _near_walls(dist, reach):
-    """The c roots nearest 2 pi Z (``dist``) within ``reach`` and the largest
-    eta pairing taken as zero, c minimizing the loss in eps: 1 / distance
-    per root left out; per root in, (largest distance in) / distance, or
-    distance / eps below sqrt(eps) times that largest distance."""
-    eps, order = np.finfo(float).eps, np.argsort(dist)
-    d = np.maximum(dist[order], _ON_WALL)
-    best = (np.inf, 0, _ON_WALL)
-    for c in range(np.count_nonzero(dist <= reach) + 1):
-        inner, flat = d[:c], max(_ON_WALL, np.sqrt(eps * d[c - 1]))
-        loss = (np.prod(1 / np.minimum(d[c:], 1.0)) + np.prod(d[c - 1] / inner[inner > flat])
-                + inner[(inner > _ON_WALL) & (inner <= flat)].sum() / eps)
-        best = min(best, (loss, c, flat))
-    return np.isin(np.arange(len(dist)), order[:best[1]]), best[2]
+        return np.exp(1j * (theta @ nu.coords))
+    return _schur(_partition(group, nu), np.exp(1j * (theta @ group.cartan_diagonal)))
 
 
 def character_at_element(group, nu, g):
@@ -217,30 +182,24 @@ def character_at_element(group, nu, g):
     h_j = s h_{j-1} + v_j, v_{j+1} = s v_j + D h_{j-1}, v_j = (x1^j + x2^j)/2;
     near +-I, where e1^2/4 - e2 cancels, the Newton-Girard form
     h_j = e1 h_{j-1} - e2 h_{j-2} loses m^2 eps relative and D read from
-    the entries does not.  Otherwise the eigen-angles are mapped to
-    Cartan coordinates through the pseudo-inverse of
-    :attr:`~coorbit.groups.CompactGroup.cartan_diagonal` and passed to
-    :func:`weyl_character`, which takes the exact limit on walls.
+    the entries does not.  For any other n the eigenvalues of g go
+    straight to the Jacobi-Trudi determinant of :func:`weyl_character`,
+    with no angles.
     """
     nu = half_weight(group, nu)
     g = np.asarray(g)
     if group.kind == "torus":
         return np.exp(1j * (g.astype(float) @ nu.coords))
-    if group.n == 2:
-        lam = np.rint(nu.highest_weight).astype(int)
-        l1, l2 = (lam[0], 0) if group.kind == "su" else lam
-        a, b, c, d = g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]
-        s, disc = (a + d) / 2, ((a - d) / 2) ** 2 + b * c
-        h, v = np.ones_like(s), s
-        for _ in range(l1 - l2):
-            h, v = s * h + v, s * v + disc * h
-        return (a * d - b * c) ** l2 * h
-    angles = np.sort(np.angle(np.linalg.eigvals(g)), axis=-1)[..., ::-1]
-    if group.kind == "su":
-        # the angles of det = 1 sum to a multiple of 2 pi; the Cartan
-        # coordinates need the sum-zero representative
-        angles[..., -1] -= 2 * np.pi * np.round(angles.sum(axis=-1) / (2 * np.pi))
-    return weyl_character(group, nu, angles @ np.linalg.pinv(group.cartan_diagonal))
+    p = _partition(group, nu)
+    if group.n != 2:
+        return _schur(p, np.linalg.eigvals(g))
+    l1, l2 = p
+    a, b, c, d = g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]
+    s, disc = (a + d) / 2, ((a - d) / 2) ** 2 + b * c
+    h, v = np.ones_like(s), s
+    for _ in range(l1 - l2):
+        h, v = s * h + v, s * v + disc * h
+    return (a * d - b * c) ** l2 * h
 
 
 # -- exp-map Jacobian ---------------------------------------------------------

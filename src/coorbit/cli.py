@@ -4,7 +4,7 @@ Subcommands
 -----------
 group-info     root datum, Weyl order, volumes for a group
 dim            Weyl dimension and the exact k-scaling value
-character      alternating-sum vs orbit-integral character values
+character      Weyl (Jacobi-Trudi) vs orbit-integral character values
 orbit-volume   closed-form orbit volume vs quadrature weight sum
                (the orbit integral covers tori, SU(2) and U(2) only)
 psi-nu         leading coefficient at a locus point, with its breakdown

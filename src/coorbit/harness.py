@@ -201,7 +201,7 @@ def _decay_sweep(rows, fits, model, nu, ks, x, y, label, fit_label):
 
 
 def run_character_suite(config):
-    """Character cross-checks: orbit-integral vs alternating-sum
+    """Character cross-checks: orbit-integral vs Weyl (Jacobi-Trudi)
     characters on SU(2) and U(2), dimensions at xi = 0, Weyl invariance,
     the exact scaling law, and the torus closed forms."""
     rng = np.random.default_rng(config.seed)

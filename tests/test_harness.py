@@ -142,6 +142,10 @@ def test_cli_dim_and_character(capsys):
     assert main(["dim", "--group", "u2", "--nu", "3/2,-3/2", "--k", "4"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["d_nu"] == 3 and out["d_k_nu"] == 12
+    # above 2^53 a float product would round d_nu to a wrong integer
+    assert main(["dim", "--group", "su3", "--nu", "2000001,1000000"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["d_nu"] == out["d_k_nu"] == 3000002500000500000
     assert main(["character", "--group", "su2", "--nu", "4",
                  "--theta", "0.7", "--kirillov"]) == 0
     out = json.loads(capsys.readouterr().out)
