@@ -84,17 +84,15 @@ def weyl_dimension(group, nu):
 
 
 def scaled_dimension(group, nu, k):
-    """d_{k nu}, with the identity d_{k nu} = k^{n_pos} d_nu checked exactly.
+    """d_{k nu}: the product formula at k nu in exact rational arithmetic.
 
-    Both sides are evaluated in rational arithmetic on the product
-    formula over the integer coroots, so the assertion is exact, not a
-    float comparison.
+    The formula has n_pos factors, each linear in nu, so d_{k nu} =
+    k^{n_pos} d_nu; the character suite's ``dimension-scaling`` verdict
+    compares the two.
     """
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise ValueError("k must be a positive integer")
-    d_nu = _exact_dimension(group, _coords(nu))
     d_knu = _exact_dimension(group, _coords(nu), k)
-    assert d_knu == Fraction(k) ** group.n_pos * d_nu, "scaling law violated"
     if d_knu.denominator != 1:
         raise ValueError(f"dimension {d_knu} is not an integer")
     return int(d_knu)
@@ -119,11 +117,16 @@ def _schur(p, x):
     s_q = det[h_{q_i - i + j}], 1 <= i, j <= l, by the Jacobi-Trudi
     identity (Macdonald, Symmetric Functions and Hall Polynomials, 2nd
     ed., I.3).  h_0 ... h_m take one pass per value, h_m += x_j h_{m-1},
-    after l zeros that stand for h_{-l} ... h_{-1}; the determinant is
-    the signed product of the pivots of an elimination with partial
-    pivoting, run on the whole stack at once.  Nothing is divided by a
-    difference of values, so walls and the identity need no special
-    case, and q = () gives det(x)^{p_n}.
+    after l zeros that stand for h_{-l} ... h_{-1}.  The determinant is
+    the last entry of a fraction-free (Bareiss) elimination with partial
+    pivoting, run on the whole stack at once: each step's entries are
+    minors of the matrix, whose cross products divide exactly by the
+    previous pivot (Bareiss, Math. Comp. 22, 1968).  So an integer
+    matrix, as at the identity, gives the exact integer while the
+    products formed stay below 2^53 (every SU(4) label in 1..9).  A
+    column with no pivot leaves an all-zero block and the value 0.
+    Nothing is divided by a difference of values, so walls and the
+    identity need no special case, and q = () gives det(x)^{p_n}.
     """
     x = np.asarray(x, dtype=complex)
     shape, x = x.shape[:-1], x.reshape(-1, x.shape[-1])
@@ -136,16 +139,22 @@ def _schur(p, x):
             h[:, m] += xj * h[:, m - 1]
     a = h[:, size + q[:, None] + np.arange(size) - np.arange(size)[:, None]]
     rows, det = np.arange(len(x)), np.prod(x, axis=1) ** p[-1]
+    last = np.ones(len(x), dtype=complex)
     for k in range(size - 1):
         pivot = k + np.argmax(np.abs(a[:, k:, k]), axis=1)
         top = a[rows, pivot]
         a[rows, pivot], a[:, k] = a[:, k], top
         det[pivot != k] *= -1
-        below = a[:, k + 1:, k]
-        factor = np.divide(below, top[:, k, None], out=np.zeros_like(below),
-                           where=top[:, k, None] != 0)
-        a[:, k + 1:] -= factor[:, :, None] * top[:, None, :]
-    return (det * np.prod(np.diagonal(a, axis1=1, axis2=2), axis=1)).reshape(shape)[()]
+        cross = (top[:, k, None, None] * a[:, k + 1:, k + 1:]
+                 - a[:, k + 1:, k, None] * top[:, None, k + 1:]) * last.conj()[:, None, None]
+        # each part over |last|^2: numpy's complex division multiplies by a
+        # rounded reciprocal.  A zero pivot leaves an all-zero block, over 1
+        norm = (last.real ** 2 + last.imag ** 2)[:, None, None]
+        norm[norm == 0] = 1
+        a[:, k + 1:, k + 1:].real = cross.real / norm
+        a[:, k + 1:, k + 1:].imag = cross.imag / norm
+        last = top[:, k]
+    return (det * (a[:, -1, -1] if size else 1)).reshape(shape)[()]
 
 
 def weyl_character(group, nu, theta):

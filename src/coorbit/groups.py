@@ -1,7 +1,7 @@
 """Compact connected Lie groups: torus(r), SU(n) and U(n).
 
-Root data, Weyl groups, integral lattices, Ad-invariant metrics, and the
-linear-algebra primitives consumed by the character formulas and the
+Root data, Weyl group orders, integral lattices, Ad-invariant metrics, and
+the linear-algebra primitives consumed by the character formulas and the
 projective models: the musical isomorphism gamma -> gamma^phi, the
 restriction of ad_tau to the orthocomplement of the Cartan algebra, and
 closed-form Riemannian volumes.
@@ -18,8 +18,8 @@ Conventions
   map between Cartan coordinates and eigen-angles: exp(sum c_j H_j) =
   diag(e^{i c D}), and a covector with eigen-pattern g (the sum-zero
   vector with <gamma, diag(i theta)> = sum g_j theta_j on SU(n)) has
-  Cartan coordinates D g.  Roots, coroots and Weyl matrices are read
-  from it.
+  Cartan coordinates D g.  Roots and coroots are read from it; the Weyl
+  group, which permutes the eigen-angles, is kept only as its order.
 * Covectors are arrays of values on that basis and algebra vectors are
   coefficient arrays with respect to it.  A Cartan datum is given by
   its leading ``rank`` coordinates, a full one by all ``dim``; the
@@ -41,7 +41,6 @@ pure, so everything here is safe to share across threads.
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import permutations
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -55,7 +54,9 @@ class AssumptionViolation(RuntimeError):
     """A runtime hypothesis of the asymptotic theory fails."""
 
 
-_MAX_WEYL_RANK = 7  # n! Weyl elements are materialized; keep n small
+# the algebra basis is stored densely, dim * n^2 complex entries (1.6 GB
+# at n = 100), so SU(n)/U(n) are refused past this n
+_MAX_MATRIX_SIZE = 7
 
 
 def _pair_indices(n):
@@ -104,11 +105,6 @@ class CompactGroup:
         Positive roots as Cartan covector coordinates.
     delta : ndarray, shape (rank,)
         Half-sum of the positive roots.
-    weyl_matrices : ndarray, shape (|W|, rank, rank)
-        The Weyl group as orthogonal integer matrices acting on Cartan
-        covector coordinates.
-    weyl_signs : ndarray, shape (|W|,)
-        Their signs det(w) = +-1, as floats.
     trace_gram : ndarray, shape (dim, dim)
         Gram matrix of the reference metric in the fixed basis: the
         identity on tori, -trace(A B) on SU(n)/U(n).
@@ -125,8 +121,6 @@ class CompactGroup:
     rank: int
     positive_roots: np.ndarray
     delta: np.ndarray
-    weyl_matrices: np.ndarray
-    weyl_signs: np.ndarray
     trace_gram: np.ndarray = field(repr=False)
     cartan_diagonal: np.ndarray = field(repr=False)
     basis_matrices: np.ndarray = field(repr=False, default=())
@@ -141,7 +135,8 @@ class CompactGroup:
 
     @property
     def weyl_order(self):
-        return len(self.weyl_signs)
+        """|W|: n! on SU(n)/U(n) (the eigen-angle permutations), 1 on tori."""
+        return math.factorial(self.n) if self.is_matrix_group else 1
 
     @cached_property
     def coroots(self):
@@ -198,8 +193,6 @@ def build_group(kind, n=None):
             kind="torus", n=r, dim=r, rank=r,
             positive_roots=np.zeros((0, r)),
             delta=np.zeros(r),
-            weyl_matrices=np.eye(r)[None],
-            weyl_signs=np.ones(1),
             trace_gram=np.eye(r),
             cartan_diagonal=np.eye(r),
         )
@@ -209,13 +202,12 @@ def build_group(kind, n=None):
         raise UnsupportedGroupError("SU(n) needs n >= 2")
     if kind == "u" and n < 1:
         raise UnsupportedGroupError("U(n) needs n >= 1")
-    if n > _MAX_WEYL_RANK:
-        raise UnsupportedGroupError(f"n={n} too large (Weyl group is materialized)")
+    if n > _MAX_MATRIX_SIZE:
+        raise UnsupportedGroupError(f"n={n} too large (the algebra basis is dense)")
 
     rank, dim = (n, n * n) if kind == "u" else (n - 1, n * n - 1)
     basis = np.array(_basis_matrices(kind, n))
     D = np.diagonal(basis[:rank], axis1=1, axis2=2).imag
-    D_plus = np.linalg.pinv(D)
 
     pairs = _pair_indices(n)
     patterns = np.zeros((len(pairs), n))
@@ -223,21 +215,9 @@ def build_group(kind, n=None):
         patterns[idx, [j, k]] = 1.0, -1.0
     roots = patterns @ D.T
     delta = 0.5 * roots.sum(axis=0)
-
-    mats, signs = [], []
-    for perm in permutations(range(n)):
-        P = np.zeros((n, n))
-        P[list(perm), range(n)] = 1.0
-        # W preserves the lattice of the H_j, so the matrix is integral and
-        # rounding only removes pinv noise (+ 0.0 turns -0.0 into 0.0)
-        mats.append(np.rint(D @ P @ D_plus) + 0.0)
-        signs.append(round(np.linalg.det(P)))
-
     return CompactGroup(
         kind=kind, n=n, dim=dim, rank=rank,
         positive_roots=roots, delta=delta,
-        weyl_matrices=np.array(mats),
-        weyl_signs=np.array(signs, dtype=float),
         trace_gram=-np.einsum("aij,bji->ab", basis, basis).real,
         cartan_diagonal=D,
         basis_matrices=basis,

@@ -126,11 +126,14 @@ def unit_point(coeffs):
 @dataclass(frozen=True, eq=False)
 class LocusSample:
     """On-locus point data: the coset move h_m, the scale sigma(m), and
-    the split Cartan directions t_m / t'_m (phi-orthonormal).
+    a phi-orthonormal basis of t'_m = Ad_{h_m} t'.
+
+    t' = {eta in t : <nu, eta> = 0} in the Cartan algebra t.  The whole
+    t_m = Ad_{h_m} t is not stored; Ad_{h_m} of the Cartan basis gives it.
 
     For a stack of N points every array field (``x``, ``phi``, ``sigma``,
-    ``h``, ``residual`` and each vector of the two bases) has a leading
-    axis of length N; for one point ``sigma`` and ``residual`` are floats.
+    ``h``, ``residual`` and each vector of the basis) has a leading axis
+    of length N; for one point ``sigma`` and ``residual`` are floats.
     """
 
     model: "ProjectiveModel"
@@ -139,7 +142,6 @@ class LocusSample:
     phi: np.ndarray
     sigma: float
     h: object
-    t_basis: tuple
     t_prime_basis: tuple
     residual: float
 
@@ -345,14 +347,12 @@ class ProjectiveModel:
             if x.ndim == 1:
                 return ConeDistance(phi=phi[0], distance=float(distance[0]))
             return ConeDistance(phi=phi, distance=distance)
-        t_basis = tuple(adjoint_action(group, h, e) for e in np.eye(group.rank))
         t_prime = tuple(adjoint_action(group, h, v)
                         for v in _metric_orthonormal_null(metric, nu.coords))
         if x.ndim == 1:
             return LocusSample(self, nu, x, phi[0], float(sigma[0]), h[0],
-                               tuple(e[0] for e in t_basis), tuple(e[0] for e in t_prime),
-                               float(residual[0]))
-        return LocusSample(self, nu, x, phi, sigma, h, t_basis, t_prime, residual)
+                               tuple(e[0] for e in t_prime), float(residual[0]))
+        return LocusSample(self, nu, x, phi, sigma, h, t_prime, residual)
 
     def d_phi(self, nu, sample):
         """Gram matrix of the pulled-back metric on t'_m and its sqrt-det.

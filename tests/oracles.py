@@ -41,6 +41,25 @@ def coadjoint(basis_matrices, g, gamma):
     return np.asarray(gamma, dtype=float) @ coords
 
 
+def weyl_matrices(group):
+    """The Weyl group of SU(n) or U(n) as (sign, matrix) pairs, one per
+    permutation P of the n eigen-angles: the matrix is D P D^+ on Cartan
+    covector coordinates, D the group's ``cartan_diagonal``, and the sign
+    is det P.  W preserves the lattice of the H_j, so each matrix is
+    integral; rounding removes only the pseudo-inverse's noise (+ 0.0
+    turns -0.0 into 0.0)."""
+    from itertools import permutations
+
+    D = group.cartan_diagonal
+    D_plus = np.linalg.pinv(D)
+    out = []
+    for perm in permutations(range(group.n)):
+        P = np.zeros((group.n, group.n))
+        P[list(perm), range(group.n)] = 1.0
+        out.append((round(np.linalg.det(P)), np.rint(D @ P @ D_plus) + 0.0))
+    return out
+
+
 def su2_character_weight_sum(nu, theta):
     """chi_nu(e^{theta Z}) = sum_{j=0}^{nu-1} e^{i (nu-1-2j) theta}."""
     nu = int(round(nu))
@@ -457,6 +476,44 @@ def monomial_sum_mp(alphas, x, y, dps=60):
             term = math.prod((xs[j] * ys[j]) ** a[j] for j in range(d + 1)) / norm_sq
             total += term
             magnitude += abs(term)
+        return +total, +magnitude
+
+
+def monomial_sum_mp_tabled(alphas, x, y, dps=60):
+    """The (sum, sum of |terms|) of :func:`monomial_sum_mp` from tables,
+    fast enough for benchmark k.
+
+    At dps + 10 digits it builds m! for m up to max |a| + d by one running
+    product, and for each coordinate j the table (x_j conj(y_j))^m / m!
+    for m up to max a_j.  A row is then d + 2 table reads, (|a| + d)!
+    prod_j T_j[a_j], and pi^-d scales both sums once.
+    :func:`monomial_sum_mp`, whose exact factorials run to tens of
+    thousands of digits per row at k near 8192, stays the reference at
+    small k.
+    """
+    import mpmath
+
+    alphas = np.asarray(alphas).tolist()
+    d = len(x) - 1
+    with mpmath.workdps(dps + 10):
+        factorials = [mpmath.mpf(1)]
+        for m in range(1, max((sum(a) for a in alphas), default=0) + d + 1):
+            factorials.append(factorials[-1] * m)
+        tables = []
+        for j in range(d + 1):
+            z = mpmath.mpc(complex(x[j])) * mpmath.mpc(complex(y[j])).conjugate()
+            table = [mpmath.mpc(1)]
+            for m in range(1, max((a[j] for a in alphas), default=0) + 1):
+                table.append(table[-1] * z / m)
+            tables.append(table)
+        total, magnitude = mpmath.mpc(0), mpmath.mpf(0)
+        for a in alphas:
+            term = factorials[sum(a) + d] * math.prod(t[aj] for t, aj in zip(tables, a))
+            total += term
+            magnitude += abs(term)
+        scale = mpmath.pi ** -d
+        total, magnitude = total * scale, magnitude * scale
+    with mpmath.workdps(dps):
         return +total, +magnitude
 
 

@@ -1,3 +1,4 @@
+import itertools
 import re
 from dataclasses import replace
 from types import SimpleNamespace
@@ -38,6 +39,7 @@ from oracles import (
     u2_character_eigen_angles,
     u2_character_from_euler,
     u2_character_weight_sum,
+    weyl_matrices,
 )
 
 
@@ -156,11 +158,16 @@ def test_weyl_character_u2_weight_sum():
 
 
 def test_weyl_character_identity_gives_dimension():
-    for kind, coords in (("su2", (5.0,)), ("u2", (2.5, -0.5))):
+    # exactly: the Jacobi-Trudi matrix is integral at the identity and the
+    # fraction-free elimination keeps it so, also with two or more rows
+    for kind, coords in (("su2", (5.0,)), ("u2", (2.5, -0.5)), ("su3", (5.0, 3.0))):
         g = build_group(kind)
         nu = half_weight(g, coords)
         d = weyl_dimension(g, nu)
         assert weyl_character(g, nu, np.zeros(g.rank)) == d
+    su4 = build_group("su4")
+    for labels in itertools.product(range(1, 6), repeat=3):
+        assert weyl_character(su4, labels, np.zeros(3)) == weyl_dimension(su4, labels), labels
 
 
 def test_weyl_character_torus():
@@ -296,7 +303,7 @@ def test_weyl_character_invariance():
         for _ in range(10):
             theta = rng.uniform(-2, 2, size=g.rank)
             base = weyl_character(g, nu, theta)
-            for mat in g.weyl_matrices:
+            for _, mat in weyl_matrices(g):
                 assert abs(weyl_character(g, nu, mat @ theta) - base) < 1e-10
 
 

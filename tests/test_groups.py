@@ -17,7 +17,7 @@ from coorbit.groups import (
     trace_metric,
 )
 
-from oracles import coadjoint, group_volumes_quadrature
+from oracles import coadjoint, group_volumes_quadrature, weyl_matrices
 
 
 def test_build_group_examples():
@@ -46,6 +46,10 @@ def test_build_group_string_forms():
         build_group("sp4")
     with pytest.raises(UnsupportedGroupError):
         build_group("su", 1)
+    # the algebra basis is dense (dim n^2 complex entries), so n stops at 7
+    for kind in ("su8", "u8"):
+        with pytest.raises(UnsupportedGroupError, match="n=8 too large"):
+            build_group(kind)
 
 
 def test_weyl_group_orders():
@@ -54,6 +58,9 @@ def test_weyl_group_orders():
     assert build_group("u2").weyl_order == 2
     assert build_group("su3").weyl_order == 6
     assert build_group("u3").weyl_order == 6
+    assert build_group("su7").weyl_order == 5040
+    for g in (build_group("su3"), build_group("u4")):
+        assert g.weyl_order == len(weyl_matrices(g))
 
 
 @pytest.mark.parametrize("kind", ["su2", "u2", "su3", "su4", "su5", "u3", "u4", "u5"])
@@ -62,7 +69,7 @@ def test_weyl_preserves_roots_up_to_sign(kind):
     g = build_group(kind)
     roots = {tuple(r) for r in g.positive_roots}
     full = roots | {tuple(-np.array(r)) for r in roots}
-    for mat, sign in zip(g.weyl_matrices, g.weyl_signs):
+    for sign, mat in weyl_matrices(g):
         assert sign in (-1, 1)
         assert np.array_equal(mat, np.rint(mat))
         for beta in g.positive_roots:

@@ -44,6 +44,7 @@ from oracles import (
     lifted_action,
     monomial_log_norms_gammaln,
     monomial_sum_mp,
+    monomial_sum_mp_tabled,
     orbit_separation_grid,
     orbit_separation_nelder_mead,
     random_sphere_point,
@@ -827,6 +828,38 @@ def test_basis_sum_matches_the_multiprecision_oracle(mid, k):
                        + np.abs(basis.log_norms))
         bound = (worst + np.log2(basis.dim) + 2) * np.finfo(float).eps
         assert err <= bound, (mid, float(err), bound)
+
+
+def _oracle_rows(model, k):
+    """The k nu isotypic exponents of a listing model from the oracles:
+    the nested lattice scan on the tori, and on u2-cp2 the line
+    (a, m - a, e) of its highest weight k nu - delta = (l1, l2), with
+    m = l1 - l2 = k - 1 and e = l1 = (3k - 1) / 2 (odd k)."""
+    if model.id == "u2-cp2":
+        m, e = k - 1, (3 * k - 1) // 2
+        return [(a, m - a, e) for a in range(m + 1)]
+    return _nested_rows(model, np.rint(k * model.default_nu.coords).astype(int))
+
+
+@pytest.mark.parametrize("mid, k", [("s1-cp1-w12", 1025), ("s1-cp2-w123", 64),
+                                    ("t2-cp2", 385), ("u2-cp2", 385)])
+def test_tabled_multiprecision_oracle_matches_the_exact_one(mid, k):
+    # on the diagonal at the default locus point x and at a complex pair
+    # (x, y), y a few tenths of a radian of coordinate phases from x: a
+    # pair far from x's orbit cancels below 1e-50 of sum |terms|, so both
+    # sums would be rounding noise.  k stays small, as the exact oracle's
+    # cost grows as k^2
+    model = build_model(mid)
+    rows = _oracle_rows(model, k)
+    assert len(rows) == isotypic_dim(model, model.default_nu, k)
+    x = model.default_locus_point()
+    y = unit_point(x * np.exp(1j * np.random.default_rng(5).uniform(-0.2, 0.2, x.shape)))
+    for p, q in ((x, x), (x, y)):
+        exact, magnitude = monomial_sum_mp(rows, p, q, dps=50)
+        tabled, tabled_magnitude = monomial_sum_mp_tabled(rows, p, q, dps=50)
+        assert abs(exact) > 1e-2 * magnitude, mid
+        assert abs(tabled - exact) <= 1e-40 * magnitude, mid
+        assert abs(tabled_magnitude - magnitude) <= 1e-40 * magnitude, mid
 
 
 def test_windowed_sum_matches_the_multiprecision_oracle(monkeypatch):

@@ -94,6 +94,21 @@ def test_decay_suite_su2_records_zero_separation():
     assert all(f.passed for f in fits)
 
 
+def test_a_dimension_off_by_one_fails_its_three_verdicts(monkeypatch):
+    # d_nu + 1 from the product formula: the orbit's value at zero, its
+    # volume and the exact scaling law each see it, and the suite reports
+    # three failed verdicts per group instead of raising
+    from coorbit import characters
+    exact = characters._exact_dimension
+    monkeypatch.setattr(characters, "_exact_dimension",
+                        lambda group, coords, k=1: exact(group, coords, k) + 1)
+    _, fits, passed = run_suite("characters", ExperimentConfig(seed=0))
+    assert not passed
+    assert {f.quantity for f in fits if not f.passed} == {
+        f"{kind}-{name}" for kind in ("su2", "u2")
+        for name in ("dimension-at-zero", "orbit-volume", "dimension-scaling")}
+
+
 def test_csv_determinism_and_schema(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

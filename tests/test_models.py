@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coorbit.groups import AssumptionViolation, half_weight, random_unitary
+from coorbit.groups import AssumptionViolation, adjoint_action, half_weight, random_unitary
 from coorbit.models import (
     MODEL_IDS,
     ConeDistance,
@@ -190,9 +190,9 @@ def test_locus_sample_invariants():
             phi_sharp = algebra_matrix(group, metric.sharp(s.phi))
             resid = phi_sharp - s.sigma * moved
             assert np.sqrt(metric.inner_matrices(resid, resid)) < 1e-10
-            # [eta, Phi^phi] = 0 for eta in t_m
-            for eta in s.t_basis:
-                em = algebra_matrix(group, eta)
+            # [eta, Phi^phi] = 0 for eta in t_m = Ad_h t
+            for e in np.eye(group.rank):
+                em = s.h @ algebra_matrix(group, e) @ s.h.conj().T
                 comm = em @ phi_sharp - phi_sharp @ em
                 assert np.sqrt(metric.inner_matrices(comm, comm)) < 1e-10
         # <Phi, eta> = 0 for eta in t'_m, and phi-orthonormality
@@ -274,11 +274,13 @@ def test_locus_decompose_stack_matches_per_point():
         close(stacked.phi, [s.phi for s in singles])
         close(stacked.sigma, [s.sigma for s in singles])
         close(stacked.residual, [s.residual for s in singles])
-        for field in ("t_basis", "t_prime_basis"):
-            per_point = [getattr(s, field) for s in singles]
-            for j, vec in enumerate(getattr(stacked, field)):
-                assert vec.shape == (n, model.group.dim)
-                close(vec, [basis[j] for basis in per_point])
+        # t_m = Ad_h t, which does not see the stabilising torus in h
+        for e in np.eye(model.group.rank):
+            close(adjoint_action(model.group, stacked.h, e),
+                  [adjoint_action(model.group, s.h, e) for s in singles])
+        for j, vec in enumerate(stacked.t_prime_basis):
+            assert vec.shape == (n, model.group.dim)
+            close(vec, [s.t_prime_basis[j] for s in singles])
         for h, s in zip(stacked.h, singles):
             if model.group.kind == "torus":
                 close(h, s.h)
@@ -387,8 +389,7 @@ def test_d_phi_basis_invariance():
     for ang in (0.3, 1.1, 2.0):
         r1 = np.cos(ang) * b1 + np.sin(ang) * b2
         r2 = -np.sin(ang) * b1 + np.cos(ang) * b2
-        rotated = LocusSample(model, nu, s.x, s.phi, s.sigma, s.h,
-                              s.t_basis, (r1, r2), s.residual)
+        rotated = LocusSample(model, nu, s.x, s.phi, s.sigma, s.h, (r1, r2), s.residual)
         _, scalar2 = model.d_phi(nu, rotated)
         assert np.isclose(scalar2, scalar, rtol=1e-12)
 
