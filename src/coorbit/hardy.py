@@ -35,15 +35,19 @@ real part of every stored row's exponent by one float product, and sums
 only the rows within 61 of the largest (t2-cp2 at k = 8192 keeps about
 10% of its 8193 rows), each with the full sum's exponent bits.
 A longer listing is summed over its concentration windows at every
-evaluation, and nothing is stored: the method-of-types bound on each
-term's log (:func:`_log_bound`) is concave along every run, so the rows
-whose bound is within 61 of the largest term found form one interval
-per run, and only those are listed, normed and summed (found exactly by
-Newton guesses checked in one batch of bounds per search), each with
-the full sum's exponent arithmetic (s1-cp2-w123 at k = 8192 sums 213k
-of its 5.6M rows).  On either route the value is the full sum's to
-within its rounding bound.  Log-factorials come from one table, grown
-on demand, of a numpy port of Cephes lgam (the values of
+evaluation, and nothing is listed or stored: the method-of-types bound
+on each term's log (:func:`_log_bound`) is concave along every run, so
+the rows whose bound is within 61 of the largest term found form one
+interval per run (found exactly by Newton guesses checked in one batch
+of bounds per search), and only those are summed (s1-cp2-w123 at
+k = 8192 sums 213k of its 5.6M rows).  A window's rows are a line
+a + t step, so each row's real exponent is read by index arithmetic from
+the log-factorial table and from per-evaluation tables
+m (log|x_j| + log|y_j|), exponentiated by a real exp, and its phase is
+one ramp cis(t step . theta) per evaluation (theta = arg x - arg y)
+times one cis(a . theta) per window.  On either route the value is the
+full sum's to within its rounding bound.  Log-factorials come from one
+table, grown on demand, of a numpy port of Cephes lgam (the values of
 scipy.special.gammaln, bit for bit, with numpy as the only dependency).
 Isotypic dimensions are never listed: each catalog model counts its own
 in closed form (``isotypic_dim``), at any k.  Only the listings behind a
@@ -68,8 +72,9 @@ from .models import _BASIS_BUDGET_BYTES, _LIST_ROWS, SU2CP1Model, _cache_key, he
 _BIG_NEG = -1.0e6  # stand-in for log 0; alpha * _BIG_NEG underflows exp cleanly
 _TINY = np.finfo(float).tiny
 # Rows of the exponent array cast to complex at a time in _block_exponents
-# and read at a time in monomial_log_norms: a block and its products stay
-# in cache, and no (N, d+1) complex copy exists.
+# and read at a time in monomial_log_norms, and the most window rows
+# (windows times the longest window) read at a time in _windowed_sum: a
+# block and its products stay in cache, and no (N, d+1) copy exists.
 _BLOCK_ROWS = 4096
 # A kernel sum takes only the rows whose term can come within e^-60 of
 # the largest: a stored sum (_reaching_rows) the rows whose exponent, by a
@@ -245,16 +250,6 @@ def _stored_blocks(alphas, log_norms):
         yield alphas[start:start + _BLOCK_ROWS], log_norms[start:start + _BLOCK_ROWS]
 
 
-def _listed_blocks(d, chunks, top):
-    """(alphas, log_norms) blocks of at most _BLOCK_ROWS rows of a listing
-    whose every |alpha| is at most top, normed chunk by chunk.  No array
-    is N long, and a chunk and its norms are gone before the next chunk
-    is listed."""
-    for chunk in chunks:
-        yield from _stored_blocks(chunk, monomial_log_norms(d, chunk, top))
-        del chunk
-
-
 def _block_exponents(blocks, lx, ly):
     """The complex logs of the terms x^a conj(y)^a / ||z^a||^2, one array
     per (alphas, log_norms) block, from lx = _safe_log(x) and
@@ -283,7 +278,6 @@ def _block_exponents(blocks, lx, ly):
         expo = expos[:size]
         expo -= log_norms
         yield expo
-        del alphas, log_norms            # not alive while the next block is listed
 
 
 def _block_sum(blocks, lx, ly):
@@ -303,6 +297,12 @@ def _block_sum(blocks, lx, ly):
             shift = top
         expo.real -= shift
         total += np.exp(expo, out=expo).sum()
+    return _log_phase(shift, total)
+
+
+def _log_phase(shift, total):
+    """(log magnitude, unit phase) of e^shift total; (-inf, 0) when every
+    term vanished (shift at the _BIG_NEG stand-in for log 0, or total 0)."""
     if shift <= _BIG_NEG / 2 or total == 0:
         return -np.inf, 0.0 + 0.0j
     return shift + float(np.log(np.abs(total))), total / np.abs(total)
@@ -388,25 +388,85 @@ def _first_true(hi, test, guess):
     return lo
 
 
-def _peak_exponent(runs, d, lx, ly, peak, height):
-    """E*: the largest term exponent, in the sum's own arithmetic, among
-    the rows at the runs' peaks.
+class _TermExponents:
+    """The real term exponents log |x^a conj(y)^a| / ||z^a||^2 of the
+    rows a = lines[:, i] + t step, t < counts[i], of windows i (lines
+    (d+1, R) int64), read by index arithmetic from tables:
 
-    Only the runs whose peak bound (height) reaches L - 1 are listed, L
-    the exponent of the row at the highest peak bound, in float
-    arithmetic: B bounds every row of its run and peaks at the peak, and
-    E* >= L up to a rounding far inside the unit margin, so no other run
-    holds E*, which keeps its bits.
+        (P_0[a_0] + ... + P_d[a_d])
+            - (log a_0! + ... + log a_d! + d log pi - log (|a| + d)!),
+
+    P_j[m] = m linear_j (linear_j = log|x_j| + log|y_j|) over the range
+    of a_j on the windows (a few entries when they are concentrated), the
+    log-norm in the order of :func:`monomial_log_norms`, so with its bits.
+    All arithmetic is elementwise: a row's exponent has the same bits in
+    any block.  Made once per evaluation; :meth:`read` fills blocks of at
+    most size rows through ``np.take`` into reused buffers.
     """
-    best = np.argmax(height)
-    row = runs.starts[best] + peak[best] * runs.step
-    log_fact = _log_factorials(runs.top + d)
-    found = row @ (lx.real + ly.real) - log_fact[row].sum() \
-        - d * np.log(np.pi) + log_fact[row.sum() + d]
-    counts = np.ones_like(peak)
-    counts[height < found - 1.0] = 0
-    blocks = _listed_blocks(d, runs.chunks(peak, counts), runs.top)
-    return max(float(expo.real.max()) for expo in _block_exponents(blocks, lx, ly))
+
+    def __init__(self, lines, counts, step, linear, d, top, size):
+        log_fact = _log_factorials(top + d)
+        last = lines + (counts - 1) * step[:, None]
+        lows = np.minimum(lines, last).min(axis=1)
+        highs = np.maximum(lines, last).max(axis=1)
+        # per column j, and the level |alpha| + d last: its tables, read at
+        # origin + t slope (origin relative to the tables' first entry)
+        spans = zip(lows.tolist(), highs.tolist(), linear.tolist())
+        self.tables = [(log_fact[lo:hi + 1], np.arange(lo, hi + 1) * lin) for lo, hi, lin in spans]
+        self.tables.append((log_fact, None))
+        origins = np.vstack([lines - lows[:, None], lines.sum(axis=0) + d])
+        steps = step.tolist()
+        slopes = steps + [sum(steps)]
+        self.moving = [j for j, slope in enumerate(slopes) if slope]
+        self.origins = origins[self.moving]
+        self.slopes = np.array([slopes[j] for j in self.moving])[:, None, None]
+        # a column that does not step is read once per window
+        self.flat = {j: [None if table is None else np.take(table, origins[j])[:, None]
+                         for table in self.tables[j]]
+                     for j in range(d + 2) if not slopes[j]}
+        self.index = np.empty((len(self.moving), size), dtype=np.intp)
+        self.norm, self.term = np.empty((2, size))
+        self.log_pi = d * np.log(np.pi)
+
+    def read(self, windows, t, out):
+        """The exponents of windows (a slice) at offsets t into the
+        (windows, len(t)) array out.  Reads are clipped, so a row past its
+        window's end (a block's padding) gets a finite value, for the
+        caller to mask."""
+        shape, size = out.shape, out.size
+        norm, term = self.norm[:size].reshape(shape), self.term[:size].reshape(shape)
+        index = self.index[:, :size].reshape((-1,) + shape)
+        np.add(self.origins[:, windows, None], self.slopes * t, out=index)
+        cols = dict(zip(self.moving, index))
+
+        def part(j, which, buf):            # tables[j][which] at the rows, into buf if it steps
+            if j in self.flat:
+                return self.flat[j][which][windows]
+            return np.take(self.tables[j][which], cols[j], out=buf, mode="clip")
+
+        def add_up(which, acc):             # sum_j part j, in j order
+            head = part(0, which, acc)
+            if head is not acc:
+                acc[...] = head
+            for j in range(1, len(self.tables) - 1):
+                acc += part(j, which, term)
+            return acc
+
+        add_up(0, norm)
+        norm += self.log_pi
+        norm -= part(len(self.tables) - 1, 0, term)
+        add_up(1, out)
+        out -= norm
+        return out
+
+
+def _peak_exponent(runs, d, lx, ly, peak):
+    """E*: the largest real term exponent (:class:`_TermExponents`, the
+    sum's own arithmetic) among the rows at the runs' peaks, read by
+    index arithmetic: nothing is listed."""
+    lines, ones = (runs.starts + peak[:, None] * runs.step).T, np.ones_like(peak)
+    terms = _TermExponents(lines, ones, runs.step, lx.real + ly.real, d, runs.top, len(peak))
+    return float(terms.read(slice(None), np.zeros(1, dtype=np.int64), np.empty((len(peak), 1))).max())
 
 
 def _concentration_windows(runs, d, lx, ly):
@@ -417,9 +477,9 @@ def _concentration_windows(runs, d, lx, ly):
     B is concave along each run, so those rows form one interval per
     run.  Newton steps on B's slope (:func:`_log_slopes`) guess each
     run's peak, the first row at which B stops rising; then come E*, the
-    largest exact exponent at the peaks
-    (:func:`_peak_exponent`, which lists only the runs whose peak bound
-    can reach it), and both ends of every run whose peak
+    largest real term exponent at the peaks, in the sum's own arithmetic
+    (:func:`_peak_exponent`, which reads every peak row and lists
+    nothing), and both ends of every run whose peak
     reaches the cut at once, from a parabola at the peak and Newton steps
     on B - cut.  :func:`_first_true` checks each guess, so the windows
     are exact.  Nothing is kept between evaluations.  Every count is 0
@@ -453,7 +513,7 @@ def _concentration_windows(runs, d, lx, ly):
 
     peak = _first_true(last, falls, np.floor(root).astype(last.dtype))
     height = _log_bound(starts, step, peak, linear)
-    cut = _peak_exponent(runs, d, lx, ly, peak, height) + _ROW_CUT
+    cut = _peak_exponent(runs, d, lx, ly, peak) + _ROW_CUT
     live = np.flatnonzero(height >= cut)                 # windows not empty
     # t rows out from the peak: column i the left end of live run i,
     # column len(live) + i its right end
@@ -478,16 +538,58 @@ def _concentration_windows(runs, d, lx, ly):
 
 
 def _windowed_sum(runs, d, x, y):
-    """:func:`_block_sum` over the rows of a listing's concentration
-    windows (:func:`_concentration_windows`), listed, normed and summed
-    chunk by chunk; nothing is stored.  The logs of x and y are taken once
-    and shared by the window search and the sum.  Each row left out has a
-    log term below E* - 61, at most the largest term's - 61 (_ROW_CUT);
-    every row kept has the exact exponent arithmetic of the full sum.
+    """(log magnitude, unit phase) of the sum over the rows of a listing's
+    concentration windows (:func:`_concentration_windows`); nothing is
+    listed or stored.  The logs of x and y are taken once and shared by
+    the window search and the sum.
+
+    The rows of window i are a_i + t step, t < counts[i] (a_i its first
+    row).  Their real exponents (:class:`_TermExponents`) are read in
+    blocks of at most _BLOCK_ROWS (windows times the longest window, the
+    padding masked), each shifted by the running largest exponent and
+    exponentiated in place by a real exp.  A term's phase is
+    (a_i + t step) . theta, theta = arg x - arg y: one ramp
+    cis(t step . theta) per evaluation, whose cosine and sine take each
+    window's sum by two real matrix-vector products, and one
+    cis(a_i . theta) per window.  Each row left out has a log term below
+    E* - 61, at most the largest term's - 61 (_ROW_CUT); every row kept
+    has the exponent bits of E*'s arithmetic.
     """
     lx, ly = _safe_log(x), _safe_log(y)
     first, counts = _concentration_windows(runs, d, lx, ly)
-    return _block_sum(_listed_blocks(d, runs.chunks(first, counts), runs.top), lx, ly)
+    live = np.flatnonzero(counts)
+    if not len(live):
+        return -np.inf, 0.0 + 0.0j
+    step, counts = runs.step, counts[live]
+    lines = (runs.starts[live] + first[live, None] * step).T        # (d+1, windows)
+    theta = lx.imag - ly.imag
+    t = np.arange(counts.max())
+    angle = t * float(step @ theta)
+    ramp = np.stack([np.cos(angle), np.sin(angle)], axis=1)        # (longest, 2)
+    turns = np.exp(1j * (theta @ lines))
+    width = min(len(t), _BLOCK_ROWS)
+    per = _BLOCK_ROWS // width                                      # windows per block
+    size = min(per, len(live)) * width
+    terms = _TermExponents(lines, counts, step, lx.real + ly.real, d, runs.top, size)
+    buf = np.empty(size)
+    shift, total = -np.inf, 0.0 + 0.0j
+    for lo in range(0, len(live), per):
+        block = slice(lo, lo + per)
+        lengths = counts[block]
+        longest = int(lengths.max())
+        for start in range(0, longest, width):
+            span = t[start:min(start + width, longest)]
+            expo = terms.read(block, span, buf[:len(lengths) * len(span)].reshape(len(lengths), -1))
+            if lengths.min() <= span[-1]:                         # padding past a window's end
+                np.copyto(expo, -np.inf, where=span >= lengths[:, None])
+            top = float(expo.max())
+            if top > shift:
+                total *= np.exp(shift - top)
+                shift = top
+            expo -= shift
+            sums = np.exp(expo, out=expo) @ ramp[span[0]:span[-1] + 1]
+            total += turns[block] @ sums.view(complex)[:, 0]
+    return _log_phase(shift, total)
 
 
 def equivariant_kernel(model, nu, k, x, y):
@@ -514,9 +616,12 @@ def equivariant_kernel_log(model, nu, k, x, y):
     8 (d + 1) B per row, and kept on the model; every evaluation sums its
     rows whose exponent, by one float product, is within 61 of the
     largest (:func:`_basis_sum`).  A longer listing is summed over its
-    concentration windows at every evaluation (:func:`_windowed_sum`) and
-    nothing is stored.  On either route the value is the full sum's within
-    its rounding bound eps (worst + log2 N + 2) sum |terms| (_ROW_CUT).
+    concentration windows at every evaluation (:func:`_windowed_sum`),
+    each row's real exponent read from log-factorial and per-evaluation
+    product tables, its phase from one ramp per evaluation and one turn
+    per window; nothing is listed or stored.  On either route the value
+    is the full sum's within its rounding bound
+    eps (worst + log2 N + 2) sum |terms| (_ROW_CUT).
     Both routes refuse a listing over the memory budget at the same k,
     before anything is listed.
     """

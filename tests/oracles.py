@@ -547,7 +547,7 @@ def bisected_windows(runs, d, x, y):
     peak = first_true(np.zeros_like(last), last, lambda s: log_bound(
         starts, step, np.minimum(s + 1, last), linear) <= log_bound(starts, step, s, linear))
     height = log_bound(starts, step, peak, linear)
-    cut = hardy._peak_exponent(runs, d, lx, ly, peak, height) + hardy._ROW_CUT
+    cut = hardy._peak_exponent(runs, d, lx, ly, peak) + hardy._ROW_CUT
     live = np.flatnonzero(height >= cut)
     starts, peak, last = starts[:, live], peak[live], last[live]
     lo = first_true(np.zeros_like(peak), peak,

@@ -883,6 +883,57 @@ def test_windowed_sum_matches_the_multiprecision_oracle(monkeypatch):
         assert err <= bound, (float(err), bound)
 
 
+# per model under a forced windowed route: (k, a torus phase psi that
+# turns x along its orbit, so that every term gets the phase -alpha . psi,
+# hundreds of radians, and nothing cancels, a coordinate whose zero kills
+# every term).  psi has one sign: the route's bound counts |alpha . psi|,
+# and phases of opposite signs would leave the rounding of each
+# alpha_j psi_j out of it
+_FORCED_WINDOWED = {"t2-cp2": (300, (1.3, 0.8, 2.1), 0), "u2-cp2": (301, (2.2, 2.2, 1.9), 2),
+                    "w215": (200, (5.4, 2.7, 13.5), None)}
+
+
+@pytest.mark.parametrize("block_rows", [hardy._BLOCK_ROWS, 50])
+@pytest.mark.parametrize("mid", sorted(_FORCED_WINDOWED))
+def test_a_forced_windowed_sum_matches_the_tabled_oracle(mid, block_rows, monkeypatch):
+    # the one-line listings (t2-cp2, u2-cp2) and weights (2, 1, 5) summed
+    # over their windows under a 64-row chunk: on the orbit at large
+    # relative phases, at a complex off-orbit pair, and with a zero
+    # coordinate (of x, and of both points), each within the route's
+    # rounding bound against exact norms; a pair whose every term
+    # vanishes gives (-inf, 0).  50-row blocks cut a long window into
+    # pieces and put several windows of unequal lengths in one block
+    monkeypatch.setattr(hardy, "_LIST_ROWS", 64)
+    monkeypatch.setattr(hardy, "_BLOCK_ROWS", block_rows)
+    model = _listing_model(mid)
+    k, psi, killer = _FORCED_WINDOWED[mid]
+    nu, d = model.default_nu, model.d
+    alphas = model.isotypic_exponents(nu, k)
+    assert len(alphas) > 64
+    log_norms = monomial_log_norms(d, alphas, model.isotypic_runs(nu, k).top)
+    rng = np.random.default_rng(23)
+    x = model.default_locus_point()
+    off = unit_point(np.sqrt([0.2, 0.25, 0.55]) * np.exp(1j * np.array([0.0, 2.7, -1.3])))
+    bare = unit_point(x * [0.0, 1.0, 1.0])
+    pairs = [(x, x * np.exp(1j * np.array(psi))), (x, off),
+             (unit_point(x + 0.05 * random_sphere_point(d, rng)), x * np.exp(-1j * np.array(psi))),
+             (bare, unit_point(off * [1.0, 1.0, 1.0])), (bare, bare)]
+    for p, q in pairs:
+        logmag, phase = equivariant_kernel_log(model, nu, k, p, q)
+        assert model.basis_cache == {}
+        exact, magnitude = monomial_sum_mp_tabled(alphas, p, q, dps=40)
+        if magnitude == 0:
+            assert (logmag, phase) == (-np.inf, 0.0 + 0.0j)
+            continue
+        err = abs(mpmath.exp(logmag) * mpmath.mpc(complex(phase)) - exact) / magnitude
+        bound = _exact_norm_bound(alphas, log_norms, p, q)
+        assert err <= bound, (mid, float(err), bound)
+    if killer is not None:                      # every exponent meets the zero coordinate
+        dead = unit_point(x * np.where(np.arange(d + 1) == killer, 0.0, 1.0))
+        assert monomial_sum_mp_tabled(alphas, dead, x, dps=40)[1] == 0
+        assert equivariant_kernel_log(model, nu, k, dead, x) == (-np.inf, 0.0 + 0.0j)
+
+
 def test_negligible_cut_moves_the_sum_by_under_eps_of_its_largest_term():
     # d = 1, level 20000: the terms fall to e^-276000 of the largest.  The
     # stored sum keeps the last 12 rows; a block sum over every row meets
@@ -1124,28 +1175,28 @@ def test_a_direct_basis_request_leaves_a_windowed_kernel_as_it_was():
 
 
 def test_a_multi_chunk_kernel_sums_its_windows_and_keeps_no_basis(monkeypatch):
-    # a listing over one chunk: each evaluation lists the rows at its 513
-    # run peaks and its concentration windows only (25.1k of the 87.9k
-    # rows at k = 1024) and keeps no basis
+    # a listing over one chunk (87.9k rows at k = 1024): each evaluation
+    # reads the rows at its 513 run peaks and in its concentration windows
+    # (25.1k rows, with the blocks' padding) by index arithmetic, lists
+    # and norms nothing, keeps no basis and repeats its bits
     model = build_model("s1-cp2-w123")
     nu, k = model.default_nu, 1024
     rows = model.isotypic_runs(nu, k).rows
     assert rows > models._LIST_ROWS
-    listed, chunks = [], models.IsotypicRuns.chunks
-
-    def counted(self, first=None, counts=None):
-        for chunk in chunks(self, first, counts):
-            listed.append(len(chunk))
-            yield chunk
-
-    monkeypatch.setattr(models.IsotypicRuns, "chunks", counted)
+    monkeypatch.setattr(models.IsotypicRuns, "chunks", _refuse_listing)
+    monkeypatch.setattr(hardy, "monomial_log_norms", _refuse_listing)
+    read = []
+    monkeypatch.setattr(hardy._TermExponents, "read", lambda self, windows, t, out,
+                        f=hardy._TermExponents.read: read.append(out.size) or f(self, windows, t, out))
     x = model.default_locus_point()
-    values = []
-    for _ in range(3):
-        listed.clear()
-        values.append(equivariant_kernel_log(model, nu, k, x, x))
-        assert 0 < sum(listed) < rows // 3
-    assert values[0] == values[1] == values[2]
+    y = unit_point(x + 0.05 * random_sphere_point(2, np.random.default_rng(2)))
+    for p, q in ((x, x), (x, y)):
+        values = []
+        for _ in range(3):
+            read.clear()
+            values.append(equivariant_kernel_log(model, nu, k, p, q))
+            assert 0 < sum(read) < rows // 3
+        assert values[0] == values[1] == values[2] and values[0][0] > -np.inf
     assert model.basis_cache == {}
 
 
@@ -1247,8 +1298,9 @@ def test_window_search_finds_the_bisection_windows(catalog, case, where, seed, p
 @given(case=st.sampled_from(_WINDOW_CASES), where=st.floats(0, 1), seed=st.integers(0, 2 ** 32),
        pair=st.sampled_from(["diagonal", "near", "random"]), zero=st.integers(-1, 3))
 def test_peak_exponent_is_the_largest_next_to_every_peak(catalog, case, where, seed, pair, zero):
-    # E* lists only the runs whose peak bound can reach it, and it has
-    # the bits of the largest exponent over the rows at every peak
+    # E* has the bits of the largest real term exponent over the rows at
+    # every peak, each computed alone: sum_j alpha_j linear_j in j order,
+    # less the row's log-norm
     mid, k_lo, k_hi = case
     model = _listing_model(mid) if mid == "w215" else catalog[mid]
     nu, d = model.default_nu, model.d
@@ -1265,29 +1317,49 @@ def test_peak_exponent_is_the_largest_next_to_every_peak(catalog, case, where, s
         patch.setattr(hardy, "_peak_exponent", lambda *args, f=hardy._peak_exponent:
                       calls.append((args, f(*args))) or calls[-1][1])
         _windows(runs, d, x, y)
-    if not calls:                            # no runs: nothing to list
+    if not calls:                            # no runs: nothing to read
         return
-    (*_, peak, _), largest = calls[0]
+    (*_, peak), largest = calls[0]
     rows = np.concatenate(list(runs.chunks(peak, np.ones_like(peak))))
-    every = _stored_exponents(rows, monomial_log_norms(d, rows, runs.top), x, y)
-    assert largest == float(every.real.max()), (mid, k)
+    products = rows * (hardy._safe_log(x).real + hardy._safe_log(y).real)
+    linear = products[:, 0]
+    for column in products.T[1:]:
+        linear = linear + column
+    every = linear - monomial_log_norms(d, rows, runs.top)
+    assert largest == every.max(), (mid, k)
 
 
-def test_peak_exponent_lists_the_peaks_of_a_few_runs(monkeypatch):
-    # s1-cp2-w123 at k = 2048, the kernel-scan key: on the diagonal E*
-    # lists the rows at the peaks of 125 of the 1025 runs, not all of them
+def test_peak_exponent_reads_every_peak_and_lists_nothing(monkeypatch):
+    # s1-cp2-w123 at k = 2048, the kernel-scan key: E* reads the rows at
+    # all 1025 run peaks by index arithmetic and lists nothing, and a peak
+    # row's exponent has the same bits read alone, from its own tables, as
+    # in the batch of every peak
     model = build_model("s1-cp2-w123")
-    nu, k = model.default_nu, 2048
-    runs, calls, listed = model.isotypic_runs(nu, k), [], []
-    peak_exponent, chunks = hardy._peak_exponent, models.IsotypicRuns.chunks
+    nu, k, d = model.default_nu, 2048, model.d
+    runs, calls = model.isotypic_runs(nu, k), []
+    peak_exponent = hardy._peak_exponent
     monkeypatch.setattr(hardy, "_peak_exponent",
                         lambda *args: calls.append(args) or peak_exponent(*args))
+    monkeypatch.setattr(models.IsotypicRuns, "chunks", _refuse_listing)
     x = model.default_locus_point()
-    _windows(runs, model.d, x, x)
-    monkeypatch.setattr(models.IsotypicRuns, "chunks", lambda self, first, counts:
-                        listed.append(int(np.sum(counts))) or chunks(self, first, counts))
-    peak_exponent(*calls[0])
-    assert len(runs.lengths) == 1025 and 0 < listed[0] < 0.15 * 1025
+    y = unit_point(x + 0.05 * random_sphere_point(2, np.random.default_rng(9)))
+    for p, q in ((x, x), (x, y)):
+        calls.clear()
+        _windows(runs, d, p, q)
+        (_, _, lx, ly, peak), = calls
+        assert len(peak) == len(runs.lengths) == 1025
+
+        def exponents(lines):
+            size = lines.shape[1]
+            terms = hardy._TermExponents(lines, np.ones(size, dtype=np.int64), runs.step,
+                                         lx.real + ly.real, d, runs.top, size)
+            return terms.read(slice(None), np.zeros(1, dtype=np.int64), np.empty((size, 1)))[:, 0]
+
+        lines = (runs.starts + peak[:, None] * runs.step).T
+        batch = exponents(lines)
+        assert peak_exponent(runs, d, lx, ly, peak) == batch.max()
+        for i in range(0, len(peak), 41):
+            assert exponents(lines[:, i:i + 1])[0] == batch[i], i
 
 
 def test_window_search_takes_a_few_batched_bound_evaluations(monkeypatch):
