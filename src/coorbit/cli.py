@@ -36,7 +36,7 @@ from .harness import SUITES, ExperimentConfig, run_suite, rows_to_csv, summary_j
 # equivariant_kernel stays bound here: the benchmark's tracer test checks
 # that tracing wraps this module's from-imports of it
 from .hardy import equivariant_kernel, equivariant_kernel_log, isotypic_dim  # noqa: F401
-from .models import LocusSample, build_model, unit_point
+from .models import LocusSample, SU2CP1Model, build_model, unit_point
 from .predictor import leading_coefficient, predict_near_diagonal
 
 
@@ -84,7 +84,7 @@ def main(argv=None):
     p = sub.add_parser("dim", help="Weyl dimension / scaling")
     p.add_argument("--group", required=True)
     p.add_argument("--nu", required=True, help="comma-separated, fractions allowed")
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=_positive_int("k"), default=1)
 
     p = sub.add_parser("character", help="character values at a torus element")
     p.add_argument("--group", required=True)
@@ -220,10 +220,17 @@ def _dispatch(args):
         log_abs, phase = equivariant_kernel_log(model, nu, k, x, y)
         # value underflows to 0 below about e^-745; log_abs and phase do not
         val = 0.0 + 0.0j if log_abs == -np.inf else np.exp(log_abs) * phase
+        # log sum |terms|: the same kernel at the coordinate moduli, where
+        # every term is positive and each route keeps the rows it keeps at
+        # (x, y); a value under eps sum |terms| is rounding noise.
+        # su2-cp1's closed level form sums no terms
+        log_terms = (-np.inf if isinstance(model, SU2CP1Model)
+                     else equivariant_kernel_log(model, nu, k, np.abs(x), np.abs(y))[0])
         _print({
             "model": model.config(), "nu": list(nu.coords), "k": k,
             "value": [val.real, val.imag],
             "log_abs": None if log_abs == -np.inf else float(log_abs),   # null: the zero kernel
+            "log_abs_terms": None if log_terms == -np.inf else float(log_terms),
             "phase": [phase.real, phase.imag],
             "isotypic_dim": isotypic_dim(model, nu, k),
         })

@@ -25,11 +25,11 @@ Every row is a monomial, so a listing's row count (its ``rows``) is the
 model's closed-form ``isotypic_dim``; any other torus lists nothing and
 raises UnsupportedGroupError first.  A kernel sum takes one of two
 routes, chosen by that row count alone, known before anything is
-listed.  A listing of at most one ``models._LIST_ROWS``
-chunk is stored on the first evaluation of a (nu, k): a basis of int32
+listed.  A listing of at most _LIST_ROWS = 65536 rows is listed in one
+pass and stored on the first evaluation of a (nu, k): a basis of int32
 exponents and float64 log-norms (normed against a log-factorial table
 sized once from the listing's largest |alpha|, its ``top``;
-4 (d + 1) + 8 B per monomial, built at about 8 (d + 1) B per row) and
+4 (d + 1) + 8 B per monomial, about the build's peak too) and
 kept on the model under (nu, k).  Each evaluation takes the
 real part of every stored row's exponent by one float product, and sums
 only the rows within 61 of the largest (t2-cp2 at k = 8192 keeps about
@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import AssumptionViolation, half_weight
-from .models import _BASIS_BUDGET_BYTES, _LIST_ROWS, SU2CP1Model, _cache_key, hermitian_inner
+from .models import _BASIS_BUDGET_BYTES, SU2CP1Model, _cache_key, hermitian_inner
 
 _BIG_NEG = -1.0e6  # stand-in for log 0; alpha * _BIG_NEG underflows exp cleanly
 _TINY = np.finfo(float).tiny
@@ -76,6 +76,9 @@ _TINY = np.finfo(float).tiny
 # (windows times the longest window) read at a time in _windowed_sum: a
 # block and its products stay in cache, and no (N, d+1) copy exists.
 _BLOCK_ROWS = 4096
+# The most rows a kernel stores as a basis (under 2.5 MB at d <= 3); a
+# longer listing is summed over its concentration windows instead.
+_LIST_ROWS = 1 << 16
 # A kernel sum takes only the rows whose term can come within e^-60 of
 # the largest: a stored sum (_reaching_rows) the rows whose exponent, by a
 # float product, is within 61 of the largest, a windowed sum
@@ -85,7 +88,14 @@ _BLOCK_ROWS = 4096
 # _BASIS_BUDGET_BYTES / models._basis_row_bytes(1) = 2^27 rows, so the
 # rows left out add under 2^27 e^-60 = 1.2e-18 of the largest term: less
 # than eps / 100, which grows the sum's rounding bound
-# eps (worst + log2 N + 2) sum |terms| by under 1%.
+# eps (worst + log2 N + 2) sum |terms| by under 1%.  There worst is
+# termwise, the largest over the N rows alpha of
+#     sum_j |alpha_j| (|log x_j| + |log y_j|) + |log ||z^alpha||^2|,
+# the logs complex: a term's log rounds in each product alpha_j log x_j
+# and in its log-norm, and coordinate phases may cancel inside
+# alpha . theta, so max |alpha . (log x + conj log y)| is not a bound
+# (u2-cp2 at k = 301, the pair (x, x e^{i(2.2, 2.2, -1.9)}): 4.15e-13
+# of sum |terms| off, against 1.81e-13 for that max and 5.90e-13 here).
 _ROW_CUT = -61.0
 
 
@@ -201,19 +211,19 @@ class IsotypicBasis:
 def isotypic_basis(model, nu, k):
     """The k nu isotypic basis: int32 exponents and float64 log-norms.
 
-    A basis of at most one ``models._LIST_ROWS`` chunk (the ``rows`` of
-    its listing, ``model.isotypic_runs``) is built once and kept in the
+    A basis of at most _LIST_ROWS rows (the ``rows`` of its listing,
+    ``model.isotypic_runs``) is built once and kept in the
     model's ``basis_cache`` under (nu, k), k exactly as given;
     :func:`equivariant_kernel_log` sums its rows that can reach the cut
     from there (:func:`_basis_sum`).  A longer one is
     built on every request and not kept: the kernel sums such a listing
     over its concentration windows instead.
 
-    A build peaks at about 8 (d + 1) B per listed row
-    (``models._basis_row_bytes``) and keeps 4 (d + 1) + 8 B per
-    monomial.  Its size is known before it is listed: a build over
-    _BASIS_BUDGET_BYTES, or with an exponent past int32, raises
-    AssumptionViolation first (``model.isotypic_runs``).
+    A build keeps 4 (d + 1) + 8 B per monomial and peaks at about that,
+    within ``models._basis_row_bytes`` per listed row.  Its size is known
+    before it is listed: a build over _BASIS_BUDGET_BYTES, or with an
+    exponent past int32, raises AssumptionViolation first
+    (``model.isotypic_runs``).
     """
     nu = half_weight(model.group, nu)
     key = _cache_key(nu, k)
@@ -244,45 +254,40 @@ def _safe_log(z):
     return out
 
 
-def _stored_blocks(alphas, log_norms):
-    """(alphas, log_norms) blocks of _BLOCK_ROWS rows of a stored basis."""
-    for start in range(0, len(alphas), _BLOCK_ROWS):
-        yield alphas[start:start + _BLOCK_ROWS], log_norms[start:start + _BLOCK_ROWS]
+def _block_exponents(alphas, log_norms, lx, ly):
+    """The complex logs of the terms x^a conj(y)^a / ||z^a||^2 of a stored
+    basis (alphas, log_norms), one array per block of _BLOCK_ROWS rows,
+    from lx = _safe_log(x) and ly = _safe_log(y); each term's arithmetic
+    is that of the one-shot products ``alphas @ lx + alphas @ conj(ly) -
+    log_norms``, bit for bit.
 
-
-def _block_exponents(blocks, lx, ly):
-    """The complex logs of the terms x^a conj(y)^a / ||z^a||^2, one array
-    per (alphas, log_norms) block, from lx = _safe_log(x) and
-    ly = _safe_log(y); each term's arithmetic is that of the one-shot
-    products ``alphas @ lx + alphas @ conj(ly) - log_norms``, bit for bit.
-
-    The blocks share one workspace, sized by the first block: a yielded
-    array is valid only until the next one is asked for.
+    The blocks share one workspace, sized once: a yielded array is valid
+    only until the next one is asked for.
     """
     ly = np.conj(ly)
-    cast = None
-    for alphas, log_norms in blocks:
-        size = len(alphas)
-        if cast is None or size > len(cast):      # the first block is the largest
-            cast = np.empty((max(size, 2), alphas.shape[1]), dtype=complex)
-            cast[size:] = 0                         # the padding row of a one-row block
-            expos, other = np.empty(len(cast), dtype=complex), np.empty(len(cast), dtype=complex)
+    first = min(len(alphas), _BLOCK_ROWS)
+    cast = np.empty((max(first, 2), alphas.shape[1]), dtype=complex)
+    cast[first:] = 0                                # the padding row of a one-row basis
+    expos, other = np.empty(len(cast), dtype=complex), np.empty(len(cast), dtype=complex)
+    for start in range(0, len(alphas), _BLOCK_ROWS):
+        block = alphas[start:start + _BLOCK_ROWS]
+        size = len(block)
         # one cast per block: an int32 operand would be cast in each product
         # on a path many times slower than the complex one; and two rows at
         # least: numpy takes a one-row product through its dot path, which
         # rounds differently from gemv, so a row's bits would hang on its block
         rows = max(size, 2)
-        cast[:size] = alphas
+        cast[:size] = block
         np.matmul(cast[:rows], lx, out=expos[:rows])
         expos[:rows] += np.matmul(cast[:rows], ly, out=other[:rows])
         expo = expos[:size]
-        expo -= log_norms
+        expo -= log_norms[start:start + size]
         yield expo
 
 
-def _block_sum(blocks, lx, ly):
+def _block_sum(alphas, log_norms, lx, ly):
     """(log magnitude, phase-sum) of sum_alpha x^a conj(y)^a / ||z^a||^2
-    over (alphas, log_norms) blocks of _BLOCK_ROWS rows, from
+    over the rows of a stored basis (alphas, log_norms), from
     lx = _safe_log(x) and ly = _safe_log(y).
 
     One pass over the blocks of :func:`_block_exponents`, every term
@@ -290,7 +295,7 @@ def _block_sum(blocks, lx, ly):
     largest log magnitude seen so far and rescaled when a block raises it.
     """
     shift, total = -np.inf, 0.0 + 0.0j
-    for expo in _block_exponents(blocks, lx, ly):
+    for expo in _block_exponents(alphas, log_norms, lx, ly):
         top = float(expo.real.max())
         if top > shift:
             total *= np.exp(shift - top)
@@ -324,8 +329,7 @@ def _basis_sum(alphas, log_norms, x, y):
     complex product, with the same bits."""
     lx, ly = _safe_log(x), _safe_log(y)
     kept = _reaching_rows(alphas, log_norms, lx, ly)
-    return _block_sum(_stored_blocks(np.take(alphas, kept, axis=0), np.take(log_norms, kept)),
-                      lx, ly)
+    return _block_sum(np.take(alphas, kept, axis=0), np.take(log_norms, kept), lx, ly)
 
 
 def _log_bound(starts, step, s, linear):
@@ -611,9 +615,9 @@ def equivariant_kernel_log(model, nu, k, x, y):
 
     Two routes, chosen by the listing's row count (the ``rows`` of
     ``model.isotypic_runs``, before anything is listed).  A listing of at
-    most one ``models._LIST_ROWS`` chunk is built into a basis by
-    :func:`isotypic_basis` on the first evaluation of a (nu, k), at about
-    8 (d + 1) B per row, and kept on the model; every evaluation sums its
+    most _LIST_ROWS rows is built into a basis by :func:`isotypic_basis` on
+    the first evaluation of a (nu, k), at 4 (d + 1) + 8 B per row, and
+    kept on the model; every evaluation sums its
     rows whose exponent, by one float product, is within 61 of the
     largest (:func:`_basis_sum`).  A longer listing is summed over its
     concentration windows at every evaluation (:func:`_windowed_sum`),
@@ -621,7 +625,8 @@ def equivariant_kernel_log(model, nu, k, x, y):
     product tables, its phase from one ramp per evaluation and one turn
     per window; nothing is listed or stored.  On either route the value
     is the full sum's within its rounding bound
-    eps (worst + log2 N + 2) sum |terms| (_ROW_CUT).
+    eps (worst + log2 N + 2) sum |terms|, worst the largest termwise
+    sum_j |alpha_j| (|log x_j| + |log y_j|) + |log ||z^alpha||^2| (_ROW_CUT).
     Both routes refuse a listing over the memory budget at the same k,
     before anything is listed.
     """
@@ -639,9 +644,9 @@ def equivariant_kernel_log(model, nu, k, x, y):
         return float(logmag), phase
     nu = half_weight(model.group, nu)
     runs = model.isotypic_runs(nu, k)
-    if runs.rows > _LIST_ROWS:          # over one chunk: sum its concentration windows
+    if runs.rows > _LIST_ROWS:          # too long to store: sum its concentration windows
         return _windowed_sum(runs, model.d, x, y)
-    basis = isotypic_basis(model, nu, k)       # kept, as it fits one chunk
+    basis = isotypic_basis(model, nu, k)       # kept, as it is short enough
     return _basis_sum(basis.alphas, basis.log_norms, x, y)
 
 

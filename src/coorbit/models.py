@@ -51,11 +51,6 @@ from .groups import (
 CHART_RADIUS = 0.9
 # Largest exponent an isotypic basis stores: its exponent arrays are int32.
 _INT32_MAX = int(np.iinfo(np.int32).max)
-# Rows an isotypic listing yields at a time.
-_LIST_ROWS = 1 << 16
-# Rows a chunk expands at a time: its int64 temporaries (96 KB) stay
-# under glibc's 128 KB mmap threshold, so they are reused, not faulted anew.
-_EXPAND_ROWS = 12288
 # Largest build a basis, the log-factorial table or a coin-change count
 # may take: a quarter of an 8 GB machine.  k = 16384 on s1-cp2-w123
 # (22.4M monomials, 0.54 GB) fits, k = 32768 (89.5M, 2.148 GB) does not.
@@ -66,25 +61,27 @@ def _basis_row_bytes(d):
     """Peak bytes per listed row while a basis is built, normed and summed.
 
     tracemalloc at d = 1 / 2 / 3 on rank-1 tori (s1-cp1-w12 at k = 4e6,
-    s1-cp2-w123 at 8192, weights (1, 2, 3, 4) at 1000): listing peaks at
-    8.8 / 12.4 / 16.8 B per row, the log-norm stage at 16.1 / 20.0 /
-    24.0 B and a sum at 16.2 / 20.1 / 24.1 B (the basis itself,
-    4 (d + 1) + 8 B, and one block workspace of 0.33 / 0.40 / 0.46 MB,
-    every row summed); u2-cp2 at k = 2e6 + 1 peaks
-    at 20.3 B.  8 (d + 1) bounds them all, beside a fixed few MB of
-    chunk temporaries.
-    The kernel stores only bases of at most one ``_LIST_ROWS`` chunk
+    s1-cp2-w123 at 8192, weights (1, 2, 3, 4) at 1000; the log-factorial
+    table grown first): the one-pass listing peaks at 16.0 / 20.0 / 24.2 B
+    per row (the int32 exponents, 4 (d + 1) B, beside two int32 columns,
+    the rows' places in their runs and one repeated start; weights
+    (1, 2, 3, 4) adds 1.7 MB of offsets for its 83,834 runs), the log-norm
+    stage at 16.1 / 20.0 / 24.2 B and a sum over every row at 16.2 / 20.1
+    / 24.2 B (the basis itself, 4 (d + 1) + 8 B, and block workspaces of
+    under 0.5 MB); u2-cp2 at k = 2e6 + 1 peaks at 20.2 B.  8 (d + 1)
+    bounds them all, beside that fixed workspace.
+    The kernel stores only bases of at most ``hardy._LIST_ROWS`` rows
     (under 2.5 MB each at d <= 3); a longer one is built only on a direct
     ``hardy.isotypic_basis`` request and not kept.  A sum of a stored basis
     adds 8 (d + 2) B per row for its float pre-pass (a float copy of the
     exponents and the row logs, 2.1 MB at 65535 rows at d = 2) and a copy
-    of the rows it keeps.  A windowed sum keeps no
-    basis, only one chunk and its temporaries and the listing's runs,
-    kept on the model (on a rank-1 torus one per prefix row of all but
-    the last of its d free coordinates, O(k^(d - 1)): O(k) on
-    s1-cp2-w123, one on the other catalog models); 3.0 to 7.5 MB in all
-    on the cases above.  It is refused at the same row count all the
-    same.
+    of the rows it keeps.  A windowed sum lists nothing and keeps no
+    basis, only the listing's runs, kept on the model (on a rank-1 torus
+    one per prefix row of all but the last of its d free coordinates,
+    O(k^(d - 1)): O(k) on s1-cp2-w123, one on the other catalog models);
+    a diagonal evaluation on the cases above peaks at 1.1 / 2.3 / 54 MB
+    (the window search's stacks grow with the runs).  It is refused at the
+    same row count all the same.
     """
     return 8 * (d + 1)
 
@@ -181,42 +178,6 @@ class IsotypicRuns:
         starts: row s of run i is starts[:, i] + s step."""
         return np.ascontiguousarray(self.starts.T, dtype=float), self.step.astype(float)
 
-    def chunks(self, first=None, counts=None):
-        """Rows first[i] ... first[i] + counts[i] - 1 of each run i (every
-        row by default), run after run, as one int32 (n, d+1) chunk per
-        _LIST_ROWS rows."""
-        if first is None:
-            first, counts = np.zeros_like(self.lengths), self.lengths
-        edges = np.concatenate([[0], np.cumsum(counts)])
-        total = int(edges[-1])
-        for lo in range(0, total, _LIST_ROWS):
-            yield self._expand(edges, first, lo, min(lo + _LIST_ROWS, total))
-
-    def _expand(self, edges, first, lo, hi):
-        """Rows lo ... hi - 1 of :meth:`chunks` (a function, so that its
-        temporaries are gone while the chunk is consumed).
-
-        Each column is its run's start, run-length expanded
-        (``np.repeat``) over the rows, plus the row's place times the
-        step, in int64, written into the int32 chunk _EXPAND_ROWS rows at
-        a time.
-        """
-        chunk = np.empty((hi - lo, len(self.step)), dtype=np.int32)
-        for a in range(lo, hi, _EXPAND_ROWS):
-            b = min(a + _EXPAND_ROWS, hi)
-            first_run = int(np.searchsorted(edges, a, side="right")) - 1
-            stop_run = int(np.searchsorted(edges, b, side="left"))
-            runs = slice(first_run, stop_run)
-            counts = np.diff(np.clip(edges[first_run:stop_run + 1], a, b))
-            s = np.arange(a, b)
-            s -= np.repeat(edges[runs] - first[runs], counts)
-            for j, (start, step) in enumerate(zip(self.starts[runs].T, self.step.tolist())):
-                col = np.repeat(start, counts)
-                if step:
-                    col += s * step
-                chunk[a - lo:b - lo, j] = col
-        return chunk
-
 
 class ProjectiveModel:
     """Base class; subclasses fix the group, the lift, and the isotypic
@@ -233,7 +194,7 @@ class ProjectiveModel:
         self.lift_note = lift_note
         self.default_nu = half_weight(group, default_nu)
         # _cache_key(nu, k) -> hardy.IsotypicBasis, filled by
-        # hardy.isotypic_basis with bases of at most _LIST_ROWS rows only
+        # hardy.isotypic_basis with bases of at most hardy._LIST_ROWS rows only
         self.basis_cache = {}
         # _cache_key(nu, k) -> IsotypicRuns, filled by isotypic_runs
         self.runs_cache = {}
@@ -448,14 +409,17 @@ class ProjectiveModel:
 
     def isotypic_exponents(self, nu, k):
         """Every row of :meth:`isotypic_runs` as one int32 (N, d+1) array,
-        N its ``rows``, written chunk by chunk (:meth:`IsotypicRuns.chunks`)."""
+        N its ``rows``, written in one pass column by column: each run's
+        start repeated over its rows, plus the row's place in its run times
+        the step.  All of it is int32, which is exact: every row passed the
+        int32 check on ``top``, and |place step_j| is at most top."""
         runs = self.isotypic_runs(nu, k)
         out = np.empty((runs.rows, self.ambient_dim), dtype=np.int32)
-        at = 0
-        for chunk in runs.chunks():
-            out[at:at + len(chunk)] = chunk
-            at += len(chunk)
-            del chunk                    # not alive while the next one is listed
+        place = np.arange(runs.rows, dtype=np.int32)
+        place -= np.repeat((np.cumsum(runs.lengths) - runs.lengths).astype(np.int32), runs.lengths)
+        for col, start, step in zip(out.T, runs.starts.T.astype(np.int32), runs.step.tolist()):
+            np.multiply(place, step, out=col)
+            col += np.repeat(start, runs.lengths)
         return out
 
     def valid_k(self, k):

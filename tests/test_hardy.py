@@ -286,16 +286,21 @@ _LISTING_WEIGHTS = [[[2, 1]], [[1, 2, 3]], [[2, 1, 5]], [[3, 2, 1]], [[1, 1, 1]]
 
 
 @pytest.mark.parametrize("weights", _LISTING_WEIGHTS)
-@pytest.mark.parametrize("list_rows", [models._LIST_ROWS, 5])
+@pytest.mark.parametrize("list_rows", [hardy._LIST_ROWS, 5])
 def test_torus_listing_is_the_nested_loop_order(weights, list_rows, monkeypatch):
-    # 5-row chunks cut prefix rows and runs across chunk edges
-    monkeypatch.setattr(models, "_LIST_ROWS", list_rows)
+    # the one-pass listing, and the basis built from it: kept up to the
+    # store threshold, and past it (a 5-row threshold) built and not kept
+    monkeypatch.setattr(hardy, "_LIST_ROWS", list_rows)
     model = TorusModel("t-unit", weights, (1.0,))
+    nu = model.default_nu
     for target in (0, 1, 2, 3, 7, 12, 14, 26):
-        alphas = model.isotypic_exponents(model.default_nu, target)
+        alphas = model.isotypic_exponents(nu, target)
         assert alphas.dtype == np.int32
         assert [tuple(a) for a in alphas.tolist()] == _nested_rows(model, [target]), \
             (weights, target)
+        assert np.array_equal(isotypic_basis(model, nu, target).alphas, alphas)
+        kept = models._cache_key(nu, target) in model.basis_cache
+        assert kept == (len(alphas) <= list_rows), (weights, target)
 
 
 def test_catalog_tori_list_in_nested_loop_order(catalog):
@@ -309,7 +314,7 @@ def test_catalog_tori_list_in_nested_loop_order(catalog):
 
 @pytest.mark.parametrize("mid, k", [("s1-cp2-w123", 900), ("t2-cp2", 10000), ("w215", 600)])
 def test_both_kernel_routes_are_the_oracle_ordered_sum_bit_for_bit(mid, k, monkeypatch):
-    # one listing chunk: the first evaluation stores the basis and every
+    # a short listing: the first evaluation stores the basis and every
     # evaluation is the block sum over the nested-loop rows normed by
     # gammaln, bit for bit, the later ones listing nothing (weights
     # (2, 1, 5) at k = 600: 18,241 rows, the pivot in the middle).  A
@@ -319,7 +324,7 @@ def test_both_kernel_routes_are_the_oracle_ordered_sum_bit_for_bit(mid, k, monke
     model = _listing_model(mid)
     nu = model.default_nu
     alphas = np.array(_nested_rows(model, model.isotypic_target(nu, k)))
-    windowed = len(alphas) > models._LIST_ROWS
+    windowed = len(alphas) > hardy._LIST_ROWS
     assert windowed == (mid == "s1-cp2-w123")
     log_norms = monomial_log_norms_gammaln(model.d, alphas)
     x = model.default_locus_point()
@@ -340,7 +345,7 @@ def test_both_kernel_routes_are_the_oracle_ordered_sum_bit_for_bit(mid, k, monke
         basis = model.basis_cache[models._cache_key(half_weight(model.group, nu), k)]
         assert len(model.basis_cache) == 1 and basis.dim == len(alphas)
         with monkeypatch.context() as patch:
-            patch.setattr(models.IsotypicRuns, "chunks", _refuse_listing)
+            patch.setattr(models.ProjectiveModel, "isotypic_exponents", _refuse_listing)
             later = equivariant_kernel_log(model, nu, k, p, q)
         assert first == expected and later == expected, (mid, p is q)
 
@@ -361,8 +366,8 @@ def test_isotypic_dim_is_the_number_of_exponents(catalog, mid, k):
         assert isotypic_dim(model, nu, k) == len(model.isotypic_exponents(nu, k))
 
 
-# (stored k, windowed k) of each listing model: one listing chunk at most,
-# and more than one
+# (stored k, windowed k) of each listing model: at most _LIST_ROWS rows,
+# and more
 _LARGE_K = {"s1-cp1-w12": (20000, 200000), "s1-cp2-w123": (512, 1024),
             "t2-cp2": (8192, 100000), "u2-cp2": (8193, 100001)}
 
@@ -380,7 +385,7 @@ def test_a_listing_has_isotypic_dim_rows_and_its_largest_level_as_top(catalog):
             alphas = model.isotypic_exponents(nu, k)
             assert runs.rows == isotypic_dim(model, nu, k) == len(alphas), (mid, k)
             assert runs.top == alphas.sum(axis=1, dtype=np.int64).max(initial=0), (mid, k)
-        assert isotypic_dim(model, nu, stored) <= models._LIST_ROWS \
+        assert isotypic_dim(model, nu, stored) <= hardy._LIST_ROWS \
             < isotypic_dim(model, nu, windowed), mid
 
 
@@ -864,7 +869,7 @@ def test_tabled_multiprecision_oracle_matches_the_exact_one(mid, k):
 
 def test_windowed_sum_matches_the_multiprecision_oracle(monkeypatch):
     # the windowed route, taken at k = 200 (3434 rows) under a 2048-row
-    # chunk, sums 2.0k and 2.6k rows on these complex off-orbit pairs and
+    # store threshold, sums 2.0k and 2.6k rows on these complex off-orbit pairs and
     # meets the full sum's bound against exact norms
     monkeypatch.setattr(hardy, "_LIST_ROWS", 2048)
     model = build_model("s1-cp2-w123")
@@ -897,7 +902,7 @@ _FORCED_WINDOWED = {"t2-cp2": (300, (1.3, 0.8, 2.1), 0), "u2-cp2": (301, (2.2, 2
 @pytest.mark.parametrize("mid", sorted(_FORCED_WINDOWED))
 def test_a_forced_windowed_sum_matches_the_tabled_oracle(mid, block_rows, monkeypatch):
     # the one-line listings (t2-cp2, u2-cp2) and weights (2, 1, 5) summed
-    # over their windows under a 64-row chunk: on the orbit at large
+    # over their windows under a 64-row store threshold: on the orbit at large
     # relative phases, at a complex off-orbit pair, and with a zero
     # coordinate (of x, and of both points), each within the route's
     # rounding bound against exact norms; a pair whose every term
@@ -934,6 +939,38 @@ def test_a_forced_windowed_sum_matches_the_tabled_oracle(mid, block_rows, monkey
         assert equivariant_kernel_log(model, nu, k, dead, x) == (-np.inf, 0.0 + 0.0j)
 
 
+def _termwise_bound(alphas, log_norms, x, y):
+    # the rounding bound of hardy._ROW_CUT's comment, relative to sum
+    # |terms|: worst is the largest termwise sum_j |alpha_j| (|log x_j| +
+    # |log y_j|) + |log-norm|, the logs complex, which holds where
+    # coordinate phases cancel inside alpha . theta
+    lx, ly = np.abs(hardy._safe_log(x)), np.abs(hardy._safe_log(y))
+    worst = np.max(alphas @ (lx + ly) + np.abs(log_norms))
+    return (worst + np.log2(len(alphas)) + 2) * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("list_rows", [hardy._LIST_ROWS, 64])
+def test_a_phase_cancelling_pair_is_within_the_termwise_bound(list_rows, monkeypatch):
+    # u2-cp2 at k = 301 (301 rows), x against x e^{i(2.2, 2.2, -1.9)}: the
+    # phases of opposite signs cancel inside alpha . theta, and both the
+    # stored route and the windowed one (forced by a 64-row store
+    # threshold) miss the exact sum by about 4.1e-13 of sum |terms|, over
+    # eps (max |alpha . (log x + conj log y)| + log2 N + 2) = 1.8e-13 and
+    # _exact_norm_bound's 3.3e-13, within the termwise bound's 5.9e-13
+    monkeypatch.setattr(hardy, "_LIST_ROWS", list_rows)
+    model = build_model("u2-cp2")
+    nu, k = model.default_nu, 301
+    x = model.default_locus_point()
+    y = x * np.exp(1j * np.array([2.2, 2.2, -1.9]))
+    alphas = model.isotypic_exponents(nu, k)
+    log_norms = monomial_log_norms(model.d, alphas, model.isotypic_runs(nu, k).top)
+    logmag, phase = equivariant_kernel_log(model, nu, k, x, y)
+    assert (model.basis_cache != {}) == (len(alphas) <= list_rows)
+    exact, magnitude = monomial_sum_mp_tabled(alphas, x, y, dps=40)
+    err = abs(mpmath.exp(logmag) * mpmath.mpc(complex(phase)) - exact) / magnitude
+    assert err <= _termwise_bound(alphas, log_norms, x, y), float(err)
+
+
 def test_negligible_cut_moves_the_sum_by_under_eps_of_its_largest_term():
     # d = 1, level 20000: the terms fall to e^-276000 of the largest.  The
     # stored sum keeps the last 12 rows; a block sum over every row meets
@@ -951,8 +988,7 @@ def test_negligible_cut_moves_the_sum_by_under_eps_of_its_largest_term():
                            for i in range(0, len(a), hardy._BLOCK_ROWS)]) > 0)
     one_shot = np.exp(expo - largest).sum()
     one_shot = largest + np.log(np.abs(one_shot)), one_shot / np.abs(one_shot)
-    every = hardy._block_sum(hardy._stored_blocks(alphas, log_norms),
-                             hardy._safe_log(x), hardy._safe_log(y))
+    every = hardy._block_sum(alphas, log_norms, hardy._safe_log(x), hardy._safe_log(y))
     for logmag, phase in (hardy._basis_sum(alphas, log_norms, x, y), every):
         gap = np.exp(logmag - largest) * phase - np.exp(one_shot[0] - largest) * one_shot[1]
         assert abs(gap) <= np.finfo(float).eps
@@ -1008,7 +1044,7 @@ def _stored_exponents(alphas, log_norms, x, y):
     # every block's exponents of a stored basis, as one array (a yielded
     # block is valid only until the next one: copy each)
     blocks = [block.copy() for block in hardy._block_exponents(
-        hardy._stored_blocks(alphas, log_norms), hardy._safe_log(x), hardy._safe_log(y))]
+        alphas, log_norms, hardy._safe_log(x), hardy._safe_log(y))]
     return np.concatenate([np.zeros(0, dtype=complex)] + blocks)
 
 
@@ -1019,7 +1055,7 @@ def _reaching_rows(basis, x, y):
 
 
 # (model, smallest k, largest k) for the stored-sum property test: each
-# listing is at most one chunk, so the kernel stores and sums it
+# listing has at most _LIST_ROWS rows, so the kernel stores and sums it
 _STORED_CASES = [("s1-cp1-w12", 2, 20000), ("t2-cp2", 2, 10000), ("u2-cp2", 3, 10001),
                  ("w215", 200, 1000)]
 
@@ -1043,7 +1079,7 @@ def test_stored_sum_leaves_out_only_rows_under_the_cut(catalog, case, where, see
     y = {"diagonal": x, "near": unit_point(x + 0.05 * random_sphere_point(d, rng)),
          "far": random_sphere_point(d, rng)}[pair]
     basis = isotypic_basis(model, nu, k)
-    assert 0 < basis.dim <= models._LIST_ROWS
+    assert 0 < basis.dim <= hardy._LIST_ROWS
     every = _stored_exponents(basis.alphas, basis.log_norms, x, y)
     kept = _reaching_rows(basis, x, y)
     shift = every.real.max()
@@ -1108,10 +1144,10 @@ def test_a_kernel_stores_its_basis_first_and_reuses_after(monkeypatch):
     key = (tuple(nu.coords.tolist()), k)
     x = model.default_locus_point()
     first = equivariant_kernel_log(model, nu, k, x, x)
-    basis = model.basis_cache[key]                   # one chunk: stored at once
+    basis = model.basis_cache[key]                   # short: stored at once
     assert model.basis_cache == {key: basis} and basis.dim == isotypic_dim(model, nu, k)
     assert first == hardy._basis_sum(basis.alphas, basis.log_norms, x, x)
-    monkeypatch.setattr(models.IsotypicRuns, "chunks", _refuse_listing)
+    monkeypatch.setattr(models.ProjectiveModel, "isotypic_exponents", _refuse_listing)
     second = equivariant_kernel_log(model, nu, k, x, x)
     third = equivariant_kernel_log(model, nu, k, x, x)
     assert model.basis_cache == {key: basis} and isotypic_basis(model, nu, k) is basis
@@ -1169,21 +1205,21 @@ def test_a_direct_basis_request_leaves_a_windowed_kernel_as_it_was():
         + [(random_sphere_point(2, rng), random_sphere_point(2, rng)) for _ in range(4)]
     before = [equivariant_kernel_log(model, nu, k, p, q) for p, q in pairs]
     basis = isotypic_basis(model, nu, k)
-    assert basis.dim == isotypic_dim(model, nu, k) > models._LIST_ROWS
+    assert basis.dim == isotypic_dim(model, nu, k) > hardy._LIST_ROWS
     assert [equivariant_kernel_log(model, nu, k, p, q) for p, q in pairs] == before
     assert model.basis_cache == {}
 
 
 def test_a_multi_chunk_kernel_sums_its_windows_and_keeps_no_basis(monkeypatch):
-    # a listing over one chunk (87.9k rows at k = 1024): each evaluation
+    # a listing too long to store (87.9k rows at k = 1024): each evaluation
     # reads the rows at its 513 run peaks and in its concentration windows
     # (25.1k rows, with the blocks' padding) by index arithmetic, lists
     # and norms nothing, keeps no basis and repeats its bits
     model = build_model("s1-cp2-w123")
     nu, k = model.default_nu, 1024
     rows = model.isotypic_runs(nu, k).rows
-    assert rows > models._LIST_ROWS
-    monkeypatch.setattr(models.IsotypicRuns, "chunks", _refuse_listing)
+    assert rows > hardy._LIST_ROWS
+    monkeypatch.setattr(models.ProjectiveModel, "isotypic_exponents", _refuse_listing)
     monkeypatch.setattr(hardy, "monomial_log_norms", _refuse_listing)
     read = []
     monkeypatch.setattr(hardy._TermExponents, "read", lambda self, windows, t, out,
@@ -1205,6 +1241,16 @@ def test_a_multi_chunk_kernel_sums_its_windows_and_keeps_no_basis(monkeypatch):
 # middle coordinate
 _WINDOW_CASES = [("s1-cp1-w12", 2, 20000), ("s1-cp2-w123", 2, 400), ("t2-cp2", 2, 10000),
                  ("u2-cp2", 3, 10001), ("w215", 1000, 1200)]
+
+
+def _run_rows(runs, first, counts):
+    """Rows first[i] ... first[i] + counts[i] - 1 of each run i, run after
+    run, each row starts[i] + s step, built here from the runs' starts,
+    step and lengths and not by the listing under test."""
+    assert np.all((first >= 0) & (first + counts <= runs.lengths))
+    rows = [start + np.multiply.outer(np.arange(f, f + c), runs.step)
+            for start, f, c in zip(runs.starts, first.tolist(), counts.tolist())]
+    return np.concatenate([np.zeros((0, len(runs.step)), dtype=np.int64)] + rows)
 
 
 def _oracle_log_terms(alphas, x, y):
@@ -1248,8 +1294,7 @@ def test_window_bound_holds_on_every_row_and_keeps_every_summed_one(catalog, cas
     runs = model.isotypic_runs(nu, k)
     top = runs.top
     first, counts = _windows(runs, d, x, y)
-    window = np.concatenate([np.zeros((0, d + 1), dtype=np.int32)]
-                            + list(runs.chunks(first, counts)))
+    window = _run_rows(runs, first, counts)
     assert len(window) <= len(alphas)
 
     def keys(rows):
@@ -1320,7 +1365,7 @@ def test_peak_exponent_is_the_largest_next_to_every_peak(catalog, case, where, s
     if not calls:                            # no runs: nothing to read
         return
     (*_, peak), largest = calls[0]
-    rows = np.concatenate(list(runs.chunks(peak, np.ones_like(peak))))
+    rows = _run_rows(runs, peak, np.ones_like(peak))
     products = rows * (hardy._safe_log(x).real + hardy._safe_log(y).real)
     linear = products[:, 0]
     for column in products.T[1:]:
@@ -1340,7 +1385,7 @@ def test_peak_exponent_reads_every_peak_and_lists_nothing(monkeypatch):
     peak_exponent = hardy._peak_exponent
     monkeypatch.setattr(hardy, "_peak_exponent",
                         lambda *args: calls.append(args) or peak_exponent(*args))
-    monkeypatch.setattr(models.IsotypicRuns, "chunks", _refuse_listing)
+    monkeypatch.setattr(models.ProjectiveModel, "isotypic_exponents", _refuse_listing)
     x = model.default_locus_point()
     y = unit_point(x + 0.05 * random_sphere_point(2, np.random.default_rng(9)))
     for p, q in ((x, x), (x, y)):
@@ -1371,7 +1416,7 @@ def test_window_search_takes_a_few_batched_bound_evaluations(monkeypatch):
     model = build_model("s1-cp2-w123")
     nu, k = model.default_nu, 2048
     runs = model.isotypic_runs(nu, k)
-    assert runs.rows > models._LIST_ROWS and len(runs.lengths) == 1025
+    assert runs.rows > hardy._LIST_ROWS and len(runs.lengths) == 1025
     columns = []
     for name in ("_log_bound", "_log_slopes"):
         monkeypatch.setattr(hardy, name, lambda starts, step, s, linear, f=getattr(hardy, name):
@@ -1396,7 +1441,7 @@ def _refuse_listing(*args, **kwargs):
 def _forbid_listing(patch, cls):
     """Fail the test if the runs of a cls listing are built or a row is listed."""
     patch.setattr(cls, "_isotypic_runs", _refuse_listing)
-    patch.setattr(models.IsotypicRuns, "chunks", _refuse_listing)
+    patch.setattr(models.ProjectiveModel, "isotypic_exponents", _refuse_listing)
 
 
 def test_rank1_basis_over_the_memory_budget_is_refused(monkeypatch):
@@ -1469,8 +1514,8 @@ def test_cli_refuses_a_huge_rank1_basis_fast_and_small(capsys):
 
 
 def test_cli_diag_suite_keeps_no_basis(capsys):
-    # each listing here is over one chunk, so each sum lists its
-    # concentration windows chunk by chunk (213k of 5.6M rows at k = 8192):
+    # each listing here is too long to store, so each sum reads its
+    # concentration windows (213k of 5.6M rows at k = 8192):
     # traced peak 3.5 MB when measured, where the stored k = 4096 basis
     # alone takes 28 MB (1.4M rows at 20 B) and the k = 8192 one 112 MB
     code, _, peak = _timed_cli(["suite", "diag", "--model", "s1-cp2-w123",
@@ -1497,7 +1542,7 @@ def test_exponents_past_int32_are_refused_before_listing(monkeypatch, capsys):
     model = TorusModel("s1-cp1-wide", [[1, 1_000_000]], (1.0,))
     runs = model.isotypic_runs(model.default_nu, 2_000_000_000)
     assert (runs.rows, runs.top) == (2001, 2_000_000_000)
-    monkeypatch.setattr(models.IsotypicRuns, "chunks", _refuse_listing)
+    monkeypatch.setattr(models.ProjectiveModel, "isotypic_exponents", _refuse_listing)
     with pytest.raises(AssumptionViolation, match="reach 3000000000, past the int32 range"):
         isotypic_basis(model, model.default_nu, 3_000_000_000)
     assert not model.basis_cache and len(model.runs_cache) == 1     # the k = 2e9 runs only

@@ -16,7 +16,8 @@ import pytest
 
 import coorbit
 from coorbit import harness
-from coorbit.cli import main
+from coorbit.cli import _parse_point, main
+from coorbit.hardy import equivariant_kernel_log
 from coorbit.harness import (
     ALL_MODELS,
     ExperimentConfig,
@@ -29,7 +30,7 @@ from coorbit.harness import (
     run_suite,
     summary_json,
 )
-from coorbit.models import MODEL_IDS, build_model
+from coorbit.models import MODEL_IDS, build_model, unit_point
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -227,6 +228,35 @@ def test_cli_psi_nu_and_kernel_eval(capsys):
     out = json.loads(capsys.readouterr().out)
     assert abs(out["value"][0] - 8 / np.pi) < 1e-12
     assert out["isotypic_dim"] == 8
+    assert out["log_abs_terms"] is None          # the closed level form sums no terms
+
+
+# a stored and a windowed key of each listing model
+@pytest.mark.parametrize("mid, k", [("s1-cp1-w12", 20000), ("s1-cp1-w12", 200000),
+                                    ("s1-cp2-w123", 512), ("s1-cp2-w123", 2048),
+                                    ("t2-cp2", 8192), ("t2-cp2", 100000),
+                                    ("u2-cp2", 8193), ("u2-cp2", 100001)])
+def test_cli_kernel_eval_reports_the_log_of_the_sum_of_term_moduli(mid, k, capsys):
+    # log_abs_terms is the kernel at the coordinate moduli, bit for bit,
+    # and bounds log_abs: log_abs - log_abs_terms is the log of the
+    # cancellation ratio |sum terms| / sum |terms|
+    model = build_model(mid)
+    rng = np.random.default_rng(k)
+
+    def point(z):
+        return ",".join(repr(complex(c)) for c in z)
+
+    x, n = model.default_locus_point(), model.ambient_dim
+    near = unit_point(x + 0.03 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    far = [unit_point(rng.standard_normal(n) + 1j * rng.standard_normal(n)) for _ in range(2)]
+    for p, q in ((x, x), (x, near), far):
+        argv = ["--x", point(p), "--y", point(q)]
+        assert main(["kernel-eval", "--model", mid, "--k", str(k)] + argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        p, q = _parse_point(argv[1], model), _parse_point(argv[3], model)
+        terms = equivariant_kernel_log(model, model.default_nu, k, np.abs(p), np.abs(q))[0]
+        assert out["log_abs_terms"] == terms, (mid, k)
+        assert out["log_abs"] <= out["log_abs_terms"] + 1e-12, (mid, k)
 
 
 _KERNEL_EVAL = ["kernel-eval", "--model", "s1-cp1-w12", "--k", "8"]
@@ -256,6 +286,8 @@ _BAD_POINT = "a point of {} takes {} finite coordinates, not all zero; got '{}'"
     (["suite", "dims", "--kmin", "-4"], "k schedule needs k_min >= 1; got -4"),
     (["suite", "dims", "--kmin", "5", "--kmax", "3"], "k schedule needs k_max >= k_min = 5; got 3"),
     (["suite", "dims", "--kfactor", "1"], "k schedule needs k_factor >= 2; got 1"),
+    (["dim", "--group", "su3", "--nu", "1,1", "--k", "0"],
+     "argument --k: k must be a positive integer; got '0'"),
 ])
 def test_cli_refuses_bad_points_and_k(argv, message, capsys):
     assert main(argv) == 4
