@@ -41,14 +41,15 @@ the rows whose bound is within 61 of the largest term found form one
 interval per run (found exactly by Newton guesses checked in one batch
 of bounds per search), and only those are summed (s1-cp2-w123 at
 k = 8192 sums 213k of its 5.6M rows).  A window's rows are a line
-a + t step, so each row's real exponent is read by index arithmetic from
-the log-factorial table and from per-evaluation tables
-m (log|x_j| + log|y_j|), exponentiated by a real exp, and its phase is
-one ramp cis(t step . theta) per evaluation (theta = arg x - arg y)
-times one cis(a . theta) per window.  On either route the value is the
-full sum's to within its rounding bound.  Log-factorials come from one
-table, grown on demand, of a numpy port of Cephes lgam (the values of
-scipy.special.gammaln, bit for bit, with numpy as the only dependency).
+a + t step, so each column of a row's real exponent is read from a
+strided view V[r, t] = table[r + step_j t] of a small per-evaluation
+table (log m!, m (log|x_j| + log|y_j|)), exponentiated by a real exp;
+its phase is one ramp cis(t step . theta) per evaluation
+(theta = arg x - arg y) times one cis(a . theta) per window.  On either
+route the value is the full sum's to within its rounding bound.
+Log-factorials come from one table, grown on demand, of a numpy port of
+Cephes lgam (the values of scipy.special.gammaln, bit for bit, with
+numpy as the only dependency).
 Isotypic dimensions are never listed: each catalog model counts its own
 in closed form (``isotypic_dim``), at any k.  Only the listings behind a
 kernel sum are budgeted, once per (nu, k), by ``model.isotypic_runs``:
@@ -65,6 +66,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .groups import AssumptionViolation, half_weight
 from .models import _BASIS_BUDGET_BYTES, SU2CP1Model, _cache_key, hermitian_inner
@@ -73,9 +75,14 @@ _BIG_NEG = -1.0e6  # stand-in for log 0; alpha * _BIG_NEG underflows exp cleanly
 _TINY = np.finfo(float).tiny
 # Rows of the exponent array cast to complex at a time in _block_exponents
 # and read at a time in monomial_log_norms, and the most window rows
-# (windows times the longest window) read at a time in _windowed_sum: a
-# block and its products stay in cache, and no (N, d+1) copy exists.
+# (windows times the block's longest window, padding included) gathered
+# from the table views at a time in _window_exponents: a block and its
+# products stay in cache, and no (N, d+1) copy exists.
 _BLOCK_ROWS = 4096
+# Runs searched (and peaks read) at a time by _concentration_windows, whose
+# stacks are O(_SEARCH_RUNS), not O(runs) (83,834 at weights (1, 2, 3, 4),
+# k = 1000); every catalog key up to k = 8192 has at most 4097 runs.
+_SEARCH_RUNS = 8192
 # The most rows a kernel stores as a basis (under 2.5 MB at d <= 3); a
 # longer listing is summed over its concentration windows instead.
 _LIST_ROWS = 1 << 16
@@ -392,109 +399,44 @@ def _first_true(hi, test, guess):
     return lo
 
 
-class _TermExponents:
-    """The real term exponents log |x^a conj(y)^a| / ||z^a||^2 of the
-    rows a = lines[:, i] + t step, t < counts[i], of windows i (lines
-    (d+1, R) int64), read by index arithmetic from tables:
-
-        (P_0[a_0] + ... + P_d[a_d])
-            - (log a_0! + ... + log a_d! + d log pi - log (|a| + d)!),
-
-    P_j[m] = m linear_j (linear_j = log|x_j| + log|y_j|) over the range
-    of a_j on the windows (a few entries when they are concentrated), the
-    log-norm in the order of :func:`monomial_log_norms`, so with its bits.
-    All arithmetic is elementwise: a row's exponent has the same bits in
-    any block.  Made once per evaluation; :meth:`read` fills blocks of at
-    most size rows through ``np.take`` into reused buffers.
-    """
-
-    def __init__(self, lines, counts, step, linear, d, top, size):
-        log_fact = _log_factorials(top + d)
-        last = lines + (counts - 1) * step[:, None]
-        lows = np.minimum(lines, last).min(axis=1)
-        highs = np.maximum(lines, last).max(axis=1)
-        # per column j, and the level |alpha| + d last: its tables, read at
-        # origin + t slope (origin relative to the tables' first entry)
-        spans = zip(lows.tolist(), highs.tolist(), linear.tolist())
-        self.tables = [(log_fact[lo:hi + 1], np.arange(lo, hi + 1) * lin) for lo, hi, lin in spans]
-        self.tables.append((log_fact, None))
-        origins = np.vstack([lines - lows[:, None], lines.sum(axis=0) + d])
-        steps = step.tolist()
-        slopes = steps + [sum(steps)]
-        self.moving = [j for j, slope in enumerate(slopes) if slope]
-        self.origins = origins[self.moving]
-        self.slopes = np.array([slopes[j] for j in self.moving])[:, None, None]
-        # a column that does not step is read once per window
-        self.flat = {j: [None if table is None else np.take(table, origins[j])[:, None]
-                         for table in self.tables[j]]
-                     for j in range(d + 2) if not slopes[j]}
-        self.index = np.empty((len(self.moving), size), dtype=np.intp)
-        self.norm, self.term = np.empty((2, size))
-        self.log_pi = d * np.log(np.pi)
-
-    def read(self, windows, t, out):
-        """The exponents of windows (a slice) at offsets t into the
-        (windows, len(t)) array out.  Reads are clipped, so a row past its
-        window's end (a block's padding) gets a finite value, for the
-        caller to mask."""
-        shape, size = out.shape, out.size
-        norm, term = self.norm[:size].reshape(shape), self.term[:size].reshape(shape)
-        index = self.index[:, :size].reshape((-1,) + shape)
-        np.add(self.origins[:, windows, None], self.slopes * t, out=index)
-        cols = dict(zip(self.moving, index))
-
-        def part(j, which, buf):            # tables[j][which] at the rows, into buf if it steps
-            if j in self.flat:
-                return self.flat[j][which][windows]
-            return np.take(self.tables[j][which], cols[j], out=buf, mode="clip")
-
-        def add_up(which, acc):             # sum_j part j, in j order
-            head = part(0, which, acc)
-            if head is not acc:
-                acc[...] = head
-            for j in range(1, len(self.tables) - 1):
-                acc += part(j, which, term)
-            return acc
-
-        add_up(0, norm)
-        norm += self.log_pi
-        norm -= part(len(self.tables) - 1, 0, term)
-        add_up(1, out)
-        out -= norm
-        return out
+def _term_exponents(log_facts, products, level, d, norm, out):
+    """Into out (norm a workspace of its shape), the real term exponents
+    (P_0 + ... + P_d) - ((log a_0! + ... + log a_d!) + d log pi - level) of
+    rows a, each sum left to right (the log-norm with the bits of
+    :func:`monomial_log_norms`), from log_facts[j] = log a_j!, products[j]
+    = P_j = a_j (log|x_j| + log|y_j|) and level = log (|a| + d)! at the
+    rows, or one value per window.  Elementwise: the same bits in any batch."""
+    np.add(log_facts[0], log_facts[1], out=norm)
+    np.add(products[0], products[1], out=out)
+    for log_fact, product in zip(log_facts[2:], products[2:]):
+        norm += log_fact
+        out += product
+    norm += d * np.log(np.pi)
+    norm -= level
+    out -= norm
+    return out
 
 
 def _peak_exponent(runs, d, lx, ly, peak):
-    """E*: the largest real term exponent (:class:`_TermExponents`, the
-    sum's own arithmetic) among the rows at the runs' peaks, read by
-    index arithmetic: nothing is listed."""
-    lines, ones = (runs.starts + peak[:, None] * runs.step).T, np.ones_like(peak)
-    terms = _TermExponents(lines, ones, runs.step, lx.real + ly.real, d, runs.top, len(peak))
-    return float(terms.read(slice(None), np.zeros(1, dtype=np.int64), np.empty((len(peak), 1))).max())
+    """E*: the largest real term exponent (:func:`_term_exponents`, the
+    sum's own arithmetic) among the rows starts + peak step at the runs'
+    peaks, each column read from the log-factorial table at those rows,
+    _SEARCH_RUNS runs at a time: nothing is listed."""
+    log_fact, linear, top = _log_factorials(runs.top + d), (lx.real + ly.real)[:, None], -np.inf
+    for lo in range(0, len(peak), _SEARCH_RUNS):
+        part = slice(lo, lo + _SEARCH_RUNS)
+        cols = runs.starts[part].T + np.multiply.outer(runs.step, peak[part])   # (d+1, runs) int64
+        top = max(top, float(_term_exponents(
+            [np.take(log_fact, col) for col in cols], cols * linear,
+            np.take(log_fact, cols.sum(axis=0) + d), d, *np.empty((2, cols.shape[1]))).max()))
+    return top
 
 
-def _concentration_windows(runs, d, lx, ly):
-    """(first, counts): the rows first[i] ... first[i] + counts[i] - 1 of
-    each run i whose bound B (:func:`_log_bound`) at the pair with
-    lx = _safe_log(x), ly = _safe_log(y) is at least E* + _ROW_CUT.
-
-    B is concave along each run, so those rows form one interval per
-    run.  Newton steps on B's slope (:func:`_log_slopes`) guess each
-    run's peak, the first row at which B stops rising; then come E*, the
-    largest real term exponent at the peaks, in the sum's own arithmetic
-    (:func:`_peak_exponent`, which reads every peak row and lists
-    nothing), and both ends of every run whose peak
-    reaches the cut at once, from a parabola at the peak and Newton steps
-    on B - cut.  :func:`_first_true` checks each guess, so the windows
-    are exact.  Nothing is kept between evaluations.  Every count is 0
-    when the listing is empty.
-    """
-    first, counts = np.zeros_like(runs.lengths), np.zeros_like(runs.lengths)
-    if not len(runs.lengths):
-        return first, counts
-    linear = lx.real + ly.real
-    starts, step = runs.real_lines
-    last = runs.lengths - 1
+def _run_peaks(starts, step, last, linear):
+    """(peak, height, curve) per run ((d+1, R) float starts, last rows):
+    the first row at which B (:func:`_log_bound`) stops rising, guessed
+    by Newton steps on its slope (:func:`_log_slopes`) and checked by
+    :func:`_first_true`; B there; about d2B/ds2 < 0 (-1 on one row)."""
     # Newton in v = artanh of s's place between the ends of the run's line in
     # the cone (a bounded listing's step has both signs), where the slope's
     # log singularities are linear; one-row runs stay at 0
@@ -516,8 +458,15 @@ def _concentration_windows(runs, d, lx, ly):
         return (bound[1:] <= bound[:-1]) & (s >= 0) | (s >= last[i])
 
     peak = _first_true(last, falls, np.floor(root).astype(last.dtype))
-    height = _log_bound(starts, step, peak, linear)
-    cut = _peak_exponent(runs, d, lx, ly, peak) + _ROW_CUT
+    return peak, _log_bound(starts, step, peak, linear), curve
+
+
+def _run_windows(starts, step, last, linear, peak, height, curve, cut):
+    """(first, counts) of the runs of :func:`_run_peaks`: the rows with B
+    at least cut, an interval about the peak, both ends of every run whose
+    peak reaches it guessed from a parabola at the peak and Newton steps on
+    B - cut, and checked by :func:`_first_true`; count 0 on the others."""
+    first, counts = np.zeros_like(last), np.zeros_like(last)
     live = np.flatnonzero(height >= cut)                 # windows not empty
     # t rows out from the peak: column i the left end of live run i,
     # column len(live) + i its right end
@@ -541,58 +490,110 @@ def _concentration_windows(runs, d, lx, ly):
     return first, counts
 
 
-def _windowed_sum(runs, d, x, y):
-    """(log magnitude, unit phase) of the sum over the rows of a listing's
-    concentration windows (:func:`_concentration_windows`); nothing is
-    listed or stored.  The logs of x and y are taken once and shared by
-    the window search and the sum.
+def _concentration_windows(runs, d, lx, ly):
+    """(first, counts): the rows first[i] ... first[i] + counts[i] - 1 of
+    each run i whose bound B (:func:`_log_bound`) at the pair with
+    lx = _safe_log(x), ly = _safe_log(y) is at least E* + _ROW_CUT: one
+    interval per run, as B is concave along it.  Two passes over the runs,
+    _SEARCH_RUNS at a time (small stacks): the peaks (:func:`_run_peaks`),
+    then E* (:func:`_peak_exponent`), then the windows' ends
+    (:func:`_run_windows`), each step checked, so the windows are exact
+    in any chunking; every count is 0 for an empty listing."""
+    first, counts = np.zeros_like(runs.lengths), np.zeros_like(runs.lengths)
+    linear, (starts, step), last = lx.real + ly.real, runs.real_lines, runs.lengths - 1
+    chunks = [slice(lo, lo + _SEARCH_RUNS) for lo in range(0, len(last), _SEARCH_RUNS)]
+    peak, height, curve = np.zeros_like(last), np.empty(len(last)), np.empty(len(last))
+    for part in chunks:
+        peak[part], height[part], curve[part] = _run_peaks(starts[:, part], step, last[part], linear)
+    if not len(last):
+        return first, counts
+    cut = _peak_exponent(runs, d, lx, ly, peak) + _ROW_CUT
+    for part in chunks:
+        first[part], counts[part] = _run_windows(starts[:, part], step, last[part], linear,
+                                                 peak[part], height[part], curve[part], cut)
+    return first, counts
 
-    The rows of window i are a_i + t step, t < counts[i] (a_i its first
-    row).  Their real exponents (:class:`_TermExponents`) are read in
-    blocks of at most _BLOCK_ROWS (windows times the longest window, the
-    padding masked), each shifted by the running largest exponent and
-    exponentiated in place by a real exp.  A term's phase is
-    (a_i + t step) . theta, theta = arg x - arg y: one ramp
-    cis(t step . theta) per evaluation, whose cosine and sine take each
-    window's sum by two real matrix-vector products, and one
-    cis(a_i . theta) per window.  Each row left out has a log term below
-    E* - 61, at most the largest term's - 61 (_ROW_CUT); every row kept
-    has the exponent bits of E*'s arithmetic.
-    """
+
+def _window_exponents(lines, counts, step, linear, d, top):
+    """Per block, (block, start, expo): expo[i, c] the real term exponent
+    of row lines[:, w] + (start + c) step of window w = block.start + i,
+    -inf from counts[w] on; valid until the next block is asked for.  A
+    block is _BLOCK_ROWS // width windows (width the longest, at most
+    _BLOCK_ROWS) by its own longest window, width columns at a time.  Each
+    column j, and the level |a| + d, has small tables of log m! (0 where
+    only padding reads) and P_j[m] = m linear_j over the m it reads, seen
+    as V[r, t] = table[r + slope t] (``sliding_window_view``, reversed for
+    a negative slope: read-only, in bounds, no index array per row); a
+    block gathers whole window rows V[origins], and a column that does
+    not step is one value per window.  Every row has E*'s arithmetic
+    (:func:`_term_exponents`) and bits."""
+    longest = int(counts.max())
+    width = min(longest, _BLOCK_ROWS)
+    per = _BLOCK_ROWS // width                                      # windows per block
+    reach = -(-longest // width) * width                            # t read, padding included
+    readers = []        # per column, the level last: (view row per window, view) or (None, values)
+    for j, (origin, slope) in enumerate(zip([*lines, lines.sum(axis=0) + d],
+                                            step.tolist() + [int(step.sum())])):
+        far = slope * (reach - 1)                                   # m moves by far over a view row
+        lo, hi = int(origin.min()) + min(far, 0), int(origin.max()) + max(far, 0)
+        known = _log_factorials(top + d)[max(lo, 0):hi + 1]
+        tables = np.zeros((2 if j <= d else 1, hi + 1 - lo))       # log m!, then P_j
+        tables[0, max(-lo, 0):max(-lo, 0) + len(known)] = known
+        if j <= d:
+            tables[1] = np.arange(lo, hi + 1) * linear[j]
+        if not slope:
+            readers.append((None, tables[:, origin - lo, None]))
+        else:
+            view = sliding_window_view(tables[:, ::np.sign(slope)], abs(far) + 1, axis=1)
+            readers.append((origin - lo if slope > 0 else hi - origin, view[:, :, ::abs(slope)]))
+    # ends[r, c] = r + c >= reach: row reach + start - counts[i] masks window i's padding
+    ends = sliding_window_view(np.arange(reach + width) >= reach, width)
+    work = np.empty(2 * min(per, len(counts)) * width)
+    for first in range(0, len(counts), per):
+        block = slice(first, first + per)
+        lengths = counts[block]
+        longest = int(lengths.max())
+        for start in range(0, longest, width):
+            stop = min(start + width, longest)
+            parts = [view[:, block] if base is None else view[:, base[block], start:stop]
+                     for base, view in readers]
+            size = len(lengths) * (stop - start)
+            expo = _term_exponents(*zip(*parts[:-1]), parts[-1][0], d,
+                                   *work[:2 * size].reshape(2, len(lengths), -1))
+            np.copyto(expo, -np.inf, where=ends[reach + start - lengths, :stop - start])
+            yield block, start, expo
+
+
+def _windowed_sum(runs, d, x, y):
+    """(log magnitude, unit phase) of the sum over the rows a_i + t step,
+    t < counts[i], of a listing's concentration windows i
+    (:func:`_concentration_windows`; each row left out is under
+    E* + _ROW_CUT); nothing is listed or stored.  The real exponents come
+    in blocks (:func:`_window_exponents`), each shifted by the running
+    largest and exponentiated in place by a real exp; the phases are one
+    ramp cis(t step . theta) per evaluation (theta = arg x - arg y), taken
+    against each window's terms by two real products, times one
+    cis(a_i . theta) per window."""
     lx, ly = _safe_log(x), _safe_log(y)
     first, counts = _concentration_windows(runs, d, lx, ly)
     live = np.flatnonzero(counts)
     if not len(live):
         return -np.inf, 0.0 + 0.0j
     step, counts = runs.step, counts[live]
-    lines = (runs.starts[live] + first[live, None] * step).T        # (d+1, windows)
+    lines = runs.starts[live].T + np.multiply.outer(step, first[live])     # (d+1, windows)
     theta = lx.imag - ly.imag
-    t = np.arange(counts.max())
-    angle = t * float(step @ theta)
+    angle = np.arange(counts.max()) * float(step @ theta)
     ramp = np.stack([np.cos(angle), np.sin(angle)], axis=1)        # (longest, 2)
     turns = np.exp(1j * (theta @ lines))
-    width = min(len(t), _BLOCK_ROWS)
-    per = _BLOCK_ROWS // width                                      # windows per block
-    size = min(per, len(live)) * width
-    terms = _TermExponents(lines, counts, step, lx.real + ly.real, d, runs.top, size)
-    buf = np.empty(size)
     shift, total = -np.inf, 0.0 + 0.0j
-    for lo in range(0, len(live), per):
-        block = slice(lo, lo + per)
-        lengths = counts[block]
-        longest = int(lengths.max())
-        for start in range(0, longest, width):
-            span = t[start:min(start + width, longest)]
-            expo = terms.read(block, span, buf[:len(lengths) * len(span)].reshape(len(lengths), -1))
-            if lengths.min() <= span[-1]:                         # padding past a window's end
-                np.copyto(expo, -np.inf, where=span >= lengths[:, None])
-            top = float(expo.max())
-            if top > shift:
-                total *= np.exp(shift - top)
-                shift = top
-            expo -= shift
-            sums = np.exp(expo, out=expo) @ ramp[span[0]:span[-1] + 1]
-            total += turns[block] @ sums.view(complex)[:, 0]
+    for block, start, expo in _window_exponents(lines, counts, step, lx.real + ly.real, d, runs.top):
+        top = float(expo.max())
+        if top > shift:
+            total *= np.exp(shift - top)
+            shift = top
+        expo -= shift
+        sums = np.exp(expo, out=expo) @ ramp[start:start + expo.shape[1]]
+        total += turns[block] @ sums.view(complex)[:, 0]
     return _log_phase(shift, total)
 
 
@@ -621,10 +622,8 @@ def equivariant_kernel_log(model, nu, k, x, y):
     rows whose exponent, by one float product, is within 61 of the
     largest (:func:`_basis_sum`).  A longer listing is summed over its
     concentration windows at every evaluation (:func:`_windowed_sum`),
-    each row's real exponent read from log-factorial and per-evaluation
-    product tables, its phase from one ramp per evaluation and one turn
-    per window; nothing is listed or stored.  On either route the value
-    is the full sum's within its rounding bound
+    read from strided views of small tables; nothing is listed or stored.
+    On either route the value is the full sum's within its rounding bound
     eps (worst + log2 N + 2) sum |terms|, worst the largest termwise
     sum_j |alpha_j| (|log x_j| + |log y_j|) + |log ||z^alpha||^2| (_ROW_CUT).
     Both routes refuse a listing over the memory budget at the same k,

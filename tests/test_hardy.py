@@ -1129,8 +1129,10 @@ def test_a_one_row_block_has_the_bits_of_the_whole_product():
 
 def _listing_model(mid):
     """A catalog model, or weights (2, 1, 5) on CP^2 (its unit weight, the
-    pivot, is not the first coordinate) for mid = "w215"."""
-    return TorusModel("w215", [[2, 1, 5]], (1.0,)) if mid == "w215" else build_model(mid)
+    pivot, is not the first coordinate) for mid = "w215", or weights
+    (1, 2, 3, 4) on CP^3 for mid = "w1234"."""
+    weights = {"w215": [[2, 1, 5]], "w1234": [[1, 2, 3, 4]]}.get(mid)
+    return build_model(mid) if weights is None else TorusModel(mid, weights, (1.0,))
 
 
 def _windows(runs, d, x, y):
@@ -1213,8 +1215,8 @@ def test_a_direct_basis_request_leaves_a_windowed_kernel_as_it_was():
 def test_a_multi_chunk_kernel_sums_its_windows_and_keeps_no_basis(monkeypatch):
     # a listing too long to store (87.9k rows at k = 1024): each evaluation
     # reads the rows at its 513 run peaks and in its concentration windows
-    # (25.1k rows, with the blocks' padding) by index arithmetic, lists
-    # and norms nothing, keeps no basis and repeats its bits
+    # (25.1k rows, with the blocks' padding) from table views, lists and
+    # norms nothing, keeps no basis and repeats its bits
     model = build_model("s1-cp2-w123")
     nu, k = model.default_nu, 1024
     rows = model.isotypic_runs(nu, k).rows
@@ -1222,8 +1224,8 @@ def test_a_multi_chunk_kernel_sums_its_windows_and_keeps_no_basis(monkeypatch):
     monkeypatch.setattr(models.ProjectiveModel, "isotypic_exponents", _refuse_listing)
     monkeypatch.setattr(hardy, "monomial_log_norms", _refuse_listing)
     read = []
-    monkeypatch.setattr(hardy._TermExponents, "read", lambda self, windows, t, out,
-                        f=hardy._TermExponents.read: read.append(out.size) or f(self, windows, t, out))
+    monkeypatch.setattr(hardy, "_term_exponents", lambda *args, f=hardy._term_exponents:
+                        read.append(args[-1].size) or f(*args))
     x = model.default_locus_point()
     y = unit_point(x + 0.05 * random_sphere_point(2, np.random.default_rng(2)))
     for p, q in ((x, x), (x, y)):
@@ -1234,6 +1236,63 @@ def test_a_multi_chunk_kernel_sums_its_windows_and_keeps_no_basis(monkeypatch):
             assert 0 < sum(read) < rows // 3
         assert values[0] == values[1] == values[2] and values[0][0] > -np.inf
     assert model.basis_cache == {}
+
+
+def _scalar_exponent(row, linear, d, log_fact):
+    """A row's real term exponent alone, in Python floats, in the order
+    the sum documents: (P_0 + ... + P_d) - ((log a_0! + ... + log a_d!)
+    + d log pi - log (|a| + d)!), P_j = a_j linear_j."""
+    norm, out = float(log_fact[row[0]]), float(row[0]) * float(linear[0])
+    for a, lin in zip(row[1:], linear[1:]):
+        norm += float(log_fact[a])
+        out += float(a) * float(lin)
+    norm += float(d * np.log(np.pi))
+    norm -= float(log_fact[sum(row) + d])
+    return out - norm
+
+
+@pytest.mark.parametrize("mid, k", [("s1-cp1-w12", 3000), ("s1-cp2-w123", 300), ("w215", 400),
+                                    ("t2-cp2", 3000), ("u2-cp2", 3001)])
+@pytest.mark.parametrize("block_rows", [hardy._BLOCK_ROWS, 50])
+def test_window_views_read_every_row_with_its_scalar_bits(mid, k, block_rows, monkeypatch):
+    # every row of every window, read through the strided table views, has
+    # the bits of the same row computed alone with scalar floats, and every
+    # padding entry is -inf: one column of slope 1 (d = 1), a column that
+    # does not step (s1-cp2-w123), a pivot step of -5 (w215) and a level
+    # that does not step (t2-cp2, u2-cp2, forced to the windowed route);
+    # with 50-row blocks the windows longer than a block take spans
+    monkeypatch.setattr(hardy, "_BLOCK_ROWS", block_rows)
+    model = _listing_model(mid)
+    nu, d = model.default_nu, model.d
+    runs = model.isotypic_runs(nu, k)
+    rng = np.random.default_rng(23)
+    x = model.default_locus_point()
+    zero = random_sphere_point(d, rng)
+    zero[0] = 0.0
+    spans = 0
+    for p, q in [(x, x), (x, unit_point(x + 0.05 * random_sphere_point(d, rng))),
+                 (unit_point(zero), random_sphere_point(d, rng))]:
+        lx, ly = hardy._safe_log(p), hardy._safe_log(q)
+        first, counts = hardy._concentration_windows(runs, d, lx, ly)
+        live = np.flatnonzero(counts)
+        lines = (runs.starts[live] + first[live, None] * runs.step).T
+        linear, seen = lx.real + ly.real, np.zeros(counts[live].sum(), dtype=bool)
+        log_fact = hardy._log_factorials(runs.top + d).tolist()
+        offsets = np.concatenate([[0], np.cumsum(counts[live])])
+        for block, start, expo in hardy._window_exponents(lines, counts[live], runs.step, linear,
+                                                          d, runs.top):
+            assert expo.shape[0] * expo.shape[1] <= block_rows
+            spans += start > 0
+            for i, window in enumerate(range(len(live))[block]):
+                for c, t in enumerate(range(start, start + expo.shape[1])):
+                    if t >= counts[live][window]:
+                        assert expo[i, c] == -np.inf
+                        continue
+                    row = (lines[:, window] + t * runs.step).tolist()
+                    assert expo[i, c] == _scalar_exponent(row, linear, d, log_fact), (window, t)
+                    seen[offsets[window] + t] = True
+        assert seen.all()
+    assert spans > 0 or block_rows == hardy._BLOCK_ROWS
 
 
 # (model, smallest k, largest k) for the window property test: every
@@ -1376,35 +1435,76 @@ def test_peak_exponent_is_the_largest_next_to_every_peak(catalog, case, where, s
 
 def test_peak_exponent_reads_every_peak_and_lists_nothing(monkeypatch):
     # s1-cp2-w123 at k = 2048, the kernel-scan key: E* reads the rows at
-    # all 1025 run peaks by index arithmetic and lists nothing, and a peak
-    # row's exponent has the same bits read alone, from its own tables, as
-    # in the batch of every peak
+    # all 1025 run peaks from the log-factorial table and lists nothing,
+    # and a peak row's exponent has the same bits read alone, as the peak
+    # of a one-run listing, as in the batch of every peak
     model = build_model("s1-cp2-w123")
     nu, k, d = model.default_nu, 2048, model.d
-    runs, calls = model.isotypic_runs(nu, k), []
-    peak_exponent = hardy._peak_exponent
+    runs, calls, batches = model.isotypic_runs(nu, k), [], []
+    peak_exponent, term_exponents = hardy._peak_exponent, hardy._term_exponents
     monkeypatch.setattr(hardy, "_peak_exponent",
                         lambda *args: calls.append(args) or peak_exponent(*args))
+    monkeypatch.setattr(hardy, "_term_exponents",
+                        lambda *args: batches.append(term_exponents(*args).copy()) or batches[-1])
     monkeypatch.setattr(models.ProjectiveModel, "isotypic_exponents", _refuse_listing)
     x = model.default_locus_point()
     y = unit_point(x + 0.05 * random_sphere_point(2, np.random.default_rng(9)))
     for p, q in ((x, x), (x, y)):
         calls.clear()
+        batches.clear()
         _windows(runs, d, p, q)
         (_, _, lx, ly, peak), = calls
-        assert len(peak) == len(runs.lengths) == 1025
-
-        def exponents(lines):
-            size = lines.shape[1]
-            terms = hardy._TermExponents(lines, np.ones(size, dtype=np.int64), runs.step,
-                                         lx.real + ly.real, d, runs.top, size)
-            return terms.read(slice(None), np.zeros(1, dtype=np.int64), np.empty((size, 1)))[:, 0]
-
-        lines = (runs.starts + peak[:, None] * runs.step).T
-        batch = exponents(lines)
+        batch, = batches                    # one batch: the rows at every peak
+        assert len(peak) == len(runs.lengths) == len(batch) == 1025
         assert peak_exponent(runs, d, lx, ly, peak) == batch.max()
         for i in range(0, len(peak), 41):
-            assert exponents(lines[:, i:i + 1])[0] == batch[i], i
+            alone = models.IsotypicRuns(runs.starts[i:i + 1], runs.step, runs.lengths[i:i + 1])
+            assert peak_exponent(alone, d, lx, ly, peak[i:i + 1]) == batch[i], i
+
+
+@pytest.mark.parametrize("mid, k", [("s1-cp2-w123", 2048), ("w215", 1000), ("w1234", 200)])
+def test_window_search_in_chunks_finds_the_same_windows(mid, k, monkeypatch):
+    # both passes of the search take _SEARCH_RUNS runs at a time; with
+    # 7-run chunks the windows are those of one chunk over every run (1025,
+    # 501 and 3434 runs), at the peak, near it, far from it and with a
+    # zero coordinate
+    model = _listing_model(mid)
+    nu, d = model.default_nu, model.d
+    runs = model.isotypic_runs(nu, k)
+    assert 7 < len(runs.lengths) <= hardy._SEARCH_RUNS
+    rng = np.random.default_rng(29)
+    x = model.default_locus_point()
+    zero = random_sphere_point(d, rng)
+    zero[-1] = 0.0
+    for p, q in [(x, x), (x, unit_point(x + 0.05 * random_sphere_point(d, rng))),
+                 (random_sphere_point(d, rng), random_sphere_point(d, rng)),
+                 (unit_point(zero), x)]:
+        whole = _windows(runs, d, p, q)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hardy, "_SEARCH_RUNS", 7)
+            chunked = _windows(runs, d, p, q)
+        assert whole[1].any()
+        assert np.array_equal(whole[0], chunked[0]) and np.array_equal(whole[1], chunked[1])
+
+
+def test_a_windowed_evaluation_over_many_runs_stays_small():
+    # weights (1, 2, 3, 4) at k = 1000: 83,834 runs, 7.0M rows.  A warm
+    # diagonal evaluation peaked at 53.6 MB traced with the bound stacks
+    # of every run at once; searched and read _SEARCH_RUNS runs at a time
+    # it peaks at 9.1 MB, and its value does not move
+    model = _listing_model("w1234")
+    nu, k = model.default_nu, 1000
+    x = model.default_locus_point()
+    assert len(model.isotypic_runs(nu, k).lengths) == 83834
+    first = equivariant_kernel_log(model, nu, k, x, x)      # runs, lines, log-factorials
+    tracemalloc.start()
+    try:
+        again = equivariant_kernel_log(model, nu, k, x, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == first and first[0] > -np.inf
+    assert peak < 16e6, peak
 
 
 def test_window_search_takes_a_few_batched_bound_evaluations(monkeypatch):
