@@ -362,7 +362,7 @@ def _log_bound(starts, step, s, linear):
     n, d = alpha.sum(axis=0), len(alpha) - 1
     gain = np.maximum(alpha, _TINY)                  # alpha_j (log alpha_j - linear_j), in place
     np.log(gain, out=gain)
-    gain -= np.expand_dims(linear, tuple(range(1, alpha.ndim)))
+    gain -= linear.reshape((-1,) + (1,) * (alpha.ndim - 1))
     gain *= alpha
     bound = n * np.log(np.maximum(n, _TINY)) - gain.sum(axis=0) - d * np.log(np.pi)
     for i in range(1, d + 1):
@@ -444,17 +444,18 @@ def _run_peaks(starts, step, last, linear):
     lines, edge = np.take(starts, moving, axis=1), last[moving] - 0.25
     left = (-lines[step > 0] / step[step > 0, None]).max(axis=0)
     half = ((lines[step < 0] / -step[step < 0, None]).min(axis=0) - left) / 2
-    at = np.clip(left + half, 0.25, edge)
+    at = np.minimum(np.maximum(left + half, 0.25), edge)
     for _ in range(3):
         slope, curve[moving] = _log_slopes(lines, step, at, linear)
         z = (at - left) / half - 1
         v = np.arctanh(z) - slope / (curve[moving] * half * (1 - z * z))
-        at = np.clip(left + half * (1 + np.tanh(v)), 0.25, edge)
+        at = np.minimum(np.maximum(left + half * (1 + np.tanh(v)), 0.25), edge)
     root[moving] = at
 
     def falls(i, s):                # B(s + 1) <= B(s), s a (k, m) stack
         bound = _log_bound(np.take(starts, i, axis=1)[:, None], step,
-                           np.clip(np.concatenate([s, s[-1:] + 1]), 0, last[i]), linear)
+                           np.minimum(np.maximum(np.concatenate([s, s[-1:] + 1]), 0), last[i]),
+                           linear)
         return (bound[1:] <= bound[:-1]) & (s >= 0) | (s >= last[i])
 
     peak = _first_true(last, falls, np.floor(root).astype(last.dtype))
@@ -477,12 +478,12 @@ def _run_windows(starts, step, last, linear, peak, height, curve, cut):
     for _ in range(2):      # from outside the end on, as B is concave
         s = peak + out * t
         slope, _ = _log_slopes(at, step, s, linear)
-        t = np.clip(t + (_log_bound(at, step, s, linear) - cut)
-                    / np.maximum(-out * slope, 1e-9), 0, reach)
+        t = np.minimum(np.maximum(t + (_log_bound(at, step, s, linear) - cut)
+                                  / np.maximum(-out * slope, 1e-9), 0), reach)
 
     def beyond(i, t):               # B one row further out is under the cut
         bound = _log_bound(np.take(at, i, axis=1)[:, None], step,
-                           peak[i] + out[i] * np.clip(t + 1, 0, reach[i]), linear)
+                           peak[i] + out[i] * np.minimum(np.maximum(t + 1, 0), reach[i]), linear)
         return (bound < cut) & (t >= 0) | (t >= reach[i])
 
     t = _first_true(reach, beyond, np.floor(t).astype(reach.dtype) - 1)

@@ -2,6 +2,11 @@
 exponent, the leading coefficient on the locus, near-diagonal kernel
 predictions and the dimension-growth coefficient.
 
+A near-diagonal prediction takes one k or a stack of k: its geometry
+(the leading coefficient, sigma, the Gaussian factor) sits at the locus
+point and is evaluated once per call; only the power of k varies along
+the stack.
+
 Only the leading term of the near-diagonal expansion is computed; the
 k^{-1/2} correction ladder enters the package solely through fitted
 convergence orders (the diagonal error decays like 1/k because the
@@ -120,12 +125,18 @@ def _span_residual(vec, basis):
 
 
 def predict_near_diagonal(model, nu, sample, k, v1=None, w1=None, v2=None, w2=None):
-    """Leading term of Pi^mu_{k nu}(x + (v1+w1)/sqrt(k), x + (v2+w2)/sqrt(k)).
+    """Leading term of Pi^mu_{k nu}(x + (v1+w1)/sqrt(k), x + (v2+w2)/sqrt(k)),
+    for one k (one :class:`Prediction`) or a 1-D stack of k (a list, one
+    per k).
 
-    v_j must lie in the locus normal space and w_j in the
-    h-orthocomplement of the orbit directions (residual tolerance 1e-8);
-    real-subspace membership is checked, not assumed.  Displacement
-    norms are guarded by the admissible-radius condition ||.|| <= 3 k^{1/6}.
+    Everything but the power (k / (sigma pi))^{d + (1-r)/2} lives at the
+    locus point, so the leading coefficient and the Gaussian factor are
+    computed once per call.  A nonzero v_j must lie in the locus normal
+    space and a nonzero w_j in the h-orthocomplement of the orbit
+    directions (residual tolerance 1e-8); real-subspace membership is
+    checked, not assumed, and a space is built only to check a nonzero
+    displacement.  Displacement norms are guarded by the
+    admissible-radius condition ||.|| <= 3 k^{1/6} at the smallest k.
     """
     group = model.group
     nu = half_weight(group, nu)
@@ -133,21 +144,27 @@ def predict_near_diagonal(model, nu, sample, k, v1=None, w1=None, v2=None, w2=No
         raise AssumptionViolation("near-diagonal prediction needs an on-locus sample")
     if np.ndim(sample.sigma) != 0:
         raise ValueError("near-diagonal prediction takes a one-point sample, not a stack")
+    stack = np.ndim(k) == 1
+    ks = list(k) if stack else [k]
+    if np.ndim(k) > 1 or not ks:
+        raise ValueError("k must be one int or a nonempty 1-D sequence of ints")
     zero = np.zeros(model.ambient_dim, dtype=complex)
     v1 = zero if v1 is None else np.asarray(v1, dtype=complex)
     v2 = zero if v2 is None else np.asarray(v2, dtype=complex)
     w1 = zero if w1 is None else np.asarray(w1, dtype=complex)
     w2 = zero if w2 is None else np.asarray(w2, dtype=complex)
 
-    normal = model.normal_space(nu, sample)
-    wspan = [c * b for b in model.w_space(sample.x) for c in (1, 1j)]   # R-span = C-span of w
-    for v in (v1, v2):
-        if _span_residual(v, normal) > 1e-8 * max(1.0, np.linalg.norm(v)):
-            raise AssumptionViolation("v displacement is not normal to the locus")
-    for w in (w1, w2):
-        if _span_residual(w, wspan) > 1e-8 * max(1.0, np.linalg.norm(w)):
-            raise AssumptionViolation("w displacement is not h-orthogonal to the orbit")
-    bound = 3.0 * k ** (1.0 / 6.0)
+    if np.any(v1) or np.any(v2):
+        normal = model.normal_space(nu, sample)
+        for v in (v1, v2):
+            if _span_residual(v, normal) > 1e-8 * max(1.0, np.linalg.norm(v)):
+                raise AssumptionViolation("v displacement is not normal to the locus")
+    if np.any(w1) or np.any(w2):
+        wspan = [c * b for b in model.w_space(sample.x) for c in (1, 1j)]   # R-span = C-span of w
+        for w in (w1, w2):
+            if _span_residual(w, wspan) > 1e-8 * max(1.0, np.linalg.norm(w)):
+                raise AssumptionViolation("w displacement is not h-orthogonal to the orbit")
+    bound = 3.0 * min(ks) ** (1.0 / 6.0)       # the tightest radius of the stack
     for vec in (v1, v2, w1, w2):
         if np.linalg.norm(vec) > bound:
             raise AssumptionViolation("displacement exceeds the admissible radius")
@@ -155,16 +172,18 @@ def predict_near_diagonal(model, nu, sample, k, v1=None, w1=None, v2=None, w2=No
     sigma = sample.sigma
     psi = leading_coefficient(model, nu, sample)
     power = model.d + (1 - group.rank) / 2.0
-    prefactor = psi * (k / (sigma * np.pi)) ** power
     expo = (gaussian_pair_exponent(w1, w2)
             - float(np.linalg.norm(v1) ** 2 + np.linalg.norm(v2) ** 2)) / sigma
     gauss = np.exp(expo)
-    value = prefactor * gauss
-    return Prediction(model_id=model.id, nu=tuple(nu.coords), k=int(k),
-                      x=sample.x, v1=v1, w1=w1, v2=v2, w2=w2,
-                      leading_coefficient=float(psi), sigma=float(sigma),
-                      power=float(power), prefactor=float(prefactor),
-                      gaussian_factor=complex(gauss), value=complex(value))
+    shared = dict(model_id=model.id, nu=tuple(nu.coords), x=sample.x, v1=v1, w1=w1, v2=v2,
+                  w2=w2, leading_coefficient=float(psi), sigma=float(sigma),
+                  power=float(power), gaussian_factor=complex(gauss))
+    preds = []
+    for kk in ks:       # one scalar power per k: the bits of a one-k call
+        prefactor = psi * (kk / (sigma * np.pi)) ** power
+        preds.append(Prediction(k=int(kk), prefactor=float(prefactor),
+                                value=complex(prefactor * gauss), **shared))
+    return preds if stack else preds[0]
 
 
 def dimension_coefficient(model, nu=None, level=120):

@@ -81,6 +81,42 @@ def test_diag_suite_small_run():
     assert -1.2 <= fits[0].exponent <= -0.8
 
 
+def test_diag_suite_predicts_its_schedule_in_one_call(monkeypatch):
+    # one prediction call and one leading coefficient per model for the
+    # whole k schedule, no w space (all displacements are zero), and the
+    # predicted column has the bits of one prediction per k
+    from coorbit import predictor
+    from coorbit.models import ProjectiveModel
+
+    counts = {}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return real
+
+    predict = counted(harness, "predict_near_diagonal")
+    counted(predictor, "leading_coefficient")
+    monkeypatch.setattr(ProjectiveModel, "w_space", lambda *args: pytest.fail("w_space built"))
+    for mid in MODEL_IDS:
+        counts.clear()
+        cfg = ExperimentConfig(model_id=mid, k_min=16, k_max=128)
+        rows, _, _ = run_suite("diag", cfg)
+        assert counts == {"predict_near_diagonal": 1, "leading_coefficient": 1}, mid
+        model = build_model(mid)
+        nu = model.default_nu
+        sample = model.locus_decompose(nu, model.default_locus_point(nu))
+        assert [r.k for r in rows] == [model.valid_k(k) for k in cfg.k_schedule], mid
+        for row in rows:
+            want = predict(model, nu, sample, row.k).value.real
+            assert repr(row.predicted) == repr(want), (mid, row.k)
+
+
 def test_dim_suite_exit_on_empty_locus():
     from coorbit.groups import AssumptionViolation
     cfg = ExperimentConfig(model_id="t2-cp2", nu=(2.0, -1.0), k_min=8, k_max=32)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coorbit import predictor
 from coorbit.groups import (
     AssumptionViolation,
     half_weight,
@@ -172,6 +173,90 @@ def test_prediction_membership_errors():
     v = model.normal_space(nu, s)[0]
     with pytest.raises(AssumptionViolation):
         predict_near_diagonal(model, nu, s, 64, v1=50.0 * v)  # beyond k^epsilon
+
+
+def _fields_bitwise_equal(a, b):
+    """Every field of two Predictions, compared by its bytes."""
+    return all(np.asarray(getattr(a, f)).tobytes() == np.asarray(getattr(b, f)).tobytes()
+               for f in a.__dataclass_fields__)
+
+
+def test_prediction_stack_matches_per_k_calls():
+    # one call for a stack of k gives, field for field and bit for bit,
+    # what one call per k gives (u2-cp2 at its odd k)
+    for mid in MODEL_IDS:
+        model = build_model(mid)
+        nu = model.default_nu
+        s = model.locus_decompose(nu, model.default_locus_point(nu))
+        ks = [model.valid_k(k) for k in (16, 64, 512, 1024, 8192)]
+        if mid == "u2-cp2":
+            assert all(k % 2 == 1 for k in ks)
+        stacked = predict_near_diagonal(model, nu, s, ks)
+        assert isinstance(stacked, list) and len(stacked) == len(ks), mid
+        for k, pred in zip(ks, stacked):
+            one = predict_near_diagonal(model, nu, s, k)
+            assert pred.k == k and type(pred.value) is complex, mid
+            assert _fields_bitwise_equal(pred, one), (mid, k)
+        # a one-element stack is a list of the one-k prediction
+        [alone] = predict_near_diagonal(model, nu, s, np.array(ks[:1]))
+        assert _fields_bitwise_equal(alone, stacked[0]), mid
+    # the stacked displacement path too
+    model = build_model("s1-cp2-w123")
+    nu = model.default_nu
+    s = model.locus_decompose(nu, model.default_locus_point(nu))
+    w = model.w_space(s.x)[0]
+    w = 1.1 * w / np.linalg.norm(w)
+    for k, pred in zip((64, 512), predict_near_diagonal(model, nu, s, (64, 512), w1=w, w2=0.3j * w)):
+        assert _fields_bitwise_equal(pred, predict_near_diagonal(model, nu, s, k, w1=w, w2=0.3j * w))
+
+
+def test_zero_displacement_stack_builds_no_spaces(monkeypatch):
+    # at zero displacement no span is built and the leading coefficient is
+    # computed once for the whole stack
+    def refuse(*args, **kwargs):
+        raise AssertionError("a displacement space was built for zero displacements")
+
+    calls = []
+    leading = predictor.leading_coefficient
+    monkeypatch.setattr(predictor, "leading_coefficient",
+                        lambda *args: calls.append(args) or leading(*args))
+    for mid in MODEL_IDS:
+        model = build_model(mid)
+        nu = model.default_nu
+        s = model.locus_decompose(nu, model.default_locus_point(nu))
+        monkeypatch.setattr(model, "normal_space", refuse)
+        monkeypatch.setattr(model, "w_space", refuse)
+        calls.clear()
+        preds = predict_near_diagonal(model, nu, s, [model.valid_k(k) for k in (64, 128, 256)])
+        assert len(preds) == 3 and len(calls) == 1, mid
+        zero = np.zeros(model.ambient_dim)
+        predict_near_diagonal(model, nu, s, 64, v1=zero, w2=zero)
+        assert len(calls) == 2, mid
+
+
+def test_stacked_prediction_checks_every_displacement():
+    model = build_model("t2-cp2")
+    nu = model.default_nu
+    s = model.locus_decompose(nu, model.default_locus_point(nu))
+    ks = [64, 128, 256]
+    rng = np.random.default_rng(2)
+    t = model.horizontal(s.x, rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    t /= np.linalg.norm(t)
+    with pytest.raises(AssumptionViolation, match="not normal"):
+        predict_near_diagonal(model, nu, s, ks, v2=t)
+    with pytest.raises(AssumptionViolation, match="h-orthogonal"):
+        predict_near_diagonal(model, nu, s, ks, w1=t)
+    # admissible at k = 4096 (radius 12) but not at k = 64 (radius 6): the
+    # smallest k of the stack decides, wherever it stands
+    v = model.normal_space(nu, s)[0]
+    v = 8.0 * v / np.linalg.norm(v)
+    predict_near_diagonal(model, nu, s, [4096], v1=v)
+    for stack in ([64, 4096], [4096, 64]):
+        with pytest.raises(AssumptionViolation, match="admissible radius"):
+            predict_near_diagonal(model, nu, s, stack, v1=v)
+    for bad in ([], [[64, 128]]):
+        with pytest.raises(ValueError):
+            predict_near_diagonal(model, nu, s, bad)
 
 
 def test_two_point_prediction_with_phase():
