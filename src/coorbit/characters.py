@@ -16,15 +16,12 @@ Quadrature sums rely on numpy's pairwise summation, so results are
 reproducible independently of how the node set would be partitioned.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .groups import (
-    CompactGroup,
     HalfWeight,
-    InvariantMetric,
     UnsupportedGroupError,
     algebra_matrix,
     complement_frame,
@@ -254,7 +251,6 @@ def orbit_volume(group, gamma):
     return float(val)
 
 
-@dataclass(frozen=True, eq=False)
 class OrbitQuadrature:
     """Quadrature for the Kostant-Kirillov volume on a coadjoint orbit.
 
@@ -266,12 +262,13 @@ class OrbitQuadrature:
     node of each ring, the only node any sum reads; no other is built.
     """
 
-    group: CompactGroup
-    metric: InvariantMetric
-    ring_nodes: np.ndarray
-    weights: np.ndarray
-    scheme: str
-    ring: int
+    def __init__(self, group, metric, ring_nodes, weights, scheme, ring):
+        self.group = group
+        self.metric = metric
+        self.ring_nodes = ring_nodes
+        self.weights = weights
+        self.scheme = scheme
+        self.ring = ring
 
     @property
     def node_count(self):

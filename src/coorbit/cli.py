@@ -32,7 +32,8 @@ from .characters import (
     weyl_dimension,
 )
 from .groups import AssumptionViolation, build_group, half_weight, group_volumes, trace_metric
-from .harness import SUITES, ExperimentConfig, run_suite, rows_to_csv, summary_json
+from .harness import (DEFAULT_MODEL_ID, SUITES, ExperimentConfig, run_suite, rows_to_csv,
+                      summary_json)
 # equivariant_kernel stays bound here: the benchmark's tracer test checks
 # that tracing wraps this module's from-imports of it
 from .hardy import equivariant_kernel, equivariant_kernel_log, isotypic_dim  # noqa: F401
@@ -241,7 +242,7 @@ def _dispatch(args):
             raise ValueError(f"suite {args.name} takes no --model or --nu: it runs on fixed "
                              "groups and models (harness.ALL_MODELS), each at its default nu")
         config = ExperimentConfig(
-            model_id=ExperimentConfig.model_id if args.model is None else args.model,
+            model_id=DEFAULT_MODEL_ID if args.model is None else args.model,
             nu=_parse_nu(args.nu),
             k_min=args.kmin, k_max=args.kmax, k_factor=args.kfactor,
             out_dir=args.out, fmt=args.fmt, seed=args.seed)

@@ -39,11 +39,9 @@ pure, so everything here is safe to share across threads.
 """
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 
 class UnsupportedGroupError(ValueError):
@@ -89,7 +87,6 @@ def _basis_matrices(kind, n):
     return mats
 
 
-@dataclass(frozen=True, eq=False)
 class CompactGroup:
     """Root datum of a supported compact connected group.
 
@@ -115,15 +112,17 @@ class CompactGroup:
         The fixed skew-Hermitian basis (empty on tori).
     """
 
-    kind: str
-    n: int
-    dim: int
-    rank: int
-    positive_roots: np.ndarray
-    delta: np.ndarray
-    trace_gram: np.ndarray = field(repr=False)
-    cartan_diagonal: np.ndarray = field(repr=False)
-    basis_matrices: np.ndarray = field(repr=False, default=())
+    def __init__(self, kind, n, dim, rank, positive_roots, delta, trace_gram,
+                 cartan_diagonal, basis_matrices=()):
+        self.kind = kind
+        self.n = n
+        self.dim = dim
+        self.rank = rank
+        self.positive_roots = positive_roots
+        self.delta = delta
+        self.trace_gram = trace_gram
+        self.cartan_diagonal = cartan_diagonal
+        self.basis_matrices = basis_matrices
 
     @property
     def n_pos(self):
@@ -263,7 +262,6 @@ def matrix_coefficients(group, mat):
     return np.linalg.solve(group.trace_gram, vals[..., None])[..., 0]
 
 
-@dataclass(frozen=True, eq=False)
 class InvariantMetric:
     """Ad-invariant Euclidean product phi on the Lie algebra.
 
@@ -272,23 +270,21 @@ class InvariantMetric:
     SPD Gram matrices.
     """
 
-    group: CompactGroup
-    gram: np.ndarray
-    scale: float = 1.0
-
-    def __post_init__(self):
-        gram = np.asarray(self.gram, dtype=float)
-        if gram.shape != (self.group.dim, self.group.dim):
+    def __init__(self, group, gram, scale=1.0):
+        gram = np.asarray(gram, dtype=float)
+        if gram.shape != (group.dim, group.dim):
             raise ValueError("Gram matrix has the wrong shape")
         if np.linalg.norm(gram - gram.T) > 1e-12:
             raise ValueError("Gram matrix must be symmetric")
         if np.linalg.eigvalsh(gram).min() <= 0:
             raise ValueError("Gram matrix must be positive definite")
-        object.__setattr__(self, "gram", gram)
+        self.group = group
+        self.gram = gram
+        self.scale = scale
         # the inverse Gram matrix, for the sharp maps and covector norms
         # called thousands of times per suite
-        object.__setattr__(self, "_gram_inv", np.linalg.inv(gram))
-        if self.group.is_matrix_group:
+        self._gram_inv = np.linalg.inv(gram)
+        if group.is_matrix_group:
             self._check_ad_invariance()
 
     def _inverse_block(self, gamma):
@@ -359,7 +355,6 @@ def trace_metric(group, scale=1.0):
 
 # -- half-weights ----------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class HalfWeight:
     """Regular dominant half-weight nu labeling an irrep.
 
@@ -368,15 +363,12 @@ class HalfWeight:
     metric-independent condition for the supported metrics).
     """
 
-    group: CompactGroup
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
-        if coords.shape != (self.group.rank,):
-            raise ValueError(f"nu needs {self.group.rank} coordinates")
-        object.__setattr__(self, "coords", coords)
-        g = self.group
+    def __init__(self, group, coords):
+        coords = np.asarray(coords, dtype=float)
+        if coords.shape != (group.rank,):
+            raise ValueError(f"nu needs {group.rank} coordinates")
+        self.group = g = group
+        self.coords = coords
         lam = coords - g.delta
         frac = lam - np.round(lam)
         if np.max(np.abs(frac), initial=0.0) > 1e-9:
@@ -520,11 +512,73 @@ def group_volumes(metric):
 @lru_cache(maxsize=16)
 def gauss_legendre(n):
     """The n-point Gauss-Legendre rule on [-1, 1] as read-only (nodes,
-    weights), computed once per order and shared by every quadrature."""
-    rule = leggauss(n)
-    for a in rule:
+    weights), computed once per order and shared by every quadrature.
+
+    numpy's ``numpy.polynomial.legendre.leggauss`` step for step, so every
+    node and weight keeps its bits, on numpy's core alone (importing
+    numpy.polynomial took 3 ms of every ``import coorbit``): the
+    eigenvalues of the symmetric scaled companion matrix of P_n, one
+    Newton step, weights 1 / (P_{n-1} P_n') with both factors scaled to
+    a largest modulus of 1, both arrays symmetrized, and the weights
+    scaled to sum to 2.
+    """
+    if n < 1:
+        raise ValueError(f"Gauss-Legendre order must be a positive integer; got {n}")
+    # the scaled companion matrix of the Legendre series e_n = P_n; its
+    # last-column correction, -c[:-1] / c[-1] times a scale, is zero
+    mat = np.zeros((n, n))
+    scl = 1. / np.sqrt(2 * np.arange(n) + 1)
+    top = mat.reshape(-1)[1::n + 1]
+    top[...] = np.arange(1, n) * scl[:n - 1] * scl[1:n]
+    mat.reshape(-1)[n::n + 1] = top
+    x = np.linalg.eigvalsh(mat)
+    c = np.zeros(n + 1)
+    c[n] = 1.0
+    dy = _legval(x, c)
+    df = _legval(x, _legder(c))
+    x -= dy / df
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2. / w.sum()
+    for a in (x, w):
         a.flags.writeable = False
-    return rule
+    return x, w
+
+
+def _legval(x, c):
+    """The Legendre series c (lowest degree first) at the points x, by
+    numpy's ``legval`` Clenshaw steps."""
+    if len(c) == 1:
+        c0, c1 = c[0], 0
+    elif len(c) == 2:
+        c0, c1 = c[0], c[1]
+    else:
+        nd = len(c)
+        c0, c1 = c[-2], c[-1]
+        for i in range(3, len(c) + 1):
+            tmp = c0
+            nd = nd - 1
+            c0 = c[-i] - c1 * ((nd - 1) / nd)
+            c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+def _legder(c):
+    """The derivative of the Legendre series c, by numpy's ``legder`` steps."""
+    c = c.copy()
+    n = len(c) - 1
+    der = np.empty(n)
+    for j in range(n, 2, -1):
+        der[j - 1] = (2 * j - 1) * c[j]
+        c[j - 2] += c[j]
+    if n > 1:
+        der[1] = 3 * c[2]
+    der[0] = c[1]
+    return der
 
 
 def haar_quadrature(group, level=48):

@@ -63,7 +63,6 @@ polynomial, su2-cp1 and u2-cp2 directly).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -202,13 +201,13 @@ def monomial_log_norms(d, alphas, top):
     return out
 
 
-@dataclass(frozen=True, eq=False)
 class IsotypicBasis:
     """Monomials spanning the k nu isotypic subspace of a model."""
 
-    nu_coords: np.ndarray
-    alphas: np.ndarray
-    log_norms: np.ndarray
+    def __init__(self, nu_coords, alphas, log_norms):
+        self.nu_coords = nu_coords
+        self.alphas = alphas
+        self.log_norms = log_norms
 
     @property
     def dim(self):

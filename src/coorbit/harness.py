@@ -10,7 +10,6 @@ seed makes output byte-identical across runs.
 import json
 import math
 import os
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,7 +42,10 @@ from .predictor import (
 )
 
 
-@dataclass(frozen=True)
+# The model a suite runs on when none is named.
+DEFAULT_MODEL_ID = "s1-cp1-w12"
+
+
 class ExperimentConfig:
     """Declarative description of one suite run.
 
@@ -52,29 +54,28 @@ class ExperimentConfig:
     increasing.  A fixed seed makes CSV output byte-identical.
     """
 
-    model_id: str = "s1-cp1-w12"
-    nu: tuple = None
-    k_min: int = 64
-    k_max: int = 512
-    k_factor: int = 2
-    out_dir: str = None
-    fmt: str = "csv"
-    seed: int = 0
-
-    def __post_init__(self):
-        for bad, bound, got in ((self.k_min < 1, "k_min >= 1", self.k_min),
-                                (self.k_max < self.k_min, f"k_max >= k_min = {self.k_min}",
-                                 self.k_max),
-                                (self.k_factor < 2, "k_factor >= 2", self.k_factor)):
+    def __init__(self, model_id=DEFAULT_MODEL_ID, nu=None, k_min=64, k_max=512, k_factor=2,
+                 out_dir=None, fmt="csv", seed=0):
+        self.model_id = model_id
+        self.nu = nu
+        self.k_min = k_min
+        self.k_max = k_max
+        self.k_factor = k_factor
+        self.out_dir = out_dir
+        self.fmt = fmt
+        self.seed = seed
+        for bad, bound, got in ((k_min < 1, "k_min >= 1", k_min),
+                                (k_max < k_min, f"k_max >= k_min = {k_min}", k_max),
+                                (k_factor < 2, "k_factor >= 2", k_factor)):
             if bad:
                 raise ValueError(f"k schedule needs {bound}; got {got}")
-        if self.k_min * self.k_factor > self.k_max:
+        if k_min * k_factor > k_max:
             raise ValueError(f"k schedule {self.k_schedule} needs at least two k values "
                              "for a rate fit (k_max >= k_min * k_factor)")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"unknown output format {self.fmt!r}")
-        if self.model_id.lower() not in MODEL_IDS:
-            raise ValueError(f"unknown model id {self.model_id!r}; "
+        if fmt not in ("csv", "json"):
+            raise ValueError(f"unknown output format {fmt!r}")
+        if model_id.lower() not in MODEL_IDS:
+            raise ValueError(f"unknown model id {model_id!r}; "
                              f"known ids: {', '.join(MODEL_IDS)}")
 
     @property
@@ -92,26 +93,31 @@ _QUAD_LEVEL = 64
 _DISPLACEMENTS = np.array([0.4, 0.8, 1.2, 1.6, 2.0])
 
 
-@dataclass
 class Row:
-    model: str
-    nu: str
-    k: int
-    quantity: str
-    value: float
-    predicted: float
-    err: float
+    """One CSV row: a measured value, its prediction and their error."""
+
+    def __init__(self, model, nu, k, quantity, value, predicted, err):
+        self.model = model
+        self.nu = nu
+        self.k = k
+        self.quantity = quantity
+        self.value = value
+        self.predicted = predicted
+        self.err = err
 
 
-@dataclass
 class FitResult:
-    quantity: str
-    residual: float
-    passed: bool
-    exponent: float = np.nan
-    intercept: float = np.nan
-    band: tuple = None
-    note: str = ""
+    """One verdict: its residual, whether it passed, and the fitted rate."""
+
+    def __init__(self, quantity, residual, passed, exponent=np.nan, intercept=np.nan,
+                 band=None, note=""):
+        self.quantity = quantity
+        self.residual = residual
+        self.passed = passed
+        self.exponent = exponent
+        self.intercept = intercept
+        self.band = band
+        self.note = note
 
 
 def _nu_str(coords):
@@ -487,7 +493,8 @@ def run_suite(name, config):
     rows, fits, models = [], [], {}
     for key, model_ids in plan.items():
         for mid in model_ids:
-            cfg = config if mid is None else replace(config, model_id=mid, nu=None)
+            cfg = config if mid is None else ExperimentConfig(
+                **{**vars(config), "model_id": mid, "nu": None})
             # looked up per call, so a wrapper patched into SUITES is used
             if key == "characters":
                 r, f = SUITES[key](cfg)
@@ -523,7 +530,7 @@ def rows_to_csv(rows):
 def _summary(name, rows, fits, passed):
     """The JSON summary in plain JSON values: numpy scalars become Python
     numbers and non-finite floats null, since RFC 8259 JSON has no NaN
-    or Infinity.  Each dataclass's own field dict is read, not a deep
+    or Infinity.  Each record's own attribute dict is read, not a deep
     copy of it: _plain builds new containers anyway."""
     return _plain({
         "suite": name,

@@ -28,16 +28,13 @@ Duistermaat-Heckman consistency tests, not by fiat.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 from numpy.random import default_rng
 
 from .groups import (
     AssumptionViolation,
-    HalfWeight,
     UnsupportedGroupError,
     adjoint_action,
     build_group,
@@ -120,7 +117,6 @@ def unit_point(coeffs):
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
-@dataclass(frozen=True, eq=False)
 class LocusSample:
     """On-locus point data: the coset move h_m, the scale sigma(m), and
     a phi-orthonormal basis of t'_m = Ad_{h_m} t'.
@@ -133,23 +129,24 @@ class LocusSample:
     of length N; for one point ``sigma`` and ``residual`` are floats.
     """
 
-    model: "ProjectiveModel"
-    nu: HalfWeight
-    x: np.ndarray
-    phi: np.ndarray
-    sigma: float
-    h: object
-    t_prime_basis: tuple
-    residual: float
+    def __init__(self, model, nu, x, phi, sigma, h, t_prime_basis, residual):
+        self.model = model
+        self.nu = nu
+        self.x = x
+        self.phi = phi
+        self.sigma = sigma
+        self.h = h
+        self.t_prime_basis = t_prime_basis
+        self.residual = residual
 
 
-@dataclass(frozen=True, eq=False)
 class ConeDistance:
     """Off-cone report: phi-distance from Phi(m) to the orbit cone (an
     (N,) array of per-point distances for a stack of N points)."""
 
-    phi: np.ndarray
-    distance: float
+    def __init__(self, phi, distance):
+        self.phi = phi
+        self.distance = distance
 
 
 class IsotypicRuns:
@@ -160,8 +157,7 @@ class IsotypicRuns:
     ``rows``, the row count, is its model's ``isotypic_dim``.  ``top`` is
     the largest |alpha| of a row (0 for an empty listing): |alpha| is
     linear along a run, so it is reached at a run end.  The starts are
-    int64: O(runs) memory.  Read-only once made (a plain class: a
-    dataclass took 1 ms of every ``import coorbit``).
+    int64: O(runs) memory.  Read-only once made.
     """
 
     def __init__(self, starts, step, lengths):
@@ -303,7 +299,8 @@ class ProjectiveModel:
         q, h = dominant_representative(metric, phi)
         sigma = metric.pair_covectors(q, nu.coords) / metric.norm_covector(nu.coords) ** 2
         residual = metric.norm_covector(q - sigma[:, None] * nu.coords)
-        if np.any((sigma <= 0) | (residual > tol * np.maximum(1.0, nphi))):
+        # tested positively, so that a NaN point is off the locus
+        if not np.all((sigma > 0) & (residual <= tol * np.maximum(1.0, nphi))):
             distance = metric.norm_covector(q - np.maximum(sigma, 0.0)[:, None] * nu.coords)
             if x.ndim == 1:
                 return ConeDistance(phi=phi[0], distance=float(distance[0]))
@@ -531,6 +528,61 @@ def simplex_quadrature(d, n):
     return nodes, weight.ravel()
 
 
+# -- complex power series, lowest degree first ----------------------------
+# numpy.polynomial's steps on numpy's core, so the orbit-separation roots
+# keep their bits without importing numpy.polynomial (3 ms of every
+# ``import coorbit``): _series is its ``as_series``, _trim its ``trimseq``.
+
+def _trim(c):
+    """c without its trailing zero coefficients, keeping at least one."""
+    nonzero = np.flatnonzero(c)
+    return c[:nonzero[-1] + 1] if nonzero.size else c[:1]
+
+
+def _series(c):
+    """A trimmed complex copy of the coefficients c."""
+    return _trim(np.array(c, dtype=complex, ndmin=1))
+
+
+def _polymul(c1, c2):
+    """The product of two series (``polymul``)."""
+    return _trim(np.convolve(_series(c1), _series(c2)))
+
+
+def _polysub(c1, c2):
+    """c1 - c2 (``polysub``)."""
+    c1, c2 = _series(c1), _series(c2)
+    if len(c1) > len(c2):
+        c1[:c2.size] -= c2
+        return _trim(c1)
+    c2 = -c2
+    c2[:c1.size] += c1
+    return _trim(c2)
+
+
+def _polysquare(c):
+    """c times c, untrimmed (``polypow(c, 2)``)."""
+    c = _series(c)
+    return np.convolve(c, c)
+
+
+def _polyroots(c):
+    """The roots of a series, sorted: the eigenvalues of its companion
+    matrix (``polyroots``)."""
+    c = _series(c)
+    if len(c) < 2:
+        return np.array([], dtype=complex)
+    if len(c) == 2:
+        return np.array([-c[0] / c[1]])
+    n = len(c) - 1
+    mat = np.zeros((n, n), dtype=complex)
+    mat.reshape(-1)[n::n + 1] = 1
+    mat[:, -1] -= c[:-1] / c[-1]
+    roots = np.linalg.eigvals(mat)
+    roots.sort()
+    return roots
+
+
 # -- torus models -------------------------------------------------------------
 
 
@@ -577,7 +629,7 @@ class TorusModel(ProjectiveModel):
         coeffs = np.zeros(2 * top + 1, dtype=complex)       # lowest power first
         np.add.at(coeffs, top + w, w * a)
         np.add.at(coeffs, top - w, -w * np.conj(a))
-        z = np.exp(1j * np.angle(np.append(P.polyroots(coeffs), 1.0)))
+        z = np.exp(1j * np.angle(np.append(_polyroots(coeffs), 1.0)))
         values = (a * z[:, None] ** w).real.sum(axis=1)
         theta = -np.angle(z[np.argmax(values)])
         return self._polished_point(x, y, np.array([theta]))
@@ -699,10 +751,10 @@ class T2CP2Model(TorusModel):
         x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
         a0, a1, a2 = x * np.conj(y)
         b = np.conj(a1) * a2
-        quartic = P.polypow([-np.conj(a0), 0, a0], 2)
-        poly = P.polysub(P.polymul(quartic, P.polymul([a1, a2], [np.conj(a2), np.conj(a1)])),
-                         P.polymul([0, 1], P.polypow([-np.conj(b), 0, b], 2)))
-        candidates = np.append(P.polyroots(poly), [1.0, np.conj(a0)])
+        quartic = _polysquare([-np.conj(a0), 0, a0])
+        poly = _polysub(_polymul(quartic, _polymul([a1, a2], [np.conj(a2), np.conj(a1)])),
+                        _polymul([0, 1], _polysquare([-np.conj(b), 0, b])))
+        candidates = np.append(_polyroots(poly), [1.0, np.conj(a0)])
         u = np.exp(1j * np.angle(candidates))
         inner = a1 + a2 * u
         best = int(np.argmax((a0 * u).real + np.abs(inner)))
@@ -727,12 +779,20 @@ class T2CP2Model(TorusModel):
                             np.array([min(k1, k2) + 1], dtype=np.int64))
 
     def locus_simplex_curve(self, nu):
+        """The locus segment, (t_1, t_2, t_3) = (|x_0|^2, |x_1|^2, |x_2|^2)
+        with t_1 + t_3 = sigma nu_1 and t_2 + t_3 = sigma nu_2.  For
+        nu_1 >= nu_2 it sweeps t_2 over [0, nu_2 / (nu_1 + nu_2)]; for
+        nu_1 < nu_2 it is the (nu_2, nu_1) segment with t_1 and t_2
+        swapped, the symmetry that also swaps the two torus factors."""
         nu = half_weight(self.group, nu)
         n1, n2 = nu.coords
         if n1 <= 0 or n2 <= 0:
             raise AssumptionViolation(
                 f"locus of nu = {nu.coords} is empty for {self.id} "
                 "(the ray misses the moment image)")
+        if n1 < n2:
+            mirror = self.locus_simplex_curve((n2, n1))
+            return lambda s: mirror(s)[..., [1, 0, 2]]
         s_max = n2 / (n1 + n2)
 
         def t_of_s(s):

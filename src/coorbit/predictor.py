@@ -14,7 +14,6 @@ odd-order terms vanish at zero displacement by parity).
 """
 
 import json
-from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -80,28 +79,29 @@ def leading_coefficient(model, nu, sample):
             * vol_orbit_unit ** 2 / det_s * vol_t / vol_g ** 2)
 
 
-@dataclass
 class Prediction:
     """Leading-order prediction for one near-diagonal kernel sample,
     with the sample point, displacements and ingredient breakdown."""
 
-    model_id: str
-    nu: tuple
-    k: int
-    x: np.ndarray
-    v1: np.ndarray
-    w1: np.ndarray
-    v2: np.ndarray
-    w2: np.ndarray
-    leading_coefficient: float
-    sigma: float
-    power: float
-    prefactor: float
-    gaussian_factor: complex
-    value: complex
+    def __init__(self, model_id, nu, k, x, v1, w1, v2, w2, leading_coefficient, sigma,
+                 power, prefactor, gaussian_factor, value):
+        self.model_id = model_id
+        self.nu = nu
+        self.k = k
+        self.x = x
+        self.v1 = v1
+        self.w1 = w1
+        self.v2 = v2
+        self.w2 = w2
+        self.leading_coefficient = leading_coefficient
+        self.sigma = sigma
+        self.power = power
+        self.prefactor = prefactor
+        self.gaussian_factor = gaussian_factor
+        self.value = value
 
     def to_json(self):
-        d = asdict(self)
+        d = dict(vars(self))
         for key in ("x", "v1", "w1", "v2", "w2"):
             vec = getattr(self, key)
             d[key] = [[z.real, z.imag] for z in np.asarray(vec, dtype=complex)]

@@ -1,6 +1,5 @@
 import itertools
 import re
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 
 from coorbit import characters
 from coorbit.characters import (
+    OrbitQuadrature,
     QuadratureDisagreement,
     character_at_element,
     exp_jacobian,
@@ -617,7 +617,8 @@ def test_orbit_pairing_is_constant_on_each_ring():
         m = trace_metric(g)
         q = orbit_quadrature(g, m, half_weight(g, coords), level=64)
         assert q.ring == 128 and q.node_count == 64 * q.ring
-        every_node = replace(q, ring_nodes=orbit_rule_nodes(g, m, coords, 64), ring=1)
+        every_node = OrbitQuadrature(q.group, q.metric, orbit_rule_nodes(g, m, coords, 64),
+                                     q.weights, q.scheme, 1)
         for xi in _cartan_samples(g, m, rng, 10):
             rings = every_node.pairing(xi).reshape(64, q.ring)
             assert np.array_equal(rings, np.repeat(rings[:, :1], q.ring, axis=1)), kind

@@ -463,11 +463,12 @@ def test_euler_elements_match_rotation_product():
 def test_gauss_legendre_is_numpys_rule_computed_once_and_read_only():
     from numpy.polynomial.legendre import leggauss
 
-    # every order the package asks for: Haar levels 12 and 19 (the suite's
-    # conjugation check), 24 and 37 (the pairing default), 48 (the Haar
-    # default); simplex orders 24 (model construction), 32 and 60; sphere
-    # and locus-line orders 64 and 120
-    for n in (12, 19, 24, 32, 37, 48, 60, 64, 120):
+    # every order from 1 to 130, bit for bit, which covers each one the
+    # package asks for: Haar levels 12 and 19 (the suite's conjugation
+    # check), 24 and 37 (the pairing default), 48 (the Haar default);
+    # simplex orders 24 (model construction), 32 and 60; sphere and
+    # locus-line orders 64 and 120
+    for n in range(1, 131):
         x, w = gauss_legendre(n)
         ref_x, ref_w = leggauss(n)
         assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes(), n
@@ -477,3 +478,5 @@ def test_gauss_legendre_is_numpys_rule_computed_once_and_read_only():
             x[0] = 0.0
         with pytest.raises(ValueError):
             w *= 2.0
+    with pytest.raises(ValueError, match="positive integer"):
+        gauss_legendre(0)

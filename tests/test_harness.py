@@ -1,3 +1,4 @@
+import copy
 import gc
 import importlib.util
 import io
@@ -8,7 +9,6 @@ import sys
 import types
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -453,7 +453,7 @@ def test_cli_suites_on_fixed_models_refuse_model_and_nu(capsys):
 def test_suite_all_builds_each_catalog_model_once(monkeypatch):
     """One `suite all` builds every catalog model once, shares it across
     its suites and drops it on return; the JSON summary read from each
-    dataclass's field dict equals the one read from a deep copy."""
+    record's attribute dict equals the one read from a deep copy."""
     built = []
 
     def counted_build_model(model_id):
@@ -466,8 +466,9 @@ def test_suite_all_builds_each_catalog_model_once(monkeypatch):
     assert sorted(mid for mid, _ in built) == sorted(MODEL_IDS)
     gc.collect()
     assert all(ref() is None for _, ref in built)
-    reference = harness._plain({"suite": "all", "rows": [asdict(r) for r in rows],
-                                "fits": [asdict(f) for f in fits], "pass": passed})
+    reference = harness._plain({"suite": "all", "rows": [copy.deepcopy(vars(r)) for r in rows],
+                                "fits": [copy.deepcopy(vars(f)) for f in fits],
+                                "pass": passed})
     assert harness._summary("all", rows, fits, passed) == reference
 
 
@@ -480,7 +481,7 @@ def test_suite_all_equals_its_suites_run_alone(suite_all):
     for name, model_ids in ALL_MODELS.items():
         for mid in model_ids:
             r, f, _ = run_suite(name, config if mid is None
-                                else replace(config, model_id=mid))
+                                else ExperimentConfig(model_id=mid, seed=0))
             if mid is not None:
                 for fit in f:
                     fit.quantity = f"{mid}:{fit.quantity}"
@@ -530,3 +531,30 @@ def test_public_names_are_frozen():
         "run_suite", "scaled_dimension", "trace_metric", "unit_point",
         "weyl_character", "weyl_dimension",
     ]
+
+
+def test_the_runtime_never_imports_dataclasses_or_numpy_polynomial(tmp_path):
+    """`import coorbit` and a whole `suite all` load neither dataclasses
+    nor numpy.polynomial, whose imports took about 10 ms of every
+    process; numpy.random and json, which runs read, stay."""
+    script = f"""
+import sys
+import coorbit
+from coorbit.cli import main
+assert main(["suite", "all", "--seed", "0", "--out", {str(tmp_path)!r}]) == 0
+print(sorted(m for m in ("dataclasses", "numpy.polynomial", "numpy.random", "json")
+             if m in sys.modules))
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.stdout.strip() == "['json', 'numpy.random']"
+
+
+@pytest.mark.parametrize("suite", ["diag", "dims", "gaussian", "decay"])
+def test_t2_suites_pass_at_nu_1_below_nu_2(suite, tmp_path, capsys):
+    # the t2-cp2 locus at (1, 3) is the mirror of the (3, 1) one, not a
+    # segment leaving the simplex, so every suite runs and passes there
+    assert main(["suite", suite, "--model", "t2-cp2", "--nu", "1,3",
+                 "--out", str(tmp_path)]) == 0
+    assert "FAIL" not in capsys.readouterr().err

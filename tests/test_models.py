@@ -216,6 +216,80 @@ def test_locus_decompose_off_cone_distance():
     assert isinstance(out2, ConeDistance) and out2.distance > 0.01
 
 
+def test_t2_locus_curve_lies_in_the_simplex_and_on_the_locus():
+    # at nu_1 < nu_2 too, where the segment is the (nu_2, nu_1) one with
+    # t_1 and t_2 swapped
+    model = build_model("t2-cp2")
+    s = np.linspace(0.0, 1.0, 33)
+    for nu in ((2.0, 1.0), (1.0, 3.0), (1.0, 1.0), (2.0, 5.0), (5.0, 2.0)):
+        t = model.locus_simplex_curve(nu)(s)
+        assert np.all(t >= 0.0) and np.all(np.abs(t.sum(axis=1) - 1.0) <= 4e-16), nu
+        sample = model.locus_decompose(nu, unit_point(np.sqrt(t)))
+        assert isinstance(sample, LocusSample) and np.all(sample.sigma > 0), nu
+        assert np.all(sample.residual <= 1e-12), nu
+
+
+def test_a_nan_point_is_off_the_locus():
+    # the on-locus test is positive (sigma > 0 and a small residual), so a
+    # NaN, alone or in a stack, gives a cone distance, never a LocusSample
+    for mid in ("s1-cp1-w12", "s1-cp2-w123", "t2-cp2", "u2-cp2"):
+        model = build_model(mid)
+        nu = model.default_nu
+        x = np.full(model.ambient_dim, 0.5 + 0j)
+        x[0] = np.nan
+        out = model.locus_decompose(nu, x)
+        assert isinstance(out, ConeDistance) and np.isnan(out.distance), mid
+        stack = model.locus_decompose(nu, np.stack([model.default_locus_point(nu), x]))
+        assert isinstance(stack, ConeDistance), mid
+        assert stack.distance[0] < 1e-12 and np.isnan(stack.distance[1]), mid
+
+
+def test_orbit_separation_roots_are_numpys_bit_for_bit(monkeypatch):
+    # nearest_orbit_point builds and solves its critical polynomial with
+    # numpy.polynomial's own steps on numpy's core; numpy.polynomial is
+    # the oracle here
+    from numpy.polynomial import polynomial as P
+    from coorbit import models
+    from coorbit.harness import _separated_pair
+
+    def same(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    solved = []
+    port = models._polyroots
+    monkeypatch.setattr(models, "_polyroots", lambda c: solved.append(c) or port(c))
+    rng = np.random.default_rng(61)
+    for mid in ("s1-cp1-w12", "s1-cp2-w123", "t2-cp2"):
+        model = build_model(mid)
+        x0, y0 = _separated_pair(model, model.default_nu)
+        corner = np.eye(model.ambient_dim, dtype=complex)[0]   # a_1 = a_2 = 0 on t2-cp2
+        pairs = [(x0, y0), (x0, x0), (corner, y0)] + [
+            (random_sphere_point(model.d, rng), random_sphere_point(model.d, rng))
+            for _ in range(30)]
+        for x, y in pairs:
+            solved.clear()
+            model.nearest_orbit_point(x, y)
+            (c,) = solved
+            assert same(port(c), P.polyroots(c)), mid
+            if mid == "t2-cp2":
+                a0, a1, a2 = x * np.conj(y)
+                b = np.conj(a1) * a2
+                ref = P.polysub(P.polymul(P.polypow([-np.conj(a0), 0, a0], 2),
+                                          P.polymul([a1, a2], [np.conj(a2), np.conj(a1)])),
+                                P.polymul([0, 1], P.polypow([-np.conj(b), 0, b], 2)))
+                assert same(c, ref)
+    # seeded complex coefficient vectors, some with trailing zeros or all zero
+    for _ in range(300):
+        c1, c2 = (rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                  for n in rng.integers(1, 9, size=2))
+        c1[len(c1) - rng.integers(0, len(c1) + 1):] = 0
+        assert same(models._polymul(c1, c2), P.polymul(c1, c2))
+        assert same(models._polysub(c1, c2), P.polysub(c1, c2))
+        assert same(models._polysub(c2, c1), P.polysub(c2, c1))
+        assert same(models._polysquare(c2), P.polypow(c2, 2))
+        assert same(port(c1), P.polyroots(c1)) and same(port(c2), P.polyroots(c2))
+
+
 def test_cone_distance_at_nonpositive_sigma_is_moment_norm():
     # Phi pairs negatively with nu, so the nearest cone point is the apex
     rng = np.random.default_rng(12)

@@ -177,8 +177,9 @@ def test_prediction_membership_errors():
 
 def _fields_bitwise_equal(a, b):
     """Every field of two Predictions, compared by its bytes."""
-    return all(np.asarray(getattr(a, f)).tobytes() == np.asarray(getattr(b, f)).tobytes()
-               for f in a.__dataclass_fields__)
+    return vars(a).keys() == vars(b).keys() and all(
+        np.asarray(v).tobytes() == np.asarray(getattr(b, f)).tobytes()
+        for f, v in vars(a).items())
 
 
 def test_prediction_stack_matches_per_k_calls():
@@ -322,6 +323,19 @@ def test_dimension_coefficient_metric_invariance():
         a = dimension_coefficient(build_model("t2-cp2"), level=80)
         b = dimension_coefficient(build_model("t2-cp2", metric_scale=c), level=80)
         assert abs(a / b - 1) <= 1e-10
+
+
+def test_dimension_coefficient_is_symmetric_in_the_t2_weights():
+    # swapping coordinates 0 and 1 of CP^2 together with the two torus
+    # factors is a symmetry of t2-cp2 under the trace metric, so delta_0
+    # takes one value at (nu_1, nu_2) and (nu_2, nu_1); at (1, 3) it is
+    # pi, as min(K_1, K_2) + 1 = k + 1 exponents say
+    model = build_model("t2-cp2")
+    for nu in ((3.0, 1.0), (2.0, 1.0), (5.0, 2.0), (1.0, 1.0)):
+        a = dimension_coefficient(model, nu)
+        b = dimension_coefficient(model, nu[::-1])
+        assert abs(a - b) <= 1e-14 * abs(a), nu
+    assert abs(dimension_coefficient(model, (1.0, 3.0)) / np.pi - 1.0) <= 1e-12
 
 
 def test_dimension_coefficient_empty_locus():
