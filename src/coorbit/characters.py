@@ -213,27 +213,23 @@ def character_at_element(group, nu, g):
 def exp_jacobian(group, xi):
     """Square root P(xi) of the exp-map volume distortion, P(0) = 1.
 
-    For xi in the Cartan algebra, given by its Cartan coefficients, this
-    is the root product prod_{beta>0} sin(<beta,xi>/2) / (<beta,xi>/2);
-    P is Ad-invariant, so that is all a class function needs.  Validated
+    For xi in the Cartan algebra, given by its Cartan coefficients (or an
+    (N, rank) stack of them, giving N values), this is the root product
+    prod_{beta>0} sin(<beta,xi>/2) / (<beta,xi>/2), 1 on tori; P is
+    Ad-invariant, so that is all a class function needs.  Validated
     against a finite-difference Jacobian of the matrix exponential in
     the tests.
 
     Raises
     ------
     ValueError
-        If xi lies outside the injectivity domain (an eigen-angle gap
-        reaches 2 pi).
+        If xi, or any xi of a stack, lies outside the injectivity domain
+        (an eigen-angle gap reaches 2 pi).
     """
-    if group.kind == "torus":
-        return 1.0
-    xi = np.asarray(xi)
-    val = 1.0
-    for a in (float(beta @ xi) for beta in group.positive_roots):
-        if abs(a) >= 2 * np.pi:
-            raise ValueError("xi is outside the injectivity domain of exp")
-        val *= np.sinc(a / (2 * np.pi))  # sin(a/2)/(a/2)
-    return float(val)
+    angles = np.asarray(xi, dtype=float) @ group.positive_roots.T
+    if np.any(np.abs(angles) >= 2 * np.pi):
+        raise ValueError("xi is outside the injectivity domain of exp")
+    return np.prod(np.sinc(angles / (2 * np.pi)), axis=-1)  # sin(a/2)/(a/2)
 
 
 # -- coadjoint orbits ---------------------------------------------------------
@@ -254,7 +250,7 @@ def orbit_volume(group, gamma):
 class OrbitQuadrature:
     """Quadrature for the Kostant-Kirillov volume on a coadjoint orbit.
 
-    ``weights`` sum to vol(O_nu).  Each run of ``ring`` consecutive
+    ``weights`` sum to vol(O_nu).  Each run of ``ring`` consecutive, equal
     weights is one orbit of the maximal torus: an azimuth ring of the
     polar-major sphere rule (``ring`` = 2 level), or the single node of a
     torus point rule.  ``ring_nodes`` holds lambda^phi (matrices for
@@ -279,17 +275,17 @@ class OrbitQuadrature:
         return float(np.sum(self.weights))
 
     def pairing(self, xi):
-        """<lambda, xi> at the first node of every ring, xi given by its
-        Cartan coefficients.  The torus fixes xi, so this is the value at
-        every node of the ring, bit for bit: it reads only the diagonal of
-        lambda^phi, which the off-diagonal frame turning a node around its
-        ring leaves exactly alone."""
+        """<lambda, xi> at the first node of every ring (the last axis), xi
+        given by its Cartan coefficients or a stack of them.  The torus
+        fixes xi, so this is the value at every node of the ring, bit for
+        bit: it reads only the diagonal of lambda^phi, which the
+        off-diagonal frame turning a node around its ring leaves exactly
+        alone."""
         nodes = self.ring_nodes
         if self.group.kind == "torus":
-            xi = np.asarray(xi, dtype=float)
-            return (nodes @ self.metric.gram) @ xi
+            return np.asarray(xi, dtype=float) @ (nodes @ self.metric.gram).T
         xi_mat = algebra_matrix(self.group, xi)
-        vals = np.einsum("nij,ji->n", nodes, xi_mat.conj().T)
+        vals = np.einsum("rij,...ij->...r", nodes, xi_mat.conj())
         return self.metric.scale * vals.real
 
 
@@ -380,19 +376,22 @@ def kirillov_character(group, metric, nu, xi, quad=None):
     chi_nu(e^xi) = (2 pi)^{-n_pos} P(xi)^{-1}
     int_{O_nu} e^{i <lambda, xi>} dV(lambda), evaluated with ``quad`` or
     else :func:`orbit_quadrature` at its default level (which refuses
-    SU(n)/U(n) with n >= 3).  The phase is one per torus ring of the rule
-    (:meth:`OrbitQuadrature.pairing`), repeated over the ring's nodes, so
-    the sum has the bits of a phase per node.  With xi = 0 this returns
-    d_nu.  An xi that is not ``rank`` Cartan coefficients is refused.
+    SU(n)/U(n) with n >= 3).  ``xi`` is ``rank`` coefficients (a complex
+    is returned) or an (N, rank) stack of them (an (N,) array), in one
+    pass: one phase per torus ring (:meth:`OrbitQuadrature.pairing`)
+    times the ring's weight sum, the weights being equal along a ring, so
+    no value per node is formed.  With xi = 0 this returns d_nu.  Anything
+    but Cartan coefficients is refused, and so is a stack with one xi
+    outside the injectivity domain of exp.
     """
     xi = np.asarray(xi, dtype=float)
-    if xi.shape != (group.rank,):
+    if xi.ndim not in (1, 2) or xi.shape[-1] != group.rank:
         raise ValueError(f"xi must be the {group.rank} Cartan coefficients of a "
-                         f"{group.name} element, not shape {xi.shape}")
-    quad = orbit_quadrature(group, metric, nu) if quad is None else quad
-    phases = np.repeat(np.exp(1j * quad.pairing(xi)), quad.ring)
-    integral = np.sum(quad.weights * phases)
+                         f"{group.name} element, or a stack of them, not shape {xi.shape}")
     p = exp_jacobian(group, xi)
+    quad = orbit_quadrature(group, metric, nu) if quad is None else quad
+    ring_weights = quad.weights.reshape(-1, quad.ring).sum(axis=1)
+    integral = np.sum(np.exp(1j * quad.pairing(xi)) * ring_weights, axis=-1)
     return (1 / (2 * np.pi)) ** group.n_pos * integral / p
 
 
@@ -404,17 +403,18 @@ def peter_weyl_projector_weight(group, nu, k, f, level=24):
     The pairing defining the isotypic projector.  ``f`` is called once
     per quadrature level on the whole node stack of
     :func:`haar_quadrature` (shape (N, r) angle vectors for tori, (N, n, n)
-    matrices otherwise) and must return N values, or one scalar for a
-    constant.  Evaluated at two quadrature levels; if the refinement
-    moves the value by more than 1e-6 (relative to its size) a
-    :class:`QuadratureDisagreement` is raised carrying both estimates.
+    matrices otherwise) and must return N values, one scalar for a
+    constant, or an (..., N) stack of functions' values, one pairing each
+    from the same nodes.  Evaluated at two quadrature levels; if the
+    refinement moves any pairing by more than 1e-6 (relative to its size)
+    a :class:`QuadratureDisagreement` is raised carrying both estimates.
 
     Raises
     ------
     ValueError
-        If ``f`` returns anything but a scalar or an (N,) array, as a
-        function written for one element (``np.trace(g)``) does on a
-        stack.
+        If ``f`` returns anything but a scalar or an array whose last axis
+        runs over the N elements, as a function written for one element
+        (``np.trace(g)``) does on a stack.
     """
     nu = half_weight(group, nu)
     knu = half_weight(group, k * nu.coords)
@@ -424,16 +424,15 @@ def peter_weyl_projector_weight(group, nu, k, f, level=24):
         nodes, weights = haar_quadrature(group, lvl)
         chis = character_at_element(group, knu, nodes)
         values = np.asarray(f(nodes))
-        if values.shape not in ((), (len(nodes),)):
+        if values.ndim and values.shape[-1] != len(nodes):
             raise ValueError(
                 f"f returned shape {values.shape} on a stack of {len(nodes)} "
                 "elements; it must return one value per element or a scalar")
-        return d * np.sum(weights * np.conj(chis) * values)
+        return d * np.sum(weights * np.conj(chis) * values, axis=-1)
 
     coarse = estimate(level)
     fine = estimate(int(level * 3 / 2) + 1)
-    scale = max(1.0, abs(fine))
-    if abs(fine - coarse) > 1e-6 * scale:
+    if np.any(np.abs(fine - coarse) > 1e-6 * np.maximum(1.0, np.abs(fine))):
         raise QuadratureDisagreement(
             f"projector pairing did not converge: {coarse} vs {fine}")
     return fine

@@ -221,20 +221,19 @@ def run_character_suite(config):
         quad = orbit_quadrature(group, metric, nu, level=_QUAD_LEVEL)
         d_nu = weyl_dimension(group, nu)
         xis = np.array([_random_regular_cartan(group, metric, rng) for _ in range(50)])
-        kir = np.array([kirillov_character(group, metric, nu, xi, quad=quad) for xi in xis])
-        worst = float(np.max(np.abs(kir - weyl_character(group, nu, xis)) / d_nu))
+        kir = kirillov_character(group, metric, nu, np.pad(xis, ((0, 1), (0, 0))), quad=quad)
+        worst = float(np.max(np.abs(kir[:-1] - weyl_character(group, nu, xis)) / d_nu))
         _check(rows, fits, f"{kind}-kirillov-vs-weyl",
                Row(kind, nu_s, 1, "kirillov-vs-weyl-max-rel-err", worst, 0.0, worst),
                worst <= 1e-6, band=(0.0, 1e-6))
 
-        at_zero = kirillov_character(group, metric, nu, np.zeros(group.rank),
-                                     quad=quad).real
+        at_zero = kir[-1].real  # at the zero row the pad appended
         dim_err = abs(at_zero - d_nu)
         _check(rows, fits, f"{kind}-dimension-at-zero",
                Row(kind, nu_s, 1, "orbit-dimension-at-zero", d_nu + dim_err, d_nu, dim_err),
                int(round(at_zero)) == d_nu and dim_err < 1e-6)
 
-        thetas = np.array([rng.uniform(-2.0, 2.0, size=group.rank) for _ in range(10)])
+        thetas = rng.uniform(-2.0, 2.0, size=(10, group.rank))
         base = weyl_character(group, nu, thetas)
         # W's one other element negates the SU(2) angle and swaps the U(2)
         # angles; the identity's term is an exact 0
@@ -260,10 +259,9 @@ def run_character_suite(config):
     group = build_group("torus", 2)
     nu = half_weight(group, (2.0, 1.0))
     metric = trace_metric(group)
-    thetas = np.array([rng.uniform(-np.pi, np.pi, size=2) for _ in range(20)])
+    thetas = rng.uniform(-np.pi, np.pi, size=(20, 2))
     exact = np.exp(1j * (thetas @ nu.coords))
-    quad = orbit_quadrature(group, metric, nu)
-    kir = np.array([kirillov_character(group, metric, nu, theta, quad=quad) for theta in thetas])
+    kir = kirillov_character(group, metric, nu, thetas)
     err = float(max(np.max(np.abs(weyl_character(group, nu, thetas) - exact)),
                     np.max(np.abs(kir - exact))))
     _check(rows, fits, "torus-characters",
@@ -276,15 +274,15 @@ def run_character_suite(config):
     h = random_unitary(2, rng, special=True)
 
     def f(t):
-        trace = np.trace(t, axis1=-2, axis2=-1)
+        trace = t[:, 0, 0] + t[:, 1, 1]
         return np.exp(1j * trace.real) * abs(trace) ** 2
 
     # h t h^H by two flat products over the stack: a = t h^H as (2N, 2) @
-    # (2, 2), then (h a)_ik = sum_j h_ij a_jk as (N, 4) @ (4, 4)
+    # (2, 2), then (h a)_ik = sum_j h_ij a_jk as (N, 4) @ (4, 4); f and its
+    # conjugate are paired on one node stack, one row each
     right, left = h.conj().T, np.kron(h, np.eye(2)).T
-    base = peter_weyl_projector_weight(g, nu, 1, f, level=12)
-    conj = peter_weyl_projector_weight(g, nu, 1, lambda t: f(
-        ((t.reshape(-1, 2) @ right).reshape(-1, 4) @ left).reshape(t.shape)), level=12)
+    base, conj = peter_weyl_projector_weight(g, nu, 1, lambda t: np.stack([f(t), f(
+        ((t.reshape(-1, 2) @ right).reshape(-1, 4) @ left).reshape(t.shape))]), level=12)
     cerr = abs(base - conj) / max(1.0, abs(base))
     _check(rows, fits, "su2-haar-conjugation-invariance",
            Row("su2", _nu_str(nu.coords), 1, "haar-conjugation-invariance", cerr, 0.0, cerr),

@@ -296,7 +296,10 @@ class ProjectiveModel:
         nphi = metric.norm_covector(phi)
         if np.any(nphi < 1e-12):
             raise AssumptionViolation("moment map vanishes at this point")
-        q, h = dominant_representative(metric, phi)
+        # a non-finite point skips the coset move: NaN q, sigma and distance
+        finite = np.all(np.isfinite(phi), axis=-1)
+        q, h = dominant_representative(metric, np.where(finite[:, None], phi, 0.0))
+        q[~finite] = np.nan
         sigma = metric.pair_covectors(q, nu.coords) / metric.norm_covector(nu.coords) ** 2
         residual = metric.norm_covector(q - sigma[:, None] * nu.coords)
         # tested positively, so that a NaN point is off the locus

@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -625,16 +626,90 @@ def test_orbit_pairing_is_constant_on_each_ring():
             assert np.array_equal(q.pairing(xi), rings[:, 0]), kind
 
 
-def test_kirillov_character_is_the_full_node_sum_bit_for_bit():
+def test_kirillov_character_is_the_full_node_sum_to_rounding():
+    # the character weights each ring's phase by its ring's weight sum;
+    # the oracle sums one term per node.  The per-node terms agree (the
+    # pairing is constant on a ring), so the two differ by rounding alone:
+    # pairwise summation of node_count terms of total size vol(O_nu) =
+    # (2 pi)^{n_pos} d_nu errs by at most about log2(node_count) eps vol,
+    # the ring weight sums and the product by a few eps more, and the
+    # division by (2 pi)^{n_pos} P(xi) carries that to
+    # (log2(node_count) + 2) eps d_nu / |P(xi)|.  The largest difference
+    # measured over these 153 xi is 3.3e-16 d_nu
     rng = np.random.default_rng(43)
     for kind, coords in (*_SPHERE_ORBITS, ("t2", (2.0, 1.0))):
         g = build_group(kind)
         m = trace_metric(g)
         nu = half_weight(g, coords)
         q = orbit_quadrature(g, m, nu, level=64)
+        d_nu = weyl_dimension(g, nu)
+        bound = (np.log2(q.node_count) + 2) * np.finfo(float).eps * d_nu
         for xi in _cartan_samples(g, m, rng, 50):
-            assert kirillov_character(g, m, nu, xi, quad=q) == kirillov_full_node(q, nu.coords, xi), \
-                (kind, xi)
+            diff = abs(kirillov_character(g, m, nu, xi, quad=q) - kirillov_full_node(q, nu.coords, xi))
+            assert diff <= bound / abs(exp_jacobian(g, xi)), (kind, xi, diff / d_nu)
+
+
+def _stack_with_edges(g, m, rng, count):
+    # _cartan_samples (xi = 0 first) and, on groups with roots, an xi whose
+    # largest root angle is just inside exp's injectivity domain
+    xis = _cartan_samples(g, m, rng, count)
+    if len(g.positive_roots):
+        edge = rng.uniform(-1, 1, size=g.rank)
+        xis.append(edge * (1 - 1e-9) * 2 * np.pi / np.max(np.abs(g.positive_roots @ edge)))
+    return np.array(xis)
+
+
+def test_stacked_kirillov_rows_are_the_one_xi_calls_bit_for_bit():
+    # a stack is one pass over the (N, rings) phases; each row has the
+    # bits of the same xi evaluated alone, and so does the Jacobian
+    rng = np.random.default_rng(47)
+    for kind, coords in (*_SPHERE_ORBITS, ("t2", (2.0, 1.0))):
+        g = build_group(kind)
+        m = trace_metric(g)
+        nu = half_weight(g, coords)
+        q = orbit_quadrature(g, m, nu, level=64)
+        xis = _stack_with_edges(g, m, rng, 20)
+        stacked = kirillov_character(g, m, nu, xis, quad=q)
+        assert stacked.shape == (len(xis),), kind
+        assert np.array_equal(stacked, [kirillov_character(g, m, nu, xi, quad=q) for xi in xis]), kind
+        assert np.array_equal(exp_jacobian(g, xis), [exp_jacobian(g, xi) for xi in xis]), kind
+        assert abs(stacked[0] - weyl_dimension(g, nu)) < 1e-12, kind
+
+
+def test_one_out_of_domain_xi_refuses_the_whole_stack():
+    rng = np.random.default_rng(53)
+    for kind, coords in _SPHERE_ORBITS:
+        g = build_group(kind)
+        m = trace_metric(g)
+        nu = half_weight(g, coords)
+        xis = _stack_with_edges(g, m, rng, 5)
+        outside = xis.copy()
+        outside[2] = xis[-1] * (1 + 1e-6) / (1 - 1e-9)
+        with pytest.raises(ValueError, match="injectivity domain"):
+            kirillov_character(g, m, nu, outside)
+        with pytest.raises(ValueError, match="injectivity domain"):
+            exp_jacobian(g, outside)
+        assert np.all(np.isfinite(kirillov_character(g, m, nu, xis)))
+
+
+def test_a_stacked_kirillov_call_holds_no_per_node_array():
+    # 51 xi on the 64 x 128 rule: (51, 64) phases; one value per node would
+    # be 51 x 8192 complex values, about 6.7 MB
+    for kind, coords in _SPHERE_ORBITS:
+        g = build_group(kind)
+        m = trace_metric(g)
+        nu = half_weight(g, coords)
+        q = orbit_quadrature(g, m, nu, level=64)
+        xis = _stack_with_edges(g, m, np.random.default_rng(59), 49)
+        assert len(xis) == 51
+        kirillov_character(g, m, nu, xis, quad=q)
+        tracemalloc.start()
+        try:
+            kirillov_character(g, m, nu, xis, quad=q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (kind, peak)
 
 
 def test_kirillov_character_takes_one_exponential_per_ring(monkeypatch):
@@ -656,6 +731,12 @@ def test_kirillov_character_takes_one_exponential_per_ring(monkeypatch):
         val = kirillov_character(g, m, nu, 0.3 * np.ones(g.rank), quad=q)
         assert sum(sizes) <= 64, (kind, sizes)
         assert abs(val - weyl_character(g, nu, 0.3 * np.ones(g.rank))) <= 1e-6 * weyl_dimension(g, nu)
+        # a stack takes at most 64 per xi
+        xis = np.linspace(-0.4, 0.4, 9 * g.rank).reshape(9, g.rank)
+        sizes.clear()
+        vals = kirillov_character(g, m, nu, xis, quad=q)
+        assert sum(sizes) <= 64 * len(xis), (kind, sizes)
+        assert np.max(np.abs(vals - weyl_character(g, nu, xis))) <= 1e-6 * weyl_dimension(g, nu)
 
 
 def test_ring_nodes_are_the_first_node_of_each_ring_bit_for_bit():
@@ -682,8 +763,10 @@ def test_kirillov_character_refuses_a_non_cartan_xi(monkeypatch):
     for kind, coords in _SPHERE_ORBITS:
         g = build_group(kind)
         m = trace_metric(g)
-        with pytest.raises(ValueError, match=f"the {g.rank} Cartan coefficients"):
-            kirillov_character(g, m, half_weight(g, coords), np.full(g.dim, 0.1))
+        nu = half_weight(g, coords)
+        for xi in (np.full(g.dim, 0.1), np.full((5, g.dim), 0.1), np.full((2, 3, g.rank), 0.1)):
+            with pytest.raises(ValueError, match=f"the {g.rank} Cartan coefficients"):
+                kirillov_character(g, m, nu, xi)
 
 
 # -- Peter-Weyl projector pairing ----------------------------------------------
@@ -728,6 +811,34 @@ def test_projector_pairing_conjugation_invariance():
     assert abs(base - conj) < 1e-6 * max(1.0, abs(base))
 
 
+def test_stacked_projector_rows_are_the_one_function_calls_bit_for_bit():
+    # f returning (2, N) pairs both functions with one node stack per level
+    rng = np.random.default_rng(61)
+    for kind, coords, level in (("su2", 2.0, 12), ("u2", (2.5, 0.5), 8), ("t2", (2.0, 1.0), 12)):
+        g = build_group(kind)
+        nu = half_weight(g, coords)
+        h = random_unitary(2, rng, special=True)
+        if g.kind == "torus":
+            fs = (lambda t: np.exp(1j * t[:, 0]) + np.cos(t[:, 1]), lambda t: np.exp(-2j * t[:, 1]))
+        else:
+            fs = (lambda t: np.abs(t[:, 0, 0] + t[:, 1, 1]) ** 2,
+                  lambda t: np.exp(1j * (h @ t @ h.conj().T)[:, 0, 0].real))
+        both = peter_weyl_projector_weight(g, nu, 1, lambda t: np.stack([f(t) for f in fs]),
+                                           level=level)
+        assert both.shape == (2,), kind
+        assert np.array_equal(both, [peter_weyl_projector_weight(g, nu, 1, f, level=level)
+                                     for f in fs]), kind
+
+
+def test_projector_pairing_checks_every_row_of_a_stack():
+    # a stacked pairing converges only if each row does
+    g = build_group("t1")
+    nu = half_weight(g, 1.0)
+    with pytest.raises(QuadratureDisagreement):
+        peter_weyl_projector_weight(g, nu, 1, lambda th: np.stack(
+            [np.exp(-1j * th[:, 0]), np.exp(-23j * th[:, 0])]), level=24)
+
+
 def test_projector_pairing_rejects_per_element_f():
     # f is called on the whole node stack; a function written for one
     # element would trace the wrong axes, so the pairing refuses it
@@ -736,8 +847,9 @@ def test_projector_pairing_rejects_per_element_f():
     with pytest.raises(ValueError) as err:
         peter_weyl_projector_weight(g, nu, 1, lambda t: np.trace(t), level=8)
     assert "stack" in str(err.value)
-    with pytest.raises(ValueError):
-        peter_weyl_projector_weight(g, nu, 1, lambda t: np.ones((len(t), 1)), level=8)
+    for shape in (lambda t: (len(t), 1), lambda t: (len(t), 2)):
+        with pytest.raises(ValueError):
+            peter_weyl_projector_weight(g, nu, 1, lambda t: np.ones(shape(t)), level=8)
     torus = build_group("t1")
     with pytest.raises(ValueError):
         peter_weyl_projector_weight(torus, half_weight(torus, 1.0), 1,
