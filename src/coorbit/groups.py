@@ -589,6 +589,11 @@ def haar_quadrature(group, level=48):
     angles, uniform in the two rotations and Gauss-Legendre against
     sin(beta)/2.  U(2): central phase in [0, pi) times SU(2).
 
+    The SU(2)/U(2) grid is :func:`euler_elements` of the (tau,) beta,
+    alpha and gamma axis vectors, broadcast against each other, so each
+    cos, sin and exp factor is taken once per distinct angle; every node
+    has the bits of ``euler_elements`` at its own row of angles.
+
     Returns
     -------
     nodes : ndarray
@@ -612,45 +617,44 @@ def haar_quadrature(group, level=48):
     alphas = 2 * np.pi * np.arange(level) / level
     gammas = 4 * np.pi * np.arange(level) / level
     weights = np.repeat(bw / level ** 2, level ** 2)
+    axes = (alphas[:, None], betas[:, None, None], gammas)
     if group.kind == "su":
-        b, a, c = np.meshgrid(betas, alphas, gammas, indexing="ij")
-        params = [a, b, c]
-    else:
-        m = max(4, level // 2)
-        taus = np.pi * np.arange(m) / m
-        t, b, a, c = np.meshgrid(taus, betas, alphas, gammas, indexing="ij")
-        params = [a, b, c, t]
-        weights = np.tile(weights, m) / m
-    return euler_elements(np.stack([p.ravel() for p in params], axis=-1)), weights
+        return euler_elements(*axes).reshape(-1, 2, 2), weights
+    m = max(4, level // 2)
+    taus = np.pi * np.arange(m) / m
+    nodes = euler_elements(*axes, taus[:, None, None, None]).reshape(-1, 2, 2)
+    return nodes, np.tile(weights, m) / m
 
 
-def euler_elements(params):
+def euler_elements(alpha, beta, gamma, tau=None):
     """SU(2)/U(2) elements from ZYZ Euler angles.
 
-    Row (alpha, beta, gamma) of ``params`` maps to
-    Rz(alpha) Ry(beta) Rz(gamma) with Rz(t) = diag(e^{it/2}, e^{-it/2})
-    and Ry(t) the real rotation by t/2; a fourth column tau multiplies
-    the element by the central phase e^{i tau} (U(2)).
+    The angles (alpha, beta, gamma) map to Rz(alpha) Ry(beta) Rz(gamma)
+    with Rz(t) = diag(e^{it/2}, e^{-it/2}) and Ry(t) the real rotation
+    by t/2; a phase tau multiplies the element by the central phase
+    e^{i tau} (U(2)).
 
-    Parameters
-    ----------
-    params : array_like, shape (N, 3) or (N, 4)
+    The angles are floats or arrays that broadcast against each other.
+    Each cos, sin and exp factor is taken on its own angle array, before
+    broadcasting, so a grid of axis vectors (as :func:`haar_quadrature`
+    passes) takes each factor once per distinct angle; every element has
+    the bits it has when its angles are passed alone.
 
     Returns
     -------
-    ndarray, shape (N, 2, 2)
+    ndarray, shape (*broadcast shape, 2, 2)
     """
-    params = np.asarray(params, dtype=float)
-    a, b, c = params[:, 0], params[:, 1], params[:, 2]
+    b = np.asarray(beta, dtype=float)
     cb, sb = np.cos(b / 2), np.sin(b / 2)
-    ea, ec = np.exp(1j * a / 2), np.exp(1j * c / 2)
-    g = np.empty((len(params), 2, 2), dtype=complex)
-    g[:, 0, 0] = ea * cb * ec
-    g[:, 0, 1] = -ea * sb / ec
-    g[:, 1, 0] = sb * ec / ea
-    g[:, 1, 1] = cb / (ea * ec)
-    if params.shape[1] == 4:
-        g *= np.exp(1j * params[:, 3])[:, None, None]
+    ea = np.exp(1j * np.asarray(alpha, dtype=float) / 2)
+    ec = np.exp(1j * np.asarray(gamma, dtype=float) / 2)
+    g = np.empty(np.broadcast_shapes(ea.shape, b.shape, ec.shape) + (2, 2), dtype=complex)
+    g[..., 0, 0] = ea * cb * ec
+    g[..., 0, 1] = -ea * sb / ec
+    g[..., 1, 0] = sb * ec / ea
+    g[..., 1, 1] = cb / (ea * ec)
+    if tau is not None:
+        g = g * np.exp(1j * np.asarray(tau, dtype=float))[..., None, None]
     return g
 
 

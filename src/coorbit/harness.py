@@ -34,7 +34,7 @@ from .hardy import (
     isotypic_dim,
     orbit_separation,
 )
-from .models import MODEL_IDS, LocusSample, build_model, unit_point
+from .models import MODEL_IDS, LocusSample, _cache_key, build_model, unit_point
 from .predictor import (
     dimension_coefficient,
     gaussian_pair_exponent,
@@ -74,6 +74,9 @@ class ExperimentConfig:
                              "for a rate fit (k_max >= k_min * k_factor)")
         if fmt not in ("csv", "json"):
             raise ValueError(f"unknown output format {fmt!r}")
+        if not isinstance(model_id, str):
+            raise ValueError(f"model id must be a string naming a catalog model; "
+                             f"got {model_id!r}")
         if model_id.lower() not in MODEL_IDS:
             raise ValueError(f"unknown model id {model_id!r}; "
                              f"known ids: {', '.join(MODEL_IDS)}")
@@ -124,14 +127,30 @@ def _nu_str(coords):
     return ";".join(repr(float(c)) for c in np.atleast_1d(coords))
 
 
-def _random_regular_cartan(group, metric, rng):
-    """Cartan coefficients with phi-norm in [0.3, 1], away from all walls."""
-    while True:
-        c = rng.uniform(-1.0, 1.0, size=group.rank)
-        n = np.sqrt(metric.inner(c, c))
-        c = c * (rng.uniform(0.3, 1.0) / n)
-        if all(abs(float(beta @ c)) > 2e-2 for beta in group.positive_roots):
-            return c
+def _random_regular_cartans(group, metric, rng, n):
+    """n Cartan coefficient vectors with phi-norm in [0.3, 1], away from
+    all walls, as an (n, rank) array.
+
+    Rejection sampling: an attempt is rank + 1 doubles of ``rng``, a
+    vector in [-1, 1]^rank and then its norm in [0.3, 1], and it is
+    rejected within 2e-2 of a wall.  The attempts are drawn in blocks of
+    as many as are still missing, so the stream is read exactly as far
+    as one attempt at a time reads it.  The norms are the batched
+    product c G c^T, which has the bits of ``metric.inner``.
+    """
+    rank = group.rank
+    gram = metric.gram[:rank, :rank]
+    low, high = [-1.0] * rank + [0.3], [1.0] * (rank + 1)
+    kept = []
+    while n:
+        draws = rng.uniform(low, high, size=(n, rank + 1))
+        c = draws[:, :rank]
+        norms = np.sqrt(c[:, None, :] @ gram @ c[:, :, None])[:, 0, 0]
+        c = c * (draws[:, rank] / norms)[:, None]
+        regular = np.all(np.abs(c @ group.positive_roots.T) > 2e-2, axis=1)
+        kept.append(c[regular])
+        n -= int(regular.sum())
+    return np.concatenate(kept)
 
 
 def fit_power(ks, errs):
@@ -220,7 +239,7 @@ def run_character_suite(config):
         nu_s = _nu_str(nu.coords)
         quad = orbit_quadrature(group, metric, nu, level=_QUAD_LEVEL)
         d_nu = weyl_dimension(group, nu)
-        xis = np.array([_random_regular_cartan(group, metric, rng) for _ in range(50)])
+        xis = _random_regular_cartans(group, metric, rng, 50)
         kir = kirillov_character(group, metric, nu, np.pad(xis, ((0, 1), (0, 0))), quad=quad)
         worst = float(np.max(np.abs(kir[:-1] - weyl_character(group, nu, xis)) / d_nu))
         _check(rows, fits, f"{kind}-kirillov-vs-weyl",
@@ -292,13 +311,30 @@ def run_character_suite(config):
 
 def _locus_base(config, model):
     """(nu, x, sample): the configured nu of ``model``, the default locus
-    point x and its locus decomposition."""
+    point x and its locus decomposition, decomposed once per nu and kept
+    in ``model.base_cache`` for every suite run on the model."""
     nu = model.resolve_nu(config.nu)
-    x = model.default_locus_point(nu)
-    sample = model.locus_decompose(nu, x)
-    if not isinstance(sample, LocusSample):
-        raise AssumptionViolation(f"base point of {model.id} is off the locus")
-    return nu, x, sample
+    key = _cache_key(nu, None)
+    base = model.base_cache.get(key)
+    if base is None:
+        x = model.default_locus_point(nu)
+        sample = model.locus_decompose(nu, x)
+        if not isinstance(sample, LocusSample):
+            raise AssumptionViolation(f"base point of {model.id} is off the locus")
+        base = model.base_cache[key] = nu, x, sample
+    return base
+
+
+def _base_diagonal(model, nu, k, x):
+    """Re Pi_{k nu}(x, x) at the base point x of :func:`_locus_base`, from
+    ``equivariant_kernel`` once per (nu, k) and kept in
+    ``model.base_cache``: the diag and gaussian suites read the same
+    diagonals."""
+    key = _cache_key(nu, k)
+    diag = model.base_cache.get(key)
+    if diag is None:
+        diag = model.base_cache[key] = equivariant_kernel(model, nu, k, x, x).real
+    return diag
 
 
 def run_diag_convergence(config, model):
@@ -308,7 +344,7 @@ def run_diag_convergence(config, model):
     ks = [model.valid_k(k) for k in config.k_schedule]
     rows = []
     for k, pred in zip(ks, predict_near_diagonal(model, nu, sample, ks)):
-        exact = equivariant_kernel(model, nu, k, x, x).real
+        exact = _base_diagonal(model, nu, k, x)
         rows.append(Row(model.id, _nu_str(nu.coords), k, "diag-ratio",
                         exact, pred.value.real, abs(exact / pred.value.real - 1.0)))
     band = (-1.2, -0.8)
@@ -327,7 +363,7 @@ def run_gaussian_profile(config, model):
     if not (normal or wbasis):
         return rows, fits   # nothing to profile, so no diagonal is evaluated
     k0, k1 = model.valid_k(config.k_min), model.valid_k(config.k_max)
-    diag1 = equivariant_kernel(model, nu, k1, x, x).real
+    diag1 = _base_diagonal(model, nu, k1, x)
 
     if normal:
         vhat = normal[0] / np.linalg.norm(normal[0])
@@ -342,7 +378,7 @@ def run_gaussian_profile(config, model):
     if wbasis:
         what = wbasis[0] / np.linalg.norm(wbasis[0])
         flat = np.zeros(len(_DISPLACEMENTS))
-        diag0 = equivariant_kernel(model, nu, k0, x, x).real
+        diag0 = _base_diagonal(model, nu, k0, x)
         dev0 = np.max(np.abs(_profile(rows, model, nu, x, k0, diag0, what, "w", flat)))
         dev1 = np.max(np.abs(_profile(rows, model, nu, x, k1, diag1, what, "w", flat)))
         band_c = dev0 * np.sqrt(k0)
@@ -474,8 +510,11 @@ def run_suite(name, config):
     ALL_MODELS) and emit CSV/JSON if configured.
 
     Each catalog model the run needs is built once and shared by every
-    suite run on it, so later suites read the bases and listings earlier
-    ones stored; the models are dropped on return.  The characters suite
+    suite run on it, so later suites read what earlier ones stored on it:
+    the bases and listings of its kernel sums, and the base locus sample
+    and base diagonals Pi_{k nu}(x, x) that the diag and gaussian suites
+    both read (``model.base_cache``), each computed once per run.  The
+    models are dropped on return.  The characters suite
     takes none.  A suite that yields no fit on a model (gaussian on
     su2-cp1 or s1-cp1-w12, whose loci have no normal or flat direction to
     profile) raises ValueError: a run with no verdict passes nothing.
@@ -562,5 +601,4 @@ def emit(name, config, rows, fits, passed):
             fh.write(rows_to_csv(rows))
     path = os.path.join(config.out_dir, f"suite_{name}.json")
     with open(path, "w") as fh:
-        fh.write(json.dumps(_summary(name, rows, fits, passed), sort_keys=True, indent=1,
-                            allow_nan=False) + "\n")
+        fh.write(summary_json(name, rows, fits, passed) + "\n")

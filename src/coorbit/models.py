@@ -84,7 +84,8 @@ def _basis_row_bytes(d):
 
 
 def _cache_key(nu, k):
-    """The key of a model's ``runs_cache`` and ``basis_cache`` for the half-weight nu."""
+    """The key of a model's ``runs_cache``, ``basis_cache`` and ``base_cache``
+    for the half-weight nu."""
     return tuple(nu.coords.tolist()), k     # not int(k): k = 2.5 lists nothing, k = 2 does
 
 
@@ -177,8 +178,8 @@ class IsotypicRuns:
 
 class ProjectiveModel:
     """Base class; subclasses fix the group, the lift, and the isotypic
-    bookkeeping.  All state except ``basis_cache`` and ``runs_cache`` is
-    immutable after construction."""
+    bookkeeping.  All state except ``basis_cache``, ``runs_cache`` and
+    ``base_cache`` is immutable after construction."""
 
     def __init__(self, model_id, group, metric, d, generators, lift_note,
                  default_nu):
@@ -194,6 +195,10 @@ class ProjectiveModel:
         self.basis_cache = {}
         # _cache_key(nu, k) -> IsotypicRuns, filled by isotypic_runs
         self.runs_cache = {}
+        # filled by the suites run on this model: _cache_key(nu, None) ->
+        # (nu, x, sample) at the base locus point x (harness._locus_base) and
+        # _cache_key(nu, k) -> Re Pi_{k nu}(x, x) (harness._base_diagonal)
+        self.base_cache = {}
         for a in self.generators:
             if np.linalg.norm(a + a.conj().T) > 1e-12:
                 raise ValueError("generators must be skew-Hermitian")

@@ -12,6 +12,7 @@ from coorbit.groups import (
     euler_elements,
     gauss_legendre,
     group_volumes,
+    haar_quadrature,
     half_weight,
     random_unitary,
     trace_metric,
@@ -450,7 +451,7 @@ def test_euler_elements_match_rotation_product():
     rng = np.random.default_rng(12)
     params = rng.uniform([0, 0, 0, 0], [2 * np.pi, np.pi, 4 * np.pi, np.pi], size=(40, 4))
     for cols in (3, 4):
-        gs = euler_elements(params[:, :cols])
+        gs = euler_elements(*params[:, :cols].T)
         assert gs.shape == (40, 2, 2)
         for g, (a, b, c, t) in zip(gs, params):
             phase = np.exp(1j * t) if cols == 4 else 1.0
@@ -458,6 +459,25 @@ def test_euler_elements_match_rotation_product():
             assert np.allclose(g @ g.conj().T, np.eye(2), rtol=0, atol=1e-14)
         if cols == 3:
             assert np.allclose(np.linalg.det(gs), 1.0, rtol=0, atol=1e-14)
+
+    # the Haar grid broadcasts its (tau,) beta, alpha, gamma axis vectors:
+    # bit for bit the elements of its meshgrid rows, passed as flat arrays.
+    # U(2) is checked on its first two tau slabs (tau = 0 and a phase) and
+    # its last, which keeps level 48 (24 slabs of 48^3 nodes) fast
+    for kind in ("su2", "u2"):
+        group = build_group(kind)
+        for level in (4, 12, 19, 48):
+            nodes, _ = haar_quadrature(group, level)
+            betas = 0.5 * np.pi * (gauss_legendre(level)[0] + 1.0)
+            alphas = 2 * np.pi * np.arange(level) / level
+            gammas = 4 * np.pi * np.arange(level) / level
+            b, a, c = (v.ravel() for v in np.meshgrid(betas, alphas, gammas, indexing="ij"))
+            m = max(4, level // 2)
+            taus = [None] if kind == "su2" else np.pi * np.arange(m) / m
+            slabs = nodes.reshape(len(taus), len(a), 2, 2)
+            for j in sorted({0, 1, len(taus) - 1} & set(range(len(taus)))):
+                tau = None if taus[j] is None else np.full(len(a), taus[j])
+                assert np.array_equal(slabs[j], euler_elements(a, b, c, tau)), (kind, level, j)
 
 
 def test_gauss_legendre_is_numpys_rule_computed_once_and_read_only():

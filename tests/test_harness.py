@@ -1,5 +1,6 @@
 import copy
 import gc
+from collections import Counter
 import importlib.util
 import io
 import json
@@ -17,6 +18,7 @@ import pytest
 import coorbit
 from coorbit import harness
 from coorbit.cli import _parse_point, main
+from coorbit.groups import build_group, trace_metric
 from coorbit.hardy import equivariant_kernel_log
 from coorbit.harness import (
     ALL_MODELS,
@@ -45,6 +47,10 @@ def test_config_validation():
         ExperimentConfig(k_min=64, k_max=8)
     with pytest.raises(ValueError):
         ExperimentConfig(fmt="xml")
+    # a model id that is no string is refused like any other bad field
+    for model_id in (None, 3, ("t2-cp2",)):
+        with pytest.raises(ValueError, match="model id must be a string"):
+            ExperimentConfig(model_id=model_id)
     # a rate fit needs two k values: k_max below k_min * k_factor leaves one
     for k_max in (64, 127):
         with pytest.raises(ValueError, match="at least two k values"):
@@ -410,13 +416,14 @@ def test_suite_all_composition(suite_all):
 
 def test_suite_all_json_is_strict(suite_all):
     """The summary file and the --format json stdout parse as strict JSON
-    (no NaN or Infinity tokens) and agree."""
+    (no NaN or Infinity tokens) and are the same bytes."""
     def refuse(token):
         raise ValueError(f"non-standard JSON constant {token}")
 
     out, stdout = suite_all
     from_file = json.loads((out / "suite_all.json").read_text(), parse_constant=refuse)
     assert json.loads(stdout, parse_constant=refuse) == from_file
+    assert stdout == (out / "suite_all.json").read_text()     # one layout, byte for byte
     decay = next(f for f in from_file["fits"] if f["quantity"] == "t2-cp2:off-orbit-decay")
     assert decay["band"] == [None, -5.0] and decay["intercept"] is None
 
@@ -470,6 +477,72 @@ def test_suite_all_builds_each_catalog_model_once(monkeypatch):
                                 "fits": [copy.deepcopy(vars(f)) for f in fits],
                                 "pass": passed})
     assert harness._summary("all", rows, fits, passed) == reference
+
+
+def test_suite_all_computes_each_base_point_and_diagonal_once(monkeypatch):
+    """One `suite all` decomposes each model's base locus point once and
+    sums each base diagonal Pi_{k nu}(x, x) once: the diag and gaussian
+    suites share them through the model.  No diagonal of any suite is
+    summed twice."""
+    decomposed, diagonals = Counter(), Counter()
+
+    def counted_build_model(model_id):
+        model = build_model(model_id)
+        exact = model.locus_decompose
+
+        def counted(nu, x, *args, **kwargs):
+            decomposed[model_id, np.asarray(x, dtype=complex).tobytes()] += 1
+            return exact(nu, x, *args, **kwargs)
+
+        model.locus_decompose = counted
+        return model
+
+    exact_kernel = harness.equivariant_kernel
+
+    def counted_kernel(model, nu, k, x, y):
+        if np.array_equal(x, y):
+            diagonals[model.id, k, x.tobytes()] += 1
+        return exact_kernel(model, nu, k, x, y)
+
+    monkeypatch.setattr(harness, "build_model", counted_build_model)
+    monkeypatch.setattr(harness, "equivariant_kernel", counted_kernel)
+    run_suite("all", ExperimentConfig(seed=0))
+    schedule = ExperimentConfig().k_schedule
+    for mid in MODEL_IDS:
+        model = build_model(mid)
+        x = model.default_locus_point(model.default_nu).tobytes()
+        assert decomposed[mid, x] == 1, mid
+        assert [diagonals[mid, model.valid_k(k), x] for k in schedule] == [1] * len(schedule)
+    assert set(diagonals.values()) == {1}
+
+
+def _random_regular_cartan(group, metric, rng, rejected):
+    """The per-attempt draw the block draw replaced, counting rejections."""
+    while True:
+        c = rng.uniform(-1.0, 1.0, size=group.rank)
+        n = np.sqrt(metric.inner(c, c))
+        c = c * (rng.uniform(0.3, 1.0) / n)
+        if all(abs(float(beta @ c)) > 2e-2 for beta in group.positive_roots):
+            return c
+        rejected.append(c)
+
+
+def test_block_cartan_draw_is_the_per_attempt_draw():
+    """The character suite's block draw of xi gives the per-attempt draw's
+    vectors bit for bit and leaves the generator where it left it, on 200
+    seeds per group, rejected attempts included."""
+    for kind in ("su2", "u2"):
+        group = build_group(kind)
+        metric = trace_metric(group)
+        rejected = []
+        for seed in range(200):
+            block_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            block = harness._random_regular_cartans(group, metric, block_rng, 50)
+            loop = [_random_regular_cartan(group, metric, loop_rng, rejected) for _ in range(50)]
+            assert np.array_equal(block, np.array(loop)), (kind, seed)
+            assert block_rng.random() == loop_rng.random(), (kind, seed)
+        # a U(2) attempt can fall near its wall; SU(2)'s one root is never near
+        assert bool(rejected) == (kind == "u2")
 
 
 def test_suite_all_equals_its_suites_run_alone(suite_all):
